@@ -1,0 +1,136 @@
+"""Golden digests of the pictures that reconstruction and gluing produce.
+
+A small seeded corpus is run through ``reconstruct``, ``glue_laminations``
+and ``traveler_trace``; each part is serialized through ``sl3shear.io``
+and hashed.  A refactor of the strand walkers must leave every digest
+unchanged.  ``peripheral`` flags are left out of the traveler records on
+purpose: they are checked by their own tests.
+
+To print the digests of the current tree, run
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import hashlib
+import random
+from fractions import Fraction
+
+from sl3shear import io as jio
+from sl3shear.glue import glue_laminations
+from sl3shear.laminations import PinnedLamination, add_peripheral_chain
+from sl3shear.reconstruct import reconstruct, traveler_trace
+from sl3shear.seeds import Sl3IndexSet
+from sl3shear.surface import MarkedSurfaceSpec, build
+from sl3shear.tropical import TropicalPoint
+from sl3shear.verify import random_pinned_two_triangles
+
+F = Fraction
+
+GOLDEN = {
+    "reconstruct": "5da4be6517f8be074b640a381d4763118ba143952833375750ad0dd94904a150",
+    "glue-two-triangles": "4672841262112ae47f31bc90d0341fd7f77565408ee78c845193b32d581a6268",
+    "glue-two-pentagons": "bbe0671201347f1db758bccca6bffa8381b6d8d18bd8a18ebb47ce9dbf908e2f",
+    "glue-puncture-forming": "f78f24d120ca36e606e968db3895344b179a7213ffef19e7b0aeca8692069995",
+    "travelers": "0b895ba40411ade832fc302699b311a9e1a9636681fe8ceb98939fbb8bdeff85",
+}
+
+
+def _pentagon(p):
+    return [
+        (f"{p}1", (f"{p}b0", f"{p}b1", f"{p}d2")),
+        (f"{p}2", (f"{p}d2", f"{p}b2", f"{p}d3")),
+        (f"{p}3", (f"{p}d3", f"{p}b3", f"{p}b4")),
+    ]
+
+
+def _random_x(rng, tri, entry_range):
+    coords = {i: F(rng.randint(-entry_range, entry_range)) for i in Sl3IndexSet(tri).unfrozen}
+    return TropicalPoint("X", coords, tri=tri, restricted=True)
+
+
+def _random_delta(rng, tri, pin_range):
+    return {
+        e: (F(rng.randint(-pin_range, pin_range)), F(rng.randint(-pin_range, pin_range)))
+        for e in tri.boundary_intervals
+    }
+
+
+def _with_peripherals(rng, pic):
+    for _ in range(rng.randint(0, 2)):
+        pic = add_peripheral_chain(
+            pic, rng.choice(sorted(pic.tri.vertices)), rng.choice(["cw", "ccw"])
+        )
+    return pic
+
+
+def _traveler_records(pic):
+    return [
+        [t.kind, list(t.route), [[e, str(k_out), str(k_in), s] for e, k_out, k_in, s in t.identifiers]]
+        for t in traveler_trace(pic)
+    ]
+
+
+def corpus():
+    """name -> the JSON texts of that part of the corpus."""
+    rng = random.Random(2024)
+    parts = {name: [] for name in GOLDEN if name != "travelers"}
+    pictures = []
+
+    def add(name, obj, pic):
+        parts[name].append(jio.dump(obj))
+        pictures.append(pic)
+
+    for spec in (
+        MarkedSurfaceSpec.polygon(4),
+        MarkedSurfaceSpec.polygon(5),
+        MarkedSurfaceSpec.annulus(1, 1),
+        MarkedSurfaceSpec.once_punctured_torus(),
+    ):
+        tri = build(spec)
+        for _ in range(12):
+            pic = reconstruct(_random_x(rng, tri, 4), tri)
+            add("reconstruct", jio.picture_to_obj(pic), pic)
+
+    for _ in range(20):
+        glued = glue_laminations(random_pinned_two_triangles(rng), "a2", "b0")
+        add("glue-two-triangles", jio.pinned_to_obj(glued), glued.underlying)
+
+    pentagons = build(MarkedSurfaceSpec.table(_pentagon("L") + _pentagon("R")))
+    left = [e for e in pentagons.boundary_intervals if e.startswith("L")]
+    right = [e for e in pentagons.boundary_intervals if e.startswith("R")]
+    for _ in range(6):
+        pic = reconstruct(_random_x(rng, pentagons, 8), pentagons)
+        pinned = PinnedLamination(pic, _random_delta(rng, pentagons, 5))
+        glued = glue_laminations(pinned, rng.choice(left), rng.choice(right))
+        add("glue-two-pentagons", jio.pinned_to_obj(glued), glued.underlying)
+
+    polygon4 = build(MarkedSurfaceSpec.polygon(4))
+    annulus = build(MarkedSurfaceSpec.annulus(1, 1))
+    for tri, e_l, e_r in (
+        (polygon4, "b0", "b2"),
+        (polygon4, "b1", "b2"),
+        (annulus, "b1", "b3"),
+    ):
+        for _ in range(10):
+            pic = _with_peripherals(rng, reconstruct(_random_x(rng, tri, 3), tri))
+            pinned = PinnedLamination(pic, _random_delta(rng, tri, 3))
+            glued = glue_laminations(pinned, e_l, e_r)
+            add("glue-puncture-forming", jio.pinned_to_obj(glued), glued.underlying)
+
+    parts["travelers"] = [jio.dump(_traveler_records(pic)) for pic in pictures]
+    return parts
+
+
+def digests():
+    return {
+        name: hashlib.sha256("\n".join(texts).encode("utf-8")).hexdigest()
+        for name, texts in corpus().items()
+    }
+
+
+def test_golden_digests():
+    assert digests() == GOLDEN
+
+
+if __name__ == "__main__":
+    for name, digest in digests().items():
+        print(f'    "{name}": "{digest}",')
