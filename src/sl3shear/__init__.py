@@ -13,6 +13,7 @@ is exact, over :class:`fractions.Fraction`.
 from .surface import (
     IdealTriangulation,
     MarkedSurfaceSpec,
+    Sl3Error,
     SurfaceError,
     SpecViolatesSurfaceConditions,
     SelfFoldedUnavoidable,
@@ -65,7 +66,6 @@ from .laminations import (
     shear_frozen,
     coords_of_components,
     geometric_ensemble,
-    dynkin_geometric,
     normalize_integral,
     elementary_lamination,
 )
@@ -76,7 +76,6 @@ from .reconstruct import (
     reconstruct,
     traveler_trace,
     roundtrip_check,
-    default_depth,
 )
 from .glue import (
     ShiftElement,

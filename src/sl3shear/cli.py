@@ -14,28 +14,37 @@ import sys
 from fractions import Fraction
 
 from . import io as jio
-from .laminations import InvalidPicture, shear_frozen
+from .laminations import shear_frozen
 from .reconstruct import reconstruct, roundtrip_check
-from .seeds import exchange_matrix, m_matrix
-from .surface import MarkedSurfaceSpec, SurfaceError, build
+from .seeds import Sl3IndexSet, exchange_matrix, m_matrix
+from .surface import MarkedSurfaceSpec, Sl3Error, build
 from .tropical import apply_flip, dynkin_cluster, ensemble
 from .glue import glue_laminations
 from .verify import SUITES, run_suites
 
 
+class UsageError(Exception):
+    """Malformed command-line input."""
+
+
+_SPECS = {
+    "polygon": (MarkedSurfaceSpec.polygon, 1),
+    "punctured-polygon": (MarkedSurfaceSpec.punctured_polygon, 2),
+    "annulus": (MarkedSurfaceSpec.annulus, 2),
+    "once-punctured-torus": (MarkedSurfaceSpec.once_punctured_torus, 0),
+}
+
+
 def _parse_spec(text):
-    parts = text.split(":")
-    kind = parts[0]
-    args = [int(x) for x in parts[1:]]
-    if kind == "polygon":
-        return MarkedSurfaceSpec.polygon(*args)
-    if kind == "punctured-polygon":
-        return MarkedSurfaceSpec.punctured_polygon(*args)
-    if kind == "annulus":
-        return MarkedSurfaceSpec.annulus(*args)
-    if kind == "once-punctured-torus":
-        return MarkedSurfaceSpec.once_punctured_torus()
-    raise argparse.ArgumentTypeError(f"unknown surface spec {text!r}")
+    kind, *parts = text.split(":")
+    family, arity = _SPECS.get(kind, (None, -1))
+    try:
+        args = [int(p) for p in parts]
+    except ValueError:
+        args = None
+    if family is None or args is None or len(args) != arity:
+        raise UsageError(f"bad surface spec {text!r}")
+    return family(*args)
 
 
 def _load_surface(path):
@@ -57,7 +66,13 @@ def _coords_arg(tri, text):
     """Parse a coordinate map; accepts canonical index keys t:/e: and,
     when the surface has a unique interior edge, the aliases T_L, T_R,
     E1, E2 for its quadrilateral."""
-    raw = json.loads(text)
+    try:
+        raw = json.loads(text)
+    except ValueError:
+        raise UsageError(f"coordinates are not JSON: {text!r}") from None
+    if not isinstance(raw, dict):
+        raise UsageError(f"coordinates are not a JSON object: {text!r}")
+    known = set(Sl3IndexSet(tri).all)
     coords = {}
     aliases = {}
     if len(tri.interior_edges) == 1:
@@ -72,8 +87,16 @@ def _coords_arg(tri, text):
     for key, val in raw.items():
         idx = aliases.get(key)
         if idx is None:
-            idx = jio.index_from_str(key)
-        coords[idx] = Fraction(val)
+            try:
+                idx = jio.index_from_str(key)
+            except (IndexError, ValueError):
+                idx = None
+        if idx not in known:
+            raise UsageError(f"unknown coordinate {key!r}")
+        try:
+            coords[idx] = Fraction(val)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise UsageError(f"bad rational {val!r} for {key!r}") from None
     return coords
 
 
@@ -108,6 +131,8 @@ def cmd_shear(args):
 
 def cmd_flip(args):
     tri = _load_surface(args.surface)
+    if args.edge not in tri.edges:
+        raise UsageError(f"unknown edge {args.edge!r}")
     t2, corr = tri.flip_edge(args.edge)
     obj = {"surface": jio.triangulation_to_obj(t2)}
     obj["index_map"] = {
@@ -152,10 +177,10 @@ def cmd_reconstruct(args):
 
     coords = _coords_arg(tri, args.coords)
     x = TropicalPoint("X", coords, tri=tri, restricted=True)
-    pic = reconstruct(x, tri, depth=args.depth)
+    pic = reconstruct(x, tri)
     obj = jio.picture_to_obj(pic)
     if args.check:
-        rep = roundtrip_check(x, tri, depth=args.depth)
+        rep = roundtrip_check(x, tri)
         obj["roundtrip"] = {"ok": rep["ok"], "stable": rep["stable"]}
     _emit(obj, args.out)
     return 0
@@ -271,7 +296,6 @@ def make_parser():
     p = sub.add_parser("reconstruct", help="build the picture of an unfrozen coordinate vector")
     p.add_argument("--surface", required=True)
     p.add_argument("--coords", required=True)
-    p.add_argument("--depth", type=int, default=None)
     p.add_argument("--check", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_reconstruct)
@@ -307,7 +331,10 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (SurfaceError, InvalidPicture) as exc:
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Sl3Error as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -10,12 +10,12 @@ removed, and new spiralling ends (when a merged point becomes a
 puncture) are truncated to sign markers.
 
 The infinite added collections are never materialized up front.  The
-tracer walks explicit strands of the original picture together with
-"virtual" added arcs identified by (corner, depth); a virtual arc at
-depth d is clockwise for even d (the farthest arc from the marked point
-is clockwise), and virtual arcs pair depth-to-depth across the old edges
-around their marked point.  Only the virtual arcs actually used by a
-surviving component are written into the output picture.
+components are followed by the strand walker of
+:mod:`sl3shear.reconstruct`, through :class:`_GlueStepper`: it reuses the
+explicit-picture stepper for the strands of the original picture and
+adds "virtual" arcs, indexed past either end of a strand list, and the
+pinned pairing across the new edge.  Only the virtual arcs actually used
+by a surviving component are written into the output picture.
 """
 
 from __future__ import annotations
@@ -27,19 +27,15 @@ from .laminations import (
     CornerArc,
     GlobalPicture,
     PinnedLamination,
-    SpiralEnd,
     InvalidPicture,
     normalize_integral,
 )
-from .reconstruct import TruncationTooShallow, _picture_maps, _rescale_picture
-from .surface import SameEdge
+from .reconstruct import Turn, _PictureStepper, _rescale_picture, spiral_tail, walk_both
+from .surface import SameEdge, Sl3Error
 
 
-class UnknownInterval(Exception):
+class UnknownInterval(Sl3Error):
     pass
-
-
-HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -73,356 +69,93 @@ def glue_coordinates(xl_pair, xr_pair):
     return (xl_pair[0] + xr_pair[1], xl_pair[1] + xr_pair[0])
 
 
-class _GlueTracer:
-    """Walks the glued picture.  Positions are ('orig', slot, dir, idx)
-    for strands of the input picture and ('virt', corner, depth) for the
-    added arcs around the endpoint vertices of the glued intervals."""
+class _GlueStepper(_PictureStepper):
+    """Steps on the glued picture.  States are those of the input
+    picture, extended by the infinite added collections: on a side whose
+    strand list has n entries, the index j < 0 is the added arc r = -j-1
+    deep beyond the initial corner's stack, and j >= n the one r = j-n
+    deep beyond the terminal corner's.  At a corner the added arcs have
+    virtual depths 2r and 2r+1, clockwise for even ones (the farthest arc
+    from the marked point is clockwise); an arc's place is (corner,
+    virtual depth).  Added arcs pair by the reversal, extended, across
+    the old edges, and the two glued sides pair by the pins: psi' =
+    sigma - psi on the half-integer parameter psi = j + 1/2."""
 
     def __init__(self, pic, e_l, e_r, delta, t2, vertex_map):
-        self.pic = pic
-        self.tri = pic.tri
-        self.e_l = e_l
-        self.e_r = e_r
-        self.t2 = t2
-        self.vertex_map = vertex_map
-        self.slot_l = self.tri.slots(e_l)[0]
-        self.slot_r = self.tri.slots(e_r)[0]
         diags = pic.validate()
         if diags:
             raise InvalidPicture("; ".join(diags))
+        super().__init__(pic)
+        self.surface = t2
+        self.vertex_map = vertex_map
+        self.slot_l = pic.tri.slots(e_l)[0]
+        self.slot_r = pic.tri.slots(e_r)[0]
         dl = delta.get(e_l, (Fraction(0), Fraction(0)))
         dr = delta.get(e_r, (Fraction(0), Fraction(0)))
         if any(v.denominator != 1 for v in (*dl, *dr)):
             raise InvalidPicture("gluing requires integral pinnings")
-        self.sigma_lr = dl[0] + dr[1]
-        self.sigma_rl = dl[1] + dr[0]
-        self.lists, self.arc_ends, self.pair_fwd, self.pair_bwd = _picture_maps(pic)
-        self.endpoint_vertices = set()
-        for e in (e_l, e_r):
-            a, b = self.tri.edge_endpoints(e)
-            self.endpoint_vertices.update((a, b))
+        self.sigma_lr = int(dl[0] + dr[1])
+        self.sigma_rl = int(dl[1] + dr[0])
+        # (edge, direction reached) -> (far slot, sigma): an incoming
+        # strand on the left side was paired on the right-to-left sheet
+        self.pins = {
+            (e_l, "in"): (self.slot_r, self.sigma_lr),
+            (e_l, "out"): (self.slot_r, self.sigma_rl),
+            (e_r, "in"): (self.slot_l, self.sigma_rl),
+            (e_r, "out"): (self.slot_l, self.sigma_lr),
+        }
         total = sum(len(v) for v in self.lists.values())
-        mass = int(abs(self.sigma_lr) + abs(self.sigma_rl))
-        self.step_cap = 4000 + 100 * (total + mass + 8) * max(1, len(self.tri.edges))
+        mass = abs(self.sigma_lr) + abs(self.sigma_rl)
+        self.step_cap = 4000 + 100 * (total + mass + 8) * max(1, len(pic.tri.edges))
 
-    def merged_vertex_of_corner(self, corner):
-        return self.vertex_map[self.tri.corner_vertex(*corner)]
+    def vertex(self, corner):
+        return self.vertex_map[self.pic.tri.corner_vertex(*corner)]
 
-    # -- psi parameters on the sides of the glued intervals ----------------
+    def _n(self, slot, d):
+        return len(self.lists[(slot, d)])
 
-    def _n_orig(self, slot, direction):
-        return len(self.lists[(slot, direction)])
-
-    def psi_of(self, pos, slot, direction):
-        if pos[0] == "orig":
-            return pos[3] + HALF
-        _, corner, depth = pos
-        t, i = slot
-        r = depth // 2
-        if corner == (t, (i - 1) % 3):
-            return -(r + HALF)
-        return self._n_orig(slot, direction) + r + HALF
-
-    def decode_psi(self, psi, slot, direction):
-        t, i = slot
-        n = self._n_orig(slot, direction)
-        if 0 < psi < n:
-            return ("orig", slot, direction, int(psi - HALF))
-        if psi < 0:
-            corner = (t, (i - 1) % 3)
-            r = int(-psi - HALF)
-            # B-side ends: cw arcs (even depth) leave the triangle
-            depth = 2 * r if direction == "out" else 2 * r + 1
-            return ("virt", corner, depth)
-        corner = (t, i % 3)
-        r = int(psi - n - HALF)
-        # A-side ends: cw arcs enter the triangle
-        depth = 2 * r if direction == "in" else 2 * r + 1
-        return ("virt", corner, depth)
-
-    # -- crossings ----------------------------------------------------------
-
-    def _virt_partner(self, pos, slot):
-        _, corner, depth = pos
-        e = self.tri.edge_at(slot)
-        sl, sr = self.tri.slots(e)
-        far = sr if slot == sl else sl
-        t, i = slot
-        t2, i2 = far
-        if corner == (t, (i - 1) % 3):
-            far_corner = (t2, i2 % 3)
-        else:
-            far_corner = (t2, (i2 - 1) % 3)
-        return ("virt", far_corner, depth), far
-
-    def cross(self, pos, slot):
-        """Across the biangle from an outgoing position."""
-        e = self.tri.edge_at(slot)
-        if e in (self.e_l, self.e_r):
-            here_l = e == self.e_l
-            far_slot = self.slot_r if here_l else self.slot_l
-            sigma = self.sigma_lr if here_l else self.sigma_rl
-            psi = self.psi_of(pos, slot, "out")
-            return self.decode_psi(sigma - psi, far_slot, "in"), far_slot
-        sl, sr = self.tri.slots(e)
+    def _cross(self, state, to):
+        slot, d, j = state
+        tri = self.pic.tri
+        e = tri.edge_at(slot)
+        pin = self.pins.get((e, to))
+        if pin is not None:
+            return (pin[0], to, pin[1] - 1 - j)
+        if 0 <= j < self._n(slot, d):
+            return super()._cross(state, to)
+        sl, sr = tri.slots(e)
         if sr is None:
-            return ("boundary",), None
-        if pos[0] == "orig":
-            nxt = self.pair_fwd.get((slot, pos[3]))
-            if nxt is None:
-                raise InvalidPicture(f"unpaired strand on interior edge {e}")
-            return ("orig", nxt[0], "in", nxt[1]), nxt[0]
-        return self._virt_partner(pos, slot)
-
-    def cross_back(self, pos, slot):
-        """Across the biangle, backward, from an incoming position."""
-        e = self.tri.edge_at(slot)
-        if e in (self.e_l, self.e_r):
-            here_l = e == self.e_l
-            far_slot = self.slot_r if here_l else self.slot_l
-            # an incoming strand on the left side was paired on the
-            # right-to-left sheet, and vice versa
-            sigma = self.sigma_rl if here_l else self.sigma_lr
-            psi = self.psi_of(pos, slot, "in")
-            return self.decode_psi(sigma - psi, far_slot, "out"), far_slot
-        sl, sr = self.tri.slots(e)
-        if sr is None:
-            return ("boundary",), None
-        if pos[0] == "orig":
-            prv = self.pair_bwd.get((slot, pos[3]))
-            if prv is None:
-                raise InvalidPicture(f"unpaired strand on interior edge {e}")
-            return ("orig", prv[0], "out", prv[1]), prv[0]
-        return self._virt_partner(pos, slot)
-
-    # -- inside a triangle ----------------------------------------------------
-
-    def continue_inside(self, pos, slot):
-        """From an incoming position to the outgoing one, or an end event."""
-        if pos[0] == "virt":
-            _, corner, depth = pos
-            orient = "cw" if depth % 2 == 0 else "ccw"
-            t, i = slot
-            out_slot = (t, (i + 1) % 3) if corner == (t, i % 3) else (t, (i - 1) % 3)
-            return ("go", pos, out_slot, ("virt", corner, depth, orient))
-        _, _, _, idx = pos
-        ref = self.lists[(slot, "in")][idx]
-        if ref.origin[0] == "leg":
-            return ("sink", slot[0])
-        _, corner, p = ref.origin
-        entry = self.pic.corner_stack(corner)[p]
-        if isinstance(entry, SpiralEnd):
-            return ("old-spiral", corner, p, entry)
-        outs = self.arc_ends.get((corner, p, "out"), [])
-        if len(outs) != 1:
-            raise InvalidPicture(f"arc at {corner} lacks an outgoing end")
-        oslot, oidx = outs[0]
-        return ("go", ("orig", oslot, "out", oidx), oslot, ("orig", corner, p))
-
-    def continue_back_inside(self, pos, slot):
-        if pos[0] == "virt":
-            _, corner, depth = pos
-            orient = "cw" if depth % 2 == 0 else "ccw"
-            t, i = slot
-            in_slot = (t, (i + 1) % 3) if corner == (t, i % 3) else (t, (i - 1) % 3)
-            return ("go", pos, in_slot, ("virt", corner, depth, orient))
-        _, _, _, idx = pos
-        ref = self.lists[(slot, "out")][idx]
-        if ref.origin[0] == "leg":
-            return ("source", slot[0])
-        _, corner, p = ref.origin
-        entry = self.pic.corner_stack(corner)[p]
-        if isinstance(entry, SpiralEnd):
-            return ("old-spiral", corner, p, entry)
-        ins = self.arc_ends.get((corner, p, "in"), [])
-        if len(ins) != 1:
-            raise InvalidPicture(f"arc at {corner} lacks an incoming end")
-        islot, iidx = ins[0]
-        return ("go", ("orig", islot, "in", iidx), islot, ("orig", corner, p))
-
-
-def _virtual_spiral_probe(tracer, history):
-    """A revisit of the same (corner, parity) among same-direction
-    virtual turns around one merged puncture at strictly greater depth is
-    an infinite spiral: a monotone winding preserves the arc orientation,
-    its hugging crossings co-deepen both charts, and the return map on
-    depths is a translation.  Turns of mixed orientation are zigzags
-    through the non-hugging window and never confirm."""
-    if len(history) < 2:
-        return None
-    key, vertex, orient, depth = history[-1]
-    if vertex is None:
-        return None
-    for idx in range(len(history) - 2, -1, -1):
-        k2, v2, o2, d2 = history[idx]
-        if v2 != vertex or o2 != orient:
             return None
-        if k2 == key:
-            if depth > d2 and tracer.t2.vertices[vertex] == "puncture":
-                return vertex
-            return None
-    return None
+        return (sr if slot == sl else sl, to, self._n(slot, d) - 1 - j)
 
-
-def _walk_forward(tracer, pos, slot, spiral_turns):
-    """Forward walk from an outgoing position.  Returns (transits,
-    visited positions, end descriptor)."""
-    transits = []
-    marks = []
-    history = []
-    seen = set()
-    steps = 0
-    while True:
-        steps += 1
-        if steps > tracer.step_cap:
-            raise TruncationTooShallow("glue trace exceeded the step bound")
-        if (pos, slot) in seen:
-            return transits, marks, ("loop",)
-        seen.add((pos, slot))
-        if pos[0] == "orig":
-            marks.append(("orig", slot, pos[3]))
-        far, far_slot = tracer.cross(pos, slot)
-        if far[0] == "boundary":
-            return transits, marks, ("boundary",)
-        step = tracer.continue_inside(far, far_slot)
-        if step[0] == "sink":
-            return transits, marks, ("sink", step[1])
-        if step[0] == "old-spiral":
-            transits.append(("old", step[1], step[2]))
-            return transits, marks, ("old-spiral", step[3].sign)
-        _, pos, slot, transit = step
-        transits.append(transit)
-        if transit[0] == "virt":
-            marks.append(("virt", transit[1], transit[2]))
-        history.append(_history_entry(tracer, transit))
-        vertex = _virtual_spiral_probe(tracer, history)
-        if vertex is not None:
-            tail, marker, sign = _materialize_tail(
-                tracer, pos, slot, True, spiral_turns, vertex
-            )
-            transits.extend(tail)
-            transits.append(marker)
-            return transits, marks, ("spiral", sign)
-
-
-def _walk_backward(tracer, pos, slot, spiral_turns):
-    """Backward walk from an outgoing position to the component start."""
-    transits = []
-    marks = []
-    history = []
-    seen = set()
-    steps = 0
-    while True:
-        steps += 1
-        if steps > tracer.step_cap:
-            raise TruncationTooShallow("glue trace exceeded the step bound")
-        if (pos, slot) in seen:
-            return transits, marks, ("loop",)
-        seen.add((pos, slot))
-        if pos[0] == "orig" and pos[2] == "out":
-            marks.append(("orig", slot, pos[3]))
-        step = tracer.continue_back_inside(pos, slot)
-        if step[0] == "source":
-            return transits, marks, ("source", step[1])
-        if step[0] == "old-spiral":
-            transits.append(("old", step[1], step[2]))
-            return transits, marks, ("old-spiral", step[3].sign)
-        _, in_pos, in_slot, transit = step
-        transits.append(transit)
-        if transit[0] == "virt":
-            marks.append(("virt", transit[1], transit[2]))
-        history.append(_history_entry(tracer, transit))
-        vertex = _virtual_spiral_probe(tracer, history)
-        if vertex is not None:
-            tail, marker, sign = _materialize_tail(
-                tracer, in_pos, in_slot, False, spiral_turns, vertex
-            )
-            transits.extend(tail)
-            transits.append(marker)
-            return transits, marks, ("spiral", sign)
-        far, far_slot = tracer.cross_back(in_pos, in_slot)
-        if far[0] == "boundary":
-            return transits, marks, ("boundary",)
-        pos, slot = far, far_slot
-
-
-def _history_entry(tracer, transit):
-    if transit[0] == "virt":
-        _, corner, depth, orient = transit
-        return ((corner, depth % 2), tracer.merged_vertex_of_corner(corner), orient, depth)
-    return (("orig", transit[1], transit[2]), None, None, 0)
-
-
-def _materialize_tail(tracer, pos, slot, forward, spiral_turns, vertex):
-    """Extra full turns of a detected spiral plus its end marker.
-
-    ``pos``/``slot``: the position continuing the walk (outgoing for the
-    forward direction, incoming for the backward one)."""
-    n_more = spiral_turns * len(tracer.t2.corners_at_vertex(vertex))
-    tail = []
-    for _ in range(n_more):
-        if forward:
-            far, far_slot = tracer.cross(pos, slot)
-            step = tracer.continue_inside(far, far_slot)
+    def _turn(self, state, to):
+        slot, d, j = state
+        n = self._n(slot, d)
+        if 0 <= j < n:
+            return super()._turn(state, to)
+        t, i = slot
+        if j < 0:
+            # at the initial corner, whose other side is the previous
+            # one; there the arc lies past the terminal end
+            r, corner = -j - 1, (t, (i - 1) % 3)
+            depth, other = 2 * r + (d == "in"), corner
+            nxt = (other, to, self._n(other, to) + r)
         else:
-            far, far_slot = tracer.cross_back(pos, slot)
-            step = tracer.continue_back_inside(far, far_slot)
-        if step[0] != "go" or step[3][0] != "virt":
-            raise TruncationTooShallow("spiral tail left the virtual zone")
-        _, pos, slot, transit = step
-        tail.append(transit)
-    if forward:
-        far, far_slot = tracer.cross(pos, slot)
-        step = tracer.continue_inside(far, far_slot)
-    else:
-        far, far_slot = tracer.cross_back(pos, slot)
-        step = tracer.continue_back_inside(far, far_slot)
-    if step[0] != "go" or step[3][0] != "virt":
-        raise TruncationTooShallow("spiral tail left the virtual zone")
-    _, mcorner, mdepth, morient = step[3]
-    # an incoming spiral of cw arcs winds clockwise (sign +); traced
-    # backward, an outgoing spiral of ccw arcs winds clockwise
-    winding = morient if forward else ("cw" if morient == "ccw" else "ccw")
-    marker = ("marker", mcorner, mdepth, SpiralEnd(winding, outgoing=not forward))
-    return tail, marker, "+" if winding == "cw" else "-"
+            r, corner = j - n, (t, i % 3)
+            depth, other = 2 * r + (d == "out"), (t, (i + 1) % 3)
+            nxt = (other, to, -r - 1)
+        orient = "cw" if depth % 2 == 0 else "ccw"
+        return Turn(nxt, corner, orient, self.vertex(corner), depth, (corner, depth))
 
 
-def _transit_orient(tracer, transit):
-    if transit[0] == "virt":
-        return transit[3]
-    entry = tracer.pic.corner_stack(transit[1])[transit[2]]
-    return getattr(entry, "orient", None)
+def _zone_counts(stepper, slot, direction):
+    """(initial, legs) counts of the original strand list."""
+    classes = [stepper.pic.strand_corner_class(ref) for ref in stepper.lists[(slot, direction)]]
+    return classes.count("initial"), classes.count("leg")
 
 
-def _common_merged_vertex(tracer, transits):
-    verts = set()
-    for tr in transits:
-        if tr[0] in ("virt", "marker"):
-            verts.add(tracer.merged_vertex_of_corner(tr[1]))
-        elif tr[0] in ("orig", "old"):
-            verts.add(tracer.merged_vertex_of_corner(tr[1]))
-    if len(verts) == 1:
-        return next(iter(verts))
-    return None
-
-
-def _zone_counts(tracer, slot, direction):
-    """(initial, legs, terminal) counts of the original strand list."""
-    refs = tracer.lists[(slot, direction)]
-    p = q = r = 0
-    for ref in refs:
-        cls = tracer.pic.strand_corner_class(ref)
-        if cls == "initial":
-            p += 1
-        elif cls == "leg":
-            q += 1
-        else:
-            r += 1
-    return p, q, r
-
-
-def _window_seeds(tracer):
-    """Non-hugging crossings of the glued biangle, as outgoing positions.
+def _window_seeds(stepper):
+    """Non-hugging crossings of the glued biangle, as outgoing states.
 
     A crossing hugs an endpoint of the new edge when both of its strands
     sit in the matching corner zones; outside a finite window of
@@ -430,17 +163,14 @@ def _window_seeds(tracer):
     non-peripheral component that crosses the new edge."""
     seeds = []
     for out_slot, in_slot, sigma in (
-        (tracer.slot_l, tracer.slot_r, tracer.sigma_lr),
-        (tracer.slot_r, tracer.slot_l, tracer.sigma_rl),
+        (stepper.slot_l, stepper.slot_r, stepper.sigma_lr),
+        (stepper.slot_r, stepper.slot_l, stepper.sigma_rl),
     ):
-        p, q, _ = _zone_counts(tracer, out_slot, "out")
-        p2, q2, _ = _zone_counts(tracer, in_slot, "in")
-        lo = min(Fraction(p), sigma - p2 - q2)
-        hi = max(Fraction(p + q), sigma - p2)
-        psi = lo + HALF
-        while psi < hi:
-            seeds.append((tracer.decode_psi(psi, out_slot, "out"), out_slot))
-            psi += 1
+        p, q = _zone_counts(stepper, out_slot, "out")
+        p2, q2 = _zone_counts(stepper, in_slot, "in")
+        lo = min(p, sigma - p2 - q2)
+        hi = max(p + q, sigma - p2)
+        seeds.extend((out_slot, "out", j) for j in range(lo, hi))
     return seeds
 
 
@@ -462,68 +192,57 @@ def glue_laminations(pinned, e_l, e_r, spiral_turns=2):
     if not isinstance(pic, GlobalPicture):
         raise InvalidPicture("picture-level gluing needs a GlobalPicture")
     t2, res = tri.glue_boundary(e_l, e_r)
-    tracer = _GlueTracer(pic, e_l, e_r, norm.delta, t2, res.vertex_map)
+    stepper = _GlueStepper(pic, e_l, e_r, norm.delta, t2, res.vertex_map)
 
     keep_orig = set()
     new_virts = {}
     markers = {}
     visited = set()
-    merged_ids = {tracer.vertex_map[v] for v in tracer.endpoint_vertices}
+    merged_ids = {res.vertex_map[v] for e in (e_l, e_r) for v in tri.edge_endpoints(e)}
 
-    def record(transits):
-        for tr in transits:
-            if tr[0] in ("orig", "old"):
-                keep_orig.add((tr[1], tr[2]))
-            elif tr[0] == "virt":
-                _, corner, depth, orient = tr
-                new_virts[(corner, depth)] = orient
-            else:
-                _, corner, depth, marker = tr
-                markers[(corner, depth)] = marker
-
-    def run(pos, slot, drop_if_new_peripheral):
-        key = ("orig", slot, pos[3]) if pos[0] == "orig" else ("virt", pos[1], pos[2])
-        if key in visited:
+    def run(seed, drop_if_new_peripheral):
+        if seed in visited:
             return
-        ft, fmarks, fend = _walk_forward(tracer, pos, slot, spiral_turns)
-        if fend == ("loop",):
-            bt, bmarks, bend = [], [], ("loop",)
-        else:
-            bt, bmarks, bend = _walk_backward(tracer, pos, slot, spiral_turns)
-        visited.update(fmarks)
-        visited.update(bmarks)
-        visited.add(key)
-        transits = bt + ft
-        if drop_if_new_peripheral:
-            hug = _common_merged_vertex(tracer, transits)
-            closed = fend == ("loop",)
-            both_boundary = fend == ("boundary",) and bend == ("boundary",)
-            peripheral = hug in merged_ids and both_boundary
-            if hug in merged_ids and closed:
-                # a loop hugging a merged puncture is peripheral only if
-                # it rotates around the vertex monotonically (every turn
-                # the same way); mixed turns circle a handle instead
-                orients = {_transit_orient(tracer, tr) for tr in transits}
-                peripheral = len(orients) == 1
-            if peripheral:
+        fw, bw = walk_both(stepper, seed)
+        turns = bw.turns + fw.turns
+        for w in (fw, bw):
+            visited.update(w.crossings)
+            visited.update(t.state for t in w.turns)
+        verts = {t.vertex for t in turns}
+        if drop_if_new_peripheral and len(verts) == 1 and verts <= merged_ids:
+            # a loop around a merged point is peripheral only if it winds
+            # monotonically (every turn the same way); mixed turns circle
+            # a handle instead
+            if fw.peripheral or fw.end[0] == bw.end[0] == "boundary":
                 return
-        record(transits)
+        for w, forward in ((fw, True), (bw, False)):
+            if w.end[0] == "marker":
+                keep_orig.add(w.end[3])
+            elif w.end[0] == "spiral":
+                tail, marker, spiral_end = spiral_tail(stepper, w.end, forward, spiral_turns)
+                turns += tail
+                markers[marker.place] = spiral_end
+        for t in turns:
+            if t.depth is None:
+                keep_orig.add(t.place)
+            else:
+                new_virts[t.place] = t.orient
 
     # components crossing the new edge, including those made entirely of
     # added arcs (they are never peripheral: their window crossing does
     # not hug a corner)
-    for pos, slot in _window_seeds(tracer):
-        run(pos, slot, drop_if_new_peripheral=False)
+    for seed in _window_seeds(stepper):
+        run(seed, drop_if_new_peripheral=False)
     # remaining original components; those that close up or run
     # boundary-to-boundary around a merged point are the removed
     # peripherals of the gluing construction
-    for (slot, d), refs in sorted(tracer.lists.items(), key=lambda kv: str(kv[0])):
+    for (slot, d), refs in sorted(stepper.lists.items(), key=lambda kv: str(kv[0])):
         if d != "out":
             continue
         for idx in range(len(refs)):
-            run(("orig", slot, "out", idx), slot, drop_if_new_peripheral=True)
+            run((slot, "out", idx), drop_if_new_peripheral=True)
 
-    glued = _assemble(tracer, keep_orig, new_virts, markers)
+    glued = _assemble(stepper, keep_orig, new_virts, markers)
     if u != 1:
         glued = _rescale_picture(glued, Fraction(1, u))
     # re-anchor the coweights of the remaining intervals
@@ -540,9 +259,9 @@ def glue_laminations(pinned, e_l, e_r, spiral_turns=2):
     return PinnedLamination(glued, delta)
 
 
-def _assemble(tracer, keep_orig, new_virts, markers):
+def _assemble(stepper, keep_orig, new_virts, markers):
     """Build the glued picture from the surviving pieces."""
-    pic = tracer.pic
+    pic = stepper.pic
     corners = {}
     for corner, stack in pic.corners.items():
         kept = [entry for p, entry in enumerate(stack) if (corner, p) in keep_orig]
@@ -561,7 +280,7 @@ def _assemble(tracer, keep_orig, new_virts, markers):
         corners.setdefault(corner, [])
         corners[corner] = list(corners.get(corner, [])) + [e for _, e in entries]
     honeycombs = dict(pic.honeycombs)
-    glued = GlobalPicture(tracer.t2, honeycombs, corners)
+    glued = GlobalPicture(stepper.surface, honeycombs, corners)
     diags = glued.validate()
     if diags:
         raise InvalidPicture("; ".join(diags))

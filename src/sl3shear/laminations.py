@@ -23,22 +23,23 @@ from fractions import Fraction
 from math import lcm
 
 from .seeds import Sl3IndexSet
+from .surface import Sl3Error
 from .tropical import TropicalPoint, pos
 
 
-class InvalidPicture(Exception):
+class InvalidPicture(Sl3Error):
     pass
 
 
-class UnknownComponentKind(Exception):
+class UnknownComponentKind(Sl3Error):
     pass
 
 
-class CarrierMismatch(Exception):
+class CarrierMismatch(Sl3Error):
     pass
 
 
-class NegativeNonPeripheralWeight(Exception):
+class NegativeNonPeripheralWeight(Sl3Error):
     pass
 
 
@@ -291,10 +292,6 @@ class GlobalPicture:
                     new.extend([replace(entry, weight=Fraction(1))] * int(w))
             corners[c] = tuple(new)
         return GlobalPicture(self.tri, honeycombs, corners)
-
-
-def empty_picture(tri):
-    return GlobalPicture(tri)
 
 
 def honeycomb_leg_split(pic, t, side_index):
@@ -724,12 +721,6 @@ def geometric_ensemble(s):
     return PinnedLamination(ComponentSum(tri, rest), delta)
 
 
-def dynkin_geometric(lam):
-    """Reverse the orientation of every component; puncture signs are
-    kept and pinning coweights swap their two components."""
-    return lam.dynkin()
-
-
 def normalize_integral(lam):
     """Clear denominators: returns ``(u, scaled)`` with ``u`` the lcm of
     the weight (and pinning) denominators and ``scaled`` the integral
@@ -777,7 +768,7 @@ def elementary_lamination(tri, k):
         _, e, s = k
         dp = Fraction(-1) if s == 1 else Fraction(0)
         dm = Fraction(-1) if s == 2 else Fraction(0)
-        return PinnedLamination(empty_picture(tri), {e: (dp, dm)})
+        return PinnedLamination(GlobalPicture(tri), {e: (dp, dm)})
     x = TropicalPoint("X", {k: Fraction(-1)}, tri=tri, restricted=True)
     pic = reconstruct(x, tri)
     delta = {}

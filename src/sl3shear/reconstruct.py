@@ -1,4 +1,15 @@
-"""Reconstruction of a good-position picture from shear coordinates.
+"""Reconstruction of a good-position picture from shear coordinates, and
+the strand walker shared by reconstruction, traveler tracing and gluing.
+
+A strand alternately crosses a biangle and turns at a corner inside a
+triangle.  :func:`walk` follows one strand through a *stepper*, which
+supplies four operations on states ``(slot, direction, parameter)``:
+``cross`` and ``turn`` and their inverses ``cross_back`` and
+``turn_back``.  A crossing returns the state on the far side, or None on
+the boundary; a turn returns a :class:`Turn`, or an end tuple such as
+``("sink", t)``.  The walker owns the step cap, loop detection, the
+spiral detector, the peripheral rule for closed loops and the spiral tail
+writer :func:`spiral_tail`; the steppers only step.
 
 The inverse map places a honeycomb of height |x_T| in every triangle and
 infinite alternating corner-arc stacks at every corner, then pairs the
@@ -8,14 +19,13 @@ strand sets across each interior edge by the pinning rule
     n_L^- = [x_{T_L}]_+,  n_R^+ = x_{E,2},
 
 so that a strand at parameter t on one side is paired with the strand at
-parameter (n_L + n_R) - t on the other.  Instead of materializing the
-infinite picture, travelers are traced arithmetically on the parameters:
-the finitely many crossings that do not hug a corner of their
-quadrilateral seed the trace, peripheral components never appear, and a
-spiralling end is recognized exactly when a full turn around a puncture
-repeats with a deeper parameter.  Only the surviving travelers are
-materialized, with spiral tails truncated to a sign marker after a fixed
-number of extra turns.
+parameter (n_L + n_R) - t on the other.  :class:`_CoordStepper` walks this
+infinite picture arithmetically on the parameters: the finitely many
+crossings that do not hug a corner of their quadrilateral seed the trace,
+so peripheral components never appear.  Only the surviving travelers are
+materialized, with spiral tails truncated to a sign marker after
+``spiral_turns`` extra turns.  :class:`_PictureStepper` walks the strand
+lists of an explicit picture for :func:`traveler_trace`.
 """
 
 from __future__ import annotations
@@ -31,43 +41,145 @@ from .laminations import (
     InvalidPicture,
     shear_unfrozen,
 )
+from .surface import Sl3Error
 from .tropical import TropicalPoint, pos
 
 
-class TruncationTooShallow(Exception):
+class TruncationTooShallow(Sl3Error):
     pass
 
 
-class NonIntegralInput(Exception):
+class NonIntegralInput(Sl3Error):
     pass
 
 
 HALF = Fraction(1, 2)
+LOOP = ("loop",)
+_REVERSED = {"cw": "ccw", "ccw": "cw"}
 
 
-def default_depth(x, tri):
-    """The default truncation bound: the largest quadrilateral coordinate
-    mass plus two."""
-    best = 0
-    for e in tri.interior_edges:
-        (tl, _), (tr, _) = tri.slots(e)
-        mass = (
-            abs(x[("edge", e, 1)])
-            + abs(x[("edge", e, 2)])
-            + abs(x[("tri", tl)])
-            + abs(x[("tri", tr)])
-        )
-        best = max(best, mass)
-    return int(best) + 2
+# -- the strand walker --------------------------------------------------------
 
 
-class _CoordTracer:
-    """Traveler tracing on the implicit infinite picture of a coordinate
-    vector.  States are (slot, direction, parameter) with direction 'in'
-    or 'out' relative to the slot's triangle."""
+@dataclass(slots=True)
+class Turn:
+    """One turn of a strand at a corner of a triangle.
+
+    ``depth`` grows as the turn moves away from the triangle's interior
+    into the corner; it is None for a turn on a fixed arc, which cannot
+    be part of a spiral.  ``place`` tells the caller where the arc sits
+    in its corner stack."""
+
+    state: tuple  # the state the strand continues from
+    corner: tuple
+    orient: str  # orientation of the corner arc: 'cw' | 'ccw'
+    vertex: str  # the marked point of the corner
+    depth: object
+    place: tuple
+
+
+@dataclass
+class Walk:
+    crossings: list  # the out-states crossed, from the seed on
+    turns: list  # in walk order
+    end: tuple
+
+    @property
+    def peripheral(self):
+        """A closed loop whose turns all wind the same way around one
+        vertex."""
+        return self.end == LOOP and len({(t.vertex, t.orient) for t in self.turns}) == 1
+
+
+def walk(stepper, seed, forward):
+    """Follow the strand through the out-state ``seed`` forward or backward.
+
+    The end is ``LOOP`` when the strand closes up, ``("boundary", state)``
+    where no crossing continues it, a stepper's end tuple, or
+    ``("spiral", vertex, sign, state)`` once it spirals into a puncture:
+    it revisits a (slot, direction) at strictly greater depth within a
+    run of turns that all wind the same way around the puncture.  Such a
+    run makes the one-turn return map a translation, so the spiral repeats
+    forever; :func:`spiral_tail` continues it from ``state``."""
+    cross, turn = (stepper.cross, stepper.turn) if forward else (stepper.cross_back, stepper.turn_back)
+    vertices = stepper.surface.vertices
+    crossings = []
+    turns = []
+    run_of, run = None, {}
+    state = seed
+    for _ in range(stepper.step_cap):
+        crossings.append(state)
+        # forward a step crosses and then turns, backward it turns back
+        # and then crosses back
+        at = cross(state) if forward else state
+        if at is None:
+            return Walk(crossings, turns, ("boundary", state))
+        t = turn(at)
+        if type(t) is not Turn:
+            return Walk(crossings, turns, t)
+        turns.append(t)
+        if t.depth is None:
+            run_of = None
+        else:
+            if run_of != (t.vertex, t.orient):
+                run_of, run = (t.vertex, t.orient), {}
+            last = run.get(at[:2])
+            run[at[:2]] = t.depth
+            if last is not None and t.depth > last and vertices[t.vertex] == "puncture":
+                winding = t.orient if forward else _REVERSED[t.orient]
+                sign = SpiralEnd(winding, not forward).sign
+                return Walk(crossings, turns, ("spiral", t.vertex, sign, t.state))
+        state = t.state if forward else cross(t.state)
+        if state is None:
+            return Walk(crossings, turns, ("boundary", t.state))
+        if state == seed:
+            return Walk(crossings, turns, LOOP)
+    raise TruncationTooShallow(f"walk from {seed} exceeded the step cap {stepper.step_cap}")
+
+
+def walk_both(stepper, seed):
+    """The forward and the backward walk of the strand through ``seed``;
+    a closed loop needs only the forward one."""
+    fw = walk(stepper, seed, True)
+    return fw, (Walk([], [], LOOP) if fw.end == LOOP else walk(stepper, seed, False))
+
+
+def strand_kind(fw, bw):
+    if fw.end == LOOP:
+        return "loop"
+    return "spiral" if {fw.end[0], bw.end[0]} & {"spiral", "marker"} else "arc"
+
+
+def spiral_tail(stepper, end, forward, turns):
+    """Write the tail of a detected spiral: ``turns`` more full turns
+    around its puncture, then the turn that carries the sign marker.
+    Returns (tail turns, marker turn, the SpiralEnd for the marker)."""
+    _, vertex, _, state = end
+    cross, turn = (stepper.cross, stepper.turn) if forward else (stepper.cross_back, stepper.turn_back)
+    tail = []
+    for _ in range(turns * len(stepper.surface.corners_at_vertex(vertex)) + 1):
+        at = cross(state)
+        t = None if at is None else turn(at)
+        if type(t) is not Turn or t.depth is None:
+            raise TruncationTooShallow("spiral tail left the winding zone")
+        tail.append(t)
+        state = t.state
+    marker = tail.pop()
+    winding = marker.orient if forward else _REVERSED[marker.orient]
+    return tail, marker, SpiralEnd(winding, outgoing=not forward)
+
+
+# -- coordinate tracing -------------------------------------------------------
+
+
+class _CoordStepper:
+    """Steps on the implicit infinite picture of a coordinate vector.
+    Parameters are half-integers; an arc's place is (corner, orient, rank)
+    with rank its position among the same-orientation arcs of the
+    corner."""
 
     def __init__(self, tri, x, step_cap):
-        self.tri = tri
+        self.surface = tri
         self.x = x
         self.step_cap = step_cap
         self._faces = {t: x[("tri", t)] for t in tri.triangles}
@@ -76,9 +188,6 @@ class _CoordTracer:
             (tl, _), (tr, _) = tri.slots(e)
             self._sigma[(e, "lr")] = x[("edge", e, 1)] + pos(self._faces[tr])
             self._sigma[(e, "rl")] = x[("edge", e, 2)] + pos(self._faces[tl])
-        self.probe_span = 2 + max(
-            (len(tri.corners_at_vertex(v)) for v in tri.vertices), default=2
-        )
 
     def face(self, t):
         return self._faces[t]
@@ -92,66 +201,54 @@ class _CoordTracer:
     def sigma(self, e, sheet):
         return self._sigma[(e, sheet)]
 
-    # -- elementary moves -------------------------------------------------
+    def _turn(self, state, corner, orient, depth, rank):
+        vertex = self.surface.corner_vertex(*corner)
+        return Turn(state, corner, orient, vertex, depth, (corner, orient, rank))
 
-    def step_out(self, slot, k):
-        """Cross the biangle from an outgoing strand; None on boundary."""
-        e = self.tri.edge_at(slot)
-        sl, sr = self.tri.slots(e)
+    def cross(self, state):
+        slot, _, k = state
+        e = self.surface.edge_at(slot)
+        sl, sr = self.surface.slots(e)
         if sr is None:
             return None
         if slot == sl:
             return (sr, "in", self.sigma(e, "lr") - k)
         return (sl, "in", self.sigma(e, "rl") - k)
 
-    def step_in(self, slot, k):
-        """Continue inside the triangle from an incoming strand.
-
-        Returns ('turn', next_state, corner, hug) with hug 'initial' or
-        'terminal', or ('sink', triangle)."""
-        t, i = slot
-        a = self.in_legs(t)
-        if k < 0:
-            nxt = ((t, (i - 1) % 3), "out", self.out_legs(t) - k)
-            return ("turn", nxt, (t, (i - 1) % 3), "initial")
-        if k < a:
-            return ("sink", t)
-        nxt = ((t, (i + 1) % 3), "out", a - k)
-        return ("turn", nxt, (t, i % 3), "terminal")
-
-    def step_back_in(self, slot, k):
-        """Predecessor of an incoming strand: back across the biangle;
-        None if the strand starts on the boundary."""
-        e = self.tri.edge_at(slot)
-        sl, sr = self.tri.slots(e)
+    def cross_back(self, state):
+        slot, _, k = state
+        e = self.surface.edge_at(slot)
+        sl, sr = self.surface.slots(e)
         if sr is None:
             return None
         if slot == sr:
             return (sl, "out", self.sigma(e, "lr") - k)
         return (sr, "out", self.sigma(e, "rl") - k)
 
-    def step_back_out(self, slot, k):
-        """Predecessor of an outgoing strand inside its triangle.
+    def turn(self, state):
+        (t, i), _, k = state
+        a = self.in_legs(t)
+        if k < 0:
+            corner = (t, (i - 1) % 3)
+            return self._turn((corner, "out", self.out_legs(t) - k), corner, "ccw", -k, -k - HALF)
+        if k < a:
+            return ("sink", t)
+        return self._turn(((t, (i + 1) % 3), "out", a - k), (t, i % 3), "cw", k, k - a - HALF)
 
-        Returns ('turn', prev_state, corner, hug) or ('source', triangle);
-        hug is named for the *backward* travel direction: 'terminal'
-        turns wind clockwise toward the puncture (sign +)."""
-        t, i = slot
+    def turn_back(self, state):
+        (t, i), _, k = state
         b = self.out_legs(t)
         if k > b:
-            prev = ((t, (i + 1) % 3), "in", b - k)
-            return ("turn", prev, (t, i % 3), "terminal")
+            return self._turn(((t, (i + 1) % 3), "in", b - k), (t, i % 3), "ccw", k, k - b - HALF)
         if k > 0:
             return ("source", t)
-        prev = ((t, (i - 1) % 3), "in", self.in_legs(t) - k)
-        return ("turn", prev, (t, (i - 1) % 3), "initial")
-
-    # -- windows -----------------------------------------------------------
+        corner = (t, (i - 1) % 3)
+        return self._turn((corner, "in", self.in_legs(t) - k), corner, "cw", -k, -k - HALF)
 
     def seed_window(self, e, sheet):
         """Half-integer out-parameters on the (left for 'lr', right for
         'rl') side whose crossings do not hug a corner."""
-        (tl, _), (tr, _) = self.tri.slots(e)
+        (tl, _), (tr, _) = self.surface.slots(e)
         sigma = self.sigma(e, sheet)
         if sheet == "lr":
             own_legs = self.out_legs(tl)
@@ -168,279 +265,57 @@ class _CoordTracer:
             k += 1
         return out
 
-    def crossing_hugs(self, slot, k):
-        """The corner hugged by a crossing leaving via (slot, k), or None
-        if it does not hug: both ends must sit in matching corner zones."""
-        nxt = self.step_out(slot, k)
+    def crossing_hugs(self, state):
+        """Whether the crossing leaving via ``state`` hugs a corner: both
+        of its ends sit in matching corner zones."""
+        nxt = self.cross(state)
         if nxt is None:
-            return None
-        slot2, _, k2 = nxt
-        t, i = slot
-        t2, i2 = slot2
-        # terminal corner of the out-side matches initial corner of the
-        # far side and vice versa
-        if k > self.out_legs(t) and k2 < 0:
-            return (t, i % 3)
-        if k < 0 and k2 > self.in_legs(t2):
-            return (t, (i - 1) % 3)
-        return None
-
-
-@dataclass
-class Transit:
-    corner: tuple
-    orient: str  # arc orientation: 'ccw' for initial hugs, 'cw' for terminal
-    rank: Fraction
-    vertex: str
+            return False
+        (t, _), _, k = state
+        (t2, _), _, k2 = nxt
+        # the terminal corner of the out-side matches the initial corner
+        # of the far side and vice versa
+        return (k > self.out_legs(t) and k2 < 0) or (k < 0 and k2 > self.in_legs(t2))
 
 
 @dataclass
 class Traveler:
-    """A traced curve: an alternating sequence of crossings and transits.
+    """A traced curve.  ``start``/``end`` are the ends of its backward
+    and forward walks."""
 
-    ``start``/``end`` are ('boundary', slot, param), ('source', tri),
-    ('sink', tri) or ('spiral', vertex, sign); loops have both ends None.
-    """
-
-    crossings: list  # out-states (slot, 'out', param)
-    transits: list  # Transit records, forward order
+    kind: str  # 'arc' | 'loop' | 'spiral'
+    key: tuple
+    turns: list
     start: tuple
     end: tuple
-    tail_transits_start: list
-    tail_transits_end: list
-    kind: str  # 'arc' | 'loop' | 'spiral'
-    key: tuple = None
-
-
-def _hug_rank(tracer, corner, hug, in_state):
-    """Depth rank of a turn among same-orientation arcs at its corner."""
-    _, _, k = in_state
-    t = in_state[0][0]
-    if hug == "initial":
-        return -k - HALF
-    return k - tracer.in_legs(t) - HALF
-
-
-def _spiral_probe(tracer, history):
-    """Detect an infinite spiral from the recent turn history: a revisit
-    of the same (slot, direction) with all turns in between winding the
-    same way around one puncture vertex and the parameter moving deeper
-    into its branch.  Same-direction turns around a common vertex make
-    the one-turn return map a translation, so a deeper revisit repeats
-    forever."""
-    if len(history) < 2:
-        return None
-    state, vertex, kind = history[-1]
-    # one full turn around a vertex revisits (slot, direction) within its
-    # corner count, so a bounded backward scan suffices
-    lo = max(0, len(history) - 1 - tracer.probe_span)
-    for idx in range(len(history) - 2, lo - 1, -1):
-        st2, v2, k2 = history[idx]
-        if v2 != vertex or k2 != kind:
-            return None
-        if st2[0] == state[0] and st2[1] == state[1]:
-            drift = state[2] - st2[2]
-            if drift == 0:
-                return None
-            deeper = drift > 0 if state[2] > 0 else drift < 0
-            if deeper and tracer.tri.vertices[vertex] == "puncture":
-                return vertex
-            return None
-    return None
-
-
-def _trace_forward(tracer, seed, stop_states=None):
-    """Follow a traveler forward from an out-state until it terminates.
-
-    Returns (crossings, transits, end, closed) where ``end`` describes
-    the forward end and ``closed`` is True for a closed loop."""
-    crossings = []
-    transits = []
-    hug_history = []
-    state = seed
-    visited = set()
-    steps = 0
-    while True:
-        steps += 1
-        if steps > tracer.step_cap:
-            raise TruncationTooShallow("trace exceeded the step bound")
-        if state in visited:
-            return crossings, transits, None, True
-        visited.add(state)
-        slot, direction, k = state
-        if direction == "out":
-            crossings.append(state)
-            nxt = tracer.step_out(slot, k)
-            if nxt is None:
-                return crossings, transits, ("boundary", slot, k), False
-            state = nxt
-            continue
-        kind, *rest = tracer.step_in(slot, k)
-        if kind == "sink":
-            return crossings, transits, ("sink", rest[0]), False
-        _, nxt, corner, hug = (kind, *rest)
-        vertex = tracer.tri.corner_vertex(*corner)
-        transits.append(
-            Transit(
-                corner,
-                "ccw" if hug == "initial" else "cw",
-                _hug_rank(tracer, corner, hug, state),
-                vertex,
-            )
-        )
-        hug_history.append((state, vertex, hug))
-        sp = _spiral_probe(tracer, hug_history)
-        if sp is not None:
-            sign = "+" if hug == "terminal" else "-"
-            # the tail continues from the out-state after this turn
-            return crossings, transits, ("spiral", sp, sign, nxt), False
-        state = nxt
-
-
-def _trace_backward(tracer, seed):
-    """Follow a traveler backward from an out-state to its start."""
-    crossings = []
-    transits = []
-    hug_history = []
-    state = seed
-    visited = set()
-    steps = 0
-    first = True
-    while True:
-        steps += 1
-        if steps > tracer.step_cap:
-            raise TruncationTooShallow("trace exceeded the step bound")
-        if state in visited:
-            return crossings, transits, None, True
-        visited.add(state)
-        slot, direction, k = state
-        if direction == "out":
-            if not first:
-                crossings.append(state)
-            first = False
-            kind, *rest = tracer.step_back_out(slot, k)
-            if kind == "source":
-                return crossings, transits, ("source", rest[0]), False
-            _, prev, corner, hug = (kind, *rest)
-            vertex = tracer.tri.corner_vertex(*corner)
-            transits.append(
-                Transit(
-                    corner,
-                    # backward 'terminal' hugs undo forward left turns
-                    "ccw" if hug == "terminal" else "cw",
-                    _hug_rank_backward(tracer, corner, hug, state),
-                    vertex,
-                )
-            )
-            hug_history.append((state, vertex, hug))
-            sp = _spiral_probe(tracer, hug_history)
-            if sp is not None:
-                sign = "+" if hug == "terminal" else "-"
-                # the tail continues backward from the in-state before
-                return crossings, transits, ("spiral", sp, sign, prev), False
-            state = prev
-            continue
-        prev = tracer.step_back_in(slot, k)
-        if prev is None:
-            return crossings, transits, ("boundary", slot, k), False
-        state = prev
-
-
-def _hug_rank_backward(tracer, corner, hug, out_state):
-    (t, _), _, j = out_state
-    if hug == "terminal":
-        # forward left turn entering at parameter out_legs - j < 0
-        return -(tracer.out_legs(t) - j) - HALF
-    # forward right turn entering at in_legs - j > in_legs
-    return (tracer.in_legs(t) - j) - tracer.in_legs(t) - HALF
 
 
 def trace_coordinates(x, tri, step_cap):
     """All non-peripheral travelers of the implicit infinite picture."""
-    tracer = _CoordTracer(tri, x, step_cap)
+    stepper = _CoordStepper(tri, x, step_cap)
     seen = {}
     for e in tri.interior_edges:
         sl, sr = tri.slots(e)
         for sheet, slot in (("lr", sl), ("rl", sr)):
-            for k in tracer.seed_window(e, sheet):
-                if tracer.crossing_hugs(slot, k) is not None:
-                    continue
+            for k in stepper.seed_window(e, sheet):
                 seed = (slot, "out", k)
-                fc, ft, fend, closed = _trace_forward(tracer, seed)
-                if closed:
-                    trav = Traveler(fc, ft, None, None, [], [], "loop")
-                else:
-                    bc, bt, bend, closed_b = _trace_backward(tracer, seed)
-                    crossings = list(reversed(bc)) + fc
-                    transits = list(reversed(bt)) + ft
-                    kind = "arc"
-                    if (fend and fend[0] == "spiral") or (bend and bend[0] == "spiral"):
-                        kind = "spiral"
-                    trav = Traveler(crossings, transits, bend, fend, bt, ft, kind)
+                if stepper.crossing_hugs(seed):
+                    continue
+                fw, bw = walk_both(stepper, seed)
                 # identify a traveler by its non-hugging crossings: the
                 # portion of a spiral tail that a trace records depends on
                 # where the trace started, the core does not
-                core = [
-                    s for s in trav.crossings
-                    if tracer.crossing_hugs(s[0], s[2]) is None
-                ]
-                trav.key = min((str(s[0]), str(s[2])) for s in core)
-                seen.setdefault(trav.key, trav)
-    return tracer, sorted(seen.values(), key=lambda tv: tv.key)
-
-
-def _extend_spiral(tracer, end_desc, forward, turns):
-    """Materialize ``turns`` extra full turns of a spiral and the tail
-    marker.  Returns (extra transits, (corner, channel_orient, rank,
-    SpiralEnd))."""
-    vertex = end_desc[1]
-    state = end_desc[3]
-    n_turns = turns * len(tracer.tri.corners_at_vertex(vertex))
-    extra = []
-    if forward:
-        # state: the out-state continuing the spiral
-        for _ in range(n_turns):
-            s_in = tracer.step_out(state[0], state[2])
-            _, nxt, corner, hug = tracer.step_in(s_in[0], s_in[2])
-            extra.append(
-                Transit(
-                    corner,
-                    "ccw" if hug == "initial" else "cw",
-                    _hug_rank(tracer, corner, hug, s_in),
-                    vertex,
+                key = min(
+                    (str(s[0]), str(s[2]))
+                    for s in bw.crossings + fw.crossings
+                    if not stepper.crossing_hugs(s)
                 )
-            )
-            state = nxt
-        s_in = tracer.step_out(state[0], state[2])
-        _, _, corner, hug = tracer.step_in(s_in[0], s_in[2])
-        winding = "cw" if hug == "terminal" else "ccw"
-        rank = _hug_rank(tracer, corner, hug, s_in)
-        channel = "cw" if hug == "terminal" else "ccw"
-        marker = SpiralEnd(winding, outgoing=False)
-    else:
-        # state: the in-state continuing backward
-        for _ in range(n_turns):
-            s_out = tracer.step_back_in(state[0], state[2])
-            _, prev, corner, hug = tracer.step_back_out(s_out[0], s_out[2])
-            extra.append(
-                Transit(
-                    corner,
-                    "ccw" if hug == "terminal" else "cw",
-                    _hug_rank_backward(tracer, corner, hug, s_out),
-                    vertex,
-                )
-            )
-            state = prev
-        s_out = tracer.step_back_in(state[0], state[2])
-        _, _, corner, hug = tracer.step_back_out(s_out[0], s_out[2])
-        winding = "cw" if hug == "terminal" else "ccw"
-        rank = _hug_rank_backward(tracer, corner, hug, s_out)
-        channel = "ccw" if hug == "terminal" else "cw"
-        marker = SpiralEnd(winding, outgoing=True)
-    return extra, (corner, channel, rank, marker)
+                turns = bw.turns[::-1] + fw.turns
+                seen.setdefault(key, Traveler(strand_kind(fw, bw), key, turns, bw.end, fw.end))
+    return stepper, sorted(seen.values(), key=lambda tv: tv.key)
 
 
-def reconstruct(x, tri, depth=None, spiral_turns=2, normalize=True):
+def reconstruct(x, tri, spiral_turns=2, normalize=True):
     """Build the good-position picture of an integral coordinate vector.
 
     Rational vectors are rejected with :class:`NonIntegralInput` when
@@ -462,14 +337,22 @@ def reconstruct(x, tri, depth=None, spiral_turns=2, normalize=True):
         xs = TropicalPoint(
             "X", {i: v * u for i, v in coords.items()}, tri=tri, restricted=True
         )
-        pic = reconstruct(xs, tri, depth=depth, spiral_turns=spiral_turns)
+        pic = reconstruct(xs, tri, spiral_turns=spiral_turns)
         return _rescale_picture(pic, Fraction(1, u))
     xv = _Coords(coords)
-    if depth is None:
-        depth = default_depth(xv, tri)
-    step_cap = max(256, 8 * len(tri.edges) * (depth + 4))
-    tracer, travelers = trace_coordinates(xv, tri, step_cap)
-    return _materialize(tracer, travelers, spiral_turns)
+    stepper, travelers = trace_coordinates(xv, tri, _step_cap(xv, tri))
+    return _materialize(stepper, travelers, spiral_turns)
+
+
+def _step_cap(x, tri):
+    """A bound on the steps of one walk, from the largest quadrilateral
+    coordinate mass."""
+    mass = 0
+    for e in tri.interior_edges:
+        (tl, _), (tr, _) = tri.slots(e)
+        mass = max(mass, abs(x[("edge", e, 1)]) + abs(x[("edge", e, 2)])
+                   + abs(x[("tri", tl)]) + abs(x[("tri", tr)]))
+    return max(256, 8 * len(tri.edges) * (int(mass) + 6))
 
 
 class _Coords:
@@ -495,32 +378,31 @@ def _rescale_picture(pic, w):
     return GlobalPicture(pic.tri, honeycombs, corners, pic.pairings)
 
 
-def _materialize(tracer, travelers, spiral_turns):
-    tri = tracer.tri
+def _materialize(stepper, travelers, spiral_turns):
+    tri = stepper.surface
     honeycombs = {}
     for t in tri.triangles:
-        v = tracer.face(t)
+        v = stepper.face(t)
         if v > 0:
             honeycombs[t] = Honeycomb("sink", int(v))
         elif v < 0:
             honeycombs[t] = Honeycomb("source", int(-v))
     per_corner = {}
 
-    def put(corner, channel, rank, entry):
-        key = 2 * rank + (0 if channel == "cw" else 1)
+    def put(place, entry):
+        corner, orient, rank = place
+        key = 2 * rank + (0 if orient == "cw" else 1)
         per_corner.setdefault(corner, []).append((key, entry))
 
     for trav in travelers:
-        for tr in trav.transits:
-            put(tr.corner, tr.orient, tr.rank, CornerArc(tr.orient))
+        for t in trav.turns:
+            put(t.place, CornerArc(t.orient))
         for end, forward in ((trav.start, False), (trav.end, True)):
             if end is not None and end[0] == "spiral":
-                extra, (corner, channel, rank, marker) = _extend_spiral(
-                    tracer, end, forward, spiral_turns
-                )
-                for tr in extra:
-                    put(tr.corner, tr.orient, tr.rank, CornerArc(tr.orient))
-                put(corner, channel, rank, marker)
+                tail, marker, spiral_end = spiral_tail(stepper, end, forward, spiral_turns)
+                for t in tail:
+                    put(t.place, CornerArc(t.orient))
+                put(marker.place, spiral_end)
     corners = {}
     for c, items in per_corner.items():
         items.sort(key=lambda kv: kv[0])
@@ -548,64 +430,76 @@ class PictureTraveler:
     end: tuple
 
 
-def _picture_maps(pic):
-    """Index the strand lists of a picture: continuation map inside the
-    triangles and pairing map across the biangles."""
-    tri = pic.tri
-    lists = {}
-    for t in tri.triangles:
-        for i in range(3):
-            for d in ("in", "out"):
-                lists[((t, i), d)] = pic.strand_list((t, i), d)
-    arc_ends = {}
-    for (slot, d), refs in lists.items():
-        for idx, ref in enumerate(refs):
-            if ref.origin[0] == "corner":
-                arc_ends.setdefault((ref.origin[1], ref.origin[2], d), []).append(
-                    (slot, idx)
-                )
-    pair_fwd = {}
-    pair_bwd = {}
-    for e in tri.interior_edges:
-        sl, sr = tri.slots(e)
-        lr, rl = pic.pairings[e]
-        for i, j in lr:
-            pair_fwd[(sl, i)] = (sr, j)
-            pair_bwd[(sr, j)] = (sl, i)
-        for i, j in rl:
-            pair_fwd[(sr, i)] = (sl, j)
-            pair_bwd[(sl, j)] = (sr, i)
-    return lists, arc_ends, pair_fwd, pair_bwd
+class _PictureStepper:
+    """Steps on the strand lists of an explicit picture; the parameter of
+    a state is the strand's index in its list, and an arc's place is
+    (corner, stack position).  A stored spiral marker ends a walk with
+    ``("marker", vertex, sign, place)``."""
 
+    def __init__(self, pic):
+        self.pic = pic
+        self.surface = pic.tri
+        tri = pic.tri
+        self.lists = {}
+        for t in tri.triangles:
+            for i in range(3):
+                for d in ("in", "out"):
+                    self.lists[((t, i), d)] = pic.strand_list((t, i), d)
+        self.arc_ends = {}
+        for (slot, d), refs in self.lists.items():
+            for idx, ref in enumerate(refs):
+                if ref.origin[0] == "corner":
+                    self.arc_ends.setdefault((ref.origin[1], ref.origin[2], d), []).append(
+                        (slot, idx)
+                    )
+        self.pair_fwd = {}
+        self.pair_bwd = {}
+        for e in tri.interior_edges:
+            sl, sr = tri.slots(e)
+            lr, rl = pic.pairings[e]
+            for i, j in lr:
+                self.pair_fwd[(sl, i)] = (sr, j)
+                self.pair_bwd[(sr, j)] = (sl, i)
+            for i, j in rl:
+                self.pair_fwd[(sr, i)] = (sl, j)
+                self.pair_bwd[(sl, j)] = (sr, i)
+        self.step_cap = 1 + sum(len(refs) for refs in self.lists.values())
 
-def _continue_inside(pic, lists, arc_ends, slot, idx):
-    """From an incoming strand, the outgoing strand where its component
-    leaves the triangle, or a terminal event."""
-    ref = lists[(slot, "in")][idx]
-    if ref.origin[0] == "leg":
-        return ("sink", slot[0])
-    _, corner, p = ref.origin
-    entry = pic.corner_stack(corner)[p]
-    if isinstance(entry, SpiralEnd):
-        return ("spiral", pic.tri.corner_vertex(*corner), entry.sign)
-    outs = arc_ends.get((corner, p, "out"), [])
-    if len(outs) != 1:
-        raise InvalidPicture(f"arc at {corner} lacks an outgoing end")
-    return ("go", *outs[0])
+    def vertex(self, corner):
+        return self.surface.corner_vertex(*corner)
 
+    def cross(self, state):
+        return self._cross(state, "in")
 
-def _continue_back_inside(pic, lists, arc_ends, slot, idx):
-    ref = lists[(slot, "out")][idx]
-    if ref.origin[0] == "leg":
-        return ("source", slot[0])
-    _, corner, p = ref.origin
-    entry = pic.corner_stack(corner)[p]
-    if isinstance(entry, SpiralEnd):
-        return ("spiral", pic.tri.corner_vertex(*corner), entry.sign)
-    ins = arc_ends.get((corner, p, "in"), [])
-    if len(ins) != 1:
-        raise InvalidPicture(f"arc at {corner} lacks an incoming end")
-    return ("go", *ins[0])
+    def cross_back(self, state):
+        return self._cross(state, "out")
+
+    def _cross(self, state, to):
+        pairs = self.pair_fwd if to == "in" else self.pair_bwd
+        nxt = pairs.get((state[0], state[2]))
+        return None if nxt is None else (nxt[0], to, nxt[1])
+
+    def turn(self, state):
+        return self._turn(state, "out")
+
+    def turn_back(self, state):
+        return self._turn(state, "in")
+
+    def _turn(self, state, to):
+        slot, d, idx = state
+        ref = self.lists[(slot, d)][idx]
+        if ref.origin[0] == "leg":
+            return ("sink" if d == "in" else "source", slot[0])
+        _, corner, p = ref.origin
+        entry = self.pic.corner_stack(corner)[p]
+        if isinstance(entry, SpiralEnd):
+            return ("marker", self.vertex(corner), entry.sign, (corner, p))
+        ends = self.arc_ends.get((corner, p, to), [])
+        if len(ends) != 1:
+            which = "an outgoing" if to == "out" else "an incoming"
+            raise InvalidPicture(f"arc at {corner} lacks {which} end")
+        (slot2, idx2), = ends
+        return Turn((slot2, to, idx2), corner, entry.orient, self.vertex(corner), None, (corner, p))
 
 
 def traveler_trace(pic):
@@ -615,100 +509,37 @@ def traveler_trace(pic):
     if diags:
         raise InvalidPicture("; ".join(diags))
     tri = pic.tri
-    lists, arc_ends, pair_fwd, pair_bwd = _picture_maps(pic)
+    stepper = _PictureStepper(pic)
     visited = set()
     travelers = []
-    starts = []
-    for (slot, d), refs in sorted(lists.items(), key=lambda kv: str(kv[0])):
+    for (slot, d), refs in sorted(stepper.lists.items(), key=lambda kv: str(kv[0])):
         if d != "out":
             continue
         for idx in range(len(refs)):
-            starts.append((slot, idx))
-    for start in starts:
-        if start in visited:
-            continue
-        # walk backward to the beginning of the component (or find a loop)
-        pos0 = start
-        start_desc = None
-        seen_back = set()
-        while True:
-            if pos0 in seen_back:
-                start_desc = ("loop",)
-                break
-            seen_back.add(pos0)
-            back = _continue_back_inside(pic, lists, arc_ends, *pos0)
-            if back[0] != "go":
-                start_desc = back
-                break
-            prev_in = back[1:]
-            if prev_in not in pair_bwd:
-                start_desc = ("boundary", *prev_in)
-                break
-            pos0 = pair_bwd[prev_in]
-        head = pos0
-        # walk forward collecting route and identifiers
-        route = []
-        idents = []
-        posn = head
-        end_desc = None
-        seen_fwd = set()
-        while True:
-            if posn in seen_fwd:
-                end_desc = ("loop",)
-                break
-            seen_fwd.add(posn)
-            visited.add(posn)
-            slot, idx = posn
-            e = tri.edge_at(slot)
-            nxt = pair_fwd.get(posn)
-            if nxt is None:
-                end_desc = ("boundary", slot, idx)
+            seed = (slot, "out", idx)
+            if seed in visited:
+                continue
+            fw, bw = walk_both(stepper, seed)
+            crossings = bw.crossings[:0:-1] + fw.crossings
+            visited.update(crossings)
+            route = []
+            idents = []
+            for out in crossings:
+                e = tri.edge_at(out[0])
                 route.append(e)
-                break
-            sl, _ = tri.slots(e)
-            sheet = "lr" if slot == sl else "rl"
-            k_out = pic.strand_parameter(slot, "out", idx)
-            k_in = pic.strand_parameter(nxt[0], "in", nxt[1])
-            route.append(e)
-            idents.append((e, k_out, k_in, sheet))
-            step = _continue_inside(pic, lists, arc_ends, *nxt)
-            if step[0] != "go":
-                end_desc = step
-                break
-            posn = step[1:]
-        if start_desc == ("loop",):
-            verts = _loop_vertices(pic, head, lists, arc_ends, pair_fwd)
-            peripheral = verts is not None
+                far = stepper.cross(out)
+                if far is None:
+                    break
+                sheet = "lr" if out[0] == tri.slots(e)[0] else "rl"
+                k_out = pic.strand_parameter(out[0], "out", out[2])
+                k_in = pic.strand_parameter(far[0], "in", far[2])
+                idents.append((e, k_out, k_in, sheet))
             travelers.append(
-                PictureTraveler("loop", peripheral, tuple(route), tuple(idents), None, None)
+                PictureTraveler(
+                    strand_kind(fw, bw), fw.peripheral, tuple(route), tuple(idents), bw.end, fw.end
+                )
             )
-            continue
-        kind = "arc"
-        if (end_desc and end_desc[0] == "spiral") or start_desc[0] == "spiral":
-            kind = "spiral"
-        travelers.append(
-            PictureTraveler(kind, False, tuple(route), tuple(idents), start_desc, end_desc)
-        )
     return travelers
-
-
-def _loop_vertices(pic, head, lists, arc_ends, pair_fwd):
-    """The common hugged vertex of a closed loop, or None if the loop is
-    not peripheral."""
-    verts = set()
-    posn = head
-    seen = set()
-    while posn not in seen:
-        seen.add(posn)
-        nxt = pair_fwd[posn]
-        step = _continue_inside(pic, lists, arc_ends, *nxt)
-        if step[0] != "go":
-            return None
-        ref = lists[(nxt[0], "in")][nxt[1]]
-        _, corner, _ = ref.origin
-        verts.add(pic.tri.corner_vertex(*corner))
-        posn = step[1:]
-    return verts if len(verts) == 1 else None
 
 
 def identifier_relations(pic, x=None):
@@ -731,11 +562,14 @@ def identifier_relations(pic, x=None):
     return bad
 
 
-def roundtrip_check(x, tri, depth=None):
-    """Verify shear(reconstruct(x)) == x exactly, with depth stability.
+def roundtrip_check(x, tri):
+    """Verify shear(reconstruct(x)) == x exactly, and that one more
+    spiral turn leaves the shear unchanged.
 
-    Rational vectors are handled by positive rescaling.  Returns a dict
-    report with the reconstructed picture included.
+    The coordinates are traced once and materialized with two and with
+    three tail turns.  Rational vectors are handled by positive
+    rescaling.  Returns a dict report with the reconstructed picture
+    included.
     """
     from math import lcm
 
@@ -745,12 +579,11 @@ def roundtrip_check(x, tri, depth=None):
 
     u = lcm(*[v.denominator for v in coords.values()]) if coords else 1
     xi = TropicalPoint("X", {i: v * u for i, v in coords.items()}, tri=tri, restricted=True)
-    if depth is None:
-        depth = default_depth(_Coords(dict(xi.coords)), tri)
-    pic = reconstruct(xi, tri, depth=depth)
-    pic2 = reconstruct(xi, tri, depth=depth + 2)
+    xv = _Coords(dict(xi.coords))
+    stepper, travelers = trace_coordinates(xv, tri, _step_cap(xv, tri))
+    pic = _materialize(stepper, travelers, 2)
     y = shear_unfrozen(pic)
-    y2 = shear_unfrozen(pic2)
+    y2 = shear_unfrozen(_materialize(stepper, travelers, 3))
     target = TropicalPoint("X", dict(xi.coords), tri=tri, restricted=True)
     report = {
         "ok": y == target and y2 == target,

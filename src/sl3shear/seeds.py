@@ -13,8 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .surface import Sl3Error
 
-class FrozenIndexMutation(Exception):
+
+class FrozenIndexMutation(Sl3Error):
     pass
 
 

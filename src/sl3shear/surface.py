@@ -19,7 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-class SurfaceError(Exception):
+class Sl3Error(Exception):
+    """Root of every error the library raises."""
+
+
+class SurfaceError(Sl3Error):
     pass
 
 

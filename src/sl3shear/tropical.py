@@ -21,13 +21,14 @@ from .seeds import (
     flip_mutation_sequence,
     dynkin_mutation_sequence,
 )
+from .surface import Sl3Error
 
 
-class SeedMismatch(Exception):
+class SeedMismatch(Sl3Error):
     pass
 
 
-class BadLabeling(Exception):
+class BadLabeling(Sl3Error):
     pass
 
 

@@ -5,8 +5,8 @@ its trial counts when it succeeds.  Criteria and trial counts:
 
 1. flip equivalence, >= 1000 rational points on the square;
 2. round trip shear o reconstruct = id, >= 500 integral vectors on each
-   of square, pentagon, annulus(1,1), once-punctured torus, with depth
-   stability;
+   of square, pentagon, annulus(1,1), once-punctured torus, stable
+   under one more spiral turn;
 3. ensemble relation X = (eps+m) A for every component table, with the
    two pinned rows of the triangle tables;
 4. ensemble-flip commutation, >= 300 rational A-points;

@@ -116,6 +116,42 @@ def test_error_exit_code(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        # malformed input: usage errors
+        (["surface", "--spec", "polygon:x"], 2),
+        (["surface", "--spec", "polygon"], 2),
+        (["surface", "--spec", "klein-bottle:3"], 2),
+        (["flip", "--surface", "{surf}", "--edge", "zz"], 2),
+        (["dynkin", "--surface", "{surf}", "--coords", '{"Q":"1"}'], 2),
+        (["dynkin", "--surface", "{surf}", "--coords", '{"T_L":"1/0"}'], 2),
+        (["dynkin", "--surface", "{surf}", "--coords", '{"T_L":"one"}'], 2),
+        (["dynkin", "--surface", "{surf}", "--coords", '{"e:zz:1":"2"}'], 2),
+        (["dynkin", "--surface", "{surf}", "--coords", "[1, 2]"], 2),
+        (["ensemble", "--surface", "{surf}", "--acoords", "{"], 2),
+        # domain errors
+        (["surface", "--spec", "polygon:2"], 1),
+        (["flip", "--surface", "{surf}", "--edge", "b0"], 1),
+        (["shear", "--surface", "{surf}", "--lamination", "{bad_carrier}"], 1),
+    ],
+)
+def test_cli_error_table(argv, code, tmp_path, capsys):
+    """Every error exits with its documented code and one stderr line."""
+    surf = tmp_path / "p4.json"
+    main(["surface", "--spec", "polygon:4", "--out", str(surf)])
+    bad_carrier = tmp_path / "bad.json"
+    bad_carrier.write_text(
+        json.dumps({"components": [{"kind": "alpha", "carrier": "nope", "weight": "1"}]})
+    )
+    capsys.readouterr()
+    paths = {"{surf}": str(surf), "{bad_carrier}": str(bad_carrier)}
+    argv = [paths.get(a, a) for a in argv]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
 def test_determinism_same_argv_same_bytes(tmp_path):
     cmd = [
         sys.executable, "-m", "sl3shear.cli",

@@ -17,7 +17,6 @@ from sl3shear.laminations import (
     Honeycomb,
     PinnedLamination,
     elementary_lamination,
-    empty_picture,
     shear_frozen,
 )
 from sl3shear.seeds import Sl3IndexSet
@@ -38,7 +37,7 @@ def test_glue_coordinates_examples():
 
 
 def test_shift_examples(two_triangles):
-    pl = PinnedLamination(empty_picture(two_triangles), {})
+    pl = PinnedLamination(GlobalPicture(two_triangles), {})
     out = shift_action(pl, "a2", "b0", ShiftElement(F(1), F(0)))
     assert out.delta["a2"] == (F(1), F(0))
     assert out.delta["b0"] == (F(0), F(-1))
@@ -49,14 +48,14 @@ def test_shift_examples(two_triangles):
 
 
 def test_glue_empty_triangles(two_triangles):
-    pl = PinnedLamination(empty_picture(two_triangles), {})
+    pl = PinnedLamination(GlobalPicture(two_triangles), {})
     glued = glue_laminations(pl, "a2", "b0")
     assert shear_frozen(glued).coords == {}
     assert glued.tri.is_interior("a2")
 
 
 def test_glue_same_edge_rejected(two_triangles):
-    pl = PinnedLamination(empty_picture(two_triangles), {})
+    pl = PinnedLamination(GlobalPicture(two_triangles), {})
     with pytest.raises(SameEdge):
         glue_laminations(pl, "a2", "a2")
 
@@ -77,7 +76,7 @@ def test_glue_elementary_patterns(two_triangles):
     glued = glue_laminations(left, "a2", "b0")
     assert dict(shear_frozen(glued).coords) == {("edge", "a2", 1): F(-1)}
     both = PinnedLamination(
-        empty_picture(two_triangles), {"a2": (F(-1), F(0)), "b0": (F(0), F(-1))}
+        GlobalPicture(two_triangles), {"a2": (F(-1), F(0)), "b0": (F(0), F(-1))}
     )
     glued2 = glue_laminations(both, "a2", "b0")
     assert dict(shear_frozen(glued2).coords) == {("edge", "a2", 1): F(-2)}

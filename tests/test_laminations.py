@@ -15,16 +15,14 @@ from sl3shear.laminations import (
     UnknownComponentKind,
     add_peripheral_chain,
     coords_of_components,
-    dynkin_geometric,
     elementary_lamination,
-    empty_picture,
     geometric_ensemble,
     normalize_integral,
     shear_frozen,
     shear_unfrozen,
 )
 from sl3shear.seeds import Sl3IndexSet, extended_matrix
-from sl3shear.tropical import TropicalPoint, dynkin_cluster
+from sl3shear.tropical import TropicalPoint, dynkin_cluster, ensemble
 from sl3shear.verify import realizable_component_sum
 
 F = Fraction
@@ -79,7 +77,7 @@ def honeycomb_pattern_picture(tri, kind):
 
 
 def test_empty_picture_shear(polygon4):
-    assert shear_unfrozen(empty_picture(polygon4)).coords == {}
+    assert shear_unfrozen(GlobalPicture(polygon4)).coords == {}
 
 
 def test_single_curve_contribution(polygon4):
@@ -174,7 +172,7 @@ def test_rule_consistency_tables_vs_pictures(polygon4, kind):
 def test_frozen_coordinates_direct_substitution(triangle):
     t = triangle.triangles[0]
     e = triangle.boundary_intervals[0]
-    pl = PinnedLamination(empty_picture(triangle), {e: (F(1), F(0))})
+    pl = PinnedLamination(GlobalPicture(triangle), {e: (F(1), F(0))})
     x = shear_frozen(pl)
     assert x[("edge", e, 1)] == 1 and x[("edge", e, 2)] == 0
 
@@ -213,13 +211,13 @@ def test_component_tables_examples(triangle):
 
 
 def test_component_tables_ensemble_relation(triangle, polygon4):
-    from sl3shear.verify import component_table_cases, _ensemble_of
+    from sl3shear.verify import component_table_cases
 
     for tri, comp in component_table_cases():
         s = ComponentSum(tri, [comp])
         a = coords_of_components(s, "A")
         x = coords_of_components(s, "X")
-        assert dict(x.coords) == _ensemble_of(a.coords, tri), comp.kind
+        assert x.coords == ensemble(a, tri).coords, comp.kind
 
 
 def test_unknown_component_kind(triangle):
@@ -260,25 +258,23 @@ def test_geometric_ensemble_rejects_negative_weight(triangle):
 
 
 def test_ensemble_relation_on_random_bounded(polygon4):
-    from sl3shear.verify import _ensemble_of
-
     rng = random.Random(4)
     for _ in range(50):
         s = realizable_component_sum(polygon4, rng)
         pl = geometric_ensemble(s)
         a = coords_of_components(s, "A")
-        want = _ensemble_of(a.coords, polygon4)
+        want = ensemble(a, polygon4).coords
         assert dict(shear_frozen(pl).coords) == want
 
 
 def test_dynkin_geometric_examples(triangle):
     t = triangle.triangles[0]
     s = ComponentSum(triangle, [Component("tau+", t, F(1))])
-    s2 = dynkin_geometric(s)
+    s2 = s.dynkin()
     assert [c.kind for c in s2] == ["tau-"]
     x = coords_of_components(s2, "X")
     assert x[("tri", t)] == F(-1)
-    s3 = dynkin_geometric(s2)
+    s3 = s2.dynkin()
     assert [c.kind for c in s3] == ["tau+"]
 
 
@@ -292,13 +288,13 @@ def test_dynkin_geometric_on_pictures(polygon4, torus):
             coords = {i: F(rng.randint(-3, 3)) for i in iset.unfrozen}
             x = TropicalPoint("X", coords, tri=tri, restricted=True)
             pic = reconstruct(x, tri)
-            flipped = dynkin_geometric(pic)
+            flipped = pic.dynkin()
             assert flipped.validate() == []
             lhs = shear_unfrozen(flipped)
             rhs = dynkin_cluster(x, tri)
             rhs_unfrozen = {i: v for i, v in rhs.coords.items() if i in set(iset.unfrozen)}
             assert dict(lhs.coords) == rhs_unfrozen
-            back = dynkin_geometric(flipped)
+            back = flipped.dynkin()
             assert shear_unfrozen(back) == x
 
 

@@ -14,11 +14,10 @@ from sl3shear.reconstruct import (
     NonIntegralInput,
     TruncationTooShallow,
     _Coords,
-    _CoordTracer,
-    default_depth,
     identifier_relations,
     reconstruct,
     roundtrip_check,
+    trace_coordinates,
     traveler_trace,
 )
 from sl3shear.seeds import Sl3IndexSet
@@ -68,11 +67,6 @@ def test_zero_reconstructs_empty(polygon4, torus):
         assert pic.corners == {}
 
 
-def test_default_depth(polygon4):
-    x = quad_coords(polygon4, 2, 3, -2, 1)
-    assert default_depth(_Coords(dict(x.coords)), polygon4) == 2 + 3 + 2 + 1 + 2
-
-
 @pytest.mark.parametrize(
     "name,trials,rng_seed",
     [("polygon4", 120, 0), ("polygon5", 80, 1), ("annulus11", 80, 2), ("torus", 60, 3)],
@@ -114,18 +108,6 @@ def test_spiral_depth_independence(torus):
         assert shear_unfrozen(b) == x
 
 
-def test_reconstruct_independent_of_depth(polygon5):
-    rng = random.Random(6)
-    iset = Sl3IndexSet(polygon5)
-    for _ in range(25):
-        coords = {i: F(rng.randint(-4, 4)) for i in iset.unfrozen}
-        x = xpoint(polygon5, coords)
-        d0 = default_depth(_Coords(dict(coords)), polygon5)
-        a = reconstruct(x, polygon5, depth=d0)
-        b = reconstruct(x, polygon5, depth=d0 + 2)
-        assert a.corners == b.corners and a.honeycombs == b.honeycombs
-
-
 def test_traveler_trace_classification(polygon4, torus):
     x = quad_coords(polygon4, 2, 3, -2, 1)
     pic = reconstruct(x, polygon4)
@@ -150,6 +132,21 @@ def test_traveler_trace_peripheral_loop():
     assert travelers[0].kind == "loop"
     assert travelers[0].peripheral
     assert len(travelers[0].route) == len(tri.interior_edges)
+
+
+def test_torus_loops_not_peripheral(torus):
+    """The torus has one vertex, so every loop hugs it; a reconstructed
+    loop still winds both ways and is never peripheral."""
+    rng = random.Random(3)
+    iset = Sl3IndexSet(torus)
+    loops = 0
+    for _ in range(60):
+        coords = {i: F(rng.randint(-4, 4)) for i in iset.unfrozen}
+        for trav in traveler_trace(reconstruct(xpoint(torus, coords), torus)):
+            if trav.kind == "loop":
+                loops += 1
+                assert not trav.peripheral, coords
+    assert loops > 0
 
 
 def test_identifier_relations_examples(polygon4):
@@ -181,13 +178,8 @@ def test_identifier_relations_random(annulus11, torus):
 def test_truncation_guard(torus):
     iset = Sl3IndexSet(torus)
     coords = {i: F(3) for i in iset.unfrozen}
-    tracer = _CoordTracer(torus, _Coords(coords), step_cap=3)
-    from sl3shear.reconstruct import _trace_forward
-
-    e = torus.interior_edges[0]
-    sl, _ = torus.slots(e)
     with pytest.raises(TruncationTooShallow):
-        _trace_forward(tracer, (sl, "out", F(1, 2)))
+        trace_coordinates(_Coords(coords), torus, step_cap=3)
 
 
 def test_reconstructed_pictures_validate(polygon5, torus):
