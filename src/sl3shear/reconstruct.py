@@ -123,8 +123,9 @@ def walk(stepper, seed, forward):
         else:
             if run_of != (t.vertex, t.orient):
                 run_of, run = (t.vertex, t.orient), {}
-            last = run.get(at[:2])
-            run[at[:2]] = t.depth
+            key = at[:2]
+            last = run.get(key)
+            run[key] = t.depth
             if last is not None and t.depth > last and vertices[t.vertex] == "puncture":
                 winding = t.orient if forward else _REVERSED[t.orient]
                 sign = SpiralEnd(winding, not forward).sign
