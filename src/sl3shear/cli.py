@@ -176,6 +176,10 @@ def cmd_reconstruct(args):
     from .tropical import TropicalPoint
 
     coords = _coords_arg(tri, args.coords)
+    iset = Sl3IndexSet(tri)
+    for i in coords:
+        if iset.is_frozen(i):
+            raise UsageError(f"frozen coordinate {jio.index_to_str(i)}: reconstruct takes unfrozen ones")
     x = TropicalPoint("X", coords, tri=tri, restricted=True)
     pic = reconstruct(x, tri)
     obj = jio.picture_to_obj(pic)

@@ -146,6 +146,7 @@ def walk_both(stepper, seed):
 
 
 def strand_kind(fw, bw):
+    """'loop', 'spiral' (an end at a puncture) or 'arc'."""
     if fw.end == LOOP:
         return "loop"
     return "spiral" if {fw.end[0], bw.end[0]} & {"spiral", "marker"} else "arc"

@@ -130,6 +130,7 @@ def test_error_exit_code(tmp_path, capsys):
         (["dynkin", "--surface", "{surf}", "--coords", '{"e:zz:1":"2"}'], 2),
         (["dynkin", "--surface", "{surf}", "--coords", "[1, 2]"], 2),
         (["ensemble", "--surface", "{surf}", "--acoords", "{"], 2),
+        (["reconstruct", "--surface", "{surf}", "--coords", '{"e:b0:1":"3"}'], 2),
         # domain errors
         (["surface", "--spec", "polygon:2"], 1),
         (["flip", "--surface", "{surf}", "--edge", "b0"], 1),
