@@ -53,7 +53,7 @@ def shift_action(pinned, e_l, e_r, mu):
     """Shift the pinnings of two boundary intervals by (mu, -mu*)."""
     tri = pinned.tri
     for e in (e_l, e_r):
-        if e not in set(tri.boundary_intervals):
+        if not tri.has_edge(e) or tri.is_interior(e):
             raise UnknownInterval(e)
     delta = dict(pinned.delta)
     dp, dm = pinned.delta_at(e_l)

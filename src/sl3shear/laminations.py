@@ -606,7 +606,7 @@ def _triangle_component_coords(acc, tri, iset, comp, table):
 
 def _quad_component_coords(acc, tri, iset, comp, table):
     e = comp.carrier
-    if e not in set(tri.edges) or tri.is_boundary(e):
+    if not tri.has_edge(e) or tri.is_boundary(e):
         raise CarrierMismatch(f"{e} is not an interior edge")
     (tl, il), (tr, ir) = tri.slots(e)
     ev, tlv, trv, hv, kv, gv, fv = table[comp.kind]

@@ -46,7 +46,13 @@ from .tropical import TropicalPoint, pos
 
 
 class TruncationTooShallow(Sl3Error):
-    pass
+    """A walk ran out of steps.  ``seed`` is the state it started from,
+    ``steps`` the number of steps it took and ``cap`` the number it was
+    allowed."""
+
+    def __init__(self, message, seed, steps, cap):
+        self.seed, self.steps, self.cap = seed, steps, cap
+        super().__init__(message)
 
 
 class NonIntegralInput(Sl3Error):
@@ -135,7 +141,8 @@ def walk(stepper, seed, forward):
             return Walk(crossings, turns, ("boundary", t.state))
         if state == seed:
             return Walk(crossings, turns, LOOP)
-    raise TruncationTooShallow(f"walk from {seed} exceeded the step cap {stepper.step_cap}")
+    cap = stepper.step_cap
+    raise TruncationTooShallow(f"walk from {seed} exceeded the step cap {cap}", seed, cap, cap)
 
 
 def walk_both(stepper, seed):
@@ -159,11 +166,15 @@ def spiral_tail(stepper, end, forward, turns):
     _, vertex, _, state = end
     cross, turn = (stepper.cross, stepper.turn) if forward else (stepper.cross_back, stepper.turn_back)
     tail = []
-    for _ in range(turns * len(stepper.surface.corners_at_vertex(vertex)) + 1):
+    steps = turns * len(stepper.surface.corners_at_vertex(vertex)) + 1
+    for _ in range(steps):
         at = cross(state)
         t = None if at is None else turn(at)
         if type(t) is not Turn or t.depth is None:
-            raise TruncationTooShallow("spiral tail left the winding zone")
+            raise TruncationTooShallow(
+                f"spiral tail from {end[3]} left the winding zone after {len(tail)} of {steps} steps",
+                end[3], len(tail), steps,
+            )
         tail.append(t)
         state = t.state
     marker = tail.pop()

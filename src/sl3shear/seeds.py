@@ -1,6 +1,13 @@
 """Seed data attached to an ideal triangulation: the index set, the
-amalgamated exchange matrix, the frozen m-matrix, matrix mutation and the
-mutation sequences realizing flips and the Dynkin involution.
+elementary triangle quiver and its amalgamation into the exchange matrix,
+the frozen m-matrix, matrix mutation and the mutation sequences realizing
+flips and the Dynkin involution.
+
+:func:`triangle_quiver` is the one definition of the quiver: the exchange
+matrix sums it over every triangle, :func:`flip_quiver` over the two
+triangles of a flipped edge (every entry a flip mutation reads or writes
+comes from those two), and the ensemble map folds it against a point.
+Mutation touches only the pairs of neighbours of the mutated index.
 
 Indices are tuples: ``("tri", t)`` for the face index of triangle ``t``
 and ``("edge", e, s)`` with ``s in (1, 2)`` for the two points on edge
@@ -18,6 +25,10 @@ from .surface import Sl3Error
 
 class FrozenIndexMutation(Sl3Error):
     pass
+
+
+ZERO = Fraction(0)
+HALF = Fraction(1, 2)
 
 
 def face_index(t):
@@ -40,6 +51,7 @@ class Sl3IndexSet:
         for t in tri.triangles:
             idx.append(("tri", t))
         self.all = tuple(idx)
+        self._members = frozenset(idx)
         self.frozen = frozenset(
             ("edge", e, s) for e in tri.boundary_intervals for s in (1, 2)
         )
@@ -49,21 +61,23 @@ class Sl3IndexSet:
         return len(self.all)
 
     def __contains__(self, i):
-        return i in set(self.all)
+        return i in self._members
 
     def is_frozen(self, i):
         return i in self.frozen
 
     def side_pair(self, slot):
-        """The (p, q) indices of the side at ``slot`` in the traversal of
-        the slot's triangle: p near the side's initial corner, q near the
-        terminal corner."""
-        tri = self.tri
-        e = tri.edge_at(slot)
-        sl, _ = tri.slots(e)
-        if slot == sl:
-            return (("edge", e, 1), ("edge", e, 2))
-        return (("edge", e, 2), ("edge", e, 1))
+        return side_pair(self.tri, slot)
+
+
+def side_pair(tri, slot):
+    """The (p, q) indices of the side at ``slot`` in the traversal of the
+    slot's triangle: p near the side's initial corner, q near the
+    terminal corner."""
+    e = tri.edge_at(slot)
+    if slot == tri.slots(e)[0]:
+        return (("edge", e, 1), ("edge", e, 2))
+    return (("edge", e, 2), ("edge", e, 1))
 
 
 class RationalMatrix:
@@ -71,17 +85,17 @@ class RationalMatrix:
 
     def __init__(self, indices, entries=None):
         self.indices = tuple(indices)
-        self._pos = {i: n for n, i in enumerate(self.indices)}
         self.entries = {}
         if entries:
             for (i, j), v in entries.items():
                 self[i, j] = v
 
     def __getitem__(self, ij):
-        return self.entries.get(ij, Fraction(0))
+        return self.entries.get(ij, ZERO)
 
     def __setitem__(self, ij, v):
-        v = Fraction(v)
+        if type(v) is not Fraction:
+            v = Fraction(v)
         if v == 0:
             self.entries.pop(ij, None)
         else:
@@ -91,7 +105,9 @@ class RationalMatrix:
         self[i, j] = self[i, j] + v
 
     def copy(self):
-        return RationalMatrix(self.indices, dict(self.entries))
+        out = RationalMatrix(self.indices)
+        out.entries = dict(self.entries)
+        return out
 
     def __eq__(self, other):
         return (
@@ -183,48 +199,73 @@ class Permute:
         return dict(self.mapping)
 
 
-def exchange_matrix(tri):
-    """Index set and exchange matrix of a triangulation, assembled by
-    amalgamating the elementary triangle quiver over all triangles.
+def triangle_quiver(tri, t):
+    """The arrows ``(i, j, w)`` of the elementary quiver of triangle ``t``.
 
-    Per triangle with sides (p_a, q_a) in counterclockwise order and face
-    f, the arrows are: p_a -> f, f -> q_a, q_a -> p_{a+1} (solid, weight
-    1) and q_a -> p_a (dashed, weight 1/2).  Amalgamation is entrywise
-    addition; the dashed arrows on shared edges cancel.
+    Per side (p_a, q_a) in counterclockwise order, with face f: p_a -> f,
+    f -> q_a, q_a -> p_{a+1} (solid, weight 1) and q_a -> p_a (dashed,
+    weight 1/2).  An arrow i -> j of weight w is the pair of entries
+    eps_ij = w, eps_ji = -w.
     """
+    f = ("tri", t)
+    pairs = [side_pair(tri, (t, a)) for a in range(3)]
+    arrows = []
+    for a in range(3):
+        p, q = pairs[a]
+        arrows += [(p, f, 1), (f, q, 1), (q, pairs[(a + 1) % 3][0], 1), (q, p, HALF)]
+    return arrows
+
+
+def _amalgamate(tri, triangles, indices):
+    """The sum of the elementary quivers of ``triangles``; the dashed
+    arrows on edges shared by two of them cancel."""
+    eps = RationalMatrix(indices)
+    for t in triangles:
+        for i, j, w in triangle_quiver(tri, t):
+            eps.add(i, j, w)
+            eps.add(j, i, -w)
+    return eps
+
+
+def exchange_matrix(tri):
+    """Index set and exchange matrix of a triangulation: the elementary
+    quiver amalgamated over all triangles."""
     iset = Sl3IndexSet(tri)
-    eps = RationalMatrix(iset.all)
-    half = Fraction(1, 2)
-    for t in tri.triangles:
-        f = ("tri", t)
-        pairs = [iset.side_pair((t, a)) for a in range(3)]
+    return iset, ExchangeMatrix(_amalgamate(tri, tri.triangles, iset.all), iset.frozen)
+
+
+def flip_quiver(tri, e):
+    """The exchange matrix of the two triangles meeting at the interior
+    edge ``e``, over the (at most 12) indices they carry.
+
+    The four indices the flip mutates, (e,1), (e,2) and the two faces,
+    occur in no other triangle's quiver, so every entry a flip mutation
+    reads is already complete here, also when outer sides of the
+    quadrilateral are identified."""
+    (tl, _), (tr, _) = tri.slots(e)
+    indices = [("tri", tl), ("tri", tr)]
+    for t in (tl, tr):
         for a in range(3):
-            p, q = pairs[a]
-            p_next = pairs[(a + 1) % 3][0]
-            _add_arrow(eps, p, f, 1)
-            _add_arrow(eps, f, q, 1)
-            _add_arrow(eps, q, p_next, 1)
-            _add_arrow(eps, q, p, half)
-    return iset, ExchangeMatrix(eps, iset.frozen)
+            indices += [i for i in side_pair(tri, (t, a)) if i not in indices]
+    frozen = [i for i in indices if i[0] == "edge" and tri.is_boundary(i[1])]
+    return ExchangeMatrix(_amalgamate(tri, (tl, tr), indices), frozen)
 
 
-def _add_arrow(eps, i, j, w):
-    eps.add(i, j, w)
-    eps.add(j, i, -w)
+def boundary_block(e):
+    """The entries ``(i, j, w)`` of the symmetric frozen matrix at the
+    boundary interval ``e`` with points p = (e,1), q = (e,2):
+    m_pp = m_qq = -1, m_pq = m_qp = 1/2."""
+    p, q = ("edge", e, 1), ("edge", e, 2)
+    return [(p, p, -1), (q, q, -1), (p, q, HALF), (q, p, HALF)]
 
 
 def m_matrix(tri):
-    """The symmetric frozen matrix: for each boundary interval E with
-    points p = (E,1), q = (E,2): m_pp = m_qq = -1, m_pq = m_qp = 1/2."""
-    iset = Sl3IndexSet(tri)
-    m = RationalMatrix(iset.all)
-    half = Fraction(1, 2)
+    """The symmetric frozen matrix, one :func:`boundary_block` per
+    boundary interval."""
+    m = RationalMatrix(Sl3IndexSet(tri).all)
     for e in tri.boundary_intervals:
-        p, q = ("edge", e, 1), ("edge", e, 2)
-        m[p, p] = -1
-        m[q, q] = -1
-        m[p, q] = half
-        m[q, p] = half
+        for i, j, w in boundary_block(e):
+            m[i, j] = w
     return m
 
 
@@ -234,40 +275,29 @@ def extended_matrix(tri):
     return iset, eps.matrix + m_matrix(tri)
 
 
-def _sgn(v):
-    return (v > 0) - (v < 0)
-
-
 def mutate_matrix(eps, k):
     """Skew-symmetric matrix mutation at the unfrozen index ``k``:
     eps'_ij = -eps_ij if k in (i, j), else eps_ij + sgn(eps_ik)[eps_ik eps_kj]_+.
-    """
+
+    Only the pairs (i, j) with eps_ik and eps_kj both nonzero change, so
+    one pass finds the neighbours of ``k`` and the update visits just
+    their pairs."""
     if k in eps.frozen:
         raise FrozenIndexMutation(k)
-    old = eps.matrix
-    new = RationalMatrix(old.indices)
-    support = set()
-    for (i, j) in old.entries:
-        support.add(i)
-        support.add(j)
-    for (i, j), v in old.entries.items():
+    new = eps.matrix.copy()
+    into, out_of = [], []  # (i, eps_ik) and (j, eps_kj), i, j != k
+    for (i, j), v in eps.matrix.entries.items():
         if i == k or j == k:
-            new[i, j] = -v
-        else:
-            new[i, j] = v
-    for i in support:
-        if i == k:
-            continue
-        vik = old[i, k]
-        if vik == 0:
-            continue
-        for j in support:
-            if j == k or j == i:
-                continue
-            vkj = old[k, j]
-            prod = vik * vkj
-            if prod > 0:
-                new.add(i, j, _sgn(vik) * prod)
+            new.entries[i, j] = -v
+        if j == k and i != k:
+            into.append((i, v))
+        elif i == k and j != k:
+            out_of.append((j, v))
+    for i, vik in into:
+        for j, vkj in out_of:
+            # sgn(vik) [vik vkj]_+ is |vik| vkj when the signs agree
+            if j != i and (vik > 0) == (vkj > 0):
+                new.add(i, j, abs(vik) * vkj)
     return ExchangeMatrix(new, eps.frozen)
 
 

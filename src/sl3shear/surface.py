@@ -106,7 +106,9 @@ class IdealTriangulation:
     Values are immutable after construction: flips and gluings return new
     objects.  Triangles are identified by string ids; the three sides of
     triangle ``t`` are ``tri_sides[t]``, a tuple of edge ids in
-    counterclockwise order.
+    counterclockwise order.  ``triangles``, ``edges``, ``interior_edges``
+    and ``boundary_intervals`` are sorted lists built at construction;
+    callers must not modify them.
     """
 
     def __init__(self, tri_sides, slot_l=None):
@@ -134,17 +136,17 @@ class IdealTriangulation:
                 self._slots[e] = (l, r[0] if r else None)
             else:
                 self._slots[e] = (slots[0], slots[1] if len(slots) > 1 else None)
+        # sorted once: read-only lists shared by every caller
+        self.triangles = sorted(self.tri_sides)
+        self.edges = sorted(self._slots)
+        self.interior_edges = [e for e in self.edges if self._slots[e][1] is not None]
+        self.boundary_intervals = [e for e in self.edges if self._slots[e][1] is None]
         self._vertices, self._corner_vertex = self._compute_vertices()
 
     # -- basic queries ---------------------------------------------------
 
-    @property
-    def triangles(self):
-        return sorted(self.tri_sides)
-
-    @property
-    def edges(self):
-        return sorted(self._slots)
+    def has_edge(self, e):
+        return e in self._slots
 
     def slots(self, e):
         """The (left, right) side slots of ``e``; right is None on the boundary."""
@@ -155,14 +157,6 @@ class IdealTriangulation:
 
     def is_interior(self, e):
         return self._slots[e][1] is not None
-
-    @property
-    def interior_edges(self):
-        return [e for e in self.edges if self.is_interior(e)]
-
-    @property
-    def boundary_intervals(self):
-        return [e for e in self.edges if self.is_boundary(e)]
 
     def edge_at(self, slot):
         t, i = slot

@@ -2,6 +2,12 @@
 them: X- and A-mutation, the closed-form flip map, the ensemble map, the
 Dynkin cluster action and the principal embedding.
 
+A flip mutates only its quadrilateral: :func:`apply_flip` runs the flip's
+mutation sequence on the quiver of the flipped edge's two triangles and
+on the point's coordinates at their indices, and relabels the rest.  The
+ensemble map folds the elementary triangle quiver and the frozen blocks
+against the A-point triangle by triangle, without assembling eps + m.
+
 The single tropical semifield in use is (Q, max, +).  All coordinates are
 :class:`fractions.Fraction`; there are no tolerances anywhere.
 """
@@ -9,17 +15,21 @@ The single tropical semifield in use is (Q, max, +).  All coordinates are
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .seeds import (
     Sl3IndexSet,
+    ZERO,
     Mutate,
-    Permute,
     FrozenIndexMutation,
+    boundary_block,
     exchange_matrix,
-    extended_matrix,
+    flip_quiver,
     mutate_matrix,
     flip_mutation_sequence,
     dynkin_mutation_sequence,
+    side_pair,
+    triangle_quiver,
 )
 from .surface import Sl3Error
 
@@ -34,12 +44,12 @@ class BadLabeling(Sl3Error):
 
 def pos(u):
     """The max-plus bracket [u]_+ = max(0, u)."""
-    return u if u > 0 else Fraction(0)
+    return u if u > 0 else ZERO
 
 
 def bracket3(x, y, z):
     """[x, y, z]_+ = max(0, x, x+y, x+y+z)."""
-    return max(Fraction(0), x, x + y, x + y + z)
+    return max(ZERO, x, x + y, x + y + z)
 
 
 class TropicalPoint:
@@ -53,12 +63,14 @@ class TropicalPoint:
         if kind not in ("X", "A"):
             raise ValueError(kind)
         self.kind = kind
-        self.coords = {i: Fraction(v) for i, v in coords.items() if v != 0}
+        self.coords = {
+            i: v if type(v) is Fraction else Fraction(v) for i, v in coords.items() if v != 0
+        }
         self.tri = tri
         self.restricted = bool(restricted)
 
     def __getitem__(self, i):
-        return self.coords.get(i, Fraction(0))
+        return self.coords.get(i, ZERO)
 
     def domain(self):
         if self.tri is None:
@@ -131,8 +143,8 @@ def mutate_a(p, eps, k):
         raise SeedMismatch("A-point required")
     if k in eps.frozen:
         raise FrozenIndexMutation(k)
-    s_plus = Fraction(0)
-    s_minus = Fraction(0)
+    s_plus = ZERO
+    s_minus = ZERO
     for (i, j), v in eps.matrix.entries.items():
         if i != k:
             continue
@@ -184,7 +196,6 @@ def flip_local_labels(tri, e):
 
     if tri.is_boundary(e):
         raise NotInteriorEdge(e)
-    iset = Sl3IndexSet(tri)
     (tl, il), (tr, ir) = tri.slots(e)
     g = (tl, (il + 1) % 3)
     f = (tl, (il + 2) % 3)
@@ -196,10 +207,10 @@ def flip_local_labels(tri, e):
         3: ("edge", e, 1),
         4: ("tri", tr),
     }
-    lab[5], lab[6] = iset.side_pair(g)
-    lab[7], lab[8] = iset.side_pair(f)
-    lab[9], lab[10] = iset.side_pair(h)
-    lab[11], lab[12] = iset.side_pair(k)
+    lab[5], lab[6] = side_pair(tri, g)
+    lab[7], lab[8] = side_pair(tri, f)
+    lab[9], lab[10] = side_pair(tri, h)
+    lab[11], lab[12] = side_pair(tri, k)
     return lab
 
 
@@ -241,24 +252,48 @@ def flip_x_closed_form(p, tri, e):
 
 def apply_flip(p, tri, e):
     """Transport a tropical point through the flip at ``e`` by the
-    4-mutation sequence plus relabeling.  Works for X- and A-points."""
+    4-mutation sequence plus relabeling.  Works for X- and A-points.
+
+    The mutations run on :func:`flip_quiver` and on the coordinates at
+    its indices: no other coordinate moves, and no other entry of the
+    exchange matrix is read.  Identical to running the steps on the whole
+    exchange matrix and point."""
     steps, t2, corr = flip_mutation_sequence(tri, e)
-    _, eps = exchange_matrix(tri)
-    q, _ = apply_steps(p, eps, steps, tri_after=t2)
-    return q
+    eps = flip_quiver(tri, e)
+    inside = {i: p[i] for i in eps.indices}
+    q, _ = apply_steps(p.replace(inside), eps, steps[:-1])
+    moved = corr.index_map
+    out = {moved[i]: v for i, v in p.coords.items() if i not in inside}
+    out.update((moved[i], v) for i, v in q.coords.items())
+    return TropicalPoint(p.kind, out, tri=t2, restricted=p.restricted)
 
 
 def ensemble(a, tri):
-    """The tropicalized extended ensemble map: x_i = sum_j (eps+m)_ij a_j."""
+    """The tropicalized extended ensemble map: x_i = sum_j (eps+m)_ij a_j,
+    with eps + m folded against ``a`` one triangle quiver and one
+    boundary block at a time.
+
+    Every weight is a multiple of 1/2, so the fold runs on integers: with
+    d the lcm of the denominators of ``a``, 2d x_i = sum_j (2w_ij)(d a_j)."""
     if a.kind != "A":
         raise SeedMismatch("A-point required")
-    iset, ext = extended_matrix(tri)
+    d = lcm(*(v.denominator for v in a.coords.values()))
+    scaled = {i: v.numerator * (d // v.denominator) for i, v in a.coords.items()}
     out = {}
-    for (i, j), v in ext.entries.items():
-        aj = a[j]
-        if aj != 0:
-            out[i] = out.get(i, Fraction(0)) + v * aj
-    return TropicalPoint("X", out, tri=tri, restricted=False)
+
+    def add(i, j, w2):
+        if j in scaled:
+            out[i] = out.get(i, 0) + w2 * scaled[j]
+
+    for t in tri.triangles:
+        for i, j, w in triangle_quiver(tri, t):
+            w2 = 2 * w.numerator // w.denominator
+            add(i, j, w2)
+            add(j, i, -w2)
+    for e in tri.boundary_intervals:
+        for i, j, w in boundary_block(e):
+            add(i, j, 2 * w.numerator // w.denominator)
+    return TropicalPoint("X", {i: Fraction(v, 2 * d) for i, v in out.items()}, tri=tri)
 
 
 def dynkin_cluster(p, tri):

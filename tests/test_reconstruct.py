@@ -178,8 +178,12 @@ def test_identifier_relations_random(annulus11, torus):
 def test_truncation_guard(torus):
     iset = Sl3IndexSet(torus)
     coords = {i: F(3) for i in iset.unfrozen}
-    with pytest.raises(TruncationTooShallow):
+    with pytest.raises(TruncationTooShallow) as info:
         trace_coordinates(_Coords(coords), torus, step_cap=3)
+    err = info.value
+    assert (err.steps, err.cap) == (3, 3)
+    assert err.seed is not None and str(err.seed) in str(err)
+    assert "\n" not in str(err)
 
 
 def test_reconstructed_pictures_validate(polygon5, torus):

@@ -15,10 +15,12 @@ from sl3shear.seeds import (
     exchange_matrix,
     extended_matrix,
     flip_mutation_sequence,
+    flip_quiver,
     m_matrix,
     mutate_matrix,
+    triangle_quiver,
 )
-from sl3shear.surface import MarkedSurfaceSpec, build
+from sl3shear.surface import FlipCreatesSelfFolded, MarkedSurfaceSpec, build
 
 F = Fraction
 
@@ -137,12 +139,18 @@ def test_mutation_involution(entries, k):
         lambda: build(MarkedSurfaceSpec.polygon(5)),
         lambda: build(MarkedSurfaceSpec.annulus(1, 1)),
         lambda: build(MarkedSurfaceSpec.once_punctured_torus()),
+        lambda: build(MarkedSurfaceSpec.punctured_polygon(3, 3)),
+        lambda: build(MarkedSurfaceSpec.punctured_polygon(8, 2)),
+        lambda: build(MarkedSurfaceSpec.annulus(3, 3)),
     ],
 )
 def test_flip_sequence_matches_fresh_matrix(maker):
     tri = maker()
     for e in tri.interior_edges:
-        steps, t2, corr = flip_mutation_sequence(tri, e)
+        try:
+            steps, t2, corr = flip_mutation_sequence(tri, e)
+        except FlipCreatesSelfFolded:
+            continue
         _, eps = exchange_matrix(tri)
         _, eps2 = exchange_matrix(t2)
         assert apply_matrix_steps(eps, steps) == eps2
@@ -160,28 +168,42 @@ def test_flip_sequence_then_reverse_is_identity(polygon4):
 
 def test_amalgamation_locality(polygon5):
     # per-triangle blocks add: deleting one triangle leaves the rest
-    iset, eps = exchange_matrix(polygon5)
+    _, eps = exchange_matrix(polygon5)
     t0 = polygon5.triangles[0]
-    from sl3shear.seeds import _add_arrow
-
-    local = RationalMatrix(iset.all)
-    pairs = [iset.side_pair((t0, a)) for a in range(3)]
-    for a in range(3):
-        p, q = pairs[a]
-        p_next = pairs[(a + 1) % 3][0]
-        _add_arrow(local, p, ("tri", t0), 1)
-        _add_arrow(local, ("tri", t0), q, 1)
-        _add_arrow(local, q, p_next, 1)
-        _add_arrow(local, q, p, F(1, 2))
-    rest = RationalMatrix(iset.all)
-    for (i, j), v in eps.matrix.entries.items():
-        rest[i, j] = v - local[i, j]
-    touched = {("tri", t0)}
-    for a in range(3):
-        touched.update(pairs[a])
+    rest = eps.matrix.copy()
+    for i, j, w in triangle_quiver(polygon5, t0):
+        rest.add(i, j, -w)
+        rest.add(j, i, w)
     for (i, j), v in rest.entries.items():
-        if i == ("tri", t0) or j == ("tri", t0):
-            assert v == 0
+        assert ("tri", t0) not in (i, j)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        MarkedSurfaceSpec.polygon(5),
+        MarkedSurfaceSpec.punctured_polygon(3, 3),
+        MarkedSurfaceSpec.annulus(1, 1),
+        MarkedSurfaceSpec.once_punctured_torus(),
+    ],
+    ids=["polygon5", "punctured3_3", "annulus1_1", "torus"],
+)
+def test_flip_quiver_complete_at_mutated_indices(spec):
+    # the two triangles of an edge carry every entry touching the four
+    # indices its flip mutates, also with identified outer sides
+    tri = build(spec)
+    _, eps = exchange_matrix(tri)
+    for e in tri.interior_edges:
+        local = flip_quiver(tri, e)
+        (tl, _), (tr, _) = tri.slots(e)
+        mutated = {("edge", e, 1), ("edge", e, 2), ("tri", tl), ("tri", tr)}
+        for (i, j), v in eps.matrix.entries.items():
+            if i in mutated or j in mutated:
+                assert local[i, j] == v
+        for (i, j), v in local.matrix.entries.items():
+            if i in mutated or j in mutated:
+                assert eps[i, j] == v
+        assert local.frozen == eps.frozen & set(local.indices)
 
 
 def test_dynkin_sequence_triangle(triangle):
