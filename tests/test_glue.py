@@ -45,6 +45,9 @@ def test_shift_examples(two_triangles):
     assert same.delta.get("a2", (F(0), F(0))) == (F(0), F(0))
     with pytest.raises(UnknownInterval):
         shift_action(pl, "a2", "nope", ShiftElement(F(1), F(1)))
+    glued = glue_laminations(pl, "a2", "b0")
+    with pytest.raises(UnknownInterval):
+        shift_action(glued, "a2", "a0", ShiftElement(F(1), F(1)))
 
 
 def test_glue_empty_triangles(two_triangles):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sl3shear.laminations import (
+    CarrierMismatch,
     Component,
     ComponentSum,
     CornerArc,
@@ -225,6 +226,15 @@ def test_unknown_component_kind(triangle):
         coords_of_components(
             ComponentSum(triangle, [Component("nonsense", "T1", F(1))]), "X"
         )
+
+
+def test_quad_component_carrier_must_be_interior(polygon4):
+    boundary = polygon4.boundary_intervals[0]
+    for carrier in ("nope", boundary):
+        with pytest.raises(CarrierMismatch):
+            coords_of_components(
+                ComponentSum(polygon4, [Component("alpha-", carrier, F(1))]), "X"
+            )
 
 
 def test_geometric_ensemble_examples(triangle):
