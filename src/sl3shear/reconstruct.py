@@ -354,7 +354,11 @@ def reconstruct(x, tri, spiral_turns=2, normalize=True):
         return _rescale_picture(pic, Fraction(1, u))
     xv = _Coords(coords)
     stepper, travelers = trace_coordinates(xv, tri, _step_cap(xv, tri))
-    return _materialize(stepper, travelers, spiral_turns)
+    pic = _materialize(stepper, travelers, spiral_turns)
+    diags = pic.validate()
+    if diags:
+        raise InvalidPicture("; ".join(diags))
+    return pic
 
 
 def _step_cap(x, tri):
@@ -423,11 +427,9 @@ def _materialize(stepper, travelers, spiral_turns):
         if len(set(keys)) != len(keys):
             raise InvalidPicture(f"colliding stack ranks at corner {c}")
         corners[c] = tuple(entry for _, entry in items)
-    pic = GlobalPicture(tri, honeycombs, corners)
-    diags = pic.validate()
-    if diags:
-        raise InvalidPicture("; ".join(diags))
-    return pic
+    # unvalidated: reconstruct validates it, roundtrip_check leaves that
+    # to shear_unfrozen
+    return GlobalPicture(tri, honeycombs, corners)
 
 
 # -- explicit-picture tracing ------------------------------------------------
