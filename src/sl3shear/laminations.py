@@ -19,6 +19,7 @@ which it is initial.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
@@ -106,12 +107,21 @@ def _arc_end_direction(entry, role):
 
 
 class GlobalPicture:
-    """Good-position lamination data over an ideal triangulation."""
+    """Good-position lamination data over an ideal triangulation.
+
+    A picture is immutable once built: nothing writes to ``corners``,
+    ``honeycombs`` or ``pairings`` after ``__init__``.  So the strand
+    structure they determine (the ordered strand ends of every side, the
+    initial-zone size of each list) and the validation diagnostics are
+    derived once per picture, on first use, and every reader looks them
+    up.
+    """
 
     def __init__(self, tri, honeycombs=None, corners=None, pairings=None):
         self.tri = tri
         self.honeycombs = {t: h for t, h in (honeycombs or {}).items() if h is not None}
         self.corners = {c: tuple(v) for c, v in (corners or {}).items() if v}
+        self._diags = None
         if pairings is None:
             self.pairings = self._reversal_pairings()
         else:
@@ -122,38 +132,53 @@ class GlobalPicture:
     def corner_stack(self, corner):
         return self.corners.get((corner[0], corner[1] % 3), ())
 
+    @cached_property
+    def _strands(self):
+        """``(lists, zones)`` keyed by (slot, direction): the tuple of
+        strand ends on the side, from its initial corner to its terminal
+        corner, and the number of them coming from the initial corner."""
+        lists = {}
+        zones = {}
+        for t in self.tri.triangles:
+            hc = self.honeycombs.get(t)
+            for i in range(3):
+                slot = (t, i)
+                c0 = (t, (i - 1) % 3)
+                c1 = (t, i)
+                for direction in ("in", "out"):
+                    initial = [
+                        StrandRef(slot, direction, ("corner", c0, p), entry.weight)
+                        for p, entry in enumerate(self.corner_stack(c0))
+                        if _arc_end_direction(entry, "B") == direction
+                    ]
+                    legs = []
+                    if hc is not None and ((hc.orient == "sink") == (direction == "in")):
+                        legs = [
+                            StrandRef(slot, direction, ("leg", j), hc.weight)
+                            for j in range(hc.height)
+                        ]
+                    terminal = [
+                        StrandRef(slot, direction, ("corner", c1, p), entry.weight)
+                        for p, entry in enumerate(self.corner_stack(c1))
+                        if _arc_end_direction(entry, "A") == direction
+                    ]
+                    lists[(slot, direction)] = (*reversed(initial), *legs, *terminal)
+                    zones[(slot, direction)] = len(initial)
+        return lists, zones
+
+    @property
+    def strand_lists(self):
+        """Every strand list, keyed by (slot, direction); read-only."""
+        return self._strands[0]
+
     def strand_list(self, slot, direction):
         """Ordered strand ends on a side, from its initial corner to its
         terminal corner."""
-        t, i = slot
-        c0 = (t, (i - 1) % 3)
-        c1 = (t, i % 3)
-        out = []
-        sel0 = [
-            (p, entry)
-            for p, entry in enumerate(self.corner_stack(c0))
-            if _arc_end_direction(entry, "B") == direction
-        ]
-        for p, entry in reversed(sel0):
-            out.append(StrandRef(slot, direction, ("corner", c0, p), entry.weight))
-        hc = self.honeycombs.get(t)
-        if hc is not None and ((hc.orient == "sink") == (direction == "in")):
-            for j in range(hc.height):
-                out.append(StrandRef(slot, direction, ("leg", j), hc.weight))
-        for p, entry in enumerate(self.corner_stack(c1)):
-            if _arc_end_direction(entry, "A") == direction:
-                out.append(StrandRef(slot, direction, ("corner", c1, p), entry.weight))
-        return out
+        return self._strands[0][(slot, direction)]
 
     def initial_zone_size(self, slot, direction):
         """Number of strands on the side coming from its initial corner."""
-        t, i = slot
-        c0 = (t, (i - 1) % 3)
-        return sum(
-            1
-            for entry in self.corner_stack(c0)
-            if _arc_end_direction(entry, "B") == direction
-        )
+        return self._strands[1][(slot, direction)]
 
     def strand_parameter(self, slot, direction, index):
         """Half-integer position of a strand in the edge parametrization
@@ -208,6 +233,13 @@ class GlobalPicture:
     # -- validation --------------------------------------------------------
 
     def validate(self):
+        """The picture's diagnostics, empty when it is valid.  The checks
+        run once per picture; every call returns a fresh list."""
+        if self._diags is None:
+            self._diags = tuple(self._check())
+        return list(self._diags)
+
+    def _check(self):
         diags = []
         for t, hc in self.honeycombs.items():
             if hc.height < 1:
@@ -271,8 +303,16 @@ class GlobalPicture:
     def scaled(self, u):
         """The picture of ``u`` times the lamination, ``u`` a positive
         integer making all weights integral: heights multiply, weighted
-        arcs are cabled into unit-weight parallel copies."""
+        arcs are cabled into unit-weight parallel copies.
+
+        With ``u`` = 1 and every weight already 1 the picture itself is
+        returned: cabling would rebuild the same stacks and the reversal
+        pairings, the only order-reversing pairings of equal-length lists."""
         u = Fraction(u)
+        if u == 1 and all(h.weight == 1 for h in self.honeycombs.values()) and all(
+            entry.weight == 1 for stack in self.corners.values() for entry in stack
+        ):
+            return self
         honeycombs = {}
         for t, h in self.honeycombs.items():
             w = h.weight * u
@@ -762,7 +802,7 @@ def elementary_lamination(tri, k):
     from .reconstruct import reconstruct
 
     iset = Sl3IndexSet(tri)
-    if k not in set(iset.all):
+    if k not in iset:
         raise KeyError(k)
     if iset.is_frozen(k):
         _, e, s = k

@@ -427,8 +427,6 @@ def _materialize(stepper, travelers, spiral_turns):
         if len(set(keys)) != len(keys):
             raise InvalidPicture(f"colliding stack ranks at corner {c}")
         corners[c] = tuple(entry for _, entry in items)
-    # unvalidated: reconstruct validates it, roundtrip_check leaves that
-    # to shear_unfrozen
     return GlobalPicture(tri, honeycombs, corners)
 
 
@@ -455,11 +453,7 @@ class _PictureStepper:
         self.pic = pic
         self.surface = pic.tri
         tri = pic.tri
-        self.lists = {}
-        for t in tri.triangles:
-            for i in range(3):
-                for d in ("in", "out"):
-                    self.lists[((t, i), d)] = pic.strand_list((t, i), d)
+        self.lists = pic.strand_lists
         self.arc_ends = {}
         for (slot, d), refs in self.lists.items():
             for idx, ref in enumerate(refs):

@@ -112,7 +112,10 @@ def _sgn(v):
 
 def mutate_x(p, eps, k):
     """Tropical cluster Poisson mutation at the unfrozen index ``k``:
-    x'_k = -x_k and x'_i = x_i - eps_ik [ -sgn(eps_ik) x_k ]_+ otherwise."""
+    x'_k = -x_k and x'_i = x_i - eps_ik [ -sgn(eps_ik) x_k ]_+ otherwise.
+
+    A restricted point keeps no frozen coordinates: unfrozen outputs read
+    only unfrozen inputs, so dropping them is a projection."""
     if p.kind != "X":
         raise SeedMismatch("X-point required")
     if k in eps.frozen:
@@ -121,6 +124,8 @@ def mutate_x(p, eps, k):
     out = {}
     support = set(p.coords)
     support.update(i for (i, j) in eps.matrix.entries if j == k)
+    if p.restricted:
+        support -= eps.frozen
     for i in support:
         if i == k:
             continue
@@ -219,7 +224,8 @@ def flip_x_closed_form(p, tri, e):
     the quadrilateral at ``e``; identity on all other coordinates.
 
     Requires the 12 local indices to be pairwise distinct (a genuine
-    quadrilateral); raises :class:`BadLabeling` otherwise.
+    quadrilateral); raises :class:`BadLabeling` otherwise.  A restricted
+    point keeps no frozen coordinates, as in :func:`mutate_x`.
     """
     lab = flip_local_labels(tri, e)
     if len(set(lab.values())) != 12:
@@ -247,6 +253,9 @@ def flip_x_closed_form(p, tri, e):
     out = {corr.index_map[i]: v for i, v in p.coords.items() if i not in lab.values()}
     for n in range(1, 13):
         out[corr.index_map[lab[n]]] = new[n]
+    if p.restricted:
+        frozen = Sl3IndexSet(t2).frozen
+        out = {i: v for i, v in out.items() if i not in frozen}
     return TropicalPoint("X", out, tri=t2, restricted=p.restricted)
 
 

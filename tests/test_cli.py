@@ -164,6 +164,14 @@ def test_determinism_same_argv_same_bytes(tmp_path):
     assert a.stdout == b.stdout
 
 
+def test_module_entry_point_matches_cli_module():
+    args = ["surface", "--spec", "polygon:4"]
+    pkg = subprocess.run([sys.executable, "-m", "sl3shear", *args], capture_output=True)
+    cli = subprocess.run([sys.executable, "-m", "sl3shear.cli", *args], capture_output=True)
+    assert pkg.returncode == 0
+    assert pkg.stdout and pkg.stdout == cli.stdout
+
+
 def test_verify_exit_codes(capsys):
     assert main(["verify", "--suite", "elementary", "--trials", "1", "--seed", "0"]) == 0
 

@@ -1,8 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from sl3shear import io as jio
+from sl3shear.glue import glue_laminations
 from sl3shear.laminations import (
     CarrierMismatch,
     Component,
@@ -13,6 +16,7 @@ from sl3shear.laminations import (
     InvalidPicture,
     PinnedLamination,
     SpiralEnd,
+    StrandRef,
     UnknownComponentKind,
     add_peripheral_chain,
     coords_of_components,
@@ -22,9 +26,11 @@ from sl3shear.laminations import (
     shear_frozen,
     shear_unfrozen,
 )
+from sl3shear.reconstruct import identifier_relations, reconstruct, traveler_trace
 from sl3shear.seeds import Sl3IndexSet, extended_matrix
+from sl3shear.surface import MarkedSurfaceSpec, build
 from sl3shear.tropical import TropicalPoint, dynkin_cluster, ensemble
-from sl3shear.verify import realizable_component_sum
+from sl3shear.verify import _glued_expectation, random_pinned_two_triangles, realizable_component_sum
 
 F = Fraction
 
@@ -415,3 +421,160 @@ def test_normalize_pinned_component_sum(triangle):
     x = shear_frozen(pl)
     y = shear_frozen(scaled)
     assert {i: 6 * v for i, v in x.coords.items()} == dict(y.coords)
+
+
+# -- strand structure derived once per picture -----------------------------
+
+
+def _end_direction(entry, role):
+    """Direction of a stack entry's end on the side where its corner is
+    terminal (role 'A') or initial ('B'); None if it has no end there."""
+    if isinstance(entry, CornerArc):
+        into = (entry.orient == "cw") == (role == "A")
+        return "in" if into else "out"
+    if (entry.winding == "cw") != (role == "A"):
+        return None
+    return "out" if entry.outgoing else "in"
+
+
+def _reference_strands(pic, slot, direction):
+    """(strand list, initial-zone size) of a side, read off the corner
+    stacks: the initial corner's ends deepest first, then the honeycomb
+    legs, then the terminal corner's ends."""
+    t, i = slot
+    c0, c1 = (t, (i - 1) % 3), (t, i)
+    initial = [
+        StrandRef(slot, direction, ("corner", c0, p), entry.weight)
+        for p, entry in enumerate(pic.corners.get(c0, ()))
+        if _end_direction(entry, "B") == direction
+    ]
+    hc = pic.honeycombs.get(t)
+    legs = []
+    if hc is not None and (hc.orient == "sink") == (direction == "in"):
+        legs = [StrandRef(slot, direction, ("leg", j), hc.weight) for j in range(hc.height)]
+    terminal = [
+        StrandRef(slot, direction, ("corner", c1, p), entry.weight)
+        for p, entry in enumerate(pic.corners.get(c1, ()))
+        if _end_direction(entry, "A") == direction
+    ]
+    return tuple(initial[::-1] + legs + terminal), len(initial)
+
+
+def _sides(tri):
+    return [((t, i), d) for t in tri.triangles for i in range(3) for d in ("in", "out")]
+
+
+def _two_pentagons():
+    def pentagon(p):
+        return [
+            (f"{p}1", (f"{p}b0", f"{p}b1", f"{p}d2")),
+            (f"{p}2", (f"{p}d2", f"{p}b2", f"{p}d3")),
+            (f"{p}3", (f"{p}d3", f"{p}b3", f"{p}b4")),
+        ]
+
+    return build(MarkedSurfaceSpec.table(pentagon("L") + pentagon("R")))
+
+
+def _seeded_pictures():
+    """Reconstructed, glued and io-decoded pictures."""
+    rng = random.Random("strand-cache")
+    pictures = []
+    for spec in (
+        MarkedSurfaceSpec.polygon(5),
+        MarkedSurfaceSpec.punctured_polygon(3, 1),
+        MarkedSurfaceSpec.once_punctured_torus(),
+    ):
+        tri = build(spec)
+        iset = Sl3IndexSet(tri)
+        for _ in range(3):
+            coords = {i: F(rng.randint(-4, 4)) for i in iset.unfrozen}
+            pictures.append(reconstruct(TropicalPoint("X", coords, tri=tri, restricted=True), tri))
+    for _ in range(4):
+        glued = glue_laminations(random_pinned_two_triangles(rng), "a2", "b0")
+        back = jio.pinned_from_obj(json.loads(jio.dump(jio.pinned_to_obj(glued))), glued.tri)
+        pictures += [glued.underlying, back.underlying]
+    return pictures
+
+
+def test_cached_strand_structure_matches_corner_stacks():
+    for pic in _seeded_pictures():
+        for slot, d in _sides(pic.tri):
+            refs, n0 = _reference_strands(pic, slot, d)
+            assert pic.strand_list(slot, d) == refs
+            assert pic.strand_lists[(slot, d)] == refs
+            assert pic.initial_zone_size(slot, d) == n0
+            for k in range(len(refs)):
+                assert pic.strand_parameter(slot, d, k) == F(2 * (k - n0) + 1, 2)
+        diags = pic.validate()
+        assert diags == []
+        diags.append("changed by the caller")
+        assert pic.validate() == []
+
+
+def test_invalid_pictures_keep_raising(polygon4):
+    q = quad_corners(polygon4)
+    bad = [
+        GlobalPicture(polygon4, corners={q["t_left"]: [CornerArc("ccw")]}),
+        GlobalPicture(polygon4, corners={q["t_left"]: [SpiralEnd("cw", False)]}),
+    ]
+    for pic in bad:
+        diags = pic.validate()
+        assert diags
+        diags.clear()
+        assert pic.validate()
+        for _ in range(2):
+            with pytest.raises(InvalidPicture):
+                shear_unfrozen(pic)
+            with pytest.raises(InvalidPicture):
+                traveler_trace(pic)
+            with pytest.raises(InvalidPicture):
+                glue_laminations(PinnedLamination(pic, {}), "b0", "b2")
+
+
+def test_amalgamation_derives_each_picture_once(monkeypatch):
+    """One amalgamation op, as the benchmark runs it, checks each distinct
+    picture once and builds each of its strand lists once."""
+    import sl3shear.laminations as lam
+
+    tri = _two_pentagons()
+    rng = random.Random("derive-once")
+    iset = Sl3IndexSet(tri)
+    x = TropicalPoint(
+        "X", {i: F(rng.randint(-8, 8)) for i in iset.unfrozen}, tri=tri, restricted=True
+    )
+    delta = {e: (F(rng.randint(-4, 4)), F(rng.randint(-4, 4))) for e in tri.boundary_intervals}
+
+    checked = []
+    check = GlobalPicture._check
+
+    def counting_check(pic):
+        checked.append(pic)
+        return check(pic)
+
+    built = [0]
+    strand_ref = lam.StrandRef
+
+    def counting_ref(*args):
+        built[0] += 1
+        return strand_ref(*args)
+
+    monkeypatch.setattr(GlobalPicture, "_check", counting_check)
+    monkeypatch.setattr(lam, "StrandRef", counting_ref)
+
+    pic = reconstruct(x, tri)
+    assert shear_unfrozen(pic) == x
+    assert identifier_relations(pic, x) == []
+    pinned = PinnedLamination(pic, delta)
+    want = _glued_expectation(shear_frozen(pinned), "Lb1", "Rb3")
+    glued = glue_laminations(pinned, "Lb1", "Rb3")
+    glued_x = shear_frozen(glued)
+    assert glued_x.coords == want
+    text = jio.dump(jio.pinned_to_obj(glued))
+    back = jio.pinned_from_obj(json.loads(text), glued.tri)
+    assert shear_frozen(back) == glued_x
+    monkeypatch.undo()
+
+    assert len(checked) == len({id(p) for p in checked}) == 3
+    assert built[0] == sum(
+        len(_reference_strands(p, slot, d)[0]) for p in checked for slot, d in _sides(p.tri)
+    )

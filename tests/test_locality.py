@@ -4,7 +4,8 @@
 ``ensemble`` folds the elementary triangle quiver against the point; both
 must agree exactly with the reference built from the whole matrix, on
 seeded flip walks over surfaces with punctures, two boundary components
-and identified quadrilateral sides.
+and identified quadrilateral sides.  On the same walks a restricted
+X-point flips to the unfrozen part of the unrestricted flip.
 """
 
 import random
@@ -15,7 +16,14 @@ import pytest
 
 from sl3shear.seeds import Sl3IndexSet, exchange_matrix, extended_matrix, flip_mutation_sequence
 from sl3shear.surface import FlipCreatesSelfFolded, MarkedSurfaceSpec, build
-from sl3shear.tropical import TropicalPoint, apply_flip, apply_steps, ensemble
+from sl3shear.tropical import (
+    BadLabeling,
+    TropicalPoint,
+    apply_flip,
+    apply_steps,
+    ensemble,
+    flip_x_closed_form,
+)
 
 F = Fraction
 
@@ -115,3 +123,20 @@ def test_flip_and_ensemble_never_build_the_global_matrix(monkeypatch):
                     monkeypatch.setattr(mod, attr, refuse)
     got = (apply_flip(x, tri, e), apply_flip(a, tri, e), ensemble(a, tri))
     assert got == want
+
+
+@pytest.mark.parametrize("name", sorted(SURFACES))
+def test_restricted_flip_is_the_unfrozen_part(name):
+    for rng, tri, e in _walk(name):
+        iset = Sl3IndexSet(tri)
+        coords = _random_coords(rng, iset.unfrozen)
+        r = TropicalPoint("X", coords, tri=tri, restricted=True)
+        full = apply_flip(TropicalPoint("X", coords, tri=tri), tri, e)
+        frozen = Sl3IndexSet(full.tri).frozen
+        want = {i: v for i, v in full.coords.items() if i not in frozen}
+        assert apply_flip(r, tri, e).coords == want
+        try:
+            closed = flip_x_closed_form(r, tri, e)
+        except BadLabeling:
+            continue
+        assert closed.coords == want

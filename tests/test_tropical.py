@@ -17,6 +17,7 @@ from sl3shear.tropical import (
     BadLabeling,
     TropicalPoint,
     apply_flip,
+    apply_steps,
     dynkin_cluster,
     dynkin_cluster_by_mutation,
     ensemble,
@@ -140,6 +141,24 @@ def test_apply_flip_identity_outside(polygon5):
             for i in iset.all:
                 if i not in lab:
                     assert q[i] == p[i]
+
+
+def test_restricted_flip_keeps_no_frozen_coordinates(polygon5):
+    iset = Sl3IndexSet(polygon5)
+    e = polygon5.interior_edges[0]
+    p = TropicalPoint("X", {i: F(1) for i in iset.unfrozen}, tri=polygon5, restricted=True)
+    steps, t2, _ = flip_mutation_sequence(polygon5, e)
+    _, eps = exchange_matrix(polygon5)
+    flipped = [
+        apply_flip(p, polygon5, e),
+        apply_steps(p, eps, steps, tri_after=t2)[0],
+        flip_x_closed_form(p, polygon5, e),
+    ]
+    unfrozen = set(Sl3IndexSet(t2).unfrozen)
+    for q in flipped:
+        assert q.restricted
+        assert q.coords and set(q.coords) <= unfrozen
+        assert q == flipped[0]
 
 
 def test_double_flip_returns_point(polygon4):
