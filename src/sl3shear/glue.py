@@ -115,18 +115,11 @@ class _GlueStepper(_PictureStepper):
         return len(self.lists[(slot, d)])
 
     def _cross(self, state, to):
-        slot, d, j = state
-        tri = self.pic.tri
-        e = tri.edge_at(slot)
-        pin = self.pins.get((e, to))
-        if pin is not None:
-            return (pin[0], to, pin[1] - 1 - j)
-        if 0 <= j < self._n(slot, d):
+        # the inherited reversal n - 1 - j also pairs the virtual indices
+        pin = self.pins.get((self.pic.tri.edge_at(state[0]), to))
+        if pin is None:
             return super()._cross(state, to)
-        sl, sr = tri.slots(e)
-        if sr is None:
-            return None
-        return (sr if slot == sl else sl, to, self._n(slot, d) - 1 - j)
+        return (pin[0], to, pin[1] - 1 - state[2])
 
     def _turn(self, state, to):
         slot, d, j = state

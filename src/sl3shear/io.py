@@ -16,6 +16,7 @@ from .laminations import (
     CornerArc,
     GlobalPicture,
     Honeycomb,
+    InvalidPicture,
     PinnedLamination,
     SpiralEnd,
 )
@@ -187,6 +188,10 @@ def picture_to_obj(pic):
 
 
 def picture_from_obj(obj, tri):
+    """Decode a picture.  Its pairings are implicit; when ``"pairings"``
+    are given, each interior edge's pairs (an edge left out has none) must
+    list the reversal, in any order, or :class:`InvalidPicture` is
+    raised."""
     honeycombs = {}
     corners = {}
     for t, entry in obj.get("triangles", {}).items():
@@ -197,16 +202,15 @@ def picture_from_obj(obj, tri):
             )
         for c_s, stack in entry.get("corners", {}).items():
             corners[(t, int(c_s))] = [_entry_from_obj(x) for x in stack]
-    pairings = None
-    if obj.get("pairings"):
-        pairings = {
-            e: (
-                tuple(tuple(p) for p in v["lr"]),
-                tuple(tuple(p) for p in v["rl"]),
-            )
-            for e, v in obj["pairings"].items()
-        }
-    return GlobalPicture(tri, honeycombs, corners, pairings)
+    pic = GlobalPicture(tri, honeycombs, corners)
+    given = obj.get("pairings")
+    if given:
+        for e in tri.interior_edges:
+            v = given.get(e, {"lr": [], "rl": []})
+            for tag, pairs in zip(("lr", "rl"), pic.pairings[e]):
+                if sorted(tuple(p) for p in v[tag]) != list(pairs):
+                    raise InvalidPicture(f"pairing across {e} ({tag}) is not the reversal")
+    return pic
 
 
 def components_to_obj(s):

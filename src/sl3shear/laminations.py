@@ -2,10 +2,15 @@
 
 A :class:`GlobalPicture` stores a lamination in good position with
 respect to a triangulation: at most one honeycomb per triangle, stacks of
-corner arcs at the triangle corners, truncated spiral tails at puncture
-corners, and an order-reversing strand pairing across every interior
-edge.  Spiralling ends are stored pre-resolved: a finite corner-arc
-prefix plus a signed tail marker.
+corner arcs at the triangle corners, and truncated spiral tails at
+puncture corners.  Spiralling ends are stored pre-resolved: a finite
+corner-arc prefix plus a signed tail marker.
+
+Strand pairings are implicit.  Across an interior edge the strand at
+index ``i`` of an outgoing list meets the strand at index ``n - 1 - i`` of
+the incoming list on the other side: the pinning rule pairs parameter
+``t`` with ``sigma - t``, and the reversal is the only order-reversing
+bijection between two lists of length ``n``.
 
 Corner conventions.  The corner ``(t, i)`` of triangle ``t`` sits at the
 terminal endpoint of side ``i`` and the initial endpoint of side ``i+1``.
@@ -109,23 +114,20 @@ def _arc_end_direction(entry, role):
 class GlobalPicture:
     """Good-position lamination data over an ideal triangulation.
 
-    A picture is immutable once built: nothing writes to ``corners``,
-    ``honeycombs`` or ``pairings`` after ``__init__``.  So the strand
-    structure they determine (the ordered strand ends of every side, the
-    initial-zone size of each list) and the validation diagnostics are
-    derived once per picture, on first use, and every reader looks them
-    up.
+    A picture is immutable once built: nothing writes to ``corners`` or
+    ``honeycombs`` after ``__init__``.  So the strand structure they
+    determine (the ordered strand ends of every side, the initial-zone
+    size of each list) and the validation diagnostics are derived once
+    per picture, on first use, and every reader looks them up.  No
+    pairing is stored: across an edge, index ``i`` of a list of length
+    ``n`` meets index ``n - 1 - i`` (see the module docstring).
     """
 
-    def __init__(self, tri, honeycombs=None, corners=None, pairings=None):
+    def __init__(self, tri, honeycombs=None, corners=None):
         self.tri = tri
         self.honeycombs = {t: h for t, h in (honeycombs or {}).items() if h is not None}
         self.corners = {c: tuple(v) for c, v in (corners or {}).items() if v}
         self._diags = None
-        if pairings is None:
-            self.pairings = self._reversal_pairings()
-        else:
-            self.pairings = {e: (tuple(lr), tuple(rl)) for e, (lr, rl) in pairings.items()}
 
     # -- derived strand structure ----------------------------------------
 
@@ -186,15 +188,16 @@ class GlobalPicture:
         n0 = self.initial_zone_size(slot, direction)
         return Fraction(2 * (index - n0) + 1, 2)
 
-    def _reversal_pairings(self):
+    @cached_property
+    def pairings(self):
+        """``(lr, rl)`` per interior edge: the ``(out index, in index)``
+        pairs of the strands leaving the left and the right side, which
+        are the reversals ``(i, n - 1 - i)``.  Derived from the list
+        lengths for the JSON io and the diagram; nothing else reads it."""
         pairings = {}
         for e in self.tri.interior_edges:
-            sl, sr = self.tri.slots(e)
-            n_lr = len(self.strand_list(sl, "out"))
-            n_rl = len(self.strand_list(sr, "out"))
-            lr = tuple((i, n_lr - 1 - i) for i in range(n_lr))
-            rl = tuple((i, n_rl - 1 - i) for i in range(n_rl))
-            pairings[e] = (lr, rl)
+            lengths = [len(self.strand_list(slot, "out")) for slot in self.tri.slots(e)]
+            pairings[e] = tuple(tuple((i, n - 1 - i) for i in range(n)) for n in lengths)
         return pairings
 
     # -- classification helpers ------------------------------------------
@@ -255,33 +258,23 @@ class GlobalPicture:
                     diags.append(f"spiral tail at non-puncture corner {(t, ci)}")
         for e in self.tri.interior_edges:
             sl, sr = self.tri.slots(e)
-            for tag, out_slot, in_slot, pairs in (
-                ("lr", sl, sr, self.pairings.get(e, ((), ()))[0]),
-                ("rl", sr, sl, self.pairings.get(e, ((), ()))[1]),
-            ):
+            for tag, out_slot, in_slot in (("lr", sl, sr), ("rl", sr, sl)):
                 outs = self.strand_list(out_slot, "out")
                 ins = self.strand_list(in_slot, "in")
                 if len(outs) != len(ins):
                     diags.append(f"unbalanced strand lists across {e} ({tag})")
                     continue
-                if sorted(i for i, _ in pairs) != list(range(len(outs))) or sorted(
-                    j for _, j in pairs
-                ) != list(range(len(ins))):
-                    diags.append(f"pairing across {e} ({tag}) is not a bijection")
-                    continue
-                seq = sorted(pairs)
-                if any(seq[a][1] <= seq[a + 1][1] for a in range(len(seq) - 1)):
-                    diags.append(f"pairing across {e} ({tag}) is not order-reversing")
-                for i, j in pairs:
-                    if outs[i].weight != ins[j].weight:
-                        diags.append(
-                            f"paired strands across {e} ({tag}) have unequal weights"
-                        )
+                diags.extend(
+                    f"paired strands across {e} ({tag}) have unequal weights"
+                    for a, b in zip(outs, reversed(ins))
+                    if a.weight != b.weight
+                )
         return diags
 
     def dynkin(self):
         """Orientation reversal: arcs and honeycombs flip, tail windings
-        (puncture signs) are kept, pairings swap sheets."""
+        (puncture signs) are kept; every strand changes direction, so the
+        two sheets of each edge trade places."""
         honeycombs = {
             t: Honeycomb("source" if h.orient == "sink" else "sink", h.height, h.weight)
             for t, h in self.honeycombs.items()
@@ -295,10 +288,7 @@ class GlobalPicture:
                 else:
                     new.append(replace(entry, outgoing=not entry.outgoing))
             corners[c] = tuple(new)
-        pairings = {}
-        for e, (lr, rl) in self.pairings.items():
-            pairings[e] = (tuple((j, i) for i, j in rl), tuple((j, i) for i, j in lr))
-        return GlobalPicture(self.tri, honeycombs, corners, pairings)
+        return GlobalPicture(self.tri, honeycombs, corners)
 
     def scaled(self, u):
         """The picture of ``u`` times the lamination, ``u`` a positive
@@ -306,8 +296,8 @@ class GlobalPicture:
         arcs are cabled into unit-weight parallel copies.
 
         With ``u`` = 1 and every weight already 1 the picture itself is
-        returned: cabling would rebuild the same stacks and the reversal
-        pairings, the only order-reversing pairings of equal-length lists."""
+        returned: cabling would rebuild the same stacks, and the pairings
+        are implicit."""
         u = Fraction(u)
         if u == 1 and all(h.weight == 1 for h in self.honeycombs.values()) and all(
             entry.weight == 1 for stack in self.corners.values() for entry in stack
@@ -338,36 +328,22 @@ def honeycomb_leg_split(pic, t, side_index):
     """The (n1, n2, n3) division of the honeycomb legs on one side of a
     triangle: legs whose far end turns left (continues past the far
     side's initial corner), runs into another honeycomb, or turns right.
-    Derived from the pairings; None on boundary sides or without a
-    honeycomb."""
+    Read across the implicit reversal pairing; None on boundary sides or
+    without a honeycomb."""
     hc = pic.honeycombs.get(t)
     if hc is None:
         return None
     slot = (t, side_index % 3)
-    e = pic.tri.edge_at(slot)
-    if pic.tri.is_boundary(e):
+    far_slot = pic.tri.other_slot(slot)
+    if far_slot is None:
         return None
-    direction = "in" if hc.orient == "sink" else "out"
-    sl, sr = pic.tri.slots(e)
-    lr, rl = pic.pairings[e]
-    if direction == "in":
-        pairs = lr if slot == sr else rl
-        partner_of = {j: i for i, j in pairs}
-        far_slot = sl if slot == sr else sr
-        far_dir = "out"
-    else:
-        pairs = lr if slot == sl else rl
-        partner_of = dict(pairs)
-        far_slot = sr if slot == sl else sl
-        far_dir = "in"
+    direction, far_dir = ("in", "out") if hc.orient == "sink" else ("out", "in")
     mine = pic.strand_list(slot, direction)
     far = pic.strand_list(far_slot, far_dir)
     counts = {"initial": 0, "leg": 0, "terminal": 0}
-    for idx, ref in enumerate(mine):
-        if ref.origin[0] != "leg":
-            continue
-        far_ref = far[partner_of[idx]]
-        counts[pic.strand_corner_class(far_ref)] += 1
+    for ref, far_ref in zip(mine, reversed(far)):
+        if ref.origin[0] == "leg":
+            counts[pic.strand_corner_class(far_ref)] += 1
     # the far side's initial corner is this side's terminal corner: a leg
     # landing there turned left
     return (counts["initial"], counts["leg"], counts["terminal"])
@@ -376,7 +352,7 @@ def honeycomb_leg_split(pic, t, side_index):
 def add_peripheral_chain(pic, vertex, orient, weight=Fraction(1)):
     """Add one boundary-parallel component around a marked point: an arc
     in every triangle-corner at the vertex, at the deep end of each
-    stack.  Assumes (and keeps) order-reversing pairings."""
+    stack.  The implicit reversal pairings take the new strands in."""
     corners = {c: list(v) for c, v in pic.corners.items()}
     for (t, ci) in pic.tri.corners_at_vertex(vertex):
         corners.setdefault((t, ci), []).append(CornerArc(orient, Fraction(weight)))
@@ -494,29 +470,16 @@ def shear_unfrozen(pic):
         v = hc.face_value()
         if v:
             x[("tri", t)] = v
+    cls = pic.strand_corner_class
     for e in tri.interior_edges:
         sl, sr = tri.slots(e)
-        lr, rl = pic.pairings[e]
         l_hc = pic.honeycombs.get(sl[0])
         r_hc = pic.honeycombs.get(sr[0])
-        l_out = pic.strand_list(sl, "out")
-        r_in = pic.strand_list(sr, "in")
-        for i, j in lr:
-            _crossing_contribution(
-                x, e,
-                pic.strand_corner_class(l_out[i]),
-                pic.strand_corner_class(r_in[j]),
-                "lr", l_hc, r_hc, l_out[i].weight,
-            )
-        r_out = pic.strand_list(sr, "out")
-        l_in = pic.strand_list(sl, "in")
-        for i, j in rl:
-            _crossing_contribution(
-                x, e,
-                pic.strand_corner_class(l_in[j]),
-                pic.strand_corner_class(r_out[i]),
-                "rl", l_hc, r_hc, r_out[i].weight,
-            )
+        # each outgoing list meets the reversed incoming list
+        for a, b in zip(pic.strand_list(sl, "out"), reversed(pic.strand_list(sr, "in"))):
+            _crossing_contribution(x, e, cls(a), cls(b), "lr", l_hc, r_hc, a.weight)
+        for a, b in zip(pic.strand_list(sr, "out"), reversed(pic.strand_list(sl, "in"))):
+            _crossing_contribution(x, e, cls(b), cls(a), "rl", l_hc, r_hc, a.weight)
     x = {i: v for i, v in x.items() if v}
     return TropicalPoint("X", x, tri=tri, restricted=True)
 

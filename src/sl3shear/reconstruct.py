@@ -297,35 +297,31 @@ class Traveler:
     and forward walks."""
 
     kind: str  # 'arc' | 'loop' | 'spiral'
-    key: tuple
     turns: list
     start: tuple
     end: tuple
 
 
 def trace_coordinates(x, tri, step_cap):
-    """All non-peripheral travelers of the implicit infinite picture."""
+    """All non-peripheral travelers of the implicit infinite picture, in
+    seed order.  A seed that an earlier traveler's walks already crossed
+    belongs to that traveler and is skipped."""
     stepper = _CoordStepper(tri, x, step_cap)
-    seen = {}
+    visited = set()
+    travelers = []
     for e in tri.interior_edges:
         sl, sr = tri.slots(e)
         for sheet, slot in (("lr", sl), ("rl", sr)):
             for k in stepper.seed_window(e, sheet):
                 seed = (slot, "out", k)
-                if stepper.crossing_hugs(seed):
+                if seed in visited or stepper.crossing_hugs(seed):
                     continue
                 fw, bw = walk_both(stepper, seed)
-                # identify a traveler by its non-hugging crossings: the
-                # portion of a spiral tail that a trace records depends on
-                # where the trace started, the core does not
-                key = min(
-                    (str(s[0]), str(s[2]))
-                    for s in bw.crossings + fw.crossings
-                    if not stepper.crossing_hugs(s)
-                )
+                visited.update(bw.crossings)
+                visited.update(fw.crossings)
                 turns = bw.turns[::-1] + fw.turns
-                seen.setdefault(key, Traveler(strand_kind(fw, bw), key, turns, bw.end, fw.end))
-    return stepper, sorted(seen.values(), key=lambda tv: tv.key)
+                travelers.append(Traveler(strand_kind(fw, bw), turns, bw.end, fw.end))
+    return stepper, travelers
 
 
 def reconstruct(x, tri, spiral_turns=2, normalize=True):
@@ -337,23 +333,21 @@ def reconstruct(x, tri, spiral_turns=2, normalize=True):
     """
     from .seeds import Sl3IndexSet
 
-    coords = {}
-    for i in Sl3IndexSet(tri).all:
-        coords[i] = Fraction(x[i]) if not _is_frozen(i, tri) else Fraction(0)
-    nonint = [i for i, v in coords.items() if v.denominator != 1]
+    unfrozen = Sl3IndexSet(tri).unfrozen
+    xr = TropicalPoint("X", {i: x[i] for i in unfrozen}, tri=tri, restricted=True)
+    nonint = [i for i, v in xr.coords.items() if v.denominator != 1]
     if nonint:
         if not normalize:
             raise NonIntegralInput(nonint[0])
         from math import lcm
 
-        u = lcm(*[coords[i].denominator for i in nonint])
+        u = lcm(*[xr[i].denominator for i in nonint])
         xs = TropicalPoint(
-            "X", {i: v * u for i, v in coords.items()}, tri=tri, restricted=True
+            "X", {i: v * u for i, v in xr.coords.items()}, tri=tri, restricted=True
         )
         pic = reconstruct(xs, tri, spiral_turns=spiral_turns)
         return _rescale_picture(pic, Fraction(1, u))
-    xv = _Coords(coords)
-    stepper, travelers = trace_coordinates(xv, tri, _step_cap(xv, tri))
+    stepper, travelers = trace_coordinates(xr, tri, _step_cap(xr, tri))
     pic = _materialize(stepper, travelers, spiral_turns)
     diags = pic.validate()
     if diags:
@@ -372,18 +366,6 @@ def _step_cap(x, tri):
     return max(256, 8 * len(tri.edges) * (int(mass) + 6))
 
 
-class _Coords:
-    def __init__(self, coords):
-        self._c = coords
-
-    def __getitem__(self, i):
-        return self._c.get(i, Fraction(0))
-
-
-def _is_frozen(i, tri):
-    return i[0] == "edge" and tri.is_boundary(i[1])
-
-
 def _rescale_picture(pic, w):
     from dataclasses import replace as _r
 
@@ -392,7 +374,7 @@ def _rescale_picture(pic, w):
         c: tuple(_r(entry, weight=entry.weight * w) for entry in stack)
         for c, stack in pic.corners.items()
     }
-    return GlobalPicture(pic.tri, honeycombs, corners, pic.pairings)
+    return GlobalPicture(pic.tri, honeycombs, corners)
 
 
 def _materialize(stepper, travelers, spiral_turns):
@@ -446,13 +428,13 @@ class PictureTraveler:
 class _PictureStepper:
     """Steps on the strand lists of an explicit picture; the parameter of
     a state is the strand's index in its list, and an arc's place is
-    (corner, stack position).  A stored spiral marker ends a walk with
-    ``("marker", vertex, sign, place)``."""
+    (corner, stack position).  A crossing pairs index j of a list of
+    length n with index n - 1 - j on the far side.  A stored spiral marker
+    ends a walk with ``("marker", vertex, sign, place)``."""
 
     def __init__(self, pic):
         self.pic = pic
         self.surface = pic.tri
-        tri = pic.tri
         self.lists = pic.strand_lists
         self.arc_ends = {}
         for (slot, d), refs in self.lists.items():
@@ -461,17 +443,6 @@ class _PictureStepper:
                     self.arc_ends.setdefault((ref.origin[1], ref.origin[2], d), []).append(
                         (slot, idx)
                     )
-        self.pair_fwd = {}
-        self.pair_bwd = {}
-        for e in tri.interior_edges:
-            sl, sr = tri.slots(e)
-            lr, rl = pic.pairings[e]
-            for i, j in lr:
-                self.pair_fwd[(sl, i)] = (sr, j)
-                self.pair_bwd[(sr, j)] = (sl, i)
-            for i, j in rl:
-                self.pair_fwd[(sr, i)] = (sl, j)
-                self.pair_bwd[(sl, j)] = (sr, i)
         self.step_cap = 1 + sum(len(refs) for refs in self.lists.values())
 
     def vertex(self, corner):
@@ -484,9 +455,9 @@ class _PictureStepper:
         return self._cross(state, "out")
 
     def _cross(self, state, to):
-        pairs = self.pair_fwd if to == "in" else self.pair_bwd
-        nxt = pairs.get((state[0], state[2]))
-        return None if nxt is None else (nxt[0], to, nxt[1])
+        slot, d, j = state
+        far = self.pic.tri.other_slot(slot)
+        return None if far is None else (far, to, len(self.lists[(slot, d)]) - 1 - j)
 
     def turn(self, state):
         return self._turn(state, "out")
@@ -588,14 +559,12 @@ def roundtrip_check(x, tri):
 
     u = lcm(*[v.denominator for v in coords.values()]) if coords else 1
     xi = TropicalPoint("X", {i: v * u for i, v in coords.items()}, tri=tri, restricted=True)
-    xv = _Coords(dict(xi.coords))
-    stepper, travelers = trace_coordinates(xv, tri, _step_cap(xv, tri))
+    stepper, travelers = trace_coordinates(xi, tri, _step_cap(xi, tri))
     pic = _materialize(stepper, travelers, 2)
     y = shear_unfrozen(pic)
     y2 = shear_unfrozen(_materialize(stepper, travelers, 3))
-    target = TropicalPoint("X", dict(xi.coords), tri=tri, restricted=True)
     report = {
-        "ok": y == target and y2 == target,
+        "ok": y == xi and y2 == xi,
         "stable": y == y2,
         "scale": u,
         "picture": pic,

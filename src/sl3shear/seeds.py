@@ -31,14 +31,6 @@ ZERO = Fraction(0)
 HALF = Fraction(1, 2)
 
 
-def face_index(t):
-    return ("tri", t)
-
-
-def edge_index(e, s):
-    return ("edge", e, s)
-
-
 class Sl3IndexSet:
     """Index set of a triangulation: two points per edge, one per face."""
 
@@ -152,9 +144,6 @@ class ExchangeMatrix:
             and self.matrix == other.matrix
             and self.frozen == other.frozen
         )
-
-    def copy(self):
-        return ExchangeMatrix(self.matrix.copy(), self.frozen)
 
     def check(self):
         """Invariant diagnostics: skew-symmetry, integrality pattern, range."""

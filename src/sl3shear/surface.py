@@ -96,9 +96,6 @@ class MarkedSurfaceSpec:
     def table(triangles):
         return MarkedSurfaceSpec("table", triangles=tuple(triangles))
 
-    def build(self):
-        return build(self)
-
 
 class IdealTriangulation:
     """An ideal triangulation without self-folded triangles.
@@ -162,9 +159,6 @@ class IdealTriangulation:
         t, i = slot
         return self.tri_sides[t][i]
 
-    def side_slot(self, t, i):
-        return (t, i % 3)
-
     # Corners: (t, i) is the corner at the terminal endpoint of side i,
     # equivalently the initial endpoint of side i+1, of triangle t.
 
@@ -225,24 +219,6 @@ class IdealTriangulation:
 
     def corners_at_vertex(self, v):
         return sorted(c for c, w in self._corner_vertex.items() if w == v)
-
-    # triangle-local navigation used by the lamination machinery
-
-    def side_initial_corner(self, slot):
-        t, i = slot
-        return (t, (i - 1) % 3)
-
-    def side_terminal_corner(self, slot):
-        t, i = slot
-        return (t, i % 3)
-
-    def prev_slot(self, slot):
-        t, i = slot
-        return (t, (i - 1) % 3)
-
-    def next_slot(self, slot):
-        t, i = slot
-        return (t, (i + 1) % 3)
 
     def other_slot(self, slot):
         e = self.edge_at(slot)
@@ -383,7 +359,7 @@ class IdealTriangulation:
             slot_l[e2] = role.get(sl, sl)
         slot_l[e] = (tl, 0)
         t2 = IdealTriangulation(tri_sides, slot_l=slot_l)
-        corr = EdgeCorrespondence.for_flip(self, t2, e, tl, tr)
+        corr = EdgeCorrespondence.for_flip(self, e, tl, tr)
         return t2, corr
 
     # -- gluing -----------------------------------------------------------
@@ -426,20 +402,17 @@ class GlueResult:
 
 @dataclass(frozen=True)
 class EdgeCorrespondence:
-    """Bookkeeping for a flip: edge bijection and seed-index bijection.
+    """Bookkeeping for a flip: the seed-index bijection.
 
     ``index_map`` sends every index of the old triangulation's index set
     to the corresponding index of the new one (faces of the two flipped
     triangles trade places with the diagonal's two edge indices).
     """
 
-    edge_map: dict
     index_map: dict
-    flipped_edge: str
 
     @staticmethod
-    def for_flip(t_old, t_new, e, tl, tr):
-        edge_map = {e2: e2 for e2 in t_old.edges}
+    def for_flip(t_old, e, tl, tr):
         index_map = {}
         for e2 in t_old.edges:
             if e2 == e:
@@ -455,7 +428,7 @@ class EdgeCorrespondence:
         index_map[("edge", e, 1)] = ("tri", tr)
         index_map[("tri", tl)] = ("edge", e, 1)
         index_map[("tri", tr)] = ("edge", e, 2)
-        return EdgeCorrespondence(edge_map=edge_map, index_map=index_map, flipped_edge=e)
+        return EdgeCorrespondence(index_map=index_map)
 
 
 # -- canonical families ----------------------------------------------------

@@ -72,14 +72,6 @@ class TropicalPoint:
     def __getitem__(self, i):
         return self.coords.get(i, ZERO)
 
-    def domain(self):
-        if self.tri is None:
-            return tuple(sorted(self.coords))
-        iset = Sl3IndexSet(self.tri)
-        if self.restricted:
-            return iset.unfrozen
-        return iset.all
-
     def __eq__(self, other):
         return (
             isinstance(other, TropicalPoint)

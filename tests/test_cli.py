@@ -1,3 +1,4 @@
+import copy
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import pytest
 
 from sl3shear import io as jio
 from sl3shear.cli import main
-from sl3shear.laminations import GlobalPicture, Honeycomb, PinnedLamination
+from sl3shear.laminations import GlobalPicture, Honeycomb, InvalidPicture, PinnedLamination
 from sl3shear.surface import MarkedSurfaceSpec, build
 
 F = Fraction
@@ -231,6 +232,42 @@ def test_picture_json_roundtrip(polygon4, torus):
             assert back.honeycombs == pic.honeycombs
             assert back.corners == pic.corners
             assert back.pairings == pic.pairings
+
+
+def test_picture_decoder_checks_pairings(polygon4, tmp_path, capsys):
+    """Given pairings must list the reversal, in any order; a file
+    without them decodes to the same picture."""
+    from sl3shear.reconstruct import reconstruct
+    from sl3shear.tropical import TropicalPoint
+
+    e = polygon4.interior_edges[0]
+    x = {("edge", e, 1): F(3), ("edge", e, 2): F(-1)}
+    pic = reconstruct(TropicalPoint("X", x, tri=polygon4, restricted=True), polygon4)
+    obj = jio.pinned_to_obj(PinnedLamination(pic, {}))
+    assert len(obj["picture"]["pairings"][e]["lr"]) >= 2
+
+    permuted = copy.deepcopy(obj)
+    permuted["picture"]["pairings"][e]["lr"].reverse()
+    bare = copy.deepcopy(obj)
+    del bare["picture"]["pairings"]
+    for variant in (permuted, bare):
+        back = jio.pinned_from_obj(variant, polygon4).underlying
+        assert (back.honeycombs, back.corners) == (pic.honeycombs, pic.corners)
+        assert jio.pinned_to_obj(PinnedLamination(back, {})) == obj
+
+    swapped = copy.deepcopy(obj)
+    pairs = swapped["picture"]["pairings"][e]["lr"]
+    pairs[0][1], pairs[1][1] = pairs[1][1], pairs[0][1]
+    with pytest.raises(InvalidPicture):
+        jio.pinned_from_obj(swapped, polygon4)
+    surf = tmp_path / "p4.json"
+    main(["surface", "--spec", "polygon:4", "--out", str(surf)])
+    lam = tmp_path / "swapped.json"
+    lam.write_text(json.dumps(swapped))
+    capsys.readouterr()
+    assert main(["shear", "--surface", str(surf), "--lamination", str(lam)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
 def test_tropical_point_json_roundtrip(polygon4):

@@ -18,9 +18,11 @@ from sl3shear.laminations import (
     PinnedLamination,
     elementary_lamination,
     shear_frozen,
+    shear_unfrozen,
 )
+from sl3shear.reconstruct import identifier_relations, reconstruct
 from sl3shear.seeds import Sl3IndexSet
-from sl3shear.surface import SameEdge
+from sl3shear.surface import MarkedSurfaceSpec, SameEdge, build
 from sl3shear.tropical import TropicalPoint, apply_flip, ensemble
 from sl3shear.verify import (
     _glued_expectation,
@@ -234,3 +236,35 @@ def test_glue_annulus_into_torus(annulus11, torus):
         xf = shear_frozen(pl)
         glued = glue_laminations(pl, "b1", "b3")
         assert dict(shear_frozen(glued).coords) == _glued_expectation(xf, "b1", "b3")
+
+
+def _pentagon(p):
+    return [
+        (f"{p}1", (f"{p}b0", f"{p}b1", f"{p}d2")),
+        (f"{p}2", (f"{p}d2", f"{p}b2", f"{p}d3")),
+        (f"{p}3", (f"{p}d3", f"{p}b3", f"{p}b4")),
+    ]
+
+
+def test_pictures_need_no_pairing_table(monkeypatch):
+    """Reconstruct, shear, trace, glue and shear again without reading a
+    pairing table: every reader pairs index i with n - 1 - i."""
+
+    def no_table(pic):
+        raise AssertionError("a pairing table was read")
+
+    # raising=False: a picture that assigns a table in __init__ has no
+    # class attribute to replace; the assignment then fails instead
+    monkeypatch.setattr(GlobalPicture, "pairings", property(no_table), raising=False)
+    tri = build(MarkedSurfaceSpec.table(_pentagon("L") + _pentagon("R")))
+    rng = random.Random(5)
+    x = TropicalPoint(
+        "X", {i: F(rng.randint(-6, 6)) for i in Sl3IndexSet(tri).unfrozen}, tri=tri, restricted=True
+    )
+    pic = reconstruct(x, tri)
+    assert shear_unfrozen(pic) == x
+    assert identifier_relations(pic, x) == []
+    delta = {e: (F(rng.randint(-3, 3)), F(rng.randint(-3, 3))) for e in tri.boundary_intervals}
+    pinned = PinnedLamination(pic, delta)
+    glued = glue_laminations(pinned, "Lb1", "Rb3")
+    assert shear_frozen(glued).coords == _glued_expectation(shear_frozen(pinned), "Lb1", "Rb3")

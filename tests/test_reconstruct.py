@@ -12,13 +12,18 @@ from sl3shear.laminations import (
 )
 from sl3shear.reconstruct import (
     NonIntegralInput,
+    Traveler,
     TruncationTooShallow,
-    _Coords,
+    _CoordStepper,
+    _materialize,
+    _step_cap,
     identifier_relations,
     reconstruct,
     roundtrip_check,
+    strand_kind,
     trace_coordinates,
     traveler_trace,
+    walk_both,
 )
 from sl3shear.seeds import Sl3IndexSet
 from sl3shear.surface import MarkedSurfaceSpec, build
@@ -179,11 +184,66 @@ def test_truncation_guard(torus):
     iset = Sl3IndexSet(torus)
     coords = {i: F(3) for i in iset.unfrozen}
     with pytest.raises(TruncationTooShallow) as info:
-        trace_coordinates(_Coords(coords), torus, step_cap=3)
+        trace_coordinates(xpoint(torus, coords), torus, step_cap=3)
     err = info.value
     assert (err.steps, err.cap) == (3, 3)
     assert err.seed is not None and str(err.seed) in str(err)
     assert "\n" not in str(err)
+
+
+def _trace_by_key(x, tri, step_cap):
+    """Reference tracer: walk every non-hugging seed and keep the first
+    traveler per key, the least (slot, parameter) among its non-hugging
+    crossings."""
+    stepper = _CoordStepper(tri, x, step_cap)
+    seen = {}
+    for e in tri.interior_edges:
+        sl, sr = tri.slots(e)
+        for sheet, slot in (("lr", sl), ("rl", sr)):
+            for k in stepper.seed_window(e, sheet):
+                seed = (slot, "out", k)
+                if stepper.crossing_hugs(seed):
+                    continue
+                fw, bw = walk_both(stepper, seed)
+                key = min(
+                    (str(s[0]), str(s[2]))
+                    for s in bw.crossings + fw.crossings
+                    if not stepper.crossing_hugs(s)
+                )
+                turns = bw.turns[::-1] + fw.turns
+                seen.setdefault(key, Traveler(strand_kind(fw, bw), turns, bw.end, fw.end))
+    return stepper, list(seen.values())
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        MarkedSurfaceSpec.polygon(4),
+        MarkedSurfaceSpec.polygon(5),
+        MarkedSurfaceSpec.polygon(7),
+        MarkedSurfaceSpec.annulus(1, 1),
+        MarkedSurfaceSpec.annulus(2, 2),
+        MarkedSurfaceSpec.punctured_polygon(3, 2),
+        MarkedSurfaceSpec.once_punctured_torus(),
+    ],
+    ids=["polygon4", "polygon5", "polygon7", "annulus11", "annulus22", "punctured3-2", "torus"],
+)
+def test_trace_skips_visited_seeds_like_key_dedup(spec):
+    """Skipping seeds crossed by an earlier traveler finds the travelers
+    that deduplicating every walk by its key finds."""
+    tri = build(spec)
+    iset = Sl3IndexSet(tri)
+    rng = random.Random(11)
+    for _ in range(16):
+        x = xpoint(tri, {i: F(rng.randint(-12, 12)) for i in iset.unfrozen})
+        cap = _step_cap(x, tri)
+        stepper, travelers = trace_coordinates(x, tri, cap)
+        ref_stepper, ref = _trace_by_key(x, tri, cap)
+        assert len(travelers) == len(ref)
+        for turns in (2, 3):
+            pic = _materialize(stepper, travelers, turns)
+            want = _materialize(ref_stepper, ref, turns)
+            assert (pic.corners, pic.honeycombs) == (want.corners, want.honeycombs)
 
 
 def test_reconstructed_pictures_validate(polygon5, torus):
