@@ -47,9 +47,25 @@ def _parse_spec(text):
     return family(*args)
 
 
+def _load(path, decode):
+    """Decode the JSON document at ``path``.  A file that cannot be read
+    or a malformed document is a usage error; a domain error of the
+    decoded data stays an :class:`Sl3Error`."""
+    try:
+        with open(path) as fp:
+            return decode(jio.load(fp))
+    except Sl3Error:
+        raise
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, IndexError) as exc:
+        raise UsageError(f"cannot read {path}: {type(exc).__name__}: {exc}") from None
+
+
 def _load_surface(path):
-    with open(path) as fp:
-        return jio.triangulation_from_obj(jio.load(fp))
+    return _load(path, jio.triangulation_from_obj)
+
+
+def _load_lamination(path, tri):
+    return _load(path, lambda obj: jio.pinned_from_obj(obj, tri))
 
 
 def _emit(obj, out):
@@ -122,8 +138,7 @@ def cmd_seed(args):
 
 def cmd_shear(args):
     tri = _load_surface(args.surface)
-    with open(args.lamination) as fp:
-        pl = jio.pinned_from_obj(jio.load(fp), tri)
+    pl = _load_lamination(args.lamination, tri)
     x = shear_frozen(pl)
     _emit({"coords": jio.tropical_point_to_obj(x)["coords"]}, args.out)
     return 0
@@ -192,8 +207,7 @@ def cmd_reconstruct(args):
 
 def cmd_glue(args):
     tri = _load_surface(args.surface)
-    with open(args.lamination) as fp:
-        pl = jio.pinned_from_obj(jio.load(fp), tri)
+    pl = _load_lamination(args.lamination, tri)
     glued = glue_laminations(pl, args.left, args.right)
     obj = {
         "surface": jio.triangulation_to_obj(glued.tri),
@@ -233,11 +247,7 @@ def emit_diagram(pic):
 
 def cmd_diagram(args):
     tri = _load_surface(args.surface)
-    with open(args.lamination) as fp:
-        obj = jio.load(fp)
-    pl = jio.pinned_from_obj(obj, tri)
-    pic = pl.underlying
-    text = emit_diagram(pic)
+    text = emit_diagram(_load_lamination(args.lamination, tri).underlying)
     if args.out:
         with open(args.out, "w") as fp:
             fp.write(text)

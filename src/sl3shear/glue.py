@@ -10,12 +10,13 @@ removed, and new spiralling ends (when a merged point becomes a
 puncture) are truncated to sign markers.
 
 The infinite added collections are never materialized up front.  The
-components are followed by the strand walker of
-:mod:`sl3shear.reconstruct`, through :class:`_GlueStepper`: it reuses the
-explicit-picture stepper for the strands of the original picture and
+components are followed by the strand walker and the component loop
+of :mod:`sl3shear.reconstruct`, through :class:`_GlueStepper`: it reuses
+the explicit-picture stepper for the strands of the original picture and
 adds "virtual" arcs, indexed past either end of a strand list, and the
-pinned pairing across the new edge.  Only the virtual arcs actually used
-by a surviving component are written into the output picture.
+pinned pairing across the new edge.  The surviving components are
+written by the picture writer that reconstruction uses, so only the
+virtual arcs they use enter the output picture.
 """
 
 from __future__ import annotations
@@ -23,14 +24,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laminations import (
-    CornerArc,
-    GlobalPicture,
-    PinnedLamination,
-    InvalidPicture,
-    normalize_integral,
+from .laminations import GlobalPicture, PinnedLamination, InvalidPicture, normalize_integral
+from .reconstruct import (
+    SPIRAL_TURNS,
+    Traveler,
+    Turn,
+    _PictureStepper,
+    build_picture,
+    components,
+    out_seeds,
+    stack_entries,
+    strand_kind,
 )
-from .reconstruct import Turn, _PictureStepper, _rescale_picture, spiral_tail, walk_both
 from .surface import SameEdge, Sl3Error
 
 
@@ -76,16 +81,14 @@ class _GlueStepper(_PictureStepper):
     deep beyond the initial corner's stack, and j >= n the one r = j-n
     deep beyond the terminal corner's.  At a corner the added arcs have
     virtual depths 2r and 2r+1, clockwise for even ones (the farthest arc
-    from the marked point is clockwise); an arc's place is (corner,
-    virtual depth).  Added arcs pair by the reversal, extended, across
-    the old edges, and the two glued sides pair by the pins: psi' =
-    sigma - psi on the half-integer parameter psi = j + 1/2."""
+    from the marked point is clockwise); an added arc's place key is (1,
+    virtual depth), after every stored entry of the corner.  Added arcs
+    pair by the reversal, extended, across the old edges, and the two
+    glued sides pair by the pins: psi' = sigma - psi on the half-integer
+    parameter psi = j + 1/2."""
 
     def __init__(self, pic, e_l, e_r, delta, t2, vertex_map):
-        diags = pic.validate()
-        if diags:
-            raise InvalidPicture("; ".join(diags))
-        super().__init__(pic)
+        super().__init__(pic.require_valid())
         self.surface = t2
         self.vertex_map = vertex_map
         self.slot_l = pic.tri.slots(e_l)[0]
@@ -138,7 +141,7 @@ class _GlueStepper(_PictureStepper):
             depth, other = 2 * r + (d == "out"), (t, (i + 1) % 3)
             nxt = (other, to, -r - 1)
         orient = "cw" if depth % 2 == 0 else "ccw"
-        return Turn(nxt, corner, orient, self.vertex(corner), depth, (corner, depth))
+        return Turn(nxt, corner, orient, self.vertex(corner), depth, (corner, (1, depth)))
 
 
 def _zone_counts(stepper, slot, direction):
@@ -167,7 +170,7 @@ def _window_seeds(stepper):
     return seeds
 
 
-def glue_laminations(pinned, e_l, e_r, spiral_turns=2):
+def glue_laminations(pinned, e_l, e_r):
     """Glue a pinned lamination along two boundary intervals.
 
     The coweights of ``e_l`` and ``e_r`` turn into the strand-set pins.
@@ -175,7 +178,8 @@ def glue_laminations(pinned, e_l, e_r, spiral_turns=2):
     they shift by the net change of the corner-arc weight at their initial
     marked point (nonzero only at the merged points, where peripheral
     components disappear and glued curves may deposit new corner arcs).
-    Rational inputs are scaled integral first and rescaled back.
+    Rational inputs are glued as ``u`` times an integral lamination and
+    written with weights 1/u.
     """
     tri = pinned.tri
     if e_l == e_r:
@@ -186,58 +190,27 @@ def glue_laminations(pinned, e_l, e_r, spiral_turns=2):
         raise InvalidPicture("picture-level gluing needs a GlobalPicture")
     t2, res = tri.glue_boundary(e_l, e_r)
     stepper = _GlueStepper(pic, e_l, e_r, norm.delta, t2, res.vertex_map)
-
-    keep_orig = set()
-    new_virts = {}
-    markers = {}
-    visited = set()
     merged_ids = {res.vertex_map[v] for e in (e_l, e_r) for v in tri.edge_endpoints(e)}
 
-    def run(seed, drop_if_new_peripheral):
-        if seed in visited:
-            return
-        fw, bw = walk_both(stepper, seed)
-        turns = bw.turns + fw.turns
-        for w in (fw, bw):
-            visited.update(w.crossings)
-            visited.update(t.state for t in w.turns)
-        verts = {t.vertex for t in turns}
-        if drop_if_new_peripheral and len(verts) == 1 and verts <= merged_ids:
+    # components crossing the new edge come first, including those made
+    # entirely of added arcs (never peripheral: their window crossing
+    # does not hug a corner); of the remaining original components, those
+    # that close up or run boundary-to-boundary around a merged point are
+    # the removed peripherals of the gluing construction
+    window = _window_seeds(stepper)
+    in_window = set(window)
+    entries = []
+    for seed, fw, bw in components(stepper, window + out_seeds(stepper.lists)):
+        verts = {t.vertex for w in (fw, bw) for t in w.turns}
+        if seed not in in_window and len(verts) == 1 and verts <= merged_ids:
             # a loop around a merged point is peripheral only if it winds
             # monotonically (every turn the same way); mixed turns circle
             # a handle instead
             if fw.peripheral or fw.end[0] == bw.end[0] == "boundary":
-                return
-        for w, forward in ((fw, True), (bw, False)):
-            if w.end[0] == "marker":
-                keep_orig.add(w.end[3])
-            elif w.end[0] == "spiral":
-                tail, marker, spiral_end = spiral_tail(stepper, w.end, forward, spiral_turns)
-                turns += tail
-                markers[marker.place] = spiral_end
-        for t in turns:
-            if t.depth is None:
-                keep_orig.add(t.place)
-            else:
-                new_virts[t.place] = t.orient
-
-    # components crossing the new edge, including those made entirely of
-    # added arcs (they are never peripheral: their window crossing does
-    # not hug a corner)
-    for seed in _window_seeds(stepper):
-        run(seed, drop_if_new_peripheral=False)
-    # remaining original components; those that close up or run
-    # boundary-to-boundary around a merged point are the removed
-    # peripherals of the gluing construction
-    for (slot, d), refs in sorted(stepper.lists.items(), key=lambda kv: str(kv[0])):
-        if d != "out":
-            continue
-        for idx in range(len(refs)):
-            run((slot, "out", idx), drop_if_new_peripheral=True)
-
-    glued = _assemble(stepper, keep_orig, new_virts, markers)
-    if u != 1:
-        glued = _rescale_picture(glued, Fraction(1, u))
+                continue
+        traveler = Traveler(strand_kind(fw, bw), bw.turns[::-1] + fw.turns, bw.end, fw.end)
+        entries += stack_entries(stepper, traveler, SPIRAL_TURNS)
+    glued = build_picture(t2, pic.honeycombs, entries, Fraction(1, u)).require_valid()
     # re-anchor the coweights of the remaining intervals
     orig_pic = pinned.underlying
     delta = {}
@@ -250,31 +223,3 @@ def glue_laminations(pinned, e_l, e_r, spiral_turns=2):
         if dp or dm:
             delta[e] = (dp, dm)
     return PinnedLamination(glued, delta)
-
-
-def _assemble(stepper, keep_orig, new_virts, markers):
-    """Build the glued picture from the surviving pieces."""
-    pic = stepper.pic
-    corners = {}
-    for corner, stack in pic.corners.items():
-        kept = [entry for p, entry in enumerate(stack) if (corner, p) in keep_orig]
-        if kept:
-            corners[corner] = kept
-    deep = {}
-    for (corner, depth), orient in new_virts.items():
-        deep.setdefault(corner, []).append((depth, CornerArc(orient)))
-    for (corner, depth), marker in markers.items():
-        deep.setdefault(corner, []).append((depth, marker))
-    for corner, entries in deep.items():
-        entries.sort(key=lambda kv: kv[0])
-        depths = [d for d, _ in entries]
-        if len(set(depths)) != len(depths):
-            raise InvalidPicture(f"colliding virtual depths at {corner}")
-        corners.setdefault(corner, [])
-        corners[corner] = list(corners.get(corner, [])) + [e for _, e in entries]
-    honeycombs = dict(pic.honeycombs)
-    glued = GlobalPicture(stepper.surface, honeycombs, corners)
-    diags = glued.validate()
-    if diags:
-        raise InvalidPicture("; ".join(diags))
-    return glued

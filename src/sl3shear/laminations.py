@@ -242,6 +242,14 @@ class GlobalPicture:
             self._diags = tuple(self._check())
         return list(self._diags)
 
+    def require_valid(self):
+        """The picture itself; raises :class:`InvalidPicture` with every
+        diagnostic when :meth:`validate` reports any."""
+        diags = self.validate()
+        if diags:
+            raise InvalidPicture("; ".join(diags))
+        return self
+
     def _check(self):
         diags = []
         for t, hc in self.honeycombs.items():
@@ -461,9 +469,7 @@ def _crossing_contribution(x, e, lclass, rclass, travel, left_hc, right_hc, w):
 
 def shear_unfrozen(pic):
     """Shear coordinates of a picture on the unfrozen indices."""
-    diags = pic.validate()
-    if diags:
-        raise InvalidPicture("; ".join(diags))
+    pic.require_valid()
     tri = pic.tri
     x = {}
     for t, hc in pic.honeycombs.items():

@@ -11,6 +11,13 @@ the boundary; a turn returns a :class:`Turn`, or an end tuple such as
 spiral detector, the peripheral rule for closed loops and the spiral tail
 writer :func:`spiral_tail`; the steppers only step.
 
+Reconstruction, traveler tracing and gluing share two more helpers.
+:func:`components` walks the strand through each seed that no earlier
+walk passed through.  A turn's ``place`` is ``(corner, key)`` in every
+stepper, so :func:`stack_entries` lists the stack entries of any
+component and :func:`build_picture` sorts them into corner stacks, at
+weight 1/u for a vector or lamination scaled integral by u.
+
 The inverse map places a honeycomb of height |x_T| in every triangle and
 infinite alternating corner-arc stacks at every corner, then pairs the
 strand sets across each interior edge by the pinning rule
@@ -30,8 +37,9 @@ lists of an explicit picture for :func:`traveler_trace`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
 from .laminations import (
     CornerArc,
@@ -61,6 +69,7 @@ class NonIntegralInput(Sl3Error):
 
 HALF = Fraction(1, 2)
 LOOP = ("loop",)
+SPIRAL_TURNS = 2  # full turns a spiral tail makes before its sign marker
 _REVERSED = {"cw": "ccw", "ccw": "cw"}
 
 
@@ -73,8 +82,8 @@ class Turn:
 
     ``depth`` grows as the turn moves away from the triangle's interior
     into the corner; it is None for a turn on a fixed arc, which cannot
-    be part of a spiral.  ``place`` tells the caller where the arc sits
-    in its corner stack."""
+    be part of a spiral.  ``place`` is ``(corner, key)``: the arc's
+    corner and a key that orders it within the corner's stack."""
 
     state: tuple  # the state the strand continues from
     corner: tuple
@@ -182,14 +191,68 @@ def spiral_tail(stepper, end, forward, turns):
     return tail, marker, SpiralEnd(winding, outgoing=not forward)
 
 
+def components(stepper, seeds):
+    """Walk the strand through each seed (an outgoing state) that no
+    earlier walk passed through, yielding ``(seed, fw, bw)``.  A walk
+    passes through its crossings and the states its turns continue from;
+    of these, a forward turn's is the next crossing and a backward turn's
+    is incoming, so only a spiral end's state is recorded besides."""
+    visited = set()
+    for seed in seeds:
+        if seed in visited:
+            continue
+        fw, bw = walk_both(stepper, seed)
+        for w in (fw, bw):
+            visited.update(w.crossings)
+            if w.end[0] == "spiral":
+                visited.add(w.end[3])
+        yield seed, fw, bw
+
+
+def stack_entries(stepper, traveler, spiral_turns):
+    """The ``(place, entry)`` pairs one component writes: an arc per
+    turn, the tail and sign marker of each spiral end, and the stored
+    marker of each end at one."""
+    entries = [(t.place, CornerArc(t.orient)) for t in traveler.turns]
+    for end, forward in ((traveler.start, False), (traveler.end, True)):
+        if end[0] == "spiral":
+            tail, marker, spiral_end = spiral_tail(stepper, end, forward, spiral_turns)
+            entries += [(t.place, CornerArc(t.orient)) for t in tail]
+            entries.append((marker.place, spiral_end))
+        elif end[0] == "marker":
+            entries.append(stepper.stored(end))
+    return entries
+
+
+def build_picture(tri, honeycombs, entries, weight=1):
+    """The picture with these honeycombs and ``(place, entry)`` stack
+    entries, every weight set to ``weight``.  Each corner's stack is
+    sorted by key; two entries at one place raise
+    :class:`InvalidPicture`."""
+    stacks = {}
+    for (corner, key), entry in entries:
+        stacks.setdefault(corner, []).append((key, entry))
+    corners = {}
+    for corner, items in stacks.items():
+        items.sort(key=lambda kv: kv[0])
+        if any(a[0] == b[0] for a, b in zip(items, items[1:])):
+            raise InvalidPicture(f"colliding stack ranks at corner {corner}")
+        corners[corner] = [entry for _, entry in items]
+    if weight != 1:
+        honeycombs = {t: replace(h, weight=weight) for t, h in honeycombs.items()}
+        corners = {c: [replace(e, weight=weight) for e in stack] for c, stack in corners.items()}
+    return GlobalPicture(tri, honeycombs, corners)
+
+
 # -- coordinate tracing -------------------------------------------------------
 
 
 class _CoordStepper:
     """Steps on the implicit infinite picture of a coordinate vector.
-    Parameters are half-integers; an arc's place is (corner, orient, rank)
-    with rank its position among the same-orientation arcs of the
-    corner."""
+    Parameters are half-integers; an arc's place key is ``2 rank +
+    (orient == "ccw")``, with rank its position among the
+    same-orientation arcs of the corner, so the two orientations
+    alternate."""
 
     def __init__(self, tri, x, step_cap):
         self.surface = tri
@@ -214,9 +277,9 @@ class _CoordStepper:
     def sigma(self, e, sheet):
         return self._sigma[(e, sheet)]
 
-    def _turn(self, state, corner, orient, depth, rank):
+    def _turn(self, state, corner, orient, depth, key):
         vertex = self.surface.corner_vertex(*corner)
-        return Turn(state, corner, orient, vertex, depth, (corner, orient, rank))
+        return Turn(state, corner, orient, vertex, depth, (corner, key))
 
     def cross(self, state):
         slot, _, k = state
@@ -243,20 +306,20 @@ class _CoordStepper:
         a = self.in_legs(t)
         if k < 0:
             corner = (t, (i - 1) % 3)
-            return self._turn((corner, "out", self.out_legs(t) - k), corner, "ccw", -k, -k - HALF)
+            return self._turn((corner, "out", self.out_legs(t) - k), corner, "ccw", -k, -2 * k)
         if k < a:
             return ("sink", t)
-        return self._turn(((t, (i + 1) % 3), "out", a - k), (t, i % 3), "cw", k, k - a - HALF)
+        return self._turn(((t, (i + 1) % 3), "out", a - k), (t, i % 3), "cw", k, 2 * (k - a) - 1)
 
     def turn_back(self, state):
         (t, i), _, k = state
         b = self.out_legs(t)
         if k > b:
-            return self._turn(((t, (i + 1) % 3), "in", b - k), (t, i % 3), "ccw", k, k - b - HALF)
+            return self._turn(((t, (i + 1) % 3), "in", b - k), (t, i % 3), "ccw", k, 2 * (k - b))
         if k > 0:
             return ("source", t)
         corner = (t, (i - 1) % 3)
-        return self._turn((corner, "in", self.in_legs(t) - k), corner, "cw", -k, -k - HALF)
+        return self._turn((corner, "in", self.in_legs(t) - k), corner, "cw", -k, -2 * k - 1)
 
     def seed_window(self, e, sheet):
         """Half-integer out-parameters on the (left for 'lr', right for
@@ -304,55 +367,46 @@ class Traveler:
 
 def trace_coordinates(x, tri, step_cap):
     """All non-peripheral travelers of the implicit infinite picture, in
-    seed order.  A seed that an earlier traveler's walks already crossed
-    belongs to that traveler and is skipped."""
+    seed order.  Hugging seeds are left out, and a seed that an earlier
+    traveler's walks already crossed belongs to that traveler."""
     stepper = _CoordStepper(tri, x, step_cap)
-    visited = set()
-    travelers = []
-    for e in tri.interior_edges:
-        sl, sr = tri.slots(e)
-        for sheet, slot in (("lr", sl), ("rl", sr)):
-            for k in stepper.seed_window(e, sheet):
-                seed = (slot, "out", k)
-                if seed in visited or stepper.crossing_hugs(seed):
-                    continue
-                fw, bw = walk_both(stepper, seed)
-                visited.update(bw.crossings)
-                visited.update(fw.crossings)
-                turns = bw.turns[::-1] + fw.turns
-                travelers.append(Traveler(strand_kind(fw, bw), turns, bw.end, fw.end))
+    seeds = (
+        (slot, "out", k)
+        for e in tri.interior_edges
+        for sheet, slot in zip(("lr", "rl"), tri.slots(e))
+        for k in stepper.seed_window(e, sheet)
+        if not stepper.crossing_hugs((slot, "out", k))
+    )
+    travelers = [
+        Traveler(strand_kind(fw, bw), bw.turns[::-1] + fw.turns, bw.end, fw.end)
+        for _, fw, bw in components(stepper, seeds)
+    ]
     return stepper, travelers
 
 
-def reconstruct(x, tri, spiral_turns=2, normalize=True):
+def reconstruct(x, tri, spiral_turns=SPIRAL_TURNS, normalize=True):
     """Build the good-position picture of an integral coordinate vector.
 
     Rational vectors are rejected with :class:`NonIntegralInput` when
-    ``normalize`` is false; otherwise they are scaled integral first and
-    the resulting picture rescaled back (weights 1/u).
+    ``normalize`` is false; otherwise the picture of ``u x``, ``u`` the
+    lcm of the denominators, is built with weights 1/u.
     """
+    u, xs = _integral_point(x, tri)
+    if u != 1 and not normalize:
+        # the first coordinate of x that is not an integer
+        raise NonIntegralInput(next(i for i, v in xs.coords.items() if v % u))
+    stepper, travelers = trace_coordinates(xs, tri, _step_cap(xs, tri))
+    return _materialize(stepper, travelers, spiral_turns, Fraction(1, u)).require_valid()
+
+
+def _integral_point(x, tri):
+    """``(u, u x)`` on the unfrozen indices, ``u`` the least positive
+    integer that makes every coordinate integral."""
     from .seeds import Sl3IndexSet
 
-    unfrozen = Sl3IndexSet(tri).unfrozen
-    xr = TropicalPoint("X", {i: x[i] for i in unfrozen}, tri=tri, restricted=True)
-    nonint = [i for i, v in xr.coords.items() if v.denominator != 1]
-    if nonint:
-        if not normalize:
-            raise NonIntegralInput(nonint[0])
-        from math import lcm
-
-        u = lcm(*[xr[i].denominator for i in nonint])
-        xs = TropicalPoint(
-            "X", {i: v * u for i, v in xr.coords.items()}, tri=tri, restricted=True
-        )
-        pic = reconstruct(xs, tri, spiral_turns=spiral_turns)
-        return _rescale_picture(pic, Fraction(1, u))
-    stepper, travelers = trace_coordinates(xr, tri, _step_cap(xr, tri))
-    pic = _materialize(stepper, travelers, spiral_turns)
-    diags = pic.validate()
-    if diags:
-        raise InvalidPicture("; ".join(diags))
-    return pic
+    xr = TropicalPoint("X", {i: x[i] for i in Sl3IndexSet(tri).unfrozen}, tri=tri, restricted=True)
+    u = lcm(*(v.denominator for v in xr.coords.values()))
+    return u, (xr if u == 1 else xr.scale(u))
 
 
 def _step_cap(x, tri):
@@ -366,50 +420,15 @@ def _step_cap(x, tri):
     return max(256, 8 * len(tri.edges) * (int(mass) + 6))
 
 
-def _rescale_picture(pic, w):
-    from dataclasses import replace as _r
-
-    honeycombs = {t: Honeycomb(h.orient, h.height, h.weight * w) for t, h in pic.honeycombs.items()}
-    corners = {
-        c: tuple(_r(entry, weight=entry.weight * w) for entry in stack)
-        for c, stack in pic.corners.items()
-    }
-    return GlobalPicture(pic.tri, honeycombs, corners)
-
-
-def _materialize(stepper, travelers, spiral_turns):
-    tri = stepper.surface
+def _materialize(stepper, travelers, spiral_turns, weight=1):
+    """The picture of the traced travelers, at ``weight``."""
     honeycombs = {}
-    for t in tri.triangles:
+    for t in stepper.surface.triangles:
         v = stepper.face(t)
-        if v > 0:
-            honeycombs[t] = Honeycomb("sink", int(v))
-        elif v < 0:
-            honeycombs[t] = Honeycomb("source", int(-v))
-    per_corner = {}
-
-    def put(place, entry):
-        corner, orient, rank = place
-        key = 2 * rank + (0 if orient == "cw" else 1)
-        per_corner.setdefault(corner, []).append((key, entry))
-
-    for trav in travelers:
-        for t in trav.turns:
-            put(t.place, CornerArc(t.orient))
-        for end, forward in ((trav.start, False), (trav.end, True)):
-            if end is not None and end[0] == "spiral":
-                tail, marker, spiral_end = spiral_tail(stepper, end, forward, spiral_turns)
-                for t in tail:
-                    put(t.place, CornerArc(t.orient))
-                put(marker.place, spiral_end)
-    corners = {}
-    for c, items in per_corner.items():
-        items.sort(key=lambda kv: kv[0])
-        keys = [k for k, _ in items]
-        if len(set(keys)) != len(keys):
-            raise InvalidPicture(f"colliding stack ranks at corner {c}")
-        corners[c] = tuple(entry for _, entry in items)
-    return GlobalPicture(tri, honeycombs, corners)
+        if v:
+            honeycombs[t] = Honeycomb("sink" if v > 0 else "source", int(abs(v)))
+    entries = [e for trav in travelers for e in stack_entries(stepper, trav, spiral_turns)]
+    return build_picture(stepper.surface, honeycombs, entries, weight)
 
 
 # -- explicit-picture tracing ------------------------------------------------
@@ -427,10 +446,11 @@ class PictureTraveler:
 
 class _PictureStepper:
     """Steps on the strand lists of an explicit picture; the parameter of
-    a state is the strand's index in its list, and an arc's place is
-    (corner, stack position).  A crossing pairs index j of a list of
-    length n with index n - 1 - j on the far side.  A stored spiral marker
-    ends a walk with ``("marker", vertex, sign, place)``."""
+    a state is the strand's index in its list, and the place key of the
+    stack entry at position p is (0, p).  A crossing pairs index j of a
+    list of length n with index n - 1 - j on the far side.  A stored
+    spiral marker ends a walk with ``("marker", vertex, sign, (corner,
+    p))``."""
 
     def __init__(self, pic):
         self.pic = pic
@@ -447,6 +467,11 @@ class _PictureStepper:
 
     def vertex(self, corner):
         return self.surface.corner_vertex(*corner)
+
+    def stored(self, end):
+        """``(place, entry)`` of the stored marker a walk ended at."""
+        corner, p = end[3]
+        return (corner, (0, p)), self.pic.corner_stack(corner)[p]
 
     def cross(self, state):
         return self._cross(state, "in")
@@ -479,46 +504,46 @@ class _PictureStepper:
             which = "an outgoing" if to == "out" else "an incoming"
             raise InvalidPicture(f"arc at {corner} lacks {which} end")
         (slot2, idx2), = ends
-        return Turn((slot2, to, idx2), corner, entry.orient, self.vertex(corner), None, (corner, p))
+        place = (corner, (0, p))
+        return Turn((slot2, to, idx2), corner, entry.orient, self.vertex(corner), None, place)
+
+
+def out_seeds(lists):
+    """Every outgoing state of a picture's strand lists, in a fixed order."""
+    return [
+        (slot, "out", idx)
+        for (slot, d), refs in sorted(lists.items(), key=lambda kv: str(kv[0]))
+        if d == "out"
+        for idx in range(len(refs))
+    ]
 
 
 def traveler_trace(pic):
     """Trace every curve of a picture, classifying its type and recording
     its route and biangle identifiers."""
-    diags = pic.validate()
-    if diags:
-        raise InvalidPicture("; ".join(diags))
+    pic.require_valid()
     tri = pic.tri
     stepper = _PictureStepper(pic)
-    visited = set()
     travelers = []
-    for (slot, d), refs in sorted(stepper.lists.items(), key=lambda kv: str(kv[0])):
-        if d != "out":
-            continue
-        for idx in range(len(refs)):
-            seed = (slot, "out", idx)
-            if seed in visited:
-                continue
-            fw, bw = walk_both(stepper, seed)
-            crossings = bw.crossings[:0:-1] + fw.crossings
-            visited.update(crossings)
-            route = []
-            idents = []
-            for out in crossings:
-                e = tri.edge_at(out[0])
-                route.append(e)
-                far = stepper.cross(out)
-                if far is None:
-                    break
-                sheet = "lr" if out[0] == tri.slots(e)[0] else "rl"
-                k_out = pic.strand_parameter(out[0], "out", out[2])
-                k_in = pic.strand_parameter(far[0], "in", far[2])
-                idents.append((e, k_out, k_in, sheet))
-            travelers.append(
-                PictureTraveler(
-                    strand_kind(fw, bw), fw.peripheral, tuple(route), tuple(idents), bw.end, fw.end
-                )
+    for _, fw, bw in components(stepper, out_seeds(stepper.lists)):
+        crossings = bw.crossings[:0:-1] + fw.crossings
+        route = []
+        idents = []
+        for out in crossings:
+            e = tri.edge_at(out[0])
+            route.append(e)
+            far = stepper.cross(out)
+            if far is None:
+                break
+            sheet = "lr" if out[0] == tri.slots(e)[0] else "rl"
+            k_out = pic.strand_parameter(out[0], "out", out[2])
+            k_in = pic.strand_parameter(far[0], "in", far[2])
+            idents.append((e, k_out, k_in, sheet))
+        travelers.append(
+            PictureTraveler(
+                strand_kind(fw, bw), fw.peripheral, tuple(route), tuple(idents), bw.end, fw.end
             )
+        )
     return travelers
 
 
@@ -551,23 +576,9 @@ def roundtrip_check(x, tri):
     rescaling.  Returns a dict report with the reconstructed picture
     included.
     """
-    from math import lcm
-
-    from .seeds import Sl3IndexSet
-
-    coords = {i: Fraction(x[i]) for i in Sl3IndexSet(tri).unfrozen}
-
-    u = lcm(*[v.denominator for v in coords.values()]) if coords else 1
-    xi = TropicalPoint("X", {i: v * u for i, v in coords.items()}, tri=tri, restricted=True)
+    u, xi = _integral_point(x, tri)
     stepper, travelers = trace_coordinates(xi, tri, _step_cap(xi, tri))
-    pic = _materialize(stepper, travelers, 2)
+    pic = _materialize(stepper, travelers, SPIRAL_TURNS)
     y = shear_unfrozen(pic)
-    y2 = shear_unfrozen(_materialize(stepper, travelers, 3))
-    report = {
-        "ok": y == xi and y2 == xi,
-        "stable": y == y2,
-        "scale": u,
-        "picture": pic,
-        "shear": y,
-    }
-    return report
+    y2 = shear_unfrozen(_materialize(stepper, travelers, SPIRAL_TURNS + 1))
+    return {"ok": y == xi and y2 == xi, "stable": y == y2, "scale": u, "picture": pic, "shear": y}

@@ -95,7 +95,27 @@ def test_criterion_9_traveler_identifiers():
 
 
 def test_single_mutation_commutation_diagnostic():
-    # reported, not gated: the spec leaves single-mutation ensemble
-    # commutation as an open question; it holds on every trial here
+    # gated: m sits on frozen x frozen entries, which the mutation rule
+    # updates without reading them, so ensemble and mutation commute
     res = ensemble_single_mutation_report(trials=200, seed=SEED)
     print(f"\n{res.line()}")
+    assert res.ok, res.detail
+
+
+def test_single_mutation_gate_catches_a_wrong_mutation(monkeypatch, capsys):
+    """A wrong ``mutate_x`` fails the report, and ``verify`` exits 1."""
+    import sl3shear.verify as verify
+    from sl3shear.cli import main
+
+    right = verify.mutate_x
+
+    def wrong(p, eps, k):
+        q = right(p, eps, k)
+        return q.replace({**q.coords, k: q[k] + 1})
+
+    monkeypatch.setattr(verify, "mutate_x", wrong)
+    res = ensemble_single_mutation_report(trials=20, seed=SEED)
+    assert not res.ok and res.line().startswith("FAIL"), res.line()
+    assert main(["verify", "--suite", "elementary", "--trials", "1", "--seed", "0"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2].startswith("FAIL  ensemble-single-mutation") and out[-1] == "verification: FAIL"

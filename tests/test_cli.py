@@ -1,8 +1,10 @@
 import copy
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,14 @@ from sl3shear.laminations import GlobalPicture, Honeycomb, InvalidPicture, Pinne
 from sl3shear.surface import MarkedSurfaceSpec, build
 
 F = Fraction
+
+# the package source for child interpreters, which do not see pytest's
+# pythonpath setting
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+}
 
 
 def run_cli(args, capsys):
@@ -136,6 +146,12 @@ def test_error_exit_code(tmp_path, capsys):
         (["surface", "--spec", "polygon:2"], 1),
         (["flip", "--surface", "{surf}", "--edge", "b0"], 1),
         (["shear", "--surface", "{surf}", "--lamination", "{bad_carrier}"], 1),
+        # malformed or missing documents: usage errors
+        (["shear", "--surface", "{surf}", "--lamination", "{no_lr}"], 2),
+        (["shear", "--surface", "{surf}", "--lamination", "{bare_arc}"], 2),
+        (["shear", "--surface", "{surf}", "--lamination", "{list_lam}"], 2),
+        (["shear", "--surface", "{bad_surf}", "--lamination", "{no_lr}"], 2),
+        (["shear", "--surface", "{surf}", "--lamination", "{missing}"], 2),
     ],
 )
 def test_cli_error_table(argv, code, tmp_path, capsys):
@@ -146,8 +162,18 @@ def test_cli_error_table(argv, code, tmp_path, capsys):
     bad_carrier.write_text(
         json.dumps({"components": [{"kind": "alpha", "carrier": "nope", "weight": "1"}]})
     )
+    malformed = {
+        "{no_lr}": {"picture": {"pairings": {"d2": {"rl": []}}}},
+        "{bare_arc}": {"picture": {"triangles": {"T1": {"corners": {"0": [{"type": "arc"}]}}}}},
+        "{list_lam}": [1, 2],
+        "{bad_surf}": {"triangles": [{"id": "T1"}]},
+    }
+    for name, doc in malformed.items():
+        (tmp_path / f"{name[1:-1]}.json").write_text(json.dumps(doc))
     capsys.readouterr()
     paths = {"{surf}": str(surf), "{bad_carrier}": str(bad_carrier)}
+    paths.update({name: str(tmp_path / f"{name[1:-1]}.json") for name in malformed})
+    paths["{missing}"] = str(tmp_path / "missing.json")
     argv = [paths.get(a, a) for a in argv]
     assert main(argv) == code
     err = capsys.readouterr().err
@@ -159,16 +185,17 @@ def test_determinism_same_argv_same_bytes(tmp_path):
         sys.executable, "-m", "sl3shear.cli",
         "verify", "--suite", "flip", "--trials", "5", "--seed", "3",
     ]
-    a = subprocess.run(cmd, capture_output=True, text=True)
-    b = subprocess.run(cmd, capture_output=True, text=True)
+    a = subprocess.run(cmd, capture_output=True, text=True, env=CHILD_ENV)
+    b = subprocess.run(cmd, capture_output=True, text=True, env=CHILD_ENV)
     assert a.returncode == 0
     assert a.stdout == b.stdout
 
 
 def test_module_entry_point_matches_cli_module():
     args = ["surface", "--spec", "polygon:4"]
-    pkg = subprocess.run([sys.executable, "-m", "sl3shear", *args], capture_output=True)
-    cli = subprocess.run([sys.executable, "-m", "sl3shear.cli", *args], capture_output=True)
+    run = {"capture_output": True, "env": CHILD_ENV}
+    pkg = subprocess.run([sys.executable, "-m", "sl3shear", *args], **run)
+    cli = subprocess.run([sys.executable, "-m", "sl3shear.cli", *args], **run)
     assert pkg.returncode == 0
     assert pkg.stdout and pkg.stdout == cli.stdout
 

@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from sl3shear.laminations import (
     shear_frozen,
     shear_unfrozen,
 )
-from sl3shear.reconstruct import identifier_relations, reconstruct
+from sl3shear.reconstruct import identifier_relations, reconstruct, traveler_trace
 from sl3shear.seeds import Sl3IndexSet
 from sl3shear.surface import MarkedSurfaceSpec, SameEdge, build
 from sl3shear.tropical import TropicalPoint, apply_flip, ensemble
@@ -268,3 +269,41 @@ def test_pictures_need_no_pairing_table(monkeypatch):
     pinned = PinnedLamination(pic, delta)
     glued = glue_laminations(pinned, "Lb1", "Rb3")
     assert shear_frozen(glued).coords == _glued_expectation(shear_frozen(pinned), "Lb1", "Rb3")
+
+
+def test_visited_states_cover_every_turn(monkeypatch, polygon4, torus):
+    """The component loop records a walk's crossings and its spiral
+    end's state.  Every other state a turn continues from is the walk's
+    next crossing (forward) or an incoming state (backward), which no
+    seed is; checked on each walk of reconstruction, traveler tracing and
+    gluing, spirals included."""
+    original = importlib.import_module("sl3shear.reconstruct").components
+    seen = set()
+
+    def checked(stepper, seeds):
+        for seed, fw, bw in original(stepper, seeds):
+            spiral_states = {fw.end[3]} if fw.end[0] == "spiral" else set()
+            assert {t.state for t in fw.turns} <= set(fw.crossings) | spiral_states
+            assert all(t.state[1] == "in" for t in bw.turns)
+            seen.add((type(stepper).__name__, "spiral" in (fw.end[0], bw.end[0])))
+            yield seed, fw, bw
+
+    for module in ("sl3shear.reconstruct", "sl3shear.glue"):
+        monkeypatch.setattr(importlib.import_module(module), "components", checked)
+    rng = random.Random(4)
+    for tri in (polygon4, torus):
+        iset = Sl3IndexSet(tri)
+        for _ in range(12):
+            x = TropicalPoint(
+                "X", {i: F(rng.randint(-4, 4)) for i in iset.unfrozen}, tri=tri, restricted=True
+            )
+            pic = reconstruct(x, tri)
+            assert identifier_relations(pic, x) == []
+            if tri is polygon4:
+                delta = {
+                    e: (F(rng.randint(-3, 3)), F(rng.randint(-3, 3))) for e in tri.boundary_intervals
+                }
+                # b1 and b2 share a marked point, which becomes a puncture
+                traveler_trace(glue_laminations(PinnedLamination(pic, delta), "b1", "b2").underlying)
+    assert {name for name, _ in seen} == {"_CoordStepper", "_PictureStepper", "_GlueStepper"}
+    assert ("_CoordStepper", True) in seen and ("_GlueStepper", True) in seen

@@ -7,6 +7,7 @@ from sl3shear.laminations import (
     CornerArc,
     GlobalPicture,
     Honeycomb,
+    InvalidPicture,
     add_peripheral_chain,
     shear_unfrozen,
 )
@@ -17,6 +18,7 @@ from sl3shear.reconstruct import (
     _CoordStepper,
     _materialize,
     _step_cap,
+    build_picture,
     identifier_relations,
     reconstruct,
     roundtrip_check,
@@ -244,6 +246,18 @@ def test_trace_skips_visited_seeds_like_key_dedup(spec):
             pic = _materialize(stepper, travelers, turns)
             want = _materialize(ref_stepper, ref, turns)
             assert (pic.corners, pic.honeycombs) == (want.corners, want.honeycombs)
+
+
+def test_build_picture_refuses_colliding_places(polygon4):
+    """Stacks are sorted by key, and two entries at one (corner, key)
+    raise, for coordinate and for glue keys alike."""
+    corner = (polygon4.triangles[0], 0)
+    cw, ccw = CornerArc("cw"), CornerArc("ccw")
+    pic = build_picture(polygon4, {}, [((corner, (1, 0)), cw), ((corner, (0, 2)), ccw)], F(1, 2))
+    assert pic.corner_stack(corner) == (CornerArc("ccw", F(1, 2)), CornerArc("cw", F(1, 2)))
+    for key in (F(3), (1, 0)):
+        with pytest.raises(InvalidPicture, match="colliding stack ranks"):
+            build_picture(polygon4, {}, [((corner, key), cw), ((corner, key), ccw)])
 
 
 def test_reconstructed_pictures_validate(polygon5, torus):
