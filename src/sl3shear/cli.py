@@ -56,7 +56,8 @@ def _load(path, decode):
             return decode(jio.load(fp))
     except Sl3Error:
         raise
-    except (OSError, ValueError, KeyError, TypeError, AttributeError, IndexError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, IndexError,
+            ZeroDivisionError) as exc:
         raise UsageError(f"cannot read {path}: {type(exc).__name__}: {exc}") from None
 
 

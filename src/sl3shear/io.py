@@ -141,11 +141,31 @@ def _entry_to_obj(entry):
     }
 
 
-def _entry_from_obj(obj):
-    if obj["type"] == "arc":
-        return CornerArc(obj["orient"], frac_from_str(obj["weight"]))
-    winding = "cw" if obj["sign"] == "+" else "ccw"
-    return SpiralEnd(winding, obj["outgoing"], frac_from_str(obj["weight"]))
+def _one_of(value, allowed, where):
+    if value not in allowed:
+        raise ValueError(f"{where} is {value!r}, not one of {', '.join(allowed)}")
+    return value
+
+
+def _weight_from_obj(value, where):
+    """An exact weight, written as a "p/q" string or an int."""
+    if type(value) in (str, int):
+        try:
+            return frac_from_str(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{where} is {value!r}, not an exact rational")
+
+
+def _entry_from_obj(obj, where):
+    kind = _one_of(obj["type"], ("arc", "end"), f"{where}.type")
+    weight = _weight_from_obj(obj["weight"], f"{where}.weight")
+    if kind == "arc":
+        return CornerArc(_one_of(obj["orient"], ("cw", "ccw"), f"{where}.orient"), weight)
+    sign = _one_of(obj["sign"], ("+", "-"), f"{where}.sign")
+    if type(obj["outgoing"]) is not bool:
+        raise ValueError(f"{where}.outgoing is {obj['outgoing']!r}, not true or false")
+    return SpiralEnd("cw" if sign == "+" else "ccw", obj["outgoing"], weight)
 
 
 def picture_to_obj(pic):
@@ -188,20 +208,36 @@ def picture_to_obj(pic):
 
 
 def picture_from_obj(obj, tri):
-    """Decode a picture.  Its pairings are implicit; when ``"pairings"``
-    are given, each interior edge's pairs (an edge left out has none) must
-    list the reversal, in any order, or :class:`InvalidPicture` is
-    raised."""
+    """Decode a picture.  A field of the wrong type or outside the format
+    raises ValueError naming it: a triangle the surface lacks, a corner
+    other than 0, 1 or 2, an unknown entry type, orientation or sign, a
+    height that is not an int, a weight that is not an exact rational and
+    an ``outgoing`` that is not a bool.  A well-typed picture that breaks
+    a picture rule, such as a height or weight that is not positive, is
+    left to :class:`GlobalPicture`'s checks.  Pairings are implicit; when
+    ``"pairings"`` are given, each interior edge's pairs (an edge left out
+    has none) must list the reversal, in any order, or
+    :class:`InvalidPicture` is raised."""
     honeycombs = {}
     corners = {}
     for t, entry in obj.get("triangles", {}).items():
+        where = f"triangles.{t}"
+        if t not in tri.tri_sides:
+            raise ValueError(f"{where}: the surface has no triangle {t!r}")
         hc = entry.get("honeycomb")
         if hc:
+            if type(hc["height"]) is not int:
+                raise ValueError(f"{where}.honeycomb.height is {hc['height']!r}, not an int")
             honeycombs[t] = Honeycomb(
-                hc["orient"], hc["height"], frac_from_str(hc.get("weight", "1"))
+                _one_of(hc["orient"], ("sink", "source"), f"{where}.honeycomb.orient"),
+                hc["height"],
+                _weight_from_obj(hc.get("weight", "1"), f"{where}.honeycomb.weight"),
             )
         for c_s, stack in entry.get("corners", {}).items():
-            corners[(t, int(c_s))] = [_entry_from_obj(x) for x in stack]
+            _one_of(c_s, ("0", "1", "2"), f"{where}.corners key")
+            corners[(t, int(c_s))] = [
+                _entry_from_obj(x, f"{where}.corners.{c_s}[{p}]") for p, x in enumerate(stack)
+            ]
     pic = GlobalPicture(tri, honeycombs, corners)
     given = obj.get("pairings")
     if given:

@@ -33,6 +33,11 @@ from .surface import Sl3Error
 from .tropical import TropicalPoint, pos
 
 
+# the default weight of every picture element, one object, so that
+# weights of one picture compare by identity first
+ONE = Fraction(1)
+
+
 class InvalidPicture(Sl3Error):
     pass
 
@@ -56,7 +61,7 @@ class Honeycomb:
 
     orient: str  # "sink" | "source"
     height: int
-    weight: Fraction = Fraction(1)
+    weight: Fraction = ONE
 
     def face_value(self):
         v = Fraction(self.height) * self.weight
@@ -66,14 +71,14 @@ class Honeycomb:
 @dataclass(frozen=True)
 class CornerArc:
     orient: str  # "cw" | "ccw"
-    weight: Fraction = Fraction(1)
+    weight: Fraction = ONE
 
 
 @dataclass(frozen=True)
 class SpiralEnd:
     winding: str  # "cw" (sign +) | "ccw" (sign -)
     outgoing: bool  # True if the curve leaves the puncture here
-    weight: Fraction = Fraction(1)
+    weight: Fraction = ONE
 
     @property
     def sign(self):
@@ -255,12 +260,14 @@ class GlobalPicture:
         for t, hc in self.honeycombs.items():
             if hc.height < 1:
                 diags.append(f"honeycomb of height {hc.height} in {t}")
+            if hc.weight.numerator <= 0:
+                diags.append(f"non-positive honeycomb weight in {t}")
             if hc.orient not in ("sink", "source"):
                 diags.append(f"bad honeycomb orientation in {t}")
         for (t, ci), stack in self.corners.items():
             v = self.tri.corner_vertex(t, ci)
             for entry in stack:
-                if entry.weight <= 0:
+                if entry.weight.numerator <= 0:
                     diags.append(f"non-positive weight at corner {(t, ci)}")
                 if isinstance(entry, SpiralEnd) and self.tri.vertices[v] != "puncture":
                     diags.append(f"spiral tail at non-puncture corner {(t, ci)}")
@@ -272,10 +279,12 @@ class GlobalPicture:
                 if len(outs) != len(ins):
                     diags.append(f"unbalanced strand lists across {e} ({tag})")
                     continue
+                # writers share one weight object per picture, so most
+                # pairs are equal by identity
                 diags.extend(
                     f"paired strands across {e} ({tag}) have unequal weights"
                     for a, b in zip(outs, reversed(ins))
-                    if a.weight != b.weight
+                    if a.weight is not b.weight and a.weight != b.weight
                 )
         return diags
 
@@ -325,9 +334,9 @@ class GlobalPicture:
                 if w.denominator != 1:
                     raise InvalidPicture("scaling does not clear denominators")
                 if isinstance(entry, CornerArc):
-                    new.extend([CornerArc(entry.orient, Fraction(1))] * int(w))
+                    new.extend([CornerArc(entry.orient)] * int(w))
                 else:
-                    new.extend([replace(entry, weight=Fraction(1))] * int(w))
+                    new.extend([replace(entry, weight=ONE)] * int(w))
             corners[c] = tuple(new)
         return GlobalPicture(self.tri, honeycombs, corners)
 

@@ -5,18 +5,21 @@ A strand alternately crosses a biangle and turns at a corner inside a
 triangle.  :func:`walk` follows one strand through a *stepper*, which
 supplies four operations on states ``(slot, direction, parameter)``:
 ``cross`` and ``turn`` and their inverses ``cross_back`` and
-``turn_back``.  A crossing returns the state on the far side, or None on
-the boundary; a turn returns a :class:`Turn`, or an end tuple such as
-``("sink", t)``.  The walker owns the step cap, loop detection, the
-spiral detector, the peripheral rule for closed loops and the spiral tail
-writer :func:`spiral_tail`; the steppers only step.
+``turn_back``, plus ``shown``, the form of a state that errors report.
+A crossing returns the state on the far side, or None on the boundary; a
+turn returns a :class:`Turn`, or an end tuple such as ``("sink", t)``.
+The walker owns the step cap, loop detection, the spiral detector, the
+peripheral rule for closed loops and the spiral tail walk
+:func:`spiral_tail`; the steppers only step.
 
 Reconstruction, traveler tracing and gluing share two more helpers.
 :func:`components` walks the strand through each seed that no earlier
 walk passed through.  A turn's ``place`` is ``(corner, key)`` in every
 stepper, so :func:`stack_entries` lists the stack entries of any
 component and :func:`build_picture` sorts them into corner stacks, at
-weight 1/u for a vector or lamination scaled integral by u.
+weight 1/u for a vector or lamination scaled integral by u.  A tail of
+fewer turns is a prefix of a longer one, so the round-trip check walks
+each tail once and writes the pictures of two and of three turns.
 
 The inverse map places a honeycomb of height |x_T| in every triangle and
 infinite alternating corner-arc stacks at every corner, then pairs the
@@ -29,10 +32,14 @@ so that a strand at parameter t on one side is paired with the strand at
 parameter (n_L + n_R) - t on the other.  :class:`_CoordStepper` walks this
 infinite picture arithmetically on the parameters: the finitely many
 crossings that do not hug a corner of their quadrilateral seed the trace,
-so peripheral components never appear.  Only the surviving travelers are
-materialized, with spiral tails truncated to a sign marker after
-``spiral_turns`` extra turns.  :class:`_PictureStepper` walks the strand
-lists of an explicit picture for :func:`traveler_trace`.
+so peripheral components never appear.  On an integral vector every
+parameter is a half-integer, so the stepper works on the doubled grid of
+odd ints ``2k`` and never leaves ``int``; a ``Fraction`` appears only in
+the pictures it writes and in the seed a :class:`TruncationTooShallow`
+reports.  Only the surviving travelers are materialized, with spiral
+tails truncated to a sign marker after ``spiral_turns`` extra turns.
+:class:`_PictureStepper` walks the strand lists of an explicit picture
+for :func:`traveler_trace`.
 """
 
 from __future__ import annotations
@@ -54,9 +61,9 @@ from .tropical import TropicalPoint, pos
 
 
 class TruncationTooShallow(Sl3Error):
-    """A walk ran out of steps.  ``seed`` is the state it started from,
-    ``steps`` the number of steps it took and ``cap`` the number it was
-    allowed."""
+    """A walk ran out of steps.  ``seed`` is the state it started from
+    (in a coordinate trace, with its half-integer parameter k), ``steps``
+    the number of steps it took and ``cap`` the number it was allowed."""
 
     def __init__(self, message, seed, steps, cap):
         self.seed, self.steps, self.cap = seed, steps, cap
@@ -67,7 +74,6 @@ class NonIntegralInput(Sl3Error):
     pass
 
 
-HALF = Fraction(1, 2)
 LOOP = ("loop",)
 SPIRAL_TURNS = 2  # full turns a spiral tail makes before its sign marker
 _REVERSED = {"cw": "ccw", "ccw": "cw"}
@@ -150,8 +156,8 @@ def walk(stepper, seed, forward):
             return Walk(crossings, turns, ("boundary", t.state))
         if state == seed:
             return Walk(crossings, turns, LOOP)
-    cap = stepper.step_cap
-    raise TruncationTooShallow(f"walk from {seed} exceeded the step cap {cap}", seed, cap, cap)
+    cap, shown = stepper.step_cap, stepper.shown(seed)
+    raise TruncationTooShallow(f"walk from {shown} exceeded the step cap {cap}", shown, cap, cap)
 
 
 def walk_both(stepper, seed):
@@ -169,9 +175,8 @@ def strand_kind(fw, bw):
 
 
 def spiral_tail(stepper, end, forward, turns):
-    """Write the tail of a detected spiral: ``turns`` more full turns
-    around its puncture, then the turn that carries the sign marker.
-    Returns (tail turns, marker turn, the SpiralEnd for the marker)."""
+    """The turns of a detected spiral's tail: ``turns`` more full turns
+    around its puncture, then the turn that carries the sign marker."""
     _, vertex, _, state = end
     cross, turn = (stepper.cross, stepper.turn) if forward else (stepper.cross_back, stepper.turn_back)
     tail = []
@@ -180,15 +185,14 @@ def spiral_tail(stepper, end, forward, turns):
         at = cross(state)
         t = None if at is None else turn(at)
         if type(t) is not Turn or t.depth is None:
+            shown = stepper.shown(end[3])
             raise TruncationTooShallow(
-                f"spiral tail from {end[3]} left the winding zone after {len(tail)} of {steps} steps",
-                end[3], len(tail), steps,
+                f"spiral tail from {shown} left the winding zone after {len(tail)} of {steps} steps",
+                shown, len(tail), steps,
             )
         tail.append(t)
         state = t.state
-    marker = tail.pop()
-    winding = marker.orient if forward else _REVERSED[marker.orient]
-    return tail, marker, SpiralEnd(winding, outgoing=not forward)
+    return tail
 
 
 def components(stepper, seeds):
@@ -213,15 +217,29 @@ def stack_entries(stepper, traveler, spiral_turns):
     """The ``(place, entry)`` pairs one component writes: an arc per
     turn, the tail and sign marker of each spiral end, and the stored
     marker of each end at one."""
-    entries = [(t.place, CornerArc(t.orient)) for t in traveler.turns]
+    return _stack_entries(stepper, traveler, (spiral_turns,))[0]
+
+
+def _stack_entries(stepper, traveler, turn_counts):
+    """:func:`stack_entries` for each number of tail turns in
+    ``turn_counts``.  Each spiral tail is walked once, to the most turns:
+    the tail of n turns is its first n full turns, and the turn after
+    them carries the sign marker."""
+    arcs = [(t.place, CornerArc(t.orient)) for t in traveler.turns]
+    out = [list(arcs) for _ in turn_counts]
     for end, forward in ((traveler.start, False), (traveler.end, True)):
         if end[0] == "spiral":
-            tail, marker, spiral_end = spiral_tail(stepper, end, forward, spiral_turns)
-            entries += [(t.place, CornerArc(t.orient)) for t in tail]
-            entries.append((marker.place, spiral_end))
+            tail = spiral_tail(stepper, end, forward, max(turn_counts))
+            per_turn = len(stepper.surface.corners_at_vertex(end[1]))
+            for entries, n in zip(out, turn_counts):
+                *wound, marker = tail[: n * per_turn + 1]
+                winding = marker.orient if forward else _REVERSED[marker.orient]
+                entries += [(t.place, CornerArc(t.orient)) for t in wound]
+                entries.append((marker.place, SpiralEnd(winding, outgoing=not forward)))
         elif end[0] == "marker":
-            entries.append(stepper.stored(end))
-    return entries
+            for entries in out:
+                entries.append(stepper.stored(end))
+    return out
 
 
 def build_picture(tri, honeycombs, entries, weight=1):
@@ -248,98 +266,85 @@ def build_picture(tri, honeycombs, entries, weight=1):
 
 
 class _CoordStepper:
-    """Steps on the implicit infinite picture of a coordinate vector.
-    Parameters are half-integers; an arc's place key is ``2 rank +
-    (orient == "ccw")``, with rank its position among the
-    same-orientation arcs of the corner, so the two orientations
-    alternate."""
+    """Steps on the implicit infinite picture of an integral coordinate
+    vector, on the doubled grid: every parameter k is a half-integer and
+    is stored as the odd int ``K = 2k``, so tracing never leaves ``int``.
+    A crossing maps K to ``2 sigma - K``; a turn compares K with 0 and
+    with twice the leg counts ``a = [x_T]_+`` and ``b = [-x_T]_+``, and
+    its depth is ``|K|``.  An arc's place key is ``2 rank + (orient ==
+    "ccw")``, with rank its position among the same-orientation arcs of
+    the corner, so the two orientations alternate; in K the keys are
+    ``-K`` and ``K - 2a - 1`` forward, ``K - 2b`` and ``-K - 1``
+    backward."""
 
     def __init__(self, tri, x, step_cap):
         self.surface = tri
-        self.x = x
         self.step_cap = step_cap
-        self._faces = {t: x[("tri", t)] for t in tri.triangles}
-        self._sigma = {}
+        self._x = {i: _integer(v) for i, v in x.coords.items()}
+        self._faces = {t: self._x.get(("tri", t), 0) for t in tri.triangles}
+        # (2a, 2b) per triangle
+        self._legs = {t: (2 * max(v, 0), 2 * max(-v, 0)) for t, v in self._faces.items()}
+        self._vertex = {(t, i): tri.corner_vertex(t, i) for t in tri.triangles for i in range(3)}
+        # slot -> (far slot, 2 sigma) for crossing forward and backward
+        self._over = {}
+        self._back = {}
         for e in tri.interior_edges:
-            (tl, _), (tr, _) = tri.slots(e)
-            self._sigma[(e, "lr")] = x[("edge", e, 1)] + pos(self._faces[tr])
-            self._sigma[(e, "rl")] = x[("edge", e, 2)] + pos(self._faces[tl])
+            sl, sr = tri.slots(e)
+            lr = 2 * (self._x.get(("edge", e, 1), 0) + max(self._faces[sr[0]], 0))
+            rl = 2 * (self._x.get(("edge", e, 2), 0) + max(self._faces[sl[0]], 0))
+            self._over[sl], self._over[sr] = (sr, lr), (sl, rl)
+            self._back[sr], self._back[sl] = (sl, lr), (sr, rl)
 
     def face(self, t):
         return self._faces[t]
 
-    def in_legs(self, t):
-        return pos(self._faces[t])
-
-    def out_legs(self, t):
-        return pos(-self._faces[t])
-
-    def sigma(self, e, sheet):
-        return self._sigma[(e, sheet)]
+    @staticmethod
+    def shown(state):
+        """A state as errors report it: with its parameter k = K/2."""
+        slot, d, k = state
+        return (slot, d, Fraction(k, 2))
 
     def _turn(self, state, corner, orient, depth, key):
-        vertex = self.surface.corner_vertex(*corner)
-        return Turn(state, corner, orient, vertex, depth, (corner, key))
+        return Turn(state, corner, orient, self._vertex[corner], depth, (corner, key))
 
     def cross(self, state):
         slot, _, k = state
-        e = self.surface.edge_at(slot)
-        sl, sr = self.surface.slots(e)
-        if sr is None:
-            return None
-        if slot == sl:
-            return (sr, "in", self.sigma(e, "lr") - k)
-        return (sl, "in", self.sigma(e, "rl") - k)
+        far = self._over.get(slot)
+        return None if far is None else (far[0], "in", far[1] - k)
 
     def cross_back(self, state):
         slot, _, k = state
-        e = self.surface.edge_at(slot)
-        sl, sr = self.surface.slots(e)
-        if sr is None:
-            return None
-        if slot == sr:
-            return (sl, "out", self.sigma(e, "lr") - k)
-        return (sr, "out", self.sigma(e, "rl") - k)
+        far = self._back.get(slot)
+        return None if far is None else (far[0], "out", far[1] - k)
 
     def turn(self, state):
         (t, i), _, k = state
-        a = self.in_legs(t)
+        a, b = self._legs[t]
         if k < 0:
             corner = (t, (i - 1) % 3)
-            return self._turn((corner, "out", self.out_legs(t) - k), corner, "ccw", -k, -2 * k)
+            return self._turn((corner, "out", b - k), corner, "ccw", -k, -k)
         if k < a:
             return ("sink", t)
-        return self._turn(((t, (i + 1) % 3), "out", a - k), (t, i % 3), "cw", k, 2 * (k - a) - 1)
+        return self._turn(((t, (i + 1) % 3), "out", a - k), (t, i), "cw", k, k - a - 1)
 
     def turn_back(self, state):
         (t, i), _, k = state
-        b = self.out_legs(t)
+        a, b = self._legs[t]
         if k > b:
-            return self._turn(((t, (i + 1) % 3), "in", b - k), (t, i % 3), "ccw", k, 2 * (k - b))
+            return self._turn(((t, (i + 1) % 3), "in", b - k), (t, i), "ccw", k, k - b)
         if k > 0:
             return ("source", t)
         corner = (t, (i - 1) % 3)
-        return self._turn((corner, "in", self.in_legs(t) - k), corner, "cw", -k, -2 * k - 1)
+        return self._turn((corner, "in", a - k), corner, "cw", -k, -k - 1)
 
     def seed_window(self, e, sheet):
-        """Half-integer out-parameters on the (left for 'lr', right for
-        'rl') side whose crossings do not hug a corner."""
-        (tl, _), (tr, _) = self.surface.slots(e)
-        sigma = self.sigma(e, sheet)
-        if sheet == "lr":
-            own_legs = self.out_legs(tl)
-            far_coord = self.x[("edge", e, 1)]
-        else:
-            own_legs = self.out_legs(tr)
-            far_coord = self.x[("edge", e, 2)]
-        lo = min(Fraction(0), far_coord)
-        hi = max(own_legs, sigma)
-        k = lo + HALF
-        out = []
-        while k < hi:
-            out.append(k)
-            k += 1
-        return out
+        """The out-parameters K on the (left for 'lr', right for 'rl')
+        side whose crossings do not hug a corner: 2k for the k in
+        ``(min(0, x_far), max(b_own, sigma))``."""
+        slot = self.surface.slots(e)[sheet == "rl"]
+        far = self._x.get(("edge", e, 1 if sheet == "lr" else 2), 0)
+        own = self._legs[slot[0]][1]
+        return range(2 * min(0, far) + 1, max(own, self._over[slot][1]), 2)
 
     def crossing_hugs(self, state):
         """Whether the crossing leaving via ``state`` hugs a corner: both
@@ -351,7 +356,14 @@ class _CoordStepper:
         (t2, _), _, k2 = nxt
         # the terminal corner of the out-side matches the initial corner
         # of the far side and vice versa
-        return (k > self.out_legs(t) and k2 < 0) or (k < 0 and k2 > self.in_legs(t2))
+        return (k > self._legs[t][1] and k2 < 0) or (k < 0 and k2 > self._legs[t2][0])
+
+
+def _integer(v):
+    """An integral rational as an int."""
+    if v.denominator != 1:
+        raise NonIntegralInput(v)
+    return v.numerator
 
 
 @dataclass
@@ -368,7 +380,8 @@ class Traveler:
 def trace_coordinates(x, tri, step_cap):
     """All non-peripheral travelers of the implicit infinite picture, in
     seed order.  Hugging seeds are left out, and a seed that an earlier
-    traveler's walks already crossed belongs to that traveler."""
+    traveler's walks already crossed belongs to that traveler.  States,
+    depths and place keys are the stepper's ints, on the doubled grid."""
     stepper = _CoordStepper(tri, x, step_cap)
     seeds = (
         (slot, "out", k)
@@ -422,13 +435,22 @@ def _step_cap(x, tri):
 
 def _materialize(stepper, travelers, spiral_turns, weight=1):
     """The picture of the traced travelers, at ``weight``."""
+    return _pictures(stepper, travelers, (spiral_turns,), weight)[0]
+
+
+def _pictures(stepper, travelers, turn_counts, weight=1):
+    """The pictures of the traced travelers with each number of tail
+    turns in ``turn_counts``, at ``weight``; each tail is walked once."""
     honeycombs = {}
     for t in stepper.surface.triangles:
         v = stepper.face(t)
         if v:
-            honeycombs[t] = Honeycomb("sink" if v > 0 else "source", int(abs(v)))
-    entries = [e for trav in travelers for e in stack_entries(stepper, trav, spiral_turns)]
-    return build_picture(stepper.surface, honeycombs, entries, weight)
+            honeycombs[t] = Honeycomb("sink" if v > 0 else "source", abs(v))
+    entries = [[] for _ in turn_counts]
+    for trav in travelers:
+        for acc, more in zip(entries, _stack_entries(stepper, trav, turn_counts)):
+            acc += more
+    return [build_picture(stepper.surface, honeycombs, e, weight) for e in entries]
 
 
 # -- explicit-picture tracing ------------------------------------------------
@@ -467,6 +489,11 @@ class _PictureStepper:
 
     def vertex(self, corner):
         return self.surface.corner_vertex(*corner)
+
+    @staticmethod
+    def shown(state):
+        """A state as errors report it."""
+        return state
 
     def stored(self, end):
         """``(place, entry)`` of the stored marker a walk ended at."""
@@ -571,14 +598,15 @@ def roundtrip_check(x, tri):
     """Verify shear(reconstruct(x)) == x exactly, and that one more
     spiral turn leaves the shear unchanged.
 
-    The coordinates are traced once and materialized with two and with
-    three tail turns.  Rational vectors are handled by positive
-    rescaling.  Returns a dict report with the reconstructed picture
-    included.
+    The coordinates are traced once, and each spiral tail is walked once
+    to three turns; its first two turns and the marker on the turn after
+    them give the picture with two.  Rational vectors are handled by
+    positive rescaling.  Returns a dict report with the reconstructed
+    picture included.
     """
     u, xi = _integral_point(x, tri)
     stepper, travelers = trace_coordinates(xi, tri, _step_cap(xi, tri))
-    pic = _materialize(stepper, travelers, SPIRAL_TURNS)
+    pic, deeper = _pictures(stepper, travelers, (SPIRAL_TURNS, SPIRAL_TURNS + 1))
     y = shear_unfrozen(pic)
-    y2 = shear_unfrozen(_materialize(stepper, travelers, SPIRAL_TURNS + 1))
+    y2 = shear_unfrozen(deeper)
     return {"ok": y == xi and y2 == xi, "stable": y == y2, "scale": u, "picture": pic, "shear": y}

@@ -5,6 +5,7 @@ equality of rationals; there are no tolerances.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,6 +42,7 @@ from .laminations import (
     shear_frozen,
     shear_unfrozen,
 )
+from .io import tropical_point_to_obj
 from .reconstruct import identifier_relations, reconstruct, roundtrip_check
 from .glue import ShiftElement, glue_coordinates, glue_laminations, shift_action
 
@@ -63,6 +65,16 @@ def _fixtures():
         "annulus11": build(MarkedSurfaceSpec.annulus(1, 1)),
         "torus": build(MarkedSurfaceSpec.once_punctured_torus()),
     }
+
+
+# the CLI --spec of each fixture, so that a counterexample names a call
+# that reproduces it
+_FIXTURE_SPECS = {
+    "polygon4": "polygon:4",
+    "polygon5": "polygon:5",
+    "annulus11": "annulus:1:1",
+    "torus": "once-punctured-torus",
+}
 
 
 def _random_rational(rng, num=20, den=8):
@@ -109,10 +121,13 @@ def roundtrip_suite(trials=500, seed=0, entry_range=6):
             rep = roundtrip_check(x, tri)
             total += 1
             if not (rep["ok"] and rep["stable"]):
-                fails.append((name, coords))
-    return SuiteResult(
-        "round-trip", not fails, f"{total} integral vectors on 4 fixtures, {len(fails)} failures"
-    )
+                fails.append((name, x))
+    detail = f"{total} integral vectors on 4 fixtures, {len(fails)} failures"
+    if fails:
+        name, x = fails[0]
+        coords = json.dumps(tropical_point_to_obj(x)["coords"])
+        detail += f"; first on {name} (--spec {_FIXTURE_SPECS[name]}): --coords '{coords}'"
+    return SuiteResult("round-trip", not fails, detail)
 
 
 def component_table_cases():

@@ -119,3 +119,41 @@ def test_single_mutation_gate_catches_a_wrong_mutation(monkeypatch, capsys):
     assert main(["verify", "--suite", "elementary", "--trials", "1", "--seed", "0"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[-2].startswith("FAIL  ensemble-single-mutation") and out[-1] == "verification: FAIL"
+
+
+def test_roundtrip_counterexample_reproduces(monkeypatch, tmp_path, capsys):
+    """A planted wrong round-trip check fails the suite, and its detail
+    names the first failing fixture with coordinates on which
+    ``reconstruct --check`` reports ``ok: false`` under the same check."""
+    import json
+    import re
+
+    import sl3shear.cli as cli
+    import sl3shear.verify as verify
+    from sl3shear.cli import main
+
+    right = verify.roundtrip_check
+
+    def wrong(x, tri):
+        # wrong only on punctured surfaces (of the four fixtures, the
+        # torus), for entries summing to 1 mod 3
+        rep = right(x, tri)
+        bad = bool(tri.punctures()) and sum(x.coords.values()) % 3 == 1
+        return {**rep, "ok": rep["ok"] and not bad}
+
+    monkeypatch.setattr(verify, "roundtrip_check", wrong)
+    res = roundtrip_suite(trials=10, seed=SEED)
+    assert not res.ok and res.line().startswith("FAIL  round-trip: 40 integral vectors"), res.line()
+    found = re.search(r"; first on (\S+) \(--spec (\S+)\): --coords '(.*)'$", res.detail)
+    assert found, res.detail
+    name, spec, coords = found.groups()
+    assert (name, spec) == ("torus", "once-punctured-torus")
+
+    surf = tmp_path / "surface.json"
+    assert main(["surface", "--spec", spec, "--out", str(surf)]) == 0
+    argv = ["reconstruct", "--surface", str(surf), "--coords", coords, "--check"]
+    for check, ok in ((right, True), (wrong, False)):
+        monkeypatch.setattr(cli, "roundtrip_check", check)
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["roundtrip"]["ok"] is ok

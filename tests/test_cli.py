@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -127,6 +128,18 @@ def test_error_exit_code(tmp_path, capsys):
     assert code == 1
 
 
+def _pic(t, **fields):
+    return {"picture": {"triangles": {t: fields}}}
+
+
+def _arc(**fields):
+    return {"type": "arc", "orient": "cw", "weight": "1", **fields}
+
+
+def _end(**fields):
+    return {"type": "end", "sign": "+", "outgoing": True, "weight": "1", **fields}
+
+
 @pytest.mark.parametrize(
     "argv,code",
     [
@@ -152,6 +165,21 @@ def test_error_exit_code(tmp_path, capsys):
         (["shear", "--surface", "{surf}", "--lamination", "{list_lam}"], 2),
         (["shear", "--surface", "{bad_surf}", "--lamination", "{no_lr}"], 2),
         (["shear", "--surface", "{surf}", "--lamination", "{missing}"], 2),
+        # picture fields of the wrong type or outside the format: usage errors
+        (["shear", "--surface", "{surf}", "--lamination", "{no_such_triangle}"], 2),
+        (["shear", "--surface", "{surf}", "--lamination", "{arc_orient_up}"], 2),
+        (["shear", "--surface", "{surf}", "--lamination", "{corner_7}"], 2),
+        (["shear", "--surface", "{surf}", "--lamination", "{entry_blob}"], 2),
+        (["shear", "--surface", "{surf}", "--lamination", "{height_str}"], 2),
+        (["shear", "--surface", "{surf}", "--lamination", "{sign_star}"], 2),
+        (["shear", "--surface", "{surf}", "--lamination", "{outgoing_int}"], 2),
+        (["shear", "--surface", "{surf}", "--lamination", "{honeycomb_up}"], 2),
+        (["shear", "--surface", "{surf}", "--lamination", "{weight_float}"], 2),
+        (["shear", "--surface", "{surf}", "--lamination", "{delta_div0}"], 2),
+        # well-typed pictures that break a picture rule: domain errors
+        (["shear", "--surface", "{surf}", "--lamination", "{height_0}"], 1),
+        (["shear", "--surface", "{surf}", "--lamination", "{weight_neg}"], 1),
+        (["shear", "--surface", "{surf}", "--lamination", "{honeycomb_weight_neg}"], 1),
     ],
 )
 def test_cli_error_table(argv, code, tmp_path, capsys):
@@ -167,6 +195,23 @@ def test_cli_error_table(argv, code, tmp_path, capsys):
         "{bare_arc}": {"picture": {"triangles": {"T1": {"corners": {"0": [{"type": "arc"}]}}}}},
         "{list_lam}": [1, 2],
         "{bad_surf}": {"triangles": [{"id": "T1"}]},
+        "{no_such_triangle}": _pic("T9", honeycomb={"orient": "sink", "height": 2}),
+        "{arc_orient_up}": _pic("T1", corners={"0": [_arc(orient="up")]}),
+        "{corner_7}": _pic("T1", corners={"7": [_arc()]}),
+        "{entry_blob}": _pic("T1", corners={"0": [_end(type="blob")]}),
+        "{height_str}": _pic("T1", honeycomb={"orient": "sink", "height": "2"}),
+        "{sign_star}": _pic("T1", corners={"0": [_end(sign="*")]}),
+        "{outgoing_int}": _pic("T1", corners={"0": [_end(outgoing=1)]}),
+        "{honeycomb_up}": _pic("T1", honeycomb={"orient": "up", "height": 2}),
+        "{weight_float}": _pic("T1", corners={"0": [_arc(weight=0.5)]}),
+        "{delta_div0}": {"picture": {}, "delta": {"b0": ["1/0", "0"]}},
+        "{height_0}": _pic("T1", honeycomb={"orient": "sink", "height": 0}),
+        "{weight_neg}": _pic("T1", corners={"0": [_arc(weight="-1")]}),
+        # balanced across the diagonal, so only the weights are wrong
+        "{honeycomb_weight_neg}": {"picture": {"triangles": {
+            "T1": {"honeycomb": {"orient": "sink", "height": 1, "weight": "-1"}},
+            "T2": {"honeycomb": {"orient": "source", "height": 1, "weight": "-1"}},
+        }}},
     }
     for name, doc in malformed.items():
         (tmp_path / f"{name[1:-1]}.json").write_text(json.dumps(doc))
@@ -295,6 +340,26 @@ def test_picture_decoder_checks_pairings(polygon4, tmp_path, capsys):
     assert main(["shear", "--surface", str(surf), "--lamination", str(lam)]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+@pytest.mark.parametrize(
+    "doc,field",
+    [
+        (_pic("T9", honeycomb={"orient": "sink", "height": 2}), "triangles.T9"),
+        (_pic("T1", honeycomb={"orient": "up", "height": 2}), "honeycomb.orient"),
+        (_pic("T1", honeycomb={"orient": "sink", "height": "2"}), "honeycomb.height"),
+        (_pic("T1", honeycomb={"orient": "sink", "height": True}), "honeycomb.height"),
+        (_pic("T1", corners={"7": [_arc()]}), "corners key"),
+        (_pic("T1", corners={"0": [_arc(), _arc(orient="up")]}), "corners.0[1].orient"),
+        (_pic("T1", corners={"0": [_arc(weight="1/0")]}), "corners.0[0].weight"),
+        (_pic("T1", corners={"0": [_end(type="blob")]}), "corners.0[0].type"),
+        (_pic("T1", corners={"0": [_end(sign="*")]}), "corners.0[0].sign"),
+        (_pic("T1", corners={"0": [_end(outgoing="yes")]}), "corners.0[0].outgoing"),
+    ],
+)
+def test_picture_decoder_names_bad_field(polygon4, doc, field):
+    with pytest.raises(ValueError, match=re.escape(field)):
+        jio.picture_from_obj(doc["picture"], polygon4)
 
 
 def test_tropical_point_json_roundtrip(polygon4):

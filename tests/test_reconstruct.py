@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -32,6 +33,8 @@ from sl3shear.surface import MarkedSurfaceSpec, build
 from sl3shear.tropical import TropicalPoint, pos
 
 F = Fraction
+# the module; the package binds the name ``reconstruct`` to the function
+rec = importlib.import_module("sl3shear.reconstruct")
 
 
 def xpoint(tri, mapping):
@@ -189,6 +192,8 @@ def test_truncation_guard(torus):
         trace_coordinates(xpoint(torus, coords), torus, step_cap=3)
     err = info.value
     assert (err.steps, err.cap) == (3, 3)
+    # the tracer steps on K = 2k; the error reports the half-integer k
+    assert type(err.seed[2]) is Fraction and err.seed[2].denominator == 2
     assert err.seed is not None and str(err.seed) in str(err)
     assert "\n" not in str(err)
 
@@ -217,7 +222,7 @@ def _trace_by_key(x, tri, step_cap):
     return stepper, list(seen.values())
 
 
-@pytest.mark.parametrize(
+TRACE_SURFACES = pytest.mark.parametrize(
     "spec",
     [
         MarkedSurfaceSpec.polygon(4),
@@ -230,6 +235,9 @@ def _trace_by_key(x, tri, step_cap):
     ],
     ids=["polygon4", "polygon5", "polygon7", "annulus11", "annulus22", "punctured3-2", "torus"],
 )
+
+
+@TRACE_SURFACES
 def test_trace_skips_visited_seeds_like_key_dedup(spec):
     """Skipping seeds crossed by an earlier traveler finds the travelers
     that deduplicating every walk by its key finds."""
@@ -317,3 +325,209 @@ def test_roundtrip_broader_surfaces():
             rep = roundtrip_check(x, tri)
             assert rep["ok"] and rep["stable"]
             assert identifier_relations(rep["picture"], x) == []
+
+
+class _FractionStepper:
+    """The coordinate stepper as it was on Fraction parameters: the
+    reference the doubled int grid must reproduce.  Parameters are
+    half-integers; an arc's place key is ``2 rank + (orient == "ccw")``."""
+
+    def __init__(self, tri, x, step_cap):
+        self.surface = tri
+        self.x = x
+        self.step_cap = step_cap
+        self._faces = {t: x[("tri", t)] for t in tri.triangles}
+        self._sigma = {}
+        for e in tri.interior_edges:
+            (tl, _), (tr, _) = tri.slots(e)
+            self._sigma[(e, "lr")] = x[("edge", e, 1)] + pos(self._faces[tr])
+            self._sigma[(e, "rl")] = x[("edge", e, 2)] + pos(self._faces[tl])
+
+    def face(self, t):
+        # an int, as honeycomb heights are
+        return int(self._faces[t])
+
+    def in_legs(self, t):
+        return pos(self._faces[t])
+
+    def out_legs(self, t):
+        return pos(-self._faces[t])
+
+    def sigma(self, e, sheet):
+        return self._sigma[(e, sheet)]
+
+    @staticmethod
+    def shown(state):
+        return state
+
+    def _turn(self, state, corner, orient, depth, key):
+        vertex = self.surface.corner_vertex(*corner)
+        return rec.Turn(state, corner, orient, vertex, depth, (corner, key))
+
+    def cross(self, state):
+        slot, _, k = state
+        e = self.surface.edge_at(slot)
+        sl, sr = self.surface.slots(e)
+        if sr is None:
+            return None
+        if slot == sl:
+            return (sr, "in", self.sigma(e, "lr") - k)
+        return (sl, "in", self.sigma(e, "rl") - k)
+
+    def cross_back(self, state):
+        slot, _, k = state
+        e = self.surface.edge_at(slot)
+        sl, sr = self.surface.slots(e)
+        if sr is None:
+            return None
+        if slot == sr:
+            return (sl, "out", self.sigma(e, "lr") - k)
+        return (sr, "out", self.sigma(e, "rl") - k)
+
+    def turn(self, state):
+        (t, i), _, k = state
+        a = self.in_legs(t)
+        if k < 0:
+            corner = (t, (i - 1) % 3)
+            return self._turn((corner, "out", self.out_legs(t) - k), corner, "ccw", -k, -2 * k)
+        if k < a:
+            return ("sink", t)
+        return self._turn(((t, (i + 1) % 3), "out", a - k), (t, i % 3), "cw", k, 2 * (k - a) - 1)
+
+    def turn_back(self, state):
+        (t, i), _, k = state
+        b = self.out_legs(t)
+        if k > b:
+            return self._turn(((t, (i + 1) % 3), "in", b - k), (t, i % 3), "ccw", k, 2 * (k - b))
+        if k > 0:
+            return ("source", t)
+        corner = (t, (i - 1) % 3)
+        return self._turn((corner, "in", self.in_legs(t) - k), corner, "cw", -k, -2 * k - 1)
+
+    def seed_window(self, e, sheet):
+        (tl, _), (tr, _) = self.surface.slots(e)
+        sigma = self.sigma(e, sheet)
+        if sheet == "lr":
+            own_legs = self.out_legs(tl)
+            far_coord = self.x[("edge", e, 1)]
+        else:
+            own_legs = self.out_legs(tr)
+            far_coord = self.x[("edge", e, 2)]
+        lo = min(F(0), far_coord)
+        hi = max(own_legs, sigma)
+        k = lo + F(1, 2)
+        out = []
+        while k < hi:
+            out.append(k)
+            k += 1
+        return out
+
+    def crossing_hugs(self, state):
+        nxt = self.cross(state)
+        if nxt is None:
+            return False
+        (t, _), _, k = state
+        (t2, _), _, k2 = nxt
+        return (k > self.out_legs(t) and k2 < 0) or (k < 0 and k2 > self.in_legs(t2))
+
+
+def _recording(monkeypatch):
+    """Record the travelers of every trace and every spiral tail walked;
+    returns the list they are appended to, as lists of turns and ends."""
+    seen = []
+    trace, tail = rec.trace_coordinates, rec.spiral_tail
+
+    def tracing(*args):
+        stepper, travelers = trace(*args)
+        for trav in travelers:
+            seen.append((trav.turns, (trav.start, trav.end)))
+        return stepper, travelers
+
+    def tailing(stepper, end, forward, turns):
+        turns_walked = tail(stepper, end, forward, turns)
+        seen.append((turns_walked, ()))
+        return turns_walked
+
+    monkeypatch.setattr(rec, "trace_coordinates", tracing)
+    monkeypatch.setattr(rec, "spiral_tail", tailing)
+    return seen
+
+
+def _grid_values(seen):
+    """Every state parameter, depth and place key recorded."""
+    for turns, ends in seen:
+        for t in turns:
+            yield from (t.state[2], t.depth, t.place[1])
+        for end in ends:
+            if end[0] in ("boundary", "spiral"):
+                yield end[-1][2]
+
+
+@TRACE_SURFACES
+def test_tracer_stays_on_the_int_grid(spec, monkeypatch):
+    """Tracing and spiral tails step on ints only, integral and rational
+    vectors alike, and write the pictures the Fraction stepper writes."""
+    tri = build(spec)
+    iset = Sl3IndexSet(tri)
+    rng = random.Random(17)
+    integral = [{i: F(rng.randint(-12, 12)) for i in iset.unfrozen} for _ in range(6)]
+    rational = [{i: F(rng.randint(-12, 12), rng.randint(1, 3)) for i in iset.unfrozen}
+                for _ in range(3)]
+
+    def pictures():
+        out = []
+        for coords in integral:
+            x = xpoint(tri, coords)
+            stepper, travelers = rec.trace_coordinates(x, tri, _step_cap(x, tri))
+            out += [_materialize(stepper, travelers, n) for n in (2, 3)]
+            assert rec.roundtrip_check(x, tri)["ok"]
+        for coords in rational:
+            x = xpoint(tri, coords)
+            out += [reconstruct(x, tri, spiral_turns=n) for n in (2, 3)]
+        return [(p.corners, p.honeycombs) for p in out]
+
+    with monkeypatch.context() as m:
+        seen = _recording(m)
+        got = pictures()
+    values = list(_grid_values(seen))
+    assert values and {type(v) for v in values} == {int}
+    monkeypatch.setattr(rec, "_CoordStepper", _FractionStepper)
+    assert got == pictures()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        MarkedSurfaceSpec.once_punctured_torus(),
+        MarkedSurfaceSpec.punctured_polygon(3, 2),
+        MarkedSurfaceSpec.punctured_polygon(8, 2),
+    ],
+    ids=["torus", "punctured3-2", "punctured8-2"],
+)
+def test_roundtrip_shares_one_tail_walk(spec, monkeypatch):
+    """The two pictures ``roundtrip_check`` builds from one walk of each
+    spiral tail are the pictures of two and of three tail turns."""
+    tri = build(spec)
+    iset = Sl3IndexSet(tri)
+    rng = random.Random(23)
+    built = []
+    shear = rec.shear_unfrozen
+
+    def recording_shear(pic):
+        built.append(pic)
+        return shear(pic)
+
+    monkeypatch.setattr(rec, "shear_unfrozen", recording_shear)
+    spirals = 0
+    for _ in range(12):
+        x = xpoint(tri, {i: F(rng.randint(-6, 6)) for i in iset.unfrozen})
+        built.clear()
+        rep = roundtrip_check(x, tri)
+        assert rep["ok"] and rep["stable"]
+        stepper, travelers = trace_coordinates(x, tri, _step_cap(x, tri))
+        spirals += sum(end[0] == "spiral" for t in travelers for end in (t.start, t.end))
+        want = [_materialize(stepper, travelers, n) for n in (2, 3)]
+        assert [(p.corners, p.honeycombs) for p in built] == [
+            (p.corners, p.honeycombs) for p in want
+        ]
+    assert spirals > 0
