@@ -107,15 +107,12 @@ class _GlueStepper(_PictureStepper):
             (e_r, "in"): (self.slot_l, self.sigma_rl),
             (e_r, "out"): (self.slot_l, self.sigma_lr),
         }
-        total = sum(len(v) for v in self.lists.values())
+        total = sum(self.counts.values())
         mass = abs(self.sigma_lr) + abs(self.sigma_rl)
         self.step_cap = 4000 + 100 * (total + mass + 8) * max(1, len(pic.tri.edges))
 
     def vertex(self, corner):
         return self.vertex_map[self.pic.tri.corner_vertex(*corner)]
-
-    def _n(self, slot, d):
-        return len(self.lists[(slot, d)])
 
     def _cross(self, state, to):
         # the inherited reversal n - 1 - j also pairs the virtual indices
@@ -126,7 +123,7 @@ class _GlueStepper(_PictureStepper):
 
     def _turn(self, state, to):
         slot, d, j = state
-        n = self._n(slot, d)
+        n = self.counts[(slot, d)]
         if 0 <= j < n:
             return super()._turn(state, to)
         t, i = slot
@@ -135,19 +132,13 @@ class _GlueStepper(_PictureStepper):
             # one; there the arc lies past the terminal end
             r, corner = -j - 1, (t, (i - 1) % 3)
             depth, other = 2 * r + (d == "in"), corner
-            nxt = (other, to, self._n(other, to) + r)
+            nxt = (other, to, self.counts[(other, to)] + r)
         else:
             r, corner = j - n, (t, i % 3)
             depth, other = 2 * r + (d == "out"), (t, (i + 1) % 3)
             nxt = (other, to, -r - 1)
         orient = "cw" if depth % 2 == 0 else "ccw"
         return Turn(nxt, corner, orient, self.vertex(corner), depth, (corner, (1, depth)))
-
-
-def _zone_counts(stepper, slot, direction):
-    """(initial, legs) counts of the original strand list."""
-    classes = [stepper.pic.strand_corner_class(ref) for ref in stepper.lists[(slot, direction)]]
-    return classes.count("initial"), classes.count("leg")
 
 
 def _window_seeds(stepper):
@@ -162,10 +153,10 @@ def _window_seeds(stepper):
         (stepper.slot_l, stepper.slot_r, stepper.sigma_lr),
         (stepper.slot_r, stepper.slot_l, stepper.sigma_rl),
     ):
-        p, q = _zone_counts(stepper, out_slot, "out")
-        p2, q2 = _zone_counts(stepper, in_slot, "in")
-        lo = min(p, sigma - p2 - q2)
-        hi = max(p + q, sigma - p2)
+        initial, legs, _ = stepper.lists[(out_slot, "out")]
+        far_initial, far_legs, _ = stepper.lists[(in_slot, "in")]
+        lo = min(len(initial), sigma - len(far_initial) - far_legs)
+        hi = max(len(initial) + legs, sigma - len(far_initial))
         seeds.extend((out_slot, "out", j) for j in range(lo, hi))
     return seeds
 
@@ -200,7 +191,7 @@ def glue_laminations(pinned, e_l, e_r):
     window = _window_seeds(stepper)
     in_window = set(window)
     entries = []
-    for seed, fw, bw in components(stepper, window + out_seeds(stepper.lists)):
+    for seed, fw, bw in components(stepper, window + out_seeds(pic)):
         verts = {t.vertex for w in (fw, bw) for t in w.turns}
         if seed not in in_window and len(verts) == 1 and verts <= merged_ids:
             # a loop around a merged point is peripheral only if it winds

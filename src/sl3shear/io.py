@@ -262,10 +262,15 @@ def components_to_obj(s):
 
 
 def components_from_obj(obj, tri):
-    comps = [
-        Component(c["kind"], c["carrier"], frac_from_str(c["weight"]), c.get("corner", 0))
-        for c in obj
-    ]
+    """Decode a component sum; a weight that is not an exact rational or
+    a corner other than the int 0, 1 or 2 raises ValueError naming it."""
+    comps = []
+    for n, c in enumerate(obj):
+        corner = c.get("corner", 0)
+        if type(corner) is not int or corner not in (0, 1, 2):
+            raise ValueError(f"components[{n}].corner is {corner!r}, not one of 0, 1, 2")
+        weight = _weight_from_obj(c["weight"], f"components[{n}].weight")
+        comps.append(Component(c["kind"], c["carrier"], weight, corner))
     return ComponentSum(tri, comps)
 
 
@@ -282,14 +287,21 @@ def pinned_to_obj(pl):
 
 
 def pinned_from_obj(obj, tri):
+    """Decode a pinned lamination.  A pinning on an edge that is not a
+    boundary interval of ``tri``, or one that is not a list of two exact
+    rationals, raises ValueError naming it."""
     if "components" in obj:
         under = components_from_obj(obj["components"], tri)
     else:
         under = picture_from_obj(obj.get("picture", {}), tri)
-    delta = {
-        e: (frac_from_str(v[0]), frac_from_str(v[1]))
-        for e, v in obj.get("delta", {}).items()
-    }
+    delta = {}
+    for e, v in obj.get("delta", {}).items():
+        where = f"delta.{e}"
+        if not (tri.has_edge(e) and tri.is_boundary(e)):
+            raise ValueError(f"{where}: {e!r} is not a boundary interval of the surface")
+        if type(v) is not list or len(v) != 2:
+            raise ValueError(f"{where} is {v!r}, not a list of two")
+        delta[e] = (_weight_from_obj(v[0], f"{where}[0]"), _weight_from_obj(v[1], f"{where}[1]"))
     return PinnedLamination(under, delta)
 
 

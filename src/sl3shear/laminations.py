@@ -12,6 +12,12 @@ the incoming list on the other side: the pinning rule pairs parameter
 ``t`` with ``sigma - t``, and the reversal is the only order-reversing
 bijection between two lists of length ``n``.
 
+A side's strands in one direction are stored as its zones ``(initial,
+legs, terminal)``: the stack positions of its initial corner's ends, its
+honeycomb leg count and the stack positions of its terminal corner's
+ends.  A strand is its index in that order; its zone, stack entry and
+weight are read from the index.
+
 Corner conventions.  The corner ``(t, i)`` of triangle ``t`` sits at the
 terminal endpoint of side ``i`` and the initial endpoint of side ``i+1``.
 A ``cw`` arc at a corner runs from the side on which the corner is
@@ -28,7 +34,7 @@ from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
-from .seeds import Sl3IndexSet
+from .seeds import ZERO, Sl3IndexSet
 from .surface import Sl3Error
 from .tropical import TropicalPoint, pos
 
@@ -85,45 +91,14 @@ class SpiralEnd:
         return "+" if self.winding == "cw" else "-"
 
 
-@dataclass(frozen=True)
-class StrandRef:
-    """One strand end on a side of a triangle.
-
-    ``origin`` is ``("corner", corner, pos)`` for an end of the stack
-    entry at ``pos`` in the corner's stack, or ``("leg", j)`` for the
-    ``j``-th honeycomb leg on the side.
-    """
-
-    slot: tuple
-    direction: str  # "in" | "out" relative to the triangle
-    origin: tuple
-    weight: Fraction
-
-
-def _arc_end_direction(entry, role):
-    """Direction of the strand end of a stack entry on side role
-    'A' (corner terminal there) or 'B' (corner initial there); None if
-    the entry has no end on that side."""
-    if isinstance(entry, CornerArc):
-        if entry.orient == "cw":
-            return "in" if role == "A" else "out"
-        return "out" if role == "A" else "in"
-    if isinstance(entry, SpiralEnd):
-        wanted = "A" if entry.winding == "cw" else "B"
-        if role != wanted:
-            return None
-        return "out" if entry.outgoing else "in"
-    raise InvalidPicture(f"unknown stack entry {entry!r}")
-
-
 class GlobalPicture:
     """Good-position lamination data over an ideal triangulation.
 
     A picture is immutable once built: nothing writes to ``corners`` or
     ``honeycombs`` after ``__init__``.  So the strand structure they
-    determine (the ordered strand ends of every side, the initial-zone
-    size of each list) and the validation diagnostics are derived once
-    per picture, on first use, and every reader looks them up.  No
+    determine (the zone triple of every side, see :meth:`strand_list`)
+    and the validation diagnostics are derived once per picture, on
+    first use, and every reader classifies a strand by its index.  No
     pairing is stored: across an edge, index ``i`` of a list of length
     ``n`` meets index ``n - 1 - i`` (see the module docstring).
     """
@@ -141,51 +116,74 @@ class GlobalPicture:
 
     @cached_property
     def _strands(self):
-        """``(lists, zones)`` keyed by (slot, direction): the tuple of
-        strand ends on the side, from its initial corner to its terminal
-        corner, and the number of them coming from the initial corner."""
-        lists = {}
-        zones = {}
+        """The zones of every side, keyed by (slot, direction); see
+        :meth:`strand_list`.  Each corner stack is read once."""
+        # (corner, end, direction) -> stack positions; end "A" sits on the
+        # side on which the corner is terminal, "B" on the one on which
+        # it is initial
+        ends = {}
+        for c, stack in self.corners.items():
+            # a cw arc comes in on its A side and leaves on its B side
+            arc_keys = (((c, "A", "out"), (c, "B", "in")), ((c, "A", "in"), (c, "B", "out")))
+            for p, entry in enumerate(stack):
+                if isinstance(entry, CornerArc):
+                    keys = arc_keys[entry.orient == "cw"]
+                elif isinstance(entry, SpiralEnd):
+                    end = "A" if entry.winding == "cw" else "B"
+                    keys = ((c, end, "out" if entry.outgoing else "in"),)
+                else:
+                    raise InvalidPicture(f"unknown stack entry {entry!r}")
+                for key in keys:
+                    ends.setdefault(key, []).append(p)
+        sides = {}
         for t in self.tri.triangles:
             hc = self.honeycombs.get(t)
             for i in range(3):
-                slot = (t, i)
-                c0 = (t, (i - 1) % 3)
-                c1 = (t, i)
-                for direction in ("in", "out"):
-                    initial = [
-                        StrandRef(slot, direction, ("corner", c0, p), entry.weight)
-                        for p, entry in enumerate(self.corner_stack(c0))
-                        if _arc_end_direction(entry, "B") == direction
-                    ]
-                    legs = []
-                    if hc is not None and ((hc.orient == "sink") == (direction == "in")):
-                        legs = [
-                            StrandRef(slot, direction, ("leg", j), hc.weight)
-                            for j in range(hc.height)
-                        ]
-                    terminal = [
-                        StrandRef(slot, direction, ("corner", c1, p), entry.weight)
-                        for p, entry in enumerate(self.corner_stack(c1))
-                        if _arc_end_direction(entry, "A") == direction
-                    ]
-                    lists[(slot, direction)] = (*reversed(initial), *legs, *terminal)
-                    zones[(slot, direction)] = len(initial)
-        return lists, zones
+                for d in ("in", "out"):
+                    legs = 0
+                    if hc is not None and (hc.orient == "sink") == (d == "in"):
+                        legs = max(hc.height, 0)
+                    sides[((t, i), d)] = (
+                        tuple(reversed(ends.get(((t, (i - 1) % 3), "B", d), ()))),
+                        legs,
+                        tuple(ends.get(((t, i), "A", d), ())),
+                    )
+        return sides
 
     @property
     def strand_lists(self):
-        """Every strand list, keyed by (slot, direction); read-only."""
-        return self._strands[0]
+        """Every side's zones, keyed by (slot, direction); read-only."""
+        return self._strands
 
     def strand_list(self, slot, direction):
-        """Ordered strand ends on a side, from its initial corner to its
-        terminal corner."""
-        return self._strands[0][(slot, direction)]
+        """The zones ``(initial, legs, terminal)`` of a side.  Its strands
+        run from its initial corner to its terminal corner: the initial
+        corner's ends at the stack positions ``initial``, deepest first,
+        then ``legs`` honeycomb legs, then the terminal corner's ends at
+        the stack positions ``terminal``.  So index ``i`` is initial when
+        ``i < len(initial)``, a leg when ``i < len(initial) + legs``, and
+        terminal otherwise."""
+        return self._strands[(slot, direction)]
+
+    def strand_count(self, slot, direction):
+        """Number of strands on the side."""
+        initial, legs, terminal = self._strands[(slot, direction)]
+        return len(initial) + legs + len(terminal)
+
+    def strand_weights(self, slot, direction):
+        """The weights of a side's strands, in order: each stack entry's
+        weight, and the honeycomb's on the legs."""
+        t, i = slot
+        initial, legs, terminal = self._strands[(slot, direction)]
+        first, last = self.corner_stack((t, i - 1)), self.corner_stack(slot)
+        weights = [first[p].weight for p in initial]
+        if legs:
+            weights += [self.honeycombs[t].weight] * legs
+        return weights + [last[p].weight for p in terminal]
 
     def initial_zone_size(self, slot, direction):
         """Number of strands on the side coming from its initial corner."""
-        return self._strands[1][(slot, direction)]
+        return len(self._strands[(slot, direction)][0])
 
     def strand_parameter(self, slot, direction, index):
         """Half-integer position of a strand in the edge parametrization
@@ -201,22 +199,11 @@ class GlobalPicture:
         lengths for the JSON io and the diagram; nothing else reads it."""
         pairings = {}
         for e in self.tri.interior_edges:
-            lengths = [len(self.strand_list(slot, "out")) for slot in self.tri.slots(e)]
+            lengths = [self.strand_count(slot, "out") for slot in self.tri.slots(e)]
             pairings[e] = tuple(tuple((i, n - 1 - i) for i in range(n)) for n in lengths)
         return pairings
 
-    # -- classification helpers ------------------------------------------
-
-    def strand_corner_class(self, ref):
-        """'initial', 'terminal' or 'leg': position of a strand's origin
-        relative to its side."""
-        if ref.origin[0] == "leg":
-            return "leg"
-        t, i = ref.slot
-        corner = ref.origin[1]
-        if corner == (t, (i - 1) % 3):
-            return "initial"
-        return "terminal"
+    # -- readers -----------------------------------------------------------
 
     def face_value(self, t):
         hc = self.honeycombs.get(t)
@@ -274,8 +261,8 @@ class GlobalPicture:
         for e in self.tri.interior_edges:
             sl, sr = self.tri.slots(e)
             for tag, out_slot, in_slot in (("lr", sl, sr), ("rl", sr, sl)):
-                outs = self.strand_list(out_slot, "out")
-                ins = self.strand_list(in_slot, "in")
+                outs = self.strand_weights(out_slot, "out")
+                ins = self.strand_weights(in_slot, "in")
                 if len(outs) != len(ins):
                     diags.append(f"unbalanced strand lists across {e} ({tag})")
                     continue
@@ -284,7 +271,7 @@ class GlobalPicture:
                 diags.extend(
                     f"paired strands across {e} ({tag}) have unequal weights"
                     for a, b in zip(outs, reversed(ins))
-                    if a.weight is not b.weight and a.weight != b.weight
+                    if a is not b and a != b
                 )
         return diags
 
@@ -355,15 +342,22 @@ def honeycomb_leg_split(pic, t, side_index):
     if far_slot is None:
         return None
     direction, far_dir = ("in", "out") if hc.orient == "sink" else ("out", "in")
-    mine = pic.strand_list(slot, direction)
-    far = pic.strand_list(far_slot, far_dir)
-    counts = {"initial": 0, "leg": 0, "terminal": 0}
-    for ref, far_ref in zip(mine, reversed(far)):
-        if ref.origin[0] == "leg":
-            counts[pic.strand_corner_class(far_ref)] += 1
+    initial, legs, _ = pic.strand_list(slot, direction)
+    lo, hi = len(initial), len(initial) + legs
+
+    def meet(a, b):
+        return max(0, min(hi, b) - max(lo, a))
+
+    # index j meets far index n - 1 - j: the far terminal zone faces the
+    # indices below c, its legs those below c + far_legs, its initial zone
+    # the rest of the far length
+    _, far_legs, far_terminal = pic.strand_list(far_slot, far_dir)
+    c = len(far_terminal)
+    n1 = meet(c + far_legs, pic.strand_count(far_slot, far_dir))
+    n2, n3 = meet(c, c + far_legs), meet(0, c)
     # the far side's initial corner is this side's terminal corner: a leg
     # landing there turned left
-    return (counts["initial"], counts["leg"], counts["terminal"])
+    return (n1, n2, n3)
 
 
 def add_peripheral_chain(pic, vertex, orient, weight=Fraction(1)):
@@ -443,39 +437,6 @@ class PinnedLamination:
 # -- shear coordinates ------------------------------------------------------
 
 
-def _crossing_contribution(x, e, lclass, rclass, travel, left_hc, right_hc, w):
-    """Contribution of one paired crossing to (x_{E,1}, x_{E,2}).
-
-    ``lclass``/``rclass`` are 'initial'/'terminal'/'leg' relative to the
-    left/right side; the left side's terminal corner and the right side's
-    initial corner are the same point of the quadrilateral (and likewise
-    initial/terminal).  ``travel`` is 'lr' or 'rl'.
-    """
-    i1 = ("edge", e, 1)
-    i2 = ("edge", e, 2)
-    lc = {"initial": "b", "terminal": "t", "leg": "leg"}[lclass]
-    rc = {"initial": "t", "terminal": "b", "leg": "leg"}[rclass]
-    if lc == "leg" and rc == "leg":
-        return
-    if lc == "leg":
-        if left_hc.orient == "sink" and rc == "t":
-            x[i2] = x.get(i2, Fraction(0)) - w
-        elif left_hc.orient == "source" and rc == "b":
-            x[i1] = x.get(i1, Fraction(0)) + w
-        return
-    if rc == "leg":
-        if right_hc.orient == "sink" and lc == "b":
-            x[i1] = x.get(i1, Fraction(0)) - w
-        elif right_hc.orient == "source" and lc == "t":
-            x[i2] = x.get(i2, Fraction(0)) + w
-        return
-    if lc == rc:
-        return
-    target = i1 if travel == "lr" else i2
-    sign = 1 if (lc, rc) == ("t", "b") else -1
-    x[target] = x.get(target, Fraction(0)) + sign * w
-
-
 def shear_unfrozen(pic):
     """Shear coordinates of a picture on the unfrozen indices."""
     pic.require_valid()
@@ -485,16 +446,17 @@ def shear_unfrozen(pic):
         v = hc.face_value()
         if v:
             x[("tri", t)] = v
-    cls = pic.strand_corner_class
     for e in tri.interior_edges:
         sl, sr = tri.slots(e)
-        l_hc = pic.honeycombs.get(sl[0])
-        r_hc = pic.honeycombs.get(sr[0])
-        # each outgoing list meets the reversed incoming list
-        for a, b in zip(pic.strand_list(sl, "out"), reversed(pic.strand_list(sr, "in"))):
-            _crossing_contribution(x, e, cls(a), cls(b), "lr", l_hc, r_hc, a.weight)
-        for a, b in zip(pic.strand_list(sr, "out"), reversed(pic.strand_list(sl, "in"))):
-            _crossing_contribution(x, e, cls(b), cls(a), "rl", l_hc, r_hc, a.weight)
+        for idx, out_slot, in_slot in ((("edge", e, 1), sl, sr), (("edge", e, 2), sr, sl)):
+            # out index j meets in index n - 1 - j, which is terminal when
+            # j < b; a crossing adds its weight when the in end is terminal
+            # and the out end (j >= a) is not initial, and subtracts it
+            # when the out end is initial and the in end is not terminal
+            a = len(pic.strand_list(out_slot, "out")[0])
+            b = len(pic.strand_list(in_slot, "in")[2])
+            w = pic.strand_weights(out_slot, "out")
+            x[idx] = sum(w[a:b], ZERO) - sum(w[b:a], ZERO)
     x = {i: v for i, v in x.items() if v}
     return TropicalPoint("X", x, tri=tri, restricted=True)
 

@@ -479,13 +479,15 @@ class _PictureStepper:
         self.surface = pic.tri
         self.lists = pic.strand_lists
         self.arc_ends = {}
-        for (slot, d), refs in self.lists.items():
-            for idx, ref in enumerate(refs):
-                if ref.origin[0] == "corner":
-                    self.arc_ends.setdefault((ref.origin[1], ref.origin[2], d), []).append(
-                        (slot, idx)
-                    )
-        self.step_cap = 1 + sum(len(refs) for refs in self.lists.values())
+        for ((t, i), d), (initial, legs, terminal) in self.lists.items():
+            for corner, positions, first in (
+                ((t, (i - 1) % 3), initial, 0),
+                ((t, i), terminal, len(initial) + legs),
+            ):
+                for k, p in enumerate(positions, first):
+                    self.arc_ends.setdefault((corner, p, d), []).append(((t, i), k))
+        self.counts = {side: pic.strand_count(*side) for side in self.lists}
+        self.step_cap = 1 + sum(self.counts.values())
 
     def vertex(self, corner):
         return self.surface.corner_vertex(*corner)
@@ -509,7 +511,7 @@ class _PictureStepper:
     def _cross(self, state, to):
         slot, d, j = state
         far = self.pic.tri.other_slot(slot)
-        return None if far is None else (far, to, len(self.lists[(slot, d)]) - 1 - j)
+        return None if far is None else (far, to, self.counts[(slot, d)] - 1 - j)
 
     def turn(self, state):
         return self._turn(state, "out")
@@ -518,11 +520,14 @@ class _PictureStepper:
         return self._turn(state, "in")
 
     def _turn(self, state, to):
-        slot, d, idx = state
-        ref = self.lists[(slot, d)][idx]
-        if ref.origin[0] == "leg":
-            return ("sink" if d == "in" else "source", slot[0])
-        _, corner, p = ref.origin
+        (t, i), d, idx = state
+        initial, legs, terminal = self.lists[((t, i), d)]
+        if idx < len(initial):
+            corner, p = (t, (i - 1) % 3), initial[idx]
+        elif idx < len(initial) + legs:
+            return ("sink" if d == "in" else "source", t)
+        else:
+            corner, p = (t, i), terminal[idx - len(initial) - legs]
         entry = self.pic.corner_stack(corner)[p]
         if isinstance(entry, SpiralEnd):
             return ("marker", self.vertex(corner), entry.sign, (corner, p))
@@ -535,13 +540,13 @@ class _PictureStepper:
         return Turn((slot2, to, idx2), corner, entry.orient, self.vertex(corner), None, place)
 
 
-def out_seeds(lists):
+def out_seeds(pic):
     """Every outgoing state of a picture's strand lists, in a fixed order."""
     return [
         (slot, "out", idx)
-        for (slot, d), refs in sorted(lists.items(), key=lambda kv: str(kv[0]))
+        for slot, d in sorted(pic.strand_lists, key=str)
         if d == "out"
-        for idx in range(len(refs))
+        for idx in range(pic.strand_count(slot, d))
     ]
 
 
@@ -552,7 +557,7 @@ def traveler_trace(pic):
     tri = pic.tri
     stepper = _PictureStepper(pic)
     travelers = []
-    for _, fw, bw in components(stepper, out_seeds(stepper.lists)):
+    for _, fw, bw in components(stepper, out_seeds(pic)):
         crossings = bw.crossings[:0:-1] + fw.crossings
         route = []
         idents = []

@@ -35,12 +35,9 @@ from .laminations import (
     GlobalPicture,
     Honeycomb,
     PinnedLamination,
-    add_peripheral_chain,
     coords_of_components,
     elementary_lamination,
-    geometric_ensemble,
     shear_frozen,
-    shear_unfrozen,
 )
 from .io import tropical_point_to_obj
 from .reconstruct import identifier_relations, reconstruct, roundtrip_check

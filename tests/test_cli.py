@@ -140,6 +140,10 @@ def _end(**fields):
     return {"type": "end", "sign": "+", "outgoing": True, "weight": "1", **fields}
 
 
+def _alpha(**fields):
+    return {"kind": "alpha", "carrier": "T1", "weight": "1", "corner": 0, **fields}
+
+
 @pytest.mark.parametrize(
     "argv,code",
     [
@@ -180,6 +184,15 @@ def _end(**fields):
         (["shear", "--surface", "{surf}", "--lamination", "{height_0}"], 1),
         (["shear", "--surface", "{surf}", "--lamination", "{weight_neg}"], 1),
         (["shear", "--surface", "{surf}", "--lamination", "{honeycomb_weight_neg}"], 1),
+        # pinnings and components of the wrong type or outside the format
+        (["shear", "--surface", "{surf}", "--lamination", "{delta_unknown_edge}"], 2),
+        (["shear", "--surface", "{surf}", "--lamination", "{delta_interior_edge}"], 2),
+        (["shear", "--surface", "{surf}", "--lamination", "{delta_str}"], 2),
+        (["shear", "--surface", "{surf}", "--lamination", "{delta_three}"], 2),
+        (["shear", "--surface", "{surf}", "--lamination", "{delta_float}"], 2),
+        (["shear", "--surface", "{surf}", "--lamination", "{component_weight_float}"], 2),
+        (["shear", "--surface", "{surf}", "--lamination", "{component_corner_str}"], 2),
+        (["shear", "--surface", "{surf}", "--lamination", "{component_corner_3}"], 2),
     ],
 )
 def test_cli_error_table(argv, code, tmp_path, capsys):
@@ -212,6 +225,14 @@ def test_cli_error_table(argv, code, tmp_path, capsys):
             "T1": {"honeycomb": {"orient": "sink", "height": 1, "weight": "-1"}},
             "T2": {"honeycomb": {"orient": "source", "height": 1, "weight": "-1"}},
         }}},
+        "{delta_unknown_edge}": {"picture": {}, "delta": {"zz": ["1", "0"]}},
+        "{delta_interior_edge}": {"picture": {}, "delta": {"d2": ["5", "5"]}},
+        "{delta_str}": {"picture": {}, "delta": {"b0": "12"}},
+        "{delta_three}": {"picture": {}, "delta": {"b0": ["1", "0", "0"]}},
+        "{delta_float}": {"picture": {}, "delta": {"b0": [1.5, "0"]}},
+        "{component_weight_float}": {"components": [_alpha(weight=0.5)]},
+        "{component_corner_str}": {"components": [_alpha(corner="1")]},
+        "{component_corner_3}": {"components": [_alpha(corner=3)]},
     }
     for name, doc in malformed.items():
         (tmp_path / f"{name[1:-1]}.json").write_text(json.dumps(doc))

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
@@ -16,7 +17,6 @@ from sl3shear.laminations import (
     InvalidPicture,
     PinnedLamination,
     SpiralEnd,
-    StrandRef,
     UnknownComponentKind,
     add_peripheral_chain,
     coords_of_components,
@@ -438,26 +438,24 @@ def _end_direction(entry, role):
 
 
 def _reference_strands(pic, slot, direction):
-    """(strand list, initial-zone size) of a side, read off the corner
-    stacks: the initial corner's ends deepest first, then the honeycomb
-    legs, then the terminal corner's ends."""
+    """The zones (initial, legs, terminal) of a side, read off the corner
+    stacks: the stack positions of the initial corner's ends deepest
+    first, the honeycomb leg count, and the terminal corner's positions."""
     t, i = slot
     c0, c1 = (t, (i - 1) % 3), (t, i)
     initial = [
-        StrandRef(slot, direction, ("corner", c0, p), entry.weight)
-        for p, entry in enumerate(pic.corners.get(c0, ()))
+        p for p, entry in enumerate(pic.corners.get(c0, ()))
         if _end_direction(entry, "B") == direction
     ]
     hc = pic.honeycombs.get(t)
-    legs = []
+    legs = 0
     if hc is not None and (hc.orient == "sink") == (direction == "in"):
-        legs = [StrandRef(slot, direction, ("leg", j), hc.weight) for j in range(hc.height)]
+        legs = hc.height
     terminal = [
-        StrandRef(slot, direction, ("corner", c1, p), entry.weight)
-        for p, entry in enumerate(pic.corners.get(c1, ()))
+        p for p, entry in enumerate(pic.corners.get(c1, ()))
         if _end_direction(entry, "A") == direction
     ]
-    return tuple(initial[::-1] + legs + terminal), len(initial)
+    return tuple(initial[::-1]), legs, tuple(terminal)
 
 
 def _sides(tri):
@@ -499,11 +497,14 @@ def _seeded_pictures():
 def test_cached_strand_structure_matches_corner_stacks():
     for pic in _seeded_pictures():
         for slot, d in _sides(pic.tri):
-            refs, n0 = _reference_strands(pic, slot, d)
-            assert pic.strand_list(slot, d) == refs
-            assert pic.strand_lists[(slot, d)] == refs
+            zones = _reference_strands(pic, slot, d)
+            initial, legs, terminal = zones
+            n0, n = len(initial), len(initial) + legs + len(terminal)
+            assert pic.strand_list(slot, d) == zones
+            assert pic.strand_lists[(slot, d)] == zones
+            assert pic.strand_count(slot, d) == n
             assert pic.initial_zone_size(slot, d) == n0
-            for k in range(len(refs)):
+            for k in range(n):
                 assert pic.strand_parameter(slot, d, k) == F(2 * (k - n0) + 1, 2)
         diags = pic.validate()
         assert diags == []
@@ -533,9 +534,7 @@ def test_invalid_pictures_keep_raising(polygon4):
 
 def test_amalgamation_derives_each_picture_once(monkeypatch):
     """One amalgamation op, as the benchmark runs it, checks each distinct
-    picture once and builds each of its strand lists once."""
-    import sl3shear.laminations as lam
-
+    picture once and derives its strand structure once."""
     tri = _two_pentagons()
     rng = random.Random("derive-once")
     iset = Sl3IndexSet(tri)
@@ -551,15 +550,17 @@ def test_amalgamation_derives_each_picture_once(monkeypatch):
         checked.append(pic)
         return check(pic)
 
-    built = [0]
-    strand_ref = lam.StrandRef
+    derived = []
+    derive = GlobalPicture._strands.func
 
-    def counting_ref(*args):
-        built[0] += 1
-        return strand_ref(*args)
+    def counting_derive(pic):
+        derived.append(pic)
+        return derive(pic)
 
+    strands = cached_property(counting_derive)
+    strands.__set_name__(GlobalPicture, "_strands")
     monkeypatch.setattr(GlobalPicture, "_check", counting_check)
-    monkeypatch.setattr(lam, "StrandRef", counting_ref)
+    monkeypatch.setattr(GlobalPicture, "_strands", strands)
 
     pic = reconstruct(x, tri)
     assert shear_unfrozen(pic) == x
@@ -575,6 +576,4 @@ def test_amalgamation_derives_each_picture_once(monkeypatch):
     monkeypatch.undo()
 
     assert len(checked) == len({id(p) for p in checked}) == 3
-    assert built[0] == sum(
-        len(_reference_strands(p, slot, d)[0]) for p in checked for slot, d in _sides(p.tri)
-    )
+    assert sorted(map(id, derived)) == sorted(map(id, checked))
