@@ -21,6 +21,7 @@ from .surface import (
     FlipCreatesSelfFolded,
     SameEdge,
     ResultViolatesSurfaceConditions,
+    UnknownInterval,
 )
 from .seeds import (
     Sl3IndexSet,
@@ -79,7 +80,6 @@ from .reconstruct import (
 )
 from .glue import (
     ShiftElement,
-    UnknownInterval,
     glue_coordinates,
     glue_laminations,
     shift_action,

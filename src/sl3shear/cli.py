@@ -18,7 +18,7 @@ from .laminations import shear_frozen
 from .reconstruct import reconstruct, roundtrip_check
 from .seeds import Sl3IndexSet, exchange_matrix, m_matrix
 from .surface import MarkedSurfaceSpec, Sl3Error, build
-from .tropical import apply_flip, dynkin_cluster, ensemble
+from .tropical import TropicalPoint, apply_flip, dynkin_cluster, ensemble
 from .glue import glue_laminations
 from .verify import SUITES, run_suites
 
@@ -155,8 +155,6 @@ def cmd_flip(args):
         jio.index_to_str(a): jio.index_to_str(b) for a, b in sorted(corr.index_map.items(), key=str)
     }
     if args.coords:
-        from .tropical import TropicalPoint
-
         coords = _coords_arg(tri, args.coords)
         p = TropicalPoint(args.kind, coords, tri=tri, restricted=False)
         q = apply_flip(p, tri, args.edge)
@@ -167,8 +165,6 @@ def cmd_flip(args):
 
 def cmd_dynkin(args):
     tri = _load_surface(args.surface)
-    from .tropical import TropicalPoint
-
     coords = _coords_arg(tri, args.coords)
     p = TropicalPoint("X", coords, tri=tri)
     q = dynkin_cluster(p, tri)
@@ -178,8 +174,6 @@ def cmd_dynkin(args):
 
 def cmd_ensemble(args):
     tri = _load_surface(args.surface)
-    from .tropical import TropicalPoint
-
     coords = _coords_arg(tri, args.acoords)
     a = TropicalPoint("A", coords, tri=tri)
     x = ensemble(a, tri)
@@ -189,8 +183,6 @@ def cmd_ensemble(args):
 
 def cmd_reconstruct(args):
     tri = _load_surface(args.surface)
-    from .tropical import TropicalPoint
-
     coords = _coords_arg(tri, args.coords)
     iset = Sl3IndexSet(tri)
     for i in coords:
@@ -209,6 +201,9 @@ def cmd_reconstruct(args):
 def cmd_glue(args):
     tri = _load_surface(args.surface)
     pl = _load_lamination(args.lamination, tri)
+    for e in (args.left, args.right):
+        if e not in tri.edges:
+            raise UsageError(f"unknown edge {e!r}")
     glued = glue_laminations(pl, args.left, args.right)
     obj = {
         "surface": jio.triangulation_to_obj(glued.tri),
@@ -241,8 +236,8 @@ def emit_diagram(pic):
                     parts.append(f"spiral end {entry.sign}")
             lines.append(f"  corner {c} (at {tri.corner_vertex(t, c)}): " + "; ".join(parts))
     for e in tri.interior_edges:
-        lr, rl = pic.pairings[e]
-        lines.append(f"edge {e}: {len(lr)} left-to-right and {len(rl)} right-to-left strands")
+        lr, rl = (pic.strand_count(slot, "out") for slot in tri.slots(e))
+        lines.append(f"edge {e}: {lr} left-to-right and {rl} right-to-left strands")
     return "\n".join(lines) + "\n"
 
 

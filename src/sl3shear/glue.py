@@ -24,7 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laminations import GlobalPicture, PinnedLamination, InvalidPicture, normalize_integral
+from .laminations import (
+    GlobalPicture,
+    PinnedLamination,
+    InvalidPicture,
+    boundary_weights,
+    normalize_integral,
+)
 from .reconstruct import (
     SPIRAL_TURNS,
     Traveler,
@@ -36,11 +42,7 @@ from .reconstruct import (
     stack_entries,
     strand_kind,
 )
-from .surface import SameEdge, Sl3Error
-
-
-class UnknownInterval(Sl3Error):
-    pass
+from .surface import SameEdge, UnknownInterval
 
 
 @dataclass(frozen=True)
@@ -200,17 +202,14 @@ def glue_laminations(pinned, e_l, e_r):
             if fw.peripheral or fw.end[0] == bw.end[0] == "boundary":
                 continue
         traveler = Traveler(strand_kind(fw, bw), bw.turns[::-1] + fw.turns, bw.end, fw.end)
-        entries += stack_entries(stepper, traveler, SPIRAL_TURNS)
+        entries += stack_entries(stepper, traveler, (SPIRAL_TURNS,))[0]
     glued = build_picture(t2, pic.honeycombs, entries, Fraction(1, u)).require_valid()
-    # re-anchor the coweights of the remaining intervals
-    orig_pic = pinned.underlying
+    # re-anchor the coweights of the remaining intervals; the honeycombs
+    # are kept, so only the corner-arc weights change
     delta = {}
     for e in t2.boundary_intervals:
-        (t, i), _ = t2.slots(e)
-        m = (t, (i - 1) % 3)
-        dp, dm = pinned.delta_at(e)
-        dp += glued.corner_arc_weight(m, "cw") - orig_pic.corner_arc_weight(m, "cw")
-        dm += glued.corner_arc_weight(m, "ccw") - orig_pic.corner_arc_weight(m, "ccw")
+        old, new = boundary_weights(pinned.underlying, e), boundary_weights(glued, e)
+        dp, dm = (d + b - a for d, a, b in zip(pinned.delta_at(e), old, new))
         if dp or dm:
             delta[e] = (dp, dm)
     return PinnedLamination(glued, delta)

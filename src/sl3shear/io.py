@@ -19,6 +19,7 @@ from .laminations import (
     InvalidPicture,
     PinnedLamination,
     SpiralEnd,
+    honeycomb_leg_split,
 )
 from .seeds import ExchangeMatrix, RationalMatrix
 from .surface import IdealTriangulation
@@ -28,10 +29,6 @@ from .tropical import TropicalPoint
 def frac_to_str(v):
     v = Fraction(v)
     return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-
-
-def frac_from_str(s):
-    return Fraction(s)
 
 
 def index_to_str(i):
@@ -69,6 +66,8 @@ def triangulation_to_obj(tri):
 
 
 def triangulation_from_obj(obj):
+    """Decode a triangulation; a table that breaks an invariant of
+    :meth:`IdealTriangulation.validate` raises ValueError listing them."""
     tri_sides = {t["id"]: tuple(t["sides"]) for t in obj["triangles"]}
     slot_l = None
     if "left_slots" in obj:
@@ -79,6 +78,9 @@ def triangulation_from_obj(obj):
         have = "boundary" if tri.is_boundary(e) else "interior"
         if have != kind:
             raise ValueError(f"edge {e} declared {kind} but glued as {have}")
+    diags = tri.validate()
+    if diags:
+        raise ValueError(f"invalid surface: {'; '.join(diags)}")
     return tri
 
 
@@ -104,7 +106,7 @@ def exchange_matrix_from_obj(obj):
     m = RationalMatrix(indices)
     for i_s, j_s, v_s in obj["entries"]:
         i, j = index_from_str(i_s), index_from_str(j_s)
-        v = frac_from_str(v_s)
+        v = Fraction(v_s)
         m[i, j] = v
         m[j, i] = -v
     frozen = frozenset(index_from_str(s) for s in obj["frozen"])
@@ -123,7 +125,7 @@ def tropical_point_to_obj(p):
 
 
 def tropical_point_from_obj(obj, tri=None):
-    coords = {index_from_str(k): frac_from_str(v) for k, v in obj["coords"].items()}
+    coords = {index_from_str(k): Fraction(v) for k, v in obj["coords"].items()}
     return TropicalPoint(obj["kind"], coords, tri=tri, restricted=obj.get("restricted", False))
 
 
@@ -151,7 +153,7 @@ def _weight_from_obj(value, where):
     """An exact weight, written as a "p/q" string or an int."""
     if type(value) in (str, int):
         try:
-            return frac_from_str(value)
+            return Fraction(value)
         except (ValueError, ZeroDivisionError):
             pass
     raise ValueError(f"{where} is {value!r}, not an exact rational")
@@ -168,9 +170,14 @@ def _entry_from_obj(obj, where):
     return SpiralEnd("cw" if sign == "+" else "ccw", obj["outgoing"], weight)
 
 
-def picture_to_obj(pic):
-    from .laminations import honeycomb_leg_split
+def _reversal_pairs(pic, e):
+    """The ``(lr, rl)`` pair lists of the strands leaving the left and the
+    right side of ``e``: the implicit pairing ``[i, n - 1 - i]``."""
+    counts = (pic.strand_count(slot, "out") for slot in pic.tri.slots(e))
+    return [[[i, n - 1 - i] for i in range(n)] for n in counts]
 
+
+def picture_to_obj(pic):
     triangles = {}
     for t in pic.tri.triangles:
         entry = {}
@@ -196,10 +203,7 @@ def picture_to_obj(pic):
         if corners:
             entry["corners"] = corners
         triangles[t] = entry
-    pairings = {
-        e: {"lr": [list(p) for p in lr], "rl": [list(p) for p in rl]}
-        for e, (lr, rl) in sorted(pic.pairings.items())
-    }
+    pairings = {e: dict(zip(("lr", "rl"), _reversal_pairs(pic, e))) for e in pic.tri.interior_edges}
     signs = [
         {"vertex": v, "sign": s, "weight": frac_to_str(w)}
         for v, s, w in pic.puncture_signs()
@@ -243,8 +247,8 @@ def picture_from_obj(obj, tri):
     if given:
         for e in tri.interior_edges:
             v = given.get(e, {"lr": [], "rl": []})
-            for tag, pairs in zip(("lr", "rl"), pic.pairings[e]):
-                if sorted(tuple(p) for p in v[tag]) != list(pairs):
+            for tag, pairs in zip(("lr", "rl"), _reversal_pairs(pic, e)):
+                if sorted(list(p) for p in v[tag]) != pairs:
                     raise InvalidPicture(f"pairing across {e} ({tag}) is not the reversal")
     return pic
 
@@ -305,13 +309,8 @@ def pinned_from_obj(obj, tri):
     return PinnedLamination(under, delta)
 
 
-def dump(obj, fp=None):
-    text = json.dumps(obj, indent=2, sort_keys=True)
-    if fp is None:
-        return text
-    fp.write(text)
-    fp.write("\n")
-    return None
+def dump(obj):
+    return json.dumps(obj, indent=2, sort_keys=True)
 
 
 def load(fp):

@@ -115,9 +115,9 @@ class GlobalPicture:
         return self.corners.get((corner[0], corner[1] % 3), ())
 
     @cached_property
-    def _strands(self):
+    def strand_lists(self):
         """The zones of every side, keyed by (slot, direction); see
-        :meth:`strand_list`.  Each corner stack is read once."""
+        :meth:`strand_list`.  Each corner stack is read once; read-only."""
         # (corner, end, direction) -> stack positions; end "A" sits on the
         # side on which the corner is terminal, "B" on the one on which
         # it is initial
@@ -150,11 +150,6 @@ class GlobalPicture:
                     )
         return sides
 
-    @property
-    def strand_lists(self):
-        """Every side's zones, keyed by (slot, direction); read-only."""
-        return self._strands
-
     def strand_list(self, slot, direction):
         """The zones ``(initial, legs, terminal)`` of a side.  Its strands
         run from its initial corner to its terminal corner: the initial
@@ -163,45 +158,29 @@ class GlobalPicture:
         the stack positions ``terminal``.  So index ``i`` is initial when
         ``i < len(initial)``, a leg when ``i < len(initial) + legs``, and
         terminal otherwise."""
-        return self._strands[(slot, direction)]
+        return self.strand_lists[(slot, direction)]
 
     def strand_count(self, slot, direction):
         """Number of strands on the side."""
-        initial, legs, terminal = self._strands[(slot, direction)]
+        initial, legs, terminal = self.strand_lists[(slot, direction)]
         return len(initial) + legs + len(terminal)
 
     def strand_weights(self, slot, direction):
         """The weights of a side's strands, in order: each stack entry's
         weight, and the honeycomb's on the legs."""
         t, i = slot
-        initial, legs, terminal = self._strands[(slot, direction)]
+        initial, legs, terminal = self.strand_lists[(slot, direction)]
         first, last = self.corner_stack((t, i - 1)), self.corner_stack(slot)
         weights = [first[p].weight for p in initial]
         if legs:
             weights += [self.honeycombs[t].weight] * legs
         return weights + [last[p].weight for p in terminal]
 
-    def initial_zone_size(self, slot, direction):
-        """Number of strands on the side coming from its initial corner."""
-        return len(self._strands[(slot, direction)][0])
-
     def strand_parameter(self, slot, direction, index):
         """Half-integer position of a strand in the edge parametrization
         anchored at its initial-corner block."""
-        n0 = self.initial_zone_size(slot, direction)
+        n0 = len(self.strand_lists[(slot, direction)][0])
         return Fraction(2 * (index - n0) + 1, 2)
-
-    @cached_property
-    def pairings(self):
-        """``(lr, rl)`` per interior edge: the ``(out index, in index)``
-        pairs of the strands leaving the left and the right side, which
-        are the reversals ``(i, n - 1 - i)``.  Derived from the list
-        lengths for the JSON io and the diagram; nothing else reads it."""
-        pairings = {}
-        for e in self.tri.interior_edges:
-            lengths = [self.strand_count(slot, "out") for slot in self.tri.slots(e)]
-            pairings[e] = tuple(tuple((i, n - 1 - i) for i in range(n)) for n in lengths)
-        return pairings
 
     # -- readers -----------------------------------------------------------
 
@@ -461,14 +440,24 @@ def shear_unfrozen(pic):
     return TropicalPoint("X", x, tri=tri, restricted=True)
 
 
-def shear_frozen(pinned):
-    """Full shear coordinates of a pinned lamination.
+def boundary_weights(pic, e):
+    """The pinning rule's weights ``(alpha^+, alpha^- + [x_T]_+)`` at the
+    boundary interval E = ``e``, whose frozen coordinates are x_{E,1} =
+    delta^+ - alpha^+ and x_{E,2} = delta^- - alpha^- - [x_T]_+: alpha^+/-
+    are the total weights of the cw/ccw corner arcs at the initial marked
+    point of E in its triangle T."""
+    (t, i), _ = pic.tri.slots(e)
+    m = (t, (i - 1) % 3)
+    return (
+        pic.corner_arc_weight(m, "cw"),
+        pic.corner_arc_weight(m, "ccw") + pos(pic.face_value(t)),
+    )
 
-    The unfrozen part ignores the pinning; for each boundary interval E
-    with initial marked point m and adjacent triangle T: x_{E,1} =
-    delta^+ - alpha^+ and x_{E,2} = delta^- - alpha^- - [x_T]_+, where
-    alpha^+/- are the total weights of the cw/ccw corner arcs at m in T.
-    """
+
+def shear_frozen(pinned):
+    """Full shear coordinates of a pinned lamination: the unfrozen part
+    ignores the pinning, and the frozen part is read by
+    :func:`boundary_weights`."""
     under = pinned.underlying
     if isinstance(under, ComponentSum):
         base = coords_of_components(under, "X")
@@ -482,21 +471,12 @@ def shear_frozen(pinned):
                 else:
                     coords.pop(idx, None)
         return TropicalPoint("X", coords, tri=under.tri, restricted=False)
-    pic = under
-    base = shear_unfrozen(pic)
-    coords = dict(base.coords)
-    tri = pic.tri
-    for e in tri.boundary_intervals:
-        (t, i), _ = tri.slots(e)
-        m = (t, (i - 1) % 3)
-        dp, dm = pinned.delta_at(e)
-        x1 = dp - pic.corner_arc_weight(m, "cw")
-        x2 = dm - pic.corner_arc_weight(m, "ccw") - pos(pic.face_value(t))
-        if x1:
-            coords[("edge", e, 1)] = x1
-        if x2:
-            coords[("edge", e, 2)] = x2
-    return TropicalPoint("X", coords, tri=tri, restricted=False)
+    coords = dict(shear_unfrozen(under).coords)
+    for e in under.tri.boundary_intervals:
+        for s, d, w in zip((1, 2), pinned.delta_at(e), boundary_weights(under, e)):
+            if d != w:
+                coords[("edge", e, s)] = d - w
+    return TropicalPoint("X", coords, tri=under.tri, restricted=False)
 
 
 # -- component coordinate tables --------------------------------------------
@@ -751,12 +731,5 @@ def elementary_lamination(tri, k):
         return PinnedLamination(GlobalPicture(tri), {e: (dp, dm)})
     x = TropicalPoint("X", {k: Fraction(-1)}, tri=tri, restricted=True)
     pic = reconstruct(x, tri)
-    delta = {}
-    for e in tri.boundary_intervals:
-        (t, i), _ = tri.slots(e)
-        m = (t, (i - 1) % 3)
-        dp = pic.corner_arc_weight(m, "cw")
-        dm = pic.corner_arc_weight(m, "ccw") + pos(pic.face_value(t))
-        if dp or dm:
-            delta[e] = (dp, dm)
-    return PinnedLamination(pic, delta)
+    delta = {e: boundary_weights(pic, e) for e in tri.boundary_intervals}
+    return PinnedLamination(pic, {e: w for e, w in delta.items() if any(w)})

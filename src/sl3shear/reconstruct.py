@@ -37,7 +37,7 @@ parameter is a half-integer, so the stepper works on the doubled grid of
 odd ints ``2k`` and never leaves ``int``; a ``Fraction`` appears only in
 the pictures it writes and in the seed a :class:`TruncationTooShallow`
 reports.  Only the surviving travelers are materialized, with spiral
-tails truncated to a sign marker after ``spiral_turns`` extra turns.
+tails truncated to a sign marker after ``SPIRAL_TURNS`` extra turns.
 :class:`_PictureStepper` walks the strand lists of an explicit picture
 for :func:`traveler_trace`.
 """
@@ -56,6 +56,7 @@ from .laminations import (
     InvalidPicture,
     shear_unfrozen,
 )
+from .seeds import Sl3IndexSet
 from .surface import Sl3Error
 from .tropical import TropicalPoint, pos
 
@@ -213,18 +214,13 @@ def components(stepper, seeds):
         yield seed, fw, bw
 
 
-def stack_entries(stepper, traveler, spiral_turns):
-    """The ``(place, entry)`` pairs one component writes: an arc per
-    turn, the tail and sign marker of each spiral end, and the stored
-    marker of each end at one."""
-    return _stack_entries(stepper, traveler, (spiral_turns,))[0]
-
-
-def _stack_entries(stepper, traveler, turn_counts):
-    """:func:`stack_entries` for each number of tail turns in
-    ``turn_counts``.  Each spiral tail is walked once, to the most turns:
-    the tail of n turns is its first n full turns, and the turn after
-    them carries the sign marker."""
+def stack_entries(stepper, traveler, turn_counts):
+    """The ``(place, entry)`` pairs one component writes, for each number
+    of tail turns in ``turn_counts``: an arc per turn, the tail and sign
+    marker of each spiral end, and the stored marker of each end at one.
+    Each spiral tail is walked once, to the most turns: the tail of n
+    turns is its first n full turns, and the turn after them carries the
+    sign marker."""
     arcs = [(t.place, CornerArc(t.orient)) for t in traveler.turns]
     out = [list(arcs) for _ in turn_counts]
     for end, forward in ((traveler.start, False), (traveler.end, True)):
@@ -397,26 +393,17 @@ def trace_coordinates(x, tri, step_cap):
     return stepper, travelers
 
 
-def reconstruct(x, tri, spiral_turns=SPIRAL_TURNS, normalize=True):
-    """Build the good-position picture of an integral coordinate vector.
-
-    Rational vectors are rejected with :class:`NonIntegralInput` when
-    ``normalize`` is false; otherwise the picture of ``u x``, ``u`` the
-    lcm of the denominators, is built with weights 1/u.
-    """
+def reconstruct(x, tri):
+    """Build the good-position picture of a coordinate vector: the picture
+    of ``u x``, ``u`` the lcm of the denominators, with weights 1/u."""
     u, xs = _integral_point(x, tri)
-    if u != 1 and not normalize:
-        # the first coordinate of x that is not an integer
-        raise NonIntegralInput(next(i for i, v in xs.coords.items() if v % u))
     stepper, travelers = trace_coordinates(xs, tri, _step_cap(xs, tri))
-    return _materialize(stepper, travelers, spiral_turns, Fraction(1, u)).require_valid()
+    return _pictures(stepper, travelers, (SPIRAL_TURNS,), Fraction(1, u))[0].require_valid()
 
 
 def _integral_point(x, tri):
     """``(u, u x)`` on the unfrozen indices, ``u`` the least positive
     integer that makes every coordinate integral."""
-    from .seeds import Sl3IndexSet
-
     xr = TropicalPoint("X", {i: x[i] for i in Sl3IndexSet(tri).unfrozen}, tri=tri, restricted=True)
     u = lcm(*(v.denominator for v in xr.coords.values()))
     return u, (xr if u == 1 else xr.scale(u))
@@ -433,11 +420,6 @@ def _step_cap(x, tri):
     return max(256, 8 * len(tri.edges) * (int(mass) + 6))
 
 
-def _materialize(stepper, travelers, spiral_turns, weight=1):
-    """The picture of the traced travelers, at ``weight``."""
-    return _pictures(stepper, travelers, (spiral_turns,), weight)[0]
-
-
 def _pictures(stepper, travelers, turn_counts, weight=1):
     """The pictures of the traced travelers with each number of tail
     turns in ``turn_counts``, at ``weight``; each tail is walked once."""
@@ -448,7 +430,7 @@ def _pictures(stepper, travelers, turn_counts, weight=1):
             honeycombs[t] = Honeycomb("sink" if v > 0 else "source", abs(v))
     entries = [[] for _ in turn_counts]
     for trav in travelers:
-        for acc, more in zip(entries, _stack_entries(stepper, trav, turn_counts)):
+        for acc, more in zip(entries, stack_entries(stepper, trav, turn_counts)):
             acc += more
     return [build_picture(stepper.surface, honeycombs, e, weight) for e in entries]
 
@@ -579,12 +561,10 @@ def traveler_trace(pic):
     return travelers
 
 
-def identifier_relations(pic, x=None):
+def identifier_relations(pic, x):
     """Check the traveler-identifier relations on every biangle crossing:
     k_out + k_in = x_{E,1} + [x_{T_R}]_+ on the left-to-right sheet and
     x_{E,2} + [x_{T_L}]_+ on the other.  Returns a list of violations."""
-    if x is None:
-        x = shear_unfrozen(pic)
     tri = pic.tri
     bad = []
     for trav in traveler_trace(pic):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .surface import Sl3Error
+from .surface import NotInteriorEdge, Sl3Error
 
 
 class FrozenIndexMutation(Sl3Error):
@@ -290,7 +290,7 @@ def mutate_matrix(eps, k):
     return ExchangeMatrix(new, eps.frozen)
 
 
-def apply_matrix_steps(eps, steps, new_frozen=None, new_indices=None):
+def apply_matrix_steps(eps, steps):
     """Apply a list of Mutate/Permute steps to an exchange matrix."""
     cur = eps
     for step in steps:
@@ -298,15 +298,8 @@ def apply_matrix_steps(eps, steps, new_frozen=None, new_indices=None):
             cur = mutate_matrix(cur, step.k)
         else:
             mapping = step.as_dict()
-            indices = new_indices if new_indices is not None else [
-                mapping[i] for i in cur.indices
-            ]
-            frozen = new_frozen if new_frozen is not None else frozenset(
-                mapping[i] for i in cur.frozen
-            )
-            if frozenset(mapping[i] for i in cur.frozen) != frozenset(frozen):
-                raise FrozenIndexMutation("relabeling does not respect the frozen set")
-            cur = cur.relabel(mapping, indices, frozen)
+            indices = [mapping[i] for i in cur.indices]
+            cur = cur.relabel(mapping, indices, frozenset(mapping[i] for i in cur.frozen))
     return cur
 
 
@@ -319,8 +312,6 @@ def flip_mutation_sequence(tri, e):
     Returns ``(steps, t_flipped, correspondence)``.
     """
     if tri.is_boundary(e):
-        from .surface import NotInteriorEdge
-
         raise NotInteriorEdge(e)
     (tl, _), (tr, _) = tri.slots(e)
     t2, corr = tri.flip_edge(e)

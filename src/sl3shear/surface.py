@@ -51,6 +51,10 @@ class SameEdge(SurfaceError):
     pass
 
 
+class UnknownInterval(SurfaceError):
+    """An edge that should be a boundary interval is unknown or interior."""
+
+
 class ResultViolatesSurfaceConditions(SurfaceError):
     pass
 
@@ -373,8 +377,9 @@ class IdealTriangulation:
         """
         if e_l == e_r:
             raise SameEdge(e_l)
-        if not self.is_boundary(e_l) or not self.is_boundary(e_r):
-            raise ValueError("gluing requires two boundary intervals")
+        for e in (e_l, e_r):
+            if not self.has_edge(e) or self.is_interior(e):
+                raise UnknownInterval(e)
         (sl, _), (sr, _) = self._slots[e_l], self._slots[e_r]
         tri_sides = {}
         for t, sides in self.tri_sides.items():

@@ -31,7 +31,7 @@ from .seeds import (
     side_pair,
     triangle_quiver,
 )
-from .surface import Sl3Error
+from .surface import NotInteriorEdge, Sl3Error
 
 
 class SeedMismatch(Sl3Error):
@@ -189,8 +189,6 @@ def flip_local_labels(tri, e):
     diagonal (terminal, initial), 2, 4 the left/right faces, then the
     (p, q) pairs of the outer sides counterclockwise from the top-left:
     (5,6), (7,8), (9,10), (11,12)."""
-    from .surface import NotInteriorEdge
-
     if tri.is_boundary(e):
         raise NotInteriorEdge(e)
     (tl, il), (tr, ir) = tri.slots(e)

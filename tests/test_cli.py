@@ -193,6 +193,13 @@ def _alpha(**fields):
         (["shear", "--surface", "{surf}", "--lamination", "{component_weight_float}"], 2),
         (["shear", "--surface", "{surf}", "--lamination", "{component_corner_str}"], 2),
         (["shear", "--surface", "{surf}", "--lamination", "{component_corner_3}"], 2),
+        # gluing at an interior edge is a domain error, at an unknown name
+        # a usage error
+        (["glue", "--surface", "{surf}", "--lamination", "{empty}", "--left", "d2", "--right", "b0"], 1),
+        (["glue", "--surface", "{surf}", "--lamination", "{empty}", "--left", "zz", "--right", "b0"], 2),
+        # a surface document that breaks a triangulation invariant
+        (["seed", "--surface", "{self_folded}"], 2),
+        (["reconstruct", "--surface", "{self_folded}", "--coords", '{"e:a:1":"1"}'], 2),
     ],
 )
 def test_cli_error_table(argv, code, tmp_path, capsys):
@@ -233,6 +240,10 @@ def test_cli_error_table(argv, code, tmp_path, capsys):
         "{component_weight_float}": {"components": [_alpha(weight=0.5)]},
         "{component_corner_str}": {"components": [_alpha(corner="1")]},
         "{component_corner_3}": {"components": [_alpha(corner=3)]},
+        "{empty}": {"picture": {}},
+        "{self_folded}": {"triangles": [
+            {"id": "T0", "sides": ["a", "a", "b"]}, {"id": "T1", "sides": ["b", "c", "d"]},
+        ]},
     }
     for name, doc in malformed.items():
         (tmp_path / f"{name[1:-1]}.json").write_text(json.dumps(doc))
@@ -324,7 +335,7 @@ def test_picture_json_roundtrip(polygon4, torus):
             back = jio.picture_from_obj(obj, tri)
             assert back.honeycombs == pic.honeycombs
             assert back.corners == pic.corners
-            assert back.pairings == pic.pairings
+            assert back.strand_lists == pic.strand_lists
 
 
 def test_picture_decoder_checks_pairings(polygon4, tmp_path, capsys):

@@ -26,3 +26,27 @@ def test_modules_have_no_unused_imports():
     assert modules
     unused = {p.name: _unused_imports(p) for p in modules}
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+def _function_imports(path):
+    """``(function, module)`` for each import statement inside a function."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Import):
+                    found += [(fn.name, alias.name) for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    found.append((fn.name, "." * node.level + (node.module or "")))
+    return found
+
+
+def test_modules_import_at_the_top():
+    """The one import inside a function is elementary_lamination's import
+    of reconstruct, which breaks the cycle laminations -> reconstruct ->
+    laminations."""
+    local = {p.name: _function_imports(p) for p in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in local.items() if found} == {
+        "laminations.py": [("elementary_lamination", ".reconstruct")]
+    }

@@ -503,7 +503,6 @@ def test_cached_strand_structure_matches_corner_stacks():
             assert pic.strand_list(slot, d) == zones
             assert pic.strand_lists[(slot, d)] == zones
             assert pic.strand_count(slot, d) == n
-            assert pic.initial_zone_size(slot, d) == n0
             for k in range(n):
                 assert pic.strand_parameter(slot, d, k) == F(2 * (k - n0) + 1, 2)
         diags = pic.validate()
@@ -551,16 +550,16 @@ def test_amalgamation_derives_each_picture_once(monkeypatch):
         return check(pic)
 
     derived = []
-    derive = GlobalPicture._strands.func
+    derive = GlobalPicture.strand_lists.func
 
     def counting_derive(pic):
         derived.append(pic)
         return derive(pic)
 
     strands = cached_property(counting_derive)
-    strands.__set_name__(GlobalPicture, "_strands")
+    strands.__set_name__(GlobalPicture, "strand_lists")
     monkeypatch.setattr(GlobalPicture, "_check", counting_check)
-    monkeypatch.setattr(GlobalPicture, "_strands", strands)
+    monkeypatch.setattr(GlobalPicture, "strand_lists", strands)
 
     pic = reconstruct(x, tri)
     assert shear_unfrozen(pic) == x

@@ -17,7 +17,8 @@ from sl3shear.reconstruct import (
     Traveler,
     TruncationTooShallow,
     _CoordStepper,
-    _materialize,
+    _integral_point,
+    _pictures,
     _step_cap,
     build_picture,
     identifier_relations,
@@ -103,7 +104,7 @@ def test_reconstruct_rational_rescaled(polygon4):
     pic = reconstruct(x, polygon4)
     assert shear_unfrozen(pic) == x
     with pytest.raises(NonIntegralInput):
-        reconstruct(x, polygon4, normalize=False)
+        trace_coordinates(x, polygon4, _step_cap(x, polygon4))
 
 
 def test_spiral_depth_independence(torus):
@@ -112,8 +113,8 @@ def test_spiral_depth_independence(torus):
     for _ in range(25):
         coords = {i: F(rng.randint(-4, 4)) for i in iset.unfrozen}
         x = xpoint(torus, coords)
-        a = reconstruct(x, torus, spiral_turns=2)
-        b = reconstruct(x, torus, spiral_turns=3)
+        stepper, travelers = trace_coordinates(x, torus, _step_cap(x, torus))
+        a, b = _pictures(stepper, travelers, (2, 3))
         assert shear_unfrozen(a) == x
         assert shear_unfrozen(b) == x
 
@@ -251,8 +252,8 @@ def test_trace_skips_visited_seeds_like_key_dedup(spec):
         ref_stepper, ref = _trace_by_key(x, tri, cap)
         assert len(travelers) == len(ref)
         for turns in (2, 3):
-            pic = _materialize(stepper, travelers, turns)
-            want = _materialize(ref_stepper, ref, turns)
+            pic = _pictures(stepper, travelers, (turns,))[0]
+            want = _pictures(ref_stepper, ref, (turns,))[0]
             assert (pic.corners, pic.honeycombs) == (want.corners, want.honeycombs)
 
 
@@ -479,11 +480,12 @@ def test_tracer_stays_on_the_int_grid(spec, monkeypatch):
         for coords in integral:
             x = xpoint(tri, coords)
             stepper, travelers = rec.trace_coordinates(x, tri, _step_cap(x, tri))
-            out += [_materialize(stepper, travelers, n) for n in (2, 3)]
+            out += [_pictures(stepper, travelers, (n,))[0] for n in (2, 3)]
             assert rec.roundtrip_check(x, tri)["ok"]
         for coords in rational:
-            x = xpoint(tri, coords)
-            out += [reconstruct(x, tri, spiral_turns=n) for n in (2, 3)]
+            u, xi = _integral_point(xpoint(tri, coords), tri)
+            stepper, travelers = rec.trace_coordinates(xi, tri, _step_cap(xi, tri))
+            out += _pictures(stepper, travelers, (2, 3), F(1, u))
         return [(p.corners, p.honeycombs) for p in out]
 
     with monkeypatch.context() as m:
@@ -526,7 +528,7 @@ def test_roundtrip_shares_one_tail_walk(spec, monkeypatch):
         assert rep["ok"] and rep["stable"]
         stepper, travelers = trace_coordinates(x, tri, _step_cap(x, tri))
         spirals += sum(end[0] == "spiral" for t in travelers for end in (t.start, t.end))
-        want = [_materialize(stepper, travelers, n) for n in (2, 3)]
+        want = [_pictures(stepper, travelers, (n,))[0] for n in (2, 3)]
         assert [(p.corners, p.honeycombs) for p in built] == [
             (p.corners, p.honeycombs) for p in want
         ]
