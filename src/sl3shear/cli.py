@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import io as jio
 from .laminations import shear_frozen
@@ -111,9 +110,9 @@ def _coords_arg(tri, text):
         if idx not in known:
             raise UsageError(f"unknown coordinate {key!r}")
         try:
-            coords[idx] = Fraction(val)
-        except (TypeError, ValueError, ZeroDivisionError):
-            raise UsageError(f"bad rational {val!r} for {key!r}") from None
+            coords[idx] = jio.exact_rational(val, f"coordinate {key!r}")
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     return coords
 
 

@@ -125,7 +125,9 @@ def tropical_point_to_obj(p):
 
 
 def tropical_point_from_obj(obj, tri=None):
-    coords = {index_from_str(k): Fraction(v) for k, v in obj["coords"].items()}
+    coords = {
+        index_from_str(k): exact_rational(v, f"coords[{k!r}]") for k, v in obj["coords"].items()
+    }
     return TropicalPoint(obj["kind"], coords, tri=tri, restricted=obj.get("restricted", False))
 
 
@@ -149,8 +151,10 @@ def _one_of(value, allowed, where):
     return value
 
 
-def _weight_from_obj(value, where):
-    """An exact weight, written as a "p/q" string or an int."""
+def exact_rational(value, where):
+    """An exact rational, written as a "p/q" string or an int; a bool or a
+    float is refused, as is anything else.  ``where`` names the value in
+    the ``ValueError``."""
     if type(value) in (str, int):
         try:
             return Fraction(value)
@@ -161,7 +165,7 @@ def _weight_from_obj(value, where):
 
 def _entry_from_obj(obj, where):
     kind = _one_of(obj["type"], ("arc", "end"), f"{where}.type")
-    weight = _weight_from_obj(obj["weight"], f"{where}.weight")
+    weight = exact_rational(obj["weight"], f"{where}.weight")
     if kind == "arc":
         return CornerArc(_one_of(obj["orient"], ("cw", "ccw"), f"{where}.orient"), weight)
     sign = _one_of(obj["sign"], ("+", "-"), f"{where}.sign")
@@ -235,7 +239,7 @@ def picture_from_obj(obj, tri):
             honeycombs[t] = Honeycomb(
                 _one_of(hc["orient"], ("sink", "source"), f"{where}.honeycomb.orient"),
                 hc["height"],
-                _weight_from_obj(hc.get("weight", "1"), f"{where}.honeycomb.weight"),
+                exact_rational(hc.get("weight", "1"), f"{where}.honeycomb.weight"),
             )
         for c_s, stack in entry.get("corners", {}).items():
             _one_of(c_s, ("0", "1", "2"), f"{where}.corners key")
@@ -273,7 +277,7 @@ def components_from_obj(obj, tri):
         corner = c.get("corner", 0)
         if type(corner) is not int or corner not in (0, 1, 2):
             raise ValueError(f"components[{n}].corner is {corner!r}, not one of 0, 1, 2")
-        weight = _weight_from_obj(c["weight"], f"components[{n}].weight")
+        weight = exact_rational(c["weight"], f"components[{n}].weight")
         comps.append(Component(c["kind"], c["carrier"], weight, corner))
     return ComponentSum(tri, comps)
 
@@ -305,7 +309,7 @@ def pinned_from_obj(obj, tri):
             raise ValueError(f"{where}: {e!r} is not a boundary interval of the surface")
         if type(v) is not list or len(v) != 2:
             raise ValueError(f"{where} is {v!r}, not a list of two")
-        delta[e] = (_weight_from_obj(v[0], f"{where}[0]"), _weight_from_obj(v[1], f"{where}[1]"))
+        delta[e] = (exact_rational(v[0], f"{where}[0]"), exact_rational(v[1], f"{where}[1]"))
     return PinnedLamination(under, delta)
 
 

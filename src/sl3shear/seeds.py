@@ -3,16 +3,21 @@ elementary triangle quiver and its amalgamation into the exchange matrix,
 the frozen m-matrix, matrix mutation and the mutation sequences realizing
 flips and the Dynkin involution.
 
-:func:`triangle_quiver` is the one definition of the quiver: the exchange
-matrix sums it over every triangle, :func:`flip_quiver` over the two
-triangles of a flipped edge (every entry a flip mutation reads or writes
-comes from those two), and the ensemble map folds it against a point.
-Mutation touches only the pairs of neighbours of the mutated index.
+The elementary quiver is defined once, with its weights doubled to ints
+(:func:`_doubled_quiver`): the exchange matrix sums it over every
+triangle, :func:`flip_quiver` over the two triangles of a flipped edge
+(every entry a flip mutation reads or writes comes from those two),
+:func:`flip_plan` runs a flip's four mutations on those two in ints, once
+per (triangulation, edge), and :func:`extended_columns` tabulates
+2(eps + m) once per triangulation for the ensemble map.  Both are kept
+in the triangulation's ``memo``.  Mutation touches only the pairs of
+neighbours of the mutated index.
 
 Indices are tuples: ``("tri", t)`` for the face index of triangle ``t``
 and ``("edge", e, s)`` with ``s in (1, 2)`` for the two points on edge
 ``e`` (``s = 1`` nearer the initial endpoint of the oriented edge).  All
-matrix entries are exact :class:`fractions.Fraction` values.
+matrix entries are exact :class:`fractions.Fraction` values; the flip
+plans and the ensemble table hold exact ints.
 """
 
 from __future__ import annotations
@@ -188,32 +193,46 @@ class Permute:
         return dict(self.mapping)
 
 
-def triangle_quiver(tri, t):
-    """The arrows ``(i, j, w)`` of the elementary quiver of triangle ``t``.
+def _doubled_quiver(tri, t):
+    """The arrows ``(i, j, 2w)`` of the elementary quiver of triangle ``t``,
+    with the weight doubled to an int.
 
     Per side (p_a, q_a) in counterclockwise order, with face f: p_a -> f,
     f -> q_a, q_a -> p_{a+1} (solid, weight 1) and q_a -> p_a (dashed,
     weight 1/2).  An arrow i -> j of weight w is the pair of entries
-    eps_ij = w, eps_ji = -w.
-    """
+    eps_ij = w, eps_ji = -w."""
     f = ("tri", t)
     pairs = [side_pair(tri, (t, a)) for a in range(3)]
     arrows = []
     for a in range(3):
         p, q = pairs[a]
-        arrows += [(p, f, 1), (f, q, 1), (q, pairs[(a + 1) % 3][0], 1), (q, p, HALF)]
+        arrows += [(p, f, 2), (f, q, 2), (q, pairs[(a + 1) % 3][0], 2), (q, p, 1)]
     return arrows
 
 
-def _amalgamate(tri, triangles, indices):
-    """The sum of the elementary quivers of ``triangles``; the dashed
-    arrows on edges shared by two of them cancel."""
-    eps = RationalMatrix(indices)
+def triangle_quiver(tri, t):
+    """The arrows ``(i, j, w)`` of the elementary quiver of triangle ``t``
+    (see :func:`_doubled_quiver`), with exact weights."""
+    return [(i, j, 1 if w2 == 2 else HALF) for i, j, w2 in _doubled_quiver(tri, t)]
+
+
+def _doubled_sum(tri, triangles, sign=1, into=None):
+    """``sign`` times twice the sum of the elementary quivers of
+    ``triangles``, added into the int entries ``{(i, j): 2 eps_ij}`` of
+    ``into`` (a new dict by default); the dashed arrows on edges shared
+    by two of them cancel to zero entries, which are kept."""
+    out = {} if into is None else into
     for t in triangles:
-        for i, j, w in triangle_quiver(tri, t):
-            eps.add(i, j, w)
-            eps.add(j, i, -w)
-    return eps
+        for i, j, w2 in _doubled_quiver(tri, t):
+            out[i, j] = out.get((i, j), 0) + sign * w2
+            out[j, i] = out.get((j, i), 0) - sign * w2
+    return out
+
+
+def _amalgamate(tri, triangles, indices):
+    """The sum of the elementary quivers of ``triangles`` as a matrix."""
+    doubled = _doubled_sum(tri, triangles)
+    return RationalMatrix(indices, {ij: Fraction(w2, 2) for ij, w2 in doubled.items()})
 
 
 def exchange_matrix(tri):
@@ -240,21 +259,21 @@ def flip_quiver(tri, e):
     return ExchangeMatrix(_amalgamate(tri, (tl, tr), indices), frozen)
 
 
-def boundary_block(e):
-    """The entries ``(i, j, w)`` of the symmetric frozen matrix at the
+def _doubled_boundary_block(e):
+    """The entries ``(i, j, 2w)`` of the symmetric frozen matrix at the
     boundary interval ``e`` with points p = (e,1), q = (e,2):
-    m_pp = m_qq = -1, m_pq = m_qp = 1/2."""
+    m_pp = m_qq = -1, m_pq = m_qp = 1/2, doubled to ints."""
     p, q = ("edge", e, 1), ("edge", e, 2)
-    return [(p, p, -1), (q, q, -1), (p, q, HALF), (q, p, HALF)]
+    return [(p, p, -2), (q, q, -2), (p, q, 1), (q, p, 1)]
 
 
 def m_matrix(tri):
-    """The symmetric frozen matrix, one :func:`boundary_block` per
-    boundary interval."""
+    """The symmetric frozen matrix, one boundary block per boundary
+    interval."""
     m = RationalMatrix(Sl3IndexSet(tri).all)
     for e in tri.boundary_intervals:
-        for i, j, w in boundary_block(e):
-            m[i, j] = w
+        for i, j, w2 in _doubled_boundary_block(e):
+            m[i, j] = Fraction(w2, 2)
     return m
 
 
@@ -262,6 +281,40 @@ def extended_matrix(tri):
     """The matrix eps + m used by the ensemble map."""
     iset, eps = exchange_matrix(tri)
     return iset, eps.matrix + m_matrix(tri)
+
+
+def extended_columns(tri):
+    """The nonzero entries of 2(eps + m) by column, as ints:
+    ``j -> ((i, 2(eps+m)_ij), ...)``.  Built once per triangulation and
+    kept in its ``memo``; :func:`flip_plan` derives a flipped
+    triangulation's columns from these."""
+    columns = tri.memo.get("extended columns")
+    if columns is None:
+        doubled = _doubled_sum(tri, tri.triangles)
+        for e in tri.boundary_intervals:
+            for i, j, w2 in _doubled_boundary_block(e):
+                doubled[i, j] = doubled.get((i, j), 0) + w2
+        columns = tri.memo["extended columns"] = _add_columns({}, doubled)
+    return columns
+
+
+def _add_columns(columns, doubled):
+    """``columns`` plus the entries ``{(i, j): w2}`` of ``doubled``, as a
+    new column dict; ``columns`` is left as it is."""
+    changed = {}
+    for (i, j), w2 in doubled.items():
+        if w2:
+            if j not in changed:
+                changed[j] = dict(columns.get(j, ()))
+            changed[j][i] = changed[j].get(i, 0) + w2
+    out = dict(columns)
+    for j, col in changed.items():
+        col = tuple((i, w2) for i, w2 in col.items() if w2)
+        if col:
+            out[j] = col
+        else:
+            del out[j]
+    return out
 
 
 def mutate_matrix(eps, k):
@@ -323,6 +376,69 @@ def flip_mutation_sequence(tri, e):
         Permute.of(corr.index_map),
     ]
     return steps, t2, corr
+
+
+@dataclass(frozen=True)
+class FlipPlan:
+    """What the flip at an edge does to seeds, derived once per
+    (triangulation, edge): the flipped triangulation ``tri``, the index
+    correspondence ``corr``, the indices of the flip quadrilateral
+    (``local``) and the ``frozen`` ones among them, and the flip's four
+    mutations as ``columns`` ``(k, ((i, eps_ik), ...))`` in order, each
+    read off the exchange matrix as it stands before that mutation.
+    Every entry touching an unfrozen index is an integer, so the columns
+    hold plain ints."""
+
+    tri: object
+    corr: object
+    local: tuple
+    frozen: frozenset
+    columns: tuple
+
+
+def flip_plan(tri, e):
+    """The :class:`FlipPlan` of the flip at ``e``, kept in ``tri.memo``.
+
+    The mutation order is that of :func:`flip_mutation_sequence`.  The
+    columns come from the two triangles at ``e``, which hold every entry
+    touching a mutated index (see :func:`flip_quiver`), and the
+    mutations update only the entries touching one; no other entry is
+    ever read."""
+    plan = tri.memo.get(("flip plan", e))
+    if plan is not None:
+        return plan
+    t2, corr = tri.flip_edge(e)
+    (tl, _), (tr, _) = tri.slots(e)
+    order = (("edge", e, 2), ("edge", e, 1), ("tri", tr), ("tri", tl))
+    doubled = _doubled_sum(tri, (tl, tr))
+    local = tuple({i: None for ij in doubled for i in ij})
+    mutated = frozenset(order)
+    eps = {}  # eps[i][j] = eps_ij, for the pairs touching a mutated index
+    for (i, j), w2 in doubled.items():
+        if w2 and (i in mutated or j in mutated):
+            eps.setdefault(i, {})[j] = w2 // 2
+    columns = []
+    for k in order:
+        col = tuple((i, -v) for i, v in eps[k].items() if v)
+        columns.append((k, col))
+        for i, vik in col:
+            eps[i][k] = -vik
+            eps[k][i] = vik
+        # eps_ij += sgn(eps_ik) [eps_ik eps_kj]_+ with eps_kj = -eps_jk,
+        # which is |eps_ik| (-eps_jk) where eps_ik and eps_jk differ in sign
+        for i, vik in col:
+            row = eps[i]
+            for j, vjk in col:
+                if (vik > 0) != (vjk > 0) and (i in mutated or j in mutated):
+                    row[j] = row.get(j, 0) - abs(vik) * vjk
+    frozen = frozenset(i for i in local if i[0] == "edge" and tri.is_boundary(i[1]))
+    plan = tri.memo[("flip plan", e)] = FlipPlan(t2, corr, local, frozen, tuple(columns))
+    # a flip changes the quivers of its two triangles only
+    parent_columns = tri.memo.get("extended columns")
+    if parent_columns is not None and "extended columns" not in t2.memo:
+        delta = _doubled_sum(tri, (tl, tr), sign=-1, into=_doubled_sum(t2, (tl, tr)))
+        t2.memo["extended columns"] = _add_columns(parent_columns, delta)
+    return plan
 
 
 def dynkin_mutation_sequence(tri):

@@ -16,7 +16,9 @@ agree with the boundary orientation of the surface.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class Sl3Error(Exception):
@@ -142,7 +144,12 @@ class IdealTriangulation:
         self.edges = sorted(self._slots)
         self.interior_edges = [e for e in self.edges if self._slots[e][1] is not None]
         self.boundary_intervals = [e for e in self.edges if self._slots[e][1] is None]
-        self._vertices, self._corner_vertex = self._compute_vertices()
+        self._key_vertices(self._vertex_classes())
+        self._names = None  # see _naming
+        # data derived from this triangulation once: its flips here, flip
+        # plans and the ensemble table in seeds.  No value references
+        # this triangulation, so memoizing never keeps an old one alive.
+        self.memo = {}
 
     # -- basic queries ---------------------------------------------------
 
@@ -166,8 +173,11 @@ class IdealTriangulation:
     # Corners: (t, i) is the corner at the terminal endpoint of side i,
     # equivalently the initial endpoint of side i+1, of triangle t.
 
-    def _compute_vertices(self):
-        corners = [(t, i) for t in sorted(self.tri_sides) for i in range(3)]
+    def _vertex_classes(self):
+        """The corners at each vertex, as sorted lists: the classes of
+        the union-find that joins the two corners at each end of every
+        interior edge."""
+        corners = [(t, i) for t in self.triangles for i in range(3)]
         parent = {c: c for c in corners}
 
         def find(c):
@@ -191,30 +201,54 @@ class IdealTriangulation:
         classes = {}
         for c in corners:
             classes.setdefault(find(c), []).append(c)
-        corner_vertex = {}
-        vertices = {}
-        for n, root in enumerate(sorted(classes)):
-            vid = f"v{n}"
-            on_boundary = False
-            for (t, i) in classes[root]:
-                for side in (i, (i + 1) % 3):
-                    if self.is_boundary(self.tri_sides[t][side]):
-                        on_boundary = True
-            vertices[vid] = SPECIAL if on_boundary else PUNCTURE
-            for c in classes[root]:
-                corner_vertex[c] = vid
-        return vertices, corner_vertex
+        return list(classes.values())
+
+    def _key_vertices(self, classes):
+        """Key the vertices ``0, 1, ...`` in the order of their least
+        corner; a vertex is special when a side at one of its corners is
+        a boundary interval."""
+        self._key_corners = {}
+        self._key_kind = {}
+        self._corner_key = {}
+        for key, cs in enumerate(sorted(classes)):
+            on_boundary = any(
+                self.is_boundary(self.tri_sides[t][side])
+                for t, i in cs
+                for side in (i, (i + 1) % 3)
+            )
+            self._key_kind[key] = SPECIAL if on_boundary else PUNCTURE
+            self._key_corners[key] = tuple(cs)
+            for c in cs:
+                self._corner_key[c] = key
+
+    def _naming(self):
+        """``(key -> vertex id, vertex id -> key, vertex id -> class)``:
+        the vertices are named ``v0, v1, ...`` in the order of their
+        least corner.  A flip keeps the vertex keys but may move least
+        corners, so a flipped triangulation names its vertices on first
+        use.  Readers take ``self._names or self._naming()``: a plain
+        attribute that ``__init__`` and ``_flip`` set in the same order,
+        which keeps attribute reads on CPython's fast path."""
+        if self._names is None:
+            order = sorted(self._key_corners, key=self._key_corners.__getitem__)
+            names = {key: f"v{n}" for n, key in enumerate(order)}
+            self._names = (
+                names,
+                {name: key for key, name in names.items()},
+                {name: self._key_kind[key] for key, name in names.items()},
+            )
+        return self._names
 
     @property
     def vertices(self):
         """Map vertex id -> class ('puncture' or 'special')."""
-        return dict(self._vertices)
+        return dict((self._names or self._naming())[2])
 
     def corner_vertex(self, t, i):
-        return self._corner_vertex[(t, i % 3)]
+        return (self._names or self._naming())[0][self._corner_key[(t, i % 3)]]
 
     def punctures(self):
-        return sorted(v for v, c in self._vertices.items() if c == PUNCTURE)
+        return sorted(v for v, c in (self._names or self._naming())[2].items() if c == PUNCTURE)
 
     def edge_endpoints(self, e):
         """(initial vertex, terminal vertex) of the oriented edge ``e``."""
@@ -222,7 +256,8 @@ class IdealTriangulation:
         return (self.corner_vertex(tl, il - 1), self.corner_vertex(tl, il))
 
     def corners_at_vertex(self, v):
-        return sorted(c for c, w in self._corner_vertex.items() if w == v)
+        key = (self._names or self._naming())[1].get(v)
+        return list(self._key_corners[key]) if key is not None else []
 
     def other_slot(self, slot):
         e = self.edge_at(slot)
@@ -237,11 +272,10 @@ class IdealTriangulation:
 
     def euler_char_punctured(self):
         """Euler characteristic of the surface with punctures removed."""
-        n_special = sum(1 for c in self._vertices.values() if c == SPECIAL)
-        return n_special - len(self._slots) + len(self.tri_sides)
+        return self.n_special() - len(self._slots) + len(self.tri_sides)
 
     def n_special(self):
-        return sum(1 for c in self._vertices.values() if c == SPECIAL)
+        return sum(1 for c in self._key_kind.values() if c == SPECIAL)
 
     def validate(self):
         """Return a list of diagnostics; empty iff all invariants hold."""
@@ -333,7 +367,20 @@ class IdealTriangulation:
         shared by the two ``T_L``-sides to the corner shared by the two
         ``T_R``-sides (so the new left triangle is the one containing the
         old terminal corner of ``e``).
+
+        The result is memoized on this triangulation: flipping ``e`` again
+        returns the same pair.  A refused flip is not memoized.
         """
+        flip = self.memo.get(("flip", e))
+        if flip is None:
+            flip = self.memo[("flip", e)] = self._flip(e)
+        return flip
+
+    def _flip(self, e):
+        """The flip at ``e``, built from this triangulation by editing
+        what the flip changes: the two triangles, the slots of the five
+        edges on them and the vertices of their six corners.  A flip
+        keeps every id, so the sorted lists are shared."""
         if self.is_boundary(e):
             raise NotInteriorEdge(e)
         (tl, il), (tr, ir) = self._slots[e]
@@ -343,12 +390,13 @@ class IdealTriangulation:
         k = self.tri_sides[tr][(ir + 2) % 3]
         if g == k or f == h:
             raise FlipCreatesSelfFolded(e)
-        tri_sides = dict(self.tri_sides)
+        t2 = object.__new__(IdealTriangulation)
+        t2.tri_sides = dict(self.tri_sides)
         # tl becomes the new "top" triangle (old terminal corner of e),
         # tr the new "bottom" triangle.
-        tri_sides[tl] = (e, k, g)
-        tri_sides[tr] = (f, h, e)
-        # each outer side keeps its traversal direction, so left slots move
+        t2.tri_sides[tl] = (e, k, g)
+        t2.tri_sides[tr] = (f, h, e)
+        # each outer side keeps its traversal direction, so its slots move
         # by role: g,f were the other sides of tl; h,k those of tr
         role = {
             (tl, (il + 1) % 3): (tl, 2),
@@ -356,14 +404,48 @@ class IdealTriangulation:
             (tr, (ir + 1) % 3): (tr, 1),
             (tr, (ir + 2) % 3): (tl, 1),
         }
-        slot_l = {}
-        for e2, (sl, _) in self._slots.items():
-            if e2 == e:
-                continue
-            slot_l[e2] = role.get(sl, sl)
-        slot_l[e] = (tl, 0)
-        t2 = IdealTriangulation(tri_sides, slot_l=slot_l)
-        corr = EdgeCorrespondence.for_flip(self, e, tl, tr)
+        t2._slots = dict(self._slots)
+        for side in (g, f, h, k):
+            t2._slots[side] = tuple(role.get(s, s) for s in self._slots[side])
+        t2._slots[e] = ((tl, 0), (tr, 2))
+        t2.triangles = self.triangles
+        t2.edges = self.edges
+        t2.interior_edges = self.interior_edges
+        t2.boundary_intervals = self.boundary_intervals
+        # the vertices of the quadrilateral: e ran from start to end, the
+        # new diagonal runs from top (tl's apex) to bottom (tr's apex)
+        ck = self._corner_key
+        end, top, start = (ck[tl, (il + n) % 3] for n in range(3))
+        bottom = ck[tr, (ir + 1) % 3]
+        new_keys = {(tl, 0): bottom, (tl, 1): end, (tl, 2): top,
+                    (tr, 0): start, (tr, 1): bottom, (tr, 2): top}
+        t2._key_corners = dict(self._key_corners)
+        for key in {end, top, start, bottom}:
+            corners = list(self._key_corners[key])
+            for c in new_keys:
+                if ck[c] == key:
+                    del corners[bisect_left(corners, c)]
+            for c, w in new_keys.items():
+                if w == key:
+                    insort(corners, c)
+            t2._key_corners[key] = tuple(corners)
+        t2._key_kind = self._key_kind
+        t2._corner_key = dict(ck)
+        t2._corner_key.update(new_keys)
+        t2._names = None
+        t2.memo = {}
+        # local labels 1,3 (diagonal) become the new faces; local labels
+        # 2,4 (faces) become the new diagonal's vertices
+        corr = EdgeCorrespondence(
+            moved={
+                ("edge", e, 2): ("tri", tl),
+                ("edge", e, 1): ("tri", tr),
+                ("tri", tl): ("edge", e, 1),
+                ("tri", tr): ("edge", e, 2),
+            },
+            edges=self.edges,
+            triangles=self.triangles,
+        )
         return t2, corr
 
     # -- gluing -----------------------------------------------------------
@@ -394,8 +476,8 @@ class IdealTriangulation:
         if diags:
             raise ResultViolatesSurfaceConditions("; ".join(diags))
         vertex_map = {}
-        for (t, i), v in self._corner_vertex.items():
-            vertex_map[v] = t2.corner_vertex(t, i)
+        for c in self._corner_key:
+            vertex_map[self.corner_vertex(*c)] = t2.corner_vertex(*c)
         return t2, GlueResult(new_edge=e_l, vertex_map=vertex_map)
 
 
@@ -409,31 +491,31 @@ class GlueResult:
 class EdgeCorrespondence:
     """Bookkeeping for a flip: the seed-index bijection.
 
-    ``index_map`` sends every index of the old triangulation's index set
-    to the corresponding index of the new one (faces of the two flipped
-    triangles trade places with the diagonal's two edge indices).
+    A flip keeps every edge and triangle id and moves four indices: the
+    faces of the two flipped triangles trade places with the diagonal's
+    two edge indices.  ``moved`` maps those four; ``corr[i]`` maps any
+    index in O(1), every other index keeping its label.  ``index_map``
+    is the whole bijection as a dict over the old index set, built on
+    first use from the triangulation's sorted ``edges`` and
+    ``triangles``.
     """
 
-    index_map: dict
+    moved: dict
+    edges: list
+    triangles: list
 
-    @staticmethod
-    def for_flip(t_old, e, tl, tr):
+    def __getitem__(self, i):
+        return self.moved.get(i, i)
+
+    @cached_property
+    def index_map(self):
         index_map = {}
-        for e2 in t_old.edges:
-            if e2 == e:
-                continue
-            index_map[("edge", e2, 1)] = ("edge", e2, 1)
-            index_map[("edge", e2, 2)] = ("edge", e2, 2)
-        for t in t_old.triangles:
-            if t not in (tl, tr):
-                index_map[("tri", t)] = ("tri", t)
-        # local labels 1,3 (diagonal) become the new faces; local labels
-        # 2,4 (faces) become the new diagonal's vertices
-        index_map[("edge", e, 2)] = ("tri", tl)
-        index_map[("edge", e, 1)] = ("tri", tr)
-        index_map[("tri", tl)] = ("edge", e, 1)
-        index_map[("tri", tr)] = ("edge", e, 2)
-        return EdgeCorrespondence(index_map=index_map)
+        for e in self.edges:
+            index_map[("edge", e, 1)] = self[("edge", e, 1)]
+            index_map[("edge", e, 2)] = self[("edge", e, 2)]
+        for t in self.triangles:
+            index_map[("tri", t)] = self[("tri", t)]
+        return index_map
 
 
 # -- canonical families ----------------------------------------------------

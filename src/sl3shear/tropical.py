@@ -2,11 +2,13 @@
 them: X- and A-mutation, the closed-form flip map, the ensemble map, the
 Dynkin cluster action and the principal embedding.
 
-A flip mutates only its quadrilateral: :func:`apply_flip` runs the flip's
-mutation sequence on the quiver of the flipped edge's two triangles and
-on the point's coordinates at their indices, and relabels the rest.  The
-ensemble map folds the elementary triangle quiver and the frozen blocks
-against the A-point triangle by triangle, without assembling eps + m.
+A flip mutates only its quadrilateral: :func:`apply_flip` runs the
+mutation columns of the flip's plan (:func:`seeds.flip_plan`, built once
+per triangulation and edge) on the point's coordinates at the
+quadrilateral, and relabels four indices; every other coordinate is
+shared with the input.  The ensemble map folds the int table of 2(eps + m)
+(:func:`seeds.extended_columns`) against the A-point scaled to ints, and
+the Dynkin action runs its corrections on the scaled X-point.
 
 The single tropical semifield in use is (Q, max, +).  All coordinates are
 :class:`fractions.Fraction`; there are no tolerances anywhere.
@@ -18,18 +20,15 @@ from fractions import Fraction
 from math import lcm
 
 from .seeds import (
-    Sl3IndexSet,
     ZERO,
     Mutate,
     FrozenIndexMutation,
-    boundary_block,
-    exchange_matrix,
-    flip_quiver,
-    mutate_matrix,
-    flip_mutation_sequence,
     dynkin_mutation_sequence,
+    exchange_matrix,
+    extended_columns,
+    flip_plan,
+    mutate_matrix,
     side_pair,
-    triangle_quiver,
 )
 from .surface import NotInteriorEdge, Sl3Error
 
@@ -43,13 +42,14 @@ class BadLabeling(Sl3Error):
 
 
 def pos(u):
-    """The max-plus bracket [u]_+ = max(0, u)."""
-    return u if u > 0 else ZERO
+    """The max-plus bracket [u]_+ = max(0, u), for ints and Fractions: a
+    nonpositive u gives the int 0."""
+    return u if u > 0 else 0
 
 
 def bracket3(x, y, z):
     """[x, y, z]_+ = max(0, x, x+y, x+y+z)."""
-    return max(ZERO, x, x + y, x + y + z)
+    return max(0, x, x + y, x + y + z)
 
 
 class TropicalPoint:
@@ -63,9 +63,12 @@ class TropicalPoint:
         if kind not in ("X", "A"):
             raise ValueError(kind)
         self.kind = kind
-        self.coords = {
-            i: v if type(v) is Fraction else Fraction(v) for i, v in coords.items() if v != 0
-        }
+        self.coords = {}
+        for i, v in coords.items():
+            if type(v) is not Fraction:
+                v = Fraction(v)
+            if v:
+                self.coords[i] = v
         self.tri = tri
         self.restricted = bool(restricted)
 
@@ -220,7 +223,8 @@ def flip_x_closed_form(p, tri, e):
     lab = flip_local_labels(tri, e)
     if len(set(lab.values())) != 12:
         raise BadLabeling("flip quadrilateral has identified sides")
-    x = {n: p[lab[n]] for n in range(1, 13)}
+    # in the ints d x, with d the lcm of the 12 denominators
+    d, x = _scaled({n: p[lab[n]] for n in range(1, 13)})
     b123 = bracket3(x[1], x[2], x[3])
     b341 = bracket3(x[3], x[4], x[1])
     new = {
@@ -237,91 +241,118 @@ def flip_x_closed_form(p, tri, e):
         11: x[11] + x[3] + x[4] + pos(x[1]) - b341,
         12: x[12] - pos(-x[1]),
     }
-    t2, corr = tri.flip_edge(e)
-    # local label n keeps its geometric position; map it to the index of
-    # the flipped triangulation occupying that position
-    out = {corr.index_map[i]: v for i, v in p.coords.items() if i not in lab.values()}
-    for n in range(1, 13):
-        out[corr.index_map[lab[n]]] = new[n]
-    if p.restricted:
-        frozen = Sl3IndexSet(t2).frozen
-        out = {i: v for i, v in out.items() if i not in frozen}
-    return TropicalPoint("X", out, tri=t2, restricted=p.restricted)
+    # local label n keeps its geometric position, so it maps to the index
+    # of the flipped triangulation occupying that position
+    return _flipped(p, flip_plan(tri, e), {lab[n]: Fraction(new[n], d) for n in range(1, 13)})
 
 
 def apply_flip(p, tri, e):
     """Transport a tropical point through the flip at ``e`` by the
     4-mutation sequence plus relabeling.  Works for X- and A-points.
 
-    The mutations run on :func:`flip_quiver` and on the coordinates at
-    its indices: no other coordinate moves, and no other entry of the
-    exchange matrix is read.  Identical to running the steps on the whole
-    exchange matrix and point."""
-    steps, t2, corr = flip_mutation_sequence(tri, e)
-    eps = flip_quiver(tri, e)
-    inside = {i: p[i] for i in eps.indices}
-    q, _ = apply_steps(p.replace(inside), eps, steps[:-1])
-    moved = corr.index_map
-    out = {moved[i]: v for i, v in p.coords.items() if i not in inside}
-    out.update((moved[i], v) for i, v in q.coords.items())
-    return TropicalPoint(p.kind, out, tri=t2, restricted=p.restricted)
+    The mutations run off the columns of the :func:`flip_plan`, on the
+    coordinates at the indices of the flip quadrilateral, scaled to ints:
+    no other coordinate moves, and no other entry of the exchange matrix
+    is read.  Identical to running the steps on the whole exchange
+    matrix and point."""
+    plan = flip_plan(tri, e)
+    # in the ints d x, with d the lcm of the quadrilateral's denominators
+    d, x = _scaled({i: p[i] for i in plan.local})
+    before = dict(x)
+    for k, col in plan.columns:
+        xk = x[k]
+        if p.kind == "X":
+            # x_i -= eps_ik [-sgn(eps_ik) x_k]_+, which is |eps_ik| x_k
+            # when eps_ik and x_k differ in sign
+            if xk:
+                for i, eik in col:
+                    if (eik > 0) != (xk > 0):
+                        x[i] += abs(eik) * xk
+            x[k] = -xk
+        else:
+            # a_k = -a_k + max(sum_i [eps_ki]_+ a_i, sum_i [-eps_ki]_+ a_i)
+            s_plus = s_minus = 0
+            for i, eik in col:
+                if eik < 0:
+                    s_plus -= eik * x[i]
+                else:
+                    s_minus += eik * x[i]
+            x[k] = max(s_plus, s_minus) - xk
+    # a coordinate the mutations left alone keeps its Fraction
+    return _flipped(p, plan, {i: Fraction(v, d) if v != before[i] else p[i] for i, v in x.items()})
+
+
+def _flipped(p, plan, local):
+    """``p`` carried through the flip of ``plan``: its coordinates at the
+    flip quadrilateral replaced by ``local`` (keyed by old index) and
+    relabeled by ``plan.corr``, every other one kept as it is.  A
+    restricted point keeps no frozen coordinate of the quadrilateral;
+    the others it never has.
+
+    Every value is a Fraction already, the point's own or one made from
+    exact ints, so only the quadrilateral's are checked for zero."""
+    coords = dict(p.coords)
+    for i in local:
+        coords.pop(i, None)
+    for i, v in local.items():
+        if v and not (p.restricted and i in plan.frozen):
+            coords[plan.corr[i]] = v
+    q = object.__new__(TropicalPoint)
+    q.kind, q.coords, q.tri, q.restricted = p.kind, coords, plan.tri, p.restricted
+    return q
+
+
+def _scaled(coords):
+    """``(d, {i: d v_i})``: the lcm d of the denominators of the Fractions
+    ``coords`` and the values scaled by it to ints."""
+    ratios = {i: v.as_integer_ratio() for i, v in coords.items()}
+    d = lcm(*(q for _, q in ratios.values()))
+    return d, {i: n * (d // q) for i, (n, q) in ratios.items()}
 
 
 def ensemble(a, tri):
     """The tropicalized extended ensemble map: x_i = sum_j (eps+m)_ij a_j,
-    with eps + m folded against ``a`` one triangle quiver and one
-    boundary block at a time.
+    folded over the columns of 2(eps + m) from :func:`extended_columns`.
 
     Every weight is a multiple of 1/2, so the fold runs on integers: with
     d the lcm of the denominators of ``a``, 2d x_i = sum_j (2w_ij)(d a_j)."""
     if a.kind != "A":
         raise SeedMismatch("A-point required")
-    d = lcm(*(v.denominator for v in a.coords.values()))
-    scaled = {i: v.numerator * (d // v.denominator) for i, v in a.coords.items()}
+    d, scaled = _scaled(a.coords)
+    columns = extended_columns(tri)
     out = {}
-
-    def add(i, j, w2):
-        if j in scaled:
-            out[i] = out.get(i, 0) + w2 * scaled[j]
-
-    for t in tri.triangles:
-        for i, j, w in triangle_quiver(tri, t):
-            w2 = 2 * w.numerator // w.denominator
-            add(i, j, w2)
-            add(j, i, -w2)
-    for e in tri.boundary_intervals:
-        for i, j, w in boundary_block(e):
-            add(i, j, 2 * w.numerator // w.denominator)
-    return TropicalPoint("X", {i: Fraction(v, 2 * d) for i, v in out.items()}, tri=tri)
+    for j, aj in scaled.items():
+        for i, w2 in columns.get(j, ()):
+            out[i] = out.get(i, 0) + w2 * aj
+    return TropicalPoint("X", {i: Fraction(v, 2 * d) for i, v in out.items() if v}, tri=tri)
 
 
 def dynkin_cluster(p, tri):
     """Closed form of the Dynkin involution on X-coordinates:
     x_T -> -x_T on faces; on each edge, the two coordinates swap with
     corrections from the adjacent face coordinates (terms of a missing
-    triangle, on boundary intervals, are zero)."""
+    triangle, on boundary intervals, are zero).
+
+    The corrections run on the integers d x, with d the lcm of the
+    denominators of ``p``; a coordinate without correction is the
+    swapped one as it is."""
     if p.kind != "X":
         raise SeedMismatch("X-point required")
+    d, x = _scaled(p.coords)
     out = {}
     for t in tri.triangles:
         v = p[("tri", t)]
-        if v != 0:
+        if v:
             out[("tri", t)] = -v
     for e in tri.edges:
         sl, sr = tri.slots(e)
-        xtl = p[("tri", sl[0])]
-        if sr is None:
-            xtr = None
-        else:
-            xtr = p[("tri", sr[0])]
-        x1 = p[("edge", e, 1)]
-        x2 = p[("edge", e, 2)]
-        n1 = x2 + pos(xtl) - (pos(-xtr) if xtr is not None else 0)
-        n2 = x1 + (pos(xtr) if xtr is not None else 0) - pos(-xtl)
-        if n1 != 0:
-            out[("edge", e, 1)] = n1
-        if n2 != 0:
-            out[("edge", e, 2)] = n2
+        xtl = x.get(("tri", sl[0]), 0)
+        xtr = 0 if sr is None else x.get(("tri", sr[0]), 0)
+        p1, p2 = ("edge", e, 1), ("edge", e, 2)
+        c1 = max(xtl, 0) + min(xtr, 0)
+        c2 = max(xtr, 0) + min(xtl, 0)
+        out[p1] = Fraction(x.get(p2, 0) + c1, d) if c1 else p[p2]
+        out[p2] = Fraction(x.get(p1, 0) + c2, d) if c2 else p[p1]
     return p.replace(out)
 
 

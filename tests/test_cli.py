@@ -121,6 +121,26 @@ def test_flip_and_dynkin_commands(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("value", ['"1/2"', "3", '"-3"'])
+def test_exact_coordinates_accepted(value, tmp_path, capsys):
+    """A "p/q" string and a JSON int are read exactly, as the picture
+    decoder reads weights."""
+    surf = tmp_path / "p4.json"
+    main(["surface", "--spec", "polygon:4", "--out", str(surf)])
+    capsys.readouterr()
+    code, out = run_cli(["dynkin", "--surface", str(surf), "--coords", f'{{"T_L":{value}}}'], capsys)
+    assert code == 0
+    want = F(json.loads(value))
+    assert {F(v) for v in json.loads(out)["coords"].values()} == {want, -want}
+
+
+@pytest.mark.parametrize("value", [0.1, True, 1.5, None, [1]])
+def test_tropical_point_decoder_refuses_inexact(polygon4, value):
+    doc = {"kind": "X", "coords": {"t:T1": value}}
+    with pytest.raises(ValueError, match=re.escape("coords['t:T1']")):
+        jio.tropical_point_from_obj(doc, tri=polygon4)
+
+
 def test_error_exit_code(tmp_path, capsys):
     surf = tmp_path / "p4.json"
     main(["surface", "--spec", "polygon:4", "--out", str(surf)])
@@ -200,6 +220,10 @@ def _alpha(**fields):
         # a surface document that breaks a triangulation invariant
         (["seed", "--surface", "{self_folded}"], 2),
         (["reconstruct", "--surface", "{self_folded}", "--coords", '{"e:a:1":"1"}'], 2),
+        # JSON floats and bools are not exact rationals
+        (["dynkin", "--surface", "{surf}", "--coords", '{"T_L":0.1}'], 2),
+        (["dynkin", "--surface", "{surf}", "--coords", '{"T_L":true}'], 2),
+        (["flip", "--surface", "{surf}", "--edge", "d2", "--coords", '{"E1":1.0}'], 2),
     ],
 )
 def test_cli_error_table(argv, code, tmp_path, capsys):

@@ -50,3 +50,26 @@ def test_modules_import_at_the_top():
     assert {name: found for name, found in local.items() if found} == {
         "laminations.py": [("elementary_lamination", ".reconstruct")]
     }
+
+
+def _module_caches(path):
+    """Uses of ``functools.lru_cache`` or ``functools.cache``, as
+    ``(line, name)``: imported by name or read off the module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [(node.lineno, a.name) for a in node.names if a.name in ("lru_cache", "cache")]
+        elif isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache"):
+            if isinstance(node.value, ast.Name) and node.value.id == "functools":
+                found.append((node.lineno, node.attr))
+    return found
+
+
+def test_no_module_level_caches():
+    """Derived data is memoized on the object it derives from (a
+    triangulation's ``memo``, a picture's cached properties), so it dies
+    with that object; a module-level cache would keep every triangulation
+    it ever saw alive."""
+    found = {p.name: _module_caches(p) for p in sorted(SRC.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}

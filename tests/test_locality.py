@@ -5,22 +5,35 @@
 must agree exactly with the reference built from the whole matrix, on
 seeded flip walks over surfaces with punctures, two boundary components
 and identified quadrilateral sides.  On the same walks a restricted
-X-point flips to the unfrozen part of the unrestricted flip.
+X-point flips to the unfrozen part of the unrestricted flip, the
+flipped triangulation edited in place equals one built from scratch,
+and the integer Dynkin fold equals its mutation sequence.
 """
 
+import gc
 import random
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from sl3shear.seeds import Sl3IndexSet, exchange_matrix, extended_matrix, flip_mutation_sequence
-from sl3shear.surface import FlipCreatesSelfFolded, MarkedSurfaceSpec, build
+from sl3shear.seeds import (
+    Sl3IndexSet,
+    exchange_matrix,
+    extended_columns,
+    extended_matrix,
+    flip_mutation_sequence,
+    flip_plan,
+)
+from sl3shear.surface import FlipCreatesSelfFolded, IdealTriangulation, MarkedSurfaceSpec, build
 from sl3shear.tropical import (
     BadLabeling,
     TropicalPoint,
     apply_flip,
     apply_steps,
+    dynkin_cluster,
+    dynkin_cluster_by_mutation,
     ensemble,
     flip_x_closed_form,
 )
@@ -47,12 +60,12 @@ def _random_coords(rng, indices):
     return out
 
 
-def _walk(name):
+def _walk(name, steps=STEPS):
     """(triangulation, flipped edge) pairs of a seeded random flip walk."""
     rng = random.Random(f"locality:{name}")
     tri = build(SURFACES[name])
     taken = 0
-    while taken < STEPS:
+    while taken < steps:
         e = rng.choice(tri.interior_edges)
         try:
             t2, _ = tri.flip_edge(e)
@@ -140,3 +153,141 @@ def test_restricted_flip_is_the_unfrozen_part(name):
         except BadLabeling:
             continue
         assert closed.coords == want
+
+
+def _fresh_flip(tri, e):
+    """The flip at ``e`` built from scratch: the two new triangles, every
+    edge's left slot moved with its side, and everything else derived by
+    the constructor."""
+    (tl, il), (tr, ir) = tri.slots(e)
+    g, f = tri.tri_sides[tl][(il + 1) % 3], tri.tri_sides[tl][(il + 2) % 3]
+    h, k = tri.tri_sides[tr][(ir + 1) % 3], tri.tri_sides[tr][(ir + 2) % 3]
+    tri_sides = dict(tri.tri_sides)
+    tri_sides[tl] = (e, k, g)
+    tri_sides[tr] = (f, h, e)
+    role = {
+        (tl, (il + 1) % 3): (tl, 2),
+        (tl, (il + 2) % 3): (tr, 0),
+        (tr, (ir + 1) % 3): (tr, 1),
+        (tr, (ir + 2) % 3): (tl, 1),
+    }
+    slot_l = {x: role.get(tri.slots(x)[0], tri.slots(x)[0]) for x in tri.edges}
+    slot_l[e] = (tl, 0)
+    return IdealTriangulation(tri_sides, slot_l=slot_l)
+
+
+def _columns(tri):
+    return {j: dict(col) for j, col in extended_columns(tri).items()}
+
+
+@pytest.mark.parametrize("name", sorted(SURFACES))
+def test_local_flip_equals_fresh_build(name):
+    for _, tri, e in _walk(name, steps=40):
+        t2, _ = tri.flip_edge(e)
+        ref = _fresh_flip(tri, e)
+        assert t2.tri_sides == ref.tri_sides
+        assert all(t2.slots(x) == ref.slots(x) for x in ref.edges)
+        corners = [(t, i) for t in ref.triangles for i in range(3)]
+        assert [t2.corner_vertex(*c) for c in corners] == [ref.corner_vertex(*c) for c in corners]
+        assert list(t2.vertices.items()) == list(ref.vertices.items())
+        assert all(t2.corners_at_vertex(v) == ref.corners_at_vertex(v) for v in ref.vertices)
+        assert [t2.edge_endpoints(x) for x in ref.edges] == [ref.edge_endpoints(x) for x in ref.edges]
+        for attr in ("triangles", "edges", "interior_edges", "boundary_intervals"):
+            assert getattr(t2, attr) == getattr(ref, attr)
+        assert t2.canonical_form() == ref.canonical_form()
+        assert t2.validate() == []
+
+
+@pytest.mark.parametrize("name", sorted(SURFACES))
+def test_flips_are_memoized_and_refusals_are_not(name):
+    rng = random.Random(f"memo:{name}")
+    tri = build(SURFACES[name])
+    refused = 0
+    for _ in range(40):
+        e = rng.choice(tri.interior_edges)
+        try:
+            flip = tri.flip_edge(e)
+        except FlipCreatesSelfFolded:
+            refused += 1
+            assert ("flip", e) not in tri.memo
+            with pytest.raises(FlipCreatesSelfFolded):
+                apply_flip(TropicalPoint("X", {}, tri=tri), tri, e)
+            assert ("flip", e) not in tri.memo and ("flip plan", e) not in tri.memo
+            continue
+        again = tri.flip_edge(e)
+        assert again is flip
+        assert again[0] is flip[0] and again[1] is flip[1]
+        plan = flip_plan(tri, e)
+        assert plan.tri is flip[0] and plan.corr is flip[1]
+        assert flip_plan(tri, e) is plan
+        tri = flip[0]
+    # the punctured walks also try flips that would fold a triangle
+    assert (refused > 0) == name.startswith("punctured")
+
+
+def test_refused_flip_is_not_memoized():
+    tri = build(MarkedSurfaceSpec.punctured_polygon(2, 1))
+    for _ in range(2):
+        with pytest.raises(FlipCreatesSelfFolded):
+            tri.flip_edge("r0")
+        assert ("flip", "r0") not in tri.memo
+
+
+@pytest.mark.parametrize("name", sorted(SURFACES))
+def test_memo_does_not_keep_old_triangulations_alive(name):
+    """Reference counting alone frees the walk's first triangulation: no
+    memoized value refers back to the triangulation that holds it."""
+    rng = random.Random(f"weakref:{name}")
+    tri = build(SURFACES[name])
+    labels = Sl3IndexSet(tri).all  # a flip keeps every index label
+    first = weakref.ref(tri)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        taken = 0
+        while taken < 50:
+            e = rng.choice(tri.interior_edges)
+            a = TropicalPoint("A", _random_coords(rng, labels), tri=tri)
+            x = ensemble(a, tri)
+            try:
+                q = apply_flip(x, tri, e)
+            except FlipCreatesSelfFolded:
+                continue
+            apply_flip(a, tri, e)
+            try:
+                flip_x_closed_form(x, tri, e)
+            except BadLabeling:
+                pass
+            dynkin_cluster(q, q.tri)
+            tri = q.tri
+            taken += 1
+        assert first() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("name", sorted(SURFACES))
+def test_flipped_ensemble_table_equals_fresh_build(name):
+    """``flip_plan`` derives the flipped triangulation's ensemble columns
+    from its parent's; they equal the columns built from scratch."""
+    for rng, tri, e in _walk(name, steps=20):
+        iset = Sl3IndexSet(tri)
+        a = TropicalPoint("A", _random_coords(rng, iset.all), tri=tri)
+        ensemble(a, tri)
+        a2 = apply_flip(a, tri, e)
+        assert "extended columns" in a2.tri.memo
+        assert _columns(a2.tri) == _columns(_fresh_flip(tri, e))
+        assert ensemble(a2, a2.tri) == _reference_ensemble(a2, a2.tri)
+
+
+@pytest.mark.parametrize("name", sorted(SURFACES))
+def test_dynkin_fold_equals_mutation_sequence_after_flips(name):
+    for rng, tri, e in _walk(name):
+        t2, _ = tri.flip_edge(e)
+        iset = Sl3IndexSet(t2)
+        for _ in range(3):
+            p = TropicalPoint("X", _random_coords(rng, iset.all), tri=t2)
+            q = dynkin_cluster(p, t2)
+            assert q == dynkin_cluster_by_mutation(p, t2)
+            assert dynkin_cluster(q, t2) == p
