@@ -92,7 +92,6 @@ class _GlueStepper(_PictureStepper):
     def __init__(self, pic, e_l, e_r, delta, t2, vertex_map):
         super().__init__(pic.require_valid())
         self.surface = t2
-        self.vertex_map = vertex_map
         self.slot_l = pic.tri.slots(e_l)[0]
         self.slot_r = pic.tri.slots(e_r)[0]
         dl = delta.get(e_l, (Fraction(0), Fraction(0)))
@@ -101,27 +100,19 @@ class _GlueStepper(_PictureStepper):
             raise InvalidPicture("gluing requires integral pinnings")
         self.sigma_lr = int(dl[0] + dr[1])
         self.sigma_rl = int(dl[1] + dr[0])
-        # (edge, direction reached) -> (far slot, sigma): an incoming
-        # strand on the left side was paired on the right-to-left sheet
-        self.pins = {
-            (e_l, "in"): (self.slot_r, self.sigma_lr),
-            (e_l, "out"): (self.slot_r, self.sigma_rl),
-            (e_r, "in"): (self.slot_l, self.sigma_rl),
-            (e_r, "out"): (self.slot_l, self.sigma_lr),
-        }
+        # the pins pair the glued sides: (slot, direction) -> (far slot,
+        # direction reached, sigma - 1); an outgoing strand on the left
+        # side crosses on the left-to-right sheet
+        self.over.update({
+            (self.slot_l, "out"): (self.slot_r, "in", self.sigma_lr - 1),
+            (self.slot_l, "in"): (self.slot_r, "out", self.sigma_rl - 1),
+            (self.slot_r, "out"): (self.slot_l, "in", self.sigma_rl - 1),
+            (self.slot_r, "in"): (self.slot_l, "out", self.sigma_lr - 1),
+        })
+        self.vertex_at = {c: vertex_map[v] for c, v in self.vertex_at.items()}
         total = sum(self.counts.values())
         mass = abs(self.sigma_lr) + abs(self.sigma_rl)
         self.step_cap = 4000 + 100 * (total + mass + 8) * max(1, len(pic.tri.edges))
-
-    def vertex(self, corner):
-        return self.vertex_map[self.pic.tri.corner_vertex(*corner)]
-
-    def _cross(self, state, to):
-        # the inherited reversal n - 1 - j also pairs the virtual indices
-        pin = self.pins.get((self.pic.tri.edge_at(state[0]), to))
-        if pin is None:
-            return super()._cross(state, to)
-        return (pin[0], to, pin[1] - 1 - state[2])
 
     def _turn(self, state, to):
         slot, d, j = state
@@ -140,7 +131,7 @@ class _GlueStepper(_PictureStepper):
             depth, other = 2 * r + (d == "out"), (t, (i + 1) % 3)
             nxt = (other, to, -r - 1)
         orient = "cw" if depth % 2 == 0 else "ccw"
-        return Turn(nxt, corner, orient, self.vertex(corner), depth, (corner, (1, depth)))
+        return Turn(nxt, corner, orient, self.vertex_at[corner], depth, (corner, (1, depth)))
 
 
 def _window_seeds(stepper):
@@ -188,19 +179,16 @@ def glue_laminations(pinned, e_l, e_r):
     # components crossing the new edge come first, including those made
     # entirely of added arcs (never peripheral: their window crossing
     # does not hug a corner); of the remaining original components, those
-    # that close up or run boundary-to-boundary around a merged point are
-    # the removed peripherals of the gluing construction
+    # that close up or run boundary-to-boundary around a merged point,
+    # every turn winding the same way, are the removed peripherals of the
+    # gluing construction
     window = _window_seeds(stepper)
     in_window = set(window)
     entries = []
     for seed, fw, bw in components(stepper, window + out_seeds(pic)):
-        verts = {t.vertex for w in (fw, bw) for t in w.turns}
-        if seed not in in_window and len(verts) == 1 and verts <= merged_ids:
-            # a loop around a merged point is peripheral only if it winds
-            # monotonically (every turn the same way); mixed turns circle
-            # a handle instead
-            if fw.peripheral or fw.end[0] == bw.end[0] == "boundary":
-                continue
+        peripheral = seed not in in_window and fw.peripheral_with(bw)
+        if peripheral and (fw.turns or bw.turns)[0].vertex in merged_ids:
+            continue
         traveler = Traveler(strand_kind(fw, bw), bw.turns[::-1] + fw.turns, bw.end, fw.end)
         entries += stack_entries(stepper, traveler, (SPIRAL_TURNS,))[0]
     glued = build_picture(t2, pic.honeycombs, entries, Fraction(1, u)).require_valid()

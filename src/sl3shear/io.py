@@ -27,7 +27,8 @@ from .tropical import TropicalPoint
 
 
 def frac_to_str(v):
-    v = Fraction(v)
+    if type(v) is not Fraction:
+        v = Fraction(v)
     return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
@@ -163,9 +164,23 @@ def exact_rational(value, where):
     raise ValueError(f"{where} is {value!r}, not an exact rational")
 
 
-def _entry_from_obj(obj, where):
+class _Weights(dict):
+    """The weights one document has decoded so far, keyed by their JSON
+    form (a string or an int): each distinct weight is converted once,
+    and entries of equal weight share one ``Fraction``.  A value of any
+    other type is never looked up, so a bool or a float is still refused
+    by :func:`exact_rational`."""
+
+    def read(self, value, where):
+        weight = self.get(value) if type(value) in (str, int) else None
+        if weight is None:
+            weight = self[value] = exact_rational(value, where)
+        return weight
+
+
+def _entry_from_obj(obj, where, weights):
     kind = _one_of(obj["type"], ("arc", "end"), f"{where}.type")
-    weight = exact_rational(obj["weight"], f"{where}.weight")
+    weight = weights.read(obj["weight"], f"{where}.weight")
     if kind == "arc":
         return CornerArc(_one_of(obj["orient"], ("cw", "ccw"), f"{where}.orient"), weight)
     sign = _one_of(obj["sign"], ("+", "-"), f"{where}.sign")
@@ -228,6 +243,7 @@ def picture_from_obj(obj, tri):
     :class:`InvalidPicture` is raised."""
     honeycombs = {}
     corners = {}
+    weights = _Weights()
     for t, entry in obj.get("triangles", {}).items():
         where = f"triangles.{t}"
         if t not in tri.tri_sides:
@@ -239,12 +255,13 @@ def picture_from_obj(obj, tri):
             honeycombs[t] = Honeycomb(
                 _one_of(hc["orient"], ("sink", "source"), f"{where}.honeycomb.orient"),
                 hc["height"],
-                exact_rational(hc.get("weight", "1"), f"{where}.honeycomb.weight"),
+                weights.read(hc.get("weight", "1"), f"{where}.honeycomb.weight"),
             )
         for c_s, stack in entry.get("corners", {}).items():
             _one_of(c_s, ("0", "1", "2"), f"{where}.corners key")
             corners[(t, int(c_s))] = [
-                _entry_from_obj(x, f"{where}.corners.{c_s}[{p}]") for p, x in enumerate(stack)
+                _entry_from_obj(x, f"{where}.corners.{c_s}[{p}]", weights)
+                for p, x in enumerate(stack)
             ]
     pic = GlobalPicture(tri, honeycombs, corners)
     given = obj.get("pairings")

@@ -9,7 +9,8 @@ supplies four operations on states ``(slot, direction, parameter)``:
 A crossing returns the state on the far side, or None on the boundary; a
 turn returns a :class:`Turn`, or an end tuple such as ``("sink", t)``.
 The walker owns the step cap, loop detection, the spiral detector, the
-peripheral rule for closed loops and the spiral tail walk
+peripheral rule for closed loops and boundary-to-boundary arcs
+(:meth:`Walk.peripheral_with`) and the spiral tail walk
 :func:`spiral_tail`; the steppers only step.
 
 Reconstruction, traveler tracing and gluing share two more helpers.
@@ -39,7 +40,16 @@ the pictures it writes and in the seed a :class:`TruncationTooShallow`
 reports.  Only the surviving travelers are materialized, with spiral
 tails truncated to a sign marker after ``SPIRAL_TURNS`` extra turns.
 :class:`_PictureStepper` walks the strand lists of an explicit picture
-for :func:`traveler_trace`.
+for :func:`traveler_trace`, which is what a caller runs for each
+traveler's route and kind; the identifiers it also records per crossing
+are not needed to check the identifier relations.
+
+The traveler-identifier relations need no walk.  Across a biangle the
+pinning pairs parameter t with sigma - t, so k_out + k_in is one
+constant on every crossing of a sheet; on an explicit picture it is n -
+a - b, read from the strand count n and the initial zone sizes a and b
+of the two sides.  :func:`identifier_relations` checks that constant
+once per sheet.
 """
 
 from __future__ import annotations
@@ -78,6 +88,7 @@ class NonIntegralInput(Sl3Error):
 LOOP = ("loop",)
 SPIRAL_TURNS = 2  # full turns a spiral tail makes before its sign marker
 _REVERSED = {"cw": "ccw", "ccw": "cw"}
+_REACHED = {"out": "in", "in": "out"}  # the direction a crossing reaches
 
 
 # -- the strand walker --------------------------------------------------------
@@ -110,7 +121,21 @@ class Walk:
     def peripheral(self):
         """A closed loop whose turns all wind the same way around one
         vertex."""
-        return self.end == LOOP and len({(t.vertex, t.orient) for t in self.turns}) == 1
+        return self.peripheral_with(None)
+
+    def peripheral_with(self, back):
+        """Whether the component of this forward walk is peripheral: it
+        closes up, or runs from boundary to boundary (``back`` is the
+        backward walk of its strand; a closed loop needs none), and every
+        turn winds the same way around one vertex.  Turns that wind both
+        ways circle a handle or a puncture instead."""
+        if self.end == LOOP:
+            turns = self.turns
+        elif back is not None and self.end[0] == back.end[0] == "boundary":
+            turns = self.turns + back.turns
+        else:
+            return False
+        return len({(t.vertex, t.orient) for t in turns}) == 1
 
 
 def walk(stepper, seed, forward):
@@ -454,11 +479,16 @@ class _PictureStepper:
     stack entry at position p is (0, p).  A crossing pairs index j of a
     list of length n with index n - 1 - j on the far side.  A stored
     spiral marker ends a walk with ``("marker", vertex, sign, (corner,
-    p))``."""
+    p))``.
+
+    Every step reads tables built once: ``over`` maps a side ``(slot,
+    direction)`` to ``(far slot, far direction, n - 1)``, with no entry on
+    a boundary side, and ``vertex_at`` maps a corner to its marked
+    point."""
 
     def __init__(self, pic):
         self.pic = pic
-        self.surface = pic.tri
+        tri = self.surface = pic.tri
         self.lists = pic.strand_lists
         self.arc_ends = {}
         for ((t, i), d), (initial, legs, terminal) in self.lists.items():
@@ -470,9 +500,12 @@ class _PictureStepper:
                     self.arc_ends.setdefault((corner, p, d), []).append(((t, i), k))
         self.counts = {side: pic.strand_count(*side) for side in self.lists}
         self.step_cap = 1 + sum(self.counts.values())
-
-    def vertex(self, corner):
-        return self.surface.corner_vertex(*corner)
+        self.vertex_at = {(t, i): tri.corner_vertex(t, i) for t in tri.triangles for i in range(3)}
+        self.over = {}
+        for (slot, d), n in self.counts.items():
+            far = tri.other_slot(slot)
+            if far is not None:
+                self.over[(slot, d)] = (far, _REACHED[d], n - 1)
 
     @staticmethod
     def shown(state):
@@ -482,18 +515,16 @@ class _PictureStepper:
     def stored(self, end):
         """``(place, entry)`` of the stored marker a walk ended at."""
         corner, p = end[3]
-        return (corner, (0, p)), self.pic.corner_stack(corner)[p]
+        return (corner, (0, p)), self.pic.corners[corner][p]
 
     def cross(self, state):
-        return self._cross(state, "in")
-
-    def cross_back(self, state):
-        return self._cross(state, "out")
-
-    def _cross(self, state, to):
+        """The state across the edge: forward from an outgoing state,
+        backward from an incoming one."""
         slot, d, j = state
-        far = self.pic.tri.other_slot(slot)
-        return None if far is None else (far, to, self.counts[(slot, d)] - 1 - j)
+        over = self.over.get((slot, d))
+        return None if over is None else (over[0], over[1], over[2] - j)
+
+    cross_back = cross
 
     def turn(self, state):
         return self._turn(state, "out")
@@ -510,16 +541,16 @@ class _PictureStepper:
             return ("sink" if d == "in" else "source", t)
         else:
             corner, p = (t, i), terminal[idx - len(initial) - legs]
-        entry = self.pic.corner_stack(corner)[p]
+        entry = self.pic.corners[corner][p]
         if isinstance(entry, SpiralEnd):
-            return ("marker", self.vertex(corner), entry.sign, (corner, p))
-        ends = self.arc_ends.get((corner, p, to), [])
+            return ("marker", self.vertex_at[corner], entry.sign, (corner, p))
+        ends = self.arc_ends.get((corner, p, to), ())
         if len(ends) != 1:
             which = "an outgoing" if to == "out" else "an incoming"
             raise InvalidPicture(f"arc at {corner} lacks {which} end")
         (slot2, idx2), = ends
         place = (corner, (0, p))
-        return Turn((slot2, to, idx2), corner, entry.orient, self.vertex(corner), None, place)
+        return Turn((slot2, to, idx2), corner, entry.orient, self.vertex_at[corner], None, place)
 
 
 def out_seeds(pic):
@@ -564,18 +595,32 @@ def traveler_trace(pic):
 def identifier_relations(pic, x):
     """Check the traveler-identifier relations on every biangle crossing:
     k_out + k_in = x_{E,1} + [x_{T_R}]_+ on the left-to-right sheet and
-    x_{E,2} + [x_{T_L}]_+ on the other.  Returns a list of violations."""
+    x_{E,2} + [x_{T_L}]_+ on the other.  Returns the violations, one
+    ``(edge, sheet, k_out, k_in, want)`` per crossing that breaks them.
+
+    The sum is one constant per sheet, read from the zones: out index j
+    has k_out = j - a + 1/2 and meets in index n - 1 - j, which has k_in =
+    n - 1 - j - b + 1/2, so every crossing sums to n - a - b, with n the
+    strand count and a, b the initial zone sizes of the out and in sides.
+    No strand is walked."""
+    pic.require_valid()
     tri = pic.tri
     bad = []
-    for trav in traveler_trace(pic):
-        for (e, k_out, k_in, sheet) in trav.identifiers:
-            (tl, _), (tr, _) = tri.slots(e)
-            if sheet == "lr":
-                want = x[("edge", e, 1)] + pos(x[("tri", tr)])
-            else:
-                want = x[("edge", e, 2)] + pos(x[("tri", tl)])
-            if k_out + k_in != want:
-                bad.append((e, sheet, k_out, k_in, want))
+    for e in tri.interior_edges:
+        sl, sr = tri.slots(e)
+        for sheet, out_slot, in_slot, want in (
+            ("lr", sl, sr, x[("edge", e, 1)] + pos(x[("tri", sr[0])])),
+            ("rl", sr, sl, x[("edge", e, 2)] + pos(x[("tri", sl[0])])),
+        ):
+            n = pic.strand_count(out_slot, "out")
+            a = len(pic.strand_list(out_slot, "out")[0])
+            b = len(pic.strand_list(in_slot, "in")[0])
+            if n and n - a - b != want:
+                bad += [
+                    (e, sheet, pic.strand_parameter(out_slot, "out", j),
+                     pic.strand_parameter(in_slot, "in", n - 1 - j), want)
+                    for j in range(n)
+                ]
     return bad
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 
 class Sl3Error(Exception):
@@ -235,14 +236,15 @@ class IdealTriangulation:
             self._names = (
                 names,
                 {name: key for key, name in names.items()},
-                {name: self._key_kind[key] for key, name in names.items()},
+                MappingProxyType({name: self._key_kind[key] for key, name in names.items()}),
             )
         return self._names
 
     @property
     def vertices(self):
-        """Map vertex id -> class ('puncture' or 'special')."""
-        return dict((self._names or self._naming())[2])
+        """Read-only map vertex id -> class ('puncture' or 'special'),
+        built once per triangulation."""
+        return (self._names or self._naming())[2]
 
     def corner_vertex(self, t, i):
         return (self._names or self._naming())[0][self._corner_key[(t, i % 3)]]

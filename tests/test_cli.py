@@ -418,6 +418,30 @@ def test_picture_decoder_names_bad_field(polygon4, doc, field):
         jio.picture_from_obj(doc["picture"], polygon4)
 
 
+@pytest.mark.parametrize("weight", ["1/0", 1.5, True, "x"])
+def test_picture_decoder_refuses_bad_weight_after_good_ones(polygon4, weight):
+    """Decoded weights are shared per document; a bad weight is refused
+    even where a good one of equal value was decoded before it."""
+    doc = _pic("T1", honeycomb={"orient": "sink", "height": 1, "weight": 1},
+               corners={"0": [_arc(), _arc(weight=1), _arc(weight=weight)]})
+    with pytest.raises(ValueError, match=re.escape("corners.0[2].weight")):
+        jio.picture_from_obj(doc["picture"], polygon4)
+    doc = _pic("T1", corners={"0": [_arc()]}, honeycomb={"orient": "sink", "height": 1, "weight": weight})
+    with pytest.raises(ValueError, match=re.escape("honeycomb.weight")):
+        jio.picture_from_obj(doc["picture"], polygon4)
+
+
+def test_picture_decoder_shares_one_weight_per_string(polygon4):
+    corners = {"0": [_arc(weight="1/3"), _arc(orient="ccw", weight="1/3")],
+               "1": [_arc(weight="2/3"), _arc(weight="1/3"), _arc(weight="2/3")]}
+    doc = _pic("T1", corners=corners, honeycomb={"orient": "source", "height": 2, "weight": "1/3"})
+    pic = jio.picture_from_obj(doc["picture"], polygon4)
+    weights = [e.weight for stack in pic.corners.values() for e in stack]
+    weights.append(pic.honeycombs["T1"].weight)
+    assert weights == [F(1, 3), F(1, 3), F(2, 3), F(1, 3), F(2, 3), F(1, 3)]
+    assert len({id(w) for w in weights}) == 2
+
+
 def test_tropical_point_json_roundtrip(polygon4):
     p_obj = {"kind": "X", "restricted": False, "coords": {"e:d2:1": "-7/3", "t:T1": "2"}}
     p = jio.tropical_point_from_obj(p_obj, tri=polygon4)

@@ -21,7 +21,14 @@ from sl3shear.laminations import (
     shear_frozen,
     shear_unfrozen,
 )
-from sl3shear.reconstruct import identifier_relations, reconstruct, traveler_trace
+from sl3shear.reconstruct import (
+    LOOP,
+    Turn,
+    Walk,
+    identifier_relations,
+    reconstruct,
+    traveler_trace,
+)
 from sl3shear.seeds import Sl3IndexSet
 from sl3shear.surface import MarkedSurfaceSpec, SameEdge, build
 from sl3shear.tropical import TropicalPoint, apply_flip, ensemble
@@ -130,6 +137,55 @@ def test_glue_forming_annulus_and_puncture(polygon4):
             xf = shear_frozen(pl)
             glued = glue_laminations(pl, el, er)
             assert dict(shear_frozen(glued).coords) == _glued_expectation(xf, el, er)
+
+
+@pytest.mark.parametrize(
+    "spec, e_l, e_r, coords, delta",
+    [
+        # the smallest case: -e_{d3,2} on a pentagon, nothing pinned
+        (MarkedSurfaceSpec.polygon(5), "b2", "b0", {("edge", "d3", 2): -1}, {}),
+        (
+            MarkedSurfaceSpec.polygon(5), "b2", "b0",
+            {("edge", "d2", 1): 3, ("edge", "d2", 2): -2, ("edge", "d3", 1): 4,
+             ("edge", "d3", 2): 4, ("tri", "T3"): -3},
+            {"b0": (0, 3), "b1": (-2, 4), "b2": (0, -5), "b3": (1, -1), "b4": (-3, 3)},
+        ),
+        (MarkedSurfaceSpec.annulus(2, 2), "b2", "b5", {("edge", "d4", 1): -1}, {}),
+    ],
+    ids=["polygon5-smallest", "polygon5-pinned", "annulus22"],
+)
+def test_self_gluing_keeps_arcs_winding_both_ways(spec, e_l, e_r, coords, delta):
+    """Self-gluing two intervals of one surface merges marked points; an
+    arc whose turns all sit at a merged point but wind both ways is not
+    peripheral, and dropping it broke the crosswise formula."""
+    tri = build(spec)
+    x = TropicalPoint("X", {i: F(v) for i, v in coords.items()}, tri=tri, restricted=True)
+    pinned = PinnedLamination(
+        reconstruct(x, tri), {e: (F(a), F(b)) for e, (a, b) in delta.items()}
+    )
+    glued = glue_laminations(pinned, e_l, e_r)
+    assert shear_frozen(glued).coords == _glued_expectation(shear_frozen(pinned), e_l, e_r)
+
+
+def _turn_at(vertex, orient):
+    return Turn(None, ("T", 0), orient, vertex, None, None)
+
+
+def test_peripheral_needs_one_winding_around_one_vertex():
+    boundary = ("boundary", None)
+    one_way = [_turn_at("v0", "cw"), _turn_at("v0", "cw")]
+    both_ways = [_turn_at("v0", "cw"), _turn_at("v0", "ccw")]
+    two_points = [_turn_at("v0", "cw"), _turn_at("v1", "cw")]
+    for turns, peripheral in ((one_way, True), (both_ways, False), (two_points, False)):
+        loop = Walk([], turns, LOOP)
+        assert loop.peripheral is peripheral
+        assert loop.peripheral_with(Walk([], [], LOOP)) is peripheral
+        arc = Walk([], turns[:1], boundary)
+        assert arc.peripheral_with(Walk([], turns[1:], boundary)) is peripheral
+        # only a closed loop is peripheral on its own, and an arc with an
+        # end off the boundary never is
+        assert not arc.peripheral
+        assert not arc.peripheral_with(Walk([], turns[1:], ("sink", "T")))
 
 
 def test_flip_glue_commutation(polygon4):

@@ -69,15 +69,14 @@ def _traveler_records(pic):
     ]
 
 
-def corpus():
-    """name -> the JSON texts of that part of the corpus."""
+def documents():
+    """``(name, obj, pic)`` for every document of the corpus, in order:
+    its part, its JSON object and the picture that object encodes."""
     rng = random.Random(2024)
-    parts = {name: [] for name in GOLDEN if name != "travelers"}
-    pictures = []
+    docs = []
 
     def add(name, obj, pic):
-        parts[name].append(jio.dump(obj))
-        pictures.append(pic)
+        docs.append((name, obj, pic))
 
     for spec in (
         MarkedSurfaceSpec.polygon(4),
@@ -116,7 +115,16 @@ def corpus():
             glued = glue_laminations(pinned, e_l, e_r)
             add("glue-puncture-forming", jio.pinned_to_obj(glued), glued.underlying)
 
-    parts["travelers"] = [jio.dump(_traveler_records(pic)) for pic in pictures]
+    return docs
+
+
+def corpus():
+    """name -> the JSON texts of that part of the corpus."""
+    docs = documents()
+    parts = {name: [] for name in GOLDEN if name != "travelers"}
+    for name, obj, _ in docs:
+        parts[name].append(jio.dump(obj))
+    parts["travelers"] = [jio.dump(_traveler_records(pic)) for _, _, pic in docs]
     return parts
 
 
@@ -129,6 +137,18 @@ def digests():
 
 def test_golden_digests():
     assert digests() == GOLDEN
+
+
+def test_corpus_decodes_to_its_pictures():
+    """Every picture of the corpus decodes from its JSON object to the
+    same honeycombs and corner stacks, and equal weights decode to one
+    shared object."""
+    for name, obj, pic in documents():
+        back = jio.picture_from_obj(obj.get("picture", obj), pic.tri)
+        assert (back.honeycombs, back.corners) == (pic.honeycombs, pic.corners), name
+        weights = [e.weight for stack in back.corners.values() for e in stack]
+        weights += [h.weight for h in back.honeycombs.values()]
+        assert len({id(w) for w in weights}) == len(set(weights)), name
 
 
 if __name__ == "__main__":

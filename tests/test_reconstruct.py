@@ -1,5 +1,6 @@
 import importlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -184,6 +185,57 @@ def test_identifier_relations_random(annulus11, torus):
             x = xpoint(tri, coords)
             pic = reconstruct(x, tri)
             assert identifier_relations(pic, x) == []
+
+
+def _walked_relations(travelers, x):
+    """The identifier relations as a strand walk reads them: one entry per
+    crossing of every traced traveler that breaks the pinning rule."""
+    bad = []
+    for trav in travelers:
+        for e, k_out, k_in, sheet in trav.identifiers:
+            (tl, _), (tr, _) = x.tri.slots(e)
+            if sheet == "lr":
+                want = x[("edge", e, 1)] + pos(x[("tri", tr)])
+            else:
+                want = x[("edge", e, 2)] + pos(x[("tri", tl)])
+            if k_out + k_in != want:
+                bad.append((e, sheet, k_out, k_in, want))
+    return bad
+
+
+def test_identifier_relations_match_the_walk(polygon5, annulus11, torus, two_pentagons):
+    """The relations read from the zones are the walked ones as a
+    multiset, also on x moved by one at one index, where they break."""
+    rng = random.Random(11)
+    violations = 0
+    for tri in (polygon5, annulus11, torus, two_pentagons):
+        labels = Sl3IndexSet(tri).unfrozen
+        for _ in range(4):
+            coords = {i: F(rng.randint(-4, 4)) for i in labels}
+            pic = reconstruct(xpoint(tri, coords), tri)
+            travelers = traveler_trace(pic)
+            for i in labels:
+                for step in (-1, 1):
+                    y = xpoint(tri, {**coords, i: coords[i] + step})
+                    got = identifier_relations(pic, y)
+                    assert Counter(got) == Counter(_walked_relations(travelers, y)), (coords, i, step)
+                    violations += len(got)
+    assert violations > 0
+
+
+def test_identifier_relations_walk_no_strand(torus, monkeypatch):
+    x = xpoint(torus, dict(zip(Sl3IndexSet(torus).unfrozen, map(F, (1, -2, 0, 3, 1, 0, 2, -1)))))
+    pic = reconstruct(x, torus)
+
+    def refuse(*args):
+        raise AssertionError("identifier_relations walked a strand")
+
+    monkeypatch.setattr(rec, "walk", refuse)
+    with pytest.raises(AssertionError):
+        traveler_trace(pic)
+    assert identifier_relations(pic, x) == []
+    bad = identifier_relations(pic, xpoint(torus, {**x.coords, ("tri", "T1"): F(2)}))
+    assert bad and all(k_out + k_in != want for _, _, k_out, k_in, want in bad)
 
 
 def test_truncation_guard(torus):
