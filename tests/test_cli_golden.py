@@ -1,0 +1,104 @@
+"""Golden digests of the stdout of the seed-side CLI commands.
+
+For each surface below, ``sl3shear seed`` runs once, ``flip`` runs with
+X- and with A-coordinates at every interior edge, and ``ensemble`` and
+``dynkin`` run once, all on fixed rational coordinates.  The exit code
+and stdout of every call are hashed per (surface, command), so a change
+of representation inside ``seeds`` or ``tropical`` must leave the bytes
+as they are.
+
+To print the digests of the current tree, run
+``PYTHONPATH=src python tests/test_cli_golden.py``.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+from sl3shear import io as jio
+from sl3shear.cli import main
+from sl3shear.seeds import Sl3IndexSet
+from sl3shear.surface import MarkedSurfaceSpec, build
+
+SURFACES = {
+    "polygon:8": MarkedSurfaceSpec.polygon(8),
+    "punctured-polygon:3:2": MarkedSurfaceSpec.punctured_polygon(3, 2),
+    "annulus:2:1": MarkedSurfaceSpec.annulus(2, 1),
+    "once-punctured-torus": MarkedSurfaceSpec.once_punctured_torus(),
+}
+
+GOLDEN = {
+    "polygon:8/seed": "fbc0d91f0b6776eaaf1f265c9f6063f34920ce6292852cfc4c2aa1728753087c",
+    "polygon:8/flip": "f8fb1cfeab1d7c3f6adb00ee75baedf4c0a926e616218dfd0dac1b6968fe57c4",
+    "polygon:8/ensemble": "b98e32bc3eb20ecf0f1a54bf5964e91ab4e1eca4b011624ad68aeb52e77f4235",
+    "polygon:8/dynkin": "e39ca113a7b48f3c1a938f31c7ae629c446af757f625518917bcc35825da5a0a",
+    "punctured-polygon:3:2/seed": "de9599bc8461176070bff3f02b805f906a4e3e083dee08c47c4e70dec697aac9",
+    "punctured-polygon:3:2/flip": "efc8466303d6c9057b69fd34a2f931693c223cc51c4114879b06b001632d91ef",
+    "punctured-polygon:3:2/ensemble": "4d8eff0f72d915248215f624454731dd75651d8e8598ddb01f523b8e33ce8c49",
+    "punctured-polygon:3:2/dynkin": "121ddbe6b9150ca4b2aa2bf1b4c1dc9536fad436a713ee6fa797bdb1154d22a5",
+    "annulus:2:1/seed": "6bfd1a080f4129ffd57eb6f9d1a5f4cca7a1d8c39fdaca8384f5e66f3001975e",
+    "annulus:2:1/flip": "93270fa65dc37ffafa75d0d51d9067ff480c345761fccf6ebbbd89f3dabd7e69",
+    "annulus:2:1/ensemble": "1b8ecd9930e1b945724019461d8447709503febf9d0f3e0f228fad147008f334",
+    "annulus:2:1/dynkin": "3895a22b65c086c55bd24aea0a3f52b41e1683925c46421b45a61259deb5f094",
+    "once-punctured-torus/seed": "155df0f91e3ed20b65cf6ef19b333919b7d62823bd8cf919d23ca43fb20ff68f",
+    "once-punctured-torus/flip": "96bed47a11f8daef5b239cff5613b85108e9a62fc0d3a407a6a58f85ea631fa3",
+    "once-punctured-torus/ensemble": "43762815f8a79afdda379de234576b800b863ba6d97ec5c8ca873ef21324d48f",
+    "once-punctured-torus/dynkin": "97c47ebc6225e1e7136c69c9a8331cdf7055f5641f8294ddc5271fe4a90635da",
+}
+
+
+def _coords(tri, salt):
+    """Fixed rational coordinates at every index, some of them zero."""
+    return json.dumps({
+        jio.index_to_str(i): jio.frac_to_str(Fraction((7 * n + salt) % 11 - 5, 1 + (n + salt) % 3))
+        for n, i in enumerate(Sl3IndexSet(tri).all)
+    })
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return f"{' '.join(argv[:1] + argv[3:])}\nexit {code}\n{out.getvalue()}"
+
+
+def outputs(workdir):
+    """``"<surface>/<command>" -> [record, ...]`` for every CLI call of
+    the corpus, each record holding the arguments, exit code and stdout."""
+    parts = {}
+    for name, spec in SURFACES.items():
+        tri = build(spec)
+        surf = str(Path(workdir) / "surface.json")
+        with open(surf, "w") as fp:
+            fp.write(jio.dump(jio.triangulation_to_obj(tri)))
+        parts[f"{name}/seed"] = [_run(["seed", "--surface", surf])]
+        parts[f"{name}/flip"] = [
+            _run(["flip", "--surface", surf, "--edge", e, "--kind", kind,
+                  "--coords", _coords(tri, salt)])
+            for e in tri.interior_edges
+            for kind, salt in (("X", 0), ("A", 4))
+        ]
+        parts[f"{name}/ensemble"] = [_run(["ensemble", "--surface", surf, "--acoords", _coords(tri, 2)])]
+        parts[f"{name}/dynkin"] = [_run(["dynkin", "--surface", surf, "--coords", _coords(tri, 5)])]
+    return parts
+
+
+def digests():
+    with tempfile.TemporaryDirectory() as workdir:
+        return {
+            name: hashlib.sha256("\n".join(records).encode("utf-8")).hexdigest()
+            for name, records in outputs(workdir).items()
+        }
+
+
+def test_cli_golden_digests():
+    assert digests() == GOLDEN
+
+
+if __name__ == "__main__":
+    for name, digest in digests().items():
+        print(f'    "{name}": "{digest}",')
