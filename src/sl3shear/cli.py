@@ -15,7 +15,7 @@ import sys
 from . import io as jio
 from .laminations import shear_frozen
 from .reconstruct import reconstruct, roundtrip_check
-from .seeds import Sl3IndexSet, exchange_matrix, m_matrix
+from .seeds import Sl3IndexSet, exchange_matrix, m_matrix, matrix_entries
 from .surface import MarkedSurfaceSpec, Sl3Error, build
 from .tropical import TropicalPoint, apply_flip, dynkin_cluster, ensemble
 from .glue import glue_laminations
@@ -126,10 +126,9 @@ def cmd_seed(args):
     tri = _load_surface(args.surface)
     iset, eps = exchange_matrix(tri)
     obj = jio.exchange_matrix_to_obj(eps)
-    mm = m_matrix(tri)
     obj["m_entries"] = [
         [jio.index_to_str(i), jio.index_to_str(j), jio.frac_to_str(v)]
-        for (i, j), v in sorted(mm.entries.items(), key=str)
+        for (i, j), v in sorted(matrix_entries(m_matrix(tri)).items(), key=str)
         if jio.index_to_str(i) <= jio.index_to_str(j)
     ]
     _emit(obj, args.out)

@@ -21,7 +21,7 @@ from .laminations import (
     SpiralEnd,
     honeycomb_leg_split,
 )
-from .seeds import ExchangeMatrix, RationalMatrix
+from .seeds import matrix_entries
 from .surface import IdealTriangulation
 from .tropical import TropicalPoint
 
@@ -92,7 +92,7 @@ def exchange_matrix_to_obj(eps):
     indices = [index_to_str(i) for i in eps.indices]
     entries = []
     order = {i: n for n, i in enumerate(eps.indices)}
-    for (i, j), v in sorted(eps.matrix.entries.items(), key=lambda kv: (order[kv[0][0]], order[kv[0][1]])):
+    for (i, j), v in sorted(matrix_entries(eps.columns).items(), key=lambda kv: (order[kv[0][0]], order[kv[0][1]])):
         if order[i] < order[j]:
             entries.append([index_to_str(i), index_to_str(j), frac_to_str(v)])
     return {
@@ -100,18 +100,6 @@ def exchange_matrix_to_obj(eps):
         "frozen": sorted(index_to_str(i) for i in eps.frozen),
         "entries": entries,
     }
-
-
-def exchange_matrix_from_obj(obj):
-    indices = [index_from_str(s) for s in obj["indices"]]
-    m = RationalMatrix(indices)
-    for i_s, j_s, v_s in obj["entries"]:
-        i, j = index_from_str(i_s), index_from_str(j_s)
-        v = Fraction(v_s)
-        m[i, j] = v
-        m[j, i] = -v
-    frozen = frozenset(index_from_str(s) for s in obj["frozen"])
-    return ExchangeMatrix(m, frozen)
 
 
 # -- tropical points ---------------------------------------------------------

@@ -34,7 +34,7 @@ from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
-from .seeds import ZERO, Sl3IndexSet
+from .seeds import ZERO, Sl3IndexSet, side_pair
 from .surface import Sl3Error
 from .tropical import TropicalPoint, pos
 
@@ -545,7 +545,7 @@ def _require_boundary(tri, slots, kind):
             raise CarrierMismatch(f"component {kind} needs a boundary side at {slot}")
 
 
-def _triangle_component_coords(acc, tri, iset, comp, table):
+def _triangle_component_coords(acc, tri, comp, table):
     t = comp.carrier
     if t not in tri.tri_sides:
         raise CarrierMismatch(f"no triangle {t}")
@@ -558,13 +558,13 @@ def _triangle_component_coords(acc, tri, iset, comp, table):
     w = comp.weight
     _add_coord(acc, ("tri", t), w * face)
     for j in range(3):
-        p, q = iset.side_pair((t, (c + j) % 3))
+        p, q = side_pair(tri, (t, (c + j) % 3))
         vp, vq = sides[j]
         _add_coord(acc, p, w * vp)
         _add_coord(acc, q, w * vq)
 
 
-def _quad_component_coords(acc, tri, iset, comp, table):
+def _quad_component_coords(acc, tri, comp, table):
     e = comp.carrier
     if not tri.has_edge(e) or tri.is_boundary(e):
         raise CarrierMismatch(f"{e} is not an interior edge")
@@ -583,12 +583,12 @@ def _quad_component_coords(acc, tri, iset, comp, table):
     ]
     _require_boundary(tri, [slot for slot, _ in outer], comp.kind)
     for slot, (vp, vq) in outer:
-        p, q = iset.side_pair(slot)
+        p, q = side_pair(tri, slot)
         _add_coord(acc, p, w * Fraction(vp))
         _add_coord(acc, q, w * Fraction(vq))
 
 
-def _peripheral_coords(acc, tri, iset, comp, kind):
+def _peripheral_coords(acc, tri, comp, kind):
     m = comp.carrier
     if m not in tri.vertices:
         raise CarrierMismatch(f"no marked point {m}")
@@ -610,7 +610,7 @@ def _peripheral_coords(acc, tri, iset, comp, kind):
         _add_coord(acc, ("tri", t), comp.weight * face)
         for j in range(3):
             slot = (t, (ci + j) % 3)
-            p, q = iset.side_pair(slot)
+            p, q = side_pair(tri, slot)
             vp, vq = sides[j]
             if vp or vq:
                 per_side.setdefault(tri.edge_at(slot), {})[slot] = (
@@ -623,11 +623,11 @@ def _peripheral_coords(acc, tri, iset, comp, kind):
         if len(vals) == 2:
             # the two sides see the same pair of global indices in
             # opposite order; check consistency and count once
-            pa, qa = iset.side_pair(slots[0])
-            pb, qb = iset.side_pair(slots[1])
+            pa, qa = side_pair(tri, slots[0])
+            pb, qb = side_pair(tri, slots[1])
             if {pa: vals[0][0], qa: vals[0][1]} != {pb: vals[1][0], qb: vals[1][1]}:
                 raise InvalidPicture(f"inconsistent peripheral contribution at {e}")
-        p, q = iset.side_pair(slots[0])
+        p, q = side_pair(tri, slots[0])
         _add_coord(acc, p, vals[0][0])
         _add_coord(acc, q, vals[0][1])
 
@@ -638,17 +638,16 @@ def coords_of_components(s, kind):
     if kind not in ("X", "A"):
         raise ValueError(kind)
     tri = s.tri
-    iset = Sl3IndexSet(tri)
     acc = {}
     tri_table = _TRI_X if kind == "X" else _TRI_A
     quad_table = _QUAD_X if kind == "X" else _QUAD_A
     for comp in s:
         if comp.kind in tri_table:
-            _triangle_component_coords(acc, tri, iset, comp, tri_table)
+            _triangle_component_coords(acc, tri, comp, tri_table)
         elif comp.kind in quad_table:
-            _quad_component_coords(acc, tri, iset, comp, quad_table)
+            _quad_component_coords(acc, tri, comp, quad_table)
         elif comp.kind in ("peripheral-cw", "peripheral-ccw"):
-            _peripheral_coords(acc, tri, iset, comp, kind)
+            _peripheral_coords(acc, tri, comp, kind)
         else:
             raise UnknownComponentKind(comp.kind)
     return TropicalPoint(kind, acc, tri=tri, restricted=False)

@@ -3,29 +3,36 @@ elementary triangle quiver and its amalgamation into the exchange matrix,
 the frozen m-matrix, matrix mutation and the mutation sequences realizing
 flips and the Dynkin involution.
 
-The elementary quiver is defined once, with its weights doubled to ints
-(:func:`_doubled_quiver`): the exchange matrix sums it over every
+Every matrix is stored one way: twice its entries, as ints, by column.
+``columns[j] = {i: 2 w_ij}`` holds the nonzero entries of column j; the
+weights are multiples of 1/2, so this is exact.  An
+:class:`ExchangeMatrix` makes a :class:`fractions.Fraction` only when an
+entry is read (:meth:`ExchangeMatrix.__getitem__`,
+:func:`matrix_entries`).  :func:`mutate_matrix` at k rebuilds the columns
+of k and of its neighbours and shares every other column with its input,
+so no column is ever changed in place.
+
+The elementary quiver is defined once, with its weights doubled
+(:func:`triangle_quiver`): the exchange matrix sums it over every
 triangle, :func:`flip_quiver` over the two triangles of a flipped edge
-(every entry a flip mutation reads or writes comes from those two),
-:func:`flip_plan` runs a flip's four mutations on those two in ints, once
-per (triangulation, edge), and :func:`extended_columns` tabulates
-2(eps + m) once per triangulation for the ensemble map.  Both are kept
-in the triangulation's ``memo``.  Mutation touches only the pairs of
-neighbours of the mutated index.
+(every entry a flip mutation reads comes from those two), and
+:func:`extended_columns` adds the m-matrix to the sum for the ensemble
+map.  :func:`flip_plan` runs a flip's four mutations on its flip quiver.
+Flip plans and extended columns are derived once per triangulation (and
+edge) and kept in the triangulation's ``memo``.
 
 Indices are tuples: ``("tri", t)`` for the face index of triangle ``t``
 and ``("edge", e, s)`` with ``s in (1, 2)`` for the two points on edge
-``e`` (``s = 1`` nearer the initial endpoint of the oriented edge).  All
-matrix entries are exact :class:`fractions.Fraction` values; the flip
-plans and the ensemble table hold exact ints.
+``e`` (``s = 1`` nearer the initial endpoint of the oriented edge).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
-from .surface import NotInteriorEdge, Sl3Error
+from .surface import Sl3Error
 
 
 class FrozenIndexMutation(Sl3Error):
@@ -33,14 +40,12 @@ class FrozenIndexMutation(Sl3Error):
 
 
 ZERO = Fraction(0)
-HALF = Fraction(1, 2)
 
 
 class Sl3IndexSet:
     """Index set of a triangulation: two points per edge, one per face."""
 
     def __init__(self, tri):
-        self.tri = tri
         idx = []
         for e in tri.edges:
             idx.append(("edge", e, 1))
@@ -63,9 +68,6 @@ class Sl3IndexSet:
     def is_frozen(self, i):
         return i in self.frozen
 
-    def side_pair(self, slot):
-        return side_pair(self.tri, slot)
-
 
 def side_pair(tri, slot):
     """The (p, q) indices of the side at ``slot`` in the traversal of the
@@ -77,96 +79,55 @@ def side_pair(tri, slot):
     return (("edge", e, 2), ("edge", e, 1))
 
 
-class RationalMatrix:
-    """A sparse square matrix over a fixed index list, with exact entries."""
-
-    def __init__(self, indices, entries=None):
-        self.indices = tuple(indices)
-        self.entries = {}
-        if entries:
-            for (i, j), v in entries.items():
-                self[i, j] = v
-
-    def __getitem__(self, ij):
-        return self.entries.get(ij, ZERO)
-
-    def __setitem__(self, ij, v):
-        if type(v) is not Fraction:
-            v = Fraction(v)
-        if v == 0:
-            self.entries.pop(ij, None)
-        else:
-            self.entries[ij] = v
-
-    def add(self, i, j, v):
-        self[i, j] = self[i, j] + v
-
-    def copy(self):
-        out = RationalMatrix(self.indices)
-        out.entries = dict(self.entries)
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalMatrix)
-            and set(self.indices) == set(other.indices)
-            and self.entries == other.entries
-        )
-
-    def __add__(self, other):
-        out = self.copy()
-        for (i, j), v in other.entries.items():
-            out.add(i, j, v)
-        return out
-
-    def is_skew_symmetric(self):
-        return all(self[j, i] == -v for (i, j), v in self.entries.items())
-
-    def relabel(self, index_map, new_indices):
-        out = RationalMatrix(new_indices)
-        for (i, j), v in self.entries.items():
-            out[index_map[i], index_map[j]] = v
-        return out
+def matrix_entries(columns):
+    """The nonzero entries ``{(i, j): w_ij}`` of the matrix stored as the
+    doubled columns ``columns``, as Fractions."""
+    return {(i, j): Fraction(w2, 2) for j, col in columns.items() for i, w2 in col.items()}
 
 
 class ExchangeMatrix:
-    """Skew-symmetric exchange matrix with a frozen index subset."""
+    """Skew-symmetric exchange matrix over ``indices`` with a frozen index
+    subset, stored as doubled int ``columns``: ``columns[j] = {i: 2 eps_ij}``
+    with the nonzero entries only.  Every entry touching an unfrozen index
+    is an integer, so the column of an unfrozen index holds even ints."""
 
-    def __init__(self, matrix, frozen):
-        self.matrix = matrix
+    def __init__(self, indices, columns, frozen):
+        self.indices = tuple(indices)
+        self.columns = columns
         self.frozen = frozenset(frozen)
 
-    @property
-    def indices(self):
-        return self.matrix.indices
-
     def __getitem__(self, ij):
-        return self.matrix[ij]
+        i, j = ij
+        return Fraction(self.columns.get(j, {}).get(i, 0), 2)
 
     def __eq__(self, other):
         return (
             isinstance(other, ExchangeMatrix)
-            and self.matrix == other.matrix
+            and set(self.indices) == set(other.indices)
+            and self.columns == other.columns
             and self.frozen == other.frozen
         )
 
     def check(self):
         """Invariant diagnostics: skew-symmetry, integrality pattern, range."""
         diags = []
-        if not self.matrix.is_skew_symmetric():
+        cols = self.columns
+        if any(cols.get(i, {}).get(j) != -w2 for j, col in cols.items() for i, w2 in col.items()):
             diags.append("not skew-symmetric")
-        for (i, j), v in self.matrix.entries.items():
-            if v.denominator not in (1, 2):
-                diags.append(f"entry {i},{j} not half-integral")
+        for (i, j), v in matrix_entries(cols).items():
             if v.denominator == 2 and not (i in self.frozen and j in self.frozen):
                 diags.append(f"non-frozen entry {i},{j} not integral")
             if abs(v) > 1:
                 diags.append(f"entry {i},{j} out of range")
         return diags
 
-    def relabel(self, index_map, new_indices, new_frozen):
+    def relabel(self, mapping):
+        """The same matrix with every index ``i`` renamed ``mapping.get(i, i)``."""
+        new = mapping.get
         return ExchangeMatrix(
-            self.matrix.relabel(index_map, new_indices), new_frozen
+            [new(i, i) for i in self.indices],
+            {new(j, j): {new(i, i): w2 for i, w2 in col.items()} for j, col in self.columns.items()},
+            [new(i, i) for i in self.frozen],
         )
 
 
@@ -177,7 +138,8 @@ class Mutate:
 
 @dataclass(frozen=True)
 class Permute:
-    """Relabeling step: ``mapping`` sends old indices to new indices.
+    """Relabeling step: ``mapping`` sends old indices to new indices, and
+    an index it leaves out keeps its label.
 
     The mapping must send unfrozen indices to unfrozen ones; the target
     index set may belong to a different triangulation (as after a flip).
@@ -193,7 +155,7 @@ class Permute:
         return dict(self.mapping)
 
 
-def _doubled_quiver(tri, t):
+def triangle_quiver(tri, t):
     """The arrows ``(i, j, 2w)`` of the elementary quiver of triangle ``t``,
     with the weight doubled to an int.
 
@@ -210,36 +172,50 @@ def _doubled_quiver(tri, t):
     return arrows
 
 
-def triangle_quiver(tri, t):
-    """The arrows ``(i, j, w)`` of the elementary quiver of triangle ``t``
-    (see :func:`_doubled_quiver`), with exact weights."""
-    return [(i, j, 1 if w2 == 2 else HALF) for i, j, w2 in _doubled_quiver(tri, t)]
-
-
-def _doubled_sum(tri, triangles, sign=1, into=None):
-    """``sign`` times twice the sum of the elementary quivers of
-    ``triangles``, added into the int entries ``{(i, j): 2 eps_ij}`` of
-    ``into`` (a new dict by default); the dashed arrows on edges shared
-    by two of them cancel to zero entries, which are kept."""
-    out = {} if into is None else into
+def _quiver_entries(tri, triangles):
+    """The doubled entries ``(i, j, 2w)`` of the sum of the elementary
+    quivers of ``triangles``, two per arrow."""
     for t in triangles:
-        for i, j, w2 in _doubled_quiver(tri, t):
-            out[i, j] = out.get((i, j), 0) + sign * w2
-            out[j, i] = out.get((j, i), 0) - sign * w2
+        for i, j, w2 in triangle_quiver(tri, t):
+            yield i, j, w2
+            yield j, i, -w2
+
+
+def _boundary_entries(tri):
+    """The doubled entries ``(i, j, 2w)`` of the symmetric frozen matrix:
+    at each boundary interval e with points p = (e,1), q = (e,2),
+    m_pp = m_qq = -1 and m_pq = m_qp = 1/2."""
+    for e in tri.boundary_intervals:
+        p, q = ("edge", e, 1), ("edge", e, 2)
+        yield from ((p, p, -2), (q, q, -2), (p, q, 1), (q, p, 1))
+
+
+def _add_entries(columns, entries):
+    """``columns`` plus the doubled ``entries`` ``(i, j, 2w)``, as a new
+    column dict without zero entries or empty columns.  A column that no
+    entry touches is shared with ``columns``, which is left as it is."""
+    touched = {}
+    for i, j, w2 in entries:
+        col = touched.get(j)
+        if col is None:
+            col = touched[j] = dict(columns.get(j, ()))
+        col[i] = col.get(i, 0) + w2
+    out = dict(columns)
+    for j, col in touched.items():
+        col = {i: w2 for i, w2 in col.items() if w2}
+        if col:
+            out[j] = col
+        else:
+            out.pop(j, None)
     return out
-
-
-def _amalgamate(tri, triangles, indices):
-    """The sum of the elementary quivers of ``triangles`` as a matrix."""
-    doubled = _doubled_sum(tri, triangles)
-    return RationalMatrix(indices, {ij: Fraction(w2, 2) for ij, w2 in doubled.items()})
 
 
 def exchange_matrix(tri):
     """Index set and exchange matrix of a triangulation: the elementary
     quiver amalgamated over all triangles."""
     iset = Sl3IndexSet(tri)
-    return iset, ExchangeMatrix(_amalgamate(tri, tri.triangles, iset.all), iset.frozen)
+    columns = _add_entries({}, _quiver_entries(tri, tri.triangles))
+    return iset, ExchangeMatrix(iset.all, columns, iset.frozen)
 
 
 def flip_quiver(tri, e):
@@ -251,131 +227,89 @@ def flip_quiver(tri, e):
     reads is already complete here, also when outer sides of the
     quadrilateral are identified."""
     (tl, _), (tr, _) = tri.slots(e)
-    indices = [("tri", tl), ("tri", tr)]
-    for t in (tl, tr):
-        for a in range(3):
-            indices += [i for i in side_pair(tri, (t, a)) if i not in indices]
-    frozen = [i for i in indices if i[0] == "edge" and tri.is_boundary(i[1])]
-    return ExchangeMatrix(_amalgamate(tri, (tl, tr), indices), frozen)
-
-
-def _doubled_boundary_block(e):
-    """The entries ``(i, j, 2w)`` of the symmetric frozen matrix at the
-    boundary interval ``e`` with points p = (e,1), q = (e,2):
-    m_pp = m_qq = -1, m_pq = m_qp = 1/2, doubled to ints."""
-    p, q = ("edge", e, 1), ("edge", e, 2)
-    return [(p, p, -2), (q, q, -2), (p, q, 1), (q, p, 1)]
+    columns = _add_entries({}, _quiver_entries(tri, (tl, tr)))
+    frozen = [i for i in columns if i[0] == "edge" and tri.is_boundary(i[1])]
+    return ExchangeMatrix(columns, columns, frozen)
 
 
 def m_matrix(tri):
     """The symmetric frozen matrix, one boundary block per boundary
-    interval."""
-    m = RationalMatrix(Sl3IndexSet(tri).all)
-    for e in tri.boundary_intervals:
-        for i, j, w2 in _doubled_boundary_block(e):
-            m[i, j] = Fraction(w2, 2)
-    return m
+    interval, as doubled columns ``j -> {i: 2 m_ij}``."""
+    return _add_entries({}, _boundary_entries(tri))
+
+
+def _extended(tri):
+    """The doubled columns ``j -> {i: 2(eps + m)_ij}``, built afresh."""
+    return _add_entries({}, chain(_quiver_entries(tri, tri.triangles), _boundary_entries(tri)))
 
 
 def extended_matrix(tri):
-    """The matrix eps + m used by the ensemble map."""
-    iset, eps = exchange_matrix(tri)
-    return iset, eps.matrix + m_matrix(tri)
+    """Index set and the matrix eps + m used by the ensemble map, as
+    doubled columns."""
+    return Sl3IndexSet(tri), _extended(tri)
 
 
 def extended_columns(tri):
-    """The nonzero entries of 2(eps + m) by column, as ints:
-    ``j -> ((i, 2(eps+m)_ij), ...)``.  Built once per triangulation and
-    kept in its ``memo``; :func:`flip_plan` derives a flipped
-    triangulation's columns from these."""
+    """The doubled columns of eps + m (see :func:`extended_matrix`), built
+    once per triangulation and kept in its ``memo``; :func:`flip_plan`
+    derives a flipped triangulation's columns from these."""
     columns = tri.memo.get("extended columns")
     if columns is None:
-        doubled = _doubled_sum(tri, tri.triangles)
-        for e in tri.boundary_intervals:
-            for i, j, w2 in _doubled_boundary_block(e):
-                doubled[i, j] = doubled.get((i, j), 0) + w2
-        columns = tri.memo["extended columns"] = _add_columns({}, doubled)
+        columns = tri.memo["extended columns"] = _extended(tri)
     return columns
-
-
-def _add_columns(columns, doubled):
-    """``columns`` plus the entries ``{(i, j): w2}`` of ``doubled``, as a
-    new column dict; ``columns`` is left as it is."""
-    changed = {}
-    for (i, j), w2 in doubled.items():
-        if w2:
-            if j not in changed:
-                changed[j] = dict(columns.get(j, ()))
-            changed[j][i] = changed[j].get(i, 0) + w2
-    out = dict(columns)
-    for j, col in changed.items():
-        col = tuple((i, w2) for i, w2 in col.items() if w2)
-        if col:
-            out[j] = col
-        else:
-            del out[j]
-    return out
 
 
 def mutate_matrix(eps, k):
     """Skew-symmetric matrix mutation at the unfrozen index ``k``:
     eps'_ij = -eps_ij if k in (i, j), else eps_ij + sgn(eps_ik)[eps_ik eps_kj]_+.
 
-    Only the pairs (i, j) with eps_ik and eps_kj both nonzero change, so
-    one pass finds the neighbours of ``k`` and the update visits just
-    their pairs."""
+    Only the entries in the columns of ``k`` and of its neighbours (the j
+    with eps_jk nonzero) change, so only those columns are rebuilt; every
+    other column is shared with ``eps``."""
     if k in eps.frozen:
         raise FrozenIndexMutation(k)
-    new = eps.matrix.copy()
-    into, out_of = [], []  # (i, eps_ik) and (j, eps_kj), i, j != k
-    for (i, j), v in eps.matrix.entries.items():
-        if i == k or j == k:
-            new.entries[i, j] = -v
-        if j == k and i != k:
-            into.append((i, v))
-        elif i == k and j != k:
-            out_of.append((j, v))
-    for i, vik in into:
-        for j, vkj in out_of:
-            # sgn(vik) [vik vkj]_+ is |vik| vkj when the signs agree
-            if j != i and (vik > 0) == (vkj > 0):
-                new.add(i, j, abs(vik) * vkj)
-    return ExchangeMatrix(new, eps.frozen)
+    col_k = eps.columns.get(k, {})
+    columns = dict(eps.columns)
+    if col_k:
+        columns[k] = {i: -w2 for i, w2 in col_k.items()}
+    for j, wjk in col_k.items():
+        col = columns[j] = dict(eps.columns[j])
+        col[k] = wjk  # 2 eps'_kj = -2 eps_kj = 2 eps_jk
+        # sgn(eps_ik) [eps_ik eps_kj]_+ is |eps_ik| eps_kj when the signs
+        # agree, and eps_kj = -eps_jk; the entries at k are even
+        for i, wik in col_k.items():
+            if i != j and (wik > 0) != (wjk > 0):
+                v = col.get(i, 0) - (abs(wik) >> 1) * wjk
+                if v:
+                    col[i] = v
+                else:
+                    del col[i]
+    return ExchangeMatrix(eps.indices, columns, eps.frozen)
 
 
 def apply_matrix_steps(eps, steps):
     """Apply a list of Mutate/Permute steps to an exchange matrix."""
-    cur = eps
     for step in steps:
-        if isinstance(step, Mutate):
-            cur = mutate_matrix(cur, step.k)
-        else:
-            mapping = step.as_dict()
-            indices = [mapping[i] for i in cur.indices]
-            cur = cur.relabel(mapping, indices, frozenset(mapping[i] for i in cur.frozen))
-    return cur
+        eps = mutate_matrix(eps, step.k) if isinstance(step, Mutate) else eps.relabel(step.as_dict())
+    return eps
+
+
+def _flip_mutations(tri, e):
+    """The indices the flip at ``e`` mutates, in order.  In the local
+    labels of the flip quadrilateral (1 = (e,2), 2 = face of T_L,
+    3 = (e,1), 4 = face of T_R) the path is mu_1, mu_3, mu_4, mu_2."""
+    (tl, _), (tr, _) = tri.slots(e)
+    return (("edge", e, 2), ("edge", e, 1), ("tri", tr), ("tri", tl))
 
 
 def flip_mutation_sequence(tri, e):
-    """The 4-mutation sequence realizing the flip at ``e``, followed by
-    the relabeling onto the flipped triangulation's index set.
-
-    In the local labels of the flip quadrilateral (1 = (e,2), 2 = face of
-    T_L, 3 = (e,1), 4 = face of T_R) the path is mu_1, mu_3, mu_4, mu_2.
-    Returns ``(steps, t_flipped, correspondence)``.
-    """
-    if tri.is_boundary(e):
-        raise NotInteriorEdge(e)
-    (tl, _), (tr, _) = tri.slots(e)
+    """The 4-mutation sequence realizing the flip at ``e`` (see
+    :func:`_flip_mutations`), followed by the relabeling onto the flipped
+    triangulation's index set.  Returns ``(steps, t_flipped,
+    correspondence)``."""
     t2, corr = tri.flip_edge(e)
-    steps = [
-        Mutate(("edge", e, 2)),
-        Mutate(("edge", e, 1)),
-        Mutate(("tri", tr)),
-        Mutate(("tri", tl)),
-        Permute.of(corr.index_map),
-    ]
-    return steps, t2, corr
+    steps = [Mutate(k) for k in _flip_mutations(tri, e)]
+    return steps + [Permute.of(corr.index_map)], t2, corr
 
 
 @dataclass(frozen=True)
@@ -384,10 +318,8 @@ class FlipPlan:
     (triangulation, edge): the flipped triangulation ``tri``, the index
     correspondence ``corr``, the indices of the flip quadrilateral
     (``local``) and the ``frozen`` ones among them, and the flip's four
-    mutations as ``columns`` ``(k, ((i, eps_ik), ...))`` in order, each
-    read off the exchange matrix as it stands before that mutation.
-    Every entry touching an unfrozen index is an integer, so the columns
-    hold plain ints."""
+    mutations as ``columns`` ``(k, {i: 2 eps_ik})`` in order, each read
+    off the exchange matrix as it stands before that mutation."""
 
     tri: object
     corr: object
@@ -399,45 +331,28 @@ class FlipPlan:
 def flip_plan(tri, e):
     """The :class:`FlipPlan` of the flip at ``e``, kept in ``tri.memo``.
 
-    The mutation order is that of :func:`flip_mutation_sequence`.  The
-    columns come from the two triangles at ``e``, which hold every entry
-    touching a mutated index (see :func:`flip_quiver`), and the
-    mutations update only the entries touching one; no other entry is
-    ever read."""
+    The columns come from running :func:`mutate_matrix` on the
+    :func:`flip_quiver` at ``e``, which holds every entry touching a
+    mutated index; the entries between two outer indices that it updates
+    are incomplete there, but no mutation of the flip reads them."""
     plan = tri.memo.get(("flip plan", e))
     if plan is not None:
         return plan
     t2, corr = tri.flip_edge(e)
-    (tl, _), (tr, _) = tri.slots(e)
-    order = (("edge", e, 2), ("edge", e, 1), ("tri", tr), ("tri", tl))
-    doubled = _doubled_sum(tri, (tl, tr))
-    local = tuple({i: None for ij in doubled for i in ij})
-    mutated = frozenset(order)
-    eps = {}  # eps[i][j] = eps_ij, for the pairs touching a mutated index
-    for (i, j), w2 in doubled.items():
-        if w2 and (i in mutated or j in mutated):
-            eps.setdefault(i, {})[j] = w2 // 2
+    eps = local = flip_quiver(tri, e)
     columns = []
-    for k in order:
-        col = tuple((i, -v) for i, v in eps[k].items() if v)
-        columns.append((k, col))
-        for i, vik in col:
-            eps[i][k] = -vik
-            eps[k][i] = vik
-        # eps_ij += sgn(eps_ik) [eps_ik eps_kj]_+ with eps_kj = -eps_jk,
-        # which is |eps_ik| (-eps_jk) where eps_ik and eps_jk differ in sign
-        for i, vik in col:
-            row = eps[i]
-            for j, vjk in col:
-                if (vik > 0) != (vjk > 0) and (i in mutated or j in mutated):
-                    row[j] = row.get(j, 0) - abs(vik) * vjk
-    frozen = frozenset(i for i in local if i[0] == "edge" and tri.is_boundary(i[1]))
-    plan = tri.memo[("flip plan", e)] = FlipPlan(t2, corr, local, frozen, tuple(columns))
-    # a flip changes the quivers of its two triangles only
+    for k in _flip_mutations(tri, e):
+        columns.append((k, eps.columns[k]))
+        eps = mutate_matrix(eps, k)
+    plan = tri.memo[("flip plan", e)] = FlipPlan(t2, corr, local.indices, local.frozen, tuple(columns))
+    # a flip changes the quivers of its two triangles only, from the flip
+    # quiver to the sum of the new two
     parent_columns = tri.memo.get("extended columns")
     if parent_columns is not None and "extended columns" not in t2.memo:
-        delta = _doubled_sum(tri, (tl, tr), sign=-1, into=_doubled_sum(t2, (tl, tr)))
-        t2.memo["extended columns"] = _add_columns(parent_columns, delta)
+        (tl, _), (tr, _) = tri.slots(e)
+        old = ((i, j, -w2) for j, col in local.columns.items() for i, w2 in col.items())
+        new = _quiver_entries(t2, (tl, tr))
+        t2.memo["extended columns"] = _add_entries(parent_columns, chain(old, new))
     return plan
 
 
@@ -450,7 +365,5 @@ def dynkin_mutation_sequence(tri):
     for e in tri.edges:
         mapping[("edge", e, 1)] = ("edge", e, 2)
         mapping[("edge", e, 2)] = ("edge", e, 1)
-    for t in tri.triangles:
-        mapping[("tri", t)] = ("tri", t)
     steps.append(Permute.of(mapping))
     return steps

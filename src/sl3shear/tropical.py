@@ -2,11 +2,15 @@
 them: X- and A-mutation, the closed-form flip map, the ensemble map, the
 Dynkin cluster action and the principal embedding.
 
-A flip mutates only its quadrilateral: :func:`apply_flip` runs the
-mutation columns of the flip's plan (:func:`seeds.flip_plan`, built once
-per triangulation and edge) on the point's coordinates at the
-quadrilateral, and relabels four indices; every other coordinate is
-shared with the input.  The ensemble map folds the int table of 2(eps + m)
+Each mutation rule is written once, as an update of a coordinate dict
+from one doubled column of the exchange matrix: :func:`_x_rule` and
+:func:`_a_rule`.  :func:`mutate_x` and :func:`mutate_a` run them on a
+point's Fractions.  A flip mutates only its quadrilateral:
+:func:`apply_flip` runs them over the columns of the flip's plan
+(:func:`seeds.flip_plan`, built once per triangulation and edge) on the
+point's coordinates at the quadrilateral, scaled to ints, and relabels
+four indices; every other coordinate is shared with the input.  The
+ensemble map folds the doubled columns of eps + m
 (:func:`seeds.extended_columns`) against the A-point scaled to ints, and
 the Dynkin action runs its corrections on the scaled X-point.
 
@@ -101,89 +105,92 @@ class TropicalPoint:
         return TropicalPoint(self.kind, coords, tri=self.tri, restricted=self.restricted)
 
 
-def _sgn(v):
-    return (v > 0) - (v < 0)
+def _x_rule(x, k, col):
+    """Tropical X-mutation at ``k``, in place on the nonzero coordinates
+    ``x`` (ints or Fractions; a value that becomes zero is removed), from
+    the doubled column ``col = {i: 2 eps_ik}`` of ``k``: x'_k = -x_k and
+    x'_i = x_i - eps_ik [-sgn(eps_ik) x_k]_+ otherwise, which is
+    x_i + |eps_ik| x_k where eps_ik and x_k differ in sign.  The column
+    of an unfrozen ``k`` holds even ints."""
+    xk = x.get(k)
+    if not xk:
+        return
+    for i, w2 in col.items():
+        if (w2 > 0) != (xk > 0):
+            v = x.get(i, 0) + (abs(w2) >> 1) * xk
+            if v:
+                x[i] = v
+            else:
+                del x[i]
+    x[k] = -xk
+
+
+def _a_rule(a, k, col):
+    """Tropical A-mutation at ``k``, in place on the nonzero coordinates
+    ``a``, from the doubled column ``col = {i: 2 eps_ik}`` of ``k``:
+    a'_k = -a_k + max(sum_i [eps_ki]_+ a_i, sum_i [-eps_ki]_+ a_i), with
+    eps_ki = -eps_ik."""
+    s_plus = s_minus = 0
+    for i, w2 in col.items():
+        ai = a.get(i)
+        if ai:
+            if w2 < 0:
+                s_plus -= (w2 >> 1) * ai
+            else:
+                s_minus += (w2 >> 1) * ai
+    v = max(s_plus, s_minus) - a.get(k, 0)
+    if v:
+        a[k] = v
+    else:
+        a.pop(k, None)
+
+
+def _column(p, kind, eps, k):
+    """The doubled column of ``k`` in ``eps`` that mutates the
+    ``kind``-point ``p`` at ``k``.  A restricted point keeps no frozen
+    coordinates: unfrozen outputs read only unfrozen inputs, so the
+    column leaves them out."""
+    if p.kind != kind:
+        raise SeedMismatch(f"{kind}-point required")
+    if k in eps.frozen:
+        raise FrozenIndexMutation(k)
+    col = eps.columns.get(k, {})
+    if p.restricted:
+        col = {i: w2 for i, w2 in col.items() if i not in eps.frozen}
+    return col
 
 
 def mutate_x(p, eps, k):
-    """Tropical cluster Poisson mutation at the unfrozen index ``k``:
-    x'_k = -x_k and x'_i = x_i - eps_ik [ -sgn(eps_ik) x_k ]_+ otherwise.
-
-    A restricted point keeps no frozen coordinates: unfrozen outputs read
-    only unfrozen inputs, so dropping them is a projection."""
-    if p.kind != "X":
-        raise SeedMismatch("X-point required")
-    if k in eps.frozen:
-        raise FrozenIndexMutation(k)
-    xk = p[k]
-    out = {}
-    support = set(p.coords)
-    support.update(i for (i, j) in eps.matrix.entries if j == k)
-    if p.restricted:
-        support -= eps.frozen
-    for i in support:
-        if i == k:
-            continue
-        e = eps[i, k]
-        if e == 0:
-            v = p[i]
-        else:
-            v = p[i] - e * pos(-_sgn(e) * xk)
-        if v != 0:
-            out[i] = v
-    if xk != 0:
-        out[k] = -xk
-    return p.replace(out)
+    """Tropical cluster Poisson mutation at the unfrozen index ``k`` (see
+    :func:`_x_rule`)."""
+    coords = dict(p.coords)
+    _x_rule(coords, k, _column(p, "X", eps, k))
+    return _point(p, coords, p.tri)
 
 
 def mutate_a(p, eps, k):
-    """Tropical cluster A-mutation at ``k``:
-    a'_k = -a_k + max( sum_j [eps_kj]_+ a_j, sum_j [-eps_kj]_+ a_j )."""
-    if p.kind != "A":
-        raise SeedMismatch("A-point required")
-    if k in eps.frozen:
-        raise FrozenIndexMutation(k)
-    s_plus = ZERO
-    s_minus = ZERO
-    for (i, j), v in eps.matrix.entries.items():
-        if i != k:
-            continue
-        if v > 0:
-            s_plus += v * p[j]
-        else:
-            s_minus += (-v) * p[j]
-    out = dict(p.coords)
-    new = -p[k] + max(s_plus, s_minus)
-    if new != 0:
-        out[k] = new
-    else:
-        out.pop(k, None)
-    return p.replace(out)
+    """Tropical cluster A-mutation at the unfrozen index ``k`` (see
+    :func:`_a_rule`)."""
+    coords = dict(p.coords)
+    _a_rule(coords, k, _column(p, "A", eps, k))
+    return _point(p, coords, p.tri)
 
 
 def apply_steps(p, eps, steps, tri_after=None):
     """Apply a Mutate/Permute sequence to a point, mutating the exchange
-    matrix along.  Returns ``(point, eps)`` after all steps."""
-    mut = mutate_x if p.kind == "X" else mutate_a
-    cur_p, cur_eps = p, eps
+    matrix along.  Returns ``(point, eps)`` after all steps; the point
+    lies on ``tri_after`` once a step relabels."""
+    rule = _x_rule if p.kind == "X" else _a_rule
+    coords, tri = dict(p.coords), p.tri
     for step in steps:
         if isinstance(step, Mutate):
-            cur_p = mut(cur_p, cur_eps, step.k)
-            cur_eps = mutate_matrix(cur_eps, step.k)
+            rule(coords, step.k, _column(p, p.kind, eps, step.k))
+            eps = mutate_matrix(eps, step.k)
         else:
             mapping = step.as_dict()
-            coords = {mapping.get(i, i): v for i, v in cur_p.coords.items()}
-            cur_p = TropicalPoint(
-                cur_p.kind, coords, tri=tri_after, restricted=cur_p.restricted
-            )
-            new_indices = [mapping.get(i, i) for i in cur_eps.indices]
-            new_frozen = frozenset(mapping.get(i, i) for i in cur_eps.frozen)
-            cur_eps = cur_eps.relabel(
-                {i: mapping.get(i, i) for i in cur_eps.indices},
-                new_indices,
-                new_frozen,
-            )
-    return cur_p, cur_eps
+            coords = {mapping.get(i, i): v for i, v in coords.items()}
+            eps, tri = eps.relabel(mapping), tri_after
+    return _point(p, coords, tri), eps
 
 
 def flip_local_labels(tri, e):
@@ -256,30 +263,16 @@ def apply_flip(p, tri, e):
     is read.  Identical to running the steps on the whole exchange
     matrix and point."""
     plan = flip_plan(tri, e)
+    rule = _x_rule if p.kind == "X" else _a_rule
     # in the ints d x, with d the lcm of the quadrilateral's denominators
-    d, x = _scaled({i: p[i] for i in plan.local})
+    d, x = _scaled({i: p.coords[i] for i in plan.local if i in p.coords})
     before = dict(x)
     for k, col in plan.columns:
-        xk = x[k]
-        if p.kind == "X":
-            # x_i -= eps_ik [-sgn(eps_ik) x_k]_+, which is |eps_ik| x_k
-            # when eps_ik and x_k differ in sign
-            if xk:
-                for i, eik in col:
-                    if (eik > 0) != (xk > 0):
-                        x[i] += abs(eik) * xk
-            x[k] = -xk
-        else:
-            # a_k = -a_k + max(sum_i [eps_ki]_+ a_i, sum_i [-eps_ki]_+ a_i)
-            s_plus = s_minus = 0
-            for i, eik in col:
-                if eik < 0:
-                    s_plus -= eik * x[i]
-                else:
-                    s_minus += eik * x[i]
-            x[k] = max(s_plus, s_minus) - xk
+        rule(x, k, col)
     # a coordinate the mutations left alone keeps its Fraction
-    return _flipped(p, plan, {i: Fraction(v, d) if v != before[i] else p[i] for i, v in x.items()})
+    return _flipped(p, plan, {
+        i: p[i] if x.get(i) == before.get(i) else Fraction(x.get(i, 0), d) for i in plan.local
+    })
 
 
 def _flipped(p, plan, local):
@@ -287,18 +280,21 @@ def _flipped(p, plan, local):
     flip quadrilateral replaced by ``local`` (keyed by old index) and
     relabeled by ``plan.corr``, every other one kept as it is.  A
     restricted point keeps no frozen coordinate of the quadrilateral;
-    the others it never has.
-
-    Every value is a Fraction already, the point's own or one made from
-    exact ints, so only the quadrilateral's are checked for zero."""
+    the others it never has."""
     coords = dict(p.coords)
     for i in local:
         coords.pop(i, None)
     for i, v in local.items():
         if v and not (p.restricted and i in plan.frozen):
             coords[plan.corr[i]] = v
+    return _point(p, coords, plan.tri)
+
+
+def _point(p, coords, tri):
+    """A point of ``p``'s kind on ``tri`` with the nonzero Fraction
+    ``coords`` as they are, without the constructor's conversions."""
     q = object.__new__(TropicalPoint)
-    q.kind, q.coords, q.tri, q.restricted = p.kind, coords, plan.tri, p.restricted
+    q.kind, q.coords, q.tri, q.restricted = p.kind, coords, tri, p.restricted
     return q
 
 
@@ -322,7 +318,7 @@ def ensemble(a, tri):
     columns = extended_columns(tri)
     out = {}
     for j, aj in scaled.items():
-        for i, w2 in columns.get(j, ()):
+        for i, w2 in columns.get(j, {}).items():
             out[i] = out.get(i, 0) + w2 * aj
     return TropicalPoint("X", {i: Fraction(v, 2 * d) for i, v in out.items() if v}, tri=tri)
 

@@ -15,7 +15,9 @@ from .seeds import (
     Sl3IndexSet,
     exchange_matrix,
     m_matrix,
+    matrix_entries,
     mutate_matrix,
+    side_pair,
 )
 from .tropical import (
     TropicalPoint,
@@ -167,8 +169,7 @@ def ensemble_table_suite():
         ComponentSum(tri3, [Component("alpha", t3, Fraction(1), corner=0)]), "X"
     )
     tau = coords_of_components(ComponentSum(tri3, [Component("tau+", t3, Fraction(1))]), "X")
-    iset3 = Sl3IndexSet(tri3)
-    pairs = [iset3.side_pair((t3, a)) for a in range(3)]
+    pairs = [side_pair(tri3, (t3, a)) for a in range(3)]
     order = [("tri", t3), pairs[1][0], pairs[1][1], pairs[2][0], pairs[2][1], pairs[0][0], pairs[0][1]]
     alpha_row = tuple(alpha[i] for i in order)
     tau_row = tuple(tau[i] for i in order)
@@ -215,11 +216,11 @@ def ensemble_single_mutation_report(trials=200, seed=0):
         a = TropicalPoint("A", _random_x(rng, iset, num=10, den=4), tri=tri)
         k = rng.choice(iset.unfrozen)
         a2 = mutate_a(a, eps, k)
-        eps2 = mutate_matrix(eps, k)
         lhs = {}
-        for (i, j), v in (eps2.matrix + mm).entries.items():
-            if a2[j]:
-                lhs[i] = lhs.get(i, Fraction(0)) + v * a2[j]
+        for columns in (mutate_matrix(eps, k).columns, mm):
+            for (i, j), v in matrix_entries(columns).items():
+                if a2[j]:
+                    lhs[i] = lhs.get(i, Fraction(0)) + v * a2[j]
         lhs = {k2: v for k2, v in lhs.items() if v}
         x0 = ensemble(a, tri)
         rhs = mutate_x(x0, eps, k)

@@ -1,0 +1,70 @@
+"""Dense reference rules for matrix, X- and A-mutation, on Fractions.
+
+A matrix here is the dict ``{(i, j): eps_ij}`` of its nonzero entries,
+and every rule is read straight off its definition, over every pair of
+indices.  The tests compare the library's column-wise rules with these.
+"""
+
+from fractions import Fraction
+
+from sl3shear.seeds import ExchangeMatrix
+
+
+def exchange(indices, entries, frozen=()):
+    """The :class:`ExchangeMatrix` with the given entries ``{(i, j): v}``,
+    each with its skew-symmetric partner: columns of doubled ints."""
+    columns = {}
+    for (i, j), v in entries.items():
+        w2 = 2 * Fraction(v)
+        assert w2.denominator == 1, f"entry {i},{j} is not half-integral"
+        if w2:
+            columns.setdefault(j, {})[i] = int(w2)
+            columns.setdefault(i, {})[j] = -int(w2)
+    return ExchangeMatrix(indices, columns, frozen)
+
+
+def mutate_matrix(indices, eps, k):
+    """eps'_ij = -eps_ij if k in (i, j), else
+    eps_ij + sgn(eps_ik) max(0, eps_ik eps_kj)."""
+    out = {}
+    for i in indices:
+        for j in indices:
+            e = eps.get((i, j), 0)
+            if k in (i, j):
+                v = -e
+            else:
+                eik, ekj = eps.get((i, k), 0), eps.get((k, j), 0)
+                sgn = (eik > 0) - (eik < 0)
+                v = e + sgn * max(0, eik * ekj)
+            if v:
+                out[i, j] = Fraction(v)
+    return out
+
+
+def mutate_x(indices, eps, frozen, x, k, restricted=False):
+    """x'_k = -x_k and x'_i = x_i - eps_ik max(0, -sgn(eps_ik) x_k); a
+    restricted point drops every frozen coordinate."""
+    out = {}
+    xk = x.get(k, 0)
+    for i in indices:
+        if i == k:
+            v = -xk
+        else:
+            eik = eps.get((i, k), 0)
+            sgn = (eik > 0) - (eik < 0)
+            v = x.get(i, 0) - eik * max(0, -sgn * xk)
+        if v and not (restricted and i in frozen):
+            out[i] = Fraction(v)
+    return out
+
+
+def mutate_a(indices, eps, a, k):
+    """a'_k = -a_k + max(sum_j max(0, eps_kj) a_j, sum_j max(0, -eps_kj) a_j),
+    every other coordinate unchanged."""
+    plus = sum(max(0, eps.get((k, j), 0)) * a.get(j, 0) for j in indices)
+    minus = sum(max(0, -eps.get((k, j), 0)) * a.get(j, 0) for j in indices)
+    out = {i: v for i, v in a.items() if i != k}
+    v = -a.get(k, 0) + max(plus, minus)
+    if v:
+        out[k] = Fraction(v)
+    return out

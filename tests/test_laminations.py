@@ -27,7 +27,7 @@ from sl3shear.laminations import (
     shear_unfrozen,
 )
 from sl3shear.reconstruct import identifier_relations, reconstruct, traveler_trace
-from sl3shear.seeds import Sl3IndexSet, extended_matrix
+from sl3shear.seeds import Sl3IndexSet, extended_matrix, side_pair
 from sl3shear.surface import MarkedSurfaceSpec, build
 from sl3shear.tropical import TropicalPoint, dynkin_cluster, ensemble
 from sl3shear.verify import _glued_expectation, random_pinned_two_triangles, realizable_component_sum
@@ -205,8 +205,7 @@ def test_frozen_coordinates_face_term(triangle):
 
 def test_component_tables_examples(triangle):
     t = triangle.triangles[0]
-    iset = Sl3IndexSet(triangle)
-    pairs = [iset.side_pair((t, a)) for a in range(3)]
+    pairs = [side_pair(triangle, (t, a)) for a in range(3)]
     order = [("tri", t), *pairs[1], *pairs[2], *pairs[0]]
     a = coords_of_components(
         ComponentSum(triangle, [Component("alpha", t, F(1), corner=0)]), "A"
@@ -249,8 +248,7 @@ def test_geometric_ensemble_examples(triangle):
     pl = geometric_ensemble(s)
     assert pl.delta == {}
     x = shear_frozen(pl)
-    iset = Sl3IndexSet(triangle)
-    pairs = [iset.side_pair((t, a)) for a in range(3)]
+    pairs = [side_pair(triangle, (t, a)) for a in range(3)]
     order = [("tri", t), *pairs[1], *pairs[2], *pairs[0]]
     assert [x[i] for i in order] == [F(1), F(0), F(-1), F(0), F(-1), F(0), F(-1)]
 

@@ -25,6 +25,7 @@ from sl3shear.seeds import (
     extended_matrix,
     flip_mutation_sequence,
     flip_plan,
+    matrix_entries,
 )
 from sl3shear.surface import FlipCreatesSelfFolded, IdealTriangulation, MarkedSurfaceSpec, build
 from sl3shear.tropical import (
@@ -86,7 +87,7 @@ def _reference_flip(p, tri, e):
 def _reference_ensemble(a, tri):
     _, ext = extended_matrix(tri)
     out = {}
-    for (i, j), v in ext.entries.items():
+    for (i, j), v in matrix_entries(ext).items():
         out[i] = out.get(i, F(0)) + v * a[j]
     return TropicalPoint("X", out, tri=tri)
 

@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mutation_reference as ref
 from sl3shear.seeds import (
-    ExchangeMatrix,
     FrozenIndexMutation,
     Mutate,
-    RationalMatrix,
     Sl3IndexSet,
     apply_matrix_steps,
     dynkin_mutation_sequence,
@@ -17,28 +16,26 @@ from sl3shear.seeds import (
     flip_mutation_sequence,
     flip_quiver,
     m_matrix,
+    matrix_entries,
     mutate_matrix,
+    side_pair,
     triangle_quiver,
 )
 from sl3shear.surface import FlipCreatesSelfFolded, MarkedSurfaceSpec, build
+from sl3shear.tropical import TropicalPoint, mutate_a, mutate_x
 
 F = Fraction
 
 
 def small_matrix(entries, n=3, frozen=()):
-    m = RationalMatrix(list(range(1, n + 1)))
-    for (i, j), v in entries.items():
-        m[i, j] = v
-        m[j, i] = -v
-    return ExchangeMatrix(m, frozen)
+    return ref.exchange(range(1, n + 1), entries, frozen)
 
 
 def triangle_labels(tri):
     """The paper's labels on a triangle: face 0 and the side pairs
     (5,6), (1,2), (3,4) counterclockwise."""
     t = tri.triangles[0]
-    iset = Sl3IndexSet(tri)
-    pairs = [iset.side_pair((t, a)) for a in range(3)]
+    pairs = [side_pair(tri, (t, a)) for a in range(3)]
     return {
         0: ("tri", t),
         5: pairs[0][0], 6: pairs[0][1],
@@ -58,7 +55,7 @@ def test_index_set_counts(polygon4, torus):
 
 def test_triangle_extended_rows(triangle):
     lab = triangle_labels(triangle)
-    _, ext = extended_matrix(triangle)
+    ext = matrix_entries(extended_matrix(triangle)[1])
     rows = {
         0: [0, -1, 1, -1, 1, -1, 1],
         1: [1, -1, 0, 0, 0, 0, -1],
@@ -69,7 +66,7 @@ def test_triangle_extended_rows(triangle):
         6: [-1, 1, 0, 0, 0, 1, -1],
     }
     for i, want in rows.items():
-        got = [ext[lab[i], lab[j]] for j in range(7)]
+        got = [ext.get((lab[i], lab[j]), 0) for j in range(7)]
         assert got == [F(v) for v in want], f"row {i}"
 
 
@@ -87,15 +84,15 @@ def test_skew_symmetry_and_range(polygon5, torus):
 
 
 def test_m_matrix_entries(triangle, torus):
-    mm = m_matrix(triangle)
+    mm = matrix_entries(m_matrix(triangle))
     e = triangle.boundary_intervals[0]
     p, q = ("edge", e, 1), ("edge", e, 2)
     assert mm[p, p] == F(-1) and mm[q, q] == F(-1)
     assert mm[p, q] == F(1, 2) and mm[q, p] == F(1, 2)
     iset, _ = exchange_matrix(triangle)
     for i in iset.unfrozen:
-        assert all(mm[i, j] == 0 for j in iset.all)
-    assert m_matrix(torus).entries == {}
+        assert all(mm.get((i, j), 0) == 0 for j in iset.all)
+    assert m_matrix(torus) == {}
 
 
 def test_mutate_2x2_sign_flip():
@@ -130,6 +127,57 @@ def test_mutate_frozen_rejected():
 def test_mutation_involution(entries, k):
     eps = small_matrix({ij: F(v) for ij, v in entries.items()}, n=4)
     assert mutate_matrix(mutate_matrix(eps, k), k) == eps
+
+
+@st.composite
+def seed_and_coords(draw):
+    """A small skew-symmetric matrix with integral entries at every
+    unfrozen index and half-integral frozen x frozen ones, an unfrozen
+    index and rational coordinates."""
+    n = draw(st.integers(2, 6))
+    indices = list(range(1, n + 1))
+    frozen = draw(st.sets(st.sampled_from(indices), max_size=n - 1))
+    upper = {}
+    for i in indices:
+        for j in indices[i:]:
+            both_frozen = i in frozen and j in frozen
+            upper[i, j] = F(draw(st.integers(-4, 4)), 2) if both_frozen else F(draw(st.integers(-3, 3)))
+    k = draw(st.sampled_from([i for i in indices if i not in frozen]))
+    fractions = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+    coords = draw(st.dictionaries(st.sampled_from(indices), fractions))
+    return indices, upper, frozen, k, coords
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed_and_coords())
+def test_mutations_equal_the_dense_reference(case):
+    indices, upper, frozen, k, coords = case
+    eps = ref.exchange(indices, upper, frozen)
+    dense = {ij: v for (i, j), v in upper.items() for ij, v in (((i, j), v), ((j, i), -v)) if v}
+    out = mutate_matrix(eps, k)
+    assert matrix_entries(out.columns) == ref.mutate_matrix(indices, dense, k)
+    assert all(out.columns.values())
+    x = TropicalPoint("X", coords)
+    assert mutate_x(x, eps, k).coords == ref.mutate_x(indices, dense, frozen, x.coords, k)
+    xr = TropicalPoint("X", {i: v for i, v in coords.items() if i not in frozen}, restricted=True)
+    assert mutate_x(xr, eps, k).coords == ref.mutate_x(indices, dense, frozen, xr.coords, k, restricted=True)
+    a = TropicalPoint("A", coords)
+    assert mutate_a(a, eps, k).coords == ref.mutate_a(indices, dense, a.coords, k)
+
+
+def test_mutation_shares_every_column_outside_k_and_its_neighbours():
+    # mutation at k reads column k alone: every column of an index that
+    # is neither k nor in k's column is the same object after it
+    tri = build(MarkedSurfaceSpec.punctured_polygon(5, 2))
+    iset, eps = exchange_matrix(tri)
+    for k in iset.unfrozen:
+        out = mutate_matrix(eps, k)
+        touched = {k} | set(eps.columns[k])
+        for j, col in eps.columns.items():
+            if j not in touched:
+                assert out.columns[j] is col
+        assert out.columns.keys() == eps.columns.keys()
+    assert eps == exchange_matrix(tri)[1]
 
 
 @pytest.mark.parametrize(
@@ -170,12 +218,13 @@ def test_amalgamation_locality(polygon5):
     # per-triangle blocks add: deleting one triangle leaves the rest
     _, eps = exchange_matrix(polygon5)
     t0 = polygon5.triangles[0]
-    rest = eps.matrix.copy()
-    for i, j, w in triangle_quiver(polygon5, t0):
-        rest.add(i, j, -w)
-        rest.add(j, i, w)
-    for (i, j), v in rest.entries.items():
-        assert ("tri", t0) not in (i, j)
+    rest = matrix_entries(eps.columns)
+    for i, j, w2 in triangle_quiver(polygon5, t0):
+        rest[i, j] = rest.get((i, j), 0) - F(w2, 2)
+        rest[j, i] = rest.get((j, i), 0) + F(w2, 2)
+    for (i, j), v in rest.items():
+        if v:
+            assert ("tri", t0) not in (i, j)
 
 
 @pytest.mark.parametrize(
@@ -197,10 +246,10 @@ def test_flip_quiver_complete_at_mutated_indices(spec):
         local = flip_quiver(tri, e)
         (tl, _), (tr, _) = tri.slots(e)
         mutated = {("edge", e, 1), ("edge", e, 2), ("tri", tl), ("tri", tr)}
-        for (i, j), v in eps.matrix.entries.items():
+        for (i, j), v in matrix_entries(eps.columns).items():
             if i in mutated or j in mutated:
                 assert local[i, j] == v
-        for (i, j), v in local.matrix.entries.items():
+        for (i, j), v in matrix_entries(local.columns).items():
             if i in mutated or j in mutated:
                 assert eps[i, j] == v
         assert local.frozen == eps.frozen & set(local.indices)
@@ -221,12 +270,3 @@ def test_dynkin_sequence_is_matrix_involution(polygon4, torus):
         steps = dynkin_mutation_sequence(tri)
         _, eps = exchange_matrix(tri)
         assert apply_matrix_steps(eps, steps + steps) == eps
-
-
-def test_matrix_json_roundtrip(polygon4):
-    from sl3shear import io as jio
-
-    _, eps = exchange_matrix(polygon4)
-    obj = jio.exchange_matrix_to_obj(eps)
-    back = jio.exchange_matrix_from_obj(obj)
-    assert back == eps

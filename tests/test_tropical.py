@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mutation_reference as ref
 from sl3shear.seeds import (
-    ExchangeMatrix,
-    RationalMatrix,
     Sl3IndexSet,
     exchange_matrix,
     flip_mutation_sequence,
+    side_pair,
 )
 from sl3shear.surface import MarkedSurfaceSpec, build
 from sl3shear.tropical import (
@@ -32,10 +32,7 @@ F = Fraction
 
 
 def eps2(frozen=()):
-    m = RationalMatrix([1, 2])
-    m[1, 2] = F(1)
-    m[2, 1] = F(-1)
-    return ExchangeMatrix(m, frozen)
+    return ref.exchange([1, 2], {(1, 2): F(1)}, frozen)
 
 
 def test_mutate_x_example():
@@ -191,8 +188,7 @@ def test_scaling_equivariance(polygon4):
 def test_ensemble_triangle_alpha_row(triangle):
     # a(alpha) from the component tables, fed through the linear map
     t = triangle.triangles[0]
-    iset = Sl3IndexSet(triangle)
-    pairs = [iset.side_pair((t, a)) for a in range(3)]
+    pairs = [side_pair(triangle, (t, a)) for a in range(3)]
     order = [("tri", t), *pairs[1], *pairs[2], *pairs[0]]
     a_vals = [F(2, 3), F(1, 3), F(2, 3), F(0), F(0), F(2, 3), F(1, 3)]
     a = TropicalPoint("A", dict(zip(order, a_vals)), tri=triangle)
@@ -202,8 +198,7 @@ def test_ensemble_triangle_alpha_row(triangle):
 
 def test_ensemble_triangle_tau_row(triangle):
     t = triangle.triangles[0]
-    iset = Sl3IndexSet(triangle)
-    pairs = [iset.side_pair((t, a)) for a in range(3)]
+    pairs = [side_pair(triangle, (t, a)) for a in range(3)]
     order = [("tri", t), *pairs[1], *pairs[2], *pairs[0]]
     a_vals = [F(1), F(1, 3), F(2, 3), F(1, 3), F(2, 3), F(1, 3), F(2, 3)]
     a = TropicalPoint("A", dict(zip(order, a_vals)), tri=triangle)
