@@ -27,7 +27,7 @@ from sl3shear.laminations import (
     shear_unfrozen,
 )
 from sl3shear.reconstruct import identifier_relations, reconstruct, traveler_trace
-from sl3shear.seeds import Sl3IndexSet, extended_matrix, side_pair
+from sl3shear.seeds import Sl3IndexSet, side_pair
 from sl3shear.surface import MarkedSurfaceSpec, build
 from sl3shear.tropical import TropicalPoint, dynkin_cluster, ensemble
 from sl3shear.verify import _glued_expectation, random_pinned_two_triangles, realizable_component_sum
