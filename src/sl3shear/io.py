@@ -3,12 +3,21 @@
 Exact rationals are serialized as "p/q" strings (plain integers as "p")
 so no precision is ever lost.  Triangulations serialize their gluing
 table; seed indices use the string forms "t:<tri>" and "e:<edge>:<1|2>".
+
+A picture's corner stacks are written as runs: consecutive equal entries
+become one entry object with ``"count": n``, written only when n > 1.
+Strand pairings are implicit (the reversal, see
+:mod:`sl3shear.laminations`) and are not written.  The older unary
+format, one object per entry plus the ``"pairings"`` of every interior
+edge, is still read: an entry without ``count`` is a run of one, and
+given pairings are checked against the reversal.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import groupby
 
 from .laminations import (
     ComponentSum,
@@ -177,6 +186,27 @@ def _entry_from_obj(obj, where, weights):
     return SpiralEnd("cw" if sign == "+" else "ccw", obj["outgoing"], weight)
 
 
+def _run_count(obj, where):
+    """The ``count`` of a run: a positive int, 1 when absent."""
+    n = obj.get("count", 1)
+    if type(n) is not int or n < 1:
+        raise ValueError(f"{where}.count is {n!r}, not a positive int")
+    return n
+
+
+def _runs_to_obj(stack):
+    """A corner stack as runs: each maximal block of equal entries is one
+    entry object, with ``"count"`` when the block has more than one."""
+    runs = []
+    for entry, block in groupby(stack):
+        obj = _entry_to_obj(entry)
+        n = sum(1 for _ in block)
+        if n > 1:
+            obj["count"] = n
+        runs.append(obj)
+    return runs
+
+
 def _reversal_pairs(pic, e):
     """The ``(lr, rl)`` pair lists of the strands leaving the left and the
     right side of ``e``: the implicit pairing ``[i, n - 1 - i]``."""
@@ -206,29 +236,30 @@ def picture_to_obj(pic):
         for c in range(3):
             stack = pic.corner_stack((t, c))
             if stack:
-                corners[str(c)] = [_entry_to_obj(x) for x in stack]
+                corners[str(c)] = _runs_to_obj(stack)
         if corners:
             entry["corners"] = corners
         triangles[t] = entry
-    pairings = {e: dict(zip(("lr", "rl"), _reversal_pairs(pic, e))) for e in pic.tri.interior_edges}
     signs = [
         {"vertex": v, "sign": s, "weight": frac_to_str(w)}
         for v, s, w in pic.puncture_signs()
     ]
-    return {"triangles": triangles, "pairings": pairings, "puncture_signs": signs}
+    return {"triangles": triangles, "puncture_signs": signs}
 
 
 def picture_from_obj(obj, tri):
-    """Decode a picture.  A field of the wrong type or outside the format
-    raises ValueError naming it: a triangle the surface lacks, a corner
-    other than 0, 1 or 2, an unknown entry type, orientation or sign, a
-    height that is not an int, a weight that is not an exact rational and
-    an ``outgoing`` that is not a bool.  A well-typed picture that breaks
-    a picture rule, such as a height or weight that is not positive, is
-    left to :class:`GlobalPicture`'s checks.  Pairings are implicit; when
-    ``"pairings"`` are given, each interior edge's pairs (an edge left out
-    has none) must list the reversal, in any order, or
-    :class:`InvalidPicture` is raised."""
+    """Decode a picture whose corner stacks are lists of runs (an entry
+    without ``count`` is a run of one, so a unary stack reads as it is).
+    A field of the wrong type or outside the format raises ValueError
+    naming it: a triangle the surface lacks, a corner other than 0, 1 or
+    2, an unknown entry type, orientation or sign, a height that is not an
+    int, a weight that is not an exact rational, an ``outgoing`` that is
+    not a bool and a ``count`` that is not a positive int.  A well-typed
+    picture that breaks a picture rule, such as a height or weight that
+    is not positive, is left to :class:`GlobalPicture`'s checks.  Pairings
+    are implicit; when ``"pairings"`` are given, each interior edge's
+    pairs (an edge left out has none) must list the reversal, in any
+    order, or :class:`InvalidPicture` is raised."""
     honeycombs = {}
     corners = {}
     weights = _Weights()
@@ -245,12 +276,13 @@ def picture_from_obj(obj, tri):
                 hc["height"],
                 weights.read(hc.get("weight", "1"), f"{where}.honeycomb.weight"),
             )
-        for c_s, stack in entry.get("corners", {}).items():
+        for c_s, runs in entry.get("corners", {}).items():
             _one_of(c_s, ("0", "1", "2"), f"{where}.corners key")
-            corners[(t, int(c_s))] = [
-                _entry_from_obj(x, f"{where}.corners.{c_s}[{p}]", weights)
-                for p, x in enumerate(stack)
-            ]
+            # pictures are immutable, so the entries of a run share one object
+            stack = corners[(t, int(c_s))] = []
+            for p, x in enumerate(runs):
+                at = f"{where}.corners.{c_s}[{p}]"
+                stack += [_entry_from_obj(x, at, weights)] * _run_count(x, at)
     pic = GlobalPicture(tri, honeycombs, corners)
     given = obj.get("pairings")
     if given:

@@ -189,11 +189,16 @@ class GlobalPicture:
         return hc.face_value() if hc is not None else Fraction(0)
 
     def corner_arc_weight(self, corner, orient):
-        return sum(
-            (entry.weight for entry in self.corner_stack(corner)
-             if isinstance(entry, CornerArc) and entry.orient == orient),
-            Fraction(0),
-        )
+        """Total weight of the ``orient`` corner arcs at ``corner``.  The
+        writers share weight objects, so each distinct object is added
+        once, times the number of arcs that carry it."""
+        weights, counts = {}, {}
+        for entry in self.corner_stack(corner):
+            if isinstance(entry, CornerArc) and entry.orient == orient:
+                k = id(entry.weight)
+                weights[k] = entry.weight
+                counts[k] = counts.get(k, 0) + 1
+        return sum((weights[k] * n for k, n in counts.items()), ZERO)
 
     def puncture_signs(self):
         """List of (vertex, sign, weight) for each spiral tail."""

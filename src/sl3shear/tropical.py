@@ -60,7 +60,9 @@ class TropicalPoint:
     """A coordinate vector over the index set of a triangulation.
 
     ``kind`` is ``"X"`` or ``"A"``; ``restricted`` marks X-points carrying
-    only unfrozen coordinates.  Missing coordinates are zero.
+    only unfrozen coordinates.  Missing coordinates are zero.  A
+    restricted A-point, or a restricted point with a nonzero coordinate
+    at a boundary interval of ``tri``, raises ValueError.
     """
 
     def __init__(self, kind, coords, tri=None, restricted=False):
@@ -75,6 +77,15 @@ class TropicalPoint:
                 self.coords[i] = v
         self.tri = tri
         self.restricted = bool(restricted)
+        if self.restricted and kind != "X":
+            raise ValueError("only an X-point can be restricted")
+        if self.restricted and tri is not None:
+            frozen = sorted(
+                i for i in self.coords
+                if i[0] == "edge" and tri.has_edge(i[1]) and tri.is_boundary(i[1])
+            )
+            if frozen:
+                raise ValueError(f"a restricted point has frozen coordinates {frozen}")
 
     def __getitem__(self, i):
         return self.coords.get(i, ZERO)
@@ -147,9 +158,9 @@ def _a_rule(a, k, col):
 
 def _column(p, kind, eps, k):
     """The doubled column of ``k`` in ``eps`` that mutates the
-    ``kind``-point ``p`` at ``k``.  A restricted point keeps no frozen
-    coordinates: unfrozen outputs read only unfrozen inputs, so the
-    column leaves them out."""
+    ``kind``-point ``p`` at ``k``.  A restricted point has no frozen
+    coordinates (its constructor checks) and gains none: unfrozen outputs
+    read only unfrozen inputs, so the column leaves the frozen ones out."""
     if p.kind != kind:
         raise SeedMismatch(f"{kind}-point required")
     if k in eps.frozen:
@@ -331,7 +342,9 @@ def dynkin_cluster(p, tri):
 
     The corrections run on the integers d x, with d the lcm of the
     denominators of ``p``; a coordinate without correction is the
-    swapped one as it is."""
+    swapped one as it is.  A restricted point keeps no frozen
+    coordinates, as in :func:`mutate_x`: its boundary intervals are
+    skipped."""
     if p.kind != "X":
         raise SeedMismatch("X-point required")
     d, x = _scaled(p.coords)
@@ -340,7 +353,7 @@ def dynkin_cluster(p, tri):
         v = p[("tri", t)]
         if v:
             out[("tri", t)] = -v
-    for e in tri.edges:
+    for e in tri.interior_edges if p.restricted else tri.edges:
         sl, sr = tri.slots(e)
         xtl = x.get(("tri", sl[0]), 0)
         xtr = 0 if sr is None else x.get(("tri", sr[0]), 0)

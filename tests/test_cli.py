@@ -160,6 +160,10 @@ def _end(**fields):
     return {"type": "end", "sign": "+", "outgoing": True, "weight": "1", **fields}
 
 
+# run counts that are not positive ints, by the name of their error-table case
+_BAD_COUNTS = {"0": 0, "neg": -1, "true": True, "float": 1.5, "str": "2"}
+
+
 def _alpha(**fields):
     return {"kind": "alpha", "carrier": "T1", "weight": "1", "corner": 0, **fields}
 
@@ -224,6 +228,12 @@ def _alpha(**fields):
         (["dynkin", "--surface", "{surf}", "--coords", '{"T_L":0.1}'], 2),
         (["dynkin", "--surface", "{surf}", "--coords", '{"T_L":true}'], 2),
         (["flip", "--surface", "{surf}", "--edge", "d2", "--coords", '{"E1":1.0}'], 2),
+        # a run count that is not a positive int
+        (["shear", "--surface", "{surf}", "--lamination", "{count_0}"], 2),
+        (["shear", "--surface", "{surf}", "--lamination", "{count_neg}"], 2),
+        (["shear", "--surface", "{surf}", "--lamination", "{count_true}"], 2),
+        (["shear", "--surface", "{surf}", "--lamination", "{count_float}"], 2),
+        (["shear", "--surface", "{surf}", "--lamination", "{count_str}"], 2),
     ],
 )
 def test_cli_error_table(argv, code, tmp_path, capsys):
@@ -265,6 +275,8 @@ def test_cli_error_table(argv, code, tmp_path, capsys):
         "{component_corner_str}": {"components": [_alpha(corner="1")]},
         "{component_corner_3}": {"components": [_alpha(corner=3)]},
         "{empty}": {"picture": {}},
+        **{f"{{count_{name}}}": _pic("T1", corners={"0": [_arc(count=n)]})
+           for name, n in _BAD_COUNTS.items()},
         "{self_folded}": {"triangles": [
             {"id": "T0", "sides": ["a", "a", "b"]}, {"id": "T1", "sides": ["b", "c", "d"]},
         ]},
@@ -362,9 +374,46 @@ def test_picture_json_roundtrip(polygon4, torus):
             assert back.strand_lists == pic.strand_lists
 
 
+@pytest.mark.parametrize("count", list(_BAD_COUNTS.values()), ids=list(_BAD_COUNTS))
+def test_run_count_must_be_a_positive_int(polygon4, count):
+    doc = _pic("T1", corners={"0": [_arc(), _arc(orient="ccw", count=count)]})
+    with pytest.raises(ValueError, match=re.escape("triangles.T1.corners.0[1].count")):
+        jio.picture_from_obj(doc["picture"], polygon4)
+
+
+def test_mixed_stack_is_written_as_runs(torus):
+    """Equal consecutive entries become one run; an arc and a spiral end,
+    two orientations, two ``outgoing`` values or two weights do not
+    merge.  The runs decode back to the same stack, each run one shared
+    entry."""
+    from sl3shear.laminations import CornerArc, SpiralEnd
+
+    t = torus.triangles[0]
+    half = F(1, 2)
+    stack = [
+        CornerArc("cw"), CornerArc("cw"), CornerArc("ccw"),
+        SpiralEnd("cw", True), SpiralEnd("cw", True), SpiralEnd("cw", False),
+        SpiralEnd("ccw", False), SpiralEnd("ccw", False, half),
+        CornerArc("ccw", half), CornerArc("ccw", F(1, 2)), CornerArc("ccw", half),
+    ]
+    pic = GlobalPicture(torus, {}, {(t, 0): stack})
+    obj = jio.picture_to_obj(pic)
+    assert obj["triangles"][t]["corners"]["0"] == [
+        _arc(count=2), _arc(orient="ccw"),
+        _end(count=2), _end(outgoing=False),
+        _end(sign="-", outgoing=False), _end(sign="-", outgoing=False, weight="1/2"),
+        _arc(orient="ccw", weight="1/2", count=3),
+    ]
+    back = jio.picture_from_obj(json.loads(jio.dump(obj)), torus)
+    assert back.corners == pic.corners
+    assert len({id(x) for x in back.corner_stack((t, 0))}) == 7
+
+
 def test_picture_decoder_checks_pairings(polygon4, tmp_path, capsys):
     """Given pairings must list the reversal, in any order; a file
-    without them decodes to the same picture."""
+    without them decodes to the same picture.  The encoder writes none,
+    so the pairs are built here from the strand counts, as the unary
+    format wrote them."""
     from sl3shear.reconstruct import reconstruct
     from sl3shear.tropical import TropicalPoint
 
@@ -372,18 +421,26 @@ def test_picture_decoder_checks_pairings(polygon4, tmp_path, capsys):
     x = {("edge", e, 1): F(3), ("edge", e, 2): F(-1)}
     pic = reconstruct(TropicalPoint("X", x, tri=polygon4, restricted=True), polygon4)
     obj = jio.pinned_to_obj(PinnedLamination(pic, {}))
-    assert len(obj["picture"]["pairings"][e]["lr"]) >= 2
+    assert "pairings" not in obj["picture"]
+    counts = {f: [pic.strand_count(slot, "out") for slot in polygon4.slots(f)]
+              for f in polygon4.interior_edges}
+    given = copy.deepcopy(obj)
+    given["picture"]["pairings"] = {
+        f: {tag: [[i, n - 1 - i] for i in range(n)] for tag, n in zip(("lr", "rl"), ns)}
+        for f, ns in counts.items()
+    }
+    assert len(given["picture"]["pairings"][e]["lr"]) >= 2
 
-    permuted = copy.deepcopy(obj)
+    permuted = copy.deepcopy(given)
     permuted["picture"]["pairings"][e]["lr"].reverse()
-    bare = copy.deepcopy(obj)
+    bare = copy.deepcopy(given)
     del bare["picture"]["pairings"]
-    for variant in (permuted, bare):
+    for variant in (given, permuted, bare):
         back = jio.pinned_from_obj(variant, polygon4).underlying
         assert (back.honeycombs, back.corners) == (pic.honeycombs, pic.corners)
         assert jio.pinned_to_obj(PinnedLamination(back, {})) == obj
 
-    swapped = copy.deepcopy(obj)
+    swapped = copy.deepcopy(given)
     pairs = swapped["picture"]["pairings"][e]["lr"]
     pairs[0][1], pairs[1][1] = pairs[1][1], pairs[0][1]
     with pytest.raises(InvalidPicture):

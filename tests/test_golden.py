@@ -6,14 +6,22 @@ and hashed.  A refactor of the strand walkers must leave every digest
 unchanged.  ``peripheral`` flags are left out of the traveler records on
 purpose: they are checked by their own tests.
 
+``LEGACY_GOLDEN`` holds the digests of the picture parts in the unary
+format that ``sl3shear.io`` wrote before run-length corner stacks
+(``tests/legacy_io.py`` writes it), so the pictures themselves stay
+pinned across the format change, and every legacy document must still
+decode to its picture.
+
 To print the digests of the current tree, run
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import hashlib
+import json
 import random
 from fractions import Fraction
 
+import legacy_io
 from sl3shear import io as jio
 from sl3shear.glue import glue_laminations
 from sl3shear.laminations import PinnedLamination, add_peripheral_chain
@@ -26,11 +34,18 @@ from sl3shear.verify import random_pinned_two_triangles
 F = Fraction
 
 GOLDEN = {
+    "reconstruct": "368c87962706ee48bafe1b90e23f98a6f235fcf9a407bf5e3191e989354c0c6f",
+    "glue-two-triangles": "e33533d0d3a61f58e43c6b2765b7e36918cb6905504b4caf4a2b6583ce8ea413",
+    "glue-two-pentagons": "a378d09370af16bd56e44f59b5c1ea6cd0f4a6188af6b0c14b2573232c179277",
+    "glue-puncture-forming": "04349c1ec111e586bdf90646be1c079c7a35b9076de11a7bc29194b11aa660dc",
+    "travelers": "0b895ba40411ade832fc302699b311a9e1a9636681fe8ceb98939fbb8bdeff85",
+}
+
+LEGACY_GOLDEN = {
     "reconstruct": "5da4be6517f8be074b640a381d4763118ba143952833375750ad0dd94904a150",
     "glue-two-triangles": "4672841262112ae47f31bc90d0341fd7f77565408ee78c845193b32d581a6268",
     "glue-two-pentagons": "bbe0671201347f1db758bccca6bffa8381b6d8d18bd8a18ebb47ce9dbf908e2f",
     "glue-puncture-forming": "f78f24d120ca36e606e968db3895344b179a7213ffef19e7b0aeca8692069995",
-    "travelers": "0b895ba40411ade832fc302699b311a9e1a9636681fe8ceb98939fbb8bdeff85",
 }
 
 
@@ -69,9 +84,10 @@ def _traveler_records(pic):
     ]
 
 
-def documents():
+def documents(writer=jio):
     """``(name, obj, pic)`` for every document of the corpus, in order:
-    its part, its JSON object and the picture that object encodes."""
+    its part, its JSON object as ``writer`` encodes it (``sl3shear.io``
+    or ``legacy_io``) and the picture that object encodes."""
     rng = random.Random(2024)
     docs = []
 
@@ -87,11 +103,11 @@ def documents():
         tri = build(spec)
         for _ in range(12):
             pic = reconstruct(_random_x(rng, tri, 4), tri)
-            add("reconstruct", jio.picture_to_obj(pic), pic)
+            add("reconstruct", writer.picture_to_obj(pic), pic)
 
     for _ in range(20):
         glued = glue_laminations(random_pinned_two_triangles(rng), "a2", "b0")
-        add("glue-two-triangles", jio.pinned_to_obj(glued), glued.underlying)
+        add("glue-two-triangles", writer.pinned_to_obj(glued), glued.underlying)
 
     pentagons = build(MarkedSurfaceSpec.table(_pentagon("L") + _pentagon("R")))
     left = [e for e in pentagons.boundary_intervals if e.startswith("L")]
@@ -100,7 +116,7 @@ def documents():
         pic = reconstruct(_random_x(rng, pentagons, 8), pentagons)
         pinned = PinnedLamination(pic, _random_delta(rng, pentagons, 5))
         glued = glue_laminations(pinned, rng.choice(left), rng.choice(right))
-        add("glue-two-pentagons", jio.pinned_to_obj(glued), glued.underlying)
+        add("glue-two-pentagons", writer.pinned_to_obj(glued), glued.underlying)
 
     polygon4 = build(MarkedSurfaceSpec.polygon(4))
     annulus = build(MarkedSurfaceSpec.annulus(1, 1))
@@ -113,25 +129,27 @@ def documents():
             pic = _with_peripherals(rng, reconstruct(_random_x(rng, tri, 3), tri))
             pinned = PinnedLamination(pic, _random_delta(rng, tri, 3))
             glued = glue_laminations(pinned, e_l, e_r)
-            add("glue-puncture-forming", jio.pinned_to_obj(glued), glued.underlying)
+            add("glue-puncture-forming", writer.pinned_to_obj(glued), glued.underlying)
 
     return docs
 
 
-def corpus():
-    """name -> the JSON texts of that part of the corpus."""
-    docs = documents()
-    parts = {name: [] for name in GOLDEN if name != "travelers"}
+def corpus(writer=jio):
+    """name -> the JSON texts of that part of the corpus, as ``writer``
+    encodes it; the travelers only with ``sl3shear.io``."""
+    docs = documents(writer)
+    parts = {name: [] for name in LEGACY_GOLDEN}
     for name, obj, _ in docs:
         parts[name].append(jio.dump(obj))
-    parts["travelers"] = [jio.dump(_traveler_records(pic)) for _, _, pic in docs]
+    if writer is jio:
+        parts["travelers"] = [jio.dump(_traveler_records(pic)) for _, _, pic in docs]
     return parts
 
 
-def digests():
+def digests(writer=jio):
     return {
         name: hashlib.sha256("\n".join(texts).encode("utf-8")).hexdigest()
-        for name, texts in corpus().items()
+        for name, texts in corpus(writer).items()
     }
 
 
@@ -139,11 +157,13 @@ def test_golden_digests():
     assert digests() == GOLDEN
 
 
-def test_corpus_decodes_to_its_pictures():
-    """Every picture of the corpus decodes from its JSON object to the
-    same honeycombs and corner stacks, and equal weights decode to one
-    shared object."""
-    for name, obj, pic in documents():
+def test_legacy_writer_reproduces_the_unary_digests():
+    assert digests(legacy_io) == LEGACY_GOLDEN
+
+
+def _decodes_to_its_pictures(writer):
+    for name, obj, pic in documents(writer):
+        obj = json.loads(jio.dump(obj))
         back = jio.picture_from_obj(obj.get("picture", obj), pic.tri)
         assert (back.honeycombs, back.corners) == (pic.honeycombs, pic.corners), name
         weights = [e.weight for stack in back.corners.values() for e in stack]
@@ -151,6 +171,28 @@ def test_corpus_decodes_to_its_pictures():
         assert len({id(w) for w in weights}) == len(set(weights)), name
 
 
+def test_corpus_decodes_to_its_pictures():
+    """Every picture of the corpus decodes from its JSON text to the
+    same honeycombs and corner stacks, and equal weights decode to one
+    shared object."""
+    _decodes_to_its_pictures(jio)
+
+
+def test_legacy_corpus_decodes_to_its_pictures():
+    """So does every text of the corpus in the unary format."""
+    _decodes_to_its_pictures(legacy_io)
+
+
+def test_runs_shrink_the_glued_pentagons():
+    """The run-length text of the ``glue-two-pentagons`` part is at most
+    45% of the unary text (43.2% when this gate was set: the stacks of
+    these small pictures alternate cw and ccw arcs, which no run joins)."""
+    size = {w: len("\n".join(corpus(w)["glue-two-pentagons"])) for w in (jio, legacy_io)}
+    assert size[jio] <= 0.45 * size[legacy_io], size
+
+
 if __name__ == "__main__":
-    for name, digest in digests().items():
-        print(f'    "{name}": "{digest}",')
+    for writer in (jio, legacy_io):
+        print(writer.__name__)
+        for name, digest in digests(writer).items():
+            print(f'    "{name}": "{digest}",')

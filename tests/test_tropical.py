@@ -158,6 +158,38 @@ def test_restricted_flip_keeps_no_frozen_coordinates(polygon5):
         assert q == flipped[0]
 
 
+def test_restricted_points_are_checked(polygon5):
+    """A restricted point is an X-point without frozen coordinates: the
+    polygon(5) point with x(b0, 1) = 3, which mutate_x and apply_flip
+    used to treat differently, is refused where it is built."""
+    iset = Sl3IndexSet(polygon5)
+    k = iset.unfrozen[0]
+    coords = {("edge", "b0", 1): F(3), k: F(1)}
+    with pytest.raises(ValueError, match="frozen coordinates"):
+        TropicalPoint("X", coords, tri=polygon5, restricted=True)
+    with pytest.raises(ValueError, match="X-point"):
+        TropicalPoint("A", {k: F(1)}, tri=polygon5, restricted=True)
+    # a zero frozen coordinate is no coordinate
+    p = TropicalPoint("X", {("edge", "b0", 1): 0, k: F(1)}, tri=polygon5, restricted=True)
+    full = TropicalPoint("X", coords, tri=polygon5)
+    _, eps = exchange_matrix(polygon5)
+    q = mutate_x(p, eps, k)
+    assert q.restricted
+    assert q.coords == {i: v for i, v in mutate_x(full, eps, k).coords.items() if i not in iset.frozen}
+
+
+def test_restricted_dynkin_keeps_no_frozen_coordinates(polygon5):
+    iset = Sl3IndexSet(polygon5)
+    p = TropicalPoint("X", {i: F(n + 1) for n, i in enumerate(iset.unfrozen)}, tri=polygon5,
+                      restricted=True)
+    full = dynkin_cluster(TropicalPoint("X", p.coords, tri=polygon5), polygon5)
+    q = dynkin_cluster(p, polygon5)
+    assert q.restricted
+    assert q.coords == {i: v for i, v in full.coords.items() if i not in iset.frozen}
+    assert q == dynkin_cluster_by_mutation(p, polygon5)
+    assert dynkin_cluster(q, polygon5) == p
+
+
 def test_double_flip_returns_point(polygon4):
     rng = random.Random(2)
     iset = Sl3IndexSet(polygon4)
