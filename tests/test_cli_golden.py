@@ -48,6 +48,28 @@ GOLDEN = {
     "once-punctured-torus/flip": "96bed47a11f8daef5b239cff5613b85108e9a62fc0d3a407a6a58f85ea631fa3",
     "once-punctured-torus/ensemble": "43762815f8a79afdda379de234576b800b863ba6d97ec5c8ca873ef21324d48f",
     "once-punctured-torus/dynkin": "97c47ebc6225e1e7136c69c9a8331cdf7055f5641f8294ddc5271fe4a90635da",
+    "polygon:4/shear/alpha+-pinned": "b6b06d363f71c976f119b9c5babe220d188dc50619cd97907605d3a4611eab83",
+    "polygon:4/shear/tau+L-alpha": "f4f2058e4ee806815ec988f30db687707b04946e8fbe4fe2f00d6f855358f4d2",
+    "polygon:4/shear/peripheral-cw": "6f2c9751606b88407e3f08ba7e8cb681087a3e219adbfd34a0d0cbea17c8c25e",
+}
+
+# component-sum documents on polygon(4), whose interior edge is d2, whose
+# triangle T1 has the boundary sides b0 and b1 at its corner 0, and whose
+# marked point v0 is the initial endpoint of b1
+COMPONENT_DOCS = {
+    "alpha+-pinned": {
+        "components": [{"kind": "alpha+", "carrier": "d2", "weight": "2/3"}],
+        "delta": {"b1": ["1/2", "-1"], "b3": ["0", "2"]},
+    },
+    "tau+L-alpha": {
+        "components": [
+            {"kind": "tau+L", "carrier": "d2", "weight": "1"},
+            {"kind": "alpha", "carrier": "T1", "weight": "1", "corner": 0},
+        ],
+    },
+    "peripheral-cw": {
+        "components": [{"kind": "peripheral-cw", "carrier": "v0", "weight": "2"}],
+    },
 }
 
 
@@ -84,6 +106,15 @@ def outputs(workdir):
         ]
         parts[f"{name}/ensemble"] = [_run(["ensemble", "--surface", surf, "--acoords", _coords(tri, 2)])]
         parts[f"{name}/dynkin"] = [_run(["dynkin", "--surface", surf, "--coords", _coords(tri, 5)])]
+    surf = str(Path(workdir) / "polygon4.json")
+    with open(surf, "w") as fp:
+        fp.write(jio.dump(jio.triangulation_to_obj(build(MarkedSurfaceSpec.polygon(4)))))
+    for name, doc in COMPONENT_DOCS.items():
+        lam = str(Path(workdir) / f"{name}.json")
+        with open(lam, "w") as fp:
+            fp.write(jio.dump(doc))
+        record = _run(["shear", "--surface", surf, "--lamination", lam])
+        parts[f"polygon:4/shear/{name}"] = [record.replace(str(workdir), "<dir>")]
     return parts
 
 
