@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .laminations import (
-    GlobalPicture,
     PinnedLamination,
     InvalidPicture,
     boundary_weights,
@@ -170,8 +169,6 @@ def glue_laminations(pinned, e_l, e_r):
         raise SameEdge(e_l)
     u, norm = normalize_integral(pinned)
     pic = norm.underlying
-    if not isinstance(pic, GlobalPicture):
-        raise InvalidPicture("picture-level gluing needs a GlobalPicture")
     t2, res = tri.glue_boundary(e_l, e_r)
     stepper = _GlueStepper(pic, e_l, e_r, norm.delta, t2, res.vertex_map)
     merged_ids = {res.vertex_map[v] for e in (e_l, e_r) for v in tri.edge_endpoints(e)}

@@ -294,18 +294,6 @@ def picture_from_obj(obj, tri):
     return pic
 
 
-def components_to_obj(s):
-    return [
-        {
-            "kind": c.kind,
-            "carrier": c.carrier,
-            "weight": frac_to_str(c.weight),
-            "corner": c.corner,
-        }
-        for c in s
-    ]
-
-
 def components_from_obj(obj, tri):
     """Decode a component sum; a weight that is not an exact rational or
     a corner other than the int 0, 1 or 2 raises ValueError naming it."""
@@ -320,11 +308,7 @@ def components_from_obj(obj, tri):
 
 
 def pinned_to_obj(pl):
-    under = pl.underlying
-    if isinstance(under, ComponentSum):
-        body = {"components": components_to_obj(under)}
-    else:
-        body = {"picture": picture_to_obj(under)}
+    body = {"picture": picture_to_obj(pl.underlying)}
     body["delta"] = {
         e: [frac_to_str(dp), frac_to_str(dm)] for e, (dp, dm) in sorted(pl.delta.items())
     }
@@ -332,11 +316,12 @@ def pinned_to_obj(pl):
 
 
 def pinned_from_obj(obj, tri):
-    """Decode a pinned lamination.  A pinning on an edge that is not a
-    boundary interval of ``tri``, or one that is not a list of two exact
-    rationals, raises ValueError naming it."""
+    """Decode a pinned lamination; a ``"components"`` document is drawn as
+    its picture.  A pinning on an edge that is not a boundary interval of
+    ``tri``, or one that is not a list of two exact rationals, raises
+    ValueError naming it."""
     if "components" in obj:
-        under = components_from_obj(obj["components"], tri)
+        under = components_from_obj(obj["components"], tri).picture()
     else:
         under = picture_from_obj(obj.get("picture", {}), tri)
     delta = {}

@@ -381,27 +381,40 @@ class ComponentSum:
     def __iter__(self):
         return iter(self.components)
 
-    def dynkin(self):
-        flip = {
-            "alpha": "alpha-star", "alpha-star": "alpha",
-            "tau+": "tau-", "tau-": "tau+",
-            "alpha+": "alpha+rev", "alpha+rev": "alpha+",
-            "alpha-": "alpha-rev", "alpha-rev": "alpha-",
-            "tau+L": "tau-L", "tau-L": "tau+L",
-            "tau+R": "tau-R", "tau-R": "tau+R",
-            "h": "h-rev", "h-rev": "h",
-            "peripheral-cw": "peripheral-ccw", "peripheral-ccw": "peripheral-cw",
-        }
-        return ComponentSum(
-            self.tri,
-            [replace(c, kind=flip[c.kind]) for c in self.components],
-        )
+    def picture(self):
+        """The sum drawn as a picture at weight 1/u, u the lcm of the
+        weight denominators: a component of weight w adds w u to the
+        height of each of its honeycombs and w u arcs to each of its
+        corner stacks, a stack holding its ccw arcs, then its cw arcs.
+        Raises :class:`CarrierMismatch` or :class:`UnknownComponentKind`
+        for a component off its carrier rule (see :func:`_carrier`), and
+        :class:`InvalidPicture` for a weight that is not positive or for
+        a sink and a source honeycomb in one triangle."""
+        u = lcm(*(c.weight.denominator for c in self.components))
+        weight = ONE if u == 1 else Fraction(1, u)
+        orients, heights, arcs = {}, {}, {}
+        for comp in self.components:
+            if comp.weight <= 0:
+                raise InvalidPicture(f"component {comp.kind} at {comp.carrier} has weight {comp.weight}")
+            n = int(comp.weight * u)
+            honeycombs, corner_arcs = _drawing(self.tri, comp)
+            for t, orient in honeycombs:
+                if orients.setdefault(t, orient) != orient:
+                    raise InvalidPicture(f"component {comp.kind} at {comp.carrier} puts a sink and a source honeycomb in {t}")
+                heights[t] = heights.get(t, 0) + n
+            for key in corner_arcs:
+                arcs[key] = arcs.get(key, 0) + n
+        corners = {}
+        for (c, orient), n in sorted(arcs.items()):
+            corners.setdefault(c, []).extend([CornerArc(orient, weight)] * n)
+        honeycombs = {t: Honeycomb(orients[t], h, weight) for t, h in heights.items()}
+        return GlobalPicture(self.tri, honeycombs, corners)
 
 
 @dataclass(frozen=True)
 class PinnedLamination:
-    """A lamination (picture or component sum) plus a rational coweight
-    ``delta[E] = (delta_plus, delta_minus)`` per boundary interval."""
+    """A picture plus a rational coweight ``delta[E] = (delta_plus,
+    delta_minus)`` per boundary interval."""
 
     underlying: object
     delta: dict
@@ -464,18 +477,6 @@ def shear_frozen(pinned):
     ignores the pinning, and the frozen part is read by
     :func:`boundary_weights`."""
     under = pinned.underlying
-    if isinstance(under, ComponentSum):
-        base = coords_of_components(under, "X")
-        coords = dict(base.coords)
-        for e in under.tri.boundary_intervals:
-            dp, dm = pinned.delta_at(e)
-            for idx, d in ((("edge", e, 1), dp), (("edge", e, 2), dm)):
-                v = coords.get(idx, Fraction(0)) + d
-                if v:
-                    coords[idx] = v
-                else:
-                    coords.pop(idx, None)
-        return TropicalPoint("X", coords, tri=under.tri, restricted=False)
     coords = dict(shear_unfrozen(under).coords)
     for e in under.tri.boundary_intervals:
         for s, d, w in zip((1, 2), pinned.delta_at(e), boundary_weights(under, e)):
@@ -484,27 +485,21 @@ def shear_frozen(pinned):
     return TropicalPoint("X", coords, tri=under.tri, restricted=False)
 
 
-# -- component coordinate tables --------------------------------------------
+# -- component sums ---------------------------------------------------------
 
 F = Fraction
 _T = F(1, 3)
 _TT = F(2, 3)
 
-# triangle tables at corner 0 (terminal corner of side 0), as
-# (face, ((p,q) of side 0, side 1, side 2))
+# the paper's A-coordinates of the components; their X-coordinates are
+# the shear coordinates of their pictures.  Triangle tables at corner 0
+# (terminal corner of side 0), as (face, ((p,q) of side 0, side 1, side 2))
 _TRI_A = {
     "alpha": (_TT, ((_TT, _T), (_T, _TT), (0, 0))),
     "alpha-star": (_T, ((_T, _TT), (_TT, _T), (0, 0))),
     "tau+": (F(1), ((_T, _TT),) * 3),
     "tau-": (F(1), ((_TT, _T),) * 3),
 }
-_TRI_X = {
-    "alpha": (F(0), ((0, 0), (0, -1), (0, 0))),
-    "alpha-star": (F(0), ((0, 0), (-1, 0), (0, 0))),
-    "tau+": (F(1), ((0, -1),) * 3),
-    "tau-": (F(-1), ((0, 0),) * 3),
-}
-
 # quadrilateral tables, keyed (E, TL, TR, h, k, g, f): E = (x_{E,1},
 # x_{E,2}); h, k are the other sides of the right triangle in ccw order
 # after the diagonal, g, f those of the left triangle; side entries are
@@ -521,18 +516,73 @@ _QUAD_A = {
     "h":     ((_T, _TT), F(1), F(1), (_TT, _T), (_TT, _T), (_T, _TT), (_T, _TT)),
     "h-rev": ((_TT, _T), F(1), F(1), (_T, _TT), (_T, _TT), (_TT, _T), (_TT, _T)),
 }
-_QUAD_X = {
-    "alpha+":    ((1, 0), 0, 0, (-1, 0), (0, 0), (0, -1), (0, 0)),
-    "alpha+rev": ((0, 1), 0, 0, (0, -1), (0, 0), (-1, 0), (0, 0)),
-    "alpha-":    ((-1, 0), 0, 0, (0, 0), (0, 0), (0, 0), (0, 0)),
-    "alpha-rev": ((0, -1), 0, 0, (0, 0), (0, 0), (0, 0), (0, 0)),
-    "tau+L": ((0, -1), 1, 0, (0, 0), (0, 0), (0, -1), (0, -1)),
-    "tau+R": ((0, 0), 1, 0, (0, -1), (0, 0), (0, -1), (0, -1)),
-    "tau-L": ((0, 0), -1, 0, (0, 0), (0, 0), (0, 0), (0, 0)),
-    "tau-R": ((1, 0), -1, 0, (-1, 0), (0, 0), (0, 0), (0, 0)),
-    "h":     ((0, 0), 1, -1, (0, 0), (0, 0), (0, -1), (0, -1)),
-    "h-rev": ((0, 0), -1, 1, (0, -1), (0, -1), (0, 0), (0, 0)),
+# how a kind is drawn on the slots of its carrier (see _carrier):
+# honeycombs as (k, orient) and corner arcs as (k, offset, orient), the arc
+# sitting at the corner (t, i + offset) of the k-th slot (t, i).  A
+# triangle kind has the one slot (t, corner); a quadrilateral kind the
+# slots (T_L, i_L) and (T_R, i_R) of its edge, so offsets 0 and -1 are
+# the top and bottom corners of T_L and the bottom and top corners of T_R
+_DRAWN = {
+    "alpha": ((), ((0, 0, "ccw"),)),
+    "alpha-star": ((), ((0, 0, "cw"),)),
+    "tau+": (((0, "sink"),), ()),
+    "tau-": (((0, "source"),), ()),
+    "alpha+": ((), ((0, 0, "ccw"), (1, 0, "cw"))),
+    "alpha+rev": ((), ((0, 0, "cw"), (1, 0, "ccw"))),
+    "alpha-": ((), ((0, -1, "cw"), (1, -1, "ccw"))),
+    "alpha-rev": ((), ((0, -1, "ccw"), (1, -1, "cw"))),
+    "tau+L": (((0, "sink"),), ((1, -1, "cw"),)),
+    "tau+R": (((0, "sink"),), ((1, 0, "ccw"),)),
+    "tau-L": (((0, "source"),), ((1, -1, "ccw"),)),
+    "tau-R": (((0, "source"),), ((1, 0, "cw"),)),
+    "h": (((0, "sink"), (1, "source")), ()),
+    "h-rev": (((0, "source"), (1, "sink")), ()),
 }
+# a peripheral kind is one arc of its orientation in every corner at its
+# marked point, as in add_peripheral_chain
+_PERIPHERAL = {"peripheral-cw": "cw", "peripheral-ccw": "ccw"}
+
+
+def _carrier(tri, comp):
+    """The carrier rule of the drawer and the A tables: the slots of a
+    triangle or quadrilateral kind (see ``_DRAWN``), or the marked point
+    of a peripheral kind.  Every side a component's arcs and honeycomb
+    legs end on, other than its carrier edge, is a boundary interval."""
+    kind, c = comp.kind, comp.carrier
+    if kind in _PERIPHERAL:
+        if c not in tri.vertices:
+            raise CarrierMismatch(f"no marked point {c}")
+        return c
+    if kind not in _DRAWN:
+        raise UnknownComponentKind(kind)
+    if kind in _TRI_A:
+        if c not in tri.tri_sides:
+            raise CarrierMismatch(f"no triangle {c}")
+        arc = kind in ("alpha", "alpha-star")
+        slots = ((c, comp.corner % 3 if arc else 0),)
+        ends = [(c, (slots[0][1] + j) % 3) for j in range(2 if arc else 3)]
+    else:
+        if not tri.has_edge(c) or tri.is_boundary(c):
+            raise CarrierMismatch(f"{c} is not an interior edge")
+        slots = tri.slots(c)
+        ends = [(t, (i + j) % 3) for t, i in slots[::-1] for j in (1, 2)]
+    for slot in ends:
+        if tri.is_interior(tri.edge_at(slot)):
+            raise CarrierMismatch(f"component {kind} needs a boundary side at {slot}")
+    return slots
+
+
+def _drawing(tri, comp):
+    """The honeycombs ``[(t, orient)]`` and corner arcs ``[(corner,
+    orient)]`` of one component at unit weight."""
+    frame = _carrier(tri, comp)
+    if comp.kind in _PERIPHERAL:
+        return (), [(c, _PERIPHERAL[comp.kind]) for c in tri.corners_at_vertex(frame)]
+    honeycombs, arcs = _DRAWN[comp.kind]
+    return (
+        [(frame[k][0], orient) for k, orient in honeycombs],
+        [((frame[k][0], (frame[k][1] + d) % 3), orient) for k, d, orient in arcs],
+    )
 
 
 def _add_coord(acc, idx, v):
@@ -544,22 +594,9 @@ def _add_coord(acc, idx, v):
         del acc[idx]
 
 
-def _require_boundary(tri, slots, kind):
-    for slot in slots:
-        if tri.is_interior(tri.edge_at(slot)):
-            raise CarrierMismatch(f"component {kind} needs a boundary side at {slot}")
-
-
-def _triangle_component_coords(acc, tri, comp, table):
-    t = comp.carrier
-    if t not in tri.tri_sides:
-        raise CarrierMismatch(f"no triangle {t}")
-    face, sides = table[comp.kind]
-    c = comp.corner if comp.kind in ("alpha", "alpha-star") else 0
-    if comp.kind in ("alpha", "alpha-star"):
-        _require_boundary(tri, [(t, c % 3), (t, (c + 1) % 3)], comp.kind)
-    else:
-        _require_boundary(tri, [(t, a) for a in range(3)], comp.kind)
+def _triangle_component_coords(acc, tri, comp, slot):
+    t, c = slot
+    face, sides = _TRI_A[comp.kind]
     w = comp.weight
     _add_coord(acc, ("tri", t), w * face)
     for j in range(3):
@@ -569,12 +606,10 @@ def _triangle_component_coords(acc, tri, comp, table):
         _add_coord(acc, q, w * vq)
 
 
-def _quad_component_coords(acc, tri, comp, table):
+def _quad_component_coords(acc, tri, comp, slots):
     e = comp.carrier
-    if not tri.has_edge(e) or tri.is_boundary(e):
-        raise CarrierMismatch(f"{e} is not an interior edge")
-    (tl, il), (tr, ir) = tri.slots(e)
-    ev, tlv, trv, hv, kv, gv, fv = table[comp.kind]
+    (tl, il), (tr, ir) = slots
+    ev, tlv, trv, hv, kv, gv, fv = _QUAD_A[comp.kind]
     w = comp.weight
     _add_coord(acc, ("edge", e, 1), w * Fraction(ev[0]))
     _add_coord(acc, ("edge", e, 2), w * Fraction(ev[1]))
@@ -586,31 +621,18 @@ def _quad_component_coords(acc, tri, comp, table):
         ((tl, (il + 1) % 3), gv),
         ((tl, (il + 2) % 3), fv),
     ]
-    _require_boundary(tri, [slot for slot, _ in outer], comp.kind)
     for slot, (vp, vq) in outer:
         p, q = side_pair(tri, slot)
         _add_coord(acc, p, w * Fraction(vp))
         _add_coord(acc, q, w * Fraction(vq))
 
 
-def _peripheral_coords(acc, tri, comp, kind):
-    m = comp.carrier
-    if m not in tri.vertices:
-        raise CarrierMismatch(f"no marked point {m}")
-    orient = "ccw" if comp.kind.endswith("-ccw") else "cw"
-    if kind == "X":
-        # all edge crossings hug m; only the frozen coordinates see it
-        if tri.vertices[m] == "special":
-            for e in tri.boundary_intervals:
-                if tri.edge_endpoints(e)[0] == m:
-                    s = 1 if orient == "cw" else 2
-                    _add_coord(acc, ("edge", e, s), -comp.weight)
-        return
-    # A-side: one corner arc per triangle-corner at m; each interior edge
-    # at m receives equal contributions from its two sides, counted once
-    arc_kind = "alpha-star" if orient == "cw" else "alpha"
+def _peripheral_coords(acc, tri, comp):
+    # one corner arc per triangle-corner at m; each interior edge at m
+    # receives equal contributions from its two sides, counted once
+    arc_kind = "alpha-star" if _PERIPHERAL[comp.kind] == "cw" else "alpha"
     per_side = {}
-    for (t, ci) in tri.corners_at_vertex(m):
+    for (t, ci) in tri.corners_at_vertex(comp.carrier):
         face, sides = _TRI_A[arc_kind]
         _add_coord(acc, ("tri", t), comp.weight * face)
         for j in range(3):
@@ -637,52 +659,47 @@ def _peripheral_coords(acc, tri, comp, kind):
         _add_coord(acc, q, vals[0][1])
 
 
-def coords_of_components(s, kind):
-    """Weight-linear X- or A-coordinates of a component sum, from the
-    stored per-component tables."""
-    if kind not in ("X", "A"):
-        raise ValueError(kind)
+def coords_of_components(s):
+    """Weight-linear A-coordinates of a component sum, from the paper's
+    per-component tables.  Its X-coordinates are the shear coordinates
+    of its picture, :meth:`ComponentSum.picture`."""
     tri = s.tri
     acc = {}
-    tri_table = _TRI_X if kind == "X" else _TRI_A
-    quad_table = _QUAD_X if kind == "X" else _QUAD_A
     for comp in s:
-        if comp.kind in tri_table:
-            _triangle_component_coords(acc, tri, comp, tri_table)
-        elif comp.kind in quad_table:
-            _quad_component_coords(acc, tri, comp, quad_table)
-        elif comp.kind in ("peripheral-cw", "peripheral-ccw"):
-            _peripheral_coords(acc, tri, comp, kind)
+        frame = _carrier(tri, comp)
+        if comp.kind in _TRI_A:
+            _triangle_component_coords(acc, tri, comp, *frame)
+        elif comp.kind in _QUAD_A:
+            _quad_component_coords(acc, tri, comp, frame)
         else:
-            raise UnknownComponentKind(comp.kind)
-    return TropicalPoint(kind, acc, tri=tri, restricted=False)
+            _peripheral_coords(acc, tri, comp)
+    return TropicalPoint("A", acc, tri=tri, restricted=False)
 
 
 def geometric_ensemble(s):
     """Drop the peripheral components of a bounded lamination and turn
-    their weights into pinnings: delta_E^+ is minus the total cw
-    peripheral weight at the initial marked point of E, delta_E^- the
-    ccw total."""
+    their weights into pinnings, delta_E^+ minus the total cw peripheral
+    weight at the initial marked point of E and delta_E^- the ccw total;
+    the other components are drawn as its picture."""
     tri = s.tri
     rest = []
     delta = {}
     for comp in s:
-        if comp.kind in ("peripheral-cw", "peripheral-ccw"):
-            m = comp.carrier
-            if tri.vertices.get(m) == "special":
-                for e in tri.boundary_intervals:
-                    if tri.edge_endpoints(e)[0] == m:
-                        dp, dm = delta.get(e, (Fraction(0), Fraction(0)))
-                        if comp.kind == "peripheral-cw":
-                            dp -= comp.weight
-                        else:
-                            dm -= comp.weight
-                        delta[e] = (dp, dm)
-            continue
-        if comp.weight <= 0:
-            raise NegativeNonPeripheralWeight(comp)
-        rest.append(comp)
-    return PinnedLamination(ComponentSum(tri, rest), delta)
+        orient = _PERIPHERAL.get(comp.kind)
+        if orient is None:
+            if comp.weight <= 0:
+                raise NegativeNonPeripheralWeight(comp)
+            rest.append(comp)
+        elif tri.vertices.get(comp.carrier) == "special":
+            for e in tri.boundary_intervals:
+                if tri.edge_endpoints(e)[0] == comp.carrier:
+                    dp, dm = delta.get(e, (ZERO, ZERO))
+                    if orient == "cw":
+                        dp -= comp.weight
+                    else:
+                        dm -= comp.weight
+                    delta[e] = (dp, dm)
+    return PinnedLamination(ComponentSum(tri, rest).picture(), delta)
 
 
 def normalize_integral(lam):
@@ -694,29 +711,15 @@ def normalize_integral(lam):
         for dp, dm in lam.delta.values():
             dens.extend([dp.denominator, dm.denominator])
         u = lcm(*dens)
-        under = _rescale(lam.underlying, u)
         delta = {e: (dp * u, dm * u) for e, (dp, dm) in lam.delta.items()}
-        return u, PinnedLamination(under, delta)
+        return u, PinnedLamination(lam.underlying.scaled(u), delta)
     u = _denominator_lcm(lam)
-    return u, _rescale(lam, u)
+    return u, lam.scaled(u)
 
 
-def _denominator_lcm(lam):
-    if isinstance(lam, ComponentSum):
-        dens = [c.weight.denominator for c in lam]
-    else:
-        dens = [
-            entry.weight.denominator
-            for stack in lam.corners.values()
-            for entry in stack
-        ] + [h.weight.denominator for h in lam.honeycombs.values()]
-    return lcm(*dens) if dens else 1
-
-
-def _rescale(lam, u):
-    if isinstance(lam, ComponentSum):
-        return ComponentSum(lam.tri, [replace(c, weight=c.weight * u) for c in lam])
-    return lam.scaled(u)
+def _denominator_lcm(pic):
+    dens = [entry.weight.denominator for stack in pic.corners.values() for entry in stack]
+    return lcm(*dens, *(h.weight.denominator for h in pic.honeycombs.values()))
 
 
 def elementary_lamination(tri, k):

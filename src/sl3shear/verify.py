@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .surface import MarkedSurfaceSpec, build
@@ -31,11 +31,13 @@ from .tropical import (
     principal_embed,
 )
 from .laminations import (
+    CarrierMismatch,
     Component,
     ComponentSum,
     CornerArc,
     GlobalPicture,
     Honeycomb,
+    InvalidPicture,
     PinnedLamination,
     coords_of_components,
     elementary_lamination,
@@ -152,23 +154,25 @@ def component_table_cases():
     return cases
 
 
+def _drawn_shear(s):
+    """The X-coordinates of a component sum: the shear of its picture."""
+    return shear_frozen(PinnedLamination(s.picture(), {}))
+
+
 def ensemble_table_suite():
-    """Criterion 3: every encoded component table satisfies
-    X = (eps + m) . A entry-exactly, and the paper's alpha and tau+ rows
-    come out as (0,0,-1,0,0,0,0) and (1,0,-1,0,-1,0,-1)."""
+    """Criterion 3: the shear X of every component's picture and its
+    A table satisfy X = (eps + m) . A entry-exactly, and the paper's
+    alpha and tau+ rows come out as (0,0,-1,0,0,0,0) and
+    (1,0,-1,0,-1,0,-1)."""
     fails = []
     for tri, comp in component_table_cases():
         s = ComponentSum(tri, [comp])
-        a = coords_of_components(s, "A")
-        x = coords_of_components(s, "X")
-        if x.coords != ensemble(a, tri).coords:
+        if _drawn_shear(s).coords != ensemble(coords_of_components(s), tri).coords:
             fails.append(comp.kind)
     tri3 = build(MarkedSurfaceSpec.polygon(3))
     t3 = tri3.triangles[0]
-    alpha = coords_of_components(
-        ComponentSum(tri3, [Component("alpha", t3, Fraction(1), corner=0)]), "X"
-    )
-    tau = coords_of_components(ComponentSum(tri3, [Component("tau+", t3, Fraction(1))]), "X")
+    alpha = _drawn_shear(ComponentSum(tri3, [Component("alpha", t3, Fraction(1), corner=0)]))
+    tau = _drawn_shear(ComponentSum(tri3, [Component("tau+", t3, Fraction(1))]))
     pairs = [side_pair(tri3, (t3, a)) for a in range(3)]
     order = [("tri", t3), pairs[1][0], pairs[1][1], pairs[2][0], pairs[2][1], pairs[0][0], pairs[0][1]]
     alpha_row = tuple(alpha[i] for i in order)
@@ -234,58 +238,31 @@ def ensemble_single_mutation_report(trials=200, seed=0):
 
 
 def realizable_component_sum(tri, rng):
-    """A random component sum that is realizable as a picture: the
-    honeycomb orientations within each triangle agree."""
+    """A random component sum that the drawer places: a candidate is kept
+    only when the sum with it still draws, so its carrier rule holds and
+    the honeycomb orientations within each triangle agree.  Peripheral
+    components, which draw on every surface, are drawn alongside."""
     tri_kinds = ["alpha", "alpha-star", "tau+", "tau-"]
     quad_kinds = [
         "alpha+", "alpha+rev", "alpha-", "alpha-rev",
         "tau+L", "tau+R", "tau-L", "tau-R", "h", "h-rev",
     ]
-    hc_orient = {
-        "tau+": {"carrier": "sink"},
-        "tau-": {"carrier": "source"},
-        "tau+L": {"left": "sink"}, "tau+R": {"left": "sink"},
-        "tau-L": {"left": "source"}, "tau-R": {"left": "source"},
-        "h": {"left": "sink", "right": "source"},
-        "h-rev": {"left": "source", "right": "sink"},
-    }
-    orient_of = {}
     comps = []
     guard = 0
     while len(comps) < 3 and guard < 150:
         guard += 1
         if tri.interior_edges and rng.random() < 0.6:
             e = rng.choice(tri.interior_edges)
-            kind = rng.choice(quad_kinds)
-            (tl, _), (tr, _) = tri.slots(e)
-            need = {}
-            spec = hc_orient.get(kind, {})
-            if "left" in spec:
-                need[tl] = spec["left"]
-            if "right" in spec:
-                need[tr] = spec["right"]
-            if any(orient_of.get(t2, need[t2]) != need[t2] for t2 in need):
-                continue
-            orient_of.update(need)
-            comps.append(Component(kind, e, Fraction(rng.randint(1, 3))))
+            comp = Component(rng.choice(quad_kinds), e)
         else:
             t = rng.choice(tri.triangles)
             kind = rng.choice(tri_kinds)
-            if kind in ("tau+", "tau-"):
-                if any(tri.is_interior(tri.edge_at((t, a))) for a in range(3)):
-                    continue
-                need = hc_orient[kind]["carrier"]
-                if orient_of.get(t, need) != need:
-                    continue
-                orient_of[t] = need
-                comps.append(Component(kind, t, Fraction(rng.randint(1, 3))))
-            else:
-                corner = rng.randint(0, 2)
-                if tri.is_interior(tri.edge_at((t, corner))) or tri.is_interior(
-                    tri.edge_at((t, (corner + 1) % 3))
-                ):
-                    continue
-                comps.append(Component(kind, t, Fraction(rng.randint(1, 3)), corner=corner))
+            comp = Component(kind, t, corner=rng.randint(0, 2) if kind.startswith("alpha") else 0)
+        try:
+            ComponentSum(tri, comps + [comp]).picture()
+            comps.append(replace(comp, weight=Fraction(rng.randint(1, 3))))
+        except (CarrierMismatch, InvalidPicture):
+            pass
         if rng.random() < 0.3:
             v = rng.choice(sorted(tri.vertices))
             comps.append(
@@ -319,7 +296,7 @@ def dynkin_suite(trials=500, seed=0):
                 e: (Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3)))
                 for e in tri.boundary_intervals
             }
-            pl = PinnedLamination(s, delta)
+            pl = PinnedLamination(s.picture(), delta)
             lhs = shear_frozen(pl.dynkin())
             rhs = dynkin_cluster(shear_frozen(pl), tri)
             if lhs != rhs:

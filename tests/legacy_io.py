@@ -7,7 +7,6 @@ old golden digests and to check that old documents still decode.
 """
 
 from sl3shear import io as jio
-from sl3shear.laminations import ComponentSum
 
 
 def picture_to_obj(pic):
@@ -25,7 +24,4 @@ def picture_to_obj(pic):
 
 
 def pinned_to_obj(pl):
-    obj = jio.pinned_to_obj(pl)
-    if not isinstance(pl.underlying, ComponentSum):
-        obj["picture"] = picture_to_obj(pl.underlying)
-    return obj
+    return {**jio.pinned_to_obj(pl), "picture": picture_to_obj(pl.underlying)}

@@ -234,6 +234,11 @@ def _alpha(**fields):
         (["shear", "--surface", "{surf}", "--lamination", "{count_true}"], 2),
         (["shear", "--surface", "{surf}", "--lamination", "{count_float}"], 2),
         (["shear", "--surface", "{surf}", "--lamination", "{count_str}"], 2),
+        # component sums that cannot be drawn: domain errors
+        (["shear", "--surface", "{surf}", "--lamination", "{component_weight_0}"], 1),
+        (["shear", "--surface", "{surf}", "--lamination", "{component_weight_neg}"], 1),
+        (["shear", "--surface", "{surf}", "--lamination", "{sink_and_source}"], 1),
+        (["diagram", "--surface", "{surf}", "--lamination", "{sink_and_source}"], 1),
     ],
 )
 def test_cli_error_table(argv, code, tmp_path, capsys):
@@ -274,6 +279,12 @@ def test_cli_error_table(argv, code, tmp_path, capsys):
         "{component_weight_float}": {"components": [_alpha(weight=0.5)]},
         "{component_corner_str}": {"components": [_alpha(corner="1")]},
         "{component_corner_3}": {"components": [_alpha(corner=3)]},
+        "{component_weight_0}": {"components": [_alpha(weight="0")]},
+        "{component_weight_neg}": {"components": [_alpha(weight="-1/2")]},
+        "{sink_and_source}": {"components": [
+            {"kind": "tau+L", "carrier": "d2", "weight": "1"},
+            {"kind": "tau-L", "carrier": "d2", "weight": "1"},
+        ]},
         "{empty}": {"picture": {}},
         **{f"{{count_{name}}}": _pic("T1", corners={"0": [_arc(count=n)]})
            for name, n in _BAD_COUNTS.items()},
@@ -352,6 +363,48 @@ def test_diagram_command(tmp_path, capsys):
     assert code == 0
     lines = [l for l in out.read_text().splitlines() if l.strip()]
     assert lines[0].startswith("picture on")
+
+
+# alpha+ of weight 2/3 across d2 of polygon(4), pinned at b1
+_ALPHA_PLUS_DOC = {
+    "components": [{"kind": "alpha+", "carrier": "d2", "weight": "2/3"}],
+    "delta": {"b1": ["1/2", "-1"]},
+}
+
+
+def test_diagram_draws_component_documents(tmp_path, capsys):
+    surf = tmp_path / "p4.json"
+    main(["surface", "--spec", "polygon:4", "--out", str(surf)])
+    lam = tmp_path / "lam.json"
+    lam.write_text(json.dumps(_ALPHA_PLUS_DOC))
+    code, out = run_cli(["diagram", "--surface", str(surf), "--lamination", str(lam)], capsys)
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "triangle T1: sides b0, b1, d2",
+        "  corner 2 (at v2): cw arc w=1/3; cw arc w=1/3",
+        "triangle T2: sides d2, b2, b3",
+        "  corner 0 (at v1): ccw arc w=1/3; ccw arc w=1/3",
+        "edge d2: 2 left-to-right and 0 right-to-left strands",
+    ]
+
+
+def test_glue_draws_component_documents(tmp_path, capsys):
+    from sl3shear.laminations import shear_frozen
+    from sl3shear.verify import _glued_expectation
+
+    surf = tmp_path / "p4.json"
+    main(["surface", "--spec", "polygon:4", "--out", str(surf)])
+    tri = jio.triangulation_from_obj(json.loads(surf.read_text()))
+    lam = tmp_path / "lam.json"
+    lam.write_text(json.dumps(_ALPHA_PLUS_DOC))
+    code, out = run_cli(
+        ["glue", "--surface", str(surf), "--lamination", str(lam), "--left", "b0", "--right", "b2"],
+        capsys,
+    )
+    assert code == 0
+    want = _glued_expectation(shear_frozen(jio.pinned_from_obj(_ALPHA_PLUS_DOC, tri)), "b0", "b2")
+    got = json.loads(out)["coords"]
+    assert want and got == {jio.index_to_str(i): jio.frac_to_str(v) for i, v in want.items()}
 
 
 def test_picture_json_roundtrip(polygon4, torus):
@@ -508,7 +561,7 @@ def test_tropical_point_json_roundtrip(polygon4):
 def test_pinned_json_roundtrip(polygon4):
     from fractions import Fraction as F
 
-    from sl3shear.laminations import Component, ComponentSum, PinnedLamination
+    from sl3shear.laminations import Component, ComponentSum
     from sl3shear.reconstruct import reconstruct
     from sl3shear.tropical import TropicalPoint
 
@@ -522,9 +575,14 @@ def test_pinned_json_roundtrip(polygon4):
     back = jio.pinned_from_obj(obj, polygon4)
     assert back.delta == pl.delta
     assert back.underlying.corners == pic.corners
+    # a component document decodes to the picture of its sum, which
+    # round-trips as a picture
     s = ComponentSum(polygon4, [Component("alpha+", e, F(2, 3))])
-    pl2 = PinnedLamination(s, {"b1": (F(0), F(5))})
-    obj2 = jio.pinned_to_obj(pl2)
+    obj2 = {"components": [{"kind": "alpha+", "carrier": e, "weight": "2/3"}],
+            "delta": {"b1": ["0", "5"]}}
     back2 = jio.pinned_from_obj(obj2, polygon4)
-    assert back2.delta == pl2.delta
-    assert list(back2.underlying) == list(s)
+    assert back2.delta == {"b1": (F(0), F(5))}
+    assert back2.underlying.corners == s.picture().corners
+    back3 = jio.pinned_from_obj(jio.pinned_to_obj(back2), polygon4)
+    assert back3.delta == back2.delta
+    assert back3.underlying.corners == back2.underlying.corners

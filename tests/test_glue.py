@@ -12,8 +12,6 @@ from sl3shear.glue import (
     shift_action,
 )
 from sl3shear.laminations import (
-    Component,
-    ComponentSum,
     GlobalPicture,
     Honeycomb,
     PinnedLamination,
@@ -234,32 +232,16 @@ def test_glue_ensemble_compatibility(two_triangles):
     rng = random.Random(15)
     from sl3shear.verify import realizable_component_sum
     from sl3shear.laminations import geometric_ensemble, coords_of_components
-    from sl3shear.reconstruct import reconstruct
+    from sl3shear.tropical import ensemble
 
     tri = two_triangles
     for _ in range(40):
         s = realizable_component_sum(tri, rng)
         pl = geometric_ensemble(s)
         x = shear_frozen(pl)
+        assert x.coords == ensemble(coords_of_components(s), tri).coords
         want = _glued_expectation(x, "a2", "b0")
-        # realize the component sum as a picture to glue it
-        unfrozen = {i: v for i, v in x.coords.items() if i[0] == "tri"}
-        pic = reconstruct(
-            TropicalPoint("X", unfrozen, tri=tri, restricted=True), tri
-        )
-        delta = {}
-        for e in tri.boundary_intervals:
-            (t, i), _ = tri.slots(e)
-            m = (t, (i - 1) % 3)
-            from sl3shear.tropical import pos
-
-            dp = x[("edge", e, 1)] + pic.corner_arc_weight(m, "cw")
-            dm = x[("edge", e, 2)] + pic.corner_arc_weight(m, "ccw") + pos(pic.face_value(t))
-            if dp or dm:
-                delta[e] = (dp, dm)
-        pl_pic = PinnedLamination(pic, delta)
-        assert shear_frozen(pl_pic) == x
-        glued = glue_laminations(pl_pic, "a2", "b0")
+        glued = glue_laminations(pl, "a2", "b0")
         assert dict(shear_frozen(glued).coords) == want
 
 

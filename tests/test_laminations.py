@@ -19,6 +19,7 @@ from sl3shear.laminations import (
     SpiralEnd,
     UnknownComponentKind,
     add_peripheral_chain,
+    boundary_weights,
     coords_of_components,
     elementary_lamination,
     geometric_ensemble,
@@ -81,6 +82,11 @@ def honeycomb_pattern_picture(tri, kind):
     for corner, orient in arcs:
         corners.setdefault(corner, []).append(CornerArc(orient))
     return GlobalPicture(tri, honeycombs, corners)
+
+
+def drawn_x(s, delta=None):
+    """The X-coordinates of a component sum: the shear of its picture."""
+    return shear_frozen(PinnedLamination(s.picture(), delta or {}))
 
 
 def test_empty_picture_shear(polygon4):
@@ -150,30 +156,171 @@ def test_honeycomb_decomposition(polygon4):
     )
     parts = {}
     for kind, n in (("tau+L", n1), ("h", n2), ("tau+R", n3)):
-        comp = coords_of_components(
-            ComponentSum(polygon4, [Component(kind, q["e"], F(n))]), "X"
-        )
+        comp = drawn_x(ComponentSum(polygon4, [Component(kind, q["e"], F(n))]))
         for i, v in comp.coords.items():
             parts[i] = parts.get(i, F(0)) + v
     unfrozen = set(Sl3IndexSet(polygon4).unfrozen)
-    assert {i: v for i, v in parts.items() if i in unfrozen} == dict(whole.coords)
+    assert {i: v for i, v in parts.items() if i in unfrozen and v} == dict(whole.coords)
 
 
 @pytest.mark.parametrize(
     "kind", ["alpha+", "alpha+rev", "alpha-", "alpha-rev", "tau+L", "tau+R", "tau-L", "tau-R", "h", "h-rev"]
 )
 def test_rule_consistency_tables_vs_pictures(polygon4, kind):
-    """The X-tables of the quadrilateral components agree with the shear
-    of their one-component pictures (unfrozen part and, with zero
-    pinnings, the frozen part too)."""
+    """The drawer places a quadrilateral component as the hand-drawn
+    one-component picture, so the two have one shear (unfrozen part and,
+    with zero pinnings, the frozen part too)."""
     q = quad_corners(polygon4)
     if kind.startswith("alpha"):
         pic = one_curve_picture(polygon4, kind)
     else:
         pic = honeycomb_pattern_picture(polygon4, kind)
-    table = coords_of_components(ComponentSum(polygon4, [Component(kind, q["e"])]), "X")
+    drawn = ComponentSum(polygon4, [Component(kind, q["e"])]).picture()
+    assert drawn.corners == pic.corners
+    assert drawn.honeycombs == pic.honeycombs
     full = shear_frozen(PinnedLamination(pic, {}))
-    assert dict(full.coords) == dict(table.coords)
+    assert dict(full.coords) == dict(shear_frozen(PinnedLamination(drawn, {})).coords)
+
+
+# The paper's X-coordinates of the components, the reference the drawn
+# pictures are held to.  Triangle rows at corner 0 (terminal corner of
+# side 0), as (face, ((p,q) of side 0, side 1, side 2)).  Quadrilateral
+# rows as (E, TL, TR, h, k, g, f): E = (x_{E,1}, x_{E,2}); h, k are the
+# other sides of the right triangle in ccw order after the diagonal, g, f
+# those of the left triangle; side entries are (p, q) pairs in the
+# traversal of the triangle containing them.
+TRI_X = {
+    "alpha": (0, ((0, 0), (0, -1), (0, 0))),
+    "alpha-star": (0, ((0, 0), (-1, 0), (0, 0))),
+    "tau+": (1, ((0, -1),) * 3),
+    "tau-": (-1, ((0, 0),) * 3),
+}
+QUAD_X = {
+    "alpha+":    ((1, 0), 0, 0, (-1, 0), (0, 0), (0, -1), (0, 0)),
+    "alpha+rev": ((0, 1), 0, 0, (0, -1), (0, 0), (-1, 0), (0, 0)),
+    "alpha-":    ((-1, 0), 0, 0, (0, 0), (0, 0), (0, 0), (0, 0)),
+    "alpha-rev": ((0, -1), 0, 0, (0, 0), (0, 0), (0, 0), (0, 0)),
+    "tau+L": ((0, -1), 1, 0, (0, 0), (0, 0), (0, -1), (0, -1)),
+    "tau+R": ((0, 0), 1, 0, (0, -1), (0, 0), (0, -1), (0, -1)),
+    "tau-L": ((0, 0), -1, 0, (0, 0), (0, 0), (0, 0), (0, 0)),
+    "tau-R": ((1, 0), -1, 0, (-1, 0), (0, 0), (0, 0), (0, 0)),
+    "h":     ((0, 0), 1, -1, (0, 0), (0, 0), (0, -1), (0, -1)),
+    "h-rev": ((0, 0), -1, 1, (0, -1), (0, -1), (0, 0), (0, 0)),
+}
+
+
+def _row_coords(tri, values):
+    """A table row as a coordinate map: ``values`` pairs a global index
+    or a slot (whose side pair takes a (p, q) entry) with its value."""
+    x = {}
+    for where, v in values:
+        pairs = zip(side_pair(tri, where), v) if isinstance(v, tuple) else [(where, v)]
+        for i, vi in pairs:
+            x[i] = x.get(i, F(0)) + vi
+    return {i: F(v) for i, v in x.items() if v}
+
+
+@pytest.mark.parametrize("kind", sorted(TRI_X))
+@pytest.mark.parametrize("corner", [0, 1, 2])
+def test_drawn_triangle_components_meet_the_paper_rows(triangle, kind, corner):
+    t = triangle.triangles[0]
+    face, sides = TRI_X[kind]
+    c = corner if kind.startswith("alpha") else 0
+    want = _row_coords(triangle, [(("tri", t), face)] + [((t, (c + j) % 3), sides[j]) for j in range(3)])
+    weight = F(3, 2)
+    x = drawn_x(ComponentSum(triangle, [Component(kind, t, weight, corner=corner)]))
+    assert dict(x.coords) == {i: weight * v for i, v in want.items()}
+
+
+@pytest.mark.parametrize("kind", sorted(QUAD_X))
+def test_drawn_quadrilateral_components_meet_the_paper_rows(polygon4, kind):
+    e = polygon4.interior_edges[0]
+    (tl, il), (tr, ir) = polygon4.slots(e)
+    ev, tlv, trv, hv, kv, gv, fv = QUAD_X[kind]
+    want = _row_coords(polygon4, [
+        (("edge", e, 1), ev[0]), (("edge", e, 2), ev[1]), (("tri", tl), tlv), (("tri", tr), trv),
+        ((tr, (ir + 1) % 3), hv), ((tr, (ir + 2) % 3), kv),
+        ((tl, (il + 1) % 3), gv), ((tl, (il + 2) % 3), fv),
+    ])
+    weight = F(2, 5)
+    x = drawn_x(ComponentSum(polygon4, [Component(kind, e, weight)]))
+    assert dict(x.coords) == {i: weight * v for i, v in want.items()}
+
+
+@pytest.mark.parametrize("orient", ["cw", "ccw"])
+def test_drawn_peripheral_components_meet_the_paper_rows(polygon4, orient):
+    """A peripheral component is seen by the frozen coordinates alone:
+    minus its weight at (E, 1) (cw) or (E, 2) (ccw) of the boundary
+    interval E that starts at its marked point."""
+    for m in sorted(polygon4.vertices):
+        (e,) = [e for e in polygon4.boundary_intervals if polygon4.edge_endpoints(e)[0] == m]
+        x = drawn_x(ComponentSum(polygon4, [Component(f"peripheral-{orient}", m, F(4, 3))]))
+        assert dict(x.coords) == {("edge", e, 1 if orient == "cw" else 2): F(-4, 3)}
+
+
+def test_arc_order_within_a_stack_leaves_the_shear(polygon4):
+    """Corner arcs of different components sharing a stack may be put in
+    any order: the picture stays valid and its shear does not move."""
+    q = quad_corners(polygon4)
+    m = polygon4.corner_vertex(*q["t_left"])
+    s = ComponentSum(polygon4, [
+        Component("alpha+", q["e"], F(1, 2)),
+        Component("alpha+rev", q["e"], F(1)),
+        Component("peripheral-cw", m, F(1, 3)),
+        Component("peripheral-ccw", m, F(2, 3)),
+    ])
+    pic = s.picture()
+    assert len({entry.orient for entry in pic.corner_stack(q["t_left"])}) == 2
+    delta = {e: (F(1, 2), F(-1)) for e in polygon4.boundary_intervals}
+    x = shear_frozen(PinnedLamination(pic, delta))
+    rng = random.Random(14)
+    for _ in range(30):
+        corners = {}
+        for c, stack in pic.corners.items():
+            corners[c] = list(stack)
+            rng.shuffle(corners[c])
+        shuffled = GlobalPicture(polygon4, pic.honeycombs, corners)
+        assert shuffled.validate() == []
+        assert shear_frozen(PinnedLamination(shuffled, delta)) == x
+
+
+def test_drawer_rejects_what_it_cannot_place(polygon4):
+    e = polygon4.interior_edges[0]
+    for weight in (F(0), F(-1, 2)):
+        with pytest.raises(InvalidPicture, match="weight"):
+            ComponentSum(polygon4, [Component("alpha+", e, weight)]).picture()
+    with pytest.raises(InvalidPicture, match="sink and a source"):
+        ComponentSum(polygon4, [Component("tau+L", e), Component("tau-L", e)]).picture()
+
+
+@pytest.mark.parametrize("name", ["polygon5", "annulus11", "torus", "polygon7"])
+def test_realizable_sums_draw_and_round_trip(name):
+    """Every sum ``realizable_component_sum`` returns draws and validates,
+    and its shear, pinnings included, comes back from the reconstructed
+    picture pinned by the one pinning rule."""
+    from sl3shear.verify import _fixtures
+
+    tri = _fixtures().get(name) or build(MarkedSurfaceSpec.polygon(7))
+    rng = random.Random(3)
+    unfrozen = set(Sl3IndexSet(tri).unfrozen)
+    kinds = set()
+    for _ in range(60):
+        s = realizable_component_sum(tri, rng)
+        kinds.update(c.kind for c in s)
+        pic = s.picture()
+        assert pic.validate() == []
+        delta = {e: (F(rng.randint(-3, 3)), F(rng.randint(-3, 3), 2)) for e in tri.boundary_intervals}
+        x = shear_frozen(PinnedLamination(pic, delta))
+        back = reconstruct(
+            TropicalPoint("X", {i: v for i, v in x.coords.items() if i in unfrozen}, tri=tri, restricted=True),
+            tri,
+        )
+        pins = {}
+        for e in tri.boundary_intervals:
+            w = boundary_weights(back, e)
+            pins[e] = tuple(x[("edge", e, s)] + w[s - 1] for s in (1, 2))
+        assert shear_frozen(PinnedLamination(back, pins)) == x
+    assert kinds
 
 
 def test_frozen_coordinates_direct_substitution(triangle):
@@ -207,13 +354,11 @@ def test_component_tables_examples(triangle):
     t = triangle.triangles[0]
     pairs = [side_pair(triangle, (t, a)) for a in range(3)]
     order = [("tri", t), *pairs[1], *pairs[2], *pairs[0]]
-    a = coords_of_components(
-        ComponentSum(triangle, [Component("alpha", t, F(1), corner=0)]), "A"
-    )
+    a = coords_of_components(ComponentSum(triangle, [Component("alpha", t, F(1), corner=0)]))
     assert [a[i] for i in order] == [F(2, 3), F(1, 3), F(2, 3), 0, 0, F(2, 3), F(1, 3)]
-    x = coords_of_components(ComponentSum(triangle, [Component("tau-", t, F(1))]), "X")
+    x = drawn_x(ComponentSum(triangle, [Component("tau-", t, F(1))]))
     assert dict(x.coords) == {("tri", t): F(-1)}
-    assert coords_of_components(ComponentSum(triangle, []), "X").coords == {}
+    assert drawn_x(ComponentSum(triangle, [])).coords == {}
 
 
 def test_component_tables_ensemble_relation(triangle, polygon4):
@@ -221,25 +366,27 @@ def test_component_tables_ensemble_relation(triangle, polygon4):
 
     for tri, comp in component_table_cases():
         s = ComponentSum(tri, [comp])
-        a = coords_of_components(s, "A")
-        x = coords_of_components(s, "X")
+        a = coords_of_components(s)
+        x = drawn_x(s)
         assert x.coords == ensemble(a, tri).coords, comp.kind
 
 
 def test_unknown_component_kind(triangle):
+    s = ComponentSum(triangle, [Component("nonsense", "T1", F(1))])
     with pytest.raises(UnknownComponentKind):
-        coords_of_components(
-            ComponentSum(triangle, [Component("nonsense", "T1", F(1))]), "X"
-        )
+        s.picture()
+    with pytest.raises(UnknownComponentKind):
+        coords_of_components(s)
 
 
 def test_quad_component_carrier_must_be_interior(polygon4):
     boundary = polygon4.boundary_intervals[0]
     for carrier in ("nope", boundary):
+        s = ComponentSum(polygon4, [Component("alpha-", carrier, F(1))])
         with pytest.raises(CarrierMismatch):
-            coords_of_components(
-                ComponentSum(polygon4, [Component("alpha-", carrier, F(1))]), "X"
-            )
+            s.picture()
+        with pytest.raises(CarrierMismatch):
+            coords_of_components(s)
 
 
 def test_geometric_ensemble_examples(triangle):
@@ -259,7 +406,7 @@ def test_geometric_ensemble_examples(triangle):
     hits = [e for e in triangle.boundary_intervals if triangle.edge_endpoints(e)[0] == m]
     assert len(hits) == 1
     assert pl2.delta[hits[0]] == (F(-2), F(0))
-    assert list(pl2.underlying) == []
+    assert pl2.underlying.corners == {} and pl2.underlying.honeycombs == {}
 
 
 def test_geometric_ensemble_rejects_negative_weight(triangle):
@@ -276,20 +423,20 @@ def test_ensemble_relation_on_random_bounded(polygon4):
     for _ in range(50):
         s = realizable_component_sum(polygon4, rng)
         pl = geometric_ensemble(s)
-        a = coords_of_components(s, "A")
+        a = coords_of_components(s)
         want = ensemble(a, polygon4).coords
         assert dict(shear_frozen(pl).coords) == want
 
 
 def test_dynkin_geometric_examples(triangle):
     t = triangle.triangles[0]
-    s = ComponentSum(triangle, [Component("tau+", t, F(1))])
-    s2 = s.dynkin()
-    assert [c.kind for c in s2] == ["tau-"]
-    x = coords_of_components(s2, "X")
+    pic = ComponentSum(triangle, [Component("tau+", t, F(1))]).picture()
+    pic2 = pic.dynkin()
+    assert pic2.honeycombs == ComponentSum(triangle, [Component("tau-", t, F(1))]).picture().honeycombs
+    x = shear_frozen(PinnedLamination(pic2, {}))
     assert x[("tri", t)] == F(-1)
-    s3 = s2.dynkin()
-    assert [c.kind for c in s3] == ["tau+"]
+    pic3 = pic2.dynkin()
+    assert pic3.honeycombs == pic.honeycombs and pic3.corners == pic.corners == {}
 
 
 def test_dynkin_geometric_on_pictures(polygon4, torus):
@@ -330,8 +477,8 @@ def test_peripheral_neutrality(polygon5, torus):
 def test_weighted_linearity(polygon4):
     q = quad_corners(polygon4)
     u = F(7, 2)
-    one = coords_of_components(ComponentSum(polygon4, [Component("alpha+", q["e"], F(1))]), "A")
-    many = coords_of_components(ComponentSum(polygon4, [Component("alpha+", q["e"], u)]), "A")
+    one = coords_of_components(ComponentSum(polygon4, [Component("alpha+", q["e"], F(1))]))
+    many = coords_of_components(ComponentSum(polygon4, [Component("alpha+", q["e"], u)]))
     assert {i: u * v for i, v in one.coords.items()} == dict(many.coords)
 
 
@@ -412,7 +559,7 @@ def test_normalize_pinned_component_sum(triangle):
     t = triangle.triangles[0]
     s = ComponentSum(triangle, [Component("alpha", t, F(2, 3), corner=0)])
     e = triangle.boundary_intervals[0]
-    pl = PinnedLamination(s, {e: (F(1, 2), F(0))})
+    pl = PinnedLamination(s.picture(), {e: (F(1, 2), F(0))})
     u, scaled = normalize_integral(pl)
     assert u == 6
     assert scaled.delta[e] == (F(3), F(0))
