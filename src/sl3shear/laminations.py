@@ -394,13 +394,14 @@ class ComponentSum:
         weight = ONE if u == 1 else Fraction(1, u)
         orients, heights, arcs = {}, {}, {}
         for comp in self.components:
+            where = f"component {comp.kind} at {comp.carrier}"
             if comp.weight <= 0:
-                raise InvalidPicture(f"component {comp.kind} at {comp.carrier} has weight {comp.weight}")
+                raise InvalidPicture(f"{where} has weight {comp.weight}")
             n = int(comp.weight * u)
             honeycombs, corner_arcs = _drawing(self.tri, comp)
             for t, orient in honeycombs:
                 if orients.setdefault(t, orient) != orient:
-                    raise InvalidPicture(f"component {comp.kind} at {comp.carrier} puts a sink and a source honeycomb in {t}")
+                    raise InvalidPicture(f"{where} puts a sink and a source honeycomb in {t}")
                 heights[t] = heights.get(t, 0) + n
             for key in corner_arcs:
                 arcs[key] = arcs.get(key, 0) + n
@@ -416,7 +417,7 @@ class PinnedLamination:
     """A picture plus a rational coweight ``delta[E] = (delta_plus,
     delta_minus)`` per boundary interval."""
 
-    underlying: object
+    underlying: GlobalPicture
     delta: dict
 
     @property

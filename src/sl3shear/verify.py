@@ -260,9 +260,10 @@ def realizable_component_sum(tri, rng):
             comp = Component(kind, t, corner=rng.randint(0, 2) if kind.startswith("alpha") else 0)
         try:
             ComponentSum(tri, comps + [comp]).picture()
-            comps.append(replace(comp, weight=Fraction(rng.randint(1, 3))))
         except (CarrierMismatch, InvalidPicture):
             pass
+        else:
+            comps.append(replace(comp, weight=Fraction(rng.randint(1, 3))))
         if rng.random() < 0.3:
             v = rng.choice(sorted(tri.vertices))
             comps.append(
