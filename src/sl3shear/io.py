@@ -308,11 +308,10 @@ def components_from_obj(obj, tri):
 
 
 def pinned_to_obj(pl):
-    body = {"picture": picture_to_obj(pl.underlying)}
-    body["delta"] = {
-        e: [frac_to_str(dp), frac_to_str(dm)] for e, (dp, dm) in sorted(pl.delta.items())
+    return {
+        "picture": picture_to_obj(pl.underlying),
+        "delta": {e: [frac_to_str(dp), frac_to_str(dm)] for e, (dp, dm) in sorted(pl.delta.items())},
     }
-    return body
 
 
 def pinned_from_obj(obj, tri):
