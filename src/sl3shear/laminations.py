@@ -630,7 +630,9 @@ def _quad_component_coords(acc, tri, comp, slots):
 
 def _peripheral_coords(acc, tri, comp):
     # one corner arc per triangle-corner at m; each interior edge at m
-    # receives equal contributions from its two sides, counted once
+    # receives equal contributions from its two sides, counted once.  A
+    # triangle with two or three corners at m adds up its arcs' values at
+    # each of its sides
     arc_kind = "alpha-star" if _PERIPHERAL[comp.kind] == "cw" else "alpha"
     per_side = {}
     for (t, ci) in tri.corners_at_vertex(comp.carrier):
@@ -638,13 +640,11 @@ def _peripheral_coords(acc, tri, comp):
         _add_coord(acc, ("tri", t), comp.weight * face)
         for j in range(3):
             slot = (t, (ci + j) % 3)
-            p, q = side_pair(tri, slot)
             vp, vq = sides[j]
             if vp or vq:
-                per_side.setdefault(tri.edge_at(slot), {})[slot] = (
-                    comp.weight * vp,
-                    comp.weight * vq,
-                )
+                by_slot = per_side.setdefault(tri.edge_at(slot), {})
+                sp, sq = by_slot.get(slot, (0, 0))
+                by_slot[slot] = (sp + comp.weight * vp, sq + comp.weight * vq)
     for e, by_slot in per_side.items():
         slots = sorted(by_slot)
         vals = [by_slot[s] for s in slots]

@@ -18,8 +18,9 @@ triangle, :func:`flip_quiver` over the two triangles of a flipped edge
 (every entry a flip mutation reads comes from those two), and
 :func:`extended_columns` adds the m-matrix to the sum for the ensemble
 map.  :func:`flip_plan` runs a flip's four mutations on its flip quiver.
-Flip plans and extended columns are derived once per triangulation (and
-edge) and kept in the triangulation's ``memo``.
+Flip plans, extended columns and the Dynkin mutation sequence are
+derived once per triangulation (and edge) and kept in the
+triangulation's ``memo``.
 
 Indices are tuples: ``("tri", t)`` for the face index of triangle ``t``
 and ``("edge", e, s)`` with ``s in (1, 2)`` for the two points on edge
@@ -358,12 +359,17 @@ def flip_plan(tri, e):
 
 def dynkin_mutation_sequence(tri):
     """One mutation per face, then the swap of the two points on every
-    edge.  Faces are pairwise non-adjacent in the quiver, so their order
-    does not matter; triangles are visited in sorted order."""
-    steps = [Mutate(("tri", t)) for t in tri.triangles]
-    mapping = {}
-    for e in tri.edges:
-        mapping[("edge", e, 1)] = ("edge", e, 2)
-        mapping[("edge", e, 2)] = ("edge", e, 1)
-    steps.append(Permute.of(mapping))
+    edge, as a tuple kept in ``tri.memo``.  Faces are pairwise
+    non-adjacent in the quiver, so their order does not matter; triangles
+    are visited in sorted order."""
+    steps = tri.memo.get("dynkin sequence")
+    if steps is None:
+        mapping = {}
+        for e in tri.edges:
+            mapping[("edge", e, 1)] = ("edge", e, 2)
+            mapping[("edge", e, 2)] = ("edge", e, 1)
+        steps = tri.memo["dynkin sequence"] = (
+            *(Mutate(("tri", t)) for t in tri.triangles),
+            Permute.of(mapping),
+        )
     return steps

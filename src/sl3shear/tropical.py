@@ -2,25 +2,36 @@
 them: X- and A-mutation, the closed-form flip map, the ensemble map, the
 Dynkin cluster action and the principal embedding.
 
+A :class:`TropicalPoint` holds its values in one of two exact forms, or
+both: a dict of nonzero :class:`fractions.Fraction` coordinates
+(``coords``), or a positive common denominator d with a dict of the
+nonzero int numerators d x_i.  Every map here is positively homogeneous
+and piecewise linear, so it runs on the ints and returns a point over
+the same d (twice it for the ensemble map); d need not be the least
+common denominator, and nothing that reads a point depends on which d it
+holds.  A point built from Fractions computes its ints once, when a map
+first reads them; a point a map returns builds its Fractions only when
+``coords`` or ``p[i]`` is read.
+
 Each mutation rule is written once, as an update of a coordinate dict
 from one doubled column of the exchange matrix: :func:`_x_rule` and
 :func:`_a_rule`.  :func:`mutate_x` and :func:`mutate_a` run them on a
-point's Fractions.  A flip mutates only its quadrilateral:
-:func:`apply_flip` runs them over the columns of the flip's plan
-(:func:`seeds.flip_plan`, built once per triangulation and edge) on the
-point's coordinates at the quadrilateral, scaled to ints, and relabels
-four indices; every other coordinate is shared with the input.  The
-ensemble map folds the doubled columns of eps + m
-(:func:`seeds.extended_columns`) against the A-point scaled to ints, and
-the Dynkin action runs its corrections on the scaled X-point.
+point's ints.  A flip mutates only its quadrilateral: :func:`apply_flip`
+runs them over the columns of the flip's plan (:func:`seeds.flip_plan`,
+built once per triangulation and edge) on the point's ints at the
+quadrilateral, and relabels four indices; every other numerator is
+shared with the input.  The ensemble map folds the doubled columns of
+eps + m (:func:`seeds.extended_columns`) against the A-point's ints, and
+the Dynkin action runs its corrections on the X-point's ints.
 
-The single tropical semifield in use is (Q, max, +).  All coordinates are
-:class:`fractions.Fraction`; there are no tolerances anywhere.
+The single tropical semifield in use is (Q, max, +); there are no
+tolerances anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .seeds import (
@@ -63,6 +74,10 @@ class TropicalPoint:
     only unfrozen coordinates.  Missing coordinates are zero.  A
     restricted A-point, or a restricted point with a nonzero coordinate
     at a boundary interval of ``tri``, raises ValueError.
+
+    The constructor takes the coordinates as Fractions (or ints);
+    :meth:`from_ints` takes them as numerators over one denominator.
+    Either form is derived from the other when first read, and kept.
     """
 
     def __init__(self, kind, coords, tri=None, restricted=False):
@@ -87,16 +102,45 @@ class TropicalPoint:
             if frozen:
                 raise ValueError(f"a restricted point has frozen coordinates {frozen}")
 
+    @classmethod
+    def from_ints(cls, kind, d, nums, tri=None, restricted=False):
+        """The point with coordinates ``nums[i] / d``, from the int
+        denominator ``d > 0`` and the dict ``nums`` of nonzero int
+        numerators, both taken as they are (no check, no copy)."""
+        p = object.__new__(cls)
+        p.kind, p.tri, p.restricted, p._ints = kind, tri, restricted, (d, nums)
+        return p
+
+    @cached_property
+    def coords(self):
+        """The nonzero coordinates ``{i: x_i}`` as reduced Fractions."""
+        d, nums = self._ints
+        return {i: Fraction(n, d) for i, n in nums.items()}
+
+    @cached_property
+    def _ints(self):
+        """``(d, {i: d x_i})``: a common denominator of the coordinates and
+        their nonzero numerators over it."""
+        ratios = {i: v.as_integer_ratio() for i, v in self.coords.items()}
+        d = lcm(*(q for _, q in ratios.values()))
+        return d, {i: n * (d // q) for i, (n, q) in ratios.items()}
+
     def __getitem__(self, i):
         return self.coords.get(i, ZERO)
 
     def __eq__(self, other):
-        return (
+        if not (
             isinstance(other, TropicalPoint)
             and self.kind == other.kind
             and self.restricted == other.restricted
-            and self.coords == other.coords
-        )
+        ):
+            return False
+        if "coords" in self.__dict__ and "coords" in other.__dict__:
+            return self.coords == other.coords
+        (d1, n1), (d2, n2) = self._ints, other._ints
+        if d1 == d2:
+            return n1 == n2
+        return n1.keys() == n2.keys() and all(v * d2 == n2[i] * d1 for i, v in n1.items())
 
     def __repr__(self):
         vals = ", ".join(f"{i}: {v}" for i, v in sorted(self.coords.items()))
@@ -117,8 +161,8 @@ class TropicalPoint:
 
 
 def _x_rule(x, k, col):
-    """Tropical X-mutation at ``k``, in place on the nonzero coordinates
-    ``x`` (ints or Fractions; a value that becomes zero is removed), from
+    """Tropical X-mutation at ``k``, in place on the nonzero int
+    coordinates ``x`` (a value that becomes zero is removed), from
     the doubled column ``col = {i: 2 eps_ik}`` of ``k``: x'_k = -x_k and
     x'_i = x_i - eps_ik [-sgn(eps_ik) x_k]_+ otherwise, which is
     x_i + |eps_ik| x_k where eps_ik and x_k differ in sign.  The column
@@ -174,17 +218,21 @@ def _column(p, kind, eps, k):
 def mutate_x(p, eps, k):
     """Tropical cluster Poisson mutation at the unfrozen index ``k`` (see
     :func:`_x_rule`)."""
-    coords = dict(p.coords)
-    _x_rule(coords, k, _column(p, "X", eps, k))
-    return _point(p, coords, p.tri)
+    col = _column(p, "X", eps, k)
+    d, nums = p._ints
+    x = dict(nums)
+    _x_rule(x, k, col)
+    return _point(p, d, x, p.tri)
 
 
 def mutate_a(p, eps, k):
     """Tropical cluster A-mutation at the unfrozen index ``k`` (see
     :func:`_a_rule`)."""
-    coords = dict(p.coords)
-    _a_rule(coords, k, _column(p, "A", eps, k))
-    return _point(p, coords, p.tri)
+    col = _column(p, "A", eps, k)
+    d, nums = p._ints
+    a = dict(nums)
+    _a_rule(a, k, col)
+    return _point(p, d, a, p.tri)
 
 
 def apply_steps(p, eps, steps, tri_after=None):
@@ -192,16 +240,17 @@ def apply_steps(p, eps, steps, tri_after=None):
     matrix along.  Returns ``(point, eps)`` after all steps; the point
     lies on ``tri_after`` once a step relabels."""
     rule = _x_rule if p.kind == "X" else _a_rule
-    coords, tri = dict(p.coords), p.tri
+    d, nums = p._ints
+    x, tri = dict(nums), p.tri
     for step in steps:
         if isinstance(step, Mutate):
-            rule(coords, step.k, _column(p, p.kind, eps, step.k))
+            rule(x, step.k, _column(p, p.kind, eps, step.k))
             eps = mutate_matrix(eps, step.k)
         else:
             mapping = step.as_dict()
-            coords = {mapping.get(i, i): v for i, v in coords.items()}
+            x = {mapping.get(i, i): v for i, v in x.items()}
             eps, tri = eps.relabel(mapping), tri_after
-    return _point(p, coords, tri), eps
+    return _point(p, d, x, tri), eps
 
 
 def flip_local_labels(tri, e):
@@ -241,8 +290,8 @@ def flip_x_closed_form(p, tri, e):
     lab = flip_local_labels(tri, e)
     if len(set(lab.values())) != 12:
         raise BadLabeling("flip quadrilateral has identified sides")
-    # in the ints d x, with d the lcm of the 12 denominators
-    d, x = _scaled({n: p[lab[n]] for n in range(1, 13)})
+    _, nums = p._ints
+    x = {n: nums.get(lab[n], 0) for n in range(1, 13)}
     b123 = bracket3(x[1], x[2], x[3])
     b341 = bracket3(x[3], x[4], x[1])
     new = {
@@ -261,7 +310,7 @@ def flip_x_closed_form(p, tri, e):
     }
     # local label n keeps its geometric position, so it maps to the index
     # of the flipped triangulation occupying that position
-    return _flipped(p, flip_plan(tri, e), {lab[n]: Fraction(new[n], d) for n in range(1, 13)})
+    return _flipped(p, flip_plan(tri, e), {lab[n]: new[n] for n in range(1, 13)})
 
 
 def apply_flip(p, tri, e):
@@ -269,52 +318,39 @@ def apply_flip(p, tri, e):
     4-mutation sequence plus relabeling.  Works for X- and A-points.
 
     The mutations run off the columns of the :func:`flip_plan`, on the
-    coordinates at the indices of the flip quadrilateral, scaled to ints:
-    no other coordinate moves, and no other entry of the exchange matrix
-    is read.  Identical to running the steps on the whole exchange
-    matrix and point."""
+    point's ints at the indices of the flip quadrilateral: no other
+    coordinate moves, and no other entry of the exchange matrix is read.
+    Identical to running the steps on the whole exchange matrix and
+    point."""
     plan = flip_plan(tri, e)
     rule = _x_rule if p.kind == "X" else _a_rule
-    # in the ints d x, with d the lcm of the quadrilateral's denominators
-    d, x = _scaled({i: p.coords[i] for i in plan.local if i in p.coords})
-    before = dict(x)
+    _, nums = p._ints
+    x = {i: nums[i] for i in plan.local if i in nums}
     for k, col in plan.columns:
         rule(x, k, col)
-    # a coordinate the mutations left alone keeps its Fraction
-    return _flipped(p, plan, {
-        i: p[i] if x.get(i) == before.get(i) else Fraction(x.get(i, 0), d) for i in plan.local
-    })
+    return _flipped(p, plan, {i: x.get(i, 0) for i in plan.local})
 
 
 def _flipped(p, plan, local):
-    """``p`` carried through the flip of ``plan``: its coordinates at the
-    flip quadrilateral replaced by ``local`` (keyed by old index) and
-    relabeled by ``plan.corr``, every other one kept as it is.  A
-    restricted point keeps no frozen coordinate of the quadrilateral;
-    the others it never has."""
-    coords = dict(p.coords)
+    """``p`` carried through the flip of ``plan``: its numerators at the
+    flip quadrilateral replaced by the ints ``local`` (keyed by old
+    index, over the same denominator) and relabeled by ``plan.corr``,
+    every other one kept as it is.  A restricted point keeps no frozen
+    coordinate of the quadrilateral; the others it never has."""
+    d, nums = p._ints
+    x = dict(nums)
     for i in local:
-        coords.pop(i, None)
+        x.pop(i, None)
     for i, v in local.items():
         if v and not (p.restricted and i in plan.frozen):
-            coords[plan.corr[i]] = v
-    return _point(p, coords, plan.tri)
+            x[plan.corr[i]] = v
+    return _point(p, d, x, plan.tri)
 
 
-def _point(p, coords, tri):
-    """A point of ``p``'s kind on ``tri`` with the nonzero Fraction
-    ``coords`` as they are, without the constructor's conversions."""
-    q = object.__new__(TropicalPoint)
-    q.kind, q.coords, q.tri, q.restricted = p.kind, coords, tri, p.restricted
-    return q
-
-
-def _scaled(coords):
-    """``(d, {i: d v_i})``: the lcm d of the denominators of the Fractions
-    ``coords`` and the values scaled by it to ints."""
-    ratios = {i: v.as_integer_ratio() for i, v in coords.items()}
-    d = lcm(*(q for _, q in ratios.values()))
-    return d, {i: n * (d // q) for i, (n, q) in ratios.items()}
+def _point(p, d, nums, tri):
+    """A point of ``p``'s kind on ``tri`` with the nonzero int numerators
+    ``nums`` over ``d``, taken as they are."""
+    return TropicalPoint.from_ints(p.kind, d, nums, tri, p.restricted)
 
 
 def ensemble(a, tri):
@@ -322,16 +358,17 @@ def ensemble(a, tri):
     folded over the columns of 2(eps + m) from :func:`extended_columns`.
 
     Every weight is a multiple of 1/2, so the fold runs on integers: with
-    d the lcm of the denominators of ``a``, 2d x_i = sum_j (2w_ij)(d a_j)."""
+    d the denominator of ``a``'s ints, 2d x_i = sum_j (2w_ij)(d a_j)."""
     if a.kind != "A":
         raise SeedMismatch("A-point required")
-    d, scaled = _scaled(a.coords)
+    d, nums = a._ints
     columns = extended_columns(tri)
-    out = {}
-    for j, aj in scaled.items():
+    # every index of ``tri`` has a nonzero column, and only those occur
+    out = dict.fromkeys(columns, 0)
+    for j, aj in nums.items():
         for i, w2 in columns.get(j, {}).items():
-            out[i] = out.get(i, 0) + w2 * aj
-    return TropicalPoint("X", {i: Fraction(v, 2 * d) for i, v in out.items() if v}, tri=tri)
+            out[i] += w2 * aj
+    return TropicalPoint.from_ints("X", 2 * d, {i: v for i, v in out.items() if v}, tri)
 
 
 def dynkin_cluster(p, tri):
@@ -340,17 +377,15 @@ def dynkin_cluster(p, tri):
     corrections from the adjacent face coordinates (terms of a missing
     triangle, on boundary intervals, are zero).
 
-    The corrections run on the integers d x, with d the lcm of the
-    denominators of ``p``; a coordinate without correction is the
-    swapped one as it is.  A restricted point keeps no frozen
-    coordinates, as in :func:`mutate_x`: its boundary intervals are
-    skipped."""
+    The corrections run on the point's ints, over its denominator.  A
+    restricted point keeps no frozen coordinates, as in :func:`mutate_x`:
+    its boundary intervals are skipped."""
     if p.kind != "X":
         raise SeedMismatch("X-point required")
-    d, x = _scaled(p.coords)
+    d, x = p._ints
     out = {}
     for t in tri.triangles:
-        v = p[("tri", t)]
+        v = x.get(("tri", t))
         if v:
             out[("tri", t)] = -v
     for e in tri.interior_edges if p.restricted else tri.edges:
@@ -358,20 +393,27 @@ def dynkin_cluster(p, tri):
         xtl = x.get(("tri", sl[0]), 0)
         xtr = 0 if sr is None else x.get(("tri", sr[0]), 0)
         p1, p2 = ("edge", e, 1), ("edge", e, 2)
-        c1 = max(xtl, 0) + min(xtr, 0)
-        c2 = max(xtr, 0) + min(xtl, 0)
-        out[p1] = Fraction(x.get(p2, 0) + c1, d) if c1 else p[p2]
-        out[p2] = Fraction(x.get(p1, 0) + c2, d) if c2 else p[p1]
-    return p.replace(out)
+        # the corrections [xtl]_+ + min(xtr, 0) and [xtr]_+ + min(xtl, 0)
+        v1 = x.get(p2, 0) + (xtl if xtl > 0 else 0) + (xtr if xtr < 0 else 0)
+        v2 = x.get(p1, 0) + (xtr if xtr > 0 else 0) + (xtl if xtl < 0 else 0)
+        if v1:
+            out[p1] = v1
+        if v2:
+            out[p2] = v2
+    return _point(p, d, out, p.tri)
 
 
 def dynkin_cluster_by_mutation(p, tri):
     """The same involution as the composite sigma_e o mu_t of mutations
-    at every face followed by the swap of edge-point labels."""
-    steps = dynkin_mutation_sequence(tri)
+    at every face followed by the swap of edge-point labels.  The swap
+    relabels the point only: the exchange matrix is not needed after the
+    last mutation."""
+    *faces, swap = dynkin_mutation_sequence(tri)
     _, eps = exchange_matrix(tri)
-    q, _ = apply_steps(p, eps, steps, tri_after=tri)
-    return q
+    q, _ = apply_steps(p, eps, faces)
+    mapping = swap.as_dict()
+    d, nums = q._ints
+    return _point(p, d, {mapping.get(i, i): v for i, v in nums.items()}, tri)
 
 
 def principal_embed(sl2, tri):

@@ -1,4 +1,5 @@
-"""Dense reference rules for matrix, X- and A-mutation, on Fractions.
+"""Dense reference rules for matrix, X- and A-mutation, step sequences
+and the ensemble map, on Fractions.
 
 A matrix here is the dict ``{(i, j): eps_ij}`` of its nonzero entries,
 and every rule is read straight off its definition, over every pair of
@@ -7,7 +8,7 @@ indices.  The tests compare the library's column-wise rules with these.
 
 from fractions import Fraction
 
-from sl3shear.seeds import ExchangeMatrix
+from sl3shear.seeds import ExchangeMatrix, Mutate
 
 
 def exchange(indices, entries, frozen=()):
@@ -68,3 +69,30 @@ def mutate_a(indices, eps, a, k):
     if v:
         out[k] = Fraction(v)
     return out
+
+
+def apply_steps(indices, eps, frozen, kind, coords, steps):
+    """Run the Mutate/Permute ``steps`` on the ``kind``-point ``coords``,
+    mutating and relabeling the matrix ``eps`` along; returns the point."""
+    for step in steps:
+        if isinstance(step, Mutate):
+            if kind == "X":
+                coords = mutate_x(indices, eps, frozen, coords, step.k)
+            else:
+                coords = mutate_a(indices, eps, coords, step.k)
+            eps = mutate_matrix(indices, eps, step.k)
+        else:
+            new = step.as_dict().get
+            coords = {new(i, i): v for i, v in coords.items()}
+            eps = {(new(i, i), new(j, j)): v for (i, j), v in eps.items()}
+            indices = [new(i, i) for i in indices]
+            frozen = {new(i, i) for i in frozen}
+    return coords
+
+
+def ensemble(entries, a):
+    """x_i = sum_j w_ij a_j for the matrix ``entries`` ``{(i, j): w_ij}``."""
+    out = {}
+    for (i, j), w in entries.items():
+        out[i] = out.get(i, 0) + w * a.get(j, 0)
+    return {i: Fraction(v) for i, v in out.items() if v}

@@ -5,7 +5,8 @@ X- and with A-coordinates at every interior edge, and ``ensemble`` and
 ``dynkin`` run once, all on fixed rational coordinates.  The exit code
 and stdout of every call are hashed per (surface, command), so a change
 of representation inside ``seeds`` or ``tropical`` must leave the bytes
-as they are.
+as they are.  The stdout of ``sl3shear verify --suite all --trials 200
+--seed 7`` is pinned the same way.
 
 To print the digests of the current tree, run
 ``PYTHONPATH=src python tests/test_cli_golden.py``.
@@ -73,6 +74,10 @@ COMPONENT_DOCS = {
 }
 
 
+VERIFY_ARGV = ["verify", "--suite", "all", "--trials", "200", "--seed", "7"]
+VERIFY_GOLDEN = "92adee3fc96b2286d443247549f4ac208f898e81e4e5ca2daae70e44d351cca9"
+
+
 def _coords(tri, salt):
     """Fixed rational coordinates at every index, some of them zero."""
     return json.dumps({
@@ -126,10 +131,24 @@ def digests():
         }
 
 
+def verify_digest():
+    """The sha256 of the stdout of :data:`VERIFY_ARGV`; its exit code
+    must be 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(VERIFY_ARGV) == 0
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
 def test_cli_golden_digests():
     assert digests() == GOLDEN
+
+
+def test_verify_stdout_digest():
+    assert verify_digest() == VERIFY_GOLDEN
 
 
 if __name__ == "__main__":
     for name, digest in digests().items():
         print(f'    "{name}": "{digest}",')
+    print(f'VERIFY_GOLDEN = "{verify_digest()}"')

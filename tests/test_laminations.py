@@ -296,7 +296,8 @@ def test_drawer_rejects_what_it_cannot_place(polygon4):
 @pytest.mark.parametrize("name", ["polygon5", "annulus11", "torus", "polygon7"])
 def test_realizable_sums_draw_and_round_trip(name):
     """Every sum ``realizable_component_sum`` returns draws and validates,
-    and its shear, pinnings included, comes back from the reconstructed
+    the ensemble map sends its A table to the shear of its picture, and
+    that shear, pinnings included, comes back from the reconstructed
     picture pinned by the one pinning rule."""
     from sl3shear.verify import _fixtures
 
@@ -309,6 +310,7 @@ def test_realizable_sums_draw_and_round_trip(name):
         kinds.update(c.kind for c in s)
         pic = s.picture()
         assert pic.validate() == []
+        assert ensemble(coords_of_components(s), tri) == shear_frozen(PinnedLamination(pic, {}))
         delta = {e: (F(rng.randint(-3, 3)), F(rng.randint(-3, 3), 2)) for e in tri.boundary_intervals}
         x = shear_frozen(PinnedLamination(pic, delta))
         back = reconstruct(
@@ -321,6 +323,24 @@ def test_realizable_sums_draw_and_round_trip(name):
             pins[e] = tuple(x[("edge", e, s)] + w[s - 1] for s in (1, 2))
         assert shear_frozen(PinnedLamination(back, pins)) == x
     assert kinds
+
+
+@pytest.mark.parametrize("spec", [
+    MarkedSurfaceSpec.polygon(5),
+    MarkedSurfaceSpec.once_punctured_torus(),
+    MarkedSurfaceSpec.annulus(1, 1),
+    MarkedSurfaceSpec.annulus(2, 3),
+    MarkedSurfaceSpec.punctured_polygon(3, 2),
+], ids=["polygon5", "torus", "annulus11", "annulus23", "punctured-polygon32"])
+def test_peripheral_a_table_matches_its_picture(spec):
+    """The A table of a peripheral component maps to the shear of its
+    picture also where one triangle has two or three corners at the
+    marked point, as on the torus and the annuli."""
+    tri = build(spec)
+    for v in sorted(tri.vertices):
+        for kind in ("peripheral-cw", "peripheral-ccw"):
+            s = ComponentSum(tri, [Component(kind, v, F(2))])
+            assert ensemble(coords_of_components(s), tri) == shear_frozen(PinnedLamination(s.picture(), {}))
 
 
 def test_frozen_coordinates_direct_substitution(triangle):

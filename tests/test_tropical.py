@@ -6,13 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mutation_reference as ref
+from sl3shear import tropical
 from sl3shear.seeds import (
     Sl3IndexSet,
+    dynkin_mutation_sequence,
     exchange_matrix,
+    extended_matrix,
     flip_mutation_sequence,
+    matrix_entries,
     side_pair,
 )
-from sl3shear.surface import MarkedSurfaceSpec, build
+from sl3shear.surface import FlipCreatesSelfFolded, MarkedSurfaceSpec, build
 from sl3shear.tropical import (
     BadLabeling,
     TropicalPoint,
@@ -337,3 +341,120 @@ def test_apply_flip_matches_closed_form_every_edge(polygon5):
             coords = {i: F(rng.randint(-20, 20), rng.randint(1, 8)) for i in iset.all}
             p = TropicalPoint("X", coords, tri=polygon5)
             assert apply_flip(p, polygon5, e) == flip_x_closed_form(p, polygon5, e)
+
+
+def test_points_equal_across_forms(polygon4):
+    """A point from ints equals the same point from Fractions over any
+    common denominator, minimal or not, whichever forms each side has
+    read; kind and restriction still tell points apart."""
+    i, j, k = Sl3IndexSet(polygon4).unfrozen[:3]
+    for d in (6, 12, 30):
+        nums = {i: 3 * d // 2, j: -d // 3}
+        p = TropicalPoint("X", {i: F(3, 2), j: F(-1, 3), k: 0}, tri=polygon4)
+        q = TropicalPoint.from_ints("X", d, nums, polygon4)
+        assert q == p and p == q
+        assert q == TropicalPoint.from_ints("X", 6, {i: 9, j: -2}, polygon4)
+        assert q.coords and q == p  # both hold Fractions now
+        q = TropicalPoint.from_ints("X", d, dict(nums), polygon4)
+        assert q != TropicalPoint.from_ints("X", d, {i: 3 * d // 2, j: -d // 3 + 1}, polygon4)
+        assert q != TropicalPoint.from_ints("X", 2 * d, {i: 3 * d}, polygon4)
+        assert q != TropicalPoint.from_ints("X", 2 * d, {i: 3 * d, j: -2 * d // 3, k: 1}, polygon4)
+        assert q != TropicalPoint.from_ints("A", d, nums, polygon4)
+        assert q != TropicalPoint.from_ints("X", d, nums, polygon4, restricted=True)
+        assert q != TropicalPoint("A", p.coords, tri=polygon4)
+        assert q != TropicalPoint("X", p.coords, tri=polygon4, restricted=True)
+        assert q != p.coords
+
+
+def test_int_built_coords_are_reduced_fractions(polygon4):
+    i, j, k, m = Sl3IndexSet(polygon4).unfrozen[:4]
+    q = TropicalPoint.from_ints("X", 12, {i: 18, j: -4, k: 12}, polygon4)
+    assert {n: (v.numerator, v.denominator) for n, v in q.coords.items()} == {
+        i: (3, 2), j: (-1, 3), k: (1, 1)
+    }
+    assert q[i] == F(3, 2) and q[m] == 0
+    # a coordinate that a map sends to zero is dropped: x'_2 = x_2 + x_1
+    p = mutate_x(TropicalPoint("X", {1: F(1, 2), 2: F(-1, 2)}), eps2(), 1)
+    assert p.coords == {1: F(-1, 2)}
+
+
+WALK_SURFACES = {
+    "polygon6": MarkedSurfaceSpec.polygon(6),
+    "annulus21": MarkedSurfaceSpec.annulus(2, 1),
+    "torus": MarkedSurfaceSpec.once_punctured_torus(),
+}
+
+
+def _dense_steps(kind, coords, tri, steps):
+    """``steps`` run on the Fractions ``coords`` and the dense exchange
+    matrix of ``tri`` by the reference rules."""
+    _, eps = exchange_matrix(tri)
+    return ref.apply_steps(eps.indices, matrix_entries(eps.columns), eps.frozen, kind, coords, steps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(WALK_SURFACES)), st.integers(0, 2**32), st.integers(1, 4))
+def test_int_maps_match_dense_reference_along_walks(name, seed, length):
+    """Along a walk of flips, each point a map returns is fed to the next
+    map as it is, so its ints and denominator are carried across steps;
+    every map agrees with the dense Fraction reference at every step."""
+    rng = random.Random(seed)
+    tri = build(WALK_SURFACES[name])
+    iset = Sl3IndexSet(tri)
+    xs = {i: F(rng.randint(-12, 12), rng.randint(1, 6)) for i in iset.all}
+    as_ = {i: F(rng.randint(-12, 12), rng.randint(1, 6)) for i in iset.all}
+    x, a = TropicalPoint("X", xs, tri=tri), TropicalPoint("A", as_, tri=tri)
+    for _ in range(length):
+        _, columns = extended_matrix(tri)
+        assert ensemble(a, tri) == TropicalPoint("X", ref.ensemble(matrix_entries(columns), as_))
+        dynkin = _dense_steps("X", xs, tri, dynkin_mutation_sequence(tri))
+        assert dynkin_cluster(x, tri) == TropicalPoint("X", dynkin)
+        e = rng.choice(tri.interior_edges)
+        try:
+            steps, _, _ = flip_mutation_sequence(tri, e)
+        except FlipCreatesSelfFolded:
+            continue
+        xs, as_ = _dense_steps("X", xs, tri, steps), _dense_steps("A", as_, tri, steps)
+        x2 = apply_flip(x, tri, e)
+        assert x2 == TropicalPoint("X", xs)
+        try:
+            assert flip_x_closed_form(x, tri, e) == x2
+        except BadLabeling:
+            pass
+        a = apply_flip(a, tri, e)
+        assert a == TropicalPoint("A", as_)
+        x, tri = x2, x2.tri
+
+
+def test_int_built_points_build_no_fraction(monkeypatch):
+    """Flips, the closed form, the ensemble map and the Dynkin action run
+    on an int-built point, and on the points they return, without
+    building a single Fraction."""
+    tri = build(MarkedSurfaceSpec.polygon(8))
+    rng = random.Random("ints:polygon8")
+    iset = Sl3IndexSet(tri)
+    e = tri.interior_edges[2]
+    d = 12
+    xn = {i: rng.choice([-1, 1]) * rng.randint(1, 40) for i in iset.all}
+    an = {i: rng.choice([-1, 1]) * rng.randint(1, 40) for i in iset.all}
+
+    def run(x, a):
+        x2, a2 = apply_flip(x, tri, e), apply_flip(a, tri, e)
+        t2 = x2.tri
+        return (
+            x2, flip_x_closed_form(x, tri, e), a2, ensemble(a, tri), dynkin_cluster(x, tri),
+            apply_flip(x2, t2, e), ensemble(a2, t2), dynkin_cluster(x2, t2),
+        )
+
+    want = run(
+        TropicalPoint("X", {i: F(n, d) for i, n in xn.items()}, tri=tri),
+        TropicalPoint("A", {i: F(n, d) for i, n in an.items()}, tri=tri),
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    with monkeypatch.context() as m:
+        m.setattr(tropical, "Fraction", refuse)
+        got = run(TropicalPoint.from_ints("X", d, xn, tri), TropicalPoint.from_ints("A", d, an, tri))
+    assert got == want
