@@ -31,7 +31,6 @@ from .seeds import (
     FrozenIndexMutation,
     exchange_matrix,
     m_matrix,
-    extended_matrix,
     mutate_matrix,
     flip_mutation_sequence,
     dynkin_mutation_sequence,

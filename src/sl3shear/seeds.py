@@ -14,13 +14,13 @@ so no column is ever changed in place.
 
 The elementary quiver is defined once, with its weights doubled
 (:func:`triangle_quiver`): the exchange matrix sums it over every
-triangle, :func:`flip_quiver` over the two triangles of a flipped edge
-(every entry a flip mutation reads comes from those two), and
-:func:`extended_columns` adds the m-matrix to the sum for the ensemble
-map.  :func:`flip_plan` runs a flip's four mutations on its flip quiver.
-Flip plans, extended columns and the Dynkin mutation sequence are
-derived once per triangulation (and edge) and kept in the
-triangulation's ``memo``.
+triangle, and :func:`flip_quiver` over the two triangles of a flipped
+edge (every entry a flip mutation reads comes from those two).  The
+ensemble map and the Dynkin mutations in :mod:`sl3shear.tropical` read
+it triangle by triangle and build no matrix.  :func:`flip_plan` runs a
+flip's four mutations on its flip quiver.  Flip plans and the Dynkin
+mutation sequence are derived once per triangulation (and edge) and kept
+in the triangulation's ``memo``.
 
 Indices are tuples: ``("tri", t)`` for the face index of triangle ``t``
 and ``("edge", e, s)`` with ``s in (1, 2)`` for the two points on edge
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 from .surface import Sl3Error
 
@@ -173,49 +172,25 @@ def triangle_quiver(tri, t):
     return arrows
 
 
-def _quiver_entries(tri, triangles):
-    """The doubled entries ``(i, j, 2w)`` of the sum of the elementary
-    quivers of ``triangles``, two per arrow."""
+def _quiver_columns(tri, triangles):
+    """The doubled columns ``j -> {i: 2 eps_ij}`` of the sum of the
+    elementary quivers of ``triangles``, without zero entries (the dashed
+    arrows of an edge's two triangles cancel) or empty columns."""
+    columns = {}
     for t in triangles:
         for i, j, w2 in triangle_quiver(tri, t):
-            yield i, j, w2
-            yield j, i, -w2
-
-
-def _boundary_entries(tri):
-    """The doubled entries ``(i, j, 2w)`` of the symmetric frozen matrix:
-    at each boundary interval e with points p = (e,1), q = (e,2),
-    m_pp = m_qq = -1 and m_pq = m_qp = 1/2."""
-    for e in tri.boundary_intervals:
-        p, q = ("edge", e, 1), ("edge", e, 2)
-        yield from ((p, p, -2), (q, q, -2), (p, q, 1), (q, p, 1))
-
-
-def _add_entries(columns, entries):
-    """``columns`` plus the doubled ``entries`` ``(i, j, 2w)``, as a new
-    column dict without zero entries or empty columns.  A column that no
-    entry touches is shared with ``columns``, which is left as it is."""
-    touched = {}
-    for i, j, w2 in entries:
-        col = touched.get(j)
-        if col is None:
-            col = touched[j] = dict(columns.get(j, ()))
-        col[i] = col.get(i, 0) + w2
-    out = dict(columns)
-    for j, col in touched.items():
-        col = {i: w2 for i, w2 in col.items() if w2}
-        if col:
-            out[j] = col
-        else:
-            out.pop(j, None)
-    return out
+            col = columns.setdefault(j, {})
+            col[i] = col.get(i, 0) + w2
+            col = columns.setdefault(i, {})
+            col[j] = col.get(j, 0) - w2
+    return {j: nz for j, col in columns.items() if (nz := {i: w2 for i, w2 in col.items() if w2})}
 
 
 def exchange_matrix(tri):
     """Index set and exchange matrix of a triangulation: the elementary
     quiver amalgamated over all triangles."""
     iset = Sl3IndexSet(tri)
-    columns = _add_entries({}, _quiver_entries(tri, tri.triangles))
+    columns = _quiver_columns(tri, tri.triangles)
     return iset, ExchangeMatrix(iset.all, columns, iset.frozen)
 
 
@@ -228,35 +203,19 @@ def flip_quiver(tri, e):
     reads is already complete here, also when outer sides of the
     quadrilateral are identified."""
     (tl, _), (tr, _) = tri.slots(e)
-    columns = _add_entries({}, _quiver_entries(tri, (tl, tr)))
+    columns = _quiver_columns(tri, (tl, tr))
     frozen = [i for i in columns if i[0] == "edge" and tri.is_boundary(i[1])]
     return ExchangeMatrix(columns, columns, frozen)
 
 
 def m_matrix(tri):
-    """The symmetric frozen matrix, one boundary block per boundary
-    interval, as doubled columns ``j -> {i: 2 m_ij}``."""
-    return _add_entries({}, _boundary_entries(tri))
-
-
-def _extended(tri):
-    """The doubled columns ``j -> {i: 2(eps + m)_ij}``, built afresh."""
-    return _add_entries({}, chain(_quiver_entries(tri, tri.triangles), _boundary_entries(tri)))
-
-
-def extended_matrix(tri):
-    """Index set and the matrix eps + m used by the ensemble map, as
-    doubled columns."""
-    return Sl3IndexSet(tri), _extended(tri)
-
-
-def extended_columns(tri):
-    """The doubled columns of eps + m (see :func:`extended_matrix`), built
-    once per triangulation and kept in its ``memo``; :func:`flip_plan`
-    derives a flipped triangulation's columns from these."""
-    columns = tri.memo.get("extended columns")
-    if columns is None:
-        columns = tri.memo["extended columns"] = _extended(tri)
+    """The symmetric frozen matrix as doubled columns ``j -> {i: 2 m_ij}``:
+    one block per boundary interval e, with points p = (e,1), q = (e,2),
+    m_pp = m_qq = -1 and m_pq = m_qp = 1/2."""
+    columns = {}
+    for e in tri.boundary_intervals:
+        p, q = ("edge", e, 1), ("edge", e, 2)
+        columns[p], columns[q] = {p: -2, q: 1}, {q: -2, p: 1}
     return columns
 
 
@@ -286,13 +245,6 @@ def mutate_matrix(eps, k):
                 else:
                     del col[i]
     return ExchangeMatrix(eps.indices, columns, eps.frozen)
-
-
-def apply_matrix_steps(eps, steps):
-    """Apply a list of Mutate/Permute steps to an exchange matrix."""
-    for step in steps:
-        eps = mutate_matrix(eps, step.k) if isinstance(step, Mutate) else eps.relabel(step.as_dict())
-    return eps
 
 
 def _flip_mutations(tri, e):
@@ -346,14 +298,6 @@ def flip_plan(tri, e):
         columns.append((k, eps.columns[k]))
         eps = mutate_matrix(eps, k)
     plan = tri.memo[("flip plan", e)] = FlipPlan(t2, corr, local.indices, local.frozen, tuple(columns))
-    # a flip changes the quivers of its two triangles only, from the flip
-    # quiver to the sum of the new two
-    parent_columns = tri.memo.get("extended columns")
-    if parent_columns is not None and "extended columns" not in t2.memo:
-        (tl, _), (tr, _) = tri.slots(e)
-        old = ((i, j, -w2) for j, col in local.columns.items() for i, w2 in col.items())
-        new = _quiver_entries(t2, (tl, tr))
-        t2.memo["extended columns"] = _add_entries(parent_columns, chain(old, new))
     return plan
 
 

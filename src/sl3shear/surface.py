@@ -148,7 +148,7 @@ class IdealTriangulation:
         self._key_vertices(self._vertex_classes())
         self._names = None  # see _naming
         # data derived from this triangulation once: its flips here, flip
-        # plans and the ensemble table in seeds.  No value references
+        # plans and the Dynkin sequence in seeds.  No value references
         # this triangulation, so memoizing never keeps an old one alive.
         self.memo = {}
 

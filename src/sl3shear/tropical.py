@@ -20,9 +20,11 @@ point's ints.  A flip mutates only its quadrilateral: :func:`apply_flip`
 runs them over the columns of the flip's plan (:func:`seeds.flip_plan`,
 built once per triangulation and edge) on the point's ints at the
 quadrilateral, and relabels four indices; every other numerator is
-shared with the input.  The ensemble map folds the doubled columns of
-eps + m (:func:`seeds.extended_columns`) against the A-point's ints, and
-the Dynkin action runs its corrections on the X-point's ints.
+shared with the input.  The ensemble map x = (eps + m)a is folded
+triangle by triangle, from each side's arrows of the elementary quiver,
+then one block per boundary interval, on the A-point's ints; it keeps no
+table.  The Dynkin action runs its corrections on the X-point's ints, and
+its mutation composite reads each face's column off that face's quiver.
 
 The single tropical semifield in use is (Q, max, +); there are no
 tolerances anywhere.
@@ -39,11 +41,10 @@ from .seeds import (
     Mutate,
     FrozenIndexMutation,
     dynkin_mutation_sequence,
-    exchange_matrix,
-    extended_columns,
     flip_plan,
     mutate_matrix,
     side_pair,
+    triangle_quiver,
 )
 from .surface import NotInteriorEdge, Sl3Error
 
@@ -354,20 +355,42 @@ def _point(p, d, nums, tri):
 
 
 def ensemble(a, tri):
-    """The tropicalized extended ensemble map: x_i = sum_j (eps+m)_ij a_j,
-    folded over the columns of 2(eps + m) from :func:`extended_columns`.
+    """The tropicalized extended ensemble map x = (eps + m)a, amalgamated
+    from one map per triangle and one block per boundary interval.
 
-    Every weight is a multiple of 1/2, so the fold runs on integers: with
-    d the denominator of ``a``'s ints, 2d x_i = sum_j (2w_ij)(d a_j)."""
+    Per triangle with face f, each side's (p, q) pair is read once and the
+    side's four arrows of :func:`seeds.triangle_quiver` are applied: p -> f,
+    f -> q and q -> p_next of weight 1, and the dashed q -> p of weight 1/2,
+    an arrow i -> j of weight w adding w a_j to x_i and -w a_i to x_j.
+    Each boundary interval (p, q) then adds x_p += a_q/2 - a_p and
+    x_q += a_p/2 - a_q.  The weights are multiples of 1/2, so the fold
+    runs on ints: with d the denominator of ``a``'s ints, it sums 2d x_i."""
     if a.kind != "A":
         raise SeedMismatch("A-point required")
     d, nums = a._ints
-    columns = extended_columns(tri)
-    # every index of ``tri`` has a nonzero column, and only those occur
-    out = dict.fromkeys(columns, 0)
-    for j, aj in nums.items():
-        for i, w2 in columns.get(j, {}).items():
-            out[i] += w2 * aj
+    get = nums.get
+    out = {}
+    for t, sides in tri.tri_sides.items():
+        af2 = 2 * get(("tri", t), 0)
+        pqs = []
+        for s, e in enumerate(sides):
+            p, q = ("edge", e, 1), ("edge", e, 2)
+            if tri.slots(e)[0] != (t, s):
+                p, q = q, p
+            pqs.append((p, q, get(p, 0), get(q, 0)))
+        xf = 0
+        for s, (p, q, ap, aq) in enumerate(pqs):
+            # the solid arrows between sides: q_{s-1} -> p and q -> p_{s+1},
+            # with sides s - 1 and s + 1 at pqs[s - 1] and pqs[s - 2]
+            out[p] = out.get(p, 0) + af2 - aq - 2 * pqs[s - 1][3]
+            out[q] = out.get(q, 0) - af2 + ap + 2 * pqs[s - 2][2]
+            xf += aq - ap
+        out[("tri", t)] = 2 * xf
+    for e in tri.boundary_intervals:
+        p, q = ("edge", e, 1), ("edge", e, 2)
+        ap, aq = get(p, 0), get(q, 0)
+        out[p] += aq - 2 * ap
+        out[q] += ap - 2 * aq
     return TropicalPoint.from_ints("X", 2 * d, {i: v for i, v in out.items() if v}, tri)
 
 
@@ -405,15 +428,32 @@ def dynkin_cluster(p, tri):
 
 def dynkin_cluster_by_mutation(p, tri):
     """The same involution as the composite sigma_e o mu_t of mutations
-    at every face followed by the swap of edge-point labels.  The swap
-    relabels the point only: the exchange matrix is not needed after the
-    last mutation."""
+    at every face followed by the swap of edge-point labels.
+
+    A face occurs only in its own triangle's quiver, and faces are
+    pairwise non-adjacent, so each face mutation reads its column off
+    the arrows of :func:`seeds.triangle_quiver`, as it stands in the
+    exchange matrix before any mutation; no matrix is built or mutated.
+    A restricted point keeps no frozen coordinates, as in
+    :func:`mutate_x`."""
+    if p.kind != "X":
+        raise SeedMismatch("X-point required")
     *faces, swap = dynkin_mutation_sequence(tri)
-    _, eps = exchange_matrix(tri)
-    q, _ = apply_steps(p, eps, faces)
+    d, nums = p._ints
+    x = dict(nums)
+    for step in faces:
+        f = step.k
+        col = {}
+        for i, j, w2 in triangle_quiver(tri, f[1]):
+            if j == f:
+                col[i] = w2  # i -> f: 2 eps_if = w2
+            elif i == f:
+                col[j] = -w2  # f -> j: 2 eps_jf = -w2
+        if p.restricted:
+            col = {i: w2 for i, w2 in col.items() if not tri.is_boundary(i[1])}
+        _x_rule(x, f, col)
     mapping = swap.as_dict()
-    d, nums = q._ints
-    return _point(p, d, {mapping.get(i, i): v for i, v in nums.items()}, tri)
+    return _point(p, d, {mapping.get(i, i): v for i, v in x.items()}, tri)
 
 
 def principal_embed(sl2, tri):

@@ -4,11 +4,21 @@ and the ensemble map, on Fractions.
 A matrix here is the dict ``{(i, j): eps_ij}`` of its nonzero entries,
 and every rule is read straight off its definition, over every pair of
 indices.  The tests compare the library's column-wise rules with these.
+The matrix eps + m of the ensemble map is summed here from the library's
+exchange matrix and m-matrix, and step sequences also run on the
+library's column-stored matrices (:func:`apply_matrix_steps`).
 """
 
 from fractions import Fraction
 
-from sl3shear.seeds import ExchangeMatrix, Mutate
+from sl3shear.seeds import (
+    ExchangeMatrix,
+    Mutate,
+    exchange_matrix,
+    m_matrix,
+    matrix_entries,
+)
+from sl3shear.seeds import mutate_matrix as mutate_columns
 
 
 def exchange(indices, entries, frozen=()):
@@ -96,3 +106,21 @@ def ensemble(entries, a):
     for (i, j), w in entries.items():
         out[i] = out.get(i, 0) + w * a.get(j, 0)
     return {i: Fraction(v) for i, v in out.items() if v}
+
+
+def extended_matrix(tri):
+    """The nonzero entries ``{(i, j): w_ij}`` of eps + m on ``tri``: the
+    exchange matrix plus the frozen m-matrix, entry by entry."""
+    out = matrix_entries(exchange_matrix(tri)[1].columns)
+    for ij, v in matrix_entries(m_matrix(tri)).items():
+        out[ij] = out.get(ij, 0) + v
+    return {ij: v for ij, v in out.items() if v}
+
+
+def apply_matrix_steps(eps, steps):
+    """Run the Mutate/Permute ``steps`` on the column-stored exchange
+    matrix ``eps`` with the library's :func:`sl3shear.seeds.mutate_matrix`
+    and relabeling."""
+    for step in steps:
+        eps = mutate_columns(eps, step.k) if isinstance(step, Mutate) else eps.relabel(step.as_dict())
+    return eps

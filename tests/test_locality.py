@@ -4,10 +4,11 @@
 ``ensemble`` folds the elementary triangle quiver against the point; both
 must agree exactly with the reference built from the whole matrix, on
 seeded flip walks over surfaces with punctures, two boundary components
-and identified quadrilateral sides.  On the same walks a restricted
-X-point flips to the unfrozen part of the unrestricted flip, the
-flipped triangulation edited in place equals one built from scratch,
-and the integer Dynkin fold equals its mutation sequence.
+and identified quadrilateral sides, and the ensemble map keeps no table
+in any triangulation's memo.  On the same walks a restricted X-point
+flips to the unfrozen part of the unrestricted flip, the flipped
+triangulation edited in place equals one built from scratch, and the
+integer Dynkin fold equals its mutation sequence.
 """
 
 import gc
@@ -18,14 +19,12 @@ from fractions import Fraction
 
 import pytest
 
+import mutation_reference as ref
 from sl3shear.seeds import (
     Sl3IndexSet,
     exchange_matrix,
-    extended_columns,
-    extended_matrix,
     flip_mutation_sequence,
     flip_plan,
-    matrix_entries,
 )
 from sl3shear.surface import FlipCreatesSelfFolded, IdealTriangulation, MarkedSurfaceSpec, build
 from sl3shear.tropical import (
@@ -85,11 +84,7 @@ def _reference_flip(p, tri, e):
 
 
 def _reference_ensemble(a, tri):
-    _, ext = extended_matrix(tri)
-    out = {}
-    for (i, j), v in matrix_entries(ext).items():
-        out[i] = out.get(i, F(0)) + v * a[j]
-    return TropicalPoint("X", out, tri=tri)
+    return TropicalPoint("X", ref.ensemble(ref.extended_matrix(tri), a.coords), tri=tri)
 
 
 @pytest.mark.parametrize("name", sorted(SURFACES))
@@ -118,6 +113,20 @@ def test_ensemble_matches_extended_matrix_product(name):
             assert ensemble(a, tri) == _reference_ensemble(a, tri)
 
 
+def _refuse_in_library(monkeypatch, attrs, what):
+    """Patch each of ``attrs`` to raise in every ``sl3shear`` module that
+    binds it."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(what)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "sl3shear" or mod_name.startswith("sl3shear."):
+            for attr in attrs:
+                if hasattr(mod, attr):
+                    monkeypatch.setattr(mod, attr, refuse)
+
+
 def test_flip_and_ensemble_never_build_the_global_matrix(monkeypatch):
     tri = build(MarkedSurfaceSpec.polygon(48))
     rng = random.Random("locality:polygon48")
@@ -125,18 +134,20 @@ def test_flip_and_ensemble_never_build_the_global_matrix(monkeypatch):
     e = tri.interior_edges[len(tri.interior_edges) // 2]
     x = TropicalPoint("X", _random_coords(rng, iset.all), tri=tri)
     a = TropicalPoint("A", _random_coords(rng, iset.all), tri=tri)
-    want = (_reference_flip(x, tri, e), _reference_flip(a, tri, e), _reference_ensemble(a, tri))
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the global matrix was built")
-
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name == "sl3shear" or mod_name.startswith("sl3shear."):
-            for attr in ("exchange_matrix", "extended_matrix", "m_matrix"):
-                if hasattr(mod, attr):
-                    monkeypatch.setattr(mod, attr, refuse)
-    got = (apply_flip(x, tri, e), apply_flip(a, tri, e), ensemble(a, tri))
-    assert got == want
+    want = (
+        _reference_flip(x, tri, e),
+        _reference_flip(a, tri, e),
+        _reference_ensemble(a, tri),
+        dynkin_cluster(x, tri),
+    )
+    _refuse_in_library(monkeypatch, ("exchange_matrix", "m_matrix"), "the global matrix was built")
+    got = [apply_flip(x, tri, e), apply_flip(a, tri, e), ensemble(a, tri)]
+    # a flip plan mutates its local quiver, so matrix mutation is refused
+    # only around the Dynkin composite, which needs none
+    with monkeypatch.context() as m:
+        _refuse_in_library(m, ("mutate_matrix",), "a matrix was mutated")
+        got.append(dynkin_cluster_by_mutation(x, tri))
+    assert tuple(got) == want
 
 
 @pytest.mark.parametrize("name", sorted(SURFACES))
@@ -175,10 +186,6 @@ def _fresh_flip(tri, e):
     slot_l = {x: role.get(tri.slots(x)[0], tri.slots(x)[0]) for x in tri.edges}
     slot_l[e] = (tl, 0)
     return IdealTriangulation(tri_sides, slot_l=slot_l)
-
-
-def _columns(tri):
-    return {j: dict(col) for j, col in extended_columns(tri).items()}
 
 
 @pytest.mark.parametrize("name", sorted(SURFACES))
@@ -268,18 +275,31 @@ def test_memo_does_not_keep_old_triangulations_alive(name):
             gc.enable()
 
 
+# what a triangulation's memo may hold: its flips and flip plans per
+# edge, and its Dynkin mutation sequence
+MEMO_KINDS = {"flip", "flip plan", "dynkin sequence"}
+
+
 @pytest.mark.parametrize("name", sorted(SURFACES))
-def test_flipped_ensemble_table_equals_fresh_build(name):
-    """``flip_plan`` derives the flipped triangulation's ensemble columns
-    from its parent's; they equal the columns built from scratch."""
+def test_flipped_ensemble_equals_fresh_build_and_keeps_no_table(name):
+    """The ensemble map of a flipped point equals the dense eps + m
+    reference on the flip built from scratch, and it leaves nothing in
+    the memo of any triangulation along the walk."""
+    walked = []
     for rng, tri, e in _walk(name, steps=20):
         iset = Sl3IndexSet(tri)
         a = TropicalPoint("A", _random_coords(rng, iset.all), tri=tri)
+        before = dict(tri.memo)
         ensemble(a, tri)
+        assert tri.memo == before
         a2 = apply_flip(a, tri, e)
-        assert "extended columns" in a2.tri.memo
-        assert _columns(a2.tri) == _columns(_fresh_flip(tri, e))
-        assert ensemble(a2, a2.tri) == _reference_ensemble(a2, a2.tri)
+        before = dict(a2.tri.memo)
+        assert ensemble(a2, a2.tri) == _reference_ensemble(a2, _fresh_flip(tri, e))
+        assert a2.tri.memo == before
+        walked += [tri, a2.tri]
+    for t in walked:
+        assert "extended columns" not in t.memo
+        assert {k if isinstance(k, str) else k[0] for k in t.memo} <= MEMO_KINDS
 
 
 @pytest.mark.parametrize("name", sorted(SURFACES))

@@ -30,9 +30,10 @@ def test_instrument_resolves_every_traced_name_and_restores_them():
         assert seeds.mutate_matrix is not originals[0]
         sl3shear.apply_flip(x, tri, e)
         tropical.dynkin_cluster_by_mutation(x, tri)
+        sl3shear.exchange_matrix(tri)
     assert (seeds.mutate_matrix, tropical.apply_flip, sl3shear.apply_flip) == originals
     assert tracer.calls["tropical.apply_flip"] == 1
     assert tracer.calls["seeds.exchange_matrix"] == 1
-    # a cold flip plan runs the flip's four mutations on its flip quiver,
-    # and the Dynkin involution mutates once per face
-    assert tracer.calls["seeds.mutate_matrix"] == 4 + len(tri.triangles)
+    # a cold flip plan runs the flip's four mutations on its flip quiver;
+    # the Dynkin composite reads its face columns off the triangle quivers
+    assert tracer.calls["seeds.mutate_matrix"] == 4

@@ -11,7 +11,6 @@ from sl3shear.seeds import (
     Sl3IndexSet,
     dynkin_mutation_sequence,
     exchange_matrix,
-    extended_matrix,
     flip_mutation_sequence,
     matrix_entries,
     side_pair,
@@ -405,8 +404,7 @@ def test_int_maps_match_dense_reference_along_walks(name, seed, length):
     as_ = {i: F(rng.randint(-12, 12), rng.randint(1, 6)) for i in iset.all}
     x, a = TropicalPoint("X", xs, tri=tri), TropicalPoint("A", as_, tri=tri)
     for _ in range(length):
-        _, columns = extended_matrix(tri)
-        assert ensemble(a, tri) == TropicalPoint("X", ref.ensemble(matrix_entries(columns), as_))
+        assert ensemble(a, tri) == TropicalPoint("X", ref.ensemble(ref.extended_matrix(tri), as_))
         dynkin = _dense_steps("X", xs, tri, dynkin_mutation_sequence(tri))
         assert dynkin_cluster(x, tri) == TropicalPoint("X", dynkin)
         e = rng.choice(tri.interior_edges)
