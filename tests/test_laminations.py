@@ -209,6 +209,29 @@ QUAD_X = {
 }
 
 
+# The paper's A-coordinates of the components, in the same row layout as
+# TRI_X and QUAD_X.
+T, TT = F(1, 3), F(2, 3)
+TRI_A = {
+    "alpha": (TT, ((TT, T), (T, TT), (0, 0))),
+    "alpha-star": (T, ((T, TT), (TT, T), (0, 0))),
+    "tau+": (1, ((T, TT),) * 3),
+    "tau-": (1, ((TT, T),) * 3),
+}
+QUAD_A = {
+    "alpha+":    ((TT, T), TT, T, (TT, T), (0, 0), (T, TT), (0, 0)),
+    "alpha+rev": ((T, TT), T, TT, (T, TT), (0, 0), (TT, T), (0, 0)),
+    "alpha-":    ((TT, T), T, TT, (0, 0), (TT, T), (0, 0), (T, TT)),
+    "alpha-rev": ((T, TT), TT, T, (0, 0), (T, TT), (0, 0), (TT, T)),
+    "tau+L": ((T, TT), 1, T, (0, 0), (T, TT), (T, TT), (T, TT)),
+    "tau+R": ((T, TT), 1, TT, (T, TT), (0, 0), (T, TT), (T, TT)),
+    "tau-L": ((TT, T), 1, TT, (0, 0), (TT, T), (TT, T), (TT, T)),
+    "tau-R": ((TT, T), 1, T, (TT, T), (0, 0), (TT, T), (TT, T)),
+    "h":     ((T, TT), 1, 1, (TT, T), (TT, T), (T, TT), (T, TT)),
+    "h-rev": ((TT, T), 1, 1, (T, TT), (T, TT), (TT, T), (TT, T)),
+}
+
+
 def _row_coords(tri, values):
     """A table row as a coordinate map: ``values`` pairs a global index
     or a slot (whose side pair takes a (p, q) entry) with its value."""
@@ -220,13 +243,26 @@ def _row_coords(tri, values):
     return {i: F(v) for i, v in x.items() if v}
 
 
+def _triangle_row(tri, t, row, corner):
+    face, sides = row
+    return _row_coords(tri, [(("tri", t), face)] + [((t, (corner + j) % 3), sides[j]) for j in range(3)])
+
+
+def _quad_row(tri, e, row):
+    (tl, il), (tr, ir) = tri.slots(e)
+    ev, tlv, trv, hv, kv, gv, fv = row
+    return _row_coords(tri, [
+        (("edge", e, 1), ev[0]), (("edge", e, 2), ev[1]), (("tri", tl), tlv), (("tri", tr), trv),
+        ((tr, (ir + 1) % 3), hv), ((tr, (ir + 2) % 3), kv),
+        ((tl, (il + 1) % 3), gv), ((tl, (il + 2) % 3), fv),
+    ])
+
+
 @pytest.mark.parametrize("kind", sorted(TRI_X))
 @pytest.mark.parametrize("corner", [0, 1, 2])
 def test_drawn_triangle_components_meet_the_paper_rows(triangle, kind, corner):
     t = triangle.triangles[0]
-    face, sides = TRI_X[kind]
-    c = corner if kind.startswith("alpha") else 0
-    want = _row_coords(triangle, [(("tri", t), face)] + [((t, (c + j) % 3), sides[j]) for j in range(3)])
+    want = _triangle_row(triangle, t, TRI_X[kind], corner if kind.startswith("alpha") else 0)
     weight = F(3, 2)
     x = drawn_x(ComponentSum(triangle, [Component(kind, t, weight, corner=corner)]))
     assert dict(x.coords) == {i: weight * v for i, v in want.items()}
@@ -235,16 +271,49 @@ def test_drawn_triangle_components_meet_the_paper_rows(triangle, kind, corner):
 @pytest.mark.parametrize("kind", sorted(QUAD_X))
 def test_drawn_quadrilateral_components_meet_the_paper_rows(polygon4, kind):
     e = polygon4.interior_edges[0]
-    (tl, il), (tr, ir) = polygon4.slots(e)
-    ev, tlv, trv, hv, kv, gv, fv = QUAD_X[kind]
-    want = _row_coords(polygon4, [
-        (("edge", e, 1), ev[0]), (("edge", e, 2), ev[1]), (("tri", tl), tlv), (("tri", tr), trv),
-        ((tr, (ir + 1) % 3), hv), ((tr, (ir + 2) % 3), kv),
-        ((tl, (il + 1) % 3), gv), ((tl, (il + 2) % 3), fv),
-    ])
+    want = _quad_row(polygon4, e, QUAD_X[kind])
     weight = F(2, 5)
     x = drawn_x(ComponentSum(polygon4, [Component(kind, e, weight)]))
     assert dict(x.coords) == {i: weight * v for i, v in want.items()}
+
+
+def test_components_meet_the_paper_a_rows(triangle, polygon4):
+    """The A-coordinates of every triangle and quadrilateral kind are the
+    paper's rows times the weight, exactly, for a Fraction and an int
+    weight; a peripheral component's scale linearly in a signed weight;
+    and a sum the drawer refuses still gets the sum of its parts."""
+
+    def a_coords(tri, comps):
+        a = coords_of_components(ComponentSum(tri, comps))
+        assert all(type(v) is Fraction for v in a.coords.values())
+        return dict(a.coords)
+
+    t = triangle.triangles[0]
+    e = polygon4.interior_edges[0]
+    for weight in (F(3, 2), 2):
+        for kind, row in TRI_A.items():
+            for corner in range(3):
+                want = _triangle_row(triangle, t, row, corner if kind.startswith("alpha") else 0)
+                got = a_coords(triangle, [Component(kind, t, weight, corner=corner)])
+                assert got == {i: weight * v for i, v in want.items()}, (kind, corner, weight)
+        for kind, row in QUAD_A.items():
+            want = _quad_row(polygon4, e, row)
+            got = a_coords(polygon4, [Component(kind, e, weight)])
+            assert got == {i: weight * v for i, v in want.items()}, (kind, weight)
+    for m in sorted(polygon4.vertices):
+        for kind in ("peripheral-cw", "peripheral-ccw"):
+            two = a_coords(polygon4, [Component(kind, m, 2)])
+            assert two
+            assert a_coords(polygon4, [Component(kind, m, F(-3, 2))]) == {
+                i: F(-3, 4) * v for i, v in two.items()
+            }
+    both = [Component("tau+", t, F(1, 2)), Component("tau-", t, 3)]
+    parts = [a_coords(triangle, [c]) for c in both]
+    assert a_coords(triangle, both) == {
+        i: v for i in parts[0].keys() | parts[1].keys() if (v := parts[0].get(i, 0) + parts[1].get(i, 0))
+    }
+    with pytest.raises(InvalidPicture, match="sink and a source"):
+        ComponentSum(triangle, both).picture()
 
 
 @pytest.mark.parametrize("orient", ["cw", "ccw"])
