@@ -105,10 +105,12 @@ def _coords_arg(tri, text):
         if idx is None:
             try:
                 idx = jio.index_from_str(key)
-            except (IndexError, ValueError):
+            except ValueError:
                 idx = None
         if idx not in known:
             raise UsageError(f"unknown coordinate {key!r}")
+        if idx in coords:
+            raise UsageError(f"coordinate {key!r} repeats the index {jio.index_to_str(idx)}")
         try:
             coords[idx] = jio.exact_rational(val, f"coordinate {key!r}")
         except ValueError as exc:
@@ -251,6 +253,8 @@ def cmd_diagram(args):
 
 
 def cmd_verify(args):
+    if args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, not {args.trials}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     results = run_suites(names, args.trials, args.seed)
     ok = True

@@ -48,10 +48,15 @@ def index_to_str(i):
 
 
 def index_from_str(s):
-    parts = s.split(":")
-    if parts[0] == "t":
-        return ("tri", parts[1])
-    return ("edge", parts[1], int(parts[2]))
+    """The index that :func:`index_to_str` writes as ``s``; any other
+    string raises ValueError."""
+    kind, _, rest = s.partition(":")
+    if kind == "t" and rest:
+        return ("tri", rest)
+    name, _, side = rest.rpartition(":")
+    if kind == "e" and name and side in ("1", "2"):
+        return ("edge", name, int(side))
+    raise ValueError(f"not an index: {s!r}")
 
 
 # -- triangulations ----------------------------------------------------------

@@ -34,7 +34,7 @@ from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
-from .seeds import ZERO, Sl3IndexSet, side_pair
+from .seeds import ZERO, Sl3IndexSet
 from .surface import Sl3Error
 from .tropical import TropicalPoint, pos
 
@@ -488,35 +488,6 @@ def shear_frozen(pinned):
 
 # -- component sums ---------------------------------------------------------
 
-F = Fraction
-_T = F(1, 3)
-_TT = F(2, 3)
-
-# the paper's A-coordinates of the components; their X-coordinates are
-# the shear coordinates of their pictures.  Triangle tables at corner 0
-# (terminal corner of side 0), as (face, ((p,q) of side 0, side 1, side 2))
-_TRI_A = {
-    "alpha": (_TT, ((_TT, _T), (_T, _TT), (0, 0))),
-    "alpha-star": (_T, ((_T, _TT), (_TT, _T), (0, 0))),
-    "tau+": (F(1), ((_T, _TT),) * 3),
-    "tau-": (F(1), ((_TT, _T),) * 3),
-}
-# quadrilateral tables, keyed (E, TL, TR, h, k, g, f): E = (x_{E,1},
-# x_{E,2}); h, k are the other sides of the right triangle in ccw order
-# after the diagonal, g, f those of the left triangle; side entries are
-# (p, q) pairs in the traversal of the triangle containing them.
-_QUAD_A = {
-    "alpha+":    ((_TT, _T), _TT, _T, (_TT, _T), (0, 0), (_T, _TT), (0, 0)),
-    "alpha+rev": ((_T, _TT), _T, _TT, (_T, _TT), (0, 0), (_TT, _T), (0, 0)),
-    "alpha-":    ((_TT, _T), _T, _TT, (0, 0), (_TT, _T), (0, 0), (_T, _TT)),
-    "alpha-rev": ((_T, _TT), _TT, _T, (0, 0), (_T, _TT), (0, 0), (_TT, _T)),
-    "tau+L": ((_T, _TT), F(1), _T, (0, 0), (_T, _TT), (_T, _TT), (_T, _TT)),
-    "tau+R": ((_T, _TT), F(1), _TT, (_T, _TT), (0, 0), (_T, _TT), (_T, _TT)),
-    "tau-L": ((_TT, _T), F(1), _TT, (0, 0), (_TT, _T), (_TT, _T), (_TT, _T)),
-    "tau-R": ((_TT, _T), F(1), _T, (_TT, _T), (0, 0), (_TT, _T), (_TT, _T)),
-    "h":     ((_T, _TT), F(1), F(1), (_TT, _T), (_TT, _T), (_T, _TT), (_T, _TT)),
-    "h-rev": ((_TT, _T), F(1), F(1), (_T, _TT), (_T, _TT), (_TT, _T), (_TT, _T)),
-}
 # how a kind is drawn on the slots of its carrier (see _carrier):
 # honeycombs as (k, orient) and corner arcs as (k, offset, orient), the arc
 # sitting at the corner (t, i + offset) of the k-th slot (t, i).  A
@@ -545,10 +516,10 @@ _PERIPHERAL = {"peripheral-cw": "cw", "peripheral-ccw": "ccw"}
 
 
 def _carrier(tri, comp):
-    """The carrier rule of the drawer and the A tables: the slots of a
-    triangle or quadrilateral kind (see ``_DRAWN``), or the marked point
-    of a peripheral kind.  Every side a component's arcs and honeycomb
-    legs end on, other than its carrier edge, is a boundary interval."""
+    """The carrier rule of :func:`_drawing`: the slots of a triangle or
+    quadrilateral kind (see ``_DRAWN``), or the marked point of a
+    peripheral kind.  Every side a component's arcs and honeycomb legs
+    end on, other than its carrier edge, is a boundary interval."""
     kind, c = comp.kind, comp.carrier
     if kind in _PERIPHERAL:
         if c not in tri.vertices:
@@ -556,7 +527,7 @@ def _carrier(tri, comp):
         return c
     if kind not in _DRAWN:
         raise UnknownComponentKind(kind)
-    if kind in _TRI_A:
+    if kind in ("alpha", "alpha-star", "tau+", "tau-"):
         if c not in tri.tri_sides:
             raise CarrierMismatch(f"no triangle {c}")
         arc = kind in ("alpha", "alpha-star")
@@ -586,95 +557,38 @@ def _drawing(tri, comp):
     )
 
 
-def _add_coord(acc, idx, v):
-    v = Fraction(v)
-    if not v:
-        return
-    acc[idx] = acc.get(idx, Fraction(0)) + v
-    if not acc[idx]:
-        del acc[idx]
-
-
-def _triangle_component_coords(acc, tri, comp, slot):
-    t, c = slot
-    face, sides = _TRI_A[comp.kind]
-    w = comp.weight
-    _add_coord(acc, ("tri", t), w * face)
-    for j in range(3):
-        p, q = side_pair(tri, (t, (c + j) % 3))
-        vp, vq = sides[j]
-        _add_coord(acc, p, w * vp)
-        _add_coord(acc, q, w * vq)
-
-
-def _quad_component_coords(acc, tri, comp, slots):
-    e = comp.carrier
-    (tl, il), (tr, ir) = slots
-    ev, tlv, trv, hv, kv, gv, fv = _QUAD_A[comp.kind]
-    w = comp.weight
-    _add_coord(acc, ("edge", e, 1), w * Fraction(ev[0]))
-    _add_coord(acc, ("edge", e, 2), w * Fraction(ev[1]))
-    _add_coord(acc, ("tri", tl), w * Fraction(tlv))
-    _add_coord(acc, ("tri", tr), w * Fraction(trv))
-    outer = [
-        ((tr, (ir + 1) % 3), hv),
-        ((tr, (ir + 2) % 3), kv),
-        ((tl, (il + 1) % 3), gv),
-        ((tl, (il + 2) % 3), fv),
-    ]
-    for slot, (vp, vq) in outer:
-        p, q = side_pair(tri, slot)
-        _add_coord(acc, p, w * Fraction(vp))
-        _add_coord(acc, q, w * Fraction(vq))
-
-
-def _peripheral_coords(acc, tri, comp):
-    # one corner arc per triangle-corner at m; each interior edge at m
-    # receives equal contributions from its two sides, counted once.  A
-    # triangle with two or three corners at m adds up its arcs' values at
-    # each of its sides
-    arc_kind = "alpha-star" if _PERIPHERAL[comp.kind] == "cw" else "alpha"
-    per_side = {}
-    for (t, ci) in tri.corners_at_vertex(comp.carrier):
-        face, sides = _TRI_A[arc_kind]
-        _add_coord(acc, ("tri", t), comp.weight * face)
-        for j in range(3):
-            slot = (t, (ci + j) % 3)
-            vp, vq = sides[j]
-            if vp or vq:
-                by_slot = per_side.setdefault(tri.edge_at(slot), {})
-                sp, sq = by_slot.get(slot, (0, 0))
-                by_slot[slot] = (sp + comp.weight * vp, sq + comp.weight * vq)
-    for e, by_slot in per_side.items():
-        slots = sorted(by_slot)
-        vals = [by_slot[s] for s in slots]
-        if len(vals) == 2:
-            # the two sides see the same pair of global indices in
-            # opposite order; check consistency and count once
-            pa, qa = side_pair(tri, slots[0])
-            pb, qb = side_pair(tri, slots[1])
-            if {pa: vals[0][0], qa: vals[0][1]} != {pb: vals[1][0], qb: vals[1][1]}:
-                raise InvalidPicture(f"inconsistent peripheral contribution at {e}")
-        p, q = side_pair(tri, slots[0])
-        _add_coord(acc, p, vals[0][0])
-        _add_coord(acc, q, vals[0][1])
-
-
 def coords_of_components(s):
-    """Weight-linear A-coordinates of a component sum, from the paper's
-    per-component tables.  Its X-coordinates are the shear coordinates
-    of its picture, :meth:`ComponentSum.picture`."""
+    """Weight-linear A-coordinates of a component sum, read off the
+    drawing of each component (see :func:`_drawing`).  A strand that
+    leaves a side adds (2/3, 1/3) to the side's (p, q) and one that
+    enters adds (1/3, 2/3), each edge read at its left slot; a face gets
+    1 per unit of honeycomb height, 2/3 per ccw arc and 1/3 per cw arc.
+    Its X-coordinates are the shear coordinates of its picture,
+    :meth:`ComponentSum.picture`."""
     tri = s.tri
-    acc = {}
+    thirds = {}
+
+    def add(i, n):
+        thirds[i] = thirds.get(i, 0) + n
+
     for comp in s:
-        frame = _carrier(tri, comp)
-        if comp.kind in _TRI_A:
-            _triangle_component_coords(acc, tri, comp, *frame)
-        elif comp.kind in _QUAD_A:
-            _quad_component_coords(acc, tri, comp, frame)
-        else:
-            _peripheral_coords(acc, tri, comp)
-    return TropicalPoint("A", acc, tri=tri, restricted=False)
+        w = comp.weight
+        honeycombs, arcs = _drawing(tri, comp)
+        # (slot, leaves): a sink's legs enter all three sides, a ccw arc
+        # at (t, c) leaves on side c and enters on side c + 1
+        ends = []
+        for t, orient in honeycombs:
+            add(("tri", t), 3 * w)
+            ends += [((t, i), orient == "source") for i in range(3)]
+        for (t, c), orient in arcs:
+            add(("tri", t), (2 if orient == "ccw" else 1) * w)
+            ends += [((t, c), orient == "ccw"), ((t, (c + 1) % 3), orient == "cw")]
+        for slot, leaves in ends:
+            e = tri.edge_at(slot)
+            if slot == tri.slots(e)[0]:
+                add(("edge", e, 1), (2 if leaves else 1) * w)
+                add(("edge", e, 2), (1 if leaves else 2) * w)
+    return TropicalPoint("A", {i: Fraction(n, 3) for i, n in thirds.items()}, tri=tri, restricted=False)
 
 
 def geometric_ensemble(s):

@@ -160,9 +160,9 @@ def _drawn_shear(s):
 
 
 def ensemble_table_suite():
-    """Criterion 3: the shear X of every component's picture and its
-    A table satisfy X = (eps + m) . A entry-exactly, and the paper's
-    alpha and tau+ rows come out as (0,0,-1,0,0,0,0) and
+    """Criterion 3: the shear X of every component's picture and the A
+    read off its drawing satisfy X = (eps + m) . A entry-exactly, and
+    the paper's alpha and tau+ rows come out as (0,0,-1,0,0,0,0) and
     (1,0,-1,0,-1,0,-1)."""
     fails = []
     for tri, comp in component_table_cases():

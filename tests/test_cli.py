@@ -239,6 +239,17 @@ def _alpha(**fields):
         (["shear", "--surface", "{surf}", "--lamination", "{component_weight_neg}"], 1),
         (["shear", "--surface", "{surf}", "--lamination", "{sink_and_source}"], 1),
         (["diagram", "--surface", "{surf}", "--lamination", "{sink_and_source}"], 1),
+        # coordinate keys other than the ones index_to_str writes, and two
+        # keys naming one index
+        (["dynkin", "--surface", "{surf}", "--coords", '{"e:d2:1:junk":1}'], 2),
+        (["dynkin", "--surface", "{surf}", "--coords", '{"e:d2:01":1}'], 2),
+        (["dynkin", "--surface", "{surf}", "--coords", '{"e:d2: 1":1}'], 2),
+        (["dynkin", "--surface", "{surf}", "--coords", '{"t:T1:zz":2}'], 2),
+        (["dynkin", "--surface", "{surf}", "--coords", '{"e:d2:1":1,"e:d2:+1":2}'], 2),
+        (["dynkin", "--surface", "{surf}", "--coords", '{"E1":1,"e:d2:1":5}'], 2),
+        # a trial count below 1
+        (["verify", "--suite", "flip", "--trials", "0"], 2),
+        (["verify", "--suite", "flip", "--trials", "-3"], 2),
     ],
 )
 def test_cli_error_table(argv, code, tmp_path, capsys):

@@ -73,3 +73,41 @@ def test_no_module_level_caches():
     it ever saw alive."""
     found = {p.name: _module_caches(p) for p in sorted(SRC.glob("*.py"))}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def _private_definitions(tree):
+    """``(line, name)`` of the module-level private functions, classes and
+    constants of a module, and of the private methods of its classes."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            found += [
+                (item.lineno, item.name)
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+    return [(line, name) for line, name in found if name.startswith("_") and not name.startswith("__")]
+
+
+def test_no_private_name_is_unread():
+    """Every private name the package defines is read somewhere in it, as
+    a name or an attribute; one that nothing reads is dead code."""
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    unread = {
+        name: [d for d in _private_definitions(tree) if d[1] not in read] for name, tree in trees.items()
+    }
+    assert {name: found for name, found in unread.items() if found} == {}

@@ -365,7 +365,7 @@ def test_drawer_rejects_what_it_cannot_place(polygon4):
 @pytest.mark.parametrize("name", ["polygon5", "annulus11", "torus", "polygon7"])
 def test_realizable_sums_draw_and_round_trip(name):
     """Every sum ``realizable_component_sum`` returns draws and validates,
-    the ensemble map sends its A table to the shear of its picture, and
+    the ensemble map sends its A-coordinates to the shear of its picture, and
     that shear, pinnings included, comes back from the reconstructed
     picture pinned by the one pinning rule."""
     from sl3shear.verify import _fixtures
@@ -402,7 +402,7 @@ def test_realizable_sums_draw_and_round_trip(name):
     MarkedSurfaceSpec.punctured_polygon(3, 2),
 ], ids=["polygon5", "torus", "annulus11", "annulus23", "punctured-polygon32"])
 def test_peripheral_a_table_matches_its_picture(spec):
-    """The A table of a peripheral component maps to the shear of its
+    """The A-coordinates of a peripheral component map to the shear of its
     picture also where one triangle has two or three corners at the
     marked point, as on the torus and the annuli."""
     tri = build(spec)
