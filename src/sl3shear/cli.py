@@ -81,15 +81,17 @@ def _emit(obj, out):
 def _coords_arg(tri, text):
     """Parse a coordinate map; accepts canonical index keys t:/e: and,
     when the surface has a unique interior edge, the aliases T_L, T_R,
-    E1, E2 for its quadrilateral."""
+    E1, E2 for its quadrilateral.  Two keys naming one index, the same
+    key twice included, are refused."""
     try:
-        raw = json.loads(text)
+        # an object as its (key, value) pairs, so a repeated key shows
+        raw = json.loads(text, object_pairs_hook=tuple)
     except ValueError:
         raise UsageError(f"coordinates are not JSON: {text!r}") from None
-    if not isinstance(raw, dict):
+    if not isinstance(raw, tuple):
         raise UsageError(f"coordinates are not a JSON object: {text!r}")
     known = set(Sl3IndexSet(tri).all)
-    coords = {}
+    coords, keys = {}, {}
     aliases = {}
     if len(tri.interior_edges) == 1:
         e = tri.interior_edges[0]
@@ -100,7 +102,7 @@ def _coords_arg(tri, text):
             "E1": ("edge", e, 1),
             "E2": ("edge", e, 2),
         }
-    for key, val in raw.items():
+    for key, val in raw:
         idx = aliases.get(key)
         if idx is None:
             try:
@@ -109,8 +111,9 @@ def _coords_arg(tri, text):
                 idx = None
         if idx not in known:
             raise UsageError(f"unknown coordinate {key!r}")
-        if idx in coords:
-            raise UsageError(f"coordinate {key!r} repeats the index {jio.index_to_str(idx)}")
+        if idx in keys:
+            raise UsageError(f"coordinates {keys[idx]!r} and {key!r} name one index")
+        keys[idx] = key
         try:
             coords[idx] = jio.exact_rational(val, f"coordinate {key!r}")
         except ValueError as exc:

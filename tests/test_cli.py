@@ -247,6 +247,7 @@ def _alpha(**fields):
         (["dynkin", "--surface", "{surf}", "--coords", '{"t:T1:zz":2}'], 2),
         (["dynkin", "--surface", "{surf}", "--coords", '{"e:d2:1":1,"e:d2:+1":2}'], 2),
         (["dynkin", "--surface", "{surf}", "--coords", '{"E1":1,"e:d2:1":5}'], 2),
+        (["dynkin", "--surface", "{surf}", "--coords", '{"E1":1,"E1":2}'], 2),
         # a trial count below 1
         (["verify", "--suite", "flip", "--trials", "0"], 2),
         (["verify", "--suite", "flip", "--trials", "-3"], 2),
