@@ -189,7 +189,7 @@ def cmd_reconstruct(args):
     coords = _coords_arg(tri, args.coords)
     iset = Sl3IndexSet(tri)
     for i in coords:
-        if iset.is_frozen(i):
+        if i in iset.frozen:
             raise UsageError(f"frozen coordinate {jio.index_to_str(i)}: reconstruct takes unfrozen ones")
     x = TropicalPoint("X", coords, tri=tri, restricted=True)
     pic = reconstruct(x, tri)

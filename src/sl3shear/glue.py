@@ -64,8 +64,9 @@ def shift_action(pinned, e_l, e_r, mu):
     delta = dict(pinned.delta)
     dp, dm = pinned.delta_at(e_l)
     delta[e_l] = (dp + Fraction(mu.a), dm + Fraction(mu.b))
+    star = mu.star()
     dp, dm = pinned.delta_at(e_r)
-    delta[e_r] = (dp - Fraction(mu.b), dm - Fraction(mu.a))
+    delta[e_r] = (dp - Fraction(star.a), dm - Fraction(star.b))
     return PinnedLamination(pinned.underlying, delta)
 
 

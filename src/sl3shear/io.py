@@ -32,7 +32,6 @@ from .laminations import (
 )
 from .seeds import matrix_entries
 from .surface import IdealTriangulation
-from .tropical import TropicalPoint
 
 
 def frac_to_str(v):
@@ -125,13 +124,6 @@ def tropical_point_to_obj(p):
         "restricted": p.restricted,
         "coords": {index_to_str(i): frac_to_str(v) for i, v in sorted(p.coords.items())},
     }
-
-
-def tropical_point_from_obj(obj, tri=None):
-    coords = {
-        index_from_str(k): exact_rational(v, f"coords[{k!r}]") for k, v in obj["coords"].items()
-    }
-    return TropicalPoint(obj["kind"], coords, tri=tri, restricted=obj.get("restricted", False))
 
 
 # -- pictures ----------------------------------------------------------------
@@ -343,5 +335,15 @@ def dump(obj):
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
+def _unique_keys(pairs):
+    """A JSON object as a dict; an object that repeats a key is refused,
+    where ``json`` would keep the last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
 def load(fp):
-    return json.load(fp)
+    return json.load(fp, object_pairs_hook=_unique_keys)

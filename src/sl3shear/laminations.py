@@ -96,7 +96,7 @@ class GlobalPicture:
 
     A picture is immutable once built: nothing writes to ``corners`` or
     ``honeycombs`` after ``__init__``.  So the strand structure they
-    determine (the zone triple of every side, see :meth:`strand_list`)
+    determine (the zone triple of every side, see :attr:`strand_lists`)
     and the validation diagnostics are derived once per picture, on
     first use, and every reader classifies a strand by its index.  No
     pairing is stored: across an edge, index ``i`` of a list of length
@@ -116,8 +116,14 @@ class GlobalPicture:
 
     @cached_property
     def strand_lists(self):
-        """The zones of every side, keyed by (slot, direction); see
-        :meth:`strand_list`.  Each corner stack is read once; read-only."""
+        """The zones ``(initial, legs, terminal)`` of every side, keyed
+        by (slot, direction).  A side's strands run from its initial
+        corner to its terminal corner: the initial corner's ends at the
+        stack positions ``initial``, deepest first, then ``legs``
+        honeycomb legs, then the terminal corner's ends at the stack
+        positions ``terminal``.  So index ``i`` is initial when ``i <
+        len(initial)``, a leg when ``i < len(initial) + legs``, and
+        terminal otherwise.  Each corner stack is read once; read-only."""
         # (corner, end, direction) -> stack positions; end "A" sits on the
         # side on which the corner is terminal, "B" on the one on which
         # it is initial
@@ -149,16 +155,6 @@ class GlobalPicture:
                         tuple(ends.get(((t, i), "A", d), ())),
                     )
         return sides
-
-    def strand_list(self, slot, direction):
-        """The zones ``(initial, legs, terminal)`` of a side.  Its strands
-        run from its initial corner to its terminal corner: the initial
-        corner's ends at the stack positions ``initial``, deepest first,
-        then ``legs`` honeycomb legs, then the terminal corner's ends at
-        the stack positions ``terminal``.  So index ``i`` is initial when
-        ``i < len(initial)``, a leg when ``i < len(initial) + legs``, and
-        terminal otherwise."""
-        return self.strand_lists[(slot, direction)]
 
     def strand_count(self, slot, direction):
         """Number of strands on the side."""
@@ -326,7 +322,7 @@ def honeycomb_leg_split(pic, t, side_index):
     if far_slot is None:
         return None
     direction, far_dir = ("in", "out") if hc.orient == "sink" else ("out", "in")
-    initial, legs, _ = pic.strand_list(slot, direction)
+    initial, legs, _ = pic.strand_lists[(slot, direction)]
     lo, hi = len(initial), len(initial) + legs
 
     def meet(a, b):
@@ -335,7 +331,7 @@ def honeycomb_leg_split(pic, t, side_index):
     # index j meets far index n - 1 - j: the far terminal zone faces the
     # indices below c, its legs those below c + far_legs, its initial zone
     # the rest of the far length
-    _, far_legs, far_terminal = pic.strand_list(far_slot, far_dir)
+    _, far_legs, far_terminal = pic.strand_lists[(far_slot, far_dir)]
     c = len(far_terminal)
     n1 = meet(c + far_legs, pic.strand_count(far_slot, far_dir))
     n2, n3 = meet(c, c + far_legs), meet(0, c)
@@ -451,8 +447,8 @@ def shear_unfrozen(pic):
             # j < b; a crossing adds its weight when the in end is terminal
             # and the out end (j >= a) is not initial, and subtracts it
             # when the out end is initial and the in end is not terminal
-            a = len(pic.strand_list(out_slot, "out")[0])
-            b = len(pic.strand_list(in_slot, "in")[2])
+            a = len(pic.strand_lists[(out_slot, "out")][0])
+            b = len(pic.strand_lists[(in_slot, "in")][2])
             w = pic.strand_weights(out_slot, "out")
             x[idx] = sum(w[a:b], ZERO) - sum(w[b:a], ZERO)
     x = {i: v for i, v in x.items() if v}
@@ -646,7 +642,7 @@ def elementary_lamination(tri, k):
     iset = Sl3IndexSet(tri)
     if k not in iset:
         raise KeyError(k)
-    if iset.is_frozen(k):
+    if k in iset.frozen:
         _, e, s = k
         dp = Fraction(-1) if s == 1 else Fraction(0)
         dm = Fraction(-1) if s == 2 else Fraction(0)

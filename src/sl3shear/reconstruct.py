@@ -117,12 +117,6 @@ class Walk:
     turns: list  # in walk order
     end: tuple
 
-    @property
-    def peripheral(self):
-        """A closed loop whose turns all wind the same way around one
-        vertex."""
-        return self.peripheral_with(None)
-
     def peripheral_with(self, back):
         """Whether the component of this forward walk is peripheral: it
         closes up, or runs from boundary to boundary (``back`` is the
@@ -586,7 +580,7 @@ def traveler_trace(pic):
             idents.append((e, k_out, k_in, sheet))
         travelers.append(
             PictureTraveler(
-                strand_kind(fw, bw), fw.peripheral, tuple(route), tuple(idents), bw.end, fw.end
+                strand_kind(fw, bw), fw.peripheral_with(None), tuple(route), tuple(idents), bw.end, fw.end
             )
         )
     return travelers
@@ -613,8 +607,8 @@ def identifier_relations(pic, x):
             ("rl", sr, sl, x[("edge", e, 2)] + pos(x[("tri", sl[0])])),
         ):
             n = pic.strand_count(out_slot, "out")
-            a = len(pic.strand_list(out_slot, "out")[0])
-            b = len(pic.strand_list(in_slot, "in")[0])
+            a = len(pic.strand_lists[(out_slot, "out")][0])
+            b = len(pic.strand_lists[(in_slot, "in")][0])
             if n and n - a - b != want:
                 bad += [
                     (e, sheet, pic.strand_parameter(out_slot, "out", j),

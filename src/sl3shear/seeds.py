@@ -59,14 +59,8 @@ class Sl3IndexSet:
         )
         self.unfrozen = tuple(i for i in self.all if i not in self.frozen)
 
-    def __len__(self):
-        return len(self.all)
-
     def __contains__(self, i):
         return i in self._members
-
-    def is_frozen(self, i):
-        return i in self.frozen
 
 
 def side_pair(tri, slot):
@@ -107,19 +101,6 @@ class ExchangeMatrix:
             and self.columns == other.columns
             and self.frozen == other.frozen
         )
-
-    def check(self):
-        """Invariant diagnostics: skew-symmetry, integrality pattern, range."""
-        diags = []
-        cols = self.columns
-        if any(cols.get(i, {}).get(j) != -w2 for j, col in cols.items() for i, w2 in col.items()):
-            diags.append("not skew-symmetric")
-        for (i, j), v in matrix_entries(cols).items():
-            if v.denominator == 2 and not (i in self.frozen and j in self.frozen):
-                diags.append(f"non-frozen entry {i},{j} not integral")
-            if abs(v) > 1:
-                diags.append(f"entry {i},{j} out of range")
-        return diags
 
     def relabel(self, mapping):
         """The same matrix with every index ``i`` renamed ``mapping.get(i, i)``."""

@@ -249,9 +249,6 @@ class IdealTriangulation:
     def corner_vertex(self, t, i):
         return (self._names or self._naming())[0][self._corner_key[(t, i % 3)]]
 
-    def punctures(self):
-        return sorted(v for v, c in (self._names or self._naming())[2].items() if c == PUNCTURE)
-
     def edge_endpoints(self, e):
         """(initial vertex, terminal vertex) of the oriented edge ``e``."""
         (tl, il), _ = self._slots[e]
@@ -307,56 +304,6 @@ class IdealTriangulation:
             if tl == tr:
                 diags.append(f"edge {e} has both slots in triangle {tl}")
         return diags
-
-    # -- canonical form and isomorphism ----------------------------------
-
-    def canonical_form(self):
-        """A canonical encoding, equal for isomorphic triangulations.
-
-        Isomorphisms are orientation-preserving relabelings of triangles
-        and edges.  The encoding is the minimum over all rooted
-        breadth-first traversals.
-        """
-        best = None
-        for t0 in self.triangles:
-            for r in range(3):
-                enc = self._bfs_encoding(t0, r)
-                if best is None or enc < best:
-                    best = enc
-        return best
-
-    def _bfs_encoding(self, t0, r0):
-        tri_label = {t0: 0}
-        tri_rot = {t0: r0}
-        edge_label = {}
-        order = [t0]
-        out = []
-        qi = 0
-        while qi < len(order):
-            t = order[qi]
-            qi += 1
-            r = tri_rot[t]
-            row = []
-            for j in range(3):
-                e = self.tri_sides[t][(r + j) % 3]
-                if e not in edge_label:
-                    edge_label[e] = len(edge_label)
-                row.append(edge_label[e])
-                other = self.other_slot((t, (r + j) % 3))
-                if other is None:
-                    row.append(-1)
-                else:
-                    t2, i2 = other
-                    if t2 not in tri_label:
-                        tri_label[t2] = len(tri_label)
-                        tri_rot[t2] = i2
-                        order.append(t2)
-                    row.append(tri_label[t2])
-            out.append(tuple(row))
-        return tuple(out)
-
-    def is_isomorphic(self, other):
-        return self.canonical_form() == other.canonical_form()
 
     # -- flips ------------------------------------------------------------
 

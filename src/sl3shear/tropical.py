@@ -157,9 +157,6 @@ class TropicalPoint:
             restricted=self.restricted,
         )
 
-    def replace(self, coords):
-        return TropicalPoint(self.kind, coords, tri=self.tri, restricted=self.restricted)
-
 
 def _x_rule(x, k, col):
     """Tropical X-mutation at ``k``, in place on the nonzero int

@@ -451,14 +451,12 @@ def traveler_suite(trials=100, seed=0):
 
 
 SUITES = {
-    "flip": lambda trials, seed: flip_equivalence_suite(max(trials, 1), seed),
+    "flip": flip_equivalence_suite,
     "roundtrip": lambda trials, seed: roundtrip_suite(max(trials // 4, 1), seed),
     "ensemble-tables": lambda trials, seed: ensemble_table_suite(),
-    "ensemble-flip": lambda trials, seed: ensemble_flip_suite(max(trials, 1), seed),
+    "ensemble-flip": ensemble_flip_suite,
     "dynkin": lambda trials, seed: dynkin_suite(max(trials // 4, 1), seed),
-    "amalgamation": lambda trials, seed: amalgamation_suite(
-        max(trials, 1), max(trials // 2, 1), seed
-    ),
+    "amalgamation": lambda trials, seed: amalgamation_suite(trials, max(trials // 2, 1), seed),
     "principal": lambda trials, seed: principal_suite(max(trials // 4, 1), seed),
     "elementary": lambda trials, seed: elementary_suite(),
     "travelers": lambda trials, seed: traveler_suite(max(trials // 4, 1), seed),
@@ -466,6 +464,10 @@ SUITES = {
 
 
 def run_suites(names, trials, seed):
+    """Run the named suites at ``trials`` trials each, scaled per suite,
+    and the single-mutation report; a count below 1 is refused."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, not {trials}")
     results = []
     for name in names:
         results.append(SUITES[name](trials, seed))

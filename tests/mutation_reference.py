@@ -7,6 +7,7 @@ indices.  The tests compare the library's column-wise rules with these.
 The matrix eps + m of the ensemble map is summed here from the library's
 exchange matrix and m-matrix, and step sequences also run on the
 library's column-stored matrices (:func:`apply_matrix_steps`).
+:func:`check` reads the invariants of a column-stored matrix.
 """
 
 from fractions import Fraction
@@ -32,6 +33,21 @@ def exchange(indices, entries, frozen=()):
             columns.setdefault(j, {})[i] = int(w2)
             columns.setdefault(i, {})[j] = -int(w2)
     return ExchangeMatrix(indices, columns, frozen)
+
+
+def check(eps):
+    """Invariant diagnostics of the :class:`ExchangeMatrix` ``eps``:
+    skew-symmetry, integrality pattern, range."""
+    diags = []
+    cols = eps.columns
+    if any(cols.get(i, {}).get(j) != -w2 for j, col in cols.items() for i, w2 in col.items()):
+        diags.append("not skew-symmetric")
+    for (i, j), v in matrix_entries(cols).items():
+        if v.denominator == 2 and not (i in eps.frozen and j in eps.frozen):
+            diags.append(f"non-frozen entry {i},{j} not integral")
+        if abs(v) > 1:
+            diags.append(f"entry {i},{j} out of range")
+    return diags
 
 
 def mutate_matrix(indices, eps, k):

@@ -106,12 +106,13 @@ def test_single_mutation_gate_catches_a_wrong_mutation(monkeypatch, capsys):
     """A wrong ``mutate_x`` fails the report, and ``verify`` exits 1."""
     import sl3shear.verify as verify
     from sl3shear.cli import main
+    from sl3shear.tropical import TropicalPoint
 
     right = verify.mutate_x
 
     def wrong(p, eps, k):
         q = right(p, eps, k)
-        return q.replace({**q.coords, k: q[k] + 1})
+        return TropicalPoint(q.kind, {**q.coords, k: q[k] + 1}, tri=q.tri, restricted=q.restricted)
 
     monkeypatch.setattr(verify, "mutate_x", wrong)
     res = ensemble_single_mutation_report(trials=20, seed=SEED)
@@ -138,7 +139,7 @@ def test_roundtrip_counterexample_reproduces(monkeypatch, tmp_path, capsys):
         # wrong only on punctured surfaces (of the four fixtures, the
         # torus), for entries summing to 1 mod 3
         rep = right(x, tri)
-        bad = bool(tri.punctures()) and sum(x.coords.values()) % 3 == 1
+        bad = "puncture" in tri.vertices.values() and sum(x.coords.values()) % 3 == 1
         return {**rep, "ok": rep["ok"] and not bad}
 
     monkeypatch.setattr(verify, "roundtrip_check", wrong)

@@ -13,6 +13,8 @@ from sl3shear import io as jio
 from sl3shear.cli import main
 from sl3shear.laminations import GlobalPicture, Honeycomb, InvalidPicture, PinnedLamination
 from sl3shear.surface import MarkedSurfaceSpec, build
+from sl3shear.tropical import TropicalPoint
+from sl3shear.verify import run_suites
 
 F = Fraction
 
@@ -23,6 +25,15 @@ CHILD_ENV = {
     **os.environ,
     "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
 }
+
+
+def tropical_point_from_obj(obj, tri=None):
+    """The inverse of :func:`sl3shear.io.tropical_point_to_obj`, with
+    every value read exactly."""
+    coords = {
+        jio.index_from_str(k): jio.exact_rational(v, f"coords[{k!r}]") for k, v in obj["coords"].items()
+    }
+    return TropicalPoint(obj["kind"], coords, tri=tri, restricted=obj.get("restricted", False))
 
 
 def run_cli(args, capsys):
@@ -138,7 +149,7 @@ def test_exact_coordinates_accepted(value, tmp_path, capsys):
 def test_tropical_point_decoder_refuses_inexact(polygon4, value):
     doc = {"kind": "X", "coords": {"t:T1": value}}
     with pytest.raises(ValueError, match=re.escape("coords['t:T1']")):
-        jio.tropical_point_from_obj(doc, tri=polygon4)
+        tropical_point_from_obj(doc, tri=polygon4)
 
 
 def test_error_exit_code(tmp_path, capsys):
@@ -251,6 +262,9 @@ def _alpha(**fields):
         # a trial count below 1
         (["verify", "--suite", "flip", "--trials", "0"], 2),
         (["verify", "--suite", "flip", "--trials", "-3"], 2),
+        # a document that repeats a key, which json would read as its last
+        # value
+        (["shear", "--surface", "{surf}", "--lamination", "{delta_repeated}"], 2),
     ],
 )
 def test_cli_error_table(argv, code, tmp_path, capsys):
@@ -303,9 +317,11 @@ def test_cli_error_table(argv, code, tmp_path, capsys):
         "{self_folded}": {"triangles": [
             {"id": "T0", "sides": ["a", "a", "b"]}, {"id": "T1", "sides": ["b", "c", "d"]},
         ]},
+        # written as it stands: a dict cannot repeat a key
+        "{delta_repeated}": '{"picture": {}, "delta": {"b0": ["1", "0"], "b0": ["5", "0"]}}',
     }
     for name, doc in malformed.items():
-        (tmp_path / f"{name[1:-1]}.json").write_text(json.dumps(doc))
+        (tmp_path / f"{name[1:-1]}.json").write_text(doc if isinstance(doc, str) else json.dumps(doc))
     capsys.readouterr()
     paths = {"{surf}": str(surf), "{bad_carrier}": str(bad_carrier)}
     paths.update({name: str(tmp_path / f"{name[1:-1]}.json") for name in malformed})
@@ -338,6 +354,14 @@ def test_module_entry_point_matches_cli_module():
 
 def test_verify_exit_codes(capsys):
     assert main(["verify", "--suite", "elementary", "--trials", "1", "--seed", "0"]) == 0
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_run_suites_refuses_trials_below_one(trials):
+    """The library refuses a trial count below 1, as the CLI does,
+    rather than running one trial per suite and reporting PASS."""
+    with pytest.raises(ValueError, match="at least 1"):
+        run_suites(["flip", "amalgamation"], trials, 7)
 
 
 def test_diagram_command(tmp_path, capsys):
@@ -566,7 +590,7 @@ def test_picture_decoder_shares_one_weight_per_string(polygon4):
 
 def test_tropical_point_json_roundtrip(polygon4):
     p_obj = {"kind": "X", "restricted": False, "coords": {"e:d2:1": "-7/3", "t:T1": "2"}}
-    p = jio.tropical_point_from_obj(p_obj, tri=polygon4)
+    p = tropical_point_from_obj(p_obj, tri=polygon4)
     assert jio.tropical_point_to_obj(p) == p_obj
 
 

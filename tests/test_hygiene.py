@@ -75,39 +75,95 @@ def test_no_module_level_caches():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
-def _private_definitions(tree):
-    """``(line, name)`` of the module-level private functions, classes and
-    constants of a module, and of the private methods of its classes."""
+def _callables(tree):
+    """``(line, name)`` of the module-level functions and classes of a
+    module, and of the methods of its classes."""
     found = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             found.append((node.lineno, node.name))
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            found += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
         if isinstance(node, ast.ClassDef):
             found += [
                 (item.lineno, item.name)
                 for item in node.body
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
             ]
-    return [(line, name) for line, name in found if name.startswith("_") and not name.startswith("__")]
+    return found
+
+
+def _constants(tree):
+    """``(line, name)`` of the module-level constants of a module."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    return found
+
+
+def _names_read(tree):
+    """Every name a module reads as a name, an attribute or an import."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+    return read
 
 
 def test_no_private_name_is_unread():
     """Every private name the package defines is read somewhere in it, as
     a name or an attribute; one that nothing reads is dead code."""
     trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
-    read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
-            elif isinstance(node, ast.alias):
-                read.add(node.name)
+    read = set().union(*map(_names_read, trees.values()))
     unread = {
-        name: [d for d in _private_definitions(tree) if d[1] not in read] for name, tree in trees.items()
+        name: [
+            (line, d) for line, d in _callables(tree) + _constants(tree)
+            if d.startswith("_") and not d.startswith("__") and d not in read
+        ]
+        for name, tree in trees.items()
     }
     assert {name: found for name, found in unread.items() if found} == {}
+
+
+BENCHMARKS = SRC.parent.parent / "benchmarks"
+
+# The paper's own constructions, which the tests and golden records check
+# as such though no library module calls them: the flip as a sequence of
+# mutations and the runner of such sequences, the ensemble map on
+# laminations and the peripheral chain it adds, and the traveler routes.
+PAPER_CONSTRUCTIONS = {
+    "flip_mutation_sequence",
+    "apply_steps",
+    "geometric_ensemble",
+    "add_peripheral_chain",
+    "traveler_trace",
+}
+
+
+def test_no_public_name_without_a_library_caller():
+    """Every public function, class and method of the package is read, as
+    a name, an attribute or an import, by a module of the package other
+    than ``__init__.py`` or by a file under ``benchmarks/``, unless it is
+    one of ``PAPER_CONSTRUCTIONS``.  Code that only the tests call belongs
+    in the tests.  An attribute matches by its name alone, so a method
+    passes when any object's attribute of that name is read: a method
+    ``check`` would pass on ``args.check``, and one named ``replace`` on
+    ``dataclasses.replace``."""
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    readers = modules + sorted(BENCHMARKS.rglob("*.py"))
+    assert modules and len(readers) > len(modules)
+    read = set().union(*(_names_read(ast.parse(p.read_text(), filename=str(p))) for p in readers))
+    uncalled = {}
+    for p in modules:
+        tree = ast.parse(p.read_text(), filename=str(p))
+        found = [
+            (line, name) for line, name in _callables(tree)
+            if not name.startswith("_") and name not in read | PAPER_CONSTRUCTIONS
+        ]
+        if found:
+            uncalled[p.name] = found
+    assert uncalled == {}

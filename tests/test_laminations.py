@@ -734,7 +734,7 @@ def test_cached_strand_structure_matches_corner_stacks():
             zones = _reference_strands(pic, slot, d)
             initial, legs, terminal = zones
             n0, n = len(initial), len(initial) + legs + len(terminal)
-            assert pic.strand_list(slot, d) == zones
+            assert pic.strand_lists[(slot, d)] == zones
             assert pic.strand_lists[(slot, d)] == zones
             assert pic.strand_count(slot, d) == n
             for k in range(n):

@@ -137,7 +137,7 @@ def test_traveler_trace_classification(polygon4, torus):
 
 def test_traveler_trace_peripheral_loop():
     tri = build(MarkedSurfaceSpec.punctured_polygon(3, 1))
-    puncture = tri.punctures()[0]
+    puncture = min(v for v, c in tri.vertices.items() if c == "puncture")
     pic = add_peripheral_chain(GlobalPicture(tri), puncture, "cw")
     travelers = traveler_trace(pic)
     assert len(travelers) == 1

@@ -10,6 +10,7 @@ from sl3shear.surface import (
     SpecViolatesSurfaceConditions,
     build,
 )
+from surface_reference import is_isomorphic
 
 
 def euler_counts(tri):
@@ -30,7 +31,7 @@ def test_once_punctured_torus_counts(torus):
     assert len(torus.triangles) == 2
     assert len(torus.edges) == 3
     assert torus.boundary_intervals == []
-    assert torus.punctures() == ["v0"]
+    assert sorted(v for v, c in torus.vertices.items() if c == "puncture") == ["v0"]
     assert euler_counts(torus) == (3, 3, 2)
 
 
@@ -90,10 +91,10 @@ def test_flip_square_involution(polygon4):
     e = polygon4.interior_edges[0]
     t1, c1 = polygon4.flip_edge(e)
     assert t1.validate() == []
-    assert not polygon4.is_isomorphic(t1) or True  # same underlying surface
+    assert not is_isomorphic(polygon4, t1) or True  # same underlying surface
     t2, c2 = t1.flip_edge(e)
     assert t2.validate() == []
-    assert polygon4.is_isomorphic(t2)
+    assert is_isomorphic(polygon4, t2)
     # composite index correspondence swaps the diagonal labels and faces
     comp = {i: c2.index_map[c1.index_map[i]] for i in c1.index_map}
     nontrivial = {i: j for i, j in comp.items() if i != j}
@@ -133,7 +134,7 @@ def test_flip_preserves_euler_counts(polygon5):
 def test_glue_two_triangles(two_triangles, polygon4):
     glued, res = two_triangles.glue_boundary("a2", "b0")
     assert glued.validate() == []
-    assert glued.is_isomorphic(polygon4)
+    assert is_isomorphic(glued, polygon4)
     assert res.new_edge == "a2"
     assert glued.is_interior("a2")
 
@@ -143,7 +144,7 @@ def test_glue_polygon4_to_annulus(polygon4, annulus11):
     assert glued.validate() == []
     assert len(glued.edges) == 4
     assert euler_counts(glued) == (4, 2, 2)
-    assert glued.is_isomorphic(annulus11)
+    assert is_isomorphic(glued, annulus11)
 
 
 def test_glue_same_edge_rejected(polygon4):
@@ -171,8 +172,14 @@ def test_canonical_form_stable_under_relabeling(polygon5):
             for e in polygon5.edges
         },
     )
-    assert polygon5.is_isomorphic(relabeled)
-    assert not polygon5.is_isomorphic(build(MarkedSurfaceSpec.polygon(6)))
+    assert is_isomorphic(polygon5, relabeled)
+    assert not is_isomorphic(polygon5, build(MarkedSurfaceSpec.polygon(6)))
+    # one surface, two triangulations: after the flip at d3 one triangle
+    # of polygon(6) has three diagonals as its sides, and none did before
+    hexagon = build(MarkedSurfaceSpec.polygon(6))
+    flipped, _ = hexagon.flip_edge("d3")
+    assert sorted(flipped.tri_sides["T2"]) == ["d2", "d3", "d4"]
+    assert not is_isomorphic(hexagon, flipped)
 
 
 def test_self_folded_table_rejected_by_build():
