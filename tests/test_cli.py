@@ -369,7 +369,6 @@ def test_diagram_command(tmp_path, capsys):
     main(["surface", "--spec", "polygon:4", "--out", str(surf)])
     tri = jio.triangulation_from_obj(json.loads(surf.read_text()))
     from sl3shear.reconstruct import reconstruct
-    from sl3shear.tropical import TropicalPoint
 
     e = tri.interior_edges[0]
     (tl, _), (tr, _) = tri.slots(e)
@@ -448,7 +447,6 @@ def test_picture_json_roundtrip(polygon4, torus):
 
     from sl3shear.reconstruct import reconstruct
     from sl3shear.seeds import Sl3IndexSet
-    from sl3shear.tropical import TropicalPoint
 
     rng = random.Random(21)
     for tri in (polygon4, torus):
@@ -504,7 +502,6 @@ def test_picture_decoder_checks_pairings(polygon4, tmp_path, capsys):
     so the pairs are built here from the strand counts, as the unary
     format wrote them."""
     from sl3shear.reconstruct import reconstruct
-    from sl3shear.tropical import TropicalPoint
 
     e = polygon4.interior_edges[0]
     x = {("edge", e, 1): F(3), ("edge", e, 2): F(-1)}
@@ -599,7 +596,6 @@ def test_pinned_json_roundtrip(polygon4):
 
     from sl3shear.laminations import Component, ComponentSum
     from sl3shear.reconstruct import reconstruct
-    from sl3shear.tropical import TropicalPoint
 
     e = polygon4.interior_edges[0]
     pic = reconstruct(
