@@ -38,7 +38,6 @@ from .seeds import (
 from .tropical import (
     TropicalPoint,
     SeedMismatch,
-    BadLabeling,
     mutate_x,
     mutate_a,
     apply_steps,

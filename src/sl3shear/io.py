@@ -80,21 +80,36 @@ def triangulation_to_obj(tri):
 
 
 def triangulation_from_obj(obj):
-    """Decode a triangulation; a table that breaks an invariant of
-    :meth:`IdealTriangulation.validate` raises ValueError listing them."""
+    """Decode a triangulation from its gluing table, ``triangles`` and the
+    optional ``left_slots``.  The fields :func:`triangulation_to_obj`
+    derives from the table, each edge's ``kind`` and ``orientation`` and
+    each vertex's ``class``, may be left out; a given one that disagrees
+    with the table, a left slot, edge or vertex the table lacks, or a
+    table that breaks an invariant of :meth:`IdealTriangulation.validate`
+    raises ValueError naming it."""
     tri_sides = {t["id"]: tuple(t["sides"]) for t in obj["triangles"]}
     slot_l = None
     if "left_slots" in obj:
         slot_l = {e: tuple(v) for e, v in obj["left_slots"].items()}
     tri = IdealTriangulation(tri_sides, slot_l=slot_l)
-    wanted = {e["id"]: e["kind"] for e in obj.get("edges", [])}
-    for e, kind in wanted.items():
-        have = "boundary" if tri.is_boundary(e) else "interior"
-        if have != kind:
-            raise ValueError(f"edge {e} declared {kind} but glued as {have}")
     diags = tri.validate()
     if diags:
         raise ValueError(f"invalid surface: {'; '.join(diags)}")
+    for e in slot_l or ():
+        if not tri.has_edge(e):
+            raise ValueError(f"left_slots.{e}: the surface has no edge {e!r}")
+    derived = triangulation_to_obj(tri)
+    for key, what in (("edges", "edge"), ("vertices", "vertex")):
+        table = {d["id"]: d for d in derived[key]}
+        for given in obj.get(key, []):
+            have = table.get(given["id"])
+            if have is None:
+                raise ValueError(f"{key}: the surface has no {what} {given['id']!r}")
+            for field, v in have.items():
+                if given.get(field, v) != v:
+                    raise ValueError(
+                        f"{what} {given['id']} declared {field} {given[field]!r} but the table gives {v!r}"
+                    )
     return tri
 
 
@@ -313,9 +328,12 @@ def pinned_to_obj(pl):
 
 def pinned_from_obj(obj, tri):
     """Decode a pinned lamination; a ``"components"`` document is drawn as
-    its picture.  A pinning on an edge that is not a boundary interval of
-    ``tri``, or one that is not a list of two exact rationals, raises
-    ValueError naming it."""
+    its picture.  A document with both ``"components"`` and ``"picture"``,
+    a pinning on an edge that is not a boundary interval of ``tri``, or
+    one that is not a list of two exact rationals raises ValueError
+    naming it."""
+    if "components" in obj and "picture" in obj:
+        raise ValueError('a lamination is given as "components" or as "picture", not both')
     if "components" in obj:
         under = components_from_obj(obj["components"], tri).picture()
     else:

@@ -54,7 +54,7 @@ class SeedMismatch(Sl3Error):
 
 
 class BadLabeling(Sl3Error):
-    pass
+    """Nothing raises it: the closed-form flip folds identified sides."""
 
 
 def pos(u):
@@ -256,7 +256,8 @@ def flip_local_labels(tri, e):
     the labels 1..12 of the mutation-sequence picture: 1, 3 on the
     diagonal (terminal, initial), 2, 4 the left/right faces, then the
     (p, q) pairs of the outer sides counterclockwise from the top-left:
-    (5,6), (7,8), (9,10), (11,12)."""
+    (5,6), (7,8), (9,10), (11,12).  Outer labels may coincide where outer
+    sides are identified, as on the torus."""
     if tri.is_boundary(e):
         raise NotInteriorEdge(e)
     (tl, il), (tr, ir) = tri.slots(e)
@@ -281,34 +282,32 @@ def flip_x_closed_form(p, tri, e):
     """The closed-form tropical flip map on the 12 local coordinates of
     the quadrilateral at ``e``; identity on all other coordinates.
 
-    Requires the 12 local indices to be pairwise distinct (a genuine
-    quadrilateral); raises :class:`BadLabeling` otherwise.  A restricted
-    point keeps no frozen coordinates, as in :func:`mutate_x`.
-    """
+    Outer sides may be identified (every flip of the torus has some), so
+    the map is read on the cover: labels 1-4 are mutated, and each outer
+    label's increment, which reads only x1..x4, is added at its index;
+    two labels naming one index add both.  A restricted point keeps no
+    frozen coordinates, as in :func:`mutate_x`."""
     lab = flip_local_labels(tri, e)
-    if len(set(lab.values())) != 12:
-        raise BadLabeling("flip quadrilateral has identified sides")
     _, nums = p._ints
-    x = {n: nums.get(lab[n], 0) for n in range(1, 13)}
-    b123 = bracket3(x[1], x[2], x[3])
-    b341 = bracket3(x[3], x[4], x[1])
-    new = {
-        1: x[2] + b341 - b123,
-        2: -x[1] - x[2] + pos(x[1]) - pos(x[3]),
-        3: x[4] + b123 - b341,
-        4: -x[3] - x[4] + pos(x[3]) - pos(x[1]),
-        5: x[5] + pos(x[1]),
-        6: x[6] + b123 - pos(x[1]),
-        7: x[7] + x[1] + x[2] + pos(x[3]) - b123,
-        8: x[8] - pos(-x[3]),
-        9: x[9] + pos(x[3]),
-        10: x[10] + b341 - pos(x[3]),
-        11: x[11] + x[3] + x[4] + pos(x[1]) - b341,
-        12: x[12] - pos(-x[1]),
+    x1, x2, x3, x4 = (nums.get(lab[n], 0) for n in range(1, 5))
+    b123, b341 = bracket3(x1, x2, x3), bracket3(x3, x4, x1)
+    local = {
+        lab[1]: x2 + b341 - b123,
+        lab[2]: -x1 - x2 + pos(x1) - pos(x3),
+        lab[3]: x4 + b123 - b341,
+        lab[4]: -x3 - x4 + pos(x3) - pos(x1),
     }
+    increments = (  # labels 5..12, one outer side a line
+        pos(x1), b123 - pos(x1),
+        x1 + x2 + pos(x3) - b123, -pos(-x3),
+        pos(x3), b341 - pos(x3),
+        x3 + x4 + pos(x1) - b341, -pos(-x1),
+    )
+    for n, v in enumerate(increments, 5):
+        local[lab[n]] = local.get(lab[n], nums.get(lab[n], 0)) + v
     # local label n keeps its geometric position, so it maps to the index
     # of the flipped triangulation occupying that position
-    return _flipped(p, flip_plan(tri, e), {lab[n]: new[n] for n in range(1, 13)})
+    return _flipped(p, flip_plan(tri, e), local)
 
 
 def apply_flip(p, tri, e):

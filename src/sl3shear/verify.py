@@ -88,18 +88,23 @@ def _random_x(rng, iset, num=20, den=8):
 
 def flip_equivalence_suite(trials=1000, seed=0):
     """Criterion 1: the 4-mutation flip composite equals the closed-form
-    map exactly, on polygon(4) with rational points."""
+    map exactly, with rational points, at every interior edge of
+    polygon(4), polygon(5), annulus(1,1) and the once-punctured torus:
+    ``trials`` points per fixture, each flipped at every interior edge."""
     rng = random.Random(seed)
-    tri = build(MarkedSurfaceSpec.polygon(4))
-    iset = Sl3IndexSet(tri)
-    e = tri.interior_edges[0]
-    fails = 0
-    for _ in range(trials):
-        p = TropicalPoint("X", _random_x(rng, iset), tri=tri)
-        if apply_flip(p, tri, e) != flip_x_closed_form(p, tri, e):
-            fails += 1
+    fx = _fixtures()
+    flips = fails = 0
+    for name in ("polygon4", "polygon5", "annulus11", "torus"):
+        tri = fx[name]
+        iset = Sl3IndexSet(tri)
+        for _ in range(trials):
+            p = TropicalPoint("X", _random_x(rng, iset), tri=tri)
+            for e in tri.interior_edges:
+                flips += 1
+                fails += apply_flip(p, tri, e) != flip_x_closed_form(p, tri, e)
     return SuiteResult(
-        "flip-equivalence", fails == 0, f"{trials} rational points, {fails} mismatches"
+        "flip-equivalence", fails == 0,
+        f"{flips} flips of rational points at every interior edge of 4 fixtures, {fails} mismatches",
     )
 
 

@@ -3,7 +3,9 @@
 Every check is exact (tolerance zero); each test prints a PASS line with
 its trial counts when it succeeds.  Criteria and trial counts:
 
-1. flip equivalence, >= 1000 rational points on the square;
+1. flip equivalence, >= 1000 rational points per fixture, each flipped
+   at every interior edge of four fixtures: square, pentagon,
+   annulus(1,1), once-punctured torus;
 2. round trip shear o reconstruct = id, >= 500 integral vectors on each
    of square, pentagon, annulus(1,1), once-punctured torus, stable
    under one more spiral turn;

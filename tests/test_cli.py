@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 from sl3shear import io as jio
 from sl3shear.cli import main
 from sl3shear.laminations import GlobalPicture, Honeycomb, InvalidPicture, PinnedLamination
-from sl3shear.surface import MarkedSurfaceSpec, build
+from sl3shear.surface import FlipCreatesSelfFolded, MarkedSurfaceSpec, build
 from sl3shear.tropical import TropicalPoint
 from sl3shear.verify import run_suites
 
@@ -50,6 +51,69 @@ def test_surface_command(tmp_path, capsys):
     assert len(obj["triangles"]) == 2
     tri = jio.triangulation_from_obj(obj)
     assert tri.validate() == []
+
+
+def _surface_misfits(p4):
+    """Surface documents whose derived fields disagree with the gluing
+    table of the polygon(4) document ``p4``, by error-table name."""
+    return {
+        "{left_slot_zz}": {**p4, "left_slots": {**p4["left_slots"], "zz": ["T1", 0]}},
+        "{b0_reversed}": {**p4, "edges": [
+            {**e, "orientation": e["orientation"][::-1]} if e["id"] == "b0" else e for e in p4["edges"]
+        ]},
+        "{v0_puncture}": {**p4, "vertices": [
+            {**v, "class": "puncture"} if v["id"] == "v0" else v for v in p4["vertices"]
+        ]},
+    }
+
+
+@pytest.mark.parametrize(
+    "name,match",
+    [
+        ("{left_slot_zz}", "left_slots.zz: the surface has no edge"),
+        ("{b0_reversed}", "edge b0 declared orientation"),
+        ("{v0_puncture}", "vertex v0 declared class 'puncture'"),
+    ],
+)
+def test_surface_fields_must_match_the_table(name, match, polygon4):
+    doc = _surface_misfits(jio.triangulation_to_obj(polygon4))[name]
+    with pytest.raises(ValueError, match=re.escape(match)):
+        jio.triangulation_from_obj(doc)
+
+
+def test_surface_derived_fields_may_be_left_out(polygon4):
+    obj = jio.triangulation_to_obj(polygon4)
+    tri = jio.triangulation_from_obj({"triangles": obj["triangles"], "left_slots": obj["left_slots"]})
+    assert jio.triangulation_to_obj(tri) == obj
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        MarkedSurfaceSpec.once_punctured_torus(),
+        MarkedSurfaceSpec.annulus(1, 1),
+        MarkedSurfaceSpec.annulus(2, 3),
+        MarkedSurfaceSpec.punctured_polygon(4, 2),
+    ],
+)
+def test_surface_documents_along_flip_walks_decode(spec):
+    """No derived field the encoder writes is refused: along a flip walk,
+    each document decodes to a triangulation that encodes to it again."""
+    rng = random.Random(5)
+    tri = build(spec)
+    for _ in range(40):
+        obj = jio.triangulation_to_obj(tri)
+        assert jio.triangulation_to_obj(jio.triangulation_from_obj(obj)) == obj
+        try:
+            tri = tri.flip_edge(rng.choice(tri.interior_edges))[0]
+        except FlipCreatesSelfFolded:
+            pass
+
+
+def test_lamination_is_components_or_picture(polygon4):
+    doc = {"components": [_alpha()], "picture": {}}
+    with pytest.raises(ValueError, match='"components" or as "picture"'):
+        jio.pinned_from_obj(doc, polygon4)
 
 
 def test_surface_roundtrip_all_fixtures(tmp_path):
@@ -265,6 +329,12 @@ def _alpha(**fields):
         # a document that repeats a key, which json would read as its last
         # value
         (["shear", "--surface", "{surf}", "--lamination", "{delta_repeated}"], 2),
+        # a lamination given both as components and as a picture, and
+        # surface fields that disagree with the gluing table
+        (["shear", "--surface", "{surf}", "--lamination", "{components_and_picture}"], 2),
+        (["seed", "--surface", "{left_slot_zz}"], 2),
+        (["seed", "--surface", "{b0_reversed}"], 2),
+        (["seed", "--surface", "{v0_puncture}"], 2),
     ],
 )
 def test_cli_error_table(argv, code, tmp_path, capsys):
@@ -275,6 +345,7 @@ def test_cli_error_table(argv, code, tmp_path, capsys):
     bad_carrier.write_text(
         json.dumps({"components": [{"kind": "alpha", "carrier": "nope", "weight": "1"}]})
     )
+    p4 = json.loads(surf.read_text())
     malformed = {
         "{no_lr}": {"picture": {"pairings": {"d2": {"rl": []}}}},
         "{bare_arc}": {"picture": {"triangles": {"T1": {"corners": {"0": [{"type": "arc"}]}}}}},
@@ -319,6 +390,10 @@ def test_cli_error_table(argv, code, tmp_path, capsys):
         ]},
         # written as it stands: a dict cannot repeat a key
         "{delta_repeated}": '{"picture": {}, "delta": {"b0": ["1", "0"], "b0": ["5", "0"]}}',
+        "{components_and_picture}": {
+            "components": [_alpha()], **_pic("T1", honeycomb={"orient": "sink", "height": 3}),
+        },
+        **_surface_misfits(p4),
     }
     for name, doc in malformed.items():
         (tmp_path / f"{name[1:-1]}.json").write_text(doc if isinstance(doc, str) else json.dumps(doc))

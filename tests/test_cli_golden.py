@@ -75,7 +75,7 @@ COMPONENT_DOCS = {
 
 
 VERIFY_ARGV = ["verify", "--suite", "all", "--trials", "200", "--seed", "7"]
-VERIFY_GOLDEN = "92adee3fc96b2286d443247549f4ac208f898e81e4e5ca2daae70e44d351cca9"
+VERIFY_GOLDEN = "cb60efaff2b666d2eb50ffd9aa4460c603345e78229aaa19b611dd4d94f99eb4"
 
 
 def _coords(tri, salt):

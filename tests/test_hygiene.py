@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import sl3shear
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "sl3shear"
 
 
@@ -167,3 +169,39 @@ def test_no_public_name_without_a_library_caller():
         if found:
             uncalled[p.name] = found
     assert uncalled == {}
+
+
+def _raised(tree):
+    """The names of the exceptions a module raises by name: ``raise E``,
+    ``raise E(...)``, or either through a module attribute."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                found.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                found.add(exc.attr)
+    return found
+
+
+def _subclasses(cls):
+    """``cls`` and every class derived from it, however deep."""
+    out = {cls}
+    for sub in cls.__subclasses__():
+        out |= _subclasses(sub)
+    return out
+
+
+def test_exported_errors_are_raised():
+    """Every ``Sl3Error`` subclass the package exports is raised by a
+    module of the package, or is a base of one that is (as
+    ``SurfaceError`` is): the package exports no error it cannot raise."""
+    names = set().union(*(_raised(ast.parse(p.read_text(), filename=str(p))) for p in SRC.glob("*.py")))
+    raised = [cls for cls in _subclasses(sl3shear.Sl3Error) if cls.__name__ in names]
+    exported = [
+        obj for obj in map(vars(sl3shear).get, sl3shear.__all__)
+        if isinstance(obj, type) and issubclass(obj, sl3shear.Sl3Error)
+    ]
+    assert len(exported) > 1 and raised
+    assert sorted(e.__name__ for e in exported if not any(issubclass(r, e) for r in raised)) == []

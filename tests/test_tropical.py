@@ -17,7 +17,6 @@ from sl3shear.seeds import (
 )
 from sl3shear.surface import FlipCreatesSelfFolded, MarkedSurfaceSpec, build
 from sl3shear.tropical import (
-    BadLabeling,
     TropicalPoint,
     apply_flip,
     apply_steps,
@@ -112,11 +111,19 @@ def test_closed_form_e3(polygon4):
     assert out == want
 
 
-def test_closed_form_needs_distinct_labels(torus):
-    e = torus.interior_edges[0]
-    p = TropicalPoint("X", {}, tri=torus)
-    with pytest.raises(BadLabeling):
-        flip_x_closed_form(p, torus, e)
+@pytest.mark.parametrize("name", ["torus", "annulus11"])
+def test_closed_form_folds_identified_sides(name, request):
+    """Where outer sides of the quadrilateral are identified, the closed
+    form still equals the mutation sequence, at every interior edge."""
+    tri = request.getfixturevalue(name)
+    rng = random.Random(3)
+    iset = Sl3IndexSet(tri)
+    for e in tri.interior_edges:
+        assert len(set(flip_local_labels(tri, e).values())) < 12
+        for _ in range(40):
+            coords = {i: F(rng.randint(-20, 20), rng.randint(1, 8)) for i in iset.all}
+            p = TropicalPoint("X", coords, tri=tri)
+            assert apply_flip(p, tri, e) == flip_x_closed_form(p, tri, e)
 
 
 def test_apply_flip_matches_closed_form(polygon4):
@@ -415,10 +422,7 @@ def test_int_maps_match_dense_reference_along_walks(name, seed, length):
         xs, as_ = _dense_steps("X", xs, tri, steps), _dense_steps("A", as_, tri, steps)
         x2 = apply_flip(x, tri, e)
         assert x2 == TropicalPoint("X", xs)
-        try:
-            assert flip_x_closed_form(x, tri, e) == x2
-        except BadLabeling:
-            pass
+        assert flip_x_closed_form(x, tri, e) == x2
         a = apply_flip(a, tri, e)
         assert a == TropicalPoint("A", as_)
         x, tri = x2, x2.tri
