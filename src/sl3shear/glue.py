@@ -9,16 +9,17 @@ pinning read off the coweights delta, new peripheral components are
 removed, and new spiralling ends (when a merged point becomes a
 puncture) are truncated to sign markers.
 
-The infinite added collections are never materialized up front.  The
-components are followed by the strand walker and the component loop
-of :mod:`sl3shear.reconstruct`, through :class:`_GlueStepper`: it reuses
-the explicit-picture stepper for the strands of the original picture and
-adds "virtual" arcs, indexed past either end of a strand list, and the
-pinned pairing across the new edge.  The surviving components are
+This is the construction by which reconstruction glues the triangles'
+honeycombs, and it runs through the same stepper of
+:mod:`sl3shear.reconstruct`: the picture to be glued is walked on the
+glued surface, its added arcs indexed past either end of a strand list,
+with the pins of the two glued sides pairing parameter psi = j + 1/2
+with sigma - psi.  The infinite added collections are never materialized
+up front.  The components crossing the new edge are seeded from its
+window, the one reconstruction uses, and the surviving components are
 written by the picture writer that reconstruction uses, so only the
-virtual arcs they use enter the output picture.
+added arcs they use enter the output picture.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -26,20 +27,19 @@ from fractions import Fraction
 
 from .laminations import (
     PinnedLamination,
-    InvalidPicture,
     boundary_weights,
     normalize_integral,
 )
 from .reconstruct import (
     SPIRAL_TURNS,
     Traveler,
-    Turn,
     _PictureStepper,
     build_picture,
     components,
     out_seeds,
     stack_entries,
     strand_kind,
+    window_seeds,
 )
 from .surface import SameEdge, UnknownInterval
 
@@ -76,84 +76,6 @@ def glue_coordinates(xl_pair, xr_pair):
     return (xl_pair[0] + xr_pair[1], xl_pair[1] + xr_pair[0])
 
 
-class _GlueStepper(_PictureStepper):
-    """Steps on the glued picture.  States are those of the input
-    picture, extended by the infinite added collections: on a side whose
-    strand list has n entries, the index j < 0 is the added arc r = -j-1
-    deep beyond the initial corner's stack, and j >= n the one r = j-n
-    deep beyond the terminal corner's.  At a corner the added arcs have
-    virtual depths 2r and 2r+1, clockwise for even ones (the farthest arc
-    from the marked point is clockwise); an added arc's place key is (1,
-    virtual depth), after every stored entry of the corner.  Added arcs
-    pair by the reversal, extended, across the old edges, and the two
-    glued sides pair by the pins: psi' = sigma - psi on the half-integer
-    parameter psi = j + 1/2."""
-
-    def __init__(self, pic, e_l, e_r, delta, t2, vertex_map):
-        super().__init__(pic.require_valid())
-        self.surface = t2
-        self.slot_l = pic.tri.slots(e_l)[0]
-        self.slot_r = pic.tri.slots(e_r)[0]
-        dl = delta.get(e_l, (Fraction(0), Fraction(0)))
-        dr = delta.get(e_r, (Fraction(0), Fraction(0)))
-        if any(v.denominator != 1 for v in (*dl, *dr)):
-            raise InvalidPicture("gluing requires integral pinnings")
-        self.sigma_lr = int(dl[0] + dr[1])
-        self.sigma_rl = int(dl[1] + dr[0])
-        # the pins pair the glued sides: (slot, direction) -> (far slot,
-        # direction reached, sigma - 1); an outgoing strand on the left
-        # side crosses on the left-to-right sheet
-        self.over.update({
-            (self.slot_l, "out"): (self.slot_r, "in", self.sigma_lr - 1),
-            (self.slot_l, "in"): (self.slot_r, "out", self.sigma_rl - 1),
-            (self.slot_r, "out"): (self.slot_l, "in", self.sigma_rl - 1),
-            (self.slot_r, "in"): (self.slot_l, "out", self.sigma_lr - 1),
-        })
-        self.vertex_at = {c: vertex_map[v] for c, v in self.vertex_at.items()}
-        total = sum(self.counts.values())
-        mass = abs(self.sigma_lr) + abs(self.sigma_rl)
-        self.step_cap = 4000 + 100 * (total + mass + 8) * max(1, len(pic.tri.edges))
-
-    def _turn(self, state, to):
-        slot, d, j = state
-        n = self.counts[(slot, d)]
-        if 0 <= j < n:
-            return super()._turn(state, to)
-        t, i = slot
-        if j < 0:
-            # at the initial corner, whose other side is the previous
-            # one; there the arc lies past the terminal end
-            r, corner = -j - 1, (t, (i - 1) % 3)
-            depth, other = 2 * r + (d == "in"), corner
-            nxt = (other, to, self.counts[(other, to)] + r)
-        else:
-            r, corner = j - n, (t, i % 3)
-            depth, other = 2 * r + (d == "out"), (t, (i + 1) % 3)
-            nxt = (other, to, -r - 1)
-        orient = "cw" if depth % 2 == 0 else "ccw"
-        return Turn(nxt, corner, orient, self.vertex_at[corner], depth, (corner, (1, depth)))
-
-
-def _window_seeds(stepper):
-    """Non-hugging crossings of the glued biangle, as outgoing states.
-
-    A crossing hugs an endpoint of the new edge when both of its strands
-    sit in the matching corner zones; outside a finite window of
-    parameters every crossing hugs, so the window seeds every
-    non-peripheral component that crosses the new edge."""
-    seeds = []
-    for out_slot, in_slot, sigma in (
-        (stepper.slot_l, stepper.slot_r, stepper.sigma_lr),
-        (stepper.slot_r, stepper.slot_l, stepper.sigma_rl),
-    ):
-        initial, legs, _ = stepper.lists[(out_slot, "out")]
-        far_initial, far_legs, _ = stepper.lists[(in_slot, "in")]
-        lo = min(len(initial), sigma - len(far_initial) - far_legs)
-        hi = max(len(initial) + legs, sigma - len(far_initial))
-        seeds.extend((out_slot, "out", j) for j in range(lo, hi))
-    return seeds
-
-
 def glue_laminations(pinned, e_l, e_r):
     """Glue a pinned lamination along two boundary intervals.
 
@@ -169,9 +91,15 @@ def glue_laminations(pinned, e_l, e_r):
     if e_l == e_r:
         raise SameEdge(e_l)
     u, norm = normalize_integral(pinned)
-    pic = norm.underlying
+    pic = norm.underlying.require_valid()
     t2, res = tri.glue_boundary(e_l, e_r)
-    stepper = _GlueStepper(pic, e_l, e_r, norm.delta, t2, res.vertex_map)
+    (sl, _), (sr, _) = tri.slots(e_l), tri.slots(e_r)
+    dl, dr = (norm.delta_at(e) for e in (e_l, e_r))
+    # an outgoing strand on the left side crosses on the left-to-right sheet
+    pins = {sl: int(dl[0] + dr[1]), sr: int(dl[1] + dr[0])}
+    total = sum(pic.strand_count(*side) for side in pic.strand_lists)
+    mass = abs(pins[sl]) + abs(pins[sr])
+    stepper = _PictureStepper(pic, t2, pins, 4000 + 100 * (total + mass + 8) * max(1, len(tri.edges)))
     merged_ids = {res.vertex_map[v] for e in (e_l, e_r) for v in tri.edge_endpoints(e)}
 
     # components crossing the new edge come first, including those made
@@ -180,7 +108,7 @@ def glue_laminations(pinned, e_l, e_r):
     # that close up or run boundary-to-boundary around a merged point,
     # every turn winding the same way, are the removed peripherals of the
     # gluing construction
-    window = _window_seeds(stepper)
+    window = window_seeds(stepper, sl, sr) + window_seeds(stepper, sr, sl)
     in_window = set(window)
     entries = []
     for seed, fw, bw in components(stepper, window + out_seeds(pic)):

@@ -1,5 +1,6 @@
 """Reconstruction of a good-position picture from shear coordinates, and
-the strand walker shared by reconstruction, traveler tracing and gluing.
+the strand walker and stepper shared by reconstruction, traveler tracing
+and gluing.
 
 A strand alternately crosses a biangle and turns at a corner inside a
 triangle.  :func:`walk` follows one strand through a *stepper*, which
@@ -11,38 +12,42 @@ turn returns a :class:`Turn`, or an end tuple such as ``("sink", t)``.
 The walker owns the step cap, loop detection, the spiral detector, the
 peripheral rule for closed loops and boundary-to-boundary arcs
 (:meth:`Walk.peripheral_with`) and the spiral tail walk
-:func:`spiral_tail`; the steppers only step.
+:func:`spiral_tail`; the stepper only steps.
 
-Reconstruction, traveler tracing and gluing share two more helpers.
-:func:`components` walks the strand through each seed that no earlier
-walk passed through.  A turn's ``place`` is ``(corner, key)`` in every
-stepper, so :func:`stack_entries` lists the stack entries of any
-component and :func:`build_picture` sorts them into corner stacks, at
-weight 1/u for a vector or lamination scaled integral by u.  A tail of
-fewer turns is a prefix of a longer one, so the round-trip check walks
-each tail once and writes the pictures of two and of three turns.
+One stepper, :class:`_PictureStepper`, walks every picture: its strand
+lists, extended past either end by the infinite alternating corner-arc
+collections added at every corner, with the sides listed in its pins
+paired by psi -> sigma - psi on the parameter psi = j + 1/2 of the
+strand at index j, and every other interior side by the reversal.  Its
+callers differ only in the picture, the pins and the step cap they give
+it.  Reconstruction, traveler tracing and gluing share three more
+helpers.  :func:`components` walks the strand through each seed that no
+earlier walk passed through.  A turn's ``place`` is ``(corner, key)``,
+so :func:`stack_entries` lists the stack entries of any component and
+:func:`build_picture` sorts them into corner stacks, at weight 1/u for a
+vector or lamination scaled integral by u.  A tail of fewer turns is a
+prefix of a longer one, so the round-trip check walks each tail once and
+writes the pictures of two and of three turns.  :func:`window_seeds`
+lists the crossings of a pinned sheet that do not hug a corner.
 
-The inverse map places a honeycomb of height |x_T| in every triangle and
-infinite alternating corner-arc stacks at every corner, then pairs the
-strand sets across each interior edge by the pinning rule
+Reconstruction is the gluing of the triangles' honeycombs by the
+coordinate pins.  The inverse map places a honeycomb of height |x_T| in
+every triangle, with no corner entries, and pairs the strand sets
+across each interior edge by the pinning rule
 
-    n_L^+ = x_{E,1},  n_R^- = [x_{T_R}]_+,
-    n_L^- = [x_{T_L}]_+,  n_R^+ = x_{E,2},
+    sigma_lr = x_{E,1} + [x_{T_R}]_+,  sigma_rl = x_{E,2} + [x_{T_L}]_+,
 
-so that a strand at parameter t on one side is paired with the strand at
-parameter (n_L + n_R) - t on the other.  :class:`_CoordStepper` walks this
-infinite picture arithmetically on the parameters: the finitely many
-crossings that do not hug a corner of their quadrilateral seed the trace,
-so peripheral components never appear.  On an integral vector every
-parameter is a half-integer, so the stepper works on the doubled grid of
-odd ints ``2k`` and never leaves ``int``; a ``Fraction`` appears only in
-the pictures it writes and in the seed a :class:`TruncationTooShallow`
-reports.  Only the surviving travelers are materialized, with spiral
-tails truncated to a sign marker after ``SPIRAL_TURNS`` extra turns.
-:class:`_PictureStepper` walks the strand lists of an explicit picture
-for :func:`traveler_trace`, which is what a caller runs for each
-traveler's route and kind; the identifiers it also records per crossing
-are not needed to check the identifier relations.
+so that the strand at parameter psi on one side meets the strand at
+sigma - psi on the other.  The finitely many crossings of the windows
+seed the trace, so peripheral components never appear.  On an integral
+vector every state, depth and place key is an ``int``; a ``Fraction``
+appears only in the pictures it writes and in the parameter a
+:class:`TruncationTooShallow` reports.  Only the surviving travelers are
+materialized, with spiral tails truncated to a sign marker after
+``SPIRAL_TURNS`` extra turns.  :func:`traveler_trace` walks an explicit
+picture with no pins, which is what a caller runs for each traveler's
+route and kind; the identifiers it also records per crossing are not
+needed to check the identifier relations.
 
 The traveler-identifier relations need no walk.  Across a biangle the
 pinning pairs parameter t with sigma - t, so k_out + k_in is one
@@ -51,7 +56,6 @@ a - b, read from the strand count n and the initial zone sizes a and b
 of the two sides.  :func:`identifier_relations` checks that constant
 once per sheet.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
@@ -72,9 +76,9 @@ from .tropical import TropicalPoint, pos
 
 
 class TruncationTooShallow(Sl3Error):
-    """A walk ran out of steps.  ``seed`` is the state it started from
-    (in a coordinate trace, with its half-integer parameter k), ``steps``
-    the number of steps it took and ``cap`` the number it was allowed."""
+    """A walk ran out of steps.  ``seed`` is the state it started from,
+    with its half-integer parameter psi = j + 1/2, ``steps`` the number
+    of steps it took and ``cap`` the number it was allowed."""
 
     def __init__(self, message, seed, steps, cap):
         self.seed, self.steps, self.cap = seed, steps, cap
@@ -88,7 +92,6 @@ class NonIntegralInput(Sl3Error):
 LOOP = ("loop",)
 SPIRAL_TURNS = 2  # full turns a spiral tail makes before its sign marker
 _REVERSED = {"cw": "ccw", "ccw": "cw"}
-_REACHED = {"out": "in", "in": "out"}  # the direction a crossing reaches
 
 
 # -- the strand walker --------------------------------------------------------
@@ -277,101 +280,161 @@ def build_picture(tri, honeycombs, entries, weight=1):
     return GlobalPicture(tri, honeycombs, corners)
 
 
-# -- coordinate tracing -------------------------------------------------------
+# -- the stepper -------------------------------------------------------------
 
 
-class _CoordStepper:
-    """Steps on the implicit infinite picture of an integral coordinate
-    vector, on the doubled grid: every parameter k is a half-integer and
-    is stored as the odd int ``K = 2k``, so tracing never leaves ``int``.
-    A crossing maps K to ``2 sigma - K``; a turn compares K with 0 and
-    with twice the leg counts ``a = [x_T]_+`` and ``b = [-x_T]_+``, and
-    its depth is ``|K|``.  An arc's place key is ``2 rank + (orient ==
-    "ccw")``, with rank its position among the same-orientation arcs of
-    the corner, so the two orientations alternate; in K the keys are
-    ``-K`` and ``K - 2a - 1`` forward, ``K - 2b`` and ``-K - 1``
-    backward."""
+class _PictureStepper:
+    """Steps on a picture extended by the added arc collections at every
+    corner, on the surface ``tri`` (which may identify sides the
+    picture's own triangulation leaves apart).
 
-    def __init__(self, tri, x, step_cap):
+    A state ``(slot, direction, j)`` is the strand at index j of its
+    side's list, of length n; the index j < 0 is the added arc r = -j-1
+    deep beyond the initial corner's stack, and j >= n the one r = j-n
+    deep beyond the terminal corner's.  At a corner the added arcs have
+    virtual depths 2r, clockwise, and 2r+1, counterclockwise (the
+    farthest arc from the marked point is clockwise).  The place key of
+    a stored entry at position p of a stack of length m is p - m, and an
+    added arc's is its virtual depth, so added arcs sort after every
+    stored entry of the corner.  A stored spiral marker ends a walk with
+    ``("marker", vertex, sign, (corner, p))``.
+
+    A crossing maps the parameter psi = j + 1/2 to sigma - psi: sigma is
+    ``pins[slot]`` for an outgoing strand on a side listed in ``pins``,
+    and the strand count n (the reversal, extended past either end) on
+    every other interior side.  The zones and crossings are read from
+    tables built once and keyed by slot, one table per direction: a
+    forward step crosses from an outgoing state and turns from an
+    incoming one, a backward step the reverse."""
+
+    def __init__(self, pic, tri, pins, step_cap):
+        self.pic = pic
         self.surface = tri
+        self.pins = pins
         self.step_cap = step_cap
-        self._x = {i: _integer(v) for i, v in x.coords.items()}
-        self._faces = {t: self._x.get(("tri", t), 0) for t in tri.triangles}
-        # (2a, 2b) per triangle
-        self._legs = {t: (2 * max(v, 0), 2 * max(-v, 0)) for t, v in self._faces.items()}
-        self._vertex = {(t, i): tri.corner_vertex(t, i) for t in tri.triangles for i in range(3)}
-        # slot -> (far slot, 2 sigma) for crossing forward and backward
-        self._over = {}
-        self._back = {}
+        lists = pic.strand_lists
+        counts = {}
+        # (corner, stack position, direction) -> [(slot, index)] of the
+        # strand ends a stored entry has on its two sides
+        arc_ends = self._arc_ends = {}
+        for side, (first, legs, last) in lists.items():
+            n1 = len(first) + legs
+            counts[side] = n1 + len(last)
+            if first or last:
+                slot, d = side
+                t, i = slot
+                for j, p in enumerate(first):
+                    arc_ends.setdefault(((t, (i - 1) % 3), p, d), []).append((slot, j))
+                for j, p in enumerate(last, n1):
+                    arc_ends.setdefault((slot, p, d), []).append((slot, j))
+        # slot -> zones of its incoming (forward turns) and outgoing
+        # (backward turns) side: (first leg, first terminal, n, initial
+        # positions, terminal positions, previous slot, next slot, strand
+        # count of the previous slot's side reached, end on a leg)
+        vertex = self._vertex = {}
+        ins, outs = self._in, self._out = {}, {}
+        for t in tri.triangles:
+            sink, source = ("sink", t), ("source", t)
+            for i in (0, 1, 2):
+                slot, prev, nxt = (t, i), (t, (i - 1) % 3), (t, (i + 1) % 3)
+                vertex[slot] = tri.corner_vertex(t, i)
+                first, legs, last = lists[(slot, "in")]
+                ins[slot] = (len(first), len(first) + legs, counts[(slot, "in")], first, last,
+                             prev, nxt, counts[(prev, "out")], sink)
+                first, legs, last = lists[(slot, "out")]
+                outs[slot] = (len(first), len(first) + legs, counts[(slot, "out")], first, last,
+                              prev, nxt, counts[(prev, "in")], source)
+        # slot -> (far slot, sigma - 1) for crossing forward and backward
+        over, back = self._over, self._back = {}, {}
         for e in tri.interior_edges:
             sl, sr = tri.slots(e)
-            lr = 2 * (self._x.get(("edge", e, 1), 0) + max(self._faces[sr[0]], 0))
-            rl = 2 * (self._x.get(("edge", e, 2), 0) + max(self._faces[sl[0]], 0))
-            self._over[sl], self._over[sr] = (sr, lr), (sl, rl)
-            self._back[sr], self._back[sl] = (sl, lr), (sr, rl)
-
-    def face(self, t):
-        return self._faces[t]
+            over[sl] = (sr, pins.get(sl, counts[(sl, "out")]) - 1)
+            over[sr] = (sl, pins.get(sr, counts[(sr, "out")]) - 1)
+            back[sr] = (sl, pins.get(sl, counts[(sr, "in")]) - 1)
+            back[sl] = (sr, pins.get(sr, counts[(sl, "in")]) - 1)
 
     @staticmethod
     def shown(state):
-        """A state as errors report it: with its parameter k = K/2."""
-        slot, d, k = state
-        return (slot, d, Fraction(k, 2))
+        """A state as errors report it: with its parameter psi = j + 1/2."""
+        slot, d, j = state
+        return (slot, d, Fraction(2 * j + 1, 2))
 
-    def _turn(self, state, corner, orient, depth, key):
-        return Turn(state, corner, orient, self._vertex[corner], depth, (corner, key))
+    def stored(self, end):
+        """``(place, entry)`` of the stored marker a walk ended at."""
+        corner, p = end[3]
+        stack = self.pic.corners[corner]
+        return (corner, p - len(stack)), stack[p]
 
     def cross(self, state):
-        slot, _, k = state
+        slot, _, j = state
         far = self._over.get(slot)
-        return None if far is None else (far[0], "in", far[1] - k)
+        return None if far is None else (far[0], "in", far[1] - j)
 
     def cross_back(self, state):
-        slot, _, k = state
+        slot, _, j = state
         far = self._back.get(slot)
-        return None if far is None else (far[0], "out", far[1] - k)
+        return None if far is None else (far[0], "out", far[1] - j)
 
     def turn(self, state):
-        (t, i), _, k = state
-        a, b = self._legs[t]
-        if k < 0:
-            corner = (t, (i - 1) % 3)
-            return self._turn((corner, "out", b - k), corner, "ccw", -k, -k)
-        if k < a:
-            return ("sink", t)
-        return self._turn(((t, (i + 1) % 3), "out", a - k), (t, i), "cw", k, k - a - 1)
+        slot, _, j = state
+        n0, n1, n, first, last, prev, nxt, prev_n, end = self._in[slot]
+        if j < 0:
+            depth = -2 * j - 1
+            return Turn((prev, "out", prev_n - j - 1), prev, "ccw", self._vertex[prev], depth, (prev, depth))
+        if j >= n:
+            depth = 2 * (j - n)
+            return Turn((nxt, "out", n - j - 1), slot, "cw", self._vertex[slot], depth, (slot, depth))
+        if j < n0:
+            return self._stored(prev, first[j], "out")
+        if j < n1:
+            return end
+        return self._stored(slot, last[j - n1], "out")
 
     def turn_back(self, state):
-        (t, i), _, k = state
-        a, b = self._legs[t]
-        if k > b:
-            return self._turn(((t, (i + 1) % 3), "in", b - k), (t, i), "ccw", k, k - b)
-        if k > 0:
-            return ("source", t)
-        corner = (t, (i - 1) % 3)
-        return self._turn((corner, "in", a - k), corner, "cw", -k, -k - 1)
+        slot, _, j = state
+        n0, n1, n, first, last, prev, nxt, prev_n, end = self._out[slot]
+        if j < 0:
+            depth = -2 * j - 2
+            return Turn((prev, "in", prev_n - j - 1), prev, "cw", self._vertex[prev], depth, (prev, depth))
+        if j >= n:
+            depth = 2 * (j - n) + 1
+            return Turn((nxt, "in", n - j - 1), slot, "ccw", self._vertex[slot], depth, (slot, depth))
+        if j < n0:
+            return self._stored(prev, first[j], "in")
+        if j < n1:
+            return end
+        return self._stored(slot, last[j - n1], "in")
 
-    def seed_window(self, e, sheet):
-        """The out-parameters K on the (left for 'lr', right for 'rl')
-        side whose crossings do not hug a corner: 2k for the k in
-        ``(min(0, x_far), max(b_own, sigma))``."""
-        slot = self.surface.slots(e)[sheet == "rl"]
-        far = self._x.get(("edge", e, 1 if sheet == "lr" else 2), 0)
-        own = self._legs[slot[0]][1]
-        return range(2 * min(0, far) + 1, max(own, self._over[slot][1]), 2)
+    def _stored(self, corner, p, to):
+        """The turn on the stored entry at position p of ``corner``'s
+        stack, continuing in direction ``to``."""
+        stack = self.pic.corners[corner]
+        entry = stack[p]
+        if isinstance(entry, SpiralEnd):
+            return ("marker", self._vertex[corner], entry.sign, (corner, p))
+        ends = self._arc_ends.get((corner, p, to), ())
+        if len(ends) != 1:
+            which = "an outgoing" if to == "out" else "an incoming"
+            raise InvalidPicture(f"arc at {corner} lacks {which} end")
+        (slot, j), = ends
+        return Turn((slot, to, j), corner, entry.orient, self._vertex[corner], None, (corner, p - len(stack)))
 
-    def crossing_hugs(self, state):
-        """Whether the crossing leaving via ``state`` hugs a corner: both
-        of its ends sit in matching corner zones."""
-        nxt = self.cross(state)
-        if nxt is None:
-            return False
-        (t, _), _, k = state
-        (t2, _), _, k2 = nxt
-        # the terminal corner of the out-side matches the initial corner
-        # of the far side and vice versa
-        return (k > self._legs[t][1] and k2 < 0) or (k < 0 and k2 > self._legs[t2][0])
+
+def window_seeds(stepper, out_slot, in_slot):
+    """The crossings of the pinned sheet from ``out_slot`` to ``in_slot``
+    that do not hug a corner, as outgoing states.
+
+    A crossing hugs a corner when both of its strands sit in the
+    matching corner zones; outside a finite window of indices every
+    crossing hugs, so the window seeds every non-peripheral component
+    that crosses the sheet."""
+    n0, n1 = stepper._out[out_slot][:2]
+    far0, far1 = stepper._in[in_slot][:2]
+    sigma = stepper.pins[out_slot]
+    return [(out_slot, "out", j) for j in range(min(n0, sigma - far1), max(n1, sigma - far0))]
+
+
+# -- coordinate tracing -------------------------------------------------------
 
 
 def _integer(v):
@@ -393,17 +456,24 @@ class Traveler:
 
 
 def trace_coordinates(x, tri, step_cap):
-    """All non-peripheral travelers of the implicit infinite picture, in
-    seed order.  Hugging seeds are left out, and a seed that an earlier
-    traveler's walks already crossed belongs to that traveler.  States,
-    depths and place keys are the stepper's ints, on the doubled grid."""
-    stepper = _CoordStepper(tri, x, step_cap)
+    """All non-peripheral travelers of the honeycombs of an integral
+    coordinate vector glued by its pins, in seed order.  A seed that an
+    earlier traveler's walks already crossed belongs to that traveler.
+    States, depths and place keys are ints."""
+    xs = {i: _integer(v) for i, v in x.coords.items()}
+    faces = {t: xs.get(("tri", t), 0) for t in tri.triangles}
+    honeycombs = {t: Honeycomb("sink" if v > 0 else "source", abs(v)) for t, v in faces.items() if v}
+    pins = {}
+    for e in tri.interior_edges:
+        sl, sr = tri.slots(e)
+        pins[sl] = xs.get(("edge", e, 1), 0) + max(faces[sr[0]], 0)
+        pins[sr] = xs.get(("edge", e, 2), 0) + max(faces[sl[0]], 0)
+    stepper = _PictureStepper(GlobalPicture(tri, honeycombs), tri, pins, step_cap)
     seeds = (
-        (slot, "out", k)
+        seed
         for e in tri.interior_edges
-        for sheet, slot in zip(("lr", "rl"), tri.slots(e))
-        for k in stepper.seed_window(e, sheet)
-        if not stepper.crossing_hugs((slot, "out", k))
+        for out_slot, in_slot in (tri.slots(e), tri.slots(e)[::-1])
+        for seed in window_seeds(stepper, out_slot, in_slot)
     )
     travelers = [
         Traveler(strand_kind(fw, bw), bw.turns[::-1] + fw.turns, bw.end, fw.end)
@@ -442,16 +512,11 @@ def _step_cap(x, tri):
 def _pictures(stepper, travelers, turn_counts, weight=1):
     """The pictures of the traced travelers with each number of tail
     turns in ``turn_counts``, at ``weight``; each tail is walked once."""
-    honeycombs = {}
-    for t in stepper.surface.triangles:
-        v = stepper.face(t)
-        if v:
-            honeycombs[t] = Honeycomb("sink" if v > 0 else "source", abs(v))
     entries = [[] for _ in turn_counts]
     for trav in travelers:
         for acc, more in zip(entries, stack_entries(stepper, trav, turn_counts)):
             acc += more
-    return [build_picture(stepper.surface, honeycombs, e, weight) for e in entries]
+    return [build_picture(stepper.surface, stepper.pic.honeycombs, e, weight) for e in entries]
 
 
 # -- explicit-picture tracing ------------------------------------------------
@@ -465,86 +530,6 @@ class PictureTraveler:
     identifiers: tuple  # ((edge, k_out, k_in, sheet), ...) per crossing
     start: tuple
     end: tuple
-
-
-class _PictureStepper:
-    """Steps on the strand lists of an explicit picture; the parameter of
-    a state is the strand's index in its list, and the place key of the
-    stack entry at position p is (0, p).  A crossing pairs index j of a
-    list of length n with index n - 1 - j on the far side.  A stored
-    spiral marker ends a walk with ``("marker", vertex, sign, (corner,
-    p))``.
-
-    Every step reads tables built once: ``over`` maps a side ``(slot,
-    direction)`` to ``(far slot, far direction, n - 1)``, with no entry on
-    a boundary side, and ``vertex_at`` maps a corner to its marked
-    point."""
-
-    def __init__(self, pic):
-        self.pic = pic
-        tri = self.surface = pic.tri
-        self.lists = pic.strand_lists
-        self.arc_ends = {}
-        for ((t, i), d), (initial, legs, terminal) in self.lists.items():
-            for corner, positions, first in (
-                ((t, (i - 1) % 3), initial, 0),
-                ((t, i), terminal, len(initial) + legs),
-            ):
-                for k, p in enumerate(positions, first):
-                    self.arc_ends.setdefault((corner, p, d), []).append(((t, i), k))
-        self.counts = {side: pic.strand_count(*side) for side in self.lists}
-        self.step_cap = 1 + sum(self.counts.values())
-        self.vertex_at = {(t, i): tri.corner_vertex(t, i) for t in tri.triangles for i in range(3)}
-        self.over = {}
-        for (slot, d), n in self.counts.items():
-            far = tri.other_slot(slot)
-            if far is not None:
-                self.over[(slot, d)] = (far, _REACHED[d], n - 1)
-
-    @staticmethod
-    def shown(state):
-        """A state as errors report it."""
-        return state
-
-    def stored(self, end):
-        """``(place, entry)`` of the stored marker a walk ended at."""
-        corner, p = end[3]
-        return (corner, (0, p)), self.pic.corners[corner][p]
-
-    def cross(self, state):
-        """The state across the edge: forward from an outgoing state,
-        backward from an incoming one."""
-        slot, d, j = state
-        over = self.over.get((slot, d))
-        return None if over is None else (over[0], over[1], over[2] - j)
-
-    cross_back = cross
-
-    def turn(self, state):
-        return self._turn(state, "out")
-
-    def turn_back(self, state):
-        return self._turn(state, "in")
-
-    def _turn(self, state, to):
-        (t, i), d, idx = state
-        initial, legs, terminal = self.lists[((t, i), d)]
-        if idx < len(initial):
-            corner, p = (t, (i - 1) % 3), initial[idx]
-        elif idx < len(initial) + legs:
-            return ("sink" if d == "in" else "source", t)
-        else:
-            corner, p = (t, i), terminal[idx - len(initial) - legs]
-        entry = self.pic.corners[corner][p]
-        if isinstance(entry, SpiralEnd):
-            return ("marker", self.vertex_at[corner], entry.sign, (corner, p))
-        ends = self.arc_ends.get((corner, p, to), ())
-        if len(ends) != 1:
-            which = "an outgoing" if to == "out" else "an incoming"
-            raise InvalidPicture(f"arc at {corner} lacks {which} end")
-        (slot2, idx2), = ends
-        place = (corner, (0, p))
-        return Turn((slot2, to, idx2), corner, entry.orient, self.vertex_at[corner], None, place)
 
 
 def out_seeds(pic):
@@ -562,7 +547,7 @@ def traveler_trace(pic):
     its route and biangle identifiers."""
     pic.require_valid()
     tri = pic.tri
-    stepper = _PictureStepper(pic)
+    stepper = _PictureStepper(pic, tri, {}, 1 + sum(pic.strand_count(*side) for side in pic.strand_lists))
     travelers = []
     for _, fw, bw in components(stepper, out_seeds(pic)):
         crossings = bw.crossings[:0:-1] + fw.crossings

@@ -1,5 +1,6 @@
 import importlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -315,17 +316,23 @@ def test_visited_states_cover_every_turn(monkeypatch, polygon4, torus):
     end's state.  Every other state a turn continues from is the walk's
     next crossing (forward) or an incoming state (backward), which no
     seed is; checked on each walk of reconstruction, traveler tracing and
-    gluing, spirals included."""
+    gluing, told apart by the function that runs the loop, spirals
+    included."""
     original = importlib.import_module("sl3shear.reconstruct").components
     seen = set()
 
     def checked(stepper, seeds):
-        for seed, fw, bw in original(stepper, seeds):
-            spiral_states = {fw.end[3]} if fw.end[0] == "spiral" else set()
-            assert {t.state for t in fw.turns} <= set(fw.crossings) | spiral_states
-            assert all(t.state[1] == "in" for t in bw.turns)
-            seen.add((type(stepper).__name__, "spiral" in (fw.end[0], bw.end[0])))
-            yield seed, fw, bw
+        caller = sys._getframe(1).f_code.co_name
+
+        def walks():
+            for seed, fw, bw in original(stepper, seeds):
+                spiral_states = {fw.end[3]} if fw.end[0] == "spiral" else set()
+                assert {t.state for t in fw.turns} <= set(fw.crossings) | spiral_states
+                assert all(t.state[1] == "in" for t in bw.turns)
+                seen.add((caller, "spiral" in (fw.end[0], bw.end[0])))
+                yield seed, fw, bw
+
+        return walks()
 
     for module in ("sl3shear.reconstruct", "sl3shear.glue"):
         monkeypatch.setattr(importlib.import_module(module), "components", checked)
@@ -344,5 +351,5 @@ def test_visited_states_cover_every_turn(monkeypatch, polygon4, torus):
                 }
                 # b1 and b2 share a marked point, which becomes a puncture
                 traveler_trace(glue_laminations(PinnedLamination(pic, delta), "b1", "b2").underlying)
-    assert {name for name, _ in seen} == {"_CoordStepper", "_PictureStepper", "_GlueStepper"}
-    assert ("_CoordStepper", True) in seen and ("_GlueStepper", True) in seen
+    assert {name for name, _ in seen} == {"trace_coordinates", "traveler_trace", "glue_laminations"}
+    assert ("trace_coordinates", True) in seen and ("glue_laminations", True) in seen

@@ -205,3 +205,17 @@ def test_exported_errors_are_raised():
     ]
     assert len(exported) > 1 and raised
     assert sorted(e.__name__ for e in exported if not any(issubclass(r, e) for r in raised)) == []
+
+
+def test_one_stepper():
+    """One class of the package defines ``turn``: reconstruction, traveler
+    tracing and gluing walk strands through one stepper, and differ only
+    in the picture, pins and step cap they give it."""
+    steppers = [
+        (p.name, node.name)
+        for p in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(p.read_text(), filename=str(p)))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "turn" for f in node.body)
+    ]
+    assert steppers == [("reconstruct.py", "_PictureStepper")]

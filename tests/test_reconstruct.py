@@ -17,7 +17,6 @@ from sl3shear.reconstruct import (
     NonIntegralInput,
     Traveler,
     TruncationTooShallow,
-    _CoordStepper,
     _integral_point,
     _pictures,
     _step_cap,
@@ -29,6 +28,7 @@ from sl3shear.reconstruct import (
     trace_coordinates,
     traveler_trace,
     walk_both,
+    window_seeds,
 )
 from sl3shear.seeds import Sl3IndexSet
 from sl3shear.surface import MarkedSurfaceSpec, build
@@ -245,17 +245,17 @@ def test_truncation_guard(torus):
         trace_coordinates(xpoint(torus, coords), torus, step_cap=3)
     err = info.value
     assert (err.steps, err.cap) == (3, 3)
-    # the tracer steps on K = 2k; the error reports the half-integer k
+    # the stepper steps on the index j; the error reports psi = j + 1/2
     assert type(err.seed[2]) is Fraction and err.seed[2].denominator == 2
     assert err.seed is not None and str(err.seed) in str(err)
     assert "\n" not in str(err)
 
 
 def _trace_by_key(x, tri, step_cap):
-    """Reference tracer: walk every non-hugging seed and keep the first
-    traveler per key, the least (slot, parameter) among its non-hugging
-    crossings."""
-    stepper = _CoordStepper(tri, x, step_cap)
+    """Reference tracer on the reference stepper: walk every non-hugging
+    seed and keep the first traveler per key, the least (slot, parameter)
+    among its non-hugging crossings."""
+    stepper = _FractionStepper(tri, x, step_cap)
     seen = {}
     for e in tri.interior_edges:
         sl, sr = tri.slots(e)
@@ -310,13 +310,14 @@ def test_trace_skips_visited_seeds_like_key_dedup(spec):
 
 
 def test_build_picture_refuses_colliding_places(polygon4):
-    """Stacks are sorted by key, and two entries at one (corner, key)
-    raise, for coordinate and for glue keys alike."""
+    """Stacks are sorted by key, a stored entry's key (its position minus
+    the stack length) before every added arc's (its virtual depth), and
+    two entries at one (corner, key) raise."""
     corner = (polygon4.triangles[0], 0)
     cw, ccw = CornerArc("cw"), CornerArc("ccw")
-    pic = build_picture(polygon4, {}, [((corner, (1, 0)), cw), ((corner, (0, 2)), ccw)], F(1, 2))
+    pic = build_picture(polygon4, {}, [((corner, 0), cw), ((corner, -1), ccw)], F(1, 2))
     assert pic.corner_stack(corner) == (CornerArc("ccw", F(1, 2)), CornerArc("cw", F(1, 2)))
-    for key in (F(3), (1, 0)):
+    for key in (F(3), 0, -1):
         with pytest.raises(InvalidPicture, match="colliding stack ranks"):
             build_picture(polygon4, {}, [((corner, key), cw), ((corner, key), ccw)])
 
@@ -381,24 +382,26 @@ def test_roundtrip_broader_surfaces():
 
 
 class _FractionStepper:
-    """The coordinate stepper as it was on Fraction parameters: the
-    reference the doubled int grid must reproduce.  Parameters are
-    half-integers; an arc's place key is ``2 rank + (orient == "ccw")``."""
+    """A stepper on the implicit infinite picture of a coordinate vector,
+    on Fraction parameters: the reference the library's stepper must
+    reproduce.  Parameters are half-integers, and a crossing that hugs a
+    corner is told by its parameters; an arc's place key is ``2 rank +
+    (orient == "ccw")``.  ``pic`` holds the honeycombs."""
 
     def __init__(self, tri, x, step_cap):
         self.surface = tri
         self.x = x
         self.step_cap = step_cap
         self._faces = {t: x[("tri", t)] for t in tri.triangles}
+        self.pic = GlobalPicture(tri, {
+            t: Honeycomb("sink" if v > 0 else "source", int(abs(v)))
+            for t, v in self._faces.items() if v
+        })
         self._sigma = {}
         for e in tri.interior_edges:
             (tl, _), (tr, _) = tri.slots(e)
             self._sigma[(e, "lr")] = x[("edge", e, 1)] + pos(self._faces[tr])
             self._sigma[(e, "rl")] = x[("edge", e, 2)] + pos(self._faces[tl])
-
-    def face(self, t):
-        # an int, as honeycomb heights are
-        return int(self._faces[t])
 
     def in_legs(self, t):
         return pos(self._faces[t])
@@ -527,26 +530,55 @@ def test_tracer_stays_on_the_int_grid(spec, monkeypatch):
     rational = [{i: F(rng.randint(-12, 12), rng.randint(1, 3)) for i in iset.unfrozen}
                 for _ in range(3)]
 
-    def pictures():
+    def pictures(trace):
         out = []
         for coords in integral:
             x = xpoint(tri, coords)
-            stepper, travelers = rec.trace_coordinates(x, tri, _step_cap(x, tri))
+            stepper, travelers = trace(x, tri, _step_cap(x, tri))
             out += [_pictures(stepper, travelers, (n,))[0] for n in (2, 3)]
-            assert rec.roundtrip_check(x, tri)["ok"]
         for coords in rational:
             u, xi = _integral_point(xpoint(tri, coords), tri)
-            stepper, travelers = rec.trace_coordinates(xi, tri, _step_cap(xi, tri))
+            stepper, travelers = trace(xi, tri, _step_cap(xi, tri))
             out += _pictures(stepper, travelers, (2, 3), F(1, u))
         return [(p.corners, p.honeycombs) for p in out]
 
     with monkeypatch.context() as m:
         seen = _recording(m)
-        got = pictures()
+        got = pictures(rec.trace_coordinates)
+        for coords in integral:
+            assert rec.roundtrip_check(xpoint(tri, coords), tri)["ok"]
     values = list(_grid_values(seen))
     assert values and {type(v) for v in values} == {int}
-    monkeypatch.setattr(rec, "_CoordStepper", _FractionStepper)
-    assert got == pictures()
+    assert got == pictures(_trace_by_key)
+
+
+@TRACE_SURFACES
+def test_window_is_the_non_hugging_set(spec):
+    """On every pinned sheet of a reconstruction, the window of seeds
+    holds exactly the parameters whose crossing does not hug a corner, as
+    the reference stepper tells them; so a filter on hugging seeds would
+    drop none, and a component missed by the window hugs everywhere."""
+    tri = build(spec)
+    iset = Sl3IndexSet(tri)
+    rng = random.Random(29)
+    # every window lies in [-12, 24]: its ends are min(0, x_E) and
+    # max([-x_T]_+, x_E + [x_T']_+)
+    margin = 8
+    told = Counter()
+    for _ in range(12):
+        x = xpoint(tri, {i: F(rng.randint(-12, 12)) for i in iset.unfrozen})
+        cap = _step_cap(x, tri)
+        stepper, _ = trace_coordinates(x, tri, cap)
+        ref = _FractionStepper(tri, x, cap)
+        for e in tri.interior_edges:
+            for out_slot, in_slot in (tri.slots(e), tri.slots(e)[::-1]):
+                window = {F(2 * j + 1, 2) for _, _, j in window_seeds(stepper, out_slot, in_slot)}
+                for n in range(-12 - margin, 24 + margin):
+                    k = n + F(1, 2)
+                    hugs = ref.crossing_hugs((out_slot, "out", k))
+                    assert (k in window) == (not hugs), (x.coords, e, out_slot, k)
+                    told[hugs] += 1
+    assert told[True] and told[False]
 
 
 @pytest.mark.parametrize(
