@@ -72,7 +72,7 @@ from .laminations import (
 )
 from .seeds import Sl3IndexSet
 from .surface import Sl3Error
-from .tropical import TropicalPoint, pos
+from .tropical import SeedMismatch, TropicalPoint, pos
 
 
 class TruncationTooShallow(Sl3Error):
@@ -492,8 +492,16 @@ def reconstruct(x, tri):
 
 def _integral_point(x, tri):
     """``(u, u x)`` on the unfrozen indices, ``u`` the least positive
-    integer that makes every coordinate integral."""
-    xr = TropicalPoint("X", {i: x[i] for i in Sl3IndexSet(tri).unfrozen}, tri=tri, restricted=True)
+    integer that makes every coordinate integral.  An A-point, or a point
+    with a coordinate at a frozen index or at an index ``tri`` lacks,
+    raises :class:`SeedMismatch`."""
+    iset = Sl3IndexSet(tri)
+    if x.kind != "X":
+        raise SeedMismatch(f"X-point required, not an {x.kind}-point")
+    stray = sorted((i for i in x.coords if i not in iset or i in iset.frozen), key=str)
+    if stray:
+        raise SeedMismatch(f"coordinates {stray[:3]} are not at unfrozen indices of the triangulation")
+    xr = TropicalPoint("X", {i: x[i] for i in iset.unfrozen}, tri=tri, restricted=True)
     u = lcm(*(v.denominator for v in xr.coords.values()))
     return u, (xr if u == 1 else xr.scale(u))
 

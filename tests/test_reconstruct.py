@@ -32,7 +32,7 @@ from sl3shear.reconstruct import (
 )
 from sl3shear.seeds import Sl3IndexSet
 from sl3shear.surface import MarkedSurfaceSpec, build
-from sl3shear.tropical import TropicalPoint, pos
+from sl3shear.tropical import SeedMismatch, TropicalPoint, pos
 
 F = Fraction
 # the module; the package binds the name ``reconstruct`` to the function
@@ -92,6 +92,27 @@ def test_roundtrip_random(name, trials, rng_seed, request):
         x = xpoint(tri, coords)
         rep = roundtrip_check(x, tri)
         assert rep["ok"] and rep["stable"], coords
+
+
+@pytest.mark.parametrize(
+    "point,names",
+    [
+        (lambda p4, p5: TropicalPoint("X", {("edge", "zz", 1): 5, ("tri", "T1"): 1}), "'zz'"),
+        (lambda p4, p5: TropicalPoint("X", {("edge", "b0", 1): 5}, tri=p4), "'b0'"),
+        (lambda p4, p5: TropicalPoint("A", {("tri", "T1"): 1}, tri=p4), "A-point"),
+        (lambda p4, p5: xpoint(p5, {("tri", "T3"): 1, ("tri", "T1"): 2}), "'T3'"),
+    ],
+    ids=["unknown-edge", "frozen-index", "a-point", "other-surface"],
+)
+def test_reconstruction_refuses_what_it_would_drop(point, names, polygon4, polygon5):
+    """A point that is not an X-point on the unfrozen indices of the
+    triangulation is refused with one line naming what is wrong, not
+    reconstructed without its stray coordinates."""
+    x = point(polygon4, polygon5)
+    for run in (reconstruct, roundtrip_check):
+        with pytest.raises(SeedMismatch) as info:
+            run(x, polygon4)
+        assert names in str(info.value) and "\n" not in str(info.value)
 
 
 def test_roundtrip_rational(polygon4):
