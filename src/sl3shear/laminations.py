@@ -144,15 +144,16 @@ class GlobalPicture:
         sides = {}
         for t in self.tri.triangles:
             hc = self.honeycombs.get(t)
-            for i in range(3):
-                for d in ("in", "out"):
-                    legs = 0
-                    if hc is not None and (hc.orient == "sink") == (d == "in"):
-                        legs = max(hc.height, 0)
-                    sides[((t, i), d)] = (
-                        tuple(reversed(ends.get(((t, (i - 1) % 3), "B", d), ()))),
-                        legs,
-                        tuple(ends.get(((t, i), "A", d), ())),
+            legs = 0 if hc is None else max(hc.height, 0)
+            # a sink's legs come in, a source's go out
+            sink = hc is not None and hc.orient == "sink"
+            by_dir = (("in", legs), ("out", 0)) if sink else (("in", 0), ("out", legs))
+            for i in (0, 1, 2):
+                slot, prev = (t, i), (t, (i - 1) % 3)
+                for d, n in by_dir:
+                    first, last = ends.get((prev, "B", d)), ends.get((slot, "A", d))
+                    sides[(slot, d)] = (
+                        tuple(reversed(first)) if first else (), n, tuple(last) if last else ()
                     )
         return sides
 

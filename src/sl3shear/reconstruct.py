@@ -313,20 +313,17 @@ class _PictureStepper:
         self.pins = pins
         self.step_cap = step_cap
         lists = pic.strand_lists
-        counts = {}
+        counts = {side: len(first) + legs + len(last) for side, (first, legs, last) in lists.items()}
         # (corner, stack position, direction) -> [(slot, index)] of the
-        # strand ends a stored entry has on its two sides
+        # strand ends a stored entry has on its two sides; a picture with
+        # no corner entries, as a reconstruction's honeycombs, has none
         arc_ends = self._arc_ends = {}
-        for side, (first, legs, last) in lists.items():
-            n1 = len(first) + legs
-            counts[side] = n1 + len(last)
-            if first or last:
-                slot, d = side
-                t, i = slot
-                for j, p in enumerate(first):
-                    arc_ends.setdefault(((t, (i - 1) % 3), p, d), []).append((slot, j))
-                for j, p in enumerate(last, n1):
-                    arc_ends.setdefault((slot, p, d), []).append((slot, j))
+        for (slot, d), (first, legs, last) in lists.items() if pic.corners else ():
+            t, i = slot
+            for j, p in enumerate(first):
+                arc_ends.setdefault(((t, (i - 1) % 3), p, d), []).append((slot, j))
+            for j, p in enumerate(last, len(first) + legs):
+                arc_ends.setdefault((slot, p, d), []).append((slot, j))
         # slot -> zones of its incoming (forward turns) and outgoing
         # (backward turns) side: (first leg, first terminal, n, initial
         # positions, terminal positions, previous slot, next slot, strand
