@@ -20,6 +20,7 @@ window, the one reconstruction uses, and the surviving components are
 written by the picture writer that reconstruction uses, so only the
 added arcs they use enter the output picture.
 """
+
 from __future__ import annotations
 
 from dataclasses import dataclass

@@ -56,6 +56,7 @@ a - b, read from the strand count n and the initial zone sizes a and b
 of the two sides.  :func:`identifier_relations` checks that constant
 once per sheet.
 """
+
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
