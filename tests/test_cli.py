@@ -12,7 +12,14 @@ import pytest
 
 from sl3shear import io as jio
 from sl3shear.cli import main
-from sl3shear.laminations import GlobalPicture, Honeycomb, InvalidPicture, PinnedLamination
+from sl3shear.laminations import (
+    GlobalPicture,
+    Honeycomb,
+    InvalidPicture,
+    PinnedLamination,
+    shear_frozen,
+    shear_unfrozen,
+)
 from sl3shear.surface import FlipCreatesSelfFolded, MarkedSurfaceSpec, build
 from sl3shear.tropical import TropicalPoint
 from sl3shear.verify import run_suites
@@ -658,6 +665,41 @@ def test_picture_decoder_shares_one_weight_per_string(polygon4):
     weights.append(pic.honeycombs["T1"].weight)
     assert weights == [F(1, 3), F(1, 3), F(2, 3), F(1, 3), F(2, 3), F(1, 3)]
     assert len({id(w) for w in weights}) == 2
+
+
+# balanced across d2 on both sheets, but the strand of weight 1 leaving T1
+# on the lr sheet meets one of weight 2: cabled into unit strands, the
+# picture would pair cleanly, so the mismatch must be refused first
+UNEQUAL_WEIGHTS_DOC = {"picture": {"triangles": {
+    "T1": {"corners": {
+        "0": [_arc(orient="cw"), _arc(orient="ccw", weight="2")],
+        "1": [_arc(orient="ccw"), _arc(orient="ccw", weight="2")],
+    }},
+    "T2": {"corners": {
+        "0": [_arc(orient="ccw")],
+        "1": [_arc(orient="ccw"), _arc(orient="ccw", weight="2")],
+        "2": [_arc(orient="cw", weight="2")],
+    }},
+}}}
+
+
+def test_paired_strands_of_unequal_weights_are_refused(polygon4, tmp_path, capsys):
+    """A document whose paired strands across an edge carry different
+    weights is refused by the library and by ``shear``, with one line."""
+    for decode_and_shear in (
+        lambda: shear_unfrozen(jio.picture_from_obj(UNEQUAL_WEIGHTS_DOC["picture"], polygon4)),
+        lambda: shear_frozen(jio.pinned_from_obj(UNEQUAL_WEIGHTS_DOC, polygon4)),
+    ):
+        with pytest.raises(InvalidPicture, match="unequal weights"):
+            decode_and_shear()
+    surf = tmp_path / "p4.json"
+    main(["surface", "--spec", "polygon:4", "--out", str(surf)])
+    lam = tmp_path / "unequal.json"
+    lam.write_text(json.dumps(UNEQUAL_WEIGHTS_DOC))
+    capsys.readouterr()
+    assert main(["shear", "--surface", str(surf), "--lamination", str(lam)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "unequal weights" in err, err
 
 
 def test_tropical_point_json_roundtrip(polygon4):
