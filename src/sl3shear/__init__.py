@@ -58,6 +58,7 @@ from .laminations import (
     Component,
     PinnedLamination,
     InvalidPicture,
+    PictureTooLarge,
     UnknownComponentKind,
     CarrierMismatch,
     NegativeNonPeripheralWeight,

@@ -219,13 +219,13 @@ def cmd_glue(args):
 
 def emit_diagram(pic):
     """Deterministic textual rendering of a picture."""
-    tri = pic.tri
+    tri, weight = pic.tri, jio.frac_to_str(pic.weight)
     lines = [f"picture on {len(tri.triangles)} triangles / {len(tri.edges)} edges"]
     for t in tri.triangles:
         lines.append(f"triangle {t}: sides {', '.join(tri.tri_sides[t])}")
         hc = pic.honeycombs.get(t)
         if hc is not None:
-            w = "" if hc.weight == 1 else f" (weight {jio.frac_to_str(hc.weight)})"
+            w = "" if pic.weight == 1 else f" (weight {weight})"
             lines.append(f"  {hc.orient} honeycomb h={hc.height}{w}")
         for c in range(3):
             stack = pic.corner_stack((t, c))
@@ -234,7 +234,7 @@ def emit_diagram(pic):
             parts = []
             for entry in stack:
                 if hasattr(entry, "orient"):
-                    parts.append(f"{entry.orient} arc w={jio.frac_to_str(entry.weight)}")
+                    parts.append(f"{entry.orient} arc w={weight}")
                 else:
                     parts.append(f"spiral end {entry.sign}")
             lines.append(f"  corner {c} (at {tri.corner_vertex(t, c)}): " + "; ".join(parts))

@@ -86,7 +86,7 @@ def glue_laminations(pinned, e_l, e_r):
     marked point (nonzero only at the merged points, where peripheral
     components disappear and glued curves may deposit new corner arcs).
     Rational inputs are glued as ``u`` times an integral lamination and
-    written with weights 1/u.
+    written at weight 1/u.
     """
     tri = pinned.tri
     if e_l == e_r:

@@ -11,6 +11,10 @@ Strand pairings are implicit (the reversal, see
 format, one object per entry plus the ``"pairings"`` of every interior
 edge, is still read: an entry without ``count`` is a run of one, and
 given pairings are checked against the reversal.
+
+Every entry object and honeycomb carries a ``"weight"``; the encoder
+writes the picture's one weight on each, and a document of several
+weights is cabled when read (:func:`sl3shear.laminations.cable`).
 """
 
 from __future__ import annotations
@@ -23,11 +27,11 @@ from .laminations import (
     ComponentSum,
     Component,
     CornerArc,
-    GlobalPicture,
     Honeycomb,
     InvalidPicture,
     PinnedLamination,
     SpiralEnd,
+    cable,
     honeycomb_leg_split,
 )
 from .seeds import matrix_entries
@@ -144,15 +148,10 @@ def tropical_point_to_obj(p):
 # -- pictures ----------------------------------------------------------------
 
 
-def _entry_to_obj(entry):
+def _entry_to_obj(entry, weight):
     if isinstance(entry, CornerArc):
-        return {"type": "arc", "orient": entry.orient, "weight": frac_to_str(entry.weight)}
-    return {
-        "type": "end",
-        "sign": entry.sign,
-        "outgoing": entry.outgoing,
-        "weight": frac_to_str(entry.weight),
-    }
+        return {"type": "arc", "orient": entry.orient, "weight": weight}
+    return {"type": "end", "sign": entry.sign, "outgoing": entry.outgoing, "weight": weight}
 
 
 def _one_of(value, allowed, where):
@@ -173,45 +172,29 @@ def exact_rational(value, where):
     raise ValueError(f"{where} is {value!r}, not an exact rational")
 
 
-class _Weights(dict):
-    """The weights one document has decoded so far, keyed by their JSON
-    form (a string or an int): each distinct weight is converted once,
-    and entries of equal weight share one ``Fraction``.  A value of any
-    other type is never looked up, so a bool or a float is still refused
-    by :func:`exact_rational`."""
-
-    def read(self, value, where):
-        weight = self.get(value) if type(value) in (str, int) else None
-        if weight is None:
-            weight = self[value] = exact_rational(value, where)
-        return weight
-
-
-def _entry_from_obj(obj, where, weights):
+def _run_from_obj(obj, where):
+    """A run ``(entry, weight, count)``; the count is 1 when absent."""
     kind = _one_of(obj["type"], ("arc", "end"), f"{where}.type")
-    weight = weights.read(obj["weight"], f"{where}.weight")
+    weight = exact_rational(obj["weight"], f"{where}.weight")
     if kind == "arc":
-        return CornerArc(_one_of(obj["orient"], ("cw", "ccw"), f"{where}.orient"), weight)
-    sign = _one_of(obj["sign"], ("+", "-"), f"{where}.sign")
-    if type(obj["outgoing"]) is not bool:
-        raise ValueError(f"{where}.outgoing is {obj['outgoing']!r}, not true or false")
-    return SpiralEnd("cw" if sign == "+" else "ccw", obj["outgoing"], weight)
-
-
-def _run_count(obj, where):
-    """The ``count`` of a run: a positive int, 1 when absent."""
+        entry = CornerArc(_one_of(obj["orient"], ("cw", "ccw"), f"{where}.orient"))
+    else:
+        sign = _one_of(obj["sign"], ("+", "-"), f"{where}.sign")
+        if type(obj["outgoing"]) is not bool:
+            raise ValueError(f"{where}.outgoing is {obj['outgoing']!r}, not true or false")
+        entry = SpiralEnd("cw" if sign == "+" else "ccw", obj["outgoing"])
     n = obj.get("count", 1)
     if type(n) is not int or n < 1:
         raise ValueError(f"{where}.count is {n!r}, not a positive int")
-    return n
+    return entry, weight, n
 
 
-def _runs_to_obj(stack):
+def _runs_to_obj(stack, weight):
     """A corner stack as runs: each maximal block of equal entries is one
     entry object, with ``"count"`` when the block has more than one."""
     runs = []
     for entry, block in groupby(stack):
-        obj = _entry_to_obj(entry)
+        obj = _entry_to_obj(entry, weight)
         n = sum(1 for _ in block)
         if n > 1:
             obj["count"] = n
@@ -227,16 +210,13 @@ def _reversal_pairs(pic, e):
 
 
 def picture_to_obj(pic):
+    weight = frac_to_str(pic.weight)
     triangles = {}
     for t in pic.tri.triangles:
         entry = {}
         hc = pic.honeycombs.get(t)
         if hc is not None:
-            entry["honeycomb"] = {
-                "orient": hc.orient,
-                "height": hc.height,
-                "weight": frac_to_str(hc.weight),
-            }
+            entry["honeycomb"] = {"orient": hc.orient, "height": hc.height, "weight": weight}
             legs = {}
             for i in range(3):
                 split = honeycomb_leg_split(pic, t, i)
@@ -248,14 +228,11 @@ def picture_to_obj(pic):
         for c in range(3):
             stack = pic.corner_stack((t, c))
             if stack:
-                corners[str(c)] = _runs_to_obj(stack)
+                corners[str(c)] = _runs_to_obj(stack, weight)
         if corners:
             entry["corners"] = corners
         triangles[t] = entry
-    signs = [
-        {"vertex": v, "sign": s, "weight": frac_to_str(w)}
-        for v, s, w in pic.puncture_signs()
-    ]
+    signs = [{"vertex": v, "sign": s, "weight": weight} for v, s, _ in pic.puncture_signs()]
     return {"triangles": triangles, "puncture_signs": signs}
 
 
@@ -266,15 +243,14 @@ def picture_from_obj(obj, tri):
     naming it: a triangle the surface lacks, a corner other than 0, 1 or
     2, an unknown entry type, orientation or sign, a height that is not an
     int, a weight that is not an exact rational, an ``outgoing`` that is
-    not a bool and a ``count`` that is not a positive int.  A well-typed
-    picture that breaks a picture rule, such as a height or weight that
-    is not positive, is left to :class:`GlobalPicture`'s checks.  Pairings
-    are implicit; when ``"pairings"`` are given, each interior edge's
-    pairs (an edge left out has none) must list the reversal, in any
-    order, or :class:`InvalidPicture` is raised."""
-    honeycombs = {}
-    corners = {}
-    weights = _Weights()
+    not a bool and a ``count`` that is not a positive int.  The runs are
+    cabled at one weight (:func:`~sl3shear.laminations.cable` says what
+    that refuses); another picture rule, such as a positive height, is
+    left to the picture's checks.  Pairings are implicit; when
+    ``"pairings"`` are given, each interior edge's pairs (an edge left
+    out has none) must list the reversal, in any order, or
+    :class:`InvalidPicture` is raised."""
+    honeycombs, corners = {}, {}
     for t, entry in obj.get("triangles", {}).items():
         where = f"triangles.{t}"
         if t not in tri.tri_sides:
@@ -283,19 +259,15 @@ def picture_from_obj(obj, tri):
         if hc:
             if type(hc["height"]) is not int:
                 raise ValueError(f"{where}.honeycomb.height is {hc['height']!r}, not an int")
-            honeycombs[t] = Honeycomb(
-                _one_of(hc["orient"], ("sink", "source"), f"{where}.honeycomb.orient"),
-                hc["height"],
-                weights.read(hc.get("weight", "1"), f"{where}.honeycomb.weight"),
-            )
+            orient = _one_of(hc["orient"], ("sink", "source"), f"{where}.honeycomb.orient")
+            weight = exact_rational(hc.get("weight", "1"), f"{where}.honeycomb.weight")
+            honeycombs[t] = (Honeycomb(orient, hc["height"]), weight)
         for c_s, runs in entry.get("corners", {}).items():
             _one_of(c_s, ("0", "1", "2"), f"{where}.corners key")
-            # pictures are immutable, so the entries of a run share one object
-            stack = corners[(t, int(c_s))] = []
-            for p, x in enumerate(runs):
-                at = f"{where}.corners.{c_s}[{p}]"
-                stack += [_entry_from_obj(x, at, weights)] * _run_count(x, at)
-    pic = GlobalPicture(tri, honeycombs, corners)
+            corners[(t, int(c_s))] = [
+                _run_from_obj(x, f"{where}.corners.{c_s}[{p}]") for p, x in enumerate(runs)
+            ]
+    pic = cable(tri, honeycombs, corners)
     given = obj.get("pairings")
     if given:
         for e in tri.interior_edges:

@@ -15,8 +15,13 @@ bijection between two lists of length ``n``.
 A side's strands in one direction are stored as its zones ``(initial,
 legs, terminal)``: the stack positions of its initial corner's ends, its
 honeycomb leg count and the stack positions of its terminal corner's
-ends.  A strand is its index in that order; its zone, stack entry and
-weight are read from the index.
+ends.  A strand is its index in that order; its zone and stack entry
+are read from the index.
+
+Every strand carries the picture's one positive weight: a rational
+lamination is an integral one scaled by 1/u.  Elements of several
+weights enter through :func:`cable`, which draws each as parallel copies
+at one common weight.
 
 Corner conventions.  The corner ``(t, i)`` of triangle ``t`` sits at the
 terminal endpoint of side ``i`` and the initial endpoint of side ``i+1``.
@@ -32,19 +37,23 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .seeds import ZERO, Sl3IndexSet
 from .surface import Sl3Error
 from .tropical import TropicalPoint, pos
 
 
-# the default weight of every picture element, one object, so that
-# weights of one picture compare by identity first
-ONE = Fraction(1)
+# the most corner entries plus honeycomb height of a picture that is
+# cabled, drawn from a component sum or scaled (see _cabled)
+MAX_PICTURE_SIZE = 10**6
 
 
 class InvalidPicture(Sl3Error):
+    pass
+
+
+class PictureTooLarge(Sl3Error):
     pass
 
 
@@ -62,29 +71,19 @@ class NegativeNonPeripheralWeight(Sl3Error):
 
 @dataclass(frozen=True)
 class Honeycomb:
-    """A honeycomb web; ``weight`` is 1 on integral pictures and only
-    differs after rescaling a lamination by a rational factor."""
-
     orient: str  # "sink" | "source"
     height: int
-    weight: Fraction = ONE
-
-    def face_value(self):
-        v = Fraction(self.height) * self.weight
-        return v if self.orient == "sink" else -v
 
 
 @dataclass(frozen=True)
 class CornerArc:
     orient: str  # "cw" | "ccw"
-    weight: Fraction = ONE
 
 
 @dataclass(frozen=True)
 class SpiralEnd:
     winding: str  # "cw" (sign +) | "ccw" (sign -)
     outgoing: bool  # True if the curve leaves the puncture here
-    weight: Fraction = ONE
 
     @property
     def sign(self):
@@ -100,13 +99,15 @@ class GlobalPicture:
     and the validation diagnostics are derived once per picture, on
     first use, and every reader classifies a strand by its index.  No
     pairing is stored: across an edge, index ``i`` of a list of length
-    ``n`` meets index ``n - 1 - i`` (see the module docstring).
+    ``n`` meets index ``n - 1 - i`` (see the module docstring).  Every
+    strand carries the one ``weight``.
     """
 
-    def __init__(self, tri, honeycombs=None, corners=None):
+    def __init__(self, tri, honeycombs=None, corners=None, weight=1):
         self.tri = tri
         self.honeycombs = {t: h for t, h in (honeycombs or {}).items() if h is not None}
         self.corners = {c: tuple(v) for c, v in (corners or {}).items() if v}
+        self.weight = Fraction(weight)
         self._diags = None
 
     # -- derived strand structure ----------------------------------------
@@ -162,17 +163,6 @@ class GlobalPicture:
         initial, legs, terminal = self.strand_lists[(slot, direction)]
         return len(initial) + legs + len(terminal)
 
-    def strand_weights(self, slot, direction):
-        """The weights of a side's strands, in order: each stack entry's
-        weight, and the honeycomb's on the legs."""
-        t, i = slot
-        initial, legs, terminal = self.strand_lists[(slot, direction)]
-        first, last = self.corner_stack((t, i - 1)), self.corner_stack(slot)
-        weights = [first[p].weight for p in initial]
-        if legs:
-            weights += [self.honeycombs[t].weight] * legs
-        return weights + [last[p].weight for p in terminal]
-
     def strand_parameter(self, slot, direction, index):
         """Half-integer position of a strand in the edge parametrization
         anchored at its initial-corner block."""
@@ -182,20 +172,14 @@ class GlobalPicture:
     # -- readers -----------------------------------------------------------
 
     def face_value(self, t):
+        """x_T: the weight times the height of a sink in ``t``, or minus it."""
         hc = self.honeycombs.get(t)
-        return hc.face_value() if hc is not None else Fraction(0)
+        return ZERO if hc is None else self.weight * (hc.height if hc.orient == "sink" else -hc.height)
 
     def corner_arc_weight(self, corner, orient):
-        """Total weight of the ``orient`` corner arcs at ``corner``.  The
-        writers share weight objects, so each distinct object is added
-        once, times the number of arcs that carry it."""
-        weights, counts = {}, {}
-        for entry in self.corner_stack(corner):
-            if isinstance(entry, CornerArc) and entry.orient == orient:
-                k = id(entry.weight)
-                weights[k] = entry.weight
-                counts[k] = counts.get(k, 0) + 1
-        return sum((weights[k] * n for k, n in counts.items()), ZERO)
+        """Total weight of the ``orient`` corner arcs at ``corner``."""
+        stack = self.corner_stack(corner)
+        return self.weight * sum(1 for e in stack if isinstance(e, CornerArc) and e.orient == orient)
 
     def puncture_signs(self):
         """List of (vertex, sign, weight) for each spiral tail."""
@@ -203,7 +187,7 @@ class GlobalPicture:
         for (t, ci), stack in sorted(self.corners.items()):
             for entry in stack:
                 if isinstance(entry, SpiralEnd):
-                    out.append((self.tri.corner_vertex(t, ci), entry.sign, entry.weight))
+                    out.append((self.tri.corner_vertex(t, ci), entry.sign, self.weight))
         return out
 
     # -- validation --------------------------------------------------------
@@ -224,36 +208,21 @@ class GlobalPicture:
         return self
 
     def _check(self):
-        diags = []
+        diags = [] if self.weight > 0 else [f"non-positive picture weight {self.weight}"]
         for t, hc in self.honeycombs.items():
             if hc.height < 1:
                 diags.append(f"honeycomb of height {hc.height} in {t}")
-            if hc.weight.numerator <= 0:
-                diags.append(f"non-positive honeycomb weight in {t}")
             if hc.orient not in ("sink", "source"):
                 diags.append(f"bad honeycomb orientation in {t}")
         for (t, ci), stack in self.corners.items():
-            v = self.tri.corner_vertex(t, ci)
-            for entry in stack:
-                if entry.weight.numerator <= 0:
-                    diags.append(f"non-positive weight at corner {(t, ci)}")
-                if isinstance(entry, SpiralEnd) and self.tri.vertices[v] != "puncture":
-                    diags.append(f"spiral tail at non-puncture corner {(t, ci)}")
+            if self.tri.vertices[self.tri.corner_vertex(t, ci)] != "puncture":
+                bad = f"spiral tail at non-puncture corner {(t, ci)}"
+                diags += [bad for e in stack if isinstance(e, SpiralEnd)]
         for e in self.tri.interior_edges:
             sl, sr = self.tri.slots(e)
             for tag, out_slot, in_slot in (("lr", sl, sr), ("rl", sr, sl)):
-                outs = self.strand_weights(out_slot, "out")
-                ins = self.strand_weights(in_slot, "in")
-                if len(outs) != len(ins):
+                if self.strand_count(out_slot, "out") != self.strand_count(in_slot, "in"):
                     diags.append(f"unbalanced strand lists across {e} ({tag})")
-                    continue
-                # writers share one weight object per picture, so most
-                # pairs are equal by identity
-                diags.extend(
-                    f"paired strands across {e} ({tag}) have unequal weights"
-                    for a, b in zip(outs, reversed(ins))
-                    if a is not b and a != b
-                )
         return diags
 
     def dynkin(self):
@@ -261,52 +230,94 @@ class GlobalPicture:
         (puncture signs) are kept; every strand changes direction, so the
         two sheets of each edge trade places."""
         honeycombs = {
-            t: Honeycomb("source" if h.orient == "sink" else "sink", h.height, h.weight)
+            t: Honeycomb("source" if h.orient == "sink" else "sink", h.height)
             for t, h in self.honeycombs.items()
         }
-        corners = {}
-        for c, stack in self.corners.items():
-            new = []
-            for entry in stack:
-                if isinstance(entry, CornerArc):
-                    new.append(CornerArc("ccw" if entry.orient == "cw" else "cw", entry.weight))
-                else:
-                    new.append(replace(entry, outgoing=not entry.outgoing))
-            corners[c] = tuple(new)
-        return GlobalPicture(self.tri, honeycombs, corners)
+
+        def reversed_entry(e):
+            if isinstance(e, CornerArc):
+                return CornerArc("ccw" if e.orient == "cw" else "cw")
+            return replace(e, outgoing=not e.outgoing)
+
+        corners = {c: [reversed_entry(e) for e in stack] for c, stack in self.corners.items()}
+        return GlobalPicture(self.tri, honeycombs, corners, self.weight)
 
     def scaled(self, u):
-        """The picture of ``u`` times the lamination, ``u`` a positive
-        integer making all weights integral: heights multiply, weighted
-        arcs are cabled into unit-weight parallel copies.
-
-        With ``u`` = 1 and every weight already 1 the picture itself is
-        returned: cabling would rebuild the same stacks, and the pairings
-        are implicit."""
-        u = Fraction(u)
-        if u == 1 and all(h.weight == 1 for h in self.honeycombs.values()) and all(
-            entry.weight == 1 for stack in self.corners.values() for entry in stack
-        ):
+        """The picture of ``u`` times the lamination at weight 1, ``u`` a
+        positive integer making the weight integral: each strand is cabled
+        into u * weight parallel copies, so heights multiply and each stack
+        entry repeats in place.  A picture already at weight 1 is returned
+        itself for ``u`` = 1."""
+        n = self.weight * u
+        if n.denominator != 1:
+            raise InvalidPicture("scaling does not clear denominators")
+        if n == 1 and self.weight == 1:
             return self
-        honeycombs = {}
-        for t, h in self.honeycombs.items():
-            w = h.weight * u
-            if w.denominator != 1:
-                raise InvalidPicture("scaling does not clear denominators")
-            honeycombs[t] = Honeycomb(h.orient, int(w) * h.height)
-        corners = {}
-        for c, stack in self.corners.items():
-            new = []
-            for entry in stack:
-                w = entry.weight * u
-                if w.denominator != 1:
-                    raise InvalidPicture("scaling does not clear denominators")
-                if isinstance(entry, CornerArc):
-                    new.extend([CornerArc(entry.orient)] * int(w))
-                else:
-                    new.extend([replace(entry, weight=ONE)] * int(w))
-            corners[c] = tuple(new)
-        return GlobalPicture(self.tri, honeycombs, corners)
+        honeycombs = {t: (h, n.numerator) for t, h in self.honeycombs.items()}
+        corners = {c: [(e, n.numerator) for e in stack] for c, stack in self.corners.items()}
+        return _cabled(self.tri, honeycombs, corners, 1)
+
+
+def _cabled(tri, honeycombs, corners, weight):
+    """The picture at ``weight`` of honeycombs ``{t: (h, m)}`` of m times
+    h's height and stacks ``{corner: [(entry, m)]}`` repeating each entry
+    m times in place; over :data:`MAX_PICTURE_SIZE` corner entries plus
+    honeycomb height it raises :class:`PictureTooLarge` before building."""
+    size = sum(h.height * m for h, m in honeycombs.values()) + sum(m for s in corners.values() for _, m in s)
+    if size > MAX_PICTURE_SIZE:
+        raise PictureTooLarge(f"a picture of {size} strands is over the limit of {MAX_PICTURE_SIZE}")
+    return GlobalPicture(
+        tri,
+        {t: Honeycomb(h.orient, h.height * m) for t, (h, m) in honeycombs.items()},
+        {c: [e for e, m in s for _ in range(m)] for c, s in corners.items()},
+        weight,
+    )
+
+
+def cable(tri, honeycombs, corners):
+    """The picture of weighted elements at the largest weight g dividing
+    every weight w given, each element drawn as w / g parallel copies:
+    ``honeycombs`` maps a triangle to ``(honeycomb, w)`` and ``corners``
+    a corner to its runs ``(entry, w, n)`` of n equal entries.  A weight
+    that is not positive raises :class:`InvalidPicture`; so do, when two
+    distinct weights are given, the cabled picture's diagnostics and a
+    copy paired across an edge with a copy of another weight, which
+    cabling would hide.  The size limit is :func:`_cabled`'s."""
+    weights = [w for _, w in honeycombs.values()] + [w for s in corners.values() for _, w, _ in s]
+    if any(w.numerator <= 0 for w in weights):
+        raise InvalidPicture(f"non-positive weight {min(weights)}")
+    num, den = gcd(*(w.numerator for w in weights)), lcm(*(w.denominator for w in weights))
+
+    def copies(w):
+        return w.numerator // num * (den // w.denominator)
+
+    pic = _cabled(
+        tri,
+        {t: (h, copies(w)) for t, (h, w) in honeycombs.items()},
+        {c: [(e, n * copies(w)) for e, w, n in s] for c, s in corners.items()},
+        Fraction(num or 1, den),
+    )
+    if all(w is weights[0] or w == weights[0] for w in weights):
+        return pic
+    # each copy labelled with its element's weight: an element is w / g
+    # labels w, so two sides' labels agree when their elements' weights do
+    labels = {c: [w for _, w, n in s for _ in range(n * copies(w))] for c, s in corners.items()}
+
+    def side(slot, direction):
+        t, i = slot
+        first, legs, last = pic.strand_lists[(slot, direction)]
+        on_legs = [honeycombs.get(t, (None, None))[1]] * legs
+        return [labels[(t, (i - 1) % 3)][p] for p in first] + on_legs + [labels[slot][p] for p in last]
+
+    diags = pic.validate() or [
+        f"paired strands across {e} ({tag}) have unequal weights"
+        for e in tri.interior_edges
+        for tag, out_slot, in_slot in zip(("lr", "rl"), tri.slots(e), tri.slots(e)[::-1])
+        if side(out_slot, "out") != side(in_slot, "in")[::-1]
+    ]
+    if diags:
+        raise InvalidPicture("; ".join(diags))
+    return pic
 
 
 def honeycomb_leg_split(pic, t, side_index):
@@ -341,14 +352,16 @@ def honeycomb_leg_split(pic, t, side_index):
     return (n1, n2, n3)
 
 
-def add_peripheral_chain(pic, vertex, orient, weight=Fraction(1)):
-    """Add one boundary-parallel component around a marked point: an arc
-    in every triangle-corner at the vertex, at the deep end of each
-    stack.  The implicit reversal pairings take the new strands in."""
-    corners = {c: list(v) for c, v in pic.corners.items()}
-    for (t, ci) in pic.tri.corners_at_vertex(vertex):
-        corners.setdefault((t, ci), []).append(CornerArc(orient, Fraction(weight)))
-    return GlobalPicture(pic.tri, pic.honeycombs, corners)
+def add_peripheral_chain(pic, vertex, orient, weight=1):
+    """Add one boundary-parallel component of ``weight`` around a marked
+    point: an arc in every triangle-corner at the vertex, at the deep end
+    of each stack, cabled with the picture (see :func:`cable`).  The
+    implicit reversal pairings take the new strands in."""
+    w = pic.weight
+    corners = {c: [(e, w, 1) for e in stack] for c, stack in pic.corners.items()}
+    for c in pic.tri.corners_at_vertex(vertex):
+        corners.setdefault(c, []).append((CornerArc(orient), Fraction(weight), 1))
+    return cable(pic.tri, {t: (h, w) for t, h in pic.honeycombs.items()}, corners)
 
 
 @dataclass(frozen=True)
@@ -386,9 +399,9 @@ class ComponentSum:
         Raises :class:`CarrierMismatch` or :class:`UnknownComponentKind`
         for a component off its carrier rule (see :func:`_carrier`), and
         :class:`InvalidPicture` for a weight that is not positive or for
-        a sink and a source honeycomb in one triangle."""
+        a sink and a source honeycomb in one triangle (and see
+        :func:`_cabled` for the size limit)."""
         u = lcm(*(c.weight.denominator for c in self.components))
-        weight = ONE if u == 1 else Fraction(1, u)
         orients, heights, arcs = {}, {}, {}
         for comp in self.components:
             where = f"component {comp.kind} at {comp.carrier}"
@@ -404,9 +417,9 @@ class ComponentSum:
                 arcs[key] = arcs.get(key, 0) + n
         corners = {}
         for (c, orient), n in sorted(arcs.items()):
-            corners.setdefault(c, []).extend([CornerArc(orient, weight)] * n)
-        honeycombs = {t: Honeycomb(orients[t], h, weight) for t, h in heights.items()}
-        return GlobalPicture(self.tri, honeycombs, corners)
+            corners.setdefault(c, []).append((CornerArc(orient), n))
+        honeycombs = {t: (Honeycomb(orients[t], 1), h) for t, h in heights.items()}
+        return _cabled(self.tri, honeycombs, corners, Fraction(1, u))
 
 
 @dataclass(frozen=True)
@@ -433,27 +446,23 @@ class PinnedLamination:
 
 
 def shear_unfrozen(pic):
-    """Shear coordinates of a picture on the unfrozen indices."""
+    """Shear coordinates of a picture on the unfrozen indices, as ints
+    over the denominator of its weight."""
     pic.require_valid()
-    tri = pic.tri
-    x = {}
-    for t, hc in pic.honeycombs.items():
-        v = hc.face_value()
-        if v:
-            x[("tri", t)] = v
+    tri, lists, w = pic.tri, pic.strand_lists, pic.weight.numerator
+    x = {("tri", t): (w if hc.orient == "sink" else -w) * hc.height for t, hc in pic.honeycombs.items()}
     for e in tri.interior_edges:
         sl, sr = tri.slots(e)
         for idx, out_slot, in_slot in ((("edge", e, 1), sl, sr), (("edge", e, 2), sr, sl)):
             # out index j meets in index n - 1 - j, which is terminal when
-            # j < b; a crossing adds its weight when the in end is terminal
+            # j < b; a crossing adds the weight when the in end is terminal
             # and the out end (j >= a) is not initial, and subtracts it
             # when the out end is initial and the in end is not terminal
-            a = len(pic.strand_lists[(out_slot, "out")][0])
-            b = len(pic.strand_lists[(in_slot, "in")][2])
-            w = pic.strand_weights(out_slot, "out")
-            x[idx] = sum(w[a:b], ZERO) - sum(w[b:a], ZERO)
-    x = {i: v for i, v in x.items() if v}
-    return TropicalPoint("X", x, tri=tri, restricted=True)
+            a = len(lists[(out_slot, "out")][0])
+            b = len(lists[(in_slot, "in")][2])
+            if a != b:
+                x[idx] = w * (b - a)
+    return TropicalPoint.from_ints("X", pic.weight.denominator, x, tri, restricted=True)
 
 
 def boundary_weights(pic, e):
@@ -619,19 +628,10 @@ def normalize_integral(lam):
     the weight (and pinning) denominators and ``scaled`` the integral
     lamination ``u . lam`` realized with unit weights."""
     if isinstance(lam, PinnedLamination):
-        dens = [_denominator_lcm(lam.underlying)]
-        for dp, dm in lam.delta.values():
-            dens.extend([dp.denominator, dm.denominator])
-        u = lcm(*dens)
+        u = lcm(lam.underlying.weight.denominator, *(d.denominator for ds in lam.delta.values() for d in ds))
         delta = {e: (dp * u, dm * u) for e, (dp, dm) in lam.delta.items()}
         return u, PinnedLamination(lam.underlying.scaled(u), delta)
-    u = _denominator_lcm(lam)
-    return u, lam.scaled(u)
-
-
-def _denominator_lcm(pic):
-    dens = [entry.weight.denominator for stack in pic.corners.values() for entry in stack]
-    return lcm(*dens, *(h.weight.denominator for h in pic.honeycombs.values()))
+    return lam.weight.denominator, lam.scaled(lam.weight.denominator)
 
 
 def elementary_lamination(tri, k):

@@ -59,7 +59,7 @@ once per sheet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -262,10 +262,9 @@ def stack_entries(stepper, traveler, turn_counts):
 
 
 def build_picture(tri, honeycombs, entries, weight=1):
-    """The picture with these honeycombs and ``(place, entry)`` stack
-    entries, every weight set to ``weight``.  Each corner's stack is
-    sorted by key; two entries at one place raise
-    :class:`InvalidPicture`."""
+    """The picture at ``weight`` with these honeycombs and ``(place,
+    entry)`` stack entries.  Each corner's stack is sorted by key; two
+    entries at one place raise :class:`InvalidPicture`."""
     stacks = {}
     for (corner, key), entry in entries:
         stacks.setdefault(corner, []).append((key, entry))
@@ -275,10 +274,7 @@ def build_picture(tri, honeycombs, entries, weight=1):
         if any(a[0] == b[0] for a, b in zip(items, items[1:])):
             raise InvalidPicture(f"colliding stack ranks at corner {corner}")
         corners[corner] = [entry for _, entry in items]
-    if weight != 1:
-        honeycombs = {t: replace(h, weight=weight) for t, h in honeycombs.items()}
-        corners = {c: [replace(e, weight=weight) for e in stack] for c, stack in corners.items()}
-    return GlobalPicture(tri, honeycombs, corners)
+    return GlobalPicture(tri, honeycombs, corners, weight)
 
 
 # -- the stepper -------------------------------------------------------------
@@ -482,7 +478,7 @@ def trace_coordinates(x, tri, step_cap):
 
 def reconstruct(x, tri):
     """Build the good-position picture of a coordinate vector: the picture
-    of ``u x``, ``u`` the lcm of the denominators, with weights 1/u."""
+    of ``u x``, ``u`` the lcm of the denominators, at weight 1/u."""
     u, xs = _integral_point(x, tri)
     stepper, travelers = trace_coordinates(xs, tri, _step_cap(xs, tri))
     return _pictures(stepper, travelers, (SPIRAL_TURNS,), Fraction(1, u))[0].require_valid()

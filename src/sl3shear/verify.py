@@ -35,10 +35,10 @@ from .laminations import (
     Component,
     ComponentSum,
     CornerArc,
-    GlobalPicture,
     Honeycomb,
     InvalidPicture,
     PinnedLamination,
+    cable,
     coords_of_components,
     elementary_lamination,
     shear_frozen,
@@ -323,19 +323,19 @@ def random_pinned_two_triangles(rng, integral=True):
     for t in tri.triangles:
         r = rng.randint(-3, 3)
         if r > 0:
-            honeycombs[t] = Honeycomb("sink", r)
+            honeycombs[t] = (Honeycomb("sink", r), 1)
         elif r < 0:
-            honeycombs[t] = Honeycomb("source", -r)
+            honeycombs[t] = (Honeycomb("source", -r), 1)
         for c in range(3):
             stack = []
             for _ in range(rng.randint(0, 3)):
                 w = Fraction(rng.randint(1, 3)) if integral else Fraction(
                     rng.randint(1, 5), rng.randint(1, 3)
                 )
-                stack.append(CornerArc(rng.choice(["cw", "ccw"]), w))
+                stack.append((CornerArc(rng.choice(["cw", "ccw"])), w, 1))
             if stack:
                 corners[(t, c)] = stack
-    pic = GlobalPicture(tri, honeycombs, corners)
+    pic = cable(tri, honeycombs, corners)
     delta = {}
     for e in tri.boundary_intervals:
         if integral:

@@ -11,10 +11,11 @@ from sl3shear import io as jio
 
 def picture_to_obj(pic):
     obj = jio.picture_to_obj(pic)
+    weight = jio.frac_to_str(pic.weight)
     for t, entry in obj["triangles"].items():
         if "corners" in entry:
             entry["corners"] = {
-                c: [jio._entry_to_obj(x) for x in pic.corner_stack((t, int(c)))]
+                c: [jio._entry_to_obj(x, weight) for x in pic.corner_stack((t, int(c)))]
                 for c in entry["corners"]
             }
     obj["pairings"] = {

@@ -552,30 +552,30 @@ def test_run_count_must_be_a_positive_int(polygon4, count):
 
 def test_mixed_stack_is_written_as_runs(torus):
     """Equal consecutive entries become one run; an arc and a spiral end,
-    two orientations, two ``outgoing`` values or two weights do not
-    merge.  The runs decode back to the same stack, each run one shared
-    entry."""
+    two orientations or two ``outgoing`` values do not merge.  Every run
+    carries the picture's weight.  The runs decode back to the same
+    stack, each run one shared entry."""
     from sl3shear.laminations import CornerArc, SpiralEnd
 
     t = torus.triangles[0]
-    half = F(1, 2)
     stack = [
         CornerArc("cw"), CornerArc("cw"), CornerArc("ccw"),
         SpiralEnd("cw", True), SpiralEnd("cw", True), SpiralEnd("cw", False),
-        SpiralEnd("ccw", False), SpiralEnd("ccw", False, half),
-        CornerArc("ccw", half), CornerArc("ccw", F(1, 2)), CornerArc("ccw", half),
+        SpiralEnd("ccw", False), SpiralEnd("ccw", False),
+        CornerArc("ccw"), CornerArc("ccw"), CornerArc("ccw"),
     ]
-    pic = GlobalPicture(torus, {}, {(t, 0): stack})
+    pic = GlobalPicture(torus, {}, {(t, 0): stack}, F(1, 2))
     obj = jio.picture_to_obj(pic)
+    half = {"weight": "1/2"}
     assert obj["triangles"][t]["corners"]["0"] == [
-        _arc(count=2), _arc(orient="ccw"),
-        _end(count=2), _end(outgoing=False),
-        _end(sign="-", outgoing=False), _end(sign="-", outgoing=False, weight="1/2"),
-        _arc(orient="ccw", weight="1/2", count=3),
+        _arc(count=2, **half), _arc(orient="ccw", **half),
+        _end(count=2, **half), _end(outgoing=False, **half),
+        _end(sign="-", outgoing=False, count=2, **half),
+        _arc(orient="ccw", count=3, **half),
     ]
     back = jio.picture_from_obj(json.loads(jio.dump(obj)), torus)
-    assert back.corners == pic.corners
-    assert len({id(x) for x in back.corner_stack((t, 0))}) == 7
+    assert (back.corners, back.weight) == (pic.corners, pic.weight)
+    assert len({id(x) for x in back.corner_stack((t, 0))}) == 6
 
 
 def test_picture_decoder_checks_pairings(polygon4, tmp_path, capsys):
@@ -645,8 +645,8 @@ def test_picture_decoder_names_bad_field(polygon4, doc, field):
 
 @pytest.mark.parametrize("weight", ["1/0", 1.5, True, "x"])
 def test_picture_decoder_refuses_bad_weight_after_good_ones(polygon4, weight):
-    """Decoded weights are shared per document; a bad weight is refused
-    even where a good one of equal value was decoded before it."""
+    """A bad weight is refused even where good ones of equal value were
+    decoded before it."""
     doc = _pic("T1", honeycomb={"orient": "sink", "height": 1, "weight": 1},
                corners={"0": [_arc(), _arc(weight=1), _arc(weight=weight)]})
     with pytest.raises(ValueError, match=re.escape("corners.0[2].weight")):
@@ -657,14 +657,23 @@ def test_picture_decoder_refuses_bad_weight_after_good_ones(polygon4, weight):
 
 
 def test_picture_decoder_shares_one_weight_per_string(polygon4):
-    corners = {"0": [_arc(weight="1/3"), _arc(orient="ccw", weight="1/3")],
-               "1": [_arc(weight="2/3"), _arc(weight="1/3"), _arc(weight="2/3")]}
-    doc = _pic("T1", corners=corners, honeycomb={"orient": "source", "height": 2, "weight": "1/3"})
+    """A mixed-weight document decodes to its cabled picture at the
+    common weight: each element of weight w is w / g parallel copies of
+    itself, in place, and a honeycomb's height is multiplied by w / g."""
+    from sl3shear.laminations import CornerArc
+
+    stack = [_arc(weight="1/3"), _arc(orient="ccw", weight="1/3"), _arc(weight="2/3"), _arc(orient="ccw", weight=4)]
+    doc = {"picture": {"triangles": {
+        "T1": {"honeycomb": {"orient": "source", "height": 2, "weight": "2/3"}, "corners": {"0": stack}},
+        "T2": {"honeycomb": {"orient": "sink", "height": 2, "weight": "2/3"}},
+    }}}
     pic = jio.picture_from_obj(doc["picture"], polygon4)
-    weights = [e.weight for stack in pic.corners.values() for e in stack]
-    weights.append(pic.honeycombs["T1"].weight)
-    assert weights == [F(1, 3), F(1, 3), F(2, 3), F(1, 3), F(2, 3), F(1, 3)]
-    assert len({id(w) for w in weights}) == 2
+    cw, ccw = CornerArc("cw"), CornerArc("ccw")
+    assert pic.weight == F(1, 3)
+    assert pic.corners == {("T1", 0): (cw, ccw, cw, cw) + (ccw,) * 12}
+    assert {t: h.height for t, h in pic.honeycombs.items()} == {"T1": 4, "T2": 4}
+    assert shear_unfrozen(pic) == TropicalPoint("X", {("tri", "T1"): F(-4, 3), ("tri", "T2"): F(4, 3)},
+                                                tri=polygon4, restricted=True)
 
 
 # balanced across d2 on both sheets, but the strand of weight 1 leaving T1
@@ -700,6 +709,43 @@ def test_paired_strands_of_unequal_weights_are_refused(polygon4, tmp_path, capsy
     assert main(["shear", "--surface", str(surf), "--lamination", str(lam)]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "unequal weights" in err, err
+
+
+# documents of a few dozen bytes that ask for 10^12 strands, one for each
+# path that expands a picture, by the command that reads them through it
+_HUGE = 10**12
+OVERSIZED_DOCS = {
+    "weights": ("shear", _pic("T1", corners={"0": [_arc(), _arc(weight=f"1/{_HUGE}")]})),
+    "count": ("shear", _pic("T1", corners={"0": [_arc(count=_HUGE)]})),
+    "height": ("shear", _pic("T1", honeycomb={"orient": "sink", "height": _HUGE})),
+    "component": ("shear", {"components": [_alpha(weight=str(_HUGE))]}),
+    "scaling": ("glue", {**_pic("T1", corners={"0": [_arc()]}), "delta": {"b0": [f"1/{_HUGE}", "0"]}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZED_DOCS))
+def test_oversized_pictures_are_refused_before_they_are_built(name, polygon4, tmp_path, capsys):
+    """Cabling mixed weights, expanding run counts and honeycomb heights,
+    drawing a component sum and scaling before gluing each check
+    ``MAX_PICTURE_SIZE`` before they build a stack; past it the library
+    raises ``PictureTooLarge`` and the CLI exits 1 with one line."""
+    from sl3shear.glue import glue_laminations
+    from sl3shear.laminations import MAX_PICTURE_SIZE, PictureTooLarge
+
+    command, doc = OVERSIZED_DOCS[name]
+    with pytest.raises(PictureTooLarge, match=f"over the limit of {MAX_PICTURE_SIZE}"):
+        pl = jio.pinned_from_obj(doc, polygon4)
+        glue_laminations(pl, "b0", "b2")
+    surf = tmp_path / "p4.json"
+    main(["surface", "--spec", "polygon:4", "--out", str(surf)])
+    lam = tmp_path / "huge.json"
+    lam.write_text(json.dumps(doc))
+    assert len(lam.read_text()) < 200
+    capsys.readouterr()
+    argv = [command, "--surface", str(surf), "--lamination", str(lam)]
+    assert main(argv + (["--left", "b0", "--right", "b2"] if command == "glue" else [])) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "over the limit" in err, err
 
 
 def test_tropical_point_json_roundtrip(polygon4):

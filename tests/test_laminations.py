@@ -53,7 +53,8 @@ def quad_corners(tri):
 
 
 def one_curve_picture(tri, kind, weight=F(1)):
-    """The four curve components of the flip quadrilateral as pictures."""
+    """The four curve components of the flip quadrilateral as pictures,
+    at ``weight``."""
     q = quad_corners(tri)
     arcs = {
         "alpha+": [(q["t_left"], "ccw"), (q["b_right"], "cw")],
@@ -63,8 +64,8 @@ def one_curve_picture(tri, kind, weight=F(1)):
     }[kind]
     corners = {}
     for corner, orient in arcs:
-        corners.setdefault(corner, []).append(CornerArc(orient, weight))
-    return GlobalPicture(tri, corners=corners)
+        corners.setdefault(corner, []).append(CornerArc(orient))
+    return GlobalPicture(tri, corners=corners, weight=weight)
 
 
 def honeycomb_pattern_picture(tri, kind):
@@ -348,7 +349,7 @@ def test_arc_order_within_a_stack_leaves_the_shear(polygon4):
         for c, stack in pic.corners.items():
             corners[c] = list(stack)
             rng.shuffle(corners[c])
-        shuffled = GlobalPicture(polygon4, pic.honeycombs, corners)
+        shuffled = GlobalPicture(polygon4, pic.honeycombs, corners, pic.weight)
         assert shuffled.validate() == []
         assert shear_frozen(PinnedLamination(shuffled, delta)) == x
 
@@ -546,6 +547,38 @@ def test_dynkin_geometric_on_pictures(polygon4, torus):
             assert dict(lhs.coords) == rhs_unfrozen
             back = flipped.dynkin()
             assert shear_unfrozen(back) == x
+
+
+def test_shear_builds_no_fraction(monkeypatch, polygon5, torus):
+    """Shear reads each coordinate as an int count times the picture's one
+    weight: on integral and rational reconstructions and on glued
+    pictures it builds no Fraction, validation included, and returns the
+    points it returns when Fractions may be built."""
+    from sl3shear import laminations
+
+    rng = random.Random("shear-ints")
+    xs, pictures = [], []
+    for tri in (polygon5, torus):
+        iset = Sl3IndexSet(tri)
+        for den in (1, 1, 2, 6):
+            coords = {i: F(rng.randint(-6, 6), den) for i in iset.unfrozen}
+            xs.append(TropicalPoint("X", coords, tri=tri, restricted=True))
+            pictures.append(reconstruct(xs[-1], tri))
+    for integral in (True, False, False):
+        pictures.append(glue_laminations(random_pinned_two_triangles(rng, integral), "a2", "b0").underlying)
+    assert {p.weight for p in pictures} >= {1, F(1, 2), F(1, 6)}
+    want = [shear_unfrozen(p) for p in pictures]
+    assert want[: len(xs)] == xs
+    # fresh copies, so that their validation runs under the patch too
+    fresh = [GlobalPicture(p.tri, p.honeycombs, p.corners, p.weight) for p in pictures]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    with monkeypatch.context() as m:
+        m.setattr(laminations, "Fraction", refuse)
+        got = [shear_unfrozen(p) for p in fresh]
+    assert got == want
 
 
 def test_peripheral_neutrality(polygon5, torus):

@@ -3,8 +3,8 @@
 A side of a picture is stored as its zones (initial positions, leg
 count, terminal positions), and readers classify a strand by its index.
 The reference below is the per-strand form the zones replaced: one
-record per strand end naming its origin, and the shear summed one
-classified crossing at a time.  ``shear_unfrozen`` and
+record per strand end naming its origin and carrying the picture's
+weight, and the shear summed one classified crossing at a time.  ``shear_unfrozen`` and
 ``honeycomb_leg_split`` must agree with it.
 """
 
@@ -59,16 +59,16 @@ def _strand_list(pic, slot, direction):
     t, i = slot
     c0, c1 = (t, (i - 1) % 3), (t, i)
     initial = [
-        StrandRef(slot, direction, ("corner", c0, p), entry.weight)
+        StrandRef(slot, direction, ("corner", c0, p), pic.weight)
         for p, entry in enumerate(pic.corner_stack(c0))
         if _arc_end_direction(entry, "B") == direction
     ]
     hc = pic.honeycombs.get(t)
     legs = []
     if hc is not None and (hc.orient == "sink") == (direction == "in"):
-        legs = [StrandRef(slot, direction, ("leg", j), hc.weight) for j in range(hc.height)]
+        legs = [StrandRef(slot, direction, ("leg", j), pic.weight) for j in range(hc.height)]
     terminal = [
-        StrandRef(slot, direction, ("corner", c1, p), entry.weight)
+        StrandRef(slot, direction, ("corner", c1, p), pic.weight)
         for p, entry in enumerate(pic.corner_stack(c1))
         if _arc_end_direction(entry, "A") == direction
     ]
@@ -112,7 +112,7 @@ def _crossing_contribution(x, e, lclass, rclass, travel, left_hc, right_hc, w):
 
 def _reference_shear(pic):
     tri = pic.tri
-    x = {("tri", t): hc.face_value() for t, hc in pic.honeycombs.items()}
+    x = {("tri", t): pic.weight * hc.height * (1 if hc.orient == "sink" else -1) for t, hc in pic.honeycombs.items()}
     for e in tri.interior_edges:
         sl, sr = tri.slots(e)
         l_hc = pic.honeycombs.get(sl[0])
@@ -144,9 +144,10 @@ def _reference_leg_split(pic, t, i):
 
 
 def _pictures():
-    """Rational reconstructions on five surfaces, two of them with a
-    weight-3/2 peripheral chain added, and rational two-triangle gluings;
-    then the io-decoded copy of each, then the Dynkin image of each."""
+    """Rational reconstructions on five surfaces, each last one with a
+    weight-3/2 peripheral chain cabled in, and rational two-triangle
+    gluings; then the io-decoded copy of each, then the Dynkin image of
+    each."""
     rng = random.Random("zones")
     pictures = []
     for spec in (
@@ -163,7 +164,10 @@ def _pictures():
             x = TropicalPoint("X", coords, tri=tri, restricted=True)
             pictures.append(reconstruct(x, tri))
         vertex = sorted(tri.vertices)[0]
-        pictures.append(add_peripheral_chain(pictures[-1], vertex, "ccw", F(3, 2)))
+        chained = add_peripheral_chain(pictures[-1], vertex, "ccw", F(3, 2))
+        # weights 1/u (u = 1 or 2) and 3/2 are cabled at weight 1/2
+        assert chained.weight == F(1, 2)
+        pictures.append(chained)
     for _ in range(8):
         glued = glue_laminations(random_pinned_two_triangles(rng, integral=False), "a2", "b0")
         pictures.append(glued.underlying)
@@ -177,9 +181,6 @@ def _pictures():
 
 def test_zone_readers_match_per_strand_reference():
     pictures = _pictures()
-    assert any(
-        entry.weight == F(3, 2) for p in pictures for stack in p.corners.values() for entry in stack
-    )
     for pic in pictures:
         assert shear_unfrozen(pic).coords == _reference_shear(pic)
         for t in pic.tri.triangles:
