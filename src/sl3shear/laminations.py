@@ -263,7 +263,9 @@ def _cabled(tri, honeycombs, corners, weight):
     h's height and stacks ``{corner: [(entry, m)]}`` repeating each entry
     m times in place; over :data:`MAX_PICTURE_SIZE` corner entries plus
     honeycomb height it raises :class:`PictureTooLarge` before building."""
-    size = sum(h.height * m for h, m in honeycombs.values()) + sum(m for s in corners.values() for _, m in s)
+    # counted as built: a height or repeat that is not positive draws nothing
+    size = sum(max(h.height * m, 0) for h, m in honeycombs.values())
+    size += sum(max(m, 0) for s in corners.values() for _, m in s)
     if size > MAX_PICTURE_SIZE:
         raise PictureTooLarge(f"a picture of {size} strands is over the limit of {MAX_PICTURE_SIZE}")
     return GlobalPicture(

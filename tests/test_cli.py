@@ -720,6 +720,11 @@ OVERSIZED_DOCS = {
     "height": ("shear", _pic("T1", honeycomb={"orient": "sink", "height": _HUGE})),
     "component": ("shear", {"components": [_alpha(weight=str(_HUGE))]}),
     "scaling": ("glue", {**_pic("T1", corners={"0": [_arc()]}), "delta": {"b0": [f"1/{_HUGE}", "0"]}}),
+    # a negative height builds no legs, so it must not cancel the entries
+    "negative-height": ("shear", _pic("T1", honeycomb={"orient": "sink", "height": -_HUGE},
+                                      corners={"0": [_arc(count=_HUGE)]})),
+    "negative-height-scaled": ("glue", {**_pic("T1", honeycomb={"orient": "sink", "height": -1},
+                                               corners={"0": [_arc()]}), "delta": {"b0": [f"1/{_HUGE}", "0"]}}),
 }
 
 
