@@ -10,7 +10,8 @@ Strand pairings are implicit (the reversal, see
 :mod:`sl3shear.laminations`) and are not written.  The older unary
 format, one object per entry plus the ``"pairings"`` of every interior
 edge, is still read: an entry without ``count`` is a run of one, and
-given pairings are checked against the reversal.
+given pairings are checked against the reversal of the strands as
+written, before any cabling.
 
 Every entry object and honeycomb carries a ``"weight"``; the encoder
 writes the picture's one weight on each, and a document of several
@@ -172,10 +173,10 @@ def exact_rational(value, where):
     raise ValueError(f"{where} is {value!r}, not an exact rational")
 
 
-def _run_from_obj(obj, where):
+def _run_from_obj(obj, where, read_weight):
     """A run ``(entry, weight, count)``; the count is 1 when absent."""
     kind = _one_of(obj["type"], ("arc", "end"), f"{where}.type")
-    weight = exact_rational(obj["weight"], f"{where}.weight")
+    weight = read_weight(obj["weight"], f"{where}.weight")
     if kind == "arc":
         entry = CornerArc(_one_of(obj["orient"], ("cw", "ccw"), f"{where}.orient"))
     else:
@@ -192,14 +193,8 @@ def _run_from_obj(obj, where):
 def _runs_to_obj(stack, weight):
     """A corner stack as runs: each maximal block of equal entries is one
     entry object, with ``"count"`` when the block has more than one."""
-    runs = []
-    for entry, block in groupby(stack):
-        obj = _entry_to_obj(entry, weight)
-        n = sum(1 for _ in block)
-        if n > 1:
-            obj["count"] = n
-        runs.append(obj)
-    return runs
+    runs = [(_entry_to_obj(entry, weight), sum(1 for _ in block)) for entry, block in groupby(stack)]
+    return [{**obj, "count": n} if n > 1 else obj for obj, n in runs]
 
 
 def _reversal_pairs(pic, e):
@@ -217,18 +212,10 @@ def picture_to_obj(pic):
         hc = pic.honeycombs.get(t)
         if hc is not None:
             entry["honeycomb"] = {"orient": hc.orient, "height": hc.height, "weight": weight}
-            legs = {}
-            for i in range(3):
-                split = honeycomb_leg_split(pic, t, i)
-                if split is not None:
-                    legs[pic.tri.edge_at((t, i))] = list(split)
+            legs = {pic.tri.edge_at((t, i)): list(n) for i in range(3) if (n := honeycomb_leg_split(pic, t, i))}
             if legs:
                 entry["honeycomb"]["legs"] = legs
-        corners = {}
-        for c in range(3):
-            stack = pic.corner_stack((t, c))
-            if stack:
-                corners[str(c)] = _runs_to_obj(stack, weight)
+        corners = {str(c): _runs_to_obj(s, weight) for c in range(3) if (s := pic.corner_stack((t, c)))}
         if corners:
             entry["corners"] = corners
         triangles[t] = entry
@@ -248,9 +235,16 @@ def picture_from_obj(obj, tri):
     that refuses); another picture rule, such as a positive height, is
     left to the picture's checks.  Pairings are implicit; when
     ``"pairings"`` are given, each interior edge's pairs (an edge left
-    out has none) must list the reversal, in any order, or
-    :class:`InvalidPicture` is raised."""
-    honeycombs, corners = {}, {}
+    out has none) must list the reversal of the strands as written, one
+    per entry, in any order, or :class:`InvalidPicture` is raised."""
+    honeycombs, corners, parsed = {}, {}, {}
+
+    def read_weight(value, where):
+        # a document repeats its weight strings: each is parsed once
+        if type(value) not in (str, int) or value not in parsed:
+            parsed[value] = exact_rational(value, where)
+        return parsed[value]
+
     for t, entry in obj.get("triangles", {}).items():
         where = f"triangles.{t}"
         if t not in tri.tri_sides:
@@ -260,22 +254,23 @@ def picture_from_obj(obj, tri):
             if type(hc["height"]) is not int:
                 raise ValueError(f"{where}.honeycomb.height is {hc['height']!r}, not an int")
             orient = _one_of(hc["orient"], ("sink", "source"), f"{where}.honeycomb.orient")
-            weight = exact_rational(hc.get("weight", "1"), f"{where}.honeycomb.weight")
+            weight = read_weight(hc.get("weight", "1"), f"{where}.honeycomb.weight")
             honeycombs[t] = (Honeycomb(orient, hc["height"]), weight)
         for c_s, runs in entry.get("corners", {}).items():
             _one_of(c_s, ("0", "1", "2"), f"{where}.corners key")
             corners[(t, int(c_s))] = [
-                _run_from_obj(x, f"{where}.corners.{c_s}[{p}]") for p, x in enumerate(runs)
+                _run_from_obj(x, f"{where}.corners.{c_s}[{p}]", read_weight) for p, x in enumerate(runs)
             ]
-    pic = cable(tri, honeycombs, corners)
     given = obj.get("pairings")
     if given:
+        ones = {c: [(e, 1, n) for e, _, n in s] for c, s in corners.items()}
+        drawn = cable(tri, {t: (h, 1) for t, (h, _) in honeycombs.items()}, ones)
         for e in tri.interior_edges:
             v = given.get(e, {"lr": [], "rl": []})
-            for tag, pairs in zip(("lr", "rl"), _reversal_pairs(pic, e)):
+            for tag, pairs in zip(("lr", "rl"), _reversal_pairs(drawn, e)):
                 if sorted(list(p) for p in v[tag]) != pairs:
                     raise InvalidPicture(f"pairing across {e} ({tag}) is not the reversal")
-    return pic
+    return cable(tri, honeycombs, corners)
 
 
 def components_from_obj(obj, tri):

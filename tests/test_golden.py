@@ -21,6 +21,8 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
+
 import legacy_io
 from sl3shear import io as jio
 from sl3shear.glue import glue_laminations
@@ -177,6 +179,38 @@ def test_corpus_decodes_to_its_pictures():
 def test_legacy_corpus_decodes_to_its_pictures():
     """So does every text of the corpus in the unary format."""
     _decodes_to_its_pictures(legacy_io)
+
+
+def test_legacy_mixed_weights_check_pairings_before_cabling():
+    """A unary document of several weights lists its pairings over its
+    strands as written, one per entry: they are checked before the
+    entries are cabled, and the document decodes to the cabled picture.
+    Here a weight-1 peripheral chain is added to a picture of weight 1/2,
+    so each chain arc is cabled into two strands."""
+    from sl3shear.laminations import InvalidPicture
+
+    tri = build(MarkedSurfaceSpec.polygon(4))
+    e = tri.interior_edges[0]
+    x = {("edge", e, 1): F(3, 2), ("edge", e, 2): F(-1, 2)}
+    half = reconstruct(TropicalPoint("X", x, tri=tri, restricted=True), tri)
+    assert half.weight == F(1, 2)
+    v = max(sorted(tri.vertices), key=lambda w: len(tri.corners_at_vertex(w)))
+    assert len(tri.corners_at_vertex(v)) >= 2
+    # written at the picture's own weight, each chain arc is one entry
+    obj = json.loads(jio.dump(legacy_io.picture_to_obj(add_peripheral_chain(half, v, "cw", half.weight))))
+    for t, ci in tri.corners_at_vertex(v):
+        obj["triangles"][t]["corners"][str(ci)][-1]["weight"] = "1"
+    want = add_peripheral_chain(half, v, "cw", 1)
+    back = jio.picture_from_obj(obj, tri)
+    assert (back.honeycombs, back.corners, back.weight) == (want.honeycombs, want.corners, F(1, 2))
+    bare = {k: w for k, w in obj.items() if k != "pairings"}
+    assert jio.picture_from_obj(bare, tri).corners == want.corners
+
+    pairs = obj["pairings"][e]["lr"]
+    assert len(pairs) >= 2
+    pairs[0][1], pairs[1][1] = pairs[1][1], pairs[0][1]
+    with pytest.raises(InvalidPicture, match="not the reversal"):
+        jio.picture_from_obj(obj, tri)
 
 
 def test_runs_shrink_the_glued_pentagons():
