@@ -10,8 +10,7 @@ Strand pairings are implicit (the reversal, see
 :mod:`sl3shear.laminations`) and are not written.  The older unary
 format, one object per entry plus the ``"pairings"`` of every interior
 edge, is still read: an entry without ``count`` is a run of one, and
-given pairings are checked against the reversal of the strands as
-written, before any cabling.
+given pairings are checked, before cabling, against the reversal.
 
 Every entry object and honeycomb carries a ``"weight"``; the encoder
 writes the picture's one weight on each, and a document of several
@@ -212,7 +211,7 @@ def picture_to_obj(pic):
         hc = pic.honeycombs.get(t)
         if hc is not None:
             entry["honeycomb"] = {"orient": hc.orient, "height": hc.height, "weight": weight}
-            legs = {pic.tri.edge_at((t, i)): list(n) for i in range(3) if (n := honeycomb_leg_split(pic, t, i))}
+            legs = {pic.tri.edge_at((t, i)): list(ns) for i in range(3) if (ns := honeycomb_leg_split(pic, t, i))}
             if legs:
                 entry["honeycomb"]["legs"] = legs
         corners = {str(c): _runs_to_obj(s, weight) for c in range(3) if (s := pic.corner_stack((t, c)))}
