@@ -7,7 +7,8 @@ piecewise-linear maps (:mod:`sl3shear.tropical`), concrete lamination
 pictures with their shear coordinates (:mod:`sl3shear.laminations`),
 reconstruction of pictures from coordinates (:mod:`sl3shear.reconstruct`)
 and gluing of pinned laminations (:mod:`sl3shear.glue`).  All arithmetic
-is exact, over :class:`fractions.Fraction`.
+is exact: the maps run on ints over one common denominator, and a value
+is read as a :class:`fractions.Fraction`.
 """
 
 from .surface import (
@@ -67,13 +68,14 @@ from .laminations import (
     coords_of_components,
     geometric_ensemble,
     normalize_integral,
-    elementary_lamination,
 )
 from .reconstruct import (
     TruncationTooShallow,
     identifier_relations,
     NonIntegralInput,
     reconstruct,
+    reconstruct_pinned,
+    elementary_lamination,
     traveler_trace,
     roundtrip_check,
 )

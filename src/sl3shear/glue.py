@@ -97,7 +97,7 @@ def glue_laminations(pinned, e_l, e_r):
     (sl, _), (sr, _) = tri.slots(e_l), tri.slots(e_r)
     dl, dr = (norm.delta_at(e) for e in (e_l, e_r))
     # an outgoing strand on the left side crosses on the left-to-right sheet
-    pins = {sl: int(dl[0] + dr[1]), sr: int(dl[1] + dr[0])}
+    pins = {slot: int(p) for slot, p in zip((sl, sr), glue_coordinates(dl, dr))}
     total = sum(pic.strand_count(*side) for side in pic.strand_lists)
     mass = abs(pins[sl]) + abs(pins[sr])
     stepper = _PictureStepper(pic, t2, pins, 4000 + 100 * (total + mass + 8) * max(1, len(tri.edges)))

@@ -39,9 +39,9 @@ from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 
-from .seeds import ZERO, Sl3IndexSet
+from .seeds import ZERO
 from .surface import Sl3Error
-from .tropical import TropicalPoint, pos
+from .tropical import TropicalPoint
 
 
 # the most corner entries plus honeycomb height of a picture that is
@@ -170,16 +170,6 @@ class GlobalPicture:
         return Fraction(2 * (index - n0) + 1, 2)
 
     # -- readers -----------------------------------------------------------
-
-    def face_value(self, t):
-        """x_T: the weight times the height of a sink in ``t``, or minus it."""
-        hc = self.honeycombs.get(t)
-        return ZERO if hc is None else self.weight * (hc.height if hc.orient == "sink" else -hc.height)
-
-    def corner_arc_weight(self, corner, orient):
-        """Total weight of the ``orient`` corner arcs at ``corner``."""
-        stack = self.corner_stack(corner)
-        return self.weight * sum(1 for e in stack if isinstance(e, CornerArc) and e.orient == orient)
 
     def puncture_signs(self):
         """List of (vertex, sign, weight) for each spiral tail."""
@@ -470,15 +460,13 @@ def shear_unfrozen(pic):
 def boundary_weights(pic, e):
     """The pinning rule's weights ``(alpha^+, alpha^- + [x_T]_+)`` at the
     boundary interval E = ``e``, whose frozen coordinates are x_{E,1} =
-    delta^+ - alpha^+ and x_{E,2} = delta^- - alpha^- - [x_T]_+: alpha^+/-
-    are the total weights of the cw/ccw corner arcs at the initial marked
-    point of E in its triangle T."""
-    (t, i), _ = pic.tri.slots(e)
-    m = (t, (i - 1) % 3)
-    return (
-        pic.corner_arc_weight(m, "cw"),
-        pic.corner_arc_weight(m, "ccw") + pos(pic.face_value(t)),
-    )
+    delta^+ - alpha^+ and x_{E,2} = delta^- - alpha^- - [x_T]_+.  alpha^+/-
+    weigh the cw/ccw arcs at E's initial marked point, which is special and
+    so holds no spiral end: they are the initial zones of E's outgoing and
+    incoming sides, and [x_T]_+ the incoming legs, times the weight."""
+    slot, _ = pic.tri.slots(e)
+    out, inc = pic.strand_lists[(slot, "out")], pic.strand_lists[(slot, "in")]
+    return pic.weight * len(out[0]), pic.weight * (len(inc[0]) + inc[1])
 
 
 def shear_frozen(pinned):
@@ -634,23 +622,3 @@ def normalize_integral(lam):
         delta = {e: (dp * u, dm * u) for e, (dp, dm) in lam.delta.items()}
         return u, PinnedLamination(lam.underlying.scaled(u), delta)
     return lam.weight.denominator, lam.scaled(lam.weight.denominator)
-
-
-def elementary_lamination(tri, k):
-    """The pinned lamination whose shear coordinate vector is minus the
-    unit vector at index ``k``: a reconstructed one-component picture for
-    unfrozen indices, a pure pinning for frozen ones."""
-    from .reconstruct import reconstruct
-
-    iset = Sl3IndexSet(tri)
-    if k not in iset:
-        raise KeyError(k)
-    if k in iset.frozen:
-        _, e, s = k
-        dp = Fraction(-1) if s == 1 else Fraction(0)
-        dm = Fraction(-1) if s == 2 else Fraction(0)
-        return PinnedLamination(GlobalPicture(tri), {e: (dp, dm)})
-    x = TropicalPoint("X", {k: Fraction(-1)}, tri=tri, restricted=True)
-    pic = reconstruct(x, tri)
-    delta = {e: boundary_weights(pic, e) for e in tri.boundary_intervals}
-    return PinnedLamination(pic, {e: w for e, w in delta.items() if any(w)})

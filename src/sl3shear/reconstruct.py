@@ -37,8 +37,8 @@ across each interior edge by the pinning rule
 
     sigma_lr = x_{E,1} + [x_{T_R}]_+,  sigma_rl = x_{E,2} + [x_{T_L}]_+,
 
-so that the strand at parameter psi on one side meets the strand at
-sigma - psi on the other.  The finitely many crossings of the windows
+written once, in :func:`_pins`, so that the strand at parameter psi on
+one side meets the strand at sigma - psi on the other.  The finitely many crossings of the windows
 seed the trace, so peripheral components never appear.  On an integral
 vector every state, depth and place key is an ``int``; a ``Fraction``
 appears only in the pictures it writes and in the parameter a
@@ -53,15 +53,14 @@ The traveler-identifier relations need no walk.  Across a biangle the
 pinning pairs parameter t with sigma - t, so k_out + k_in is one
 constant on every crossing of a sheet; on an explicit picture it is n -
 a - b, read from the strand count n and the initial zone sizes a and b
-of the two sides.  :func:`identifier_relations` checks that constant
-once per sheet.
+of the two sides, and sigma is the picture's weight times it.
+:func:`identifier_relations` checks that constant once per sheet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .laminations import (
     CornerArc,
@@ -69,6 +68,8 @@ from .laminations import (
     Honeycomb,
     SpiralEnd,
     InvalidPicture,
+    PinnedLamination,
+    boundary_weights,
     shear_unfrozen,
 )
 from .seeds import Sl3IndexSet
@@ -449,6 +450,18 @@ class Traveler:
     end: tuple
 
 
+def _pins(get, tri):
+    """The coordinate pins ``{out_slot: sigma}`` of every interior edge,
+    from the coordinate reader ``get``: sigma_lr = x_{E,1} + [x_{T_R}]_+
+    at E's left slot and sigma_rl = x_{E,2} + [x_{T_L}]_+ at its right."""
+    pins = {}
+    for e in tri.interior_edges:
+        sl, sr = tri.slots(e)
+        pins[sl] = get(("edge", e, 1)) + pos(get(("tri", sr[0])))
+        pins[sr] = get(("edge", e, 2)) + pos(get(("tri", sl[0])))
+    return pins
+
+
 def trace_coordinates(x, tri, step_cap):
     """All non-peripheral travelers of the honeycombs of an integral
     coordinate vector glued by its pins, in seed order.  A seed that an
@@ -457,11 +470,7 @@ def trace_coordinates(x, tri, step_cap):
     xs = {i: _integer(v) for i, v in x.coords.items()}
     faces = {t: xs.get(("tri", t), 0) for t in tri.triangles}
     honeycombs = {t: Honeycomb("sink" if v > 0 else "source", abs(v)) for t, v in faces.items() if v}
-    pins = {}
-    for e in tri.interior_edges:
-        sl, sr = tri.slots(e)
-        pins[sl] = xs.get(("edge", e, 1), 0) + max(faces[sr[0]], 0)
-        pins[sr] = xs.get(("edge", e, 2), 0) + max(faces[sl[0]], 0)
+    pins = _pins(lambda i: xs.get(i, 0), tri)
     stepper = _PictureStepper(GlobalPicture(tri, honeycombs), tri, pins, step_cap)
     seeds = (
         seed
@@ -484,6 +493,31 @@ def reconstruct(x, tri):
     return _pictures(stepper, travelers, (SPIRAL_TURNS,), Fraction(1, u))[0].require_valid()
 
 
+def reconstruct_pinned(x, tri):
+    """The pinned lamination whose full shear coordinates are ``x``, the
+    inverse of :func:`shear_frozen` on all indices: the reconstruction of
+    the unfrozen part, pinned at each boundary interval E by delta_E =
+    x_E + :func:`boundary_weights`, nonzero pins only.  A point that
+    :func:`reconstruct` refuses on its non-frozen part is refused."""
+    frozen = Sl3IndexSet(tri).frozen
+    rest = {i: v for i, v in x.coords.items() if i not in frozen}
+    pic = reconstruct(TropicalPoint(x.kind, rest, tri=tri), tri)
+    delta = {}
+    for e in tri.boundary_intervals:
+        d = tuple(x[("edge", e, s)] + w for s, w in zip((1, 2), boundary_weights(pic, e)))
+        if any(d):
+            delta[e] = d
+    return PinnedLamination(pic, delta)
+
+
+def elementary_lamination(tri, k):
+    """The pinned lamination whose shear coordinate vector is minus the
+    unit vector at index ``k``."""
+    if k not in Sl3IndexSet(tri):
+        raise KeyError(k)
+    return reconstruct_pinned(TropicalPoint("X", {k: -1}, tri=tri), tri)
+
+
 def _integral_point(x, tri):
     """``(u, u x)`` on the unfrozen indices, ``u`` the least positive
     integer that makes every coordinate integral.  An A-point, or a point
@@ -496,8 +530,8 @@ def _integral_point(x, tri):
     if stray:
         raise SeedMismatch(f"coordinates {stray[:3]} are not at unfrozen indices of the triangulation")
     xr = TropicalPoint("X", {i: x[i] for i in iset.unfrozen}, tri=tri, restricted=True)
-    u = lcm(*(v.denominator for v in xr.coords.values()))
-    return u, (xr if u == 1 else xr.scale(u))
+    u, nums = xr._ints
+    return u, (xr if u == 1 else TropicalPoint.from_ints("X", 1, nums, tri, restricted=True))
 
 
 def _step_cap(x, tri):
@@ -575,9 +609,10 @@ def traveler_trace(pic):
 
 def identifier_relations(pic, x):
     """Check the traveler-identifier relations on every biangle crossing:
-    k_out + k_in = x_{E,1} + [x_{T_R}]_+ on the left-to-right sheet and
-    x_{E,2} + [x_{T_L}]_+ on the other.  Returns the violations, one
-    ``(edge, sheet, k_out, k_in, want)`` per crossing that breaks them.
+    the picture's weight times k_out + k_in is sigma, the pin of
+    :func:`_pins`.  Returns the violations, one ``(edge, sheet, k_out,
+    k_in, want)`` per crossing that breaks them, with k_out and k_in the
+    strand parameters, in units of the weight, and ``want`` the pin.
 
     The sum is one constant per sheet, read from the zones: out index j
     has k_out = j - a + 1/2 and meets in index n - 1 - j, which has k_in =
@@ -586,17 +621,16 @@ def identifier_relations(pic, x):
     No strand is walked."""
     pic.require_valid()
     tri = pic.tri
+    pins = _pins(x.__getitem__, tri)
     bad = []
     for e in tri.interior_edges:
         sl, sr = tri.slots(e)
-        for sheet, out_slot, in_slot, want in (
-            ("lr", sl, sr, x[("edge", e, 1)] + pos(x[("tri", sr[0])])),
-            ("rl", sr, sl, x[("edge", e, 2)] + pos(x[("tri", sl[0])])),
-        ):
+        for sheet, out_slot, in_slot in (("lr", sl, sr), ("rl", sr, sl)):
+            want = pins[out_slot]
             n = pic.strand_count(out_slot, "out")
             a = len(pic.strand_lists[(out_slot, "out")][0])
             b = len(pic.strand_lists[(in_slot, "in")][0])
-            if n and n - a - b != want:
+            if n and pic.weight * (n - a - b) != want:
                 bad += [
                     (e, sheet, pic.strand_parameter(out_slot, "out", j),
                      pic.strand_parameter(in_slot, "in", n - 1 - j), want)

@@ -148,15 +148,6 @@ class TropicalPoint:
         tag = "X^uf" if self.restricted else self.kind
         return f"<{tag} point {{{vals}}}>"
 
-    def scale(self, u):
-        u = Fraction(u)
-        return TropicalPoint(
-            self.kind,
-            {i: u * v for i, v in self.coords.items()},
-            tri=self.tri,
-            restricted=self.restricted,
-        )
-
 
 def _x_rule(x, k, col):
     """Tropical X-mutation at ``k``, in place on the nonzero int

@@ -40,11 +40,10 @@ from .laminations import (
     PinnedLamination,
     cable,
     coords_of_components,
-    elementary_lamination,
     shear_frozen,
 )
 from .io import tropical_point_to_obj
-from .reconstruct import identifier_relations, reconstruct, roundtrip_check
+from .reconstruct import elementary_lamination, identifier_relations, reconstruct, roundtrip_check
 from .glue import ShiftElement, glue_coordinates, glue_laminations, shift_action
 
 
@@ -169,8 +168,9 @@ def ensemble_table_suite():
     read off its drawing satisfy X = (eps + m) . A entry-exactly, and
     the paper's alpha and tau+ rows come out as (0,0,-1,0,0,0,0) and
     (1,0,-1,0,-1,0,-1)."""
+    cases = component_table_cases()
     fails = []
-    for tri, comp in component_table_cases():
+    for tri, comp in cases:
         s = ComponentSum(tri, [comp])
         if _drawn_shear(s).coords != ensemble(coords_of_components(s), tri).coords:
             fails.append(comp.kind)
@@ -186,7 +186,7 @@ def ensemble_table_suite():
         fails.append(f"alpha row {alpha_row}")
     if tau_row != (1, 0, -1, 0, -1, 0, -1):
         fails.append(f"tau+ row {tau_row}")
-    n = len(component_table_cases()) + 2
+    n = len(cases) + 2
     return SuiteResult(
         "ensemble-tables", not fails, f"{n} table checks, failures: {fails or 'none'}"
     )
@@ -421,9 +421,10 @@ def principal_suite(trials=200, seed=0):
 def elementary_suite():
     """Criterion 8: shear_frozen(elementary_lamination(k)) = -e_k for
     every index on the triangle and the square."""
+    fx = _fixtures()
     fails = []
     for name in ("triangle", "polygon4"):
-        tri = _fixtures()[name]
+        tri = fx[name]
         iset = Sl3IndexSet(tri)
         for k in iset.all:
             pl = elementary_lamination(tri, k)

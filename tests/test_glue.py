@@ -16,7 +16,6 @@ from sl3shear.laminations import (
     GlobalPicture,
     Honeycomb,
     PinnedLamination,
-    elementary_lamination,
     shear_frozen,
     shear_unfrozen,
 )
@@ -24,6 +23,7 @@ from sl3shear.reconstruct import (
     LOOP,
     Turn,
     Walk,
+    elementary_lamination,
     identifier_relations,
     reconstruct,
     traveler_trace,

@@ -45,13 +45,10 @@ def _function_imports(path):
 
 
 def test_modules_import_at_the_top():
-    """The one import inside a function is elementary_lamination's import
-    of reconstruct, which breaks the cycle laminations -> reconstruct ->
-    laminations."""
+    """No import sits inside a function: the modules import one another
+    at the top, with no cycle to break."""
     local = {p.name: _function_imports(p) for p in sorted(SRC.glob("*.py"))}
-    assert {name: found for name, found in local.items() if found} == {
-        "laminations.py": [("elementary_lamination", ".reconstruct")]
-    }
+    assert {name: found for name, found in local.items() if found} == {}
 
 
 def _module_caches(path):

@@ -19,15 +19,19 @@ from sl3shear.laminations import (
     SpiralEnd,
     UnknownComponentKind,
     add_peripheral_chain,
-    boundary_weights,
     coords_of_components,
-    elementary_lamination,
     geometric_ensemble,
     normalize_integral,
     shear_frozen,
     shear_unfrozen,
 )
-from sl3shear.reconstruct import identifier_relations, reconstruct, traveler_trace
+from sl3shear.reconstruct import (
+    elementary_lamination,
+    identifier_relations,
+    reconstruct,
+    reconstruct_pinned,
+    traveler_trace,
+)
 from sl3shear.seeds import Sl3IndexSet, side_pair
 from sl3shear.surface import MarkedSurfaceSpec, build
 from sl3shear.tropical import TropicalPoint, dynkin_cluster, ensemble
@@ -367,13 +371,11 @@ def test_drawer_rejects_what_it_cannot_place(polygon4):
 def test_realizable_sums_draw_and_round_trip(name):
     """Every sum ``realizable_component_sum`` returns draws and validates,
     the ensemble map sends its A-coordinates to the shear of its picture, and
-    that shear, pinnings included, comes back from the reconstructed
-    picture pinned by the one pinning rule."""
+    that shear, pinnings included, comes back from reconstruct_pinned."""
     from sl3shear.verify import _fixtures
 
     tri = _fixtures().get(name) or build(MarkedSurfaceSpec.polygon(7))
     rng = random.Random(3)
-    unfrozen = set(Sl3IndexSet(tri).unfrozen)
     kinds = set()
     for _ in range(60):
         s = realizable_component_sum(tri, rng)
@@ -383,15 +385,7 @@ def test_realizable_sums_draw_and_round_trip(name):
         assert ensemble(coords_of_components(s), tri) == shear_frozen(PinnedLamination(pic, {}))
         delta = {e: (F(rng.randint(-3, 3)), F(rng.randint(-3, 3), 2)) for e in tri.boundary_intervals}
         x = shear_frozen(PinnedLamination(pic, delta))
-        back = reconstruct(
-            TropicalPoint("X", {i: v for i, v in x.coords.items() if i in unfrozen}, tri=tri, restricted=True),
-            tri,
-        )
-        pins = {}
-        for e in tri.boundary_intervals:
-            w = boundary_weights(back, e)
-            pins[e] = tuple(x[("edge", e, s)] + w[s - 1] for s in (1, 2))
-        assert shear_frozen(PinnedLamination(back, pins)) == x
+        assert shear_frozen(reconstruct_pinned(x, tri)) == x
     assert kinds
 
 

@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+from sl3shear.glue import glue_laminations
 from sl3shear.laminations import (
     CornerArc,
     GlobalPicture,
     Honeycomb,
     InvalidPicture,
     add_peripheral_chain,
+    boundary_weights,
+    shear_frozen,
     shear_unfrozen,
 )
 from sl3shear.reconstruct import (
@@ -23,6 +26,7 @@ from sl3shear.reconstruct import (
     build_picture,
     identifier_relations,
     reconstruct,
+    reconstruct_pinned,
     roundtrip_check,
     strand_kind,
     trace_coordinates,
@@ -33,6 +37,7 @@ from sl3shear.reconstruct import (
 from sl3shear.seeds import Sl3IndexSet
 from sl3shear.surface import MarkedSurfaceSpec, build
 from sl3shear.tropical import SeedMismatch, TropicalPoint, pos
+from sl3shear.verify import random_pinned_two_triangles, realizable_component_sum
 
 F = Fraction
 # the module; the package binds the name ``reconstruct`` to the function
@@ -112,6 +117,20 @@ def test_reconstruction_refuses_what_it_would_drop(point, names, polygon4, polyg
     for run in (reconstruct, roundtrip_check):
         with pytest.raises(SeedMismatch) as info:
             run(x, polygon4)
+        assert names in str(info.value) and "\n" not in str(info.value)
+
+
+def test_pinned_reconstruction_refuses_a_points_and_stray_indices(polygon4, polygon5):
+    """reconstruct_pinned takes frozen coordinates, and refuses what
+    reconstruct refuses on the rest: an A-point, or an index the
+    triangulation lacks."""
+    for x, names in (
+        (TropicalPoint("X", {("edge", "zz", 1): 5, ("edge", "b0", 1): 1}, tri=polygon4), "'zz'"),
+        (TropicalPoint("A", {("tri", "T1"): 1}, tri=polygon4), "A-point"),
+        (TropicalPoint("X", {("tri", "T3"): 1, ("edge", "b0", 2): 1}, tri=polygon5), "'T3'"),
+    ):
+        with pytest.raises(SeedMismatch) as info:
+            reconstruct_pinned(x, polygon4)
         assert names in str(info.value) and "\n" not in str(info.value)
 
 
@@ -222,6 +241,31 @@ def _walked_relations(travelers, x):
             if k_out + k_in != want:
                 bad.append((e, sheet, k_out, k_in, want))
     return bad
+
+
+def test_identifier_relations_rational():
+    """On a rational vector the strand counts are in units of the
+    picture's weight 1/u, so every sheet sums to sigma once scaled by it;
+    one coordinate moved by 1/u breaks the sheets it pins."""
+    rng = random.Random(5)
+    moved = 0
+    for spec in (
+        MarkedSurfaceSpec.polygon(5),
+        MarkedSurfaceSpec.once_punctured_torus(),
+        MarkedSurfaceSpec.annulus(1, 1),
+        MarkedSurfaceSpec.punctured_polygon(3, 2),
+    ):
+        tri = build(spec)
+        labels = Sl3IndexSet(tri).unfrozen
+        for _ in range(6):
+            coords = {i: F(rng.randint(-6, 6), rng.choice((2, 3))) for i in labels}
+            x = xpoint(tri, coords)
+            pic = reconstruct(x, tri)
+            assert pic.weight != 1 and identifier_relations(pic, x) == []
+            i = rng.choice([i for i in labels if i[0] == "edge"])
+            y = xpoint(tri, {**coords, i: coords[i] + pic.weight})
+            moved += len(identifier_relations(pic, y)) > 0
+    assert moved == 24
 
 
 def test_identifier_relations_match_the_walk(polygon5, annulus11, torus, two_pentagons):
@@ -353,33 +397,101 @@ def test_reconstructed_pictures_validate(polygon5, torus):
             assert pic.validate() == []
 
 
-def test_full_pinned_vector_bijection(polygon4, triangle):
-    """Any full coordinate vector is realized by reconstructing the
-    unfrozen part and solving for the pinnings; shear_frozen returns the
-    vector exactly."""
-    from sl3shear.laminations import PinnedLamination, shear_frozen
-    from sl3shear.tropical import pos as _pos
+def _counted_boundary_weights(pic, e):
+    """The pinning rule's weights at E as a stack count: the cw arcs, and
+    the ccw arcs plus the sink height, at E's initial marked point in its
+    triangle, times the picture's weight."""
+    (t, i), _ = pic.tri.slots(e)
+    orients = [x.orient for x in pic.corners.get((t, (i - 1) % 3), ()) if isinstance(x, CornerArc)]
+    hc = pic.honeycombs.get(t)
+    sink = hc.height if hc is not None and hc.orient == "sink" else 0
+    return pic.weight * orients.count("cw"), pic.weight * (orients.count("ccw") + sink)
 
+
+def test_full_pinned_vector_bijection(polygon4, triangle):
+    """Any full coordinate vector is realized by reconstruct_pinned: the
+    reconstruction of the unfrozen part, pinned by the stack count of the
+    pinning rule; shear_frozen returns the vector exactly."""
     rng = random.Random(31)
     for tri in (polygon4, triangle):
         iset = Sl3IndexSet(tri)
         for _ in range(40):
             coords = {i: F(rng.randint(-4, 4)) for i in iset.all}
-            x = xpoint(tri, {i: coords[i] for i in iset.unfrozen})
-            pic = reconstruct(x, tri)
+            pinned = reconstruct_pinned(TropicalPoint("X", coords, tri=tri), tri)
+            pic = pinned.underlying
+            assert pic.corners == reconstruct(xpoint(tri, {i: coords[i] for i in iset.unfrozen}), tri).corners
             delta = {}
             for e in tri.boundary_intervals:
-                (t, i), _ = tri.slots(e)
-                m = (t, (i - 1) % 3)
-                dp = coords[("edge", e, 1)] + pic.corner_arc_weight(m, "cw")
-                dm = (
-                    coords[("edge", e, 2)]
-                    + pic.corner_arc_weight(m, "ccw")
-                    + _pos(pic.face_value(t))
-                )
-                delta[e] = (dp, dm)
-            full = shear_frozen(PinnedLamination(pic, delta))
-            assert dict(full.coords) == {i: v for i, v in coords.items() if v}
+                w = _counted_boundary_weights(pic, e)
+                delta[e] = tuple(coords[("edge", e, s)] + w[s - 1] for s in (1, 2))
+            assert pinned.delta == {e: d for e, d in delta.items() if any(d)}
+            assert dict(shear_frozen(pinned).coords) == {i: v for i, v in coords.items() if v}
+
+
+def _pinning_pictures(kind, rng):
+    """Pictures of one kind on surfaces with boundary: reconstructions of
+    integral or rational vectors, component sums, rational reconstructions
+    with a peripheral chain of another weight, or two triangles with
+    mixed weights before and after gluing."""
+    if kind == "two-triangles":
+        for _ in range(30):
+            pl = random_pinned_two_triangles(rng, integral=bool(rng.getrandbits(1)))
+            yield pl.underlying
+            yield glue_laminations(pl, "a2", "b0").underlying
+        return
+    for spec in (
+        MarkedSurfaceSpec.polygon(5),
+        MarkedSurfaceSpec.annulus(1, 1),
+        MarkedSurfaceSpec.annulus(2, 3),
+        MarkedSurfaceSpec.punctured_polygon(3, 2),
+    ):
+        tri = build(spec)
+        labels = Sl3IndexSet(tri).unfrozen
+        for _ in range(8):
+            if kind == "integral":
+                yield reconstruct(xpoint(tri, {i: F(rng.randint(-4, 4)) for i in labels}), tri)
+            elif kind == "component-sum":
+                yield realizable_component_sum(tri, rng).picture()
+            else:
+                coords = {i: F(rng.randint(-6, 6), rng.randint(1, 3)) for i in labels}
+                pic = reconstruct(xpoint(tri, coords), tri)
+                if kind == "peripheral-chain":
+                    v, orient = rng.choice(sorted(tri.vertices)), rng.choice(("cw", "ccw"))
+                    pic = add_peripheral_chain(pic, v, orient, F(rng.randint(1, 4), rng.randint(1, 3)))
+                yield pic
+
+
+@pytest.mark.parametrize(
+    "kind", ["integral", "rational", "component-sum", "peripheral-chain", "two-triangles"]
+)
+def test_boundary_weights_count_the_stack(kind):
+    """boundary_weights, read off the zones, is the stack count of the
+    pinning rule at every boundary interval."""
+    rng = random.Random(23)
+    nonzero = 0
+    for pic in _pinning_pictures(kind, rng):
+        for e in pic.tri.boundary_intervals:
+            w = boundary_weights(pic, e)
+            assert w == _counted_boundary_weights(pic, e), (kind, e)
+            nonzero += any(w)
+    assert nonzero > 0
+
+
+@pytest.mark.parametrize("spec", [
+    MarkedSurfaceSpec.polygon(5),
+    MarkedSurfaceSpec.once_punctured_torus(),
+    MarkedSurfaceSpec.annulus(2, 3),
+    MarkedSurfaceSpec.punctured_polygon(4, 2),
+], ids=["polygon5", "torus", "annulus23", "punctured-polygon42"])
+def test_pinned_rational_round_trip(spec):
+    """shear_frozen inverts reconstruct_pinned on rational vectors over
+    every index, frozen ones included."""
+    tri = build(spec)
+    iset = Sl3IndexSet(tri)
+    rng = random.Random(29)
+    for _ in range(6):
+        x = TropicalPoint("X", {i: F(rng.randint(-6, 6), rng.randint(1, 3)) for i in iset.all}, tri=tri)
+        assert shear_frozen(reconstruct_pinned(x, tri)) == x
 
 
 def test_roundtrip_broader_surfaces():
