@@ -192,11 +192,12 @@ def cmd_reconstruct(args):
         if i in iset.frozen:
             raise UsageError(f"frozen coordinate {jio.index_to_str(i)}: reconstruct takes unfrozen ones")
     x = TropicalPoint("X", coords, tri=tri, restricted=True)
-    pic = reconstruct(x, tri)
-    obj = jio.picture_to_obj(pic)
     if args.check:
         rep = roundtrip_check(x, tri)
+        obj = jio.picture_to_obj(rep["picture"])
         obj["roundtrip"] = {"ok": rep["ok"], "stable": rep["stable"]}
+    else:
+        obj = jio.picture_to_obj(reconstruct(x, tri))
     _emit(obj, args.out)
     return 0
 

@@ -117,7 +117,7 @@ def glue_laminations(pinned, e_l, e_r):
         if peripheral and (fw.turns or bw.turns)[0].vertex in merged_ids:
             continue
         traveler = Traveler(strand_kind(fw, bw), bw.turns[::-1] + fw.turns, bw.end, fw.end)
-        entries += stack_entries(stepper, traveler, (SPIRAL_TURNS,))[0]
+        entries += stack_entries(stepper, traveler, SPIRAL_TURNS)[0]
     glued = build_picture(t2, pic.honeycombs, entries, Fraction(1, u)).require_valid()
     # re-anchor the coweights of the remaining intervals; the honeycombs
     # are kept, so only the corner-arc weights change

@@ -125,21 +125,13 @@ class GlobalPicture:
         positions ``terminal``.  So index ``i`` is initial when ``i <
         len(initial)``, a leg when ``i < len(initial) + legs``, and
         terminal otherwise.  Each corner stack is read once; read-only."""
-        # (corner, end, direction) -> stack positions; end "A" sits on the
-        # side on which the corner is terminal, "B" on the one on which
-        # it is initial
+        # (slot, direction, zone) -> stack positions
         ends = {}
+        zones = end_zones(self.tri)
         for c, stack in self.corners.items():
-            # a cw arc comes in on its A side and leaves on its B side
-            arc_keys = (((c, "A", "out"), (c, "B", "in")), ((c, "A", "in"), (c, "B", "out")))
+            arcs = zones[c][0]
             for p, entry in enumerate(stack):
-                if isinstance(entry, CornerArc):
-                    keys = arc_keys[entry.orient == "cw"]
-                elif isinstance(entry, SpiralEnd):
-                    end = "A" if entry.winding == "cw" else "B"
-                    keys = ((c, end, "out" if entry.outgoing else "in"),)
-                else:
-                    raise InvalidPicture(f"unknown stack entry {entry!r}")
+                keys = arcs[entry.orient == "cw"] if type(entry) is CornerArc else entry_ends(zones[c], entry)
                 for key in keys:
                     ends.setdefault(key, []).append(p)
         sides = {}
@@ -150,9 +142,9 @@ class GlobalPicture:
             sink = hc is not None and hc.orient == "sink"
             by_dir = (("in", legs), ("out", 0)) if sink else (("in", 0), ("out", legs))
             for i in (0, 1, 2):
-                slot, prev = (t, i), (t, (i - 1) % 3)
+                slot = (t, i)
                 for d, n in by_dir:
-                    first, last = ends.get((prev, "B", d)), ends.get((slot, "A", d))
+                    first, last = ends.get((slot, d, 0)), ends.get((slot, d, 2))
                     sides[(slot, d)] = (
                         tuple(reversed(first)) if first else (), n, tuple(last) if last else ()
                     )
@@ -248,6 +240,40 @@ class GlobalPicture:
         return _cabled(self.tri, honeycombs, corners, 1)
 
 
+def end_zones(tri):
+    """Where the strand ends of the entries of each corner (t, i) of
+    ``tri`` lie, as keys ``(slot, direction, zone)``: zone 2 (terminal)
+    of the side of slot (t, i), on which the corner is terminal, or zone 0
+    (initial) of the side of slot (t, i + 1), on which it is initial.
+    Maps each corner to ``(arcs, tails)``: ``arcs[cw]`` holds the two ends
+    of a ccw (``cw`` False) or a cw arc, which comes in on its terminal
+    side and leaves on its initial one, and ``tails[cw][outgoing]`` the
+    one end of a spiral end winding ccw or cw, which attaches to its
+    initial or its terminal side.  Kept in ``tri.memo``."""
+    zones = tri.memo.get("end zones")
+    if zones is None:
+        zones = tri.memo["end zones"] = {}
+        for t in tri.triangles:
+            for i in (0, 1, 2):
+                c, nxt = (t, i), (t, (i + 1) % 3)
+                zones[c] = (
+                    (((c, "out", 2), (nxt, "in", 0)), ((c, "in", 2), (nxt, "out", 0))),
+                    ((((nxt, "in", 0),), ((nxt, "out", 0),)), (((c, "in", 2),), ((c, "out", 2),))),
+                )
+    return zones
+
+
+def entry_ends(zones, entry):
+    """The ``(slot, direction, zone)`` of each strand end of a stack entry,
+    from its corner's ``zones`` (see :func:`end_zones`)."""
+    arcs, tails = zones
+    if isinstance(entry, CornerArc):
+        return arcs[entry.orient == "cw"]
+    if isinstance(entry, SpiralEnd):
+        return tails[entry.winding == "cw"][entry.outgoing]
+    raise InvalidPicture(f"unknown stack entry {entry!r}")
+
+
 def _cabled(tri, honeycombs, corners, weight):
     """The picture at ``weight`` of honeycombs ``{t: (h, m)}`` of m times
     h's height and stacks ``{corner: [(entry, m)]}`` repeating each entry
@@ -276,6 +302,15 @@ def cable(tri, honeycombs, corners):
     copy paired across an edge with a copy of another weight, which
     cabling would hide.  The size limit is :func:`_cabled`'s."""
     weights = [w for _, w in honeycombs.values()] + [w for s in corners.values() for _, w, _ in s]
+    one = weights[0] if weights else Fraction(1)
+    if one > 0 and all(w is one or w == one for w in weights):
+        # one weight: every element is one copy, and no pairing can differ
+        return _cabled(
+            tri,
+            {t: (h, 1) for t, (h, _) in honeycombs.items()},
+            {c: [(e, n) for e, _, n in s] for c, s in corners.items()},
+            one,
+        )
     if any(w.numerator <= 0 for w in weights):
         raise InvalidPicture(f"non-positive weight {min(weights)}")
     num, den = gcd(*(w.numerator for w in weights)), lcm(*(w.denominator for w in weights))
@@ -289,8 +324,6 @@ def cable(tri, honeycombs, corners):
         {c: [(e, n * copies(w)) for e, w, n in s] for c, s in corners.items()},
         Fraction(num or 1, den),
     )
-    if all(w is weights[0] or w == weights[0] for w in weights):
-        return pic
     # each copy labelled with its element's weight: an element is w / g
     # labels w, so two sides' labels agree when their elements' weights do
     labels = {c: [w for _, w, n in s for _ in range(n * copies(w))] for c, s in corners.items()}
@@ -437,24 +470,46 @@ class PinnedLamination:
 # -- shear coordinates ------------------------------------------------------
 
 
-def shear_unfrozen(pic):
-    """Shear coordinates of a picture on the unfrozen indices, as ints
-    over the denominator of its weight."""
-    pic.require_valid()
-    tri, lists, w = pic.tri, pic.strand_lists, pic.weight.numerator
+def zone_sizes(pic):
+    """The strand counts ``[initial, legs, terminal]`` of the zones of
+    every side of a picture, keyed by (slot, direction) as its
+    :attr:`~GlobalPicture.strand_lists` are."""
+    return {side: [len(first), legs, len(last)] for side, (first, legs, last) in pic.strand_lists.items()}
+
+
+def zone_shear(pic, sizes):
+    """Shear coordinates on the unfrozen indices, as ints over the
+    denominator of the picture's weight, of the picture's honeycombs with
+    the zone sizes ``sizes`` (see :func:`zone_sizes`).  Shear reads only
+    these counts: out index j of a sheet meets in index n - 1 - j, which
+    is terminal when j < b, the in side's terminal zone size; a crossing
+    adds the weight when the in end is terminal and the out end (j >= a,
+    a the out side's initial zone size) is not initial, and subtracts it
+    when the out end is initial and the in end is not terminal."""
+    tri, w = pic.tri, pic.weight.numerator
     x = {("tri", t): (w if hc.orient == "sink" else -w) * hc.height for t, hc in pic.honeycombs.items()}
     for e in tri.interior_edges:
         sl, sr = tri.slots(e)
         for idx, out_slot, in_slot in ((("edge", e, 1), sl, sr), (("edge", e, 2), sr, sl)):
-            # out index j meets in index n - 1 - j, which is terminal when
-            # j < b; a crossing adds the weight when the in end is terminal
-            # and the out end (j >= a) is not initial, and subtracts it
-            # when the out end is initial and the in end is not terminal
-            a = len(lists[(out_slot, "out")][0])
-            b = len(lists[(in_slot, "in")][2])
+            a = sizes[(out_slot, "out")][0]
+            b = sizes[(in_slot, "in")][2]
             if a != b:
                 x[idx] = w * (b - a)
     return TropicalPoint.from_ints("X", pic.weight.denominator, x, tri, restricted=True)
+
+
+def shear_unfrozen(pic):
+    """Shear coordinates of a valid picture on the unfrozen indices, read
+    off its zone sizes by :func:`zone_shear`."""
+    pic.require_valid()
+    return zone_shear(pic, zone_sizes(pic))
+
+
+def _boundary_sizes(pic, e):
+    """The strand counts behind :func:`boundary_weights` at ``e``."""
+    slot, _ = pic.tri.slots(e)
+    out, inc = pic.strand_lists[(slot, "out")], pic.strand_lists[(slot, "in")]
+    return len(out[0]), len(inc[0]) + inc[1]
 
 
 def boundary_weights(pic, e):
@@ -464,22 +519,26 @@ def boundary_weights(pic, e):
     weigh the cw/ccw arcs at E's initial marked point, which is special and
     so holds no spiral end: they are the initial zones of E's outgoing and
     incoming sides, and [x_T]_+ the incoming legs, times the weight."""
-    slot, _ = pic.tri.slots(e)
-    out, inc = pic.strand_lists[(slot, "out")], pic.strand_lists[(slot, "in")]
-    return pic.weight * len(out[0]), pic.weight * (len(inc[0]) + inc[1])
+    return tuple(pic.weight * n for n in _boundary_sizes(pic, e))
 
 
 def shear_frozen(pinned):
     """Full shear coordinates of a pinned lamination: the unfrozen part
     ignores the pinning, and the frozen part is read by
-    :func:`boundary_weights`."""
+    :func:`boundary_weights`.  All on int numerators over the lcm of the
+    weight's and the pins' denominators."""
     under = pinned.underlying
-    coords = dict(shear_unfrozen(under).coords)
-    for e in under.tri.boundary_intervals:
-        for s, d, w in zip((1, 2), pinned.delta_at(e), boundary_weights(under, e)):
-            if d != w:
-                coords[("edge", e, s)] = d - w
-    return TropicalPoint("X", coords, tri=under.tri, restricted=False)
+    q, nums = shear_unfrozen(under)._ints
+    pins = {e: pinned.delta_at(e) for e in under.tri.boundary_intervals}
+    d = lcm(q, *(v.denominator for pair in pins.values() for v in pair))
+    p = under.weight.numerator * (d // q)
+    coords = {i: n * (d // q) for i, n in nums.items()}
+    for e, delta in pins.items():
+        for s, v, n in zip((1, 2), delta, _boundary_sizes(under, e)):
+            c = v.numerator * (d // v.denominator) - p * n
+            if c:
+                coords[("edge", e, s)] = c
+    return TropicalPoint.from_ints("X", d, coords, under.tri, restricted=False)
 
 
 # -- component sums ---------------------------------------------------------

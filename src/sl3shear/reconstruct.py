@@ -26,9 +26,12 @@ earlier walk passed through.  A turn's ``place`` is ``(corner, key)``,
 so :func:`stack_entries` lists the stack entries of any component and
 :func:`build_picture` sorts them into corner stacks, at weight 1/u for a
 vector or lamination scaled integral by u.  A tail of fewer turns is a
-prefix of a longer one, so the round-trip check walks each tail once and
-writes the pictures of two and of three turns.  :func:`window_seeds`
-lists the crossings of a pinned sheet that do not hug a corner.
+prefix of a longer one, so the round-trip check walks each tail one turn
+deeper than it writes it and builds one picture: the truncation one turn
+deeper differs from it only in the ends those turns add, so its zone
+sizes, balance and shear are read without a second picture.
+:func:`window_seeds` lists the crossings of a pinned sheet that do not
+hug a corner.
 
 Reconstruction is the gluing of the triangles' honeycombs by the
 coordinate pins.  The inverse map places a honeycomb of height |x_T| in
@@ -70,7 +73,11 @@ from .laminations import (
     InvalidPicture,
     PinnedLamination,
     boundary_weights,
+    end_zones,
+    entry_ends,
     shear_unfrozen,
+    zone_shear,
+    zone_sizes,
 )
 from .seeds import Sl3IndexSet
 from .surface import Sl3Error
@@ -238,28 +245,43 @@ def components(stepper, seeds):
         yield seed, fw, bw
 
 
-def stack_entries(stepper, traveler, turn_counts):
-    """The ``(place, entry)`` pairs one component writes, for each number
-    of tail turns in ``turn_counts``: an arc per turn, the tail and sign
+# an arc is immutable, so every turn of one orientation writes the same one
+_ARCS = {orient: CornerArc(orient) for orient in ("cw", "ccw")}
+
+
+def _arcs(turns):
+    return [(t.place, _ARCS[t.orient]) for t in turns]
+
+
+def _marker(turn, forward):
+    """The ``(place, entry)`` of the sign marker a spiral end's tail
+    carries on ``turn``."""
+    winding = turn.orient if forward else _REVERSED[turn.orient]
+    return turn.place, SpiralEnd(winding, outgoing=not forward)
+
+
+def stack_entries(stepper, traveler, turns):
+    """``(entries, deeper)`` for one component.  ``entries`` are the
+    ``(place, entry)`` pairs it writes: an arc per turn, the tail and sign
     marker of each spiral end, and the stored marker of each end at one.
-    Each spiral tail is walked once, to the most turns: the tail of n
-    turns is its first n full turns, and the turn after them carries the
-    sign marker."""
-    arcs = [(t.place, CornerArc(t.orient)) for t in traveler.turns]
-    out = [list(arcs) for _ in turn_counts]
+    Each spiral tail is walked once, ``turns`` full turns deep: the tail
+    written is its first ``SPIRAL_TURNS`` full turns, with the sign marker
+    on the turn after them.  ``deeper`` pairs each spiral end's marker
+    with what the tail of ``turns`` full turns writes in its place: the
+    arcs of the turns walked past the written tail, then the marker."""
+    entries = _arcs(traveler.turns)
+    deeper = []
     for end, forward in ((traveler.start, False), (traveler.end, True)):
         if end[0] == "spiral":
-            tail = spiral_tail(stepper, end, forward, max(turn_counts))
-            per_turn = len(stepper.surface.corners_at_vertex(end[1]))
-            for entries, n in zip(out, turn_counts):
-                *wound, marker = tail[: n * per_turn + 1]
-                winding = marker.orient if forward else _REVERSED[marker.orient]
-                entries += [(t.place, CornerArc(t.orient)) for t in wound]
-                entries.append((marker.place, SpiralEnd(winding, outgoing=not forward)))
+            tail = spiral_tail(stepper, end, forward, turns)
+            cut = SPIRAL_TURNS * len(stepper.surface.corners_at_vertex(end[1]))
+            marker = _marker(tail[cut], forward)
+            entries += _arcs(tail[:cut])
+            entries.append(marker)
+            deeper.append((marker, _arcs(tail[cut:-1]) + [_marker(tail[-1], forward)]))
         elif end[0] == "marker":
-            for entries in out:
-                entries.append(stepper.stored(end))
-    return out
+            entries.append(stepper.stored(end))
+    return entries, deeper
 
 
 def build_picture(tri, honeycombs, entries, weight=1):
@@ -490,7 +512,8 @@ def reconstruct(x, tri):
     of ``u x``, ``u`` the lcm of the denominators, at weight 1/u."""
     u, xs = _integral_point(x, tri)
     stepper, travelers = trace_coordinates(xs, tri, _step_cap(xs, tri))
-    return _pictures(stepper, travelers, (SPIRAL_TURNS,), Fraction(1, u))[0].require_valid()
+    entries, _ = _entries(stepper, travelers, SPIRAL_TURNS)
+    return build_picture(tri, stepper.pic.honeycombs, entries, Fraction(1, u)).require_valid()
 
 
 def reconstruct_pinned(x, tri):
@@ -545,14 +568,44 @@ def _step_cap(x, tri):
     return max(256, 8 * len(tri.edges) * (int(mass) + 6))
 
 
-def _pictures(stepper, travelers, turn_counts, weight=1):
-    """The pictures of the traced travelers with each number of tail
-    turns in ``turn_counts``, at ``weight``; each tail is walked once."""
-    entries = [[] for _ in turn_counts]
+def _entries(stepper, travelers, turns):
+    """The stack entries of the traced travelers and the deeper tails of
+    their spiral ends, each tail walked ``turns`` full turns deep (see
+    :func:`stack_entries`)."""
+    entries, deeper = [], []
     for trav in travelers:
-        for acc, more in zip(entries, stack_entries(stepper, trav, turn_counts)):
-            acc += more
-    return [build_picture(stepper.surface, stepper.pic.honeycombs, e, weight) for e in entries]
+        more, tails = stack_entries(stepper, trav, turns)
+        entries += more
+        deeper += tails
+    return entries, deeper
+
+
+def _deeper_sizes(pic, entries, deeper):
+    """The zone sizes of the truncation whose spiral tails make one more
+    full turn than those of ``pic``, the picture of ``entries``: each
+    marker of ``deeper`` gives its place to the entries paired with it
+    (see :func:`stack_entries`).  Raises :class:`InvalidPicture` where
+    building that truncation would: at a place key taken twice, or at an
+    unbalanced sheet."""
+    tri = pic.tri
+    zones = end_zones(tri)
+    sizes = zone_sizes(pic)
+    taken = {place for place, _ in entries}
+    for (place, marker), more in deeper:
+        taken.remove(place)
+        for slot, d, zone in entry_ends(zones[place[0]], marker):
+            sizes[(slot, d)][zone] -= 1
+        for where, entry in more:
+            if where in taken:
+                raise InvalidPicture(f"colliding stack ranks at corner {where[0]}")
+            taken.add(where)
+            for slot, d, zone in entry_ends(zones[where[0]], entry):
+                sizes[(slot, d)][zone] += 1
+    for e in tri.interior_edges:
+        for tag, out_slot, in_slot in zip(("lr", "rl"), tri.slots(e), tri.slots(e)[::-1]):
+            if sum(sizes[(out_slot, "out")]) != sum(sizes[(in_slot, "in")]):
+                raise InvalidPicture(f"unbalanced strand lists across {e} ({tag}) one tail turn deeper")
+    return sizes
 
 
 # -- explicit-picture tracing ------------------------------------------------
@@ -643,15 +696,20 @@ def roundtrip_check(x, tri):
     """Verify shear(reconstruct(x)) == x exactly, and that one more
     spiral turn leaves the shear unchanged.
 
-    The coordinates are traced once, and each spiral tail is walked once
-    to three turns; its first two turns and the marker on the turn after
-    them give the picture with two.  Rational vectors are handled by
-    positive rescaling.  Returns a dict report with the reconstructed
-    picture included.
+    The coordinates are traced once, scaled integral by u, and each
+    spiral tail is walked once, to one turn more than the picture keeps.
+    One picture is built, validated and sheared: the reconstruction of
+    x, at weight 1/u.  The truncation one turn deeper is not built: its
+    zone sizes are the picture's plus the ends of the turns walked past
+    each tail, and its shear is read off them.  Returns a dict report
+    with the picture and its shear included.
     """
     u, xi = _integral_point(x, tri)
     stepper, travelers = trace_coordinates(xi, tri, _step_cap(xi, tri))
-    pic, deeper = _pictures(stepper, travelers, (SPIRAL_TURNS, SPIRAL_TURNS + 1))
+    entries, deeper = _entries(stepper, travelers, SPIRAL_TURNS + 1)
+    pic = build_picture(tri, stepper.pic.honeycombs, entries, Fraction(1, u))
     y = shear_unfrozen(pic)
-    y2 = shear_unfrozen(deeper)
-    return {"ok": y == xi and y2 == xi, "stable": y == y2, "scale": u, "picture": pic, "shear": y}
+    # with no spiral tail the deeper truncation is the picture itself
+    y2 = zone_shear(pic, _deeper_sizes(pic, entries, deeper)) if deeper else y
+    want = TropicalPoint.from_ints("X", u, xi._ints[1], tri, restricted=True)
+    return {"ok": y == want and y2 == want, "stable": y == y2, "scale": u, "picture": pic, "shear": y}

@@ -1,10 +1,14 @@
 import importlib
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
+from functools import cached_property
+from unittest import mock
 
 import pytest
 
+from sl3shear import io as jio
 from sl3shear.glue import glue_laminations
 from sl3shear.laminations import (
     CornerArc,
@@ -15,13 +19,14 @@ from sl3shear.laminations import (
     boundary_weights,
     shear_frozen,
     shear_unfrozen,
+    zone_sizes,
 )
 from sl3shear.reconstruct import (
     NonIntegralInput,
     Traveler,
     TruncationTooShallow,
+    _entries,
     _integral_point,
-    _pictures,
     _step_cap,
     build_picture,
     identifier_relations,
@@ -46,6 +51,15 @@ rec = importlib.import_module("sl3shear.reconstruct")
 
 def xpoint(tri, mapping):
     return TropicalPoint("X", mapping, tri=tri, restricted=True)
+
+
+def truncation(stepper, travelers, turns, weight=1):
+    """The picture of traced travelers whose spiral tails make ``turns``
+    full turns, written as reconstruction writes its own when
+    ``SPIRAL_TURNS`` is ``turns``."""
+    with mock.patch.object(rec, "SPIRAL_TURNS", turns):
+        entries, _ = _entries(stepper, travelers, turns)
+    return build_picture(stepper.surface, stepper.pic.honeycombs, entries, weight)
 
 
 def quad_coords(tri, tl_v, tr_v, e1, e2):
@@ -155,7 +169,7 @@ def test_spiral_depth_independence(torus):
         coords = {i: F(rng.randint(-4, 4)) for i in iset.unfrozen}
         x = xpoint(torus, coords)
         stepper, travelers = trace_coordinates(x, torus, _step_cap(x, torus))
-        a, b = _pictures(stepper, travelers, (2, 3))
+        a, b = (truncation(stepper, travelers, n) for n in (2, 3))
         assert shear_unfrozen(a) == x
         assert shear_unfrozen(b) == x
 
@@ -369,8 +383,8 @@ def test_trace_skips_visited_seeds_like_key_dedup(spec):
         ref_stepper, ref = _trace_by_key(x, tri, cap)
         assert len(travelers) == len(ref)
         for turns in (2, 3):
-            pic = _pictures(stepper, travelers, (turns,))[0]
-            want = _pictures(ref_stepper, ref, (turns,))[0]
+            pic = truncation(stepper, travelers, turns)
+            want = truncation(ref_stepper, ref, turns)
             assert (pic.corners, pic.honeycombs) == (want.corners, want.honeycombs)
 
 
@@ -668,11 +682,11 @@ def test_tracer_stays_on_the_int_grid(spec, monkeypatch):
         for coords in integral:
             x = xpoint(tri, coords)
             stepper, travelers = trace(x, tri, _step_cap(x, tri))
-            out += [_pictures(stepper, travelers, (n,))[0] for n in (2, 3)]
+            out += [truncation(stepper, travelers, n) for n in (2, 3)]
         for coords in rational:
             u, xi = _integral_point(xpoint(tri, coords), tri)
             stepper, travelers = trace(xi, tri, _step_cap(xi, tri))
-            out += _pictures(stepper, travelers, (2, 3), F(1, u))
+            out += [truncation(stepper, travelers, n, F(1, u)) for n in (2, 3)]
         return [(p.corners, p.honeycombs) for p in out]
 
     with monkeypatch.context() as m:
@@ -714,7 +728,7 @@ def test_window_is_the_non_hugging_set(spec):
     assert told[True] and told[False]
 
 
-@pytest.mark.parametrize(
+DEEPER_SURFACES = pytest.mark.parametrize(
     "spec",
     [
         MarkedSurfaceSpec.once_punctured_torus(),
@@ -723,30 +737,173 @@ def test_window_is_the_non_hugging_set(spec):
     ],
     ids=["torus", "punctured3-2", "punctured8-2"],
 )
-def test_roundtrip_shares_one_tail_walk(spec, monkeypatch):
-    """The two pictures ``roundtrip_check`` builds from one walk of each
-    spiral tail are the pictures of two and of three tail turns."""
-    tri = build(spec)
+
+
+def _spiral_vectors(tri, seed, count=12):
+    """Integral vectors with entries in [-6, 6] whose trace has a spiral
+    end, with the number of spiral ends of each."""
     iset = Sl3IndexSet(tri)
-    rng = random.Random(23)
-    built = []
-    shear = rec.shear_unfrozen
-
-    def recording_shear(pic):
-        built.append(pic)
-        return shear(pic)
-
-    monkeypatch.setattr(rec, "shear_unfrozen", recording_shear)
-    spirals = 0
-    for _ in range(12):
+    rng = random.Random(seed)
+    found = []
+    for _ in range(count):
         x = xpoint(tri, {i: F(rng.randint(-6, 6)) for i in iset.unfrozen})
-        built.clear()
+        _, travelers = trace_coordinates(x, tri, _step_cap(x, tri))
+        spirals = sum(end[0] == "spiral" for t in travelers for end in (t.start, t.end))
+        if spirals:
+            found.append((x, spirals))
+    return found
+
+
+@DEEPER_SURFACES
+def test_roundtrip_reads_the_deeper_truncation_off_one_picture(spec, monkeypatch):
+    """The zone sizes and shear that ``roundtrip_check`` reads for the
+    truncation one tail turn deeper than its picture equal those of that
+    truncation built as a picture of its own, with SPIRAL_TURNS + 1
+    turns; its picture is the one reconstruction builds."""
+    tri = build(spec)
+    read = []
+    shear = rec.zone_shear
+
+    def recording_shear(pic, sizes):
+        y = shear(pic, sizes)
+        read.append((sizes, y))
+        return y
+
+    monkeypatch.setattr(rec, "zone_shear", recording_shear)
+    vectors = _spiral_vectors(tri, 23)
+    for x, _ in vectors:
+        read.clear()
         rep = roundtrip_check(x, tri)
         assert rep["ok"] and rep["stable"]
+        (sizes, y2), = read
         stepper, travelers = trace_coordinates(x, tri, _step_cap(x, tri))
-        spirals += sum(end[0] == "spiral" for t in travelers for end in (t.start, t.end))
-        want = [_pictures(stepper, travelers, (n,))[0] for n in (2, 3)]
-        assert [(p.corners, p.honeycombs) for p in built] == [
-            (p.corners, p.honeycombs) for p in want
-        ]
-    assert spirals > 0
+        deeper = truncation(stepper, travelers, rec.SPIRAL_TURNS + 1).require_valid()
+        assert sizes == zone_sizes(deeper)
+        assert y2 == shear_unfrozen(deeper) == x
+        pic = truncation(stepper, travelers, rec.SPIRAL_TURNS)
+        assert (rep["picture"].corners, rep["picture"].honeycombs) == (pic.corners, pic.honeycombs)
+    assert vectors
+
+
+def _planted_tail(monkeypatch, plant):
+    """Make every spiral tail walked one turn past the written one pass
+    through ``plant(tail, cut)``, ``cut`` the index of its marker turn."""
+    walk_tail = rec.spiral_tail
+
+    def planted(stepper, end, forward, turns):
+        tail = walk_tail(stepper, end, forward, turns)
+        if turns == rec.SPIRAL_TURNS + 1:
+            per_turn = len(stepper.surface.corners_at_vertex(end[1]))
+            assert per_turn > 1
+            plant(tail, rec.SPIRAL_TURNS * per_turn)
+        return tail
+
+    monkeypatch.setattr(rec, "spiral_tail", planted)
+
+
+@DEEPER_SURFACES
+def test_roundtrip_refuses_a_deeper_turn_with_an_arc_dropped(spec, monkeypatch):
+    """A tail whose turn past the written one lacks an arc unbalances a
+    sheet or moves the shear: the round trip raises or is not stable."""
+    tri = build(spec)
+    vectors = _spiral_vectors(tri, 29)
+    _planted_tail(monkeypatch, lambda tail, cut: tail.pop(cut + 1))
+    for x, _ in vectors:
+        try:
+            rep = roundtrip_check(x, tri)
+        except InvalidPicture as err:
+            assert "one tail turn deeper" in str(err)
+        else:
+            assert not rep["stable"] and not rep["ok"]
+    assert vectors
+
+
+@DEEPER_SURFACES
+@pytest.mark.parametrize("taken", ["in-picture", "in-turn"])
+def test_roundtrip_refuses_a_deeper_turn_at_a_taken_place(spec, taken, monkeypatch):
+    """A turn past the written tail at a place key the picture or an
+    earlier turn past it already holds raises, as building the deeper
+    truncation would."""
+    tri = build(spec)
+    vectors = _spiral_vectors(tri, 31)
+
+    def plant(tail, cut):
+        # the written tail's last arc, or the first turn past its marker
+        other = tail[cut - 1] if taken == "in-picture" else tail[cut + 1]
+        tail[cut + 2] = replace(tail[cut + 2], place=other.place)
+
+    _planted_tail(monkeypatch, plant)
+    for x, _ in vectors:
+        with pytest.raises(InvalidPicture, match="colliding stack ranks"):
+            roundtrip_check(x, tri)
+    assert vectors
+
+
+def test_roundtrip_checks_and_derives_one_picture(monkeypatch):
+    """Each ``roundtrip_check`` call checks one picture, its
+    reconstruction, and derives the strand structure of that picture and
+    of the honeycomb picture whose gluing it traces, and of no other."""
+    checked = []
+    check = GlobalPicture._check
+
+    def counting_check(pic):
+        checked.append(pic)
+        return check(pic)
+
+    derived = []
+    derive = GlobalPicture.strand_lists.func
+
+    def counting_derive(pic):
+        derived.append(pic)
+        return derive(pic)
+
+    strands = cached_property(counting_derive)
+    strands.__set_name__(GlobalPicture, "strand_lists")
+    monkeypatch.setattr(GlobalPicture, "_check", counting_check)
+    monkeypatch.setattr(GlobalPicture, "strand_lists", strands)
+    rng = random.Random("one-picture")
+    spirals = 0
+    for spec in (
+        MarkedSurfaceSpec.polygon(4),
+        MarkedSurfaceSpec.polygon(5),
+        MarkedSurfaceSpec.annulus(1, 1),
+        MarkedSurfaceSpec.once_punctured_torus(),
+    ):
+        tri = build(spec)
+        iset = Sl3IndexSet(tri)
+        for _ in range(6):
+            x = xpoint(tri, {i: F(rng.randint(-5, 5)) for i in iset.unfrozen})
+            checked.clear()
+            derived.clear()
+            rep = roundtrip_check(x, tri)
+            assert rep["ok"] and rep["stable"]
+            pic = rep["picture"]
+            spirals += bool(pic.puncture_signs())
+            assert len(checked) == 1 and checked[0] is pic
+            others = [p for p in derived if p is not pic]
+            assert len(derived) == 2 and len(others) == 1 and others[0].corners == {}
+    assert spirals
+
+
+def test_roundtrip_report_draws_the_reconstruction():
+    """For a rational x the report's picture is ``reconstruct(x)``, at
+    weight 1/u, byte for byte once encoded, and its shear is x."""
+    rng = random.Random(37)
+    scaled = 0
+    for spec in (
+        MarkedSurfaceSpec.polygon(5),
+        MarkedSurfaceSpec.annulus(1, 1),
+        MarkedSurfaceSpec.once_punctured_torus(),
+        MarkedSurfaceSpec.punctured_polygon(3, 2),
+    ):
+        tri = build(spec)
+        iset = Sl3IndexSet(tri)
+        for _ in range(6):
+            x = xpoint(tri, {i: F(rng.randint(-6, 6), rng.randint(1, 3)) for i in iset.unfrozen})
+            rep = roundtrip_check(x, tri)
+            assert rep["ok"] and rep["stable"] and rep["shear"] == x
+            pic = rep["picture"]
+            assert pic.weight == F(1, rep["scale"])
+            assert jio.dump(jio.picture_to_obj(pic)) == jio.dump(jio.picture_to_obj(reconstruct(x, tri)))
+            scaled += rep["scale"] > 1
+    assert scaled
