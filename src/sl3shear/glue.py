@@ -15,10 +15,22 @@ honeycombs, and it runs through the same stepper of
 glued surface, its added arcs indexed past either end of a strand list,
 with the pins of the two glued sides pairing parameter psi = j + 1/2
 with sigma - psi.  The infinite added collections are never materialized
-up front.  The components crossing the new edge are seeded from its
-window, the one reconstruction uses, and the surviving components are
-written by the picture writer that reconstruction uses, so only the
-added arcs they use enter the output picture.
+up front.
+
+The gluing is local: a component that crosses no glued sheet is walked
+on the glued surface as on the old one.  None of those is a removed
+peripheral either: turns that all wind one way around a merged point
+stay at one old marked point, whose corners run from one boundary
+interval to another, one of them glued, so a component making only such
+turns crosses a glued sheet.  So only the components crossing a glued
+sheet are walked, seeded from the window of either sheet (the one
+reconstruction uses) and from every crossing with a stored strand on
+either side, and the survivors are written by the picture writer that
+reconstruction uses, so only the added arcs they use enter the output
+picture.  Components are disjoint, so every stored entry no walk visits
+is copied, at the place key a walk would give it.  Corner stacks change
+only at the merged points, so only an interval whose initial marked
+point is merged has its coweight re-anchored.
 """
 
 from __future__ import annotations
@@ -37,7 +49,6 @@ from .reconstruct import (
     _PictureStepper,
     build_picture,
     components,
-    out_seeds,
     stack_entries,
     strand_kind,
     window_seeds,
@@ -81,10 +92,14 @@ def glue_laminations(pinned, e_l, e_r):
     """Glue a pinned lamination along two boundary intervals.
 
     The coweights of ``e_l`` and ``e_r`` turn into the strand-set pins.
-    The coweights of the remaining intervals are re-anchored positionally:
+    The walks are seeded from the window of both glued sheets and from
+    every crossing of a glued sheet that has a stored strand on either
+    side; every stored entry they do not visit is copied unchanged.  The
+    coweights of the remaining intervals are re-anchored positionally:
     they shift by the net change of the corner-arc weight at their initial
-    marked point (nonzero only at the merged points, where peripheral
-    components disappear and glued curves may deposit new corner arcs).
+    marked point, which is nonzero only at the merged points, where
+    peripheral components disappear and glued curves may deposit new
+    corner arcs; an interval starting elsewhere keeps its coweight.
     Rational inputs are glued as ``u`` times an integral lamination and
     written at weight 1/u.
     """
@@ -103,28 +118,44 @@ def glue_laminations(pinned, e_l, e_r):
     stepper = _PictureStepper(pic, t2, pins, 4000 + 100 * (total + mass + 8) * max(1, len(tri.edges)))
     merged_ids = {res.vertex_map[v] for e in (e_l, e_r) for v in tri.edge_endpoints(e)}
 
-    # components crossing the new edge come first, including those made
-    # entirely of added arcs (never peripheral: their window crossing
-    # does not hug a corner); of the remaining original components, those
-    # that close up or run boundary-to-boundary around a merged point,
-    # every turn winding the same way, are the removed peripherals of the
-    # gluing construction
+    # the components crossing the new edge: from its window, then from
+    # every crossing of either sheet with a stored strand on one side
     window = window_seeds(stepper, sl, sr) + window_seeds(stepper, sr, sl)
     in_window = set(window)
-    entries = []
-    for seed, fw, bw in components(stepper, window + out_seeds(pic)):
-        peripheral = seed not in in_window and fw.peripheral_with(bw)
-        if peripheral and (fw.turns or bw.turns)[0].vertex in merged_ids:
+    seeds = list(window)
+    for out_slot, in_slot in ((sl, sr), (sr, sl)):
+        sigma = pins[out_slot] - 1
+        seeds += [(out_slot, "out", j) for j in range(pic.strand_count(out_slot, "out"))]
+        seeds += [(out_slot, "out", sigma - j) for j in range(pic.strand_count(in_slot, "in"))]
+
+    # of the components not through the window, those that close up or
+    # run boundary-to-boundary around a merged point, every turn winding
+    # the same way, are the removed peripherals of the gluing
+    # construction; every place walked is recorded, so that only the
+    # stored entries of unwalked components are copied
+    walked, entries = set(), []
+    for seed, fw, bw in components(stepper, seeds):
+        turns = bw.turns[::-1] + fw.turns
+        if seed not in in_window and fw.peripheral_with(bw) and turns[0].vertex in merged_ids:
+            walked.update(t.place for t in turns)
             continue
-        traveler = Traveler(strand_kind(fw, bw), bw.turns[::-1] + fw.turns, bw.end, fw.end)
+        traveler = Traveler(strand_kind(fw, bw), turns, bw.end, fw.end)
         entries += stack_entries(stepper, traveler, SPIRAL_TURNS)[0]
+    walked.update(place for place, _ in entries)
+    for corner, stack in pic.corners.items():
+        m = len(stack)
+        entries += [
+            ((corner, p - m), entry) for p, entry in enumerate(stack) if (corner, p - m) not in walked
+        ]
     glued = build_picture(t2, pic.honeycombs, entries, Fraction(1, u)).require_valid()
-    # re-anchor the coweights of the remaining intervals; the honeycombs
-    # are kept, so only the corner-arc weights change
+    # re-anchor the coweights of the intervals starting at a merged
+    # point; the honeycombs are kept, so only the corner-arc weights change
     delta = {}
     for e in t2.boundary_intervals:
-        old, new = boundary_weights(pinned.underlying, e), boundary_weights(glued, e)
-        dp, dm = (d + b - a for d, a, b in zip(pinned.delta_at(e), old, new))
-        if dp or dm:
-            delta[e] = (dp, dm)
+        d = pinned.delta_at(e)
+        if t2.edge_endpoints(e)[0] in merged_ids:
+            old, new = boundary_weights(pinned.underlying, e), boundary_weights(glued, e)
+            d = tuple(v + b - a for v, a, b in zip(d, old, new))
+        if any(d):
+            delta[e] = d
     return PinnedLamination(glued, delta)

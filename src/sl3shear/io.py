@@ -172,17 +172,34 @@ def exact_rational(value, where):
     raise ValueError(f"{where} is {value!r}, not an exact rational")
 
 
-def _run_from_obj(obj, where, read_weight):
-    """A run ``(entry, weight, count)``; the count is 1 when absent."""
-    kind = _one_of(obj["type"], ("arc", "end"), f"{where}.type")
-    weight = read_weight(obj["weight"], f"{where}.weight")
-    if kind == "arc":
-        entry = CornerArc(_one_of(obj["orient"], ("cw", "ccw"), f"{where}.orient"))
+def _run_from_obj(obj, where, read_weight, kinds):
+    """A run ``(entry, weight, count)``; the count is 1 when absent.
+    ``kinds`` maps the kind fields ``(type, orient, sign, outgoing)`` of
+    the runs already decoded in the document to their shared entry; a
+    run of a new kind is checked field by field, and its entry added.
+    Only a bool or an absent ``outgoing`` is looked up, since 1 == True,
+    and a field that does not hash takes the checked path."""
+    key = (obj["type"], obj.get("orient"), obj.get("sign"), obj.get("outgoing"))
+    if key[3] is not None and key[3] is not True and key[3] is not False:
+        key = None
+    try:
+        entry = kinds.get(key)
+    except TypeError:
+        key = entry = None
+    if entry is not None:
+        weight = read_weight(obj["weight"], f"{where}.weight")
     else:
-        sign = _one_of(obj["sign"], ("+", "-"), f"{where}.sign")
-        if type(obj["outgoing"]) is not bool:
-            raise ValueError(f"{where}.outgoing is {obj['outgoing']!r}, not true or false")
-        entry = SpiralEnd("cw" if sign == "+" else "ccw", obj["outgoing"])
+        kind = _one_of(obj["type"], ("arc", "end"), f"{where}.type")
+        weight = read_weight(obj["weight"], f"{where}.weight")
+        if kind == "arc":
+            entry = CornerArc(_one_of(obj["orient"], ("cw", "ccw"), f"{where}.orient"))
+        else:
+            sign = _one_of(obj["sign"], ("+", "-"), f"{where}.sign")
+            if type(obj["outgoing"]) is not bool:
+                raise ValueError(f"{where}.outgoing is {obj['outgoing']!r}, not true or false")
+            entry = SpiralEnd("cw" if sign == "+" else "ccw", obj["outgoing"])
+        if key is not None:
+            kinds[key] = entry
     n = obj.get("count", 1)
     if type(n) is not int or n < 1:
         raise ValueError(f"{where}.count is {n!r}, not a positive int")
@@ -236,7 +253,7 @@ def picture_from_obj(obj, tri):
     ``"pairings"`` are given, each interior edge's pairs (an edge left
     out has none) must list the reversal of the strands as written, one
     per entry, in any order, or :class:`InvalidPicture` is raised."""
-    honeycombs, corners, parsed = {}, {}, {}
+    honeycombs, corners, parsed, kinds = {}, {}, {}, {}
 
     def read_weight(value, where):
         # a document repeats its weight strings: each is parsed once
@@ -258,7 +275,8 @@ def picture_from_obj(obj, tri):
         for c_s, runs in entry.get("corners", {}).items():
             _one_of(c_s, ("0", "1", "2"), f"{where}.corners key")
             corners[(t, int(c_s))] = [
-                _run_from_obj(x, f"{where}.corners.{c_s}[{p}]", read_weight) for p, x in enumerate(runs)
+                _run_from_obj(x, f"{where}.corners.{c_s}[{p}]", read_weight, kinds)
+                for p, x in enumerate(runs)
             ]
     given = obj.get("pairings")
     if given:

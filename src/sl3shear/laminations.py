@@ -45,7 +45,8 @@ from .tropical import TropicalPoint
 
 
 # the most corner entries plus honeycomb height of a picture that is
-# cabled, drawn from a component sum or scaled (see _cabled)
+# cabled, drawn from a component sum or scaled (see _cabled), or that
+# reconstruction is bound to build (see reconstruct.trace_coordinates)
 MAX_PICTURE_SIZE = 10**6
 
 
@@ -54,7 +55,12 @@ class InvalidPicture(Sl3Error):
 
 
 class PictureTooLarge(Sl3Error):
-    pass
+    """A picture over :data:`MAX_PICTURE_SIZE`.  ``size`` is its size in
+    corner entries plus honeycomb height, or a lower bound on it."""
+
+    def __init__(self, message, size):
+        self.size = size
+        super().__init__(message)
 
 
 class UnknownComponentKind(Sl3Error):
@@ -283,7 +289,7 @@ def _cabled(tri, honeycombs, corners, weight):
     size = sum(max(h.height * m, 0) for h, m in honeycombs.values())
     size += sum(max(m, 0) for s in corners.values() for _, m in s)
     if size > MAX_PICTURE_SIZE:
-        raise PictureTooLarge(f"a picture of {size} strands is over the limit of {MAX_PICTURE_SIZE}")
+        raise PictureTooLarge(f"a picture of {size} strands is over the limit of {MAX_PICTURE_SIZE}", size)
     return GlobalPicture(
         tri,
         {t: Honeycomb(h.orient, h.height * m) for t, (h, m) in honeycombs.items()},

@@ -71,6 +71,8 @@ from .laminations import (
     Honeycomb,
     SpiralEnd,
     InvalidPicture,
+    MAX_PICTURE_SIZE,
+    PictureTooLarge,
     PinnedLamination,
     boundary_weights,
     end_zones,
@@ -445,10 +447,15 @@ def window_seeds(stepper, out_slot, in_slot):
     matching corner zones; outside a finite window of indices every
     crossing hugs, so the window seeds every non-peripheral component
     that crosses the sheet."""
+    return [(out_slot, "out", j) for j in range(*_window(stepper, out_slot, in_slot))]
+
+
+def _window(stepper, out_slot, in_slot):
+    """The bounds ``(lo, hi)`` of the indices j of :func:`window_seeds`."""
     n0, n1 = stepper._out[out_slot][:2]
     far0, far1 = stepper._in[in_slot][:2]
     sigma = stepper.pins[out_slot]
-    return [(out_slot, "out", j) for j in range(min(n0, sigma - far1), max(n1, sigma - far0))]
+    return min(n0, sigma - far1), max(n1, sigma - far0)
 
 
 # -- coordinate tracing -------------------------------------------------------
@@ -488,18 +495,34 @@ def trace_coordinates(x, tri, step_cap):
     """All non-peripheral travelers of the honeycombs of an integral
     coordinate vector glued by its pins, in seed order.  A seed that an
     earlier traveler's walks already crossed belongs to that traveler.
-    States, depths and place keys are ints."""
+    States, depths and place keys are ints.
+
+    Before any walk, a picture that would hold more than
+    :data:`~sl3shear.laminations.MAX_PICTURE_SIZE` corner entries plus
+    honeycomb height is refused with :class:`PictureTooLarge`.  The size
+    is bounded below by the height, sum |x_T|, plus half the corner-entry
+    ends on the interior sides (an entry has at most two): a sheet's
+    strand count n is at least its window (n = sigma + a + b, with a and b
+    its initial zone sizes), and each of its two sides holds n less its
+    legs in entry ends."""
     xs = {i: _integer(v) for i, v in x.coords.items()}
     faces = {t: xs.get(("tri", t), 0) for t in tri.triangles}
     honeycombs = {t: Honeycomb("sink" if v > 0 else "source", abs(v)) for t, v in faces.items() if v}
     pins = _pins(lambda i: xs.get(i, 0), tri)
     stepper = _PictureStepper(GlobalPicture(tri, honeycombs), tri, pins, step_cap)
-    seeds = (
-        seed
-        for e in tri.interior_edges
-        for out_slot, in_slot in (tri.slots(e), tri.slots(e)[::-1])
-        for seed in window_seeds(stepper, out_slot, in_slot)
-    )
+    windows, ends = [], 0
+    for e in tri.interior_edges:
+        for out_slot, in_slot in (tri.slots(e), tri.slots(e)[::-1]):
+            lo, hi = _window(stepper, out_slot, in_slot)
+            windows.append((out_slot, lo, hi))
+            ends += 2 * (hi - lo) - stepper._out[out_slot][1] - stepper._in[in_slot][1]
+    size = sum(map(abs, faces.values())) + (ends + 1) // 2
+    if size > MAX_PICTURE_SIZE:
+        raise PictureTooLarge(
+            f"a picture of at least {size} corner entries plus honeycomb height is over the limit of "
+            f"{MAX_PICTURE_SIZE}", size,
+        )
+    seeds = ((out_slot, "out", j) for out_slot, lo, hi in windows for j in range(lo, hi))
     travelers = [
         Traveler(strand_kind(fw, bw), bw.turns[::-1] + fw.turns, bw.end, fw.end)
         for _, fw, bw in components(stepper, seeds)

@@ -554,7 +554,7 @@ def test_mixed_stack_is_written_as_runs(torus):
     """Equal consecutive entries become one run; an arc and a spiral end,
     two orientations or two ``outgoing`` values do not merge.  Every run
     carries the picture's weight.  The runs decode back to the same
-    stack, each run one shared entry."""
+    stack, the runs of each of the five kinds one shared entry."""
     from sl3shear.laminations import CornerArc, SpiralEnd
 
     t = torus.triangles[0]
@@ -575,7 +575,28 @@ def test_mixed_stack_is_written_as_runs(torus):
     ]
     back = jio.picture_from_obj(json.loads(jio.dump(obj)), torus)
     assert (back.corners, back.weight) == (pic.corners, pic.weight)
-    assert len({id(x) for x in back.corner_stack((t, 0))}) == 6
+    assert len({id(x) for x in back.corner_stack((t, 0))}) == 5
+
+
+@pytest.mark.parametrize("bad, message", [
+    (_end(outgoing=1), r"corners\.0\[1\]\.outgoing is 1, not true or false"),
+    (_end(outgoing=1.0), r"corners\.0\[1\]\.outgoing is 1\.0, not true or false"),
+    (_arc(orient=["cw"]), r"corners\.0\[1\]\.orient is \['cw'\], not one of cw, ccw"),
+    (_end(weight=True), r"corners\.0\[1\]\.weight is True, not an exact rational"),
+], ids=["outgoing-int", "outgoing-float", "orient-list", "weight-bool"])
+def test_decoded_kinds_refuse_what_the_checked_path_refuses(bad, message, torus):
+    """A run whose kind fields are those of a kind already decoded shares
+    its entry; a field that only compares equal to a decoded one (1 or 1.0
+    for true) or cannot be looked up takes the checked path, and the
+    weight of a shared kind is still checked."""
+    t = torus.triangles[0]
+    good = {"triangles": {t: {"corners": {"0": [_end(), _arc(), _end(count=2)], "1": [_arc()]}}}}
+    pic = jio.picture_from_obj(good, torus)
+    first, arc, *ends = pic.corner_stack((t, 0))
+    assert all(e is first for e in ends) and pic.corner_stack((t, 1))[0] is arc
+    doc = {"triangles": {t: {"corners": {"0": [_end(), bad]}}}}
+    with pytest.raises(ValueError, match=message):
+        jio.picture_from_obj(doc, torus)
 
 
 def test_picture_decoder_checks_pairings(polygon4, tmp_path, capsys):

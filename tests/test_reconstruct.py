@@ -1,5 +1,7 @@
 import importlib
+import json
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -9,12 +11,14 @@ from unittest import mock
 import pytest
 
 from sl3shear import io as jio
+from sl3shear.cli import main
 from sl3shear.glue import glue_laminations
 from sl3shear.laminations import (
     CornerArc,
     GlobalPicture,
     Honeycomb,
     InvalidPicture,
+    PictureTooLarge,
     add_peripheral_chain,
     boundary_weights,
     shear_frozen,
@@ -907,3 +911,65 @@ def test_roundtrip_report_draws_the_reconstruction():
             assert jio.dump(jio.picture_to_obj(pic)) == jio.dump(jio.picture_to_obj(reconstruct(x, tri)))
             scaled += rep["scale"] > 1
     assert scaled
+
+
+# distinct primes below 100: u, the lcm of the denominators, is about 10^15
+_HUGE_DENOMINATORS = (97, 89, 83, 79, 73, 71, 67, 61)
+
+
+def test_reconstruction_refuses_an_oversized_input_before_walking(torus, tmp_path, capsys, monkeypatch):
+    """A torus vector with denominators up to 100 is traced as u x; the
+    size bound refuses it with one line before any walk, allocating
+    nothing large, and the CLI exits 1."""
+    numerators = (-9, -31, 33, 5, -44, -41, 18, 7)
+    coords = dict(zip(Sl3IndexSet(torus).unfrozen, map(Fraction, numerators, _HUGE_DENOMINATORS)))
+    x = TropicalPoint("X", coords, tri=torus, restricted=True)
+
+    def no_walk(*args):
+        raise AssertionError("a strand was walked")
+
+    reconstruct_module = importlib.import_module("sl3shear.reconstruct")
+    with monkeypatch.context() as m:
+        m.setattr(reconstruct_module, "walk", no_walk)
+        tracemalloc.start()
+        try:
+            for run in (reconstruct, roundtrip_check):
+                with pytest.raises(PictureTooLarge, match="over the limit of 1000000") as refused:
+                    run(x, torus)
+                assert refused.value.size > 10**12 and "\n" not in str(refused.value)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 10**6, peak
+    surf = tmp_path / "torus.json"
+    main(["surface", "--spec", "once-punctured-torus", "--out", str(surf)])
+    capsys.readouterr()
+    arg = json.dumps({jio.index_to_str(i): jio.frac_to_str(v) for i, v in coords.items()})
+    assert main(["reconstruct", "--surface", str(surf), "--coords", arg]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "over the limit" in err, err
+
+
+@pytest.mark.parametrize("spec", [
+    MarkedSurfaceSpec.polygon(5), MarkedSurfaceSpec.annulus(1, 1),
+    MarkedSurfaceSpec.once_punctured_torus(), MarkedSurfaceSpec.punctured_polygon(3, 2),
+], ids=["polygon5", "annulus11", "torus", "punctured32"])
+def test_size_bound_never_exceeds_the_built_size(spec, monkeypatch):
+    """The bound reconstruction refuses by is at most the corner entries
+    plus honeycomb height of the picture it builds."""
+    tri = build(spec)
+    labels = Sl3IndexSet(tri).unfrozen
+    reconstruct_module = importlib.import_module("sl3shear.reconstruct")
+    rng = random.Random(str(spec))
+    for _ in range(25):
+        r = rng.choice([2, 6, 12])
+        den = rng.choice([1, 1, 2, 3])
+        x = TropicalPoint("X", {i: Fraction(rng.randint(-r, r), den) for i in labels}, tri=tri, restricted=True)
+        u, xi = _integral_point(x, tri)
+        with monkeypatch.context() as m:
+            m.setattr(reconstruct_module, "MAX_PICTURE_SIZE", -1)
+            with pytest.raises(PictureTooLarge) as bound:
+                trace_coordinates(xi, tri, _step_cap(xi, tri))
+        pic = reconstruct(x, tri)
+        built = sum(h.height for h in pic.honeycombs.values()) + sum(map(len, pic.corners.values()))
+        assert 0 <= bound.value.size <= built
