@@ -56,7 +56,7 @@ def _load(path, decode):
     except Sl3Error:
         raise
     except (OSError, ValueError, KeyError, TypeError, AttributeError, IndexError,
-            ZeroDivisionError) as exc:
+            ZeroDivisionError, RecursionError) as exc:
         raise UsageError(f"cannot read {path}: {type(exc).__name__}: {exc}") from None
 
 
@@ -86,7 +86,7 @@ def _coords_arg(tri, text):
     try:
         # an object as its (key, value) pairs, so a repeated key shows
         raw = json.loads(text, object_pairs_hook=tuple)
-    except ValueError:
+    except (ValueError, RecursionError):
         raise UsageError(f"coordinates are not JSON: {text!r}") from None
     if not isinstance(raw, tuple):
         raise UsageError(f"coordinates are not a JSON object: {text!r}")

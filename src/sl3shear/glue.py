@@ -47,11 +47,10 @@ from .reconstruct import (
     SPIRAL_TURNS,
     Traveler,
     _PictureStepper,
+    bounded_window_seeds,
     build_picture,
     components,
     stack_entries,
-    strand_kind,
-    window_seeds,
 )
 from .surface import SameEdge, UnknownInterval
 
@@ -101,7 +100,9 @@ def glue_laminations(pinned, e_l, e_r):
     peripheral components disappear and glued curves may deposit new
     corner arcs; an interval starting elsewhere keeps its coweight.
     Rational inputs are glued as ``u`` times an integral lamination and
-    written at weight 1/u.
+    written at weight 1/u.  Before any walk, a gluing whose windows
+    force a picture over :data:`~sl3shear.laminations.MAX_PICTURE_SIZE`
+    is refused with :class:`~sl3shear.laminations.PictureTooLarge`.
     """
     tri = pinned.tri
     if e_l == e_r:
@@ -118,9 +119,10 @@ def glue_laminations(pinned, e_l, e_r):
     stepper = _PictureStepper(pic, t2, pins, 4000 + 100 * (total + mass + 8) * max(1, len(tri.edges)))
     merged_ids = {res.vertex_map[v] for e in (e_l, e_r) for v in tri.edge_endpoints(e)}
 
-    # the components crossing the new edge: from its window, then from
-    # every crossing of either sheet with a stored strand on one side
-    window = window_seeds(stepper, sl, sr) + window_seeds(stepper, sr, sl)
+    # the components crossing the new edge: from its bounded window, then
+    # from every crossing of either sheet with a stored strand on one side
+    height = sum(h.height for h in pic.honeycombs.values())
+    window = bounded_window_seeds(stepper, ((sl, sr), (sr, sl)), height)
     in_window = set(window)
     seeds = list(window)
     for out_slot, in_slot in ((sl, sr), (sr, sl)):
@@ -139,7 +141,7 @@ def glue_laminations(pinned, e_l, e_r):
         if seed not in in_window and fw.peripheral_with(bw) and turns[0].vertex in merged_ids:
             walked.update(t.place for t in turns)
             continue
-        traveler = Traveler(strand_kind(fw, bw), turns, bw.end, fw.end)
+        traveler = Traveler(turns, bw.end, fw.end)
         entries += stack_entries(stepper, traveler, SPIRAL_TURNS)[0]
     walked.update(place for place, _ in entries)
     for corner, stack in pic.corners.items():

@@ -31,7 +31,8 @@ deeper than it writes it and builds one picture: the truncation one turn
 deeper differs from it only in the ends those turns add, so its zone
 sizes, balance and shear are read without a second picture.
 :func:`window_seeds` lists the crossings of a pinned sheet that do not
-hug a corner.
+hug a corner, and :func:`bounded_window_seeds` those of several sheets,
+once it has refused a picture too large to build.
 
 Reconstruction is the gluing of the triangles' honeycombs by the
 coordinate pins.  The inverse map places a honeycomb of height |x_T| in
@@ -118,7 +119,6 @@ class Turn:
     corner and a key that orders it within the corner's stack."""
 
     state: tuple  # the state the strand continues from
-    corner: tuple
     orient: str  # orientation of the corner arc: 'cw' | 'ccw'
     vertex: str  # the marked point of the corner
     depth: object
@@ -201,11 +201,12 @@ def walk_both(stepper, seed):
     return fw, (Walk([], [], LOOP) if fw.end == LOOP else walk(stepper, seed, False))
 
 
-def strand_kind(fw, bw):
-    """'loop', 'spiral' (an end at a puncture) or 'arc'."""
-    if fw.end == LOOP:
+def strand_kind(start, end):
+    """'loop', 'spiral' (an end at a puncture) or 'arc', from the ends of
+    a strand's backward and forward walks."""
+    if end == LOOP:
         return "loop"
-    return "spiral" if {fw.end[0], bw.end[0]} & {"spiral", "marker"} else "arc"
+    return "spiral" if {start[0], end[0]} & {"spiral", "marker"} else "arc"
 
 
 def spiral_tail(stepper, end, forward, turns):
@@ -399,10 +400,10 @@ class _PictureStepper:
         n0, n1, n, first, last, prev, nxt, prev_n, end = self._in[slot]
         if j < 0:
             depth = -2 * j - 1
-            return Turn((prev, "out", prev_n - j - 1), prev, "ccw", self._vertex[prev], depth, (prev, depth))
+            return Turn((prev, "out", prev_n - j - 1), "ccw", self._vertex[prev], depth, (prev, depth))
         if j >= n:
             depth = 2 * (j - n)
-            return Turn((nxt, "out", n - j - 1), slot, "cw", self._vertex[slot], depth, (slot, depth))
+            return Turn((nxt, "out", n - j - 1), "cw", self._vertex[slot], depth, (slot, depth))
         if j < n0:
             return self._stored(prev, first[j], "out")
         if j < n1:
@@ -414,10 +415,10 @@ class _PictureStepper:
         n0, n1, n, first, last, prev, nxt, prev_n, end = self._out[slot]
         if j < 0:
             depth = -2 * j - 2
-            return Turn((prev, "in", prev_n - j - 1), prev, "cw", self._vertex[prev], depth, (prev, depth))
+            return Turn((prev, "in", prev_n - j - 1), "cw", self._vertex[prev], depth, (prev, depth))
         if j >= n:
             depth = 2 * (j - n) + 1
-            return Turn((nxt, "in", n - j - 1), slot, "ccw", self._vertex[slot], depth, (slot, depth))
+            return Turn((nxt, "in", n - j - 1), "ccw", self._vertex[slot], depth, (slot, depth))
         if j < n0:
             return self._stored(prev, first[j], "in")
         if j < n1:
@@ -436,7 +437,7 @@ class _PictureStepper:
             which = "an outgoing" if to == "out" else "an incoming"
             raise InvalidPicture(f"arc at {corner} lacks {which} end")
         (slot, j), = ends
-        return Turn((slot, to, j), corner, entry.orient, self._vertex[corner], None, (corner, p - len(stack)))
+        return Turn((slot, to, j), entry.orient, self._vertex[corner], None, (corner, p - len(stack)))
 
 
 def window_seeds(stepper, out_slot, in_slot):
@@ -458,6 +459,29 @@ def _window(stepper, out_slot, in_slot):
     return min(n0, sigma - far1), max(n1, sigma - far0)
 
 
+def bounded_window_seeds(stepper, sheets, height):
+    """The :func:`window_seeds` of the sheets ``(out_slot, in_slot)`` of a
+    picture of honeycomb height ``height`` that keeps every window
+    crossing, once it is shown to hold at most
+    :data:`~sl3shear.laminations.MAX_PICTURE_SIZE` corner entries plus
+    height; a larger one is refused with :class:`PictureTooLarge`.  It
+    holds at least the height plus half the entry ends the windows force
+    (an entry has at most two): each side of a sheet holds its window's
+    length less its legs in entry ends."""
+    ends = 0
+    for out_slot, in_slot in sheets:
+        lo, hi = _window(stepper, out_slot, in_slot)
+        (n0, n1), (far0, far1) = stepper._out[out_slot][:2], stepper._in[in_slot][:2]
+        ends += 2 * (hi - lo) - (n1 - n0) - (far1 - far0)
+    size = height + (ends + 1) // 2
+    if size > MAX_PICTURE_SIZE:
+        raise PictureTooLarge(
+            f"a picture of at least {size} corner entries plus honeycomb height is over the limit of "
+            f"{MAX_PICTURE_SIZE}", size,
+        )
+    return [seed for out_slot, in_slot in sheets for seed in window_seeds(stepper, out_slot, in_slot)]
+
+
 # -- coordinate tracing -------------------------------------------------------
 
 
@@ -471,12 +495,15 @@ def _integer(v):
 @dataclass
 class Traveler:
     """A traced curve.  ``start``/``end`` are the ends of its backward
-    and forward walks."""
+    and forward walks, which give its ``kind`` (:func:`strand_kind`)."""
 
-    kind: str  # 'arc' | 'loop' | 'spiral'
     turns: list
     start: tuple
     end: tuple
+
+    @property
+    def kind(self):
+        return strand_kind(self.start, self.end)
 
 
 def _pins(get, tri):
@@ -495,37 +522,17 @@ def trace_coordinates(x, tri, step_cap):
     """All non-peripheral travelers of the honeycombs of an integral
     coordinate vector glued by its pins, in seed order.  A seed that an
     earlier traveler's walks already crossed belongs to that traveler.
-    States, depths and place keys are ints.
-
-    Before any walk, a picture that would hold more than
-    :data:`~sl3shear.laminations.MAX_PICTURE_SIZE` corner entries plus
-    honeycomb height is refused with :class:`PictureTooLarge`.  The size
-    is bounded below by the height, sum |x_T|, plus half the corner-entry
-    ends on the interior sides (an entry has at most two): a sheet's
-    strand count n is at least its window (n = sigma + a + b, with a and b
-    its initial zone sizes), and each of its two sides holds n less its
-    legs in entry ends."""
+    States, depths and place keys are ints.  An oversized picture is
+    refused before any walk (:func:`bounded_window_seeds`)."""
     xs = {i: _integer(v) for i, v in x.coords.items()}
     faces = {t: xs.get(("tri", t), 0) for t in tri.triangles}
     honeycombs = {t: Honeycomb("sink" if v > 0 else "source", abs(v)) for t, v in faces.items() if v}
     pins = _pins(lambda i: xs.get(i, 0), tri)
     stepper = _PictureStepper(GlobalPicture(tri, honeycombs), tri, pins, step_cap)
-    windows, ends = [], 0
-    for e in tri.interior_edges:
-        for out_slot, in_slot in (tri.slots(e), tri.slots(e)[::-1]):
-            lo, hi = _window(stepper, out_slot, in_slot)
-            windows.append((out_slot, lo, hi))
-            ends += 2 * (hi - lo) - stepper._out[out_slot][1] - stepper._in[in_slot][1]
-    size = sum(map(abs, faces.values())) + (ends + 1) // 2
-    if size > MAX_PICTURE_SIZE:
-        raise PictureTooLarge(
-            f"a picture of at least {size} corner entries plus honeycomb height is over the limit of "
-            f"{MAX_PICTURE_SIZE}", size,
-        )
-    seeds = ((out_slot, "out", j) for out_slot, lo, hi in windows for j in range(lo, hi))
+    sheets = [sheet for e in tri.interior_edges for sheet in (tri.slots(e), tri.slots(e)[::-1])]
+    seeds = bounded_window_seeds(stepper, sheets, sum(map(abs, faces.values())))
     travelers = [
-        Traveler(strand_kind(fw, bw), bw.turns[::-1] + fw.turns, bw.end, fw.end)
-        for _, fw, bw in components(stepper, seeds)
+        Traveler(bw.turns[::-1] + fw.turns, bw.end, fw.end) for _, fw, bw in components(stepper, seeds)
     ]
     return stepper, travelers
 
@@ -677,7 +684,7 @@ def traveler_trace(pic):
             idents.append((e, k_out, k_in, sheet))
         travelers.append(
             PictureTraveler(
-                strand_kind(fw, bw), fw.peripheral_with(None), tuple(route), tuple(idents), bw.end, fw.end
+                strand_kind(bw.end, fw.end), fw.peripheral_with(None), tuple(route), tuple(idents), bw.end, fw.end
             )
         )
     return travelers

@@ -16,7 +16,6 @@ agree with the boundary orientation of the surface.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -113,6 +112,11 @@ class IdealTriangulation:
     counterclockwise order.  ``triangles``, ``edges``, ``interior_edges``
     and ``boundary_intervals`` are sorted lists built at construction;
     callers must not modify them.
+
+    The vertices are stored once, as ``_corner_key``: the key of each
+    corner's marked point, whose class ``_key_kind`` gives.  A flip moves
+    no marked point, so it keeps the keys.  Names, classes and corner
+    lists are derived from this map on first read.
     """
 
     def __init__(self, tri_sides, slot_l=None):
@@ -145,8 +149,7 @@ class IdealTriangulation:
         self.edges = sorted(self._slots)
         self.interior_edges = [e for e in self.edges if self._slots[e][1] is not None]
         self.boundary_intervals = [e for e in self.edges if self._slots[e][1] is None]
-        self._key_vertices(self._vertex_classes())
-        self._names = None  # see _naming
+        self._key_vertices()
         # data derived from this triangulation once: its flips here, flip
         # plans and the Dynkin sequence in seeds.  No value references
         # this triangulation, so memoizing never keeps an old one alive.
@@ -174,12 +177,13 @@ class IdealTriangulation:
     # Corners: (t, i) is the corner at the terminal endpoint of side i,
     # equivalently the initial endpoint of side i+1, of triangle t.
 
-    def _vertex_classes(self):
-        """The corners at each vertex, as sorted lists: the classes of
-        the union-find that joins the two corners at each end of every
-        interior edge."""
-        corners = [(t, i) for t in self.triangles for i in range(3)]
-        parent = {c: c for c in corners}
+    def _key_vertices(self):
+        """Key every corner by its vertex: the root of its class in the
+        union-find that joins the two corners at each end of every
+        interior edge.  A union keeps the smaller root, so a root is its
+        class's least corner.  A vertex is special when it ends a boundary
+        interval, as every marked point on the boundary does."""
+        parent = {(t, i): (t, i) for t in self.triangles for i in range(3)}
 
         def find(c):
             while parent[c] != c:
@@ -187,67 +191,42 @@ class IdealTriangulation:
                 c = parent[c]
             return c
 
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-
-        for e, (sl, sr) in self._slots.items():
-            if sr is None:
-                continue
-            (tl, il), (tr, ir) = sl, sr
+        for e in self.interior_edges:
+            (tl, il), (tr, ir) = self._slots[e]
             # terminal corner on the left side = initial corner on the right
-            union((tl, il), (tr, (ir - 1) % 3))
-            union((tl, (il - 1) % 3), (tr, ir))
-        classes = {}
-        for c in corners:
-            classes.setdefault(find(c), []).append(c)
-        return list(classes.values())
+            for a, b in (((tl, il), (tr, (ir - 1) % 3)), ((tl, (il - 1) % 3), (tr, ir))):
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[max(ra, rb)] = min(ra, rb)
+        self._corner_key = {c: find(c) for c in parent}
+        self._key_kind = dict.fromkeys(self._corner_key.values(), PUNCTURE)
+        for e in self.boundary_intervals:
+            self._key_kind[self._corner_key[self._slots[e][0]]] = SPECIAL
 
-    def _key_vertices(self, classes):
-        """Key the vertices ``0, 1, ...`` in the order of their least
-        corner; a vertex is special when a side at one of its corners is
-        a boundary interval."""
-        self._key_corners = {}
-        self._key_kind = {}
-        self._corner_key = {}
-        for key, cs in enumerate(sorted(classes)):
-            on_boundary = any(
-                self.is_boundary(self.tri_sides[t][side])
-                for t, i in cs
-                for side in (i, (i + 1) % 3)
-            )
-            self._key_kind[key] = SPECIAL if on_boundary else PUNCTURE
-            self._key_corners[key] = tuple(cs)
-            for c in cs:
-                self._corner_key[c] = key
-
-    def _naming(self):
-        """``(key -> vertex id, vertex id -> key, vertex id -> class)``:
-        the vertices are named ``v0, v1, ...`` in the order of their
-        least corner.  A flip keeps the vertex keys but may move least
-        corners, so a flipped triangulation names its vertices on first
-        use.  Readers take ``self._names or self._naming()``: a plain
-        attribute that ``__init__`` and ``_flip`` set in the same order,
-        which keeps attribute reads on CPython's fast path."""
-        if self._names is None:
-            order = sorted(self._key_corners, key=self._key_corners.__getitem__)
-            names = {key: f"v{n}" for n, key in enumerate(order)}
-            self._names = (
-                names,
-                {name: key for key, name in names.items()},
-                MappingProxyType({name: self._key_kind[key] for key, name in names.items()}),
-            )
-        return self._names
+    @cached_property
+    def _vertex_table(self):
+        """``(corner -> vertex id, vertex id -> sorted corners, vertex id
+        -> class)``, derived from ``_corner_key`` on first read: the
+        vertices are named ``v0, v1, ...`` in the order of their least
+        corner."""
+        corners = {}
+        for c in sorted(self._corner_key):
+            corners.setdefault(self._corner_key[c], []).append(c)
+        names = {key: f"v{n}" for n, key in enumerate(corners)}
+        return (
+            {c: names[key] for c, key in self._corner_key.items()},
+            {names[key]: cs for key, cs in corners.items()},
+            MappingProxyType({name: self._key_kind[key] for key, name in names.items()}),
+        )
 
     @property
     def vertices(self):
         """Read-only map vertex id -> class ('puncture' or 'special'),
         built once per triangulation."""
-        return (self._names or self._naming())[2]
+        return self._vertex_table[2]
 
     def corner_vertex(self, t, i):
-        return (self._names or self._naming())[0][self._corner_key[(t, i % 3)]]
+        return self._vertex_table[0][t, i % 3]
 
     def edge_endpoints(self, e):
         """(initial vertex, terminal vertex) of the oriented edge ``e``."""
@@ -255,8 +234,7 @@ class IdealTriangulation:
         return (self.corner_vertex(tl, il - 1), self.corner_vertex(tl, il))
 
     def corners_at_vertex(self, v):
-        key = (self._names or self._naming())[1].get(v)
-        return list(self._key_corners[key]) if key is not None else []
+        return list(self._vertex_table[1].get(v, ()))
 
     def other_slot(self, slot):
         e = self.edge_at(slot)
@@ -328,8 +306,9 @@ class IdealTriangulation:
     def _flip(self, e):
         """The flip at ``e``, built from this triangulation by editing
         what the flip changes: the two triangles, the slots of the five
-        edges on them and the vertices of their six corners.  A flip
-        keeps every id, so the sorted lists are shared."""
+        edges on them and the vertex keys of their six corners.  A flip
+        keeps every id and key, so it shares the sorted lists and the
+        key classes."""
         if self.is_boundary(e):
             raise NotInteriorEdge(e)
         (tl, il), (tr, ir) = self._slots[e]
@@ -366,22 +345,9 @@ class IdealTriangulation:
         ck = self._corner_key
         end, top, start = (ck[tl, (il + n) % 3] for n in range(3))
         bottom = ck[tr, (ir + 1) % 3]
-        new_keys = {(tl, 0): bottom, (tl, 1): end, (tl, 2): top,
-                    (tr, 0): start, (tr, 1): bottom, (tr, 2): top}
-        t2._key_corners = dict(self._key_corners)
-        for key in {end, top, start, bottom}:
-            corners = list(self._key_corners[key])
-            for c in new_keys:
-                if ck[c] == key:
-                    del corners[bisect_left(corners, c)]
-            for c, w in new_keys.items():
-                if w == key:
-                    insort(corners, c)
-            t2._key_corners[key] = tuple(corners)
+        t2._corner_key = {**ck, (tl, 0): bottom, (tl, 1): end, (tl, 2): top,
+                          (tr, 0): start, (tr, 1): bottom, (tr, 2): top}
         t2._key_kind = self._key_kind
-        t2._corner_key = dict(ck)
-        t2._corner_key.update(new_keys)
-        t2._names = None
         t2.memo = {}
         # local labels 1,3 (diagonal) become the new faces; local labels
         # 2,4 (faces) become the new diagonal's vertices
@@ -424,9 +390,7 @@ class IdealTriangulation:
         diags = t2.validate()
         if diags:
             raise ResultViolatesSurfaceConditions("; ".join(diags))
-        vertex_map = {}
-        for c in self._corner_key:
-            vertex_map[self.corner_vertex(*c)] = t2.corner_vertex(*c)
+        vertex_map = {v: t2.corner_vertex(*c) for c, v in self._vertex_table[0].items()}
         return t2, GlueResult(new_edge=e_l, vertex_map=vertex_map)
 
 

@@ -22,7 +22,6 @@ from sl3shear.reconstruct import (
     components,
     out_seeds,
     stack_entries,
-    strand_kind,
     window_seeds,
 )
 from sl3shear.surface import SameEdge
@@ -51,7 +50,7 @@ def glue_laminations(pinned, e_l, e_r):
         peripheral = seed not in in_window and fw.peripheral_with(bw)
         if peripheral and (fw.turns or bw.turns)[0].vertex in merged_ids:
             continue
-        traveler = Traveler(strand_kind(fw, bw), bw.turns[::-1] + fw.turns, bw.end, fw.end)
+        traveler = Traveler(bw.turns[::-1] + fw.turns, bw.end, fw.end)
         entries += stack_entries(stepper, traveler, SPIRAL_TURNS)[0]
     glued = build_picture(t2, pic.honeycombs, entries, Fraction(1, u)).require_valid()
     delta = {}

@@ -774,6 +774,26 @@ def test_oversized_pictures_are_refused_before_they_are_built(name, polygon4, tm
     assert len(err.splitlines()) == 1 and "over the limit" in err, err
 
 
+@pytest.mark.parametrize("command", ["seed", "shear", "dynkin"])
+def test_deeply_nested_json_is_malformed_input(command, tmp_path, capsys):
+    """JSON nested too deep to parse, in a surface file, a lamination file
+    or a coordinate argument, is malformed input: one error line and exit
+    2, not a traceback."""
+    surf = tmp_path / "p4.json"
+    main(["surface", "--spec", "polygon:4", "--out", str(surf)])
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    capsys.readouterr()
+    argv = {
+        "seed": ["seed", "--surface", str(deep)],
+        "shear": ["shear", "--surface", str(surf), "--lamination", str(deep)],
+        "dynkin": ["dynkin", "--surface", str(surf), "--coords", "[" * 50_000],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err[:200]
+
+
 def test_tropical_point_json_roundtrip(polygon4):
     p_obj = {"kind": "X", "restricted": False, "coords": {"e:d2:1": "-7/3", "t:T1": "2"}}
     p = tropical_point_from_obj(p_obj, tri=polygon4)

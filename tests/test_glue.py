@@ -168,7 +168,7 @@ def test_self_gluing_keeps_arcs_winding_both_ways(spec, e_l, e_r, coords, delta)
 
 
 def _turn_at(vertex, orient):
-    return Turn(None, ("T", 0), orient, vertex, None, None)
+    return Turn(None, orient, vertex, None, None)
 
 
 def test_peripheral_needs_one_winding_around_one_vertex():

@@ -10,6 +10,7 @@ and refuse the same inputs.
 import importlib
 import importlib.util
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -18,12 +19,20 @@ import pytest
 
 import glue_reference
 from sl3shear import io
+from sl3shear.cli import main
 from sl3shear.glue import glue_laminations
-from sl3shear.laminations import PinnedLamination, add_peripheral_chain, boundary_weights
+from sl3shear.laminations import (
+    GlobalPicture,
+    PictureTooLarge,
+    PinnedLamination,
+    add_peripheral_chain,
+    boundary_weights,
+)
 from sl3shear.reconstruct import reconstruct
 from sl3shear.seeds import Sl3IndexSet
 from sl3shear.surface import MarkedSurfaceSpec, Sl3Error, build
 from sl3shear.tropical import TropicalPoint
+from sl3shear.verify import two_triangle_fixture
 
 F = Fraction
 WORKLOADS = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
@@ -175,3 +184,70 @@ def test_coweights_away_from_the_merged_points_pass_through(polygon5):
                     assert boundary_weights(glued.underlying, e) == boundary_weights(pinned.underlying, e)
                     kept += 1
     assert kept > 100
+
+
+def _size(pic):
+    """Corner entries plus honeycomb height, as ``MAX_PICTURE_SIZE`` counts."""
+    return sum(h.height for h in pic.honeycombs.values()) + sum(map(len, pic.corners.values()))
+
+
+@pytest.mark.parametrize("name", sorted(SURFACES))
+@pytest.mark.parametrize("copies", ["self", "cross"])
+def test_glue_size_bound_never_exceeds_the_built_size(name, copies, monkeypatch):
+    """The bound gluing refuses by is at most the corner entries plus
+    honeycomb height of the picture it builds, on the gluings the
+    reference comparison makes."""
+    reconstruct_module = importlib.import_module("sl3shear.reconstruct")
+    tri = build(SURFACES[name])
+    intervals = tri.boundary_intervals
+    pairs = [(a, b) for a in intervals for b in intervals if a != b]
+    if copies == "cross":
+        tri = _two_copies(tri)
+        pairs = [(f"L{a}", f"R{b}") for a in intervals for b in intervals]
+        pairs += [(b, a) for a, b in pairs]
+    rng = random.Random(f"{name}:{copies}")
+    checked = 0
+    for e_l, e_r in pairs:
+        pinned = _random_pinned(tri, rng, entries=3)
+        try:
+            glued = glue_laminations(pinned, e_l, e_r)
+        except Sl3Error:
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(reconstruct_module, "MAX_PICTURE_SIZE", -1)
+            with pytest.raises(PictureTooLarge) as bound:
+                glue_laminations(pinned, e_l, e_r)
+        assert 0 <= bound.value.size <= _size(glued.underlying), (e_l, e_r)
+        checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("coweight", [10**7, -10**7])
+def test_oversized_gluing_is_refused_before_walking(coweight, monkeypatch, tmp_path, capsys):
+    """An empty picture pinned at a coweight of 10^7 would glue into at
+    least 10^7 corner entries; the window bound refuses it with one line
+    before any walk, allocating nothing large, and the CLI exits 1."""
+    tri = two_triangle_fixture()
+    pinned = PinnedLamination(GlobalPicture(tri), {"a2": (F(coweight), F(0))})
+
+    def no_walk(*args):
+        raise AssertionError("a strand was walked")
+
+    with monkeypatch.context() as m:
+        m.setattr(importlib.import_module("sl3shear.glue"), "components", no_walk)
+        tracemalloc.start()
+        try:
+            with pytest.raises(PictureTooLarge, match="over the limit of 1000000") as refused:
+                glue_laminations(pinned, "a2", "b0")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert refused.value.size >= 10**7 and "\n" not in str(refused.value)
+    assert peak < 10**6, peak
+    surf, lam = tmp_path / "tri.json", tmp_path / "lam.json"
+    surf.write_text(io.dump(io.triangulation_to_obj(tri)))
+    lam.write_text(io.dump(io.pinned_to_obj(pinned)))
+    argv = ["glue", "--surface", str(surf), "--lamination", str(lam), "--left", "a2", "--right", "b0"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "over the limit" in err, err

@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import sl3shear
+from sl3shear.surface import IdealTriangulation, MarkedSurfaceSpec, build
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sl3shear"
 
@@ -216,3 +217,15 @@ def test_one_stepper():
         and any(isinstance(f, ast.FunctionDef) and f.name == "turn" for f in node.body)
     ]
     assert len(steppers) == 1, steppers
+
+
+def test_a_flip_sets_the_attributes_of_a_build():
+    """``_flip`` builds its triangulation by hand, attribute by attribute;
+    it sets exactly the instance attributes ``__init__`` sets, in the same
+    order, before either has derived its vertex table."""
+    for spec in (MarkedSurfaceSpec.polygon(5), MarkedSurfaceSpec.punctured_polygon(3, 2)):
+        built = build(spec)
+        tri = IdealTriangulation(built.tri_sides, slot_l={e: built.slots(e)[0] for e in built.edges})
+        flipped, _ = tri._flip(tri.interior_edges[0])
+        assert "_vertex_table" not in vars(tri)
+        assert list(vars(flipped)) == list(vars(tri))

@@ -37,7 +37,6 @@ from sl3shear.reconstruct import (
     reconstruct,
     reconstruct_pinned,
     roundtrip_check,
-    strand_kind,
     trace_coordinates,
     traveler_trace,
     walk_both,
@@ -354,7 +353,7 @@ def _trace_by_key(x, tri, step_cap):
                     if not stepper.crossing_hugs(s)
                 )
                 turns = bw.turns[::-1] + fw.turns
-                seen.setdefault(key, Traveler(strand_kind(fw, bw), turns, bw.end, fw.end))
+                seen.setdefault(key, Traveler(turns, bw.end, fw.end))
     return stepper, list(seen.values())
 
 
@@ -569,7 +568,7 @@ class _FractionStepper:
 
     def _turn(self, state, corner, orient, depth, key):
         vertex = self.surface.corner_vertex(*corner)
-        return rec.Turn(state, corner, orient, vertex, depth, (corner, key))
+        return rec.Turn(state, orient, vertex, depth, (corner, key))
 
     def cross(self, state):
         slot, _, k = state

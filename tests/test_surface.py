@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from sl3shear.surface import (
@@ -188,3 +190,48 @@ def test_self_folded_table_rejected_by_build():
     spec = MarkedSurfaceSpec.table([("T0", ("a", "a", "b"))])
     with pytest.raises(SelfFoldedUnavoidable):
         build(spec)
+
+
+def _vertex_data(tri):
+    """Everything a reader sees of a triangulation's vertices."""
+    return (
+        list(tri.vertices.items()),
+        {v: tri.corners_at_vertex(v) for v in tri.vertices},
+        {e: tri.edge_endpoints(e) for e in tri.edges},
+        tri.n_special(),
+    )
+
+
+@pytest.mark.parametrize("spec", [
+    MarkedSurfaceSpec.once_punctured_torus(),
+    MarkedSurfaceSpec.polygon(6),
+    MarkedSurfaceSpec.annulus(2, 2),
+    MarkedSurfaceSpec.punctured_polygon(3, 2),
+    MarkedSurfaceSpec.punctured_polygon(4, 1),
+], ids=["torus", "polygon6", "annulus22", "punctured32", "punctured41"])
+def test_flipped_vertices_equal_a_fresh_build(spec):
+    """Along a random flip walk, the vertex names (in order), classes,
+    corner lists, edge orientations and special count of each flipped
+    triangulation equal those of a fresh build of its table; and every
+    corner outside the two flipped triangles keeps its vertex key, so
+    the keys follow the marked points."""
+    tri = build(spec)
+    rng = random.Random(str(spec))
+    flips = 0
+    for _ in range(200):
+        e = rng.choice(tri.interior_edges)
+        try:
+            t2, _ = tri.flip_edge(e)
+        except FlipCreatesSelfFolded:
+            continue
+        fresh = IdealTriangulation(t2.tri_sides, slot_l={f: t2.slots(f)[0] for f in t2.edges})
+        assert _vertex_data(t2) == _vertex_data(fresh), e
+        flipped = {t for t, _ in tri.slots(e)}
+        assert {c: k for c, k in t2._corner_key.items() if c[0] not in flipped} == {
+            c: k for c, k in tri._corner_key.items() if c[0] not in flipped
+        }
+        tri = t2
+        flips += 1
+        if flips == 54:
+            break
+    assert flips == 54
