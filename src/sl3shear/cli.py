@@ -1,9 +1,12 @@
 """Batch command-line interface.
 
 Subcommands: surface, seed, shear, flip, dynkin, ensemble, reconstruct,
-glue, diagram, verify.  All randomized commands take --seed; identical
-invocations produce byte-identical output.  Exit codes: 0 success, 1
-domain error or failed verification, 2 usage error.
+glue, diagram, verify.  JSON documents are written on one line, with
+sorted keys and no spaces (sl3shear.io.dump); python3 -m json.tool
+indents them for reading.  All randomized commands take --seed;
+identical invocations produce byte-identical output in that layout.
+Exit codes: 0 success, 1 domain error or failed verification, 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -78,6 +81,13 @@ def _emit(obj, out):
         print(text)
 
 
+def _excerpt(text):
+    """``text`` quoted for an error line: its repr, cut to 80 characters
+    and followed by its length when longer."""
+    quoted = repr(text)
+    return quoted if len(quoted) <= 80 else f"{quoted[:80]}... ({len(text)} characters)"
+
+
 def _coords_arg(tri, text):
     """Parse a coordinate map; accepts canonical index keys t:/e: and,
     when the surface has a unique interior edge, the aliases T_L, T_R,
@@ -87,9 +97,9 @@ def _coords_arg(tri, text):
         # an object as its (key, value) pairs, so a repeated key shows
         raw = json.loads(text, object_pairs_hook=tuple)
     except (ValueError, RecursionError):
-        raise UsageError(f"coordinates are not JSON: {text!r}") from None
+        raise UsageError(f"coordinates are not JSON: {_excerpt(text)}") from None
     if not isinstance(raw, tuple):
-        raise UsageError(f"coordinates are not a JSON object: {text!r}")
+        raise UsageError(f"coordinates are not a JSON object: {_excerpt(text)}")
     known = set(Sl3IndexSet(tri).all)
     coords, keys = {}, {}
     aliases = {}

@@ -15,6 +15,11 @@ given pairings are checked, before cabling, against the reversal.
 Every entry object and honeycomb carries a ``"weight"``; the encoder
 writes the picture's one weight on each, and a document of several
 weights is cabled when read (:func:`sl3shear.laminations.cable`).
+
+Every document is written by :func:`dump` in one layout: one line, with
+sorted keys and no spaces, which ``json``'s C encoder writes.  ``python3
+-m json.tool`` indents a document for reading.  :func:`load` refuses an
+object that repeats a key.
 """
 
 from __future__ import annotations
@@ -209,8 +214,14 @@ def _run_from_obj(obj, where, read_weight, kinds):
 def _runs_to_obj(stack, weight):
     """A corner stack as runs: each maximal block of equal entries is one
     entry object, with ``"count"`` when the block has more than one."""
-    runs = [(_entry_to_obj(entry, weight), sum(1 for _ in block)) for entry, block in groupby(stack)]
-    return [{**obj, "count": n} if n > 1 else obj for obj, n in runs]
+    runs = []
+    for entry, block in groupby(stack):
+        obj = _entry_to_obj(entry, weight)
+        n = sum(1 for _ in block)
+        if n > 1:
+            obj["count"] = n
+        runs.append(obj)
+    return runs
 
 
 def _reversal_pairs(pic, e):
@@ -334,7 +345,7 @@ def pinned_from_obj(obj, tri):
 
 
 def dump(obj):
-    return json.dumps(obj, indent=2, sort_keys=True)
+    return json.dumps(obj, separators=(",", ":"), sort_keys=True)
 
 
 def _unique_keys(pairs):

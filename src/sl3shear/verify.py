@@ -5,7 +5,6 @@ equality of rationals; there are no tolerances.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -42,7 +41,7 @@ from .laminations import (
     coords_of_components,
     shear_frozen,
 )
-from .io import tropical_point_to_obj
+from .io import dump, tropical_point_to_obj
 from .reconstruct import elementary_lamination, identifier_relations, reconstruct, roundtrip_check
 from .glue import ShiftElement, glue_coordinates, glue_laminations, shift_action
 
@@ -128,7 +127,7 @@ def roundtrip_suite(trials=500, seed=0, entry_range=6):
     detail = f"{total} integral vectors on 4 fixtures, {len(fails)} failures"
     if fails:
         name, x = fails[0]
-        coords = json.dumps(tropical_point_to_obj(x)["coords"])
+        coords = dump(tropical_point_to_obj(x)["coords"])
         detail += f"; first on {name} (--spec {_FIXTURE_SPECS[name]}): --coords '{coords}'"
     return SuiteResult("round-trip", not fails, detail)
 

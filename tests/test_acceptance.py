@@ -126,12 +126,14 @@ def test_single_mutation_gate_catches_a_wrong_mutation(monkeypatch, capsys):
 
 def test_roundtrip_counterexample_reproduces(monkeypatch, tmp_path, capsys):
     """A planted wrong round-trip check fails the suite, and its detail
-    names the first failing fixture with coordinates on which
-    ``reconstruct --check`` reports ``ok: false`` under the same check."""
+    names the first failing fixture with coordinates, written by
+    ``sl3shear.io.dump``, on which ``reconstruct --check`` reports
+    ``ok: false`` under the same check."""
     import json
     import re
 
     import sl3shear.cli as cli
+    import sl3shear.io as jio
     import sl3shear.verify as verify
     from sl3shear.cli import main
 
@@ -151,6 +153,8 @@ def test_roundtrip_counterexample_reproduces(monkeypatch, tmp_path, capsys):
     assert found, res.detail
     name, spec, coords = found.groups()
     assert (name, spec) == ("torus", "once-punctured-torus")
+    # written by the one JSON writer, in its layout
+    assert coords == jio.dump(json.loads(coords))
 
     surf = tmp_path / "surface.json"
     assert main(["surface", "--spec", spec, "--out", str(surf)]) == 0

@@ -794,6 +794,20 @@ def test_deeply_nested_json_is_malformed_input(command, tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err[:200]
 
 
+@pytest.mark.parametrize("text", ["[" * 50_000, "[" + "1," * 50_000 + "1]"], ids=["not-json", "not-an-object"])
+def test_a_long_malformed_coords_argument_is_echoed_cut(text, tmp_path, capsys):
+    """A coordinate argument that is not JSON, or not a JSON object, is
+    echoed cut to its first characters and its length: one error line of
+    under 200 characters and exit 2."""
+    surf = tmp_path / "p4.json"
+    main(["surface", "--spec", "polygon:4", "--out", str(surf)])
+    capsys.readouterr()
+    assert main(["dynkin", "--surface", str(surf), "--coords", text]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and len(err) < 200, err[:300]
+    assert f"({len(text)} characters)" in err
+
+
 def test_tropical_point_json_roundtrip(polygon4):
     p_obj = {"kind": "X", "restricted": False, "coords": {"e:d2:1": "-7/3", "t:T1": "2"}}
     p = tropical_point_from_obj(p_obj, tri=polygon4)

@@ -36,35 +36,35 @@ SURFACES = {
 }
 
 GOLDEN = {
-    "polygon:8/seed": "fbc0d91f0b6776eaaf1f265c9f6063f34920ce6292852cfc4c2aa1728753087c",
-    "polygon:8/flip": "f8fb1cfeab1d7c3f6adb00ee75baedf4c0a926e616218dfd0dac1b6968fe57c4",
-    "polygon:8/ensemble": "b98e32bc3eb20ecf0f1a54bf5964e91ab4e1eca4b011624ad68aeb52e77f4235",
-    "polygon:8/dynkin": "e39ca113a7b48f3c1a938f31c7ae629c446af757f625518917bcc35825da5a0a",
-    "polygon:8/reconstruct": "7827dc871f253a5db976d9c5e4fb2611d90a35a711ae8302617e86ec765ab2db",
-    "punctured-polygon:3:2/seed": "de9599bc8461176070bff3f02b805f906a4e3e083dee08c47c4e70dec697aac9",
-    "punctured-polygon:3:2/flip": "efc8466303d6c9057b69fd34a2f931693c223cc51c4114879b06b001632d91ef",
-    "punctured-polygon:3:2/ensemble": "4d8eff0f72d915248215f624454731dd75651d8e8598ddb01f523b8e33ce8c49",
-    "punctured-polygon:3:2/dynkin": "121ddbe6b9150ca4b2aa2bf1b4c1dc9536fad436a713ee6fa797bdb1154d22a5",
-    "punctured-polygon:3:2/reconstruct": "6ff1cbbf0ede9e7b93a67f6d22771f379e7b36530276c1905c193ad9a14a5004",
-    "annulus:2:1/seed": "6bfd1a080f4129ffd57eb6f9d1a5f4cca7a1d8c39fdaca8384f5e66f3001975e",
-    "annulus:2:1/flip": "93270fa65dc37ffafa75d0d51d9067ff480c345761fccf6ebbbd89f3dabd7e69",
-    "annulus:2:1/ensemble": "1b8ecd9930e1b945724019461d8447709503febf9d0f3e0f228fad147008f334",
-    "annulus:2:1/dynkin": "3895a22b65c086c55bd24aea0a3f52b41e1683925c46421b45a61259deb5f094",
-    "annulus:2:1/reconstruct": "c04d8a4a068102adfbd3ee9f3635e33dbc618dfe507ecd1476ebeed82b3967f1",
-    "once-punctured-torus/seed": "155df0f91e3ed20b65cf6ef19b333919b7d62823bd8cf919d23ca43fb20ff68f",
-    "once-punctured-torus/flip": "96bed47a11f8daef5b239cff5613b85108e9a62fc0d3a407a6a58f85ea631fa3",
-    "once-punctured-torus/ensemble": "43762815f8a79afdda379de234576b800b863ba6d97ec5c8ca873ef21324d48f",
-    "once-punctured-torus/dynkin": "97c47ebc6225e1e7136c69c9a8331cdf7055f5641f8294ddc5271fe4a90635da",
-    "once-punctured-torus/reconstruct": "bd234e3b74bc081030fbb85a1fc69561048aecba245313d43f5ee49aacd348bc",
-    "polygon:4/shear/alpha+-pinned": "b6b06d363f71c976f119b9c5babe220d188dc50619cd97907605d3a4611eab83",
+    "polygon:8/seed": "61d2fd1e4ee1e233af975f8067e8507b06f45d5f125f11a0a622d615ea17235b",
+    "polygon:8/flip": "98454ec95a67ba2153bdcb385aaf407528b16435d1affdc5441d4017e42d8d66",
+    "polygon:8/ensemble": "8d91620b3d77df6ee4a106fee181c19d5e66b51d0da9fcd2a6ca3983603d2600",
+    "polygon:8/dynkin": "2653f4750e3c68123af7acdaf1dc2a995e4c54521a95ce636278fb72cfb4b78e",
+    "polygon:8/reconstruct": "2b22fb3cd5fbd3c5fac8b0672d6d9fefd3c60eb0c9897d96e35bbbe736d999c0",
+    "punctured-polygon:3:2/seed": "52a4edc0e8308aed20ad65b5d8c893c931a0a688fd90020696e748fb805c0cc3",
+    "punctured-polygon:3:2/flip": "4399da9b73998756e99d3dd8cb57e009a4ddb799a43c43d33843fa2feca13ba5",
+    "punctured-polygon:3:2/ensemble": "5de41b0f5b8ea7393f2690a80e8eca64ac7de08b8dc6b01ce461213c9fbc099c",
+    "punctured-polygon:3:2/dynkin": "7f7b1ae15124412b23ff6e18cd1a1cdbe2a0216aa4abc9f22d7d52700799655e",
+    "punctured-polygon:3:2/reconstruct": "55832a41fc86b9cd18148daa23bcb4dbbefc4c4eb4173fee8c33521070fe0d99",
+    "annulus:2:1/seed": "4c54f3cb6b093fe6d4c76ea30ccab06933dbd095dbfb787c09a9d6a2f73ac20d",
+    "annulus:2:1/flip": "b487a805c79ca83bd8ac41f18345bf79c662d4f1ce53fbb959b48aca8b11d62b",
+    "annulus:2:1/ensemble": "568fdf44007314045d60d4e463ce38edb4837d351e8348c85a42000c7a53c7b0",
+    "annulus:2:1/dynkin": "738d00285350e3f971d444566b472dad707e139940b052a888917e79f221ac0d",
+    "annulus:2:1/reconstruct": "1dd89aa67ec26d5de813ca979bd3b3d436337ad5c21cd98eeecb3014dcf8fdf6",
+    "once-punctured-torus/seed": "a6443d91b9452965cc755cfec5d944bb27d6b2faeb5df586625cf9e8bb5d1a2e",
+    "once-punctured-torus/flip": "eb35668d565ed825bb1b5882e3179062f128c7dedca7022ef9737063d51fa890",
+    "once-punctured-torus/ensemble": "acd7d135f59c35b822829806627950c686250c60337e51aee60c783c3af2748f",
+    "once-punctured-torus/dynkin": "e1c171dc495f3f21895e3f8412c5a2e21e36a22d852d3d44986a1039d3f42948",
+    "once-punctured-torus/reconstruct": "bb55a8690e0e688465ec0f916547caacbce574b05da9799f9319350b63b61832",
+    "polygon:4/shear/alpha+-pinned": "15470d3cb0b0f848a6712ceaf70e0b429bc94c080e6d90c7e44603622ae8bf8e",
     "polygon:4/diagram/alpha+-pinned": "45a348b11502448a36f048a6ef8c384c2e9ca9983f90911b5a04155cb2d47605",
-    "polygon:4/glue/alpha+-pinned": "4031a637db046456f4e325cafb08aaa43ab324f230464650c178a656cdbe56d0",
-    "polygon:4/shear/tau+L-alpha": "f4f2058e4ee806815ec988f30db687707b04946e8fbe4fe2f00d6f855358f4d2",
+    "polygon:4/glue/alpha+-pinned": "e72a019bd0ec1990f062c5da00cd60e150ef345936726b51be48e75d5bd0730f",
+    "polygon:4/shear/tau+L-alpha": "1eed12be673b58ca0a95eefadbbb7458c4979603081aae79f82a97bdee87b9f8",
     "polygon:4/diagram/tau+L-alpha": "49561bed4c98148cd40934c826cbecb68b4bbc4c4c1f2b2131116a61c8be69d6",
-    "polygon:4/glue/tau+L-alpha": "d7f630f43219117c8165edb438ed28eddb6cb53ede3b2036937f6a17bb484253",
-    "polygon:4/shear/peripheral-cw": "6f2c9751606b88407e3f08ba7e8cb681087a3e219adbfd34a0d0cbea17c8c25e",
+    "polygon:4/glue/tau+L-alpha": "1efc0f59dc9bf4390be72a42ba256d2bcddb530fb7bcfb8ca7c5cad7bb570be4",
+    "polygon:4/shear/peripheral-cw": "9a1b94423bd4f4dfc4c3262ce8029c202fb86865b110867dab3c6b0b1dd1d861",
     "polygon:4/diagram/peripheral-cw": "ce6c6418bb69a0964465d5bfd20f295b4c45fa527bec33ac17d2fb5c5ec9467e",
-    "polygon:4/glue/peripheral-cw": "38b7763be608291c976f341e8f26d0a91f8a9129051ebc71adfe386e99a007ee",
+    "polygon:4/glue/peripheral-cw": "72673928c77ccbc023d81cab9bd7b5951dd6831cff284edf5166d6a59d0fa2af",
 }
 
 # the pairs of polygon(4) intervals each document is glued along: b1 and
@@ -111,27 +111,28 @@ def _run(argv):
     return f"{' '.join(argv[:1] + argv[3:])}\nexit {code}\n{out.getvalue()}"
 
 
-def outputs(workdir):
+def outputs(workdir, run=_run):
     """``"<surface>/<command>" -> [record, ...]`` for every CLI call of
-    the corpus, each record holding the arguments, exit code and stdout."""
+    the corpus, each record holding the arguments, exit code and stdout
+    as ``run`` returns them."""
     parts = {}
     for name, spec in SURFACES.items():
         tri = build(spec)
         surf = str(Path(workdir) / "surface.json")
         with open(surf, "w") as fp:
             fp.write(jio.dump(jio.triangulation_to_obj(tri)))
-        parts[f"{name}/seed"] = [_run(["seed", "--surface", surf])]
+        parts[f"{name}/seed"] = [run(["seed", "--surface", surf])]
         parts[f"{name}/flip"] = [
-            _run(["flip", "--surface", surf, "--edge", e, "--kind", kind,
-                  "--coords", _coords(tri, salt)])
+            run(["flip", "--surface", surf, "--edge", e, "--kind", kind,
+                 "--coords", _coords(tri, salt)])
             for e in tri.interior_edges
             for kind, salt in (("X", 0), ("A", 4))
         ]
-        parts[f"{name}/ensemble"] = [_run(["ensemble", "--surface", surf, "--acoords", _coords(tri, 2)])]
-        parts[f"{name}/dynkin"] = [_run(["dynkin", "--surface", surf, "--coords", _coords(tri, 5)])]
+        parts[f"{name}/ensemble"] = [run(["ensemble", "--surface", surf, "--acoords", _coords(tri, 2)])]
+        parts[f"{name}/dynkin"] = [run(["dynkin", "--surface", surf, "--coords", _coords(tri, 5)])]
         unfrozen = _coords(tri, 3, Sl3IndexSet(tri).unfrozen)
         parts[f"{name}/reconstruct"] = [
-            _run(["reconstruct", "--surface", surf, "--coords", unfrozen, "--check"])
+            run(["reconstruct", "--surface", surf, "--coords", unfrozen, "--check"])
         ]
     surf = str(Path(workdir) / "polygon4.json")
     with open(surf, "w") as fp:
@@ -143,7 +144,7 @@ def outputs(workdir):
         for command, extra in [("shear", []), ("diagram", [])] + [
             ("glue", ["--left", left, "--right", right]) for left, right in GLUE_PAIRS
         ]:
-            record = _run([command, "--surface", surf, "--lamination", lam, *extra])
+            record = run([command, "--surface", surf, "--lamination", lam, *extra])
             parts.setdefault(f"polygon:4/{command}/{name}", []).append(
                 record.replace(str(workdir), "<dir>")
             )
@@ -169,6 +170,31 @@ def verify_digest():
 
 def test_cli_golden_digests():
     assert digests() == GOLDEN
+
+
+def test_json_commands_print_one_line_of_the_built_document(monkeypatch, tmp_path):
+    """Every call of the corpus that succeeds and emits JSON prints
+    exactly one line plus its newline, and that line decodes to the
+    document ``sl3shear.io.dump`` was given."""
+    dump, built, checked = jio.dump, [], set()
+
+    def recording_dump(obj):
+        built.append(obj)
+        return dump(obj)
+
+    def run(argv):
+        built.clear()
+        record = _run(argv)
+        _, code, stdout = record.split("\n", 2)
+        if argv[0] != "diagram" and code == "exit 0":
+            assert len(built) == 1 and stdout.endswith("\n") and stdout.count("\n") == 1, record
+            assert json.loads(stdout) == built[0], record
+            checked.add(argv[0])
+        return record
+
+    monkeypatch.setattr(jio, "dump", recording_dump)
+    outputs(tmp_path, run)
+    assert checked == {"seed", "flip", "ensemble", "dynkin", "reconstruct", "shear", "glue"}
 
 
 def test_verify_stdout_digest():

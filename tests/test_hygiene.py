@@ -229,3 +229,32 @@ def test_a_flip_sets_the_attributes_of_a_build():
         flipped, _ = tri._flip(tri.interior_edges[0])
         assert "_vertex_table" not in vars(tri)
         assert list(vars(flipped)) == list(vars(tri))
+
+
+def _json_encoder_uses(path):
+    """``(module, function)`` for each use of ``json``'s encoder (``dump``,
+    ``dumps`` or ``JSONEncoder``) in a module, the function being the
+    innermost one around it, or None at module level."""
+    encoders = {"dump", "dumps", "JSONEncoder"}
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Attribute) and node.attr in encoders
+                and isinstance(node.value, ast.Name) and node.value.id == "json"):
+            found.append((path.name, where))
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            found.extend((path.name, where) for alias in node.names if alias.name in encoders)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return found
+
+
+def test_one_json_writer():
+    """``json``'s encoder is called in one place of the package,
+    ``io.dump``, so every document it writes has one layout."""
+    uses = [use for p in sorted(SRC.glob("*.py")) for use in _json_encoder_uses(p)]
+    assert uses == [("io.py", "dump")]
