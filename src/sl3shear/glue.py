@@ -45,7 +45,6 @@ from .laminations import (
 )
 from .reconstruct import (
     SPIRAL_TURNS,
-    Traveler,
     _PictureStepper,
     bounded_window_seeds,
     build_picture,
@@ -136,12 +135,11 @@ def glue_laminations(pinned, e_l, e_r):
     # construction; every place walked is recorded, so that only the
     # stored entries of unwalked components are copied
     walked, entries = set(), []
-    for seed, fw, bw in components(stepper, seeds):
-        turns = bw.turns[::-1] + fw.turns
-        if seed not in in_window and fw.peripheral_with(bw) and turns[0].vertex in merged_ids:
+    for seed, traveler in components(stepper, seeds):
+        turns = traveler.turns
+        if seed not in in_window and traveler.peripheral and turns[0].vertex in merged_ids:
             walked.update(t.place for t in turns)
             continue
-        traveler = Traveler(turns, bw.end, fw.end)
         entries += stack_entries(stepper, traveler, SPIRAL_TURNS)[0]
     walked.update(place for place, _ in entries)
     for corner, stack in pic.corners.items():

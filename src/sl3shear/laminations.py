@@ -46,7 +46,8 @@ from .tropical import TropicalPoint
 
 # the most corner entries plus honeycomb height of a picture that is
 # cabled, drawn from a component sum or scaled (see _cabled), or that
-# reconstruction is bound to build (see reconstruct.trace_coordinates)
+# reconstruction or gluing is bound to build (see
+# reconstruct.bounded_window_seeds)
 MAX_PICTURE_SIZE = 10**6
 
 

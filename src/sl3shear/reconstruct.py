@@ -4,15 +4,17 @@ and gluing.
 
 A strand alternately crosses a biangle and turns at a corner inside a
 triangle.  :func:`walk` follows one strand through a *stepper*, which
-supplies four operations on states ``(slot, direction, parameter)``:
-``cross`` and ``turn`` and their inverses ``cross_back`` and
-``turn_back``, plus ``shown``, the form of a state that errors report.
-A crossing returns the state on the far side, or None on the boundary; a
-turn returns a :class:`Turn`, or an end tuple such as ``("sink", t)``.
-The walker owns the step cap, loop detection, the spiral detector, the
-peripheral rule for closed loops and boundary-to-boundary arcs
-(:meth:`Walk.peripheral_with`) and the spiral tail walk
-:func:`spiral_tail`; the stepper only steps.
+supplies two steps on states ``(slot, direction, parameter)``, each its
+own inverse, the state's direction picking the way it goes.  ``cross``
+takes an outgoing state to the incoming one across a biangle and back,
+or returns None on the boundary; ``turn`` takes an incoming state
+through a triangle to an outgoing one and back, returning a
+:class:`Turn` or an end tuple such as ``("sink", t)``.  ``shown`` gives
+the form of a state that errors report.  The walker owns the step cap,
+loop detection, the spiral detector and the spiral tail walk
+:func:`spiral_tail`; the stepper only steps.  A walked component is one
+:class:`Traveler`, which holds the peripheral rule for closed loops and
+boundary-to-boundary arcs.
 
 One stepper, :class:`_PictureStepper`, walks every picture: its strand
 lists, extended past either end by the infinite alternating corner-arc
@@ -49,9 +51,9 @@ appears only in the pictures it writes and in the parameter a
 :class:`TruncationTooShallow` reports.  Only the surviving travelers are
 materialized, with spiral tails truncated to a sign marker after
 ``SPIRAL_TURNS`` extra turns.  :func:`traveler_trace` walks an explicit
-picture with no pins, which is what a caller runs for each traveler's
-route and kind; the identifiers it also records per crossing are not
-needed to check the identifier relations.
+picture with no pins and reports each traveler's kind, peripheral flag
+and route; the identifiers it also records per crossing are not needed
+to check the identifier relations.
 
 The traveler-identifier relations need no walk.  Across a biangle the
 pinning pairs parameter t with sigma - t, so k_out + k_in is one
@@ -104,6 +106,10 @@ class NonIntegralInput(Sl3Error):
 LOOP = ("loop",)
 SPIRAL_TURNS = 2  # full turns a spiral tail makes before its sign marker
 _REVERSED = {"cw": "ccw", "ccw": "cw"}
+# direction -> (the direction a turn continues in, and the orientation and
+# depth offset of the added arcs beyond the initial and the terminal
+# corner), read by _PictureStepper.turn
+_ADDED = {"in": ("out", ("ccw", -1), ("cw", 0)), "out": ("in", ("cw", -2), ("ccw", 1))}
 
 
 # -- the strand walker --------------------------------------------------------
@@ -126,28 +132,43 @@ class Turn:
 
 
 @dataclass
-class Walk:
-    crossings: list  # the out-states crossed, from the seed on
-    turns: list  # in walk order
-    end: tuple
+class Traveler:
+    """One walked component: its ``turns`` in forward order, the ends
+    ``start`` and ``end`` of its backward and forward walks, and the
+    crossings of both walks, each list from the seed on."""
 
-    def peripheral_with(self, back):
-        """Whether the component of this forward walk is peripheral: it
-        closes up, or runs from boundary to boundary (``back`` is the
-        backward walk of its strand; a closed loop needs none), and every
-        turn winds the same way around one vertex.  Turns that wind both
-        ways circle a handle or a puncture instead."""
+    turns: list
+    start: tuple
+    end: tuple
+    walked: tuple  # (backward crossings, forward crossings)
+
+    @property
+    def crossings(self):
+        """The out-states it crosses, in forward order."""
+        back, ahead = self.walked
+        return back[:0:-1] + ahead
+
+    @property
+    def kind(self):
+        """'loop', 'spiral' (an end at a puncture) or 'arc'."""
         if self.end == LOOP:
-            turns = self.turns
-        elif back is not None and self.end[0] == back.end[0] == "boundary":
-            turns = self.turns + back.turns
-        else:
+            return "loop"
+        return "spiral" if {self.start[0], self.end[0]} & {"spiral", "marker"} else "arc"
+
+    @property
+    def peripheral(self):
+        """Whether it closes up or runs from boundary to boundary, and
+        every turn winds the same way around one vertex.  Turns that wind
+        both ways circle a handle or a puncture instead."""
+        if self.end != LOOP and not self.start[0] == self.end[0] == "boundary":
             return False
-        return len({(t.vertex, t.orient) for t in turns}) == 1
+        return len({(t.vertex, t.orient) for t in self.turns}) == 1
 
 
 def walk(stepper, seed, forward):
-    """Follow the strand through the out-state ``seed`` forward or backward.
+    """Follow the strand through the out-state ``seed`` forward or
+    backward, returning ``(crossings, turns, end)``: the out-states
+    crossed from the seed on, the turns in walk order, and the end.
 
     The end is ``LOOP`` when the strand closes up, ``("boundary", state)``
     where no crossing continues it, a stepper's end tuple, or
@@ -156,7 +177,7 @@ def walk(stepper, seed, forward):
     run of turns that all wind the same way around the puncture.  Such a
     run makes the one-turn return map a translation, so the spiral repeats
     forever; :func:`spiral_tail` continues it from ``state``."""
-    cross, turn = (stepper.cross, stepper.turn) if forward else (stepper.cross_back, stepper.turn_back)
+    cross, turn = stepper.cross, stepper.turn
     vertices = stepper.surface.vertices
     crossings = []
     turns = []
@@ -164,14 +185,14 @@ def walk(stepper, seed, forward):
     state = seed
     for _ in range(stepper.step_cap):
         crossings.append(state)
-        # forward a step crosses and then turns, backward it turns back
-        # and then crosses back
+        # forward a step crosses and then turns, backward it turns and
+        # then crosses
         at = cross(state) if forward else state
         if at is None:
-            return Walk(crossings, turns, ("boundary", state))
+            return crossings, turns, ("boundary", state)
         t = turn(at)
         if type(t) is not Turn:
-            return Walk(crossings, turns, t)
+            return crossings, turns, t
         turns.append(t)
         if t.depth is None:
             run_of = None
@@ -182,43 +203,26 @@ def walk(stepper, seed, forward):
             last = run.get(key)
             run[key] = t.depth
             if last is not None and t.depth > last and vertices[t.vertex] == "puncture":
-                winding = t.orient if forward else _REVERSED[t.orient]
-                sign = SpiralEnd(winding, not forward).sign
-                return Walk(crossings, turns, ("spiral", t.vertex, sign, t.state))
+                return crossings, turns, ("spiral", t.vertex, _marker(t, forward)[1].sign, t.state)
         state = t.state if forward else cross(t.state)
         if state is None:
-            return Walk(crossings, turns, ("boundary", t.state))
+            return crossings, turns, ("boundary", t.state)
         if state == seed:
-            return Walk(crossings, turns, LOOP)
+            return crossings, turns, LOOP
     cap, shown = stepper.step_cap, stepper.shown(seed)
     raise TruncationTooShallow(f"walk from {shown} exceeded the step cap {cap}", shown, cap, cap)
 
 
-def walk_both(stepper, seed):
-    """The forward and the backward walk of the strand through ``seed``;
-    a closed loop needs only the forward one."""
-    fw = walk(stepper, seed, True)
-    return fw, (Walk([], [], LOOP) if fw.end == LOOP else walk(stepper, seed, False))
-
-
-def strand_kind(start, end):
-    """'loop', 'spiral' (an end at a puncture) or 'arc', from the ends of
-    a strand's backward and forward walks."""
-    if end == LOOP:
-        return "loop"
-    return "spiral" if {start[0], end[0]} & {"spiral", "marker"} else "arc"
-
-
-def spiral_tail(stepper, end, forward, turns):
+def spiral_tail(stepper, end, turns):
     """The turns of a detected spiral's tail: ``turns`` more full turns
-    around its puncture, then the turn that carries the sign marker."""
+    around its puncture, then the turn that carries the sign marker.  The
+    tail runs the way its walk ran, as the end's state says."""
     _, vertex, _, state = end
-    cross, turn = (stepper.cross, stepper.turn) if forward else (stepper.cross_back, stepper.turn_back)
     tail = []
     steps = turns * len(stepper.surface.corners_at_vertex(vertex)) + 1
     for _ in range(steps):
-        at = cross(state)
-        t = None if at is None else turn(at)
+        at = stepper.cross(state)
+        t = None if at is None else stepper.turn(at)
         if type(t) is not Turn or t.depth is None:
             shown = stepper.shown(end[3])
             raise TruncationTooShallow(
@@ -232,20 +236,23 @@ def spiral_tail(stepper, end, forward, turns):
 
 def components(stepper, seeds):
     """Walk the strand through each seed (an outgoing state) that no
-    earlier walk passed through, yielding ``(seed, fw, bw)``.  A walk
+    earlier walk passed through, yielding ``(seed, traveler)``.  A walk
     passes through its crossings and the states its turns continue from;
     of these, a forward turn's is the next crossing and a backward turn's
-    is incoming, so only a spiral end's state is recorded besides."""
+    is incoming, so only a spiral end's state is recorded besides.  A
+    closed loop needs no backward walk."""
     visited = set()
     for seed in seeds:
         if seed in visited:
             continue
-        fw, bw = walk_both(stepper, seed)
-        for w in (fw, bw):
-            visited.update(w.crossings)
-            if w.end[0] == "spiral":
-                visited.add(w.end[3])
-        yield seed, fw, bw
+        ahead, turns, end = walk(stepper, seed, True)
+        back, back_turns, start = ([], [], LOOP) if end == LOOP else walk(stepper, seed, False)
+        visited.update(ahead)
+        visited.update(back)
+        for e in (start, end):
+            if e[0] == "spiral":
+                visited.add(e[3])
+        yield seed, Traveler(back_turns[::-1] + turns, start, end, (back, ahead))
 
 
 # an arc is immutable, so every turn of one orientation writes the same one
@@ -276,7 +283,7 @@ def stack_entries(stepper, traveler, turns):
     deeper = []
     for end, forward in ((traveler.start, False), (traveler.end, True)):
         if end[0] == "spiral":
-            tail = spiral_tail(stepper, end, forward, turns)
+            tail = spiral_tail(stepper, end, turns)
             cut = SPIRAL_TURNS * len(stepper.surface.corners_at_vertex(end[1]))
             marker = _marker(tail[cut], forward)
             entries += _arcs(tail[:cut])
@@ -326,9 +333,11 @@ class _PictureStepper:
     ``pins[slot]`` for an outgoing strand on a side listed in ``pins``,
     and the strand count n (the reversal, extended past either end) on
     every other interior side.  The zones and crossings are read from
-    tables built once and keyed by slot, one table per direction: a
-    forward step crosses from an outgoing state and turns from an
-    incoming one, a backward step the reverse."""
+    tables built once, keyed by direction and then slot, and a state's
+    direction picks its step: a crossing takes an outgoing state to the
+    far incoming one and an incoming state back, and a turn takes an
+    incoming state through the triangle to an outgoing one and an
+    outgoing state back.  Each step is its own inverse."""
 
     def __init__(self, pic, tri, pins, step_cap):
         self.pic = pic
@@ -347,31 +356,26 @@ class _PictureStepper:
                 arc_ends.setdefault(((t, (i - 1) % 3), p, d), []).append((slot, j))
             for j, p in enumerate(last, len(first) + legs):
                 arc_ends.setdefault((slot, p, d), []).append((slot, j))
-        # slot -> zones of its incoming (forward turns) and outgoing
-        # (backward turns) side: (first leg, first terminal, n, initial
-        # positions, terminal positions, previous slot, next slot, strand
-        # count of the previous slot's side reached, end on a leg)
+        # direction -> slot -> zones of that side: (first leg, first
+        # terminal, n, initial positions, terminal positions, previous
+        # slot, next slot, strand count of the previous slot's side
+        # reached, end on a leg, the direction's _ADDED)
         vertex = self._vertex = {}
-        ins, outs = self._in, self._out = {}, {}
+        zones = self._zones = {"in": {}, "out": {}}
         for t in tri.triangles:
-            sink, source = ("sink", t), ("source", t)
             for i in (0, 1, 2):
                 slot, prev, nxt = (t, i), (t, (i - 1) % 3), (t, (i + 1) % 3)
                 vertex[slot] = tri.corner_vertex(t, i)
-                first, legs, last = lists[(slot, "in")]
-                ins[slot] = (len(first), len(first) + legs, counts[(slot, "in")], first, last,
-                             prev, nxt, counts[(prev, "out")], sink)
-                first, legs, last = lists[(slot, "out")]
-                outs[slot] = (len(first), len(first) + legs, counts[(slot, "out")], first, last,
-                              prev, nxt, counts[(prev, "in")], source)
-        # slot -> (far slot, sigma - 1) for crossing forward and backward
-        over, back = self._over, self._back = {}, {}
+                for d, to, end in (("in", "out", ("sink", t)), ("out", "in", ("source", t))):
+                    first, legs, last = lists[(slot, d)]
+                    zones[d][slot] = (len(first), len(first) + legs, counts[(slot, d)], first, last,
+                                      prev, nxt, counts[(prev, to)], end, _ADDED[d])
+        # direction -> slot -> (far slot, far direction, sigma - 1)
+        far = self._far = {"in": {}, "out": {}}
         for e in tri.interior_edges:
-            sl, sr = tri.slots(e)
-            over[sl] = (sr, pins.get(sl, counts[(sl, "out")]) - 1)
-            over[sr] = (sl, pins.get(sr, counts[(sr, "out")]) - 1)
-            back[sr] = (sl, pins.get(sl, counts[(sr, "in")]) - 1)
-            back[sl] = (sr, pins.get(sr, counts[(sl, "in")]) - 1)
+            for a, b in (tri.slots(e), tri.slots(e)[::-1]):
+                far["out"][a] = (b, "in", pins.get(a, counts[(a, "out")]) - 1)
+                far["in"][b] = (a, "out", pins.get(a, counts[(b, "in")]) - 1)
 
     @staticmethod
     def shown(state):
@@ -386,44 +390,25 @@ class _PictureStepper:
         return (corner, p - len(stack)), stack[p]
 
     def cross(self, state):
-        slot, _, j = state
-        far = self._over.get(slot)
-        return None if far is None else (far[0], "in", far[1] - j)
-
-    def cross_back(self, state):
-        slot, _, j = state
-        far = self._back.get(slot)
-        return None if far is None else (far[0], "out", far[1] - j)
+        slot, d, j = state
+        to = self._far[d].get(slot)
+        return None if to is None else (to[0], to[1], to[2] - j)
 
     def turn(self, state):
-        slot, _, j = state
-        n0, n1, n, first, last, prev, nxt, prev_n, end = self._in[slot]
+        slot, d, j = state
+        n0, n1, n, first, last, prev, nxt, prev_n, end, added = self._zones[d][slot]
+        to, (init, init_depth), (term, term_depth) = added
         if j < 0:
-            depth = -2 * j - 1
-            return Turn((prev, "out", prev_n - j - 1), "ccw", self._vertex[prev], depth, (prev, depth))
+            depth = init_depth - 2 * j
+            return Turn((prev, to, prev_n - j - 1), init, self._vertex[prev], depth, (prev, depth))
         if j >= n:
-            depth = 2 * (j - n)
-            return Turn((nxt, "out", n - j - 1), "cw", self._vertex[slot], depth, (slot, depth))
+            depth = 2 * (j - n) + term_depth
+            return Turn((nxt, to, n - j - 1), term, self._vertex[slot], depth, (slot, depth))
         if j < n0:
-            return self._stored(prev, first[j], "out")
+            return self._stored(prev, first[j], to)
         if j < n1:
             return end
-        return self._stored(slot, last[j - n1], "out")
-
-    def turn_back(self, state):
-        slot, _, j = state
-        n0, n1, n, first, last, prev, nxt, prev_n, end = self._out[slot]
-        if j < 0:
-            depth = -2 * j - 2
-            return Turn((prev, "in", prev_n - j - 1), "cw", self._vertex[prev], depth, (prev, depth))
-        if j >= n:
-            depth = 2 * (j - n) + 1
-            return Turn((nxt, "in", n - j - 1), "ccw", self._vertex[slot], depth, (slot, depth))
-        if j < n0:
-            return self._stored(prev, first[j], "in")
-        if j < n1:
-            return end
-        return self._stored(slot, last[j - n1], "in")
+        return self._stored(slot, last[j - n1], to)
 
     def _stored(self, corner, p, to):
         """The turn on the stored entry at position p of ``corner``'s
@@ -453,8 +438,8 @@ def window_seeds(stepper, out_slot, in_slot):
 
 def _window(stepper, out_slot, in_slot):
     """The bounds ``(lo, hi)`` of the indices j of :func:`window_seeds`."""
-    n0, n1 = stepper._out[out_slot][:2]
-    far0, far1 = stepper._in[in_slot][:2]
+    n0, n1 = stepper._zones["out"][out_slot][:2]
+    far0, far1 = stepper._zones["in"][in_slot][:2]
     sigma = stepper.pins[out_slot]
     return min(n0, sigma - far1), max(n1, sigma - far0)
 
@@ -471,7 +456,7 @@ def bounded_window_seeds(stepper, sheets, height):
     ends = 0
     for out_slot, in_slot in sheets:
         lo, hi = _window(stepper, out_slot, in_slot)
-        (n0, n1), (far0, far1) = stepper._out[out_slot][:2], stepper._in[in_slot][:2]
+        (n0, n1), (far0, far1) = stepper._zones["out"][out_slot][:2], stepper._zones["in"][in_slot][:2]
         ends += 2 * (hi - lo) - (n1 - n0) - (far1 - far0)
     size = height + (ends + 1) // 2
     if size > MAX_PICTURE_SIZE:
@@ -490,20 +475,6 @@ def _integer(v):
     if v.denominator != 1:
         raise NonIntegralInput(v)
     return v.numerator
-
-
-@dataclass
-class Traveler:
-    """A traced curve.  ``start``/``end`` are the ends of its backward
-    and forward walks, which give its ``kind`` (:func:`strand_kind`)."""
-
-    turns: list
-    start: tuple
-    end: tuple
-
-    @property
-    def kind(self):
-        return strand_kind(self.start, self.end)
 
 
 def _pins(get, tri):
@@ -531,10 +502,7 @@ def trace_coordinates(x, tri, step_cap):
     stepper = _PictureStepper(GlobalPicture(tri, honeycombs), tri, pins, step_cap)
     sheets = [sheet for e in tri.interior_edges for sheet in (tri.slots(e), tri.slots(e)[::-1])]
     seeds = bounded_window_seeds(stepper, sheets, sum(map(abs, faces.values())))
-    travelers = [
-        Traveler(bw.turns[::-1] + fw.turns, bw.end, fw.end) for _, fw, bw in components(stepper, seeds)
-    ]
-    return stepper, travelers
+    return stepper, [traveler for _, traveler in components(stepper, seeds)]
 
 
 def reconstruct(x, tri):
@@ -668,11 +636,10 @@ def traveler_trace(pic):
     tri = pic.tri
     stepper = _PictureStepper(pic, tri, {}, 1 + sum(pic.strand_count(*side) for side in pic.strand_lists))
     travelers = []
-    for _, fw, bw in components(stepper, out_seeds(pic)):
-        crossings = bw.crossings[:0:-1] + fw.crossings
+    for _, trav in components(stepper, out_seeds(pic)):
         route = []
         idents = []
-        for out in crossings:
+        for out in trav.crossings:
             e = tri.edge_at(out[0])
             route.append(e)
             far = stepper.cross(out)
@@ -683,9 +650,7 @@ def traveler_trace(pic):
             k_in = pic.strand_parameter(far[0], "in", far[2])
             idents.append((e, k_out, k_in, sheet))
         travelers.append(
-            PictureTraveler(
-                strand_kind(bw.end, fw.end), fw.peripheral_with(None), tuple(route), tuple(idents), bw.end, fw.end
-            )
+            PictureTraveler(trav.kind, trav.peripheral, tuple(route), tuple(idents), trav.start, trav.end)
         )
     return travelers
 

@@ -16,7 +16,6 @@ from sl3shear.laminations import PinnedLamination, boundary_weights, normalize_i
 from sl3shear.glue import glue_coordinates
 from sl3shear.reconstruct import (
     SPIRAL_TURNS,
-    Traveler,
     _PictureStepper,
     build_picture,
     components,
@@ -46,11 +45,10 @@ def glue_laminations(pinned, e_l, e_r):
     window = window_seeds(stepper, sl, sr) + window_seeds(stepper, sr, sl)
     in_window = set(window)
     entries = []
-    for seed, fw, bw in components(stepper, window + out_seeds(pic)):
-        peripheral = seed not in in_window and fw.peripheral_with(bw)
-        if peripheral and (fw.turns or bw.turns)[0].vertex in merged_ids:
+    for seed, traveler in components(stepper, window + out_seeds(pic)):
+        peripheral = seed not in in_window and traveler.peripheral
+        if peripheral and traveler.turns[0].vertex in merged_ids:
             continue
-        traveler = Traveler(bw.turns[::-1] + fw.turns, bw.end, fw.end)
         entries += stack_entries(stepper, traveler, SPIRAL_TURNS)[0]
     glued = build_picture(t2, pic.honeycombs, entries, Fraction(1, u)).require_valid()
     delta = {}

@@ -21,8 +21,8 @@ from sl3shear.laminations import (
 )
 from sl3shear.reconstruct import (
     LOOP,
+    Traveler,
     Turn,
-    Walk,
     elementary_lamination,
     identifier_relations,
     reconstruct,
@@ -176,16 +176,14 @@ def test_peripheral_needs_one_winding_around_one_vertex():
     one_way = [_turn_at("v0", "cw"), _turn_at("v0", "cw")]
     both_ways = [_turn_at("v0", "cw"), _turn_at("v0", "ccw")]
     two_points = [_turn_at("v0", "cw"), _turn_at("v1", "cw")]
+    sink = ("sink", "T")
     for turns, peripheral in ((one_way, True), (both_ways, False), (two_points, False)):
-        loop = Walk([], turns, LOOP)
-        assert loop.peripheral_with(None) is peripheral
-        assert loop.peripheral_with(Walk([], [], LOOP)) is peripheral
-        arc = Walk([], turns[:1], boundary)
-        assert arc.peripheral_with(Walk([], turns[1:], boundary)) is peripheral
-        # only a closed loop is peripheral on its own, and an arc with an
-        # end off the boundary never is
-        assert not arc.peripheral_with(None)
-        assert not arc.peripheral_with(Walk([], turns[1:], ("sink", "T")))
+        # a closed loop, and an arc from boundary to boundary
+        assert Traveler(turns, LOOP, LOOP, ([], [])).peripheral is peripheral
+        assert Traveler(turns, boundary, boundary, ([], [])).peripheral is peripheral
+        # an arc with an end off the boundary never is
+        assert not Traveler(turns, boundary, sink, ([], [])).peripheral
+        assert not Traveler(turns, sink, boundary, ([], [])).peripheral
 
 
 def test_flip_glue_commutation(polygon4):
@@ -316,26 +314,27 @@ def test_visited_states_cover_every_turn(monkeypatch, polygon4, torus):
     end's state.  Every other state a turn continues from is the walk's
     next crossing (forward) or an incoming state (backward), which no
     seed is; checked on each walk of reconstruction, traveler tracing and
-    gluing, told apart by the function that runs the loop, spirals
-    included."""
-    original = importlib.import_module("sl3shear.reconstruct").components
+    gluing, told apart by the function that runs the component loop,
+    spirals included."""
+    module = importlib.import_module("sl3shear.reconstruct")
+    original = module.walk
+    callers = {"trace_coordinates", "traveler_trace", "glue_laminations"}
     seen = set()
 
-    def checked(stepper, seeds):
-        caller = sys._getframe(1).f_code.co_name
+    def checked(stepper, seed, forward):
+        crossings, turns, end = original(stepper, seed, forward)
+        if forward:
+            spiral_states = {end[3]} if end[0] == "spiral" else set()
+            assert {t.state for t in turns} <= set(crossings) | spiral_states
+        else:
+            assert all(t.state[1] == "in" for t in turns)
+        frame = sys._getframe(1)
+        while frame.f_code.co_name not in callers:
+            frame = frame.f_back
+        seen.add((frame.f_code.co_name, end[0] == "spiral"))
+        return crossings, turns, end
 
-        def walks():
-            for seed, fw, bw in original(stepper, seeds):
-                spiral_states = {fw.end[3]} if fw.end[0] == "spiral" else set()
-                assert {t.state for t in fw.turns} <= set(fw.crossings) | spiral_states
-                assert all(t.state[1] == "in" for t in bw.turns)
-                seen.add((caller, "spiral" in (fw.end[0], bw.end[0])))
-                yield seed, fw, bw
-
-        return walks()
-
-    for module in ("sl3shear.reconstruct", "sl3shear.glue"):
-        monkeypatch.setattr(importlib.import_module(module), "components", checked)
+    monkeypatch.setattr(module, "walk", checked)
     rng = random.Random(4)
     for tri in (polygon4, torus):
         iset = Sl3IndexSet(tri)

@@ -102,14 +102,14 @@ def test_glue_matches_the_walk_everything_reference(name, copies):
 
 
 def _recording(monkeypatch, module, walked):
-    """Wrap ``module.components`` so that each walk is appended to
-    ``walked`` as ``(stepper, seed, fw, bw)``."""
+    """Wrap ``module.components`` so that each walked component is
+    appended to ``walked`` as ``(stepper, seed, traveler)``."""
     original = module.components
 
     def recorded(stepper, seeds):
-        for seed, fw, bw in original(stepper, seeds):
-            walked.append((stepper, seed, fw, bw))
-            yield seed, fw, bw
+        for seed, traveler in original(stepper, seeds):
+            walked.append((stepper, seed, traveler))
+            yield seed, traveler
 
     monkeypatch.setattr(module, "components", recorded)
 
@@ -126,8 +126,8 @@ def test_every_walked_component_crosses_a_glued_sheet(monkeypatch, polygon4, ann
             walked = []
             _recording(monkeypatch, glue_module, walked)
             glue_laminations(_random_pinned(tri, rng), e_l, e_r)
-            for stepper, seed, fw, bw in walked:
-                assert any(s[0] in stepper.pins for s in fw.crossings + bw.crossings), seed
+            for stepper, seed, traveler in walked:
+                assert any(s[0] in stepper.pins for s in traveler.crossings), seed
                 checked += 1
     assert checked > 100
 

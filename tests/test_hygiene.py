@@ -208,15 +208,19 @@ def test_exported_errors_are_raised():
 def test_one_stepper():
     """One class of the package defines ``turn``: reconstruction, traveler
     tracing and gluing walk strands through one stepper, and differ only
-    in the picture, pins and step cap they give it."""
-    steppers = [
-        (p.name, node.name)
+    in the picture, pins and step cap they give it.  A state's direction
+    picks its step, so no class defines ``cross_back`` or ``turn_back``."""
+    methods = [
+        (p.name, node.name, f.name)
         for p in sorted(SRC.glob("*.py"))
         for node in ast.walk(ast.parse(p.read_text(), filename=str(p)))
         if isinstance(node, ast.ClassDef)
-        and any(isinstance(f, ast.FunctionDef) and f.name == "turn" for f in node.body)
+        for f in node.body
+        if isinstance(f, ast.FunctionDef)
     ]
+    steppers = [(module, cls) for module, cls, name in methods if name == "turn"]
     assert len(steppers) == 1, steppers
+    assert [m for m in methods if m[2] in ("cross_back", "turn_back")] == []
 
 
 def test_a_flip_sets_the_attributes_of_a_build():

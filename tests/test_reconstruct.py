@@ -27,19 +27,18 @@ from sl3shear.laminations import (
 )
 from sl3shear.reconstruct import (
     NonIntegralInput,
-    Traveler,
     TruncationTooShallow,
     _entries,
     _integral_point,
     _step_cap,
     build_picture,
+    components,
     identifier_relations,
     reconstruct,
     reconstruct_pinned,
     roundtrip_check,
     trace_coordinates,
     traveler_trace,
-    walk_both,
     window_seeds,
 )
 from sl3shear.seeds import Sl3IndexSet
@@ -203,6 +202,88 @@ def test_traveler_trace_peripheral_loop():
     assert len(travelers[0].route) == len(tri.interior_edges)
 
 
+PERIPHERAL_SURFACES = pytest.mark.parametrize(
+    "spec",
+    [MarkedSurfaceSpec.polygon(4), MarkedSurfaceSpec.punctured_polygon(3, 1)],
+    ids=["polygon4", "punctured3-1"],
+)
+
+
+@PERIPHERAL_SURFACES
+def test_traveler_trace_peripheral_arc(spec):
+    """A boundary-parallel arc around a special point is one peripheral
+    arc, by the rule gluing drops peripherals by; the arcs of a
+    reconstruction are not peripheral."""
+    tri = build(spec)
+    specials = sorted(v for v, c in tri.vertices.items() if c == "special")
+    assert specials
+    for v in specials:
+        for orient in ("cw", "ccw"):
+            (trav,) = traveler_trace(add_peripheral_chain(GlobalPicture(tri), v, orient))
+            assert (trav.kind, trav.peripheral) == ("arc", True), (v, orient)
+    rng = random.Random(5)
+    iset = Sl3IndexSet(tri)
+    arcs = 0
+    for _ in range(20):
+        x = xpoint(tri, {i: F(rng.randint(-4, 4)) for i in iset.unfrozen})
+        for trav in traveler_trace(reconstruct(x, tri)):
+            arcs += trav.kind == "arc"
+            assert not trav.peripheral, x.coords
+    assert arcs > 0
+
+
+def _inverse_steps(stepper, margin=3):
+    """Check that each step of ``stepper`` is its own inverse on every
+    state of its picture's strand lists and ``margin`` added arcs beyond
+    either end; returns the number of crossings and of turns checked."""
+    crossed = turned = 0
+    for slot, d in stepper.pic.strand_lists:
+        for j in range(-margin, stepper.pic.strand_count(slot, d) + margin):
+            s = (slot, d, j)
+            far = stepper.cross(s)
+            if far is not None:
+                assert far[1] != d and stepper.cross(far) == s, s
+                crossed += 1
+            t = stepper.turn(s)
+            if type(t) is rec.Turn:
+                back = stepper.turn(t.state)
+                assert type(back) is rec.Turn and back.state == s, s
+                assert (back.place, back.orient, back.vertex, back.depth) == (t.place, t.orient, t.vertex, t.depth)
+                turned += 1
+    return crossed, turned
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        MarkedSurfaceSpec.polygon(4),
+        MarkedSurfaceSpec.annulus(1, 1),
+        MarkedSurfaceSpec.punctured_polygon(3, 2),
+        MarkedSurfaceSpec.once_punctured_torus(),
+    ],
+    ids=["polygon4", "annulus11", "punctured3-2", "torus"],
+)
+def test_each_step_is_its_own_inverse(spec):
+    """On the steppers of reconstructions, pinned by the coordinates, and
+    of the stored pictures they build, with peripheral chains added, a
+    crossing undoes a crossing and a turn undoes a turn, on the same arc."""
+    tri = build(spec)
+    iset = Sl3IndexSet(tri)
+    rng = random.Random(13)
+    counts = Counter()
+    for _ in range(8):
+        x = xpoint(tri, {i: F(rng.randint(-5, 5)) for i in iset.unfrozen})
+        cap = _step_cap(x, tri)
+        stepper, _ = trace_coordinates(x, tri, cap)
+        counts["pinned"] += sum(_inverse_steps(stepper))
+        pic = add_peripheral_chain(reconstruct(x, tri), rng.choice(sorted(tri.vertices)), "cw")
+        stored = rec._PictureStepper(pic, tri, {}, cap)
+        crossed, turned = _inverse_steps(stored)
+        counts["stored"] += turned
+        counts["crossed"] += crossed
+    assert counts["pinned"] and counts["stored"] and counts["crossed"]
+
+
 def test_torus_loops_not_peripheral(torus):
     """The torus has one vertex, so every loop hugs it; a reconstructed
     loop still winds both ways and is never peripheral."""
@@ -346,14 +427,13 @@ def _trace_by_key(x, tri, step_cap):
                 seed = (slot, "out", k)
                 if stepper.crossing_hugs(seed):
                     continue
-                fw, bw = walk_both(stepper, seed)
+                (_, traveler), = components(stepper, [seed])
                 key = min(
                     (str(s[0]), str(s[2]))
-                    for s in bw.crossings + fw.crossings
+                    for s in traveler.crossings
                     if not stepper.crossing_hugs(s)
                 )
-                turns = bw.turns[::-1] + fw.turns
-                seen.setdefault(key, Traveler(turns, bw.end, fw.end))
+                seen.setdefault(key, traveler)
     return stepper, list(seen.values())
 
 
@@ -571,37 +651,29 @@ class _FractionStepper:
         return rec.Turn(state, orient, vertex, depth, (corner, key))
 
     def cross(self, state):
-        slot, _, k = state
+        """An outgoing state crosses on the sheet of its own slot (lr from
+        the left slot), an incoming one back on the sheet of the far slot."""
+        slot, d, k = state
         e = self.surface.edge_at(slot)
         sl, sr = self.surface.slots(e)
         if sr is None:
             return None
-        if slot == sl:
-            return (sr, "in", self.sigma(e, "lr") - k)
-        return (sl, "in", self.sigma(e, "rl") - k)
-
-    def cross_back(self, state):
-        slot, _, k = state
-        e = self.surface.edge_at(slot)
-        sl, sr = self.surface.slots(e)
-        if sr is None:
-            return None
-        if slot == sr:
-            return (sl, "out", self.sigma(e, "lr") - k)
-        return (sr, "out", self.sigma(e, "rl") - k)
+        far = sr if slot == sl else sl
+        sheet = "lr" if (slot == sl) == (d == "out") else "rl"
+        return (far, "in" if d == "out" else "out", self.sigma(e, sheet) - k)
 
     def turn(self, state):
-        (t, i), _, k = state
-        a = self.in_legs(t)
-        if k < 0:
-            corner = (t, (i - 1) % 3)
-            return self._turn((corner, "out", self.out_legs(t) - k), corner, "ccw", -k, -2 * k)
-        if k < a:
-            return ("sink", t)
-        return self._turn(((t, (i + 1) % 3), "out", a - k), (t, i % 3), "cw", k, 2 * (k - a) - 1)
-
-    def turn_back(self, state):
-        (t, i), _, k = state
+        """An incoming state turns through its triangle to an outgoing
+        one, an outgoing state back to an incoming one."""
+        (t, i), d, k = state
+        if d == "in":
+            a = self.in_legs(t)
+            if k < 0:
+                corner = (t, (i - 1) % 3)
+                return self._turn((corner, "out", self.out_legs(t) - k), corner, "ccw", -k, -2 * k)
+            if k < a:
+                return ("sink", t)
+            return self._turn(((t, (i + 1) % 3), "out", a - k), (t, i % 3), "cw", k, 2 * (k - a) - 1)
         b = self.out_legs(t)
         if k > b:
             return self._turn(((t, (i + 1) % 3), "in", b - k), (t, i % 3), "ccw", k, 2 * (k - b))
@@ -649,8 +721,8 @@ def _recording(monkeypatch):
             seen.append((trav.turns, (trav.start, trav.end)))
         return stepper, travelers
 
-    def tailing(stepper, end, forward, turns):
-        turns_walked = tail(stepper, end, forward, turns)
+    def tailing(stepper, end, turns):
+        turns_walked = tail(stepper, end, turns)
         seen.append((turns_walked, ()))
         return turns_walked
 
@@ -793,8 +865,8 @@ def _planted_tail(monkeypatch, plant):
     through ``plant(tail, cut)``, ``cut`` the index of its marker turn."""
     walk_tail = rec.spiral_tail
 
-    def planted(stepper, end, forward, turns):
-        tail = walk_tail(stepper, end, forward, turns)
+    def planted(stepper, end, turns):
+        tail = walk_tail(stepper, end, turns)
         if turns == rec.SPIRAL_TURNS + 1:
             per_turn = len(stepper.surface.corners_at_vertex(end[1]))
             assert per_turn > 1
