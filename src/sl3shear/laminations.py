@@ -398,15 +398,10 @@ def add_peripheral_chain(pic, vertex, orient, weight=1):
 
 @dataclass(frozen=True)
 class Component:
-    """A weighted elementary component with a named carrier.
-
-    Triangle-carried kinds: ``alpha`` (counterclockwise corner arc),
-    ``alpha-star`` (clockwise), ``tau+`` (sink honeycomb), ``tau-``
-    (source); ``corner`` selects the corner for the arc kinds.
-    Quadrilateral kinds carried by an interior edge: ``alpha+``,
-    ``alpha+rev``, ``alpha-``, ``alpha-rev``, ``tau+L``, ``tau+R``,
-    ``tau-L``, ``tau-R``, ``h``, ``h-rev``.  Peripheral kinds carried by a
-    marked point: ``peripheral-cw``, ``peripheral-ccw``.
+    """A weighted elementary component with a named carrier: a triangle
+    for the ``TRIANGLE_KINDS``, whose ``ARC_KINDS`` take the corner from
+    ``corner``; an interior edge for the ``QUADRILATERAL_KINDS``; a
+    marked point for the ``PERIPHERAL_KINDS``.
     """
 
     kind: str
@@ -550,17 +545,24 @@ def shear_frozen(pinned):
 
 # -- component sums ---------------------------------------------------------
 
-# how a kind is drawn on the slots of its carrier (see _carrier):
-# honeycombs as (k, orient) and corner arcs as (k, offset, orient), the arc
-# sitting at the corner (t, i + offset) of the k-th slot (t, i).  A
-# triangle kind has the one slot (t, corner); a quadrilateral kind the
-# slots (T_L, i_L) and (T_R, i_R) of its edge, so offsets 0 and -1 are
-# the top and bottom corners of T_L and the bottom and top corners of T_R
-_DRAWN = {
+# The paper's kind families, each mapping a kind to how it is drawn on the
+# slots of its carrier (see _carrier): honeycombs as (k, orient) and
+# corner arcs as (k, offset, orient), the arc sitting at the corner
+# (t, i + offset) of the k-th slot (t, i).  A triangle kind has the one
+# slot (t, corner), where an arc kind's ``corner`` picks the corner and
+# the others' is 0; a quadrilateral kind has the slots (T_L, i_L) and
+# (T_R, i_R) of its edge, so offsets 0 and -1 are the top and bottom
+# corners of T_L and the bottom and top corners of T_R
+ARC_KINDS = {
     "alpha": ((), ((0, 0, "ccw"),)),
     "alpha-star": ((), ((0, 0, "cw"),)),
+}
+TRIANGLE_KINDS = {
+    **ARC_KINDS,
     "tau+": (((0, "sink"),), ()),
     "tau-": (((0, "source"),), ()),
+}
+QUADRILATERAL_KINDS = {
     "alpha+": ((), ((0, 0, "ccw"), (1, 0, "cw"))),
     "alpha+rev": ((), ((0, 0, "cw"), (1, 0, "ccw"))),
     "alpha-": ((), ((0, -1, "cw"), (1, -1, "ccw"))),
@@ -572,9 +574,10 @@ _DRAWN = {
     "h": (((0, "sink"), (1, "source")), ()),
     "h-rev": (((0, "source"), (1, "sink")), ()),
 }
+_DRAWN = {**TRIANGLE_KINDS, **QUADRILATERAL_KINDS}
 # a peripheral kind is one arc of its orientation in every corner at its
 # marked point, as in add_peripheral_chain
-_PERIPHERAL = {"peripheral-cw": "cw", "peripheral-ccw": "ccw"}
+PERIPHERAL_KINDS = {"peripheral-cw": "cw", "peripheral-ccw": "ccw"}
 
 
 def _carrier(tri, comp):
@@ -583,16 +586,16 @@ def _carrier(tri, comp):
     peripheral kind.  Every side a component's arcs and honeycomb legs
     end on, other than its carrier edge, is a boundary interval."""
     kind, c = comp.kind, comp.carrier
-    if kind in _PERIPHERAL:
+    if kind in PERIPHERAL_KINDS:
         if c not in tri.vertices:
             raise CarrierMismatch(f"no marked point {c}")
         return c
     if kind not in _DRAWN:
         raise UnknownComponentKind(kind)
-    if kind in ("alpha", "alpha-star", "tau+", "tau-"):
+    if kind in TRIANGLE_KINDS:
         if c not in tri.tri_sides:
             raise CarrierMismatch(f"no triangle {c}")
-        arc = kind in ("alpha", "alpha-star")
+        arc = kind in ARC_KINDS
         slots = ((c, comp.corner % 3 if arc else 0),)
         ends = [(c, (slots[0][1] + j) % 3) for j in range(2 if arc else 3)]
     else:
@@ -610,8 +613,8 @@ def _drawing(tri, comp):
     """The honeycombs ``[(t, orient)]`` and corner arcs ``[(corner,
     orient)]`` of one component at unit weight."""
     frame = _carrier(tri, comp)
-    if comp.kind in _PERIPHERAL:
-        return (), [(c, _PERIPHERAL[comp.kind]) for c in tri.corners_at_vertex(frame)]
+    if comp.kind in PERIPHERAL_KINDS:
+        return (), [(c, PERIPHERAL_KINDS[comp.kind]) for c in tri.corners_at_vertex(frame)]
     honeycombs, arcs = _DRAWN[comp.kind]
     return (
         [(frame[k][0], orient) for k, orient in honeycombs],
@@ -662,7 +665,7 @@ def geometric_ensemble(s):
     rest = []
     delta = {}
     for comp in s:
-        orient = _PERIPHERAL.get(comp.kind)
+        orient = PERIPHERAL_KINDS.get(comp.kind)
         if orient is None:
             if comp.weight <= 0:
                 raise NegativeNonPeripheralWeight(comp)

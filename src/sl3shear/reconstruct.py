@@ -610,13 +610,13 @@ def _deeper_sizes(pic, entries, deeper):
 
 
 @dataclass
-class PictureTraveler:
-    kind: str  # 'arc' | 'loop' | 'spiral'
-    peripheral: bool
-    route: tuple  # edge ids crossed, in forward order
-    identifiers: tuple  # ((edge, k_out, k_in, sheet), ...) per crossing
-    start: tuple
-    end: tuple
+class PictureTraveler(Traveler):
+    """A walked component with the edge ids it crosses, its ``route`` in
+    forward order, and its biangle ``identifiers``, ``(edge, k_out, k_in,
+    sheet)`` per crossing."""
+
+    route: tuple
+    identifiers: tuple
 
 
 def out_seeds(pic):
@@ -649,9 +649,7 @@ def traveler_trace(pic):
             k_out = pic.strand_parameter(out[0], "out", out[2])
             k_in = pic.strand_parameter(far[0], "in", far[2])
             idents.append((e, k_out, k_in, sheet))
-        travelers.append(
-            PictureTraveler(trav.kind, trav.peripheral, tuple(route), tuple(idents), trav.start, trav.end)
-        )
+        travelers.append(PictureTraveler(**vars(trav), route=tuple(route), identifiers=tuple(idents)))
     return travelers
 
 

@@ -366,7 +366,8 @@ class IdealTriangulation:
     # -- gluing -----------------------------------------------------------
 
     def glue_boundary(self, e_l, e_r):
-        """Glue two boundary intervals; returns ``(t2, GlueResult)``.
+        """Glue two boundary intervals; returns ``(t2, vertex_map)``, the
+        map taking each marked point to the one of ``t2`` it becomes.
 
         The initial endpoint of ``e_l`` is identified with the terminal
         endpoint of ``e_r`` and vice versa.  The merged edge keeps the id
@@ -390,14 +391,7 @@ class IdealTriangulation:
         diags = t2.validate()
         if diags:
             raise ResultViolatesSurfaceConditions("; ".join(diags))
-        vertex_map = {v: t2.corner_vertex(*c) for c, v in self._vertex_table[0].items()}
-        return t2, GlueResult(new_edge=e_l, vertex_map=vertex_map)
-
-
-@dataclass(frozen=True)
-class GlueResult:
-    new_edge: str
-    vertex_map: dict
+        return t2, {v: t2.corner_vertex(*c) for c, v in self._vertex_table[0].items()}
 
 
 @dataclass(frozen=True)
@@ -472,17 +466,8 @@ def _subdivide(tri, t, tag):
     tri_sides[names[0]] = (s[0], e0, s[1])
     tri_sides[names[1]] = (s[1], e1, s[2])
     tri_sides[names[2]] = (s[2], e2, s[0])
-    slot_l = {}
-    for e, (sl, _) in tri._slots.items():
-        if sl[0] == t:
-            for n, sides in ((names[0], tri_sides[names[0]]),
-                             (names[1], tri_sides[names[1]]),
-                             (names[2], tri_sides[names[2]])):
-                if e in sides:
-                    slot_l[e] = (n, sides.index(e))
-                    break
-        else:
-            slot_l[e] = sl
+    # side i of t is side 1 of names[i]
+    slot_l = {e: (names[i], 1) if u == t else (u, i) for e, ((u, i), _) in tri._slots.items()}
     for i in range(3):
         slot_l[s[i]] = (names[i], 0)
     return IdealTriangulation(tri_sides, slot_l=slot_l)

@@ -30,6 +30,10 @@ from .tropical import (
     principal_embed,
 )
 from .laminations import (
+    ARC_KINDS,
+    PERIPHERAL_KINDS,
+    QUADRILATERAL_KINDS,
+    TRIANGLE_KINDS,
     CarrierMismatch,
     Component,
     ComponentSum,
@@ -56,24 +60,30 @@ class SuiteResult:
         return f"{'PASS' if self.ok else 'FAIL'}  {self.name}: {self.detail}"
 
 
-def _fixtures():
-    return {
-        "triangle": build(MarkedSurfaceSpec.polygon(3)),
-        "polygon4": build(MarkedSurfaceSpec.polygon(4)),
-        "polygon5": build(MarkedSurfaceSpec.polygon(5)),
-        "annulus11": build(MarkedSurfaceSpec.annulus(1, 1)),
-        "torus": build(MarkedSurfaceSpec.once_punctured_torus()),
-    }
-
-
-# the CLI --spec of each fixture, so that a counterexample names a call
-# that reproduces it
-_FIXTURE_SPECS = {
-    "polygon4": "polygon:4",
-    "polygon5": "polygon:5",
-    "annulus11": "annulus:1:1",
-    "torus": "once-punctured-torus",
+# each fixture's surface and the CLI --spec that builds it, so that a
+# counterexample names a call that reproduces it
+_FIXTURES = {
+    "triangle": (MarkedSurfaceSpec.polygon(3), "polygon:3"),
+    "polygon4": (MarkedSurfaceSpec.polygon(4), "polygon:4"),
+    "polygon5": (MarkedSurfaceSpec.polygon(5), "polygon:5"),
+    "annulus11": (MarkedSurfaceSpec.annulus(1, 1), "annulus:1:1"),
+    "torus": (MarkedSurfaceSpec.once_punctured_torus(), "once-punctured-torus"),
 }
+
+
+def _fixtures():
+    return {name: build(spec) for name, (spec, _) in _FIXTURES.items()}
+
+
+def _trials(names, trials):
+    """Yield ``(name, tri, iset)`` ``trials`` times per named fixture,
+    one fixture after another."""
+    fx = _fixtures()
+    for name in names:
+        tri = fx[name]
+        iset = Sl3IndexSet(tri)
+        for _ in range(trials):
+            yield name, tri, iset
 
 
 def _random_rational(rng, num=20, den=8):
@@ -90,16 +100,12 @@ def flip_equivalence_suite(trials=1000, seed=0):
     polygon(4), polygon(5), annulus(1,1) and the once-punctured torus:
     ``trials`` points per fixture, each flipped at every interior edge."""
     rng = random.Random(seed)
-    fx = _fixtures()
     flips = fails = 0
-    for name in ("polygon4", "polygon5", "annulus11", "torus"):
-        tri = fx[name]
-        iset = Sl3IndexSet(tri)
-        for _ in range(trials):
-            p = TropicalPoint("X", _random_x(rng, iset), tri=tri)
-            for e in tri.interior_edges:
-                flips += 1
-                fails += apply_flip(p, tri, e) != flip_x_closed_form(p, tri, e)
+    for _, tri, iset in _trials(("polygon4", "polygon5", "annulus11", "torus"), trials):
+        p = TropicalPoint("X", _random_x(rng, iset), tri=tri)
+        for e in tri.interior_edges:
+            flips += 1
+            fails += apply_flip(p, tri, e) != flip_x_closed_form(p, tri, e)
     return SuiteResult(
         "flip-equivalence", fails == 0,
         f"{flips} flips of rational points at every interior edge of 4 fixtures, {fails} mismatches",
@@ -111,49 +117,38 @@ def roundtrip_suite(trials=500, seed=0, entry_range=6):
     spiral turn, on polygon(4), polygon(5), annulus(1,1) and the
     once-punctured torus."""
     rng = random.Random(seed)
-    fx = _fixtures()
     fails = []
     total = 0
-    for name in ("polygon4", "polygon5", "annulus11", "torus"):
-        tri = fx[name]
-        iset = Sl3IndexSet(tri)
-        for _ in range(trials):
-            coords = {i: Fraction(rng.randint(-entry_range, entry_range)) for i in iset.unfrozen}
-            x = TropicalPoint("X", coords, tri=tri, restricted=True)
-            rep = roundtrip_check(x, tri)
-            total += 1
-            if not (rep["ok"] and rep["stable"]):
-                fails.append((name, x))
+    for name, tri, iset in _trials(("polygon4", "polygon5", "annulus11", "torus"), trials):
+        coords = {i: Fraction(rng.randint(-entry_range, entry_range)) for i in iset.unfrozen}
+        x = TropicalPoint("X", coords, tri=tri, restricted=True)
+        rep = roundtrip_check(x, tri)
+        total += 1
+        if not (rep["ok"] and rep["stable"]):
+            fails.append((name, x))
     detail = f"{total} integral vectors on 4 fixtures, {len(fails)} failures"
     if fails:
         name, x = fails[0]
         coords = dump(tropical_point_to_obj(x)["coords"])
-        detail += f"; first on {name} (--spec {_FIXTURE_SPECS[name]}): --coords '{coords}'"
+        detail += f"; first on {name} (--spec {_FIXTURES[name][1]}): --coords '{coords}'"
     return SuiteResult("round-trip", not fails, detail)
 
 
 def component_table_cases():
-    tri3 = build(MarkedSurfaceSpec.polygon(3))
-    tri4 = build(MarkedSurfaceSpec.polygon(4))
+    fx = _fixtures()
+    tri3, tri4 = fx["triangle"], fx["polygon4"]
     t3 = tri3.triangles[0]
     e4 = tri4.interior_edges[0]
     cases = []
-    for kind in ("alpha", "alpha-star"):
-        for c in range(3):
+    for kind in TRIANGLE_KINDS:
+        for c in range(3) if kind in ARC_KINDS else (0,):
             cases.append((tri3, Component(kind, t3, Fraction(1), corner=c)))
-    for kind in ("tau+", "tau-"):
-        cases.append((tri3, Component(kind, t3, Fraction(1))))
-    for kind in (
-        "alpha+", "alpha+rev", "alpha-", "alpha-rev",
-        "tau+L", "tau+R", "tau-L", "tau-R", "h", "h-rev",
-    ):
+    for kind in QUADRILATERAL_KINDS:
         cases.append((tri4, Component(kind, e4, Fraction(1))))
-    for v in sorted(tri3.vertices):
-        for kind in ("peripheral-cw", "peripheral-ccw"):
-            cases.append((tri3, Component(kind, v, Fraction(1))))
-    for v in sorted(tri4.vertices):
-        for kind in ("peripheral-cw", "peripheral-ccw"):
-            cases.append((tri4, Component(kind, v, Fraction(1))))
+    for tri in (tri3, tri4):
+        for v in sorted(tri.vertices):
+            for kind in PERIPHERAL_KINDS:
+                cases.append((tri, Component(kind, v, Fraction(1))))
     return cases
 
 
@@ -173,7 +168,7 @@ def ensemble_table_suite():
         s = ComponentSum(tri, [comp])
         if _drawn_shear(s).coords != ensemble(coords_of_components(s), tri).coords:
             fails.append(comp.kind)
-    tri3 = build(MarkedSurfaceSpec.polygon(3))
+    tri3 = _fixtures()["triangle"]
     t3 = tri3.triangles[0]
     alpha = _drawn_shear(ComponentSum(tri3, [Component("alpha", t3, Fraction(1), corner=0)]))
     tau = _drawn_shear(ComponentSum(tri3, [Component("tau+", t3, Fraction(1))]))
@@ -195,7 +190,7 @@ def ensemble_flip_suite(trials=300, seed=0):
     """Criterion 4: ensemble o (A-flip) == (X-flip) o ensemble on
     polygon(4), exactly."""
     rng = random.Random(seed)
-    tri = build(MarkedSurfaceSpec.polygon(4))
+    tri = _fixtures()["polygon4"]
     iset = Sl3IndexSet(tri)
     e = tri.interior_edges[0]
     fails = 0
@@ -216,7 +211,7 @@ def ensemble_single_mutation_report(trials=200, seed=0):
     frozen m-matrix is held fixed: m sits on frozen x frozen entries,
     which mutation updates without reading them.  Fails on any mismatch."""
     rng = random.Random(seed)
-    tri = build(MarkedSurfaceSpec.polygon(4))
+    tri = _fixtures()["polygon4"]
     iset, eps = exchange_matrix(tri)
     mm = m_matrix(tri)
     fails = 0
@@ -246,22 +241,17 @@ def realizable_component_sum(tri, rng):
     only when the sum with it still draws, so its carrier rule holds and
     the honeycomb orientations within each triangle agree.  Peripheral
     components, which draw on every surface, are drawn alongside."""
-    tri_kinds = ["alpha", "alpha-star", "tau+", "tau-"]
-    quad_kinds = [
-        "alpha+", "alpha+rev", "alpha-", "alpha-rev",
-        "tau+L", "tau+R", "tau-L", "tau-R", "h", "h-rev",
-    ]
     comps = []
     guard = 0
     while len(comps) < 3 and guard < 150:
         guard += 1
         if tri.interior_edges and rng.random() < 0.6:
             e = rng.choice(tri.interior_edges)
-            comp = Component(rng.choice(quad_kinds), e)
+            comp = Component(rng.choice(list(QUADRILATERAL_KINDS)), e)
         else:
             t = rng.choice(tri.triangles)
-            kind = rng.choice(tri_kinds)
-            comp = Component(kind, t, corner=rng.randint(0, 2) if kind.startswith("alpha") else 0)
+            kind = rng.choice(list(TRIANGLE_KINDS))
+            comp = Component(kind, t, corner=rng.randint(0, 2) if kind in ARC_KINDS else 0)
         try:
             ComponentSum(tri, comps + [comp]).picture()
         except (CarrierMismatch, InvalidPicture):
@@ -271,7 +261,7 @@ def realizable_component_sum(tri, rng):
         if rng.random() < 0.3:
             v = rng.choice(sorted(tri.vertices))
             comps.append(
-                Component(rng.choice(["peripheral-cw", "peripheral-ccw"]), v, Fraction(rng.randint(1, 2)))
+                Component(rng.choice(list(PERIPHERAL_KINDS)), v, Fraction(rng.randint(1, 2)))
             )
     return ComponentSum(tri, comps)
 
@@ -283,16 +273,13 @@ def dynkin_suite(trials=500, seed=0):
     rng = random.Random(seed)
     fx = _fixtures()
     fails = []
-    for name in ("triangle", "polygon4", "annulus11", "torus"):
-        tri = fx[name]
-        iset = Sl3IndexSet(tri)
-        for _ in range(trials):
-            p = TropicalPoint("X", _random_x(rng, iset, num=12, den=6), tri=tri)
-            q = dynkin_cluster(p, tri)
-            if q != dynkin_cluster_by_mutation(p, tri):
-                fails.append((name, "closed-vs-sequence"))
-            if dynkin_cluster(q, tri) != p:
-                fails.append((name, "involution"))
+    for name, tri, iset in _trials(("triangle", "polygon4", "annulus11", "torus"), trials):
+        p = TropicalPoint("X", _random_x(rng, iset, num=12, den=6), tri=tri)
+        q = dynkin_cluster(p, tri)
+        if q != dynkin_cluster_by_mutation(p, tri):
+            fails.append((name, "closed-vs-sequence"))
+        if dynkin_cluster(q, tri) != p:
+            fails.append((name, "involution"))
     for name in ("triangle", "polygon4"):
         tri = fx[name]
         for _ in range(200):
@@ -396,24 +383,21 @@ def principal_suite(trials=200, seed=0):
     """Criterion 7: the embedded sl2 locus x_{E,1} = x_{E,2}, x_T = 0 is
     fixed by the Dynkin action and preserved by every flip."""
     rng = random.Random(seed)
-    fx = _fixtures()
     fails = []
-    for name in ("triangle", "polygon4", "polygon5", "annulus11", "torus"):
-        tri = fx[name]
-        for _ in range(trials):
-            sl2 = {e: _random_rational(rng, 8, 4) for e in tri.edges}
-            p = principal_embed(sl2, tri)
-            for e in tri.edges:
-                if p[("edge", e, 1)] != p[("edge", e, 2)]:
-                    fails.append((name, "locus"))
-            if dynkin_cluster(p, tri) != p:
-                fails.append((name, "dynkin-fixed"))
-            for e in tri.interior_edges:
-                q = apply_flip(p, tri, e)
-                if any(q[("tri", t)] != 0 for t in q.tri.triangles) or any(
-                    q[("edge", e2, 1)] != q[("edge", e2, 2)] for e2 in q.tri.edges
-                ):
-                    fails.append((name, f"flip {e}"))
+    for name, tri, _ in _trials(_FIXTURES, trials):
+        sl2 = {e: _random_rational(rng, 8, 4) for e in tri.edges}
+        p = principal_embed(sl2, tri)
+        for e in tri.edges:
+            if p[("edge", e, 1)] != p[("edge", e, 2)]:
+                fails.append((name, "locus"))
+        if dynkin_cluster(p, tri) != p:
+            fails.append((name, "dynkin-fixed"))
+        for e in tri.interior_edges:
+            q = apply_flip(p, tri, e)
+            if any(q[("tri", t)] != 0 for t in q.tri.triangles) or any(
+                q[("edge", e2, 1)] != q[("edge", e2, 2)] for e2 in q.tri.edges
+            ):
+                fails.append((name, f"flip {e}"))
     return SuiteResult("principal-locus", not fails, f"failures: {fails[:4] or 'none'}")
 
 
@@ -437,19 +421,15 @@ def traveler_suite(trials=100, seed=0):
     """Criterion 9: the identifier relations k_out + k_in = x_{E,1} +
     [x_{T_R}]_+ (and the mirrored sheet) on reconstructed fixtures."""
     rng = random.Random(seed)
-    fx = _fixtures()
     fails = 0
     total = 0
-    for name in ("polygon4", "polygon5", "annulus11", "torus"):
-        tri = fx[name]
-        iset = Sl3IndexSet(tri)
-        for _ in range(trials):
-            coords = {i: Fraction(rng.randint(-4, 4)) for i in iset.unfrozen}
-            x = TropicalPoint("X", coords, tri=tri, restricted=True)
-            pic = reconstruct(x, tri)
-            total += 1
-            if identifier_relations(pic, x):
-                fails += 1
+    for _, tri, iset in _trials(("polygon4", "polygon5", "annulus11", "torus"), trials):
+        coords = {i: Fraction(rng.randint(-4, 4)) for i in iset.unfrozen}
+        x = TropicalPoint("X", coords, tri=tri, restricted=True)
+        pic = reconstruct(x, tri)
+        total += 1
+        if identifier_relations(pic, x):
+            fails += 1
     return SuiteResult(
         "traveler-identifiers", fails == 0, f"{total} reconstructions, {fails} with violations"
     )

@@ -34,14 +34,14 @@ def glue_laminations(pinned, e_l, e_r):
         raise SameEdge(e_l)
     u, norm = normalize_integral(pinned)
     pic = norm.underlying.require_valid()
-    t2, res = tri.glue_boundary(e_l, e_r)
+    t2, vertex_map = tri.glue_boundary(e_l, e_r)
     (sl, _), (sr, _) = tri.slots(e_l), tri.slots(e_r)
     dl, dr = (norm.delta_at(e) for e in (e_l, e_r))
     pins = {slot: int(p) for slot, p in zip((sl, sr), glue_coordinates(dl, dr))}
     total = sum(pic.strand_count(*side) for side in pic.strand_lists)
     mass = abs(pins[sl]) + abs(pins[sr])
     stepper = _PictureStepper(pic, t2, pins, 4000 + 100 * (total + mass + 8) * max(1, len(tri.edges)))
-    merged_ids = {res.vertex_map[v] for e in (e_l, e_r) for v in tri.edge_endpoints(e)}
+    merged_ids = {vertex_map[v] for e in (e_l, e_r) for v in tri.edge_endpoints(e)}
     window = window_seeds(stepper, sl, sr) + window_seeds(stepper, sr, sl)
     in_window = set(window)
     entries = []

@@ -20,6 +20,8 @@ from sl3shear.laminations import (
     shear_frozen,
     shear_unfrozen,
 )
+from sl3shear.reconstruct import reconstruct
+from sl3shear.seeds import Sl3IndexSet
 from sl3shear.surface import FlipCreatesSelfFolded, MarkedSurfaceSpec, build
 from sl3shear.tropical import TropicalPoint
 from sl3shear.verify import run_suites
@@ -71,6 +73,8 @@ def _surface_misfits(p4):
         "{v0_puncture}": {**p4, "vertices": [
             {**v, "class": "puncture"} if v["id"] == "v0" else v for v in p4["vertices"]
         ]},
+        "{edge_zz}": {**p4, "edges": p4["edges"] + [{"id": "zz"}]},
+        "{vertex_v9}": {**p4, "vertices": p4["vertices"] + [{"id": "v9"}]},
     }
 
 
@@ -80,6 +84,8 @@ def _surface_misfits(p4):
         ("{left_slot_zz}", "left_slots.zz: the surface has no edge"),
         ("{b0_reversed}", "edge b0 declared orientation"),
         ("{v0_puncture}", "vertex v0 declared class 'puncture'"),
+        ("{edge_zz}", "edges: the surface has no edge 'zz'"),
+        ("{vertex_v9}", "vertices: the surface has no vertex 'v9'"),
     ],
 )
 def test_surface_fields_must_match_the_table(name, match, polygon4):
@@ -342,6 +348,14 @@ def _alpha(**fields):
         (["seed", "--surface", "{left_slot_zz}"], 2),
         (["seed", "--surface", "{b0_reversed}"], 2),
         (["seed", "--surface", "{v0_puncture}"], 2),
+        # a declared edge or vertex the table lacks
+        (["seed", "--surface", "{edge_zz}"], 2),
+        (["seed", "--surface", "{vertex_v9}"], 2),
+        # specs of a family outside the conditions its surfaces meet
+        (["surface", "--spec", "polygon:1"], 1),
+        (["surface", "--spec", "punctured-polygon:3:0"], 1),
+        (["surface", "--spec", "punctured-polygon:0:2"], 1),
+        (["surface", "--spec", "annulus:0:1"], 1),
     ],
 )
 def test_cli_error_table(argv, code, tmp_path, capsys):
@@ -450,7 +464,6 @@ def test_diagram_command(tmp_path, capsys):
     surf = tmp_path / "p4.json"
     main(["surface", "--spec", "polygon:4", "--out", str(surf)])
     tri = jio.triangulation_from_obj(json.loads(surf.read_text()))
-    from sl3shear.reconstruct import reconstruct
 
     e = tri.interior_edges[0]
     (tl, _), (tr, _) = tri.slots(e)
@@ -480,6 +493,24 @@ def test_diagram_command(tmp_path, capsys):
     assert code == 0
     lines = [l for l in out.read_text().splitlines() if l.strip()]
     assert lines[0].startswith("picture on")
+
+
+def test_diagram_shows_each_spiral_end(torus, tmp_path, capsys):
+    """A reconstructed once-punctured torus spirals into its puncture:
+    the diagram shows one ``spiral end`` per spiral tail, with the tail's
+    sign."""
+    surf, lam = tmp_path / "torus.json", tmp_path / "lam.json"
+    main(["surface", "--spec", "once-punctured-torus", "--out", str(surf)])
+    iset = Sl3IndexSet(torus)
+    coords = dict(zip(iset.unfrozen, map(F, (1, -2, 0, 3, 1, 0, 2, -1))))
+    x = TropicalPoint("X", coords, tri=torus, restricted=True)
+    pic = reconstruct(x, torus)
+    signs = sorted(sign for _, sign, _ in pic.puncture_signs())
+    assert signs
+    lam.write_text(jio.dump(jio.pinned_to_obj(PinnedLamination(pic, {}))))
+    code, out = run_cli(["diagram", "--surface", str(surf), "--lamination", str(lam)], capsys)
+    assert code == 0
+    assert sorted(re.findall(r"spiral end ([+-])", out)) == signs
 
 
 # alpha+ of weight 2/3 across d2 of polygon(4), pinned at b1
@@ -527,8 +558,6 @@ def test_glue_draws_component_documents(tmp_path, capsys):
 def test_picture_json_roundtrip(polygon4, torus):
     import random
 
-    from sl3shear.reconstruct import reconstruct
-    from sl3shear.seeds import Sl3IndexSet
 
     rng = random.Random(21)
     for tri in (polygon4, torus):
@@ -604,7 +633,6 @@ def test_picture_decoder_checks_pairings(polygon4, tmp_path, capsys):
     without them decodes to the same picture.  The encoder writes none,
     so the pairs are built here from the strand counts, as the unary
     format wrote them."""
-    from sl3shear.reconstruct import reconstruct
 
     e = polygon4.interior_edges[0]
     x = {("edge", e, 1): F(3), ("edge", e, 2): F(-1)}
@@ -818,7 +846,6 @@ def test_pinned_json_roundtrip(polygon4):
     from fractions import Fraction as F
 
     from sl3shear.laminations import Component, ComponentSum
-    from sl3shear.reconstruct import reconstruct
 
     e = polygon4.interior_edges[0]
     pic = reconstruct(

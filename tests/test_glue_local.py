@@ -173,8 +173,8 @@ def test_coweights_away_from_the_merged_points_pass_through(polygon5):
     rng = random.Random(32)
     kept = 0
     for e_l, e_r in (("Lb1", "Rb3"), ("Lb0", "Rb0"), ("Lb2", "Lb4")):
-        t2, res = tri.glue_boundary(e_l, e_r)
-        merged = {res.vertex_map[v] for e in (e_l, e_r) for v in tri.edge_endpoints(e)}
+        t2, vertex_map = tri.glue_boundary(e_l, e_r)
+        merged = {vertex_map[v] for e in (e_l, e_r) for v in tri.edge_endpoints(e)}
         for _ in range(10):
             pinned = _random_pinned(tri, rng)
             glued = glue_laminations(pinned, e_l, e_r)

@@ -4,7 +4,10 @@ import ast
 from pathlib import Path
 
 import sl3shear
+from sl3shear.cli import _parse_spec
+from sl3shear.laminations import PERIPHERAL_KINDS, QUADRILATERAL_KINDS, TRIANGLE_KINDS
 from sl3shear.surface import IdealTriangulation, MarkedSurfaceSpec, build
+from sl3shear.verify import _FIXTURES
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sl3shear"
 
@@ -262,3 +265,27 @@ def test_one_json_writer():
     ``io.dump``, so every document it writes has one layout."""
     uses = [use for p in sorted(SRC.glob("*.py")) for use in _json_encoder_uses(p)]
     assert uses == [("io.py", "dump")]
+
+
+def test_verify_lists_no_kind_family():
+    """``verify`` reads the component kinds from the families of
+    ``laminations``: no tuple, list or set literal in it names two kinds
+    or more.  A single kind, such as a pinned table row's, may be named."""
+    kinds = set(TRIANGLE_KINDS) | set(QUADRILATERAL_KINDS) | set(PERIPHERAL_KINDS)
+    path = SRC / "verify.py"
+    found = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set))
+        and sum(isinstance(e, ast.Constant) and e.value in kinds for e in node.elts) > 1
+    ]
+    assert found == []
+
+
+def test_each_fixture_spec_builds_its_fixture():
+    """The CLI ``--spec`` that ``verify`` prints with a fixture's
+    counterexample parses to that fixture's spec, so one CLI call
+    reproduces the counterexample."""
+    assert _FIXTURES
+    for name, (spec, text) in _FIXTURES.items():
+        assert _parse_spec(text) == spec, name

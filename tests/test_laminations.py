@@ -622,6 +622,10 @@ def test_validation_catches_bad_pictures(polygon4):
         polygon4, corners={q["t_left"]: [SpiralEnd("cw", False)]}
     )
     assert any("non-puncture" in d for d in pic2.validate())
+    # a honeycomb of no known orientation
+    t = q["t_left"][0]
+    pic3 = GlobalPicture(polygon4, honeycombs={t: Honeycomb("up", 1)})
+    assert f"bad honeycomb orientation in {t}" in pic3.validate()
     with pytest.raises(InvalidPicture):
         shear_unfrozen(pic)
 
