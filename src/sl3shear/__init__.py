@@ -1,8 +1,8 @@
 """Exact tropical machinery for sl3-laminations on marked surfaces.
 
 The package is organized around combinatorial ideal triangulations
-(:mod:`sl3shear.surface`), the associated cluster seeds and mutation
-sequences (:mod:`sl3shear.seeds`), exact max-plus tropical points and
+(:mod:`sl3shear.surface`), the associated cluster seeds and their mutation
+(:mod:`sl3shear.seeds`), exact max-plus tropical points and
 piecewise-linear maps (:mod:`sl3shear.tropical`), concrete lamination
 pictures with their shear coordinates (:mod:`sl3shear.laminations`),
 reconstruction of pictures from coordinates (:mod:`sl3shear.reconstruct`)
@@ -27,21 +27,16 @@ from .surface import (
 from .seeds import (
     Sl3IndexSet,
     ExchangeMatrix,
-    Mutate,
-    Permute,
     FrozenIndexMutation,
     exchange_matrix,
     m_matrix,
     mutate_matrix,
-    flip_mutation_sequence,
-    dynkin_mutation_sequence,
 )
 from .tropical import (
     TropicalPoint,
     SeedMismatch,
     mutate_x,
     mutate_a,
-    apply_steps,
     flip_x_closed_form,
     apply_flip,
     ensemble,

@@ -164,9 +164,7 @@ def cmd_flip(args):
         raise UsageError(f"unknown edge {args.edge!r}")
     t2, corr = tri.flip_edge(args.edge)
     obj = {"surface": jio.triangulation_to_obj(t2)}
-    obj["index_map"] = {
-        jio.index_to_str(a): jio.index_to_str(b) for a, b in sorted(corr.index_map.items(), key=str)
-    }
+    obj["index_map"] = {jio.index_to_str(i): jio.index_to_str(corr[i]) for i in Sl3IndexSet(tri).all}
     if args.coords:
         coords = _coords_arg(tri, args.coords)
         p = TropicalPoint(args.kind, coords, tri=tri, restricted=False)

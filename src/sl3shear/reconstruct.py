@@ -27,7 +27,8 @@ helpers.  :func:`components` walks the strand through each seed that no
 earlier walk passed through.  A turn's ``place`` is ``(corner, key)``,
 so :func:`stack_entries` lists the stack entries of any component and
 :func:`build_picture` sorts them into corner stacks, at weight 1/u for a
-vector or lamination scaled integral by u.  A tail of fewer turns is a
+vector or lamination scaled integral by u, once it has counted them
+against the picture size bound.  A tail of fewer turns is a
 prefix of a longer one, so the round-trip check walks each tail one turn
 deeper than it writes it and builds one picture: the truncation one turn
 deeper differs from it only in the ends those turns add, so its zone
@@ -297,7 +298,16 @@ def stack_entries(stepper, traveler, turns):
 def build_picture(tri, honeycombs, entries, weight=1):
     """The picture at ``weight`` with these honeycombs and ``(place,
     entry)`` stack entries.  Each corner's stack is sorted by key; two
-    entries at one place raise :class:`InvalidPicture`."""
+    entries at one place raise :class:`InvalidPicture`, and over
+    :data:`~sl3shear.laminations.MAX_PICTURE_SIZE` entries plus honeycomb
+    height the picture is refused with :class:`PictureTooLarge` before
+    sorting."""
+    size = len(entries) + sum(h.height for h in honeycombs.values())
+    if size > MAX_PICTURE_SIZE:
+        raise PictureTooLarge(
+            f"a picture of {size} corner entries plus honeycomb height is over the limit of "
+            f"{MAX_PICTURE_SIZE}", size,
+        )
     stacks = {}
     for (corner, key), entry in entries:
         stacks.setdefault(corner, []).append((key, entry))

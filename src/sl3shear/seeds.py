@@ -1,7 +1,6 @@
 """Seed data attached to an ideal triangulation: the index set, the
 elementary triangle quiver and its amalgamation into the exchange matrix,
-the frozen m-matrix, matrix mutation and the mutation sequences realizing
-flips and the Dynkin involution.
+the frozen m-matrix, matrix mutation and the plan of a flip's mutations.
 
 Every matrix is stored one way: twice its entries, as ints, by column.
 ``columns[j] = {i: 2 w_ij}`` holds the nonzero entries of column j; the
@@ -18,9 +17,8 @@ triangle, and :func:`flip_quiver` over the two triangles of a flipped
 edge (every entry a flip mutation reads comes from those two).  The
 ensemble map and the Dynkin mutations in :mod:`sl3shear.tropical` read
 it triangle by triangle and build no matrix.  :func:`flip_plan` runs a
-flip's four mutations on its flip quiver.  Flip plans and the Dynkin
-mutation sequence are derived once per triangulation (and edge) and kept
-in the triangulation's ``memo``.
+flip's four mutations on its flip quiver, once per triangulation and
+edge, and keeps the plan in the triangulation's ``memo``.
 
 Indices are tuples: ``("tri", t)`` for the face index of triangle ``t``
 and ``("edge", e, s)`` with ``s in (1, 2)`` for the two points on edge
@@ -102,39 +100,6 @@ class ExchangeMatrix:
             and self.frozen == other.frozen
         )
 
-    def relabel(self, mapping):
-        """The same matrix with every index ``i`` renamed ``mapping.get(i, i)``."""
-        new = mapping.get
-        return ExchangeMatrix(
-            [new(i, i) for i in self.indices],
-            {new(j, j): {new(i, i): w2 for i, w2 in col.items()} for j, col in self.columns.items()},
-            [new(i, i) for i in self.frozen],
-        )
-
-
-@dataclass(frozen=True)
-class Mutate:
-    k: tuple
-
-
-@dataclass(frozen=True)
-class Permute:
-    """Relabeling step: ``mapping`` sends old indices to new indices, and
-    an index it leaves out keeps its label.
-
-    The mapping must send unfrozen indices to unfrozen ones; the target
-    index set may belong to a different triangulation (as after a flip).
-    """
-
-    mapping: tuple  # tuple of (old, new) pairs, hashable
-
-    @staticmethod
-    def of(mapping):
-        return Permute(tuple(sorted(mapping.items())))
-
-    def as_dict(self):
-        return dict(self.mapping)
-
 
 def triangle_quiver(tri, t):
     """The arrows ``(i, j, 2w)`` of the elementary quiver of triangle ``t``,
@@ -206,9 +171,12 @@ def mutate_matrix(eps, k):
 
     Only the entries in the columns of ``k`` and of its neighbours (the j
     with eps_jk nonzero) change, so only those columns are rebuilt; every
-    other column is shared with ``eps``."""
+    other column is shared with ``eps``.  An index ``eps`` lacks raises
+    KeyError."""
     if k in eps.frozen:
         raise FrozenIndexMutation(k)
+    if k not in eps.indices:
+        raise KeyError(k)
     col_k = eps.columns.get(k, {})
     columns = dict(eps.columns)
     if col_k:
@@ -226,24 +194,6 @@ def mutate_matrix(eps, k):
                 else:
                     del col[i]
     return ExchangeMatrix(eps.indices, columns, eps.frozen)
-
-
-def _flip_mutations(tri, e):
-    """The indices the flip at ``e`` mutates, in order.  In the local
-    labels of the flip quadrilateral (1 = (e,2), 2 = face of T_L,
-    3 = (e,1), 4 = face of T_R) the path is mu_1, mu_3, mu_4, mu_2."""
-    (tl, _), (tr, _) = tri.slots(e)
-    return (("edge", e, 2), ("edge", e, 1), ("tri", tr), ("tri", tl))
-
-
-def flip_mutation_sequence(tri, e):
-    """The 4-mutation sequence realizing the flip at ``e`` (see
-    :func:`_flip_mutations`), followed by the relabeling onto the flipped
-    triangulation's index set.  Returns ``(steps, t_flipped,
-    correspondence)``."""
-    t2, corr = tri.flip_edge(e)
-    steps = [Mutate(k) for k in _flip_mutations(tri, e)]
-    return steps + [Permute.of(corr.index_map)], t2, corr
 
 
 @dataclass(frozen=True)
@@ -274,27 +224,12 @@ def flip_plan(tri, e):
         return plan
     t2, corr = tri.flip_edge(e)
     eps = local = flip_quiver(tri, e)
+    (tl, _), (tr, _) = tri.slots(e)
     columns = []
-    for k in _flip_mutations(tri, e):
+    # in the local labels of the flip quadrilateral (1 = (e,2), 2 = face
+    # of T_L, 3 = (e,1), 4 = face of T_R) the path is mu_1 mu_3 mu_4 mu_2
+    for k in (("edge", e, 2), ("edge", e, 1), ("tri", tr), ("tri", tl)):
         columns.append((k, eps.columns[k]))
         eps = mutate_matrix(eps, k)
     plan = tri.memo[("flip plan", e)] = FlipPlan(t2, corr, local.indices, local.frozen, tuple(columns))
     return plan
-
-
-def dynkin_mutation_sequence(tri):
-    """One mutation per face, then the swap of the two points on every
-    edge, as a tuple kept in ``tri.memo``.  Faces are pairwise
-    non-adjacent in the quiver, so their order does not matter; triangles
-    are visited in sorted order."""
-    steps = tri.memo.get("dynkin sequence")
-    if steps is None:
-        mapping = {}
-        for e in tri.edges:
-            mapping[("edge", e, 1)] = ("edge", e, 2)
-            mapping[("edge", e, 2)] = ("edge", e, 1)
-        steps = tri.memo["dynkin sequence"] = (
-            *(Mutate(("tri", t)) for t in tri.triangles),
-            Permute.of(mapping),
-        )
-    return steps

@@ -296,7 +296,8 @@ class IdealTriangulation:
         old terminal corner of ``e``).
 
         The result is memoized on this triangulation: flipping ``e`` again
-        returns the same pair.  A refused flip is not memoized.
+        returns the same pair.  A refused flip is not memoized; an edge
+        this triangulation lacks is refused as :class:`NotInteriorEdge`.
         """
         flip = self.memo.get(("flip", e))
         if flip is None:
@@ -309,7 +310,7 @@ class IdealTriangulation:
         edges on them and the vertex keys of their six corners.  A flip
         keeps every id and key, so it shares the sorted lists and the
         key classes."""
-        if self.is_boundary(e):
+        if not self.has_edge(e) or self.is_boundary(e):
             raise NotInteriorEdge(e)
         (tl, il), (tr, ir) = self._slots[e]
         g = self.tri_sides[tl][(il + 1) % 3]
@@ -358,8 +359,6 @@ class IdealTriangulation:
                 ("tri", tl): ("edge", e, 1),
                 ("tri", tr): ("edge", e, 2),
             },
-            edges=self.edges,
-            triangles=self.triangles,
         )
         return t2, corr
 
@@ -401,28 +400,13 @@ class EdgeCorrespondence:
     A flip keeps every edge and triangle id and moves four indices: the
     faces of the two flipped triangles trade places with the diagonal's
     two edge indices.  ``moved`` maps those four; ``corr[i]`` maps any
-    index in O(1), every other index keeping its label.  ``index_map``
-    is the whole bijection as a dict over the old index set, built on
-    first use from the triangulation's sorted ``edges`` and
-    ``triangles``.
+    index in O(1), every other index keeping its label.
     """
 
     moved: dict
-    edges: list
-    triangles: list
 
     def __getitem__(self, i):
         return self.moved.get(i, i)
-
-    @cached_property
-    def index_map(self):
-        index_map = {}
-        for e in self.edges:
-            index_map[("edge", e, 1)] = self[("edge", e, 1)]
-            index_map[("edge", e, 2)] = self[("edge", e, 2)]
-        for t in self.triangles:
-            index_map[("tri", t)] = self[("tri", t)]
-        return index_map
 
 
 # -- canonical families ----------------------------------------------------

@@ -36,16 +36,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .seeds import (
-    ZERO,
-    Mutate,
-    FrozenIndexMutation,
-    dynkin_mutation_sequence,
-    flip_plan,
-    mutate_matrix,
-    side_pair,
-    triangle_quiver,
-)
+from .seeds import ZERO, FrozenIndexMutation, flip_plan, side_pair, triangle_quiver
 from .surface import NotInteriorEdge, Sl3Error
 
 
@@ -193,11 +184,14 @@ def _column(p, kind, eps, k):
     """The doubled column of ``k`` in ``eps`` that mutates the
     ``kind``-point ``p`` at ``k``.  A restricted point has no frozen
     coordinates (its constructor checks) and gains none: unfrozen outputs
-    read only unfrozen inputs, so the column leaves the frozen ones out."""
+    read only unfrozen inputs, so the column leaves the frozen ones out.
+    An index ``eps`` lacks raises KeyError."""
     if p.kind != kind:
         raise SeedMismatch(f"{kind}-point required")
     if k in eps.frozen:
         raise FrozenIndexMutation(k)
+    if k not in eps.indices:
+        raise KeyError(k)
     col = eps.columns.get(k, {})
     if p.restricted:
         col = {i: w2 for i, w2 in col.items() if i not in eps.frozen}
@@ -224,24 +218,6 @@ def mutate_a(p, eps, k):
     return _point(p, d, a, p.tri)
 
 
-def apply_steps(p, eps, steps, tri_after=None):
-    """Apply a Mutate/Permute sequence to a point, mutating the exchange
-    matrix along.  Returns ``(point, eps)`` after all steps; the point
-    lies on ``tri_after`` once a step relabels."""
-    rule = _x_rule if p.kind == "X" else _a_rule
-    d, nums = p._ints
-    x, tri = dict(nums), p.tri
-    for step in steps:
-        if isinstance(step, Mutate):
-            rule(x, step.k, _column(p, p.kind, eps, step.k))
-            eps = mutate_matrix(eps, step.k)
-        else:
-            mapping = step.as_dict()
-            x = {mapping.get(i, i): v for i, v in x.items()}
-            eps, tri = eps.relabel(mapping), tri_after
-    return _point(p, d, x, tri), eps
-
-
 def flip_local_labels(tri, e):
     """The 12 local indices of the flip quadrilateral at ``e``, keyed by
     the labels 1..12 of the mutation-sequence picture: 1, 3 on the
@@ -249,7 +225,7 @@ def flip_local_labels(tri, e):
     (p, q) pairs of the outer sides counterclockwise from the top-left:
     (5,6), (7,8), (9,10), (11,12).  Outer labels may coincide where outer
     sides are identified, as on the torus."""
-    if tri.is_boundary(e):
+    if not tri.has_edge(e) or tri.is_boundary(e):
         raise NotInteriorEdge(e)
     (tl, il), (tr, ir) = tri.slots(e)
     g = (tl, (il + 1) % 3)
@@ -308,8 +284,8 @@ def apply_flip(p, tri, e):
     The mutations run off the columns of the :func:`flip_plan`, on the
     point's ints at the indices of the flip quadrilateral: no other
     coordinate moves, and no other entry of the exchange matrix is read.
-    Identical to running the steps on the whole exchange matrix and
-    point."""
+    Identical to running the four mutations and the relabeling on the
+    whole exchange matrix and point."""
     plan = flip_plan(tri, e)
     rule = _x_rule if p.kind == "X" else _a_rule
     _, nums = p._ints
@@ -425,13 +401,12 @@ def dynkin_cluster_by_mutation(p, tri):
     :func:`mutate_x`."""
     if p.kind != "X":
         raise SeedMismatch("X-point required")
-    *faces, swap = dynkin_mutation_sequence(tri)
     d, nums = p._ints
     x = dict(nums)
-    for step in faces:
-        f = step.k
+    for t in tri.triangles:
+        f = ("tri", t)
         col = {}
-        for i, j, w2 in triangle_quiver(tri, f[1]):
+        for i, j, w2 in triangle_quiver(tri, t):
             if j == f:
                 col[i] = w2  # i -> f: 2 eps_if = w2
             elif i == f:
@@ -439,8 +414,8 @@ def dynkin_cluster_by_mutation(p, tri):
         if p.restricted:
             col = {i: w2 for i, w2 in col.items() if not tri.is_boundary(i[1])}
         _x_rule(x, f, col)
-    mapping = swap.as_dict()
-    return _point(p, d, {mapping.get(i, i): v for i, v in x.items()}, tri)
+    x = {(i[0], i[1], 3 - i[2]) if i[0] == "edge" else i: v for i, v in x.items()}
+    return _point(p, d, x, tri)
 
 
 def principal_embed(sl2, tri):

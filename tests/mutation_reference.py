@@ -1,12 +1,19 @@
-"""Dense reference rules for matrix, X- and A-mutation, step sequences
-and the ensemble map, on Fractions.
+"""Dense reference rules for matrix, X- and A-mutation, mutation
+sequences and the ensemble map, on Fractions.
 
 A matrix here is the dict ``{(i, j): eps_ij}`` of its nonzero entries,
 and every rule is read straight off its definition, over every pair of
 indices.  The tests compare the library's column-wise rules with these.
 The matrix eps + m of the ensemble map is summed here from the library's
-exchange matrix and m-matrix, and step sequences also run on the
-library's column-stored matrices (:func:`apply_matrix_steps`).
+exchange matrix and m-matrix.
+
+A mutation sequence is plain data: the list of indices mutated in turn,
+then a relabeling dict, an index it leaves out keeping its label.  The
+paper's two sequences are written out here from the triangulation
+(:func:`flip_sequence`, :func:`dynkin_sequence`).  A sequence runs on a
+point and the dense form of the library's exchange matrix
+(:func:`apply_steps`), or on the column-stored matrix itself
+(:func:`apply_matrix_steps`).
 :func:`check` reads the invariants of a column-stored matrix.
 """
 
@@ -14,12 +21,29 @@ from fractions import Fraction
 
 from sl3shear.seeds import (
     ExchangeMatrix,
-    Mutate,
     exchange_matrix,
     m_matrix,
     matrix_entries,
 )
 from sl3shear.seeds import mutate_matrix as mutate_columns
+
+
+def flip_sequence(tri, e):
+    """The flip at the interior edge ``e``: mu_1 mu_3 mu_4 mu_2 in the
+    local labels 1 = (e,2), 2 = face of T_L, 3 = (e,1), 4 = face of T_R,
+    then the relabeling onto the flipped triangulation, where the old
+    diagonal's points become the new faces and the old faces the new
+    diagonal's points."""
+    (tl, _), (tr, _) = tri.slots(e)
+    p, q, fl, fr = ("edge", e, 1), ("edge", e, 2), ("tri", tl), ("tri", tr)
+    return [q, p, fr, fl], {q: fl, p: fr, fl: p, fr: q}
+
+
+def dynkin_sequence(tri):
+    """The Dynkin involution: one mutation per face, then the swap of the
+    two points on every edge."""
+    swap = {("edge", e, s): ("edge", e, 3 - s) for e in tri.edges for s in (1, 2)}
+    return [("tri", t) for t in tri.triangles], swap
 
 
 def exchange(indices, entries, frozen=()):
@@ -97,23 +121,21 @@ def mutate_a(indices, eps, a, k):
     return out
 
 
-def apply_steps(indices, eps, frozen, kind, coords, steps):
-    """Run the Mutate/Permute ``steps`` on the ``kind``-point ``coords``,
-    mutating and relabeling the matrix ``eps`` along; returns the point."""
-    for step in steps:
-        if isinstance(step, Mutate):
-            if kind == "X":
-                coords = mutate_x(indices, eps, frozen, coords, step.k)
-            else:
-                coords = mutate_a(indices, eps, coords, step.k)
-            eps = mutate_matrix(indices, eps, step.k)
+def apply_steps(tri, kind, coords, sequence, restricted=False):
+    """Run the mutation ``sequence`` on the ``kind``-point ``coords`` of
+    ``tri``, mutating the dense exchange matrix of ``tri`` along, and
+    relabel the point; a restricted X-point drops every frozen
+    coordinate."""
+    _, columns = exchange_matrix(tri)
+    indices, eps, frozen = columns.indices, matrix_entries(columns.columns), columns.frozen
+    ks, relabel = sequence
+    for k in ks:
+        if kind == "X":
+            coords = mutate_x(indices, eps, frozen, coords, k, restricted)
         else:
-            new = step.as_dict().get
-            coords = {new(i, i): v for i, v in coords.items()}
-            eps = {(new(i, i), new(j, j)): v for (i, j), v in eps.items()}
-            indices = [new(i, i) for i in indices]
-            frozen = {new(i, i) for i in frozen}
-    return coords
+            coords = mutate_a(indices, eps, coords, k)
+        eps = mutate_matrix(indices, eps, k)
+    return {relabel.get(i, i): v for i, v in coords.items()}
 
 
 def ensemble(entries, a):
@@ -133,10 +155,16 @@ def extended_matrix(tri):
     return {ij: v for ij, v in out.items() if v}
 
 
-def apply_matrix_steps(eps, steps):
-    """Run the Mutate/Permute ``steps`` on the column-stored exchange
-    matrix ``eps`` with the library's :func:`sl3shear.seeds.mutate_matrix`
-    and relabeling."""
-    for step in steps:
-        eps = mutate_columns(eps, step.k) if isinstance(step, Mutate) else eps.relabel(step.as_dict())
-    return eps
+def apply_matrix_steps(eps, sequence):
+    """Run the mutation ``sequence`` on the column-stored exchange matrix
+    ``eps`` with the library's :func:`sl3shear.seeds.mutate_matrix`, then
+    rename every index ``i`` to ``relabel.get(i, i)``."""
+    ks, relabel = sequence
+    for k in ks:
+        eps = mutate_columns(eps, k)
+    new = relabel.get
+    return ExchangeMatrix(
+        [new(i, i) for i in eps.indices],
+        {new(j, j): {new(i, i): w2 for i, w2 in col.items()} for j, col in eps.columns.items()},
+        [new(i, i) for i in eps.frozen],
+    )

@@ -251,3 +251,17 @@ def test_oversized_gluing_is_refused_before_walking(coweight, monkeypatch, tmp_p
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "over the limit" in err, err
+
+
+def test_glued_picture_past_the_bound_is_refused_as_built(monkeypatch):
+    """An empty two-triangle picture pinned at coweight c glues into 2c
+    corner entries while the window bound counts c: with the limit
+    between the two, the bound passes and the built picture is refused
+    by its own count."""
+    tri = two_triangle_fixture()
+    pinned = PinnedLamination(GlobalPicture(tri), {"a2": (F(1000), F(0))})
+    assert _size(glue_laminations(pinned, "a2", "b0").underlying) == 2000
+    monkeypatch.setattr(importlib.import_module("sl3shear.reconstruct"), "MAX_PICTURE_SIZE", 1500)
+    with pytest.raises(PictureTooLarge, match="over the limit of 1500") as refused:
+        glue_laminations(pinned, "a2", "b0")
+    assert refused.value.size == 2000

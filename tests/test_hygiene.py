@@ -135,12 +135,9 @@ def test_no_private_name_is_unread():
 BENCHMARKS = SRC.parent.parent / "benchmarks"
 
 # The paper's own constructions, which the tests and golden records check
-# as such though no library module calls them: the flip as a sequence of
-# mutations and the runner of such sequences, the ensemble map on
+# as such though no library module calls them: the ensemble map on
 # laminations and the peripheral chain it adds, and the traveler routes.
 PAPER_CONSTRUCTIONS = {
-    "flip_mutation_sequence",
-    "apply_steps",
     "geometric_ensemble",
     "add_peripheral_chain",
     "traveler_trace",

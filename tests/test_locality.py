@@ -21,17 +21,11 @@ import pytest
 
 import mutation_reference as ref
 from surface_reference import canonical_form
-from sl3shear.seeds import (
-    Sl3IndexSet,
-    exchange_matrix,
-    flip_mutation_sequence,
-    flip_plan,
-)
+from sl3shear.seeds import Sl3IndexSet, flip_plan
 from sl3shear.surface import FlipCreatesSelfFolded, IdealTriangulation, MarkedSurfaceSpec, build
 from sl3shear.tropical import (
     TropicalPoint,
     apply_flip,
-    apply_steps,
     dynkin_cluster,
     dynkin_cluster_by_mutation,
     ensemble,
@@ -77,10 +71,11 @@ def _walk(name, steps=STEPS):
 
 
 def _reference_flip(p, tri, e):
-    steps, t2, _ = flip_mutation_sequence(tri, e)
-    _, eps = exchange_matrix(tri)
-    q, _ = apply_steps(p, eps, steps, tri_after=t2)
-    return q
+    """The paper's flip sequence run on ``p`` and the dense exchange
+    matrix of ``tri`` by the reference rules."""
+    t2, _ = tri.flip_edge(e)
+    coords = ref.apply_steps(tri, p.kind, p.coords, ref.flip_sequence(tri, e), p.restricted)
+    return TropicalPoint(p.kind, coords, tri=t2, restricted=p.restricted)
 
 
 def _reference_ensemble(a, tri):
@@ -268,9 +263,8 @@ def test_memo_does_not_keep_old_triangulations_alive(name):
             gc.enable()
 
 
-# what a triangulation's memo may hold: its flips and flip plans per
-# edge, and its Dynkin mutation sequence
-MEMO_KINDS = {"flip", "flip plan", "dynkin sequence"}
+# what a triangulation's memo may hold: its flips and flip plans per edge
+MEMO_KINDS = {"flip", "flip plan"}
 
 
 @pytest.mark.parametrize("name", sorted(SURFACES))

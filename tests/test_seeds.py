@@ -8,11 +8,9 @@ import mutation_reference as ref
 from surface_reference import is_isomorphic
 from sl3shear.seeds import (
     FrozenIndexMutation,
-    Mutate,
     Sl3IndexSet,
-    dynkin_mutation_sequence,
     exchange_matrix,
-    flip_mutation_sequence,
+    flip_plan,
     flip_quiver,
     m_matrix,
     matrix_entries,
@@ -21,7 +19,7 @@ from sl3shear.seeds import (
     triangle_quiver,
 )
 from sl3shear.surface import FlipCreatesSelfFolded, MarkedSurfaceSpec, build
-from sl3shear.tropical import TropicalPoint, mutate_a, mutate_x
+from sl3shear.tropical import TropicalPoint, dynkin_cluster_by_mutation, mutate_a, mutate_x
 
 F = Fraction
 
@@ -114,6 +112,21 @@ def test_mutate_frozen_rejected():
         mutate_matrix(eps, 2)
 
 
+@pytest.mark.parametrize("k", [("tri", "nope"), ("edge", "zz", 1)])
+def test_mutate_unknown_index_rejected(polygon4, k):
+    # an index the matrix lacks is refused, not read as an isolated one
+    iset, eps = exchange_matrix(polygon4)
+    coords = {i: F(n + 1) for n, i in enumerate(iset.all)}
+    for mutate in (
+        lambda: mutate_matrix(eps, k),
+        lambda: mutate_x(TropicalPoint("X", coords, tri=polygon4), eps, k),
+        lambda: mutate_a(TropicalPoint("A", coords, tri=polygon4), eps, k),
+    ):
+        with pytest.raises(KeyError) as err:
+            mutate()
+        assert err.value.args == (k,)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.dictionaries(
@@ -192,25 +205,38 @@ def test_mutation_shares_every_column_outside_k_and_its_neighbours():
     ],
 )
 def test_flip_sequence_matches_fresh_matrix(maker):
+    # the paper's flip sequence takes the exchange matrix to the flipped
+    # triangulation's, and its relabeling is the flip's correspondence
     tri = maker()
     for e in tri.interior_edges:
         try:
-            steps, t2, corr = flip_mutation_sequence(tri, e)
+            t2, corr = tri.flip_edge(e)
         except FlipCreatesSelfFolded:
             continue
+        seq = ref.flip_sequence(tri, e)
         _, eps = exchange_matrix(tri)
         _, eps2 = exchange_matrix(t2)
-        assert ref.apply_matrix_steps(eps, steps) == eps2
+        assert ref.apply_matrix_steps(eps, seq) == eps2
+        assert all(corr[i] == seq[1].get(i, i) for i in Sl3IndexSet(tri).all)
 
 
 def test_flip_sequence_then_reverse_is_identity(polygon4):
     e = polygon4.interior_edges[0]
-    steps1, t2, _ = flip_mutation_sequence(polygon4, e)
-    steps2, t3, _ = flip_mutation_sequence(t2, e)
+    t2, _ = polygon4.flip_edge(e)
+    t3, _ = t2.flip_edge(e)
     _, eps = exchange_matrix(polygon4)
     _, eps3 = exchange_matrix(t3)
-    assert ref.apply_matrix_steps(eps, steps1 + steps2) == eps3
+    eps2 = ref.apply_matrix_steps(eps, ref.flip_sequence(polygon4, e))
+    assert ref.apply_matrix_steps(eps2, ref.flip_sequence(t2, e)) == eps3
     assert is_isomorphic(polygon4, t3)
+
+
+@pytest.mark.parametrize("name", ["polygon4", "polygon5", "annulus11", "torus"])
+def test_flip_plan_mutates_in_paper_order(name, request):
+    # mu_1 mu_3 mu_4 mu_2 at every interior edge of the criterion-1 fixtures
+    tri = request.getfixturevalue(name)
+    for e in tri.interior_edges:
+        assert [k for k, _ in flip_plan(tri, e).columns] == ref.flip_sequence(tri, e)[0]
 
 
 def test_amalgamation_locality(polygon5):
@@ -255,17 +281,17 @@ def test_flip_quiver_complete_at_mutated_indices(spec):
 
 
 def test_dynkin_sequence_triangle(triangle):
-    steps = dynkin_mutation_sequence(triangle)
-    t = triangle.triangles[0]
-    assert steps[0] == Mutate(("tri", t))
-    mapping = steps[-1].as_dict()
-    for e in triangle.edges:
-        assert mapping[("edge", e, 1)] == ("edge", e, 2)
-        assert mapping[("edge", e, 2)] == ("edge", e, 1)
+    # the library's composite mutates the face, then swaps the two points
+    # of every edge: on each unit vector it is the dense reference's
+    seq = ref.dynkin_sequence(triangle)
+    for i in Sl3IndexSet(triangle).all:
+        want = ref.apply_steps(triangle, "X", {i: F(1)}, seq)
+        got = dynkin_cluster_by_mutation(TropicalPoint("X", {i: F(1)}, tri=triangle), triangle)
+        assert got.coords == want
 
 
 def test_dynkin_sequence_is_matrix_involution(polygon4, torus):
     for tri in (polygon4, torus):
-        steps = dynkin_mutation_sequence(tri)
+        seq = ref.dynkin_sequence(tri)
         _, eps = exchange_matrix(tri)
-        assert ref.apply_matrix_steps(eps, steps + steps) == eps
+        assert ref.apply_matrix_steps(ref.apply_matrix_steps(eps, seq), seq) == eps

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from sl3shear.seeds import Sl3IndexSet
 from sl3shear.surface import (
     FlipCreatesSelfFolded,
     IdealTriangulation,
@@ -98,7 +99,7 @@ def test_flip_square_involution(polygon4):
     assert t2.validate() == []
     assert is_isomorphic(polygon4, t2)
     # composite index correspondence swaps the diagonal labels and faces
-    comp = {i: c2.index_map[c1.index_map[i]] for i in c1.index_map}
+    comp = {i: c2[c1[i]] for i in Sl3IndexSet(polygon4).all}
     nontrivial = {i: j for i, j in comp.items() if i != j}
     assert set(nontrivial) == {
         ("edge", e, 1),

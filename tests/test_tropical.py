@@ -9,17 +9,14 @@ import mutation_reference as ref
 from sl3shear import tropical
 from sl3shear.seeds import (
     Sl3IndexSet,
-    dynkin_mutation_sequence,
     exchange_matrix,
-    flip_mutation_sequence,
-    matrix_entries,
+    flip_plan,
     side_pair,
 )
-from sl3shear.surface import FlipCreatesSelfFolded, MarkedSurfaceSpec, build
+from sl3shear.surface import FlipCreatesSelfFolded, MarkedSurfaceSpec, NotInteriorEdge, build
 from sl3shear.tropical import (
     TropicalPoint,
     apply_flip,
-    apply_steps,
     dynkin_cluster,
     dynkin_cluster_by_mutation,
     ensemble,
@@ -83,7 +80,24 @@ def _read_local(q, tri, e):
     # after the flip the labels keep their geometric positions
     t2, corr = tri.flip_edge(e)
     lab = flip_local_labels(tri, e)
-    return {n: q[corr.index_map[lab[n]]] for n in range(1, 13)}
+    return {n: q[corr[lab[n]]] for n in range(1, 13)}
+
+
+@pytest.mark.parametrize("e", ["zz", "b0"])
+def test_flip_refuses_unknown_and_boundary_edges(e):
+    # an edge the triangulation lacks is refused as a boundary interval is,
+    # by every way into a flip, and no refusal is memoized
+    tri = build(MarkedSurfaceSpec.polygon(4))
+    p = TropicalPoint("X", {i: F(1) for i in Sl3IndexSet(tri).all}, tri=tri)
+    for flip in (
+        lambda: tri.flip_edge(e),
+        lambda: apply_flip(p, tri, e),
+        lambda: flip_x_closed_form(p, tri, e),
+        lambda: flip_plan(tri, e),
+    ):
+        with pytest.raises(NotInteriorEdge):
+            flip()
+    assert tri.memo == {}
 
 
 def test_closed_form_zero(polygon4):
@@ -154,11 +168,11 @@ def test_restricted_flip_keeps_no_frozen_coordinates(polygon5):
     iset = Sl3IndexSet(polygon5)
     e = polygon5.interior_edges[0]
     p = TropicalPoint("X", {i: F(1) for i in iset.unfrozen}, tri=polygon5, restricted=True)
-    steps, t2, _ = flip_mutation_sequence(polygon5, e)
-    _, eps = exchange_matrix(polygon5)
+    t2, _ = polygon5.flip_edge(e)
+    dense = ref.apply_steps(polygon5, "X", p.coords, ref.flip_sequence(polygon5, e), restricted=True)
     flipped = [
         apply_flip(p, polygon5, e),
-        apply_steps(p, eps, steps, tri_after=t2)[0],
+        TropicalPoint("X", dense, tri=t2, restricted=True),
         flip_x_closed_form(p, polygon5, e),
     ]
     unfrozen = set(Sl3IndexSet(t2).unfrozen)
@@ -204,10 +218,9 @@ def test_double_flip_returns_point(polygon4):
     rng = random.Random(2)
     iset = Sl3IndexSet(polygon4)
     e = polygon4.interior_edges[0]
-    _, _, c1 = flip_mutation_sequence(polygon4, e)
-    t2, _ = polygon4.flip_edge(e)
-    _, _, c2 = flip_mutation_sequence(t2, e)
-    comp = {i: c2.index_map[c1.index_map[i]] for i in c1.index_map}
+    t2, c1 = polygon4.flip_edge(e)
+    _, c2 = t2.flip_edge(e)
+    comp = {i: c2[c1[i]] for i in iset.all}
     for _ in range(100):
         coords = {i: F(rng.randint(-9, 9), rng.randint(1, 4)) for i in iset.all}
         p = TropicalPoint("X", coords, tri=polygon4)
@@ -396,13 +409,6 @@ WALK_SURFACES = {
 }
 
 
-def _dense_steps(kind, coords, tri, steps):
-    """``steps`` run on the Fractions ``coords`` and the dense exchange
-    matrix of ``tri`` by the reference rules."""
-    _, eps = exchange_matrix(tri)
-    return ref.apply_steps(eps.indices, matrix_entries(eps.columns), eps.frozen, kind, coords, steps)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(sorted(WALK_SURFACES)), st.integers(0, 2**32), st.integers(1, 4))
 def test_int_maps_match_dense_reference_along_walks(name, seed, length):
@@ -417,14 +423,15 @@ def test_int_maps_match_dense_reference_along_walks(name, seed, length):
     x, a = TropicalPoint("X", xs, tri=tri), TropicalPoint("A", as_, tri=tri)
     for _ in range(length):
         assert ensemble(a, tri) == TropicalPoint("X", ref.ensemble(ref.extended_matrix(tri), as_))
-        dynkin = _dense_steps("X", xs, tri, dynkin_mutation_sequence(tri))
+        dynkin = ref.apply_steps(tri, "X", xs, ref.dynkin_sequence(tri))
         assert dynkin_cluster(x, tri) == TropicalPoint("X", dynkin)
         e = rng.choice(tri.interior_edges)
         try:
-            steps, _, _ = flip_mutation_sequence(tri, e)
+            tri.flip_edge(e)
         except FlipCreatesSelfFolded:
             continue
-        xs, as_ = _dense_steps("X", xs, tri, steps), _dense_steps("A", as_, tri, steps)
+        seq = ref.flip_sequence(tri, e)
+        xs, as_ = ref.apply_steps(tri, "X", xs, seq), ref.apply_steps(tri, "A", as_, seq)
         x2 = apply_flip(x, tri, e)
         assert x2 == TropicalPoint("X", xs)
         assert flip_x_closed_form(x, tri, e) == x2
