@@ -329,7 +329,7 @@ def cable(tri, honeycombs, corners):
         tri,
         {t: (h, copies(w)) for t, (h, w) in honeycombs.items()},
         {c: [(e, n * copies(w)) for e, w, n in s] for c, s in corners.items()},
-        Fraction(num or 1, den),
+        Fraction(num, den),
     )
     # each copy labelled with its element's weight: an element is w / g
     # labels w, so two sides' labels agree when their elements' weights do
@@ -683,11 +683,10 @@ def geometric_ensemble(s):
 
 
 def normalize_integral(lam):
-    """Clear denominators: returns ``(u, scaled)`` with ``u`` the lcm of
-    the weight (and pinning) denominators and ``scaled`` the integral
-    lamination ``u . lam`` realized with unit weights."""
-    if isinstance(lam, PinnedLamination):
-        u = lcm(lam.underlying.weight.denominator, *(d.denominator for ds in lam.delta.values() for d in ds))
-        delta = {e: (dp * u, dm * u) for e, (dp, dm) in lam.delta.items()}
-        return u, PinnedLamination(lam.underlying.scaled(u), delta)
-    return lam.weight.denominator, lam.scaled(lam.weight.denominator)
+    """Clear denominators of a pinned lamination: returns ``(u, scaled)``
+    with ``u`` the lcm of the weight and pinning denominators and
+    ``scaled`` the integral lamination ``u . lam`` realized with unit
+    weights."""
+    u = lcm(lam.underlying.weight.denominator, *(d.denominator for ds in lam.delta.values() for d in ds))
+    delta = {e: (dp * u, dm * u) for e, (dp, dm) in lam.delta.items()}
+    return u, PinnedLamination(lam.underlying.scaled(u), delta)

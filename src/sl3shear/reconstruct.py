@@ -68,6 +68,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .laminations import (
     CornerArc,
@@ -480,13 +481,6 @@ def bounded_window_seeds(stepper, sheets, height):
 # -- coordinate tracing -------------------------------------------------------
 
 
-def _integer(v):
-    """An integral rational as an int."""
-    if v.denominator != 1:
-        raise NonIntegralInput(v)
-    return v.numerator
-
-
 def _pins(get, tri):
     """The coordinate pins ``{out_slot: sigma}`` of every interior edge,
     from the coordinate reader ``get``: sigma_lr = x_{E,1} + [x_{T_R}]_+
@@ -499,17 +493,21 @@ def _pins(get, tri):
     return pins
 
 
-def trace_coordinates(x, tri, step_cap):
+def trace_coordinates(x, tri):
     """All non-peripheral travelers of the honeycombs of an integral
     coordinate vector glued by its pins, in seed order.  A seed that an
     earlier traveler's walks already crossed belongs to that traveler.
-    States, depths and place keys are ints.  An oversized picture is
-    refused before any walk (:func:`bounded_window_seeds`)."""
-    xs = {i: _integer(v) for i, v in x.coords.items()}
+    States, depths and place keys are ints, and a walk takes at most
+    :func:`_step_cap` steps.  A point over a denominator other than 1
+    raises :class:`NonIntegralInput`, and an oversized picture is refused
+    before any walk (:func:`bounded_window_seeds`)."""
+    d, xs = x._ints
+    if d != 1:
+        raise NonIntegralInput(f"coordinates held over the denominator {d}, not 1")
     faces = {t: xs.get(("tri", t), 0) for t in tri.triangles}
     honeycombs = {t: Honeycomb("sink" if v > 0 else "source", abs(v)) for t, v in faces.items() if v}
     pins = _pins(lambda i: xs.get(i, 0), tri)
-    stepper = _PictureStepper(GlobalPicture(tri, honeycombs), tri, pins, step_cap)
+    stepper = _PictureStepper(GlobalPicture(tri, honeycombs), tri, pins, _step_cap(x, tri))
     sheets = [sheet for e in tri.interior_edges for sheet in (tri.slots(e), tri.slots(e)[::-1])]
     seeds = bounded_window_seeds(stepper, sheets, sum(map(abs, faces.values())))
     return stepper, [traveler for _, traveler in components(stepper, seeds)]
@@ -519,7 +517,7 @@ def reconstruct(x, tri):
     """Build the good-position picture of a coordinate vector: the picture
     of ``u x``, ``u`` the lcm of the denominators, at weight 1/u."""
     u, xs = _integral_point(x, tri)
-    stepper, travelers = trace_coordinates(xs, tri, _step_cap(xs, tri))
+    stepper, travelers = trace_coordinates(xs, tri)
     entries, _ = _entries(stepper, travelers, SPIRAL_TURNS)
     return build_picture(tri, stepper.pic.honeycombs, entries, Fraction(1, u)).require_valid()
 
@@ -531,8 +529,9 @@ def reconstruct_pinned(x, tri):
     x_E + :func:`boundary_weights`, nonzero pins only.  A point that
     :func:`reconstruct` refuses on its non-frozen part is refused."""
     frozen = Sl3IndexSet(tri).frozen
-    rest = {i: v for i, v in x.coords.items() if i not in frozen}
-    pic = reconstruct(TropicalPoint(x.kind, rest, tri=tri), tri)
+    q, nums = x._ints
+    rest = {i: n for i, n in nums.items() if i not in frozen}
+    pic = reconstruct(TropicalPoint.from_ints(x.kind, q, rest, tri), tri)
     delta = {}
     for e in tri.boundary_intervals:
         d = tuple(x[("edge", e, s)] + w for s, w in zip((1, 2), boundary_weights(pic, e)))
@@ -550,30 +549,31 @@ def elementary_lamination(tri, k):
 
 
 def _integral_point(x, tri):
-    """``(u, u x)`` on the unfrozen indices, ``u`` the least positive
-    integer that makes every coordinate integral.  An A-point, or a point
-    with a coordinate at a frozen index or at an index ``tri`` lacks,
-    raises :class:`SeedMismatch`."""
+    """``(u, u x)`` on the unfrozen indices, read off the point's ints,
+    ``u`` the least positive integer that makes every coordinate
+    integral.  An A-point, or a point with a coordinate at a frozen index
+    or at an index ``tri`` lacks, raises :class:`SeedMismatch`."""
     iset = Sl3IndexSet(tri)
     if x.kind != "X":
         raise SeedMismatch(f"X-point required, not an {x.kind}-point")
-    stray = sorted((i for i in x.coords if i not in iset or i in iset.frozen), key=str)
+    d, nums = x._ints
+    stray = sorted((i for i in nums if i not in iset or i in iset.frozen), key=str)
     if stray:
         raise SeedMismatch(f"coordinates {stray[:3]} are not at unfrozen indices of the triangulation")
-    xr = TropicalPoint("X", {i: x[i] for i in iset.unfrozen}, tri=tri, restricted=True)
-    u, nums = xr._ints
-    return u, (xr if u == 1 else TropicalPoint.from_ints("X", 1, nums, tri, restricted=True))
+    g = gcd(d, *nums.values())
+    return d // g, TropicalPoint.from_ints("X", 1, {i: n // g for i, n in nums.items()}, tri, restricted=True)
 
 
 def _step_cap(x, tri):
     """A bound on the steps of one walk, from the largest quadrilateral
-    coordinate mass."""
+    coordinate mass of the integral point ``x``, read off its ints."""
+    get = x._ints[1].get
     mass = 0
     for e in tri.interior_edges:
         (tl, _), (tr, _) = tri.slots(e)
-        mass = max(mass, abs(x[("edge", e, 1)]) + abs(x[("edge", e, 2)])
-                   + abs(x[("tri", tl)]) + abs(x[("tri", tr)]))
-    return max(256, 8 * len(tri.edges) * (int(mass) + 6))
+        mass = max(mass, abs(get(("edge", e, 1), 0)) + abs(get(("edge", e, 2), 0))
+                   + abs(get(("tri", tl), 0)) + abs(get(("tri", tr), 0)))
+    return max(256, 8 * len(tri.edges) * (mass + 6))
 
 
 def _entries(stepper, travelers, turns):
@@ -708,7 +708,7 @@ def roundtrip_check(x, tri):
     with the picture and its shear included.
     """
     u, xi = _integral_point(x, tri)
-    stepper, travelers = trace_coordinates(xi, tri, _step_cap(xi, tri))
+    stepper, travelers = trace_coordinates(xi, tri)
     entries, deeper = _entries(stepper, travelers, SPIRAL_TURNS + 1)
     pic = build_picture(tri, stepper.pic.honeycombs, entries, Fraction(1, u))
     y = shear_unfrozen(pic)

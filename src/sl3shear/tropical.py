@@ -2,16 +2,13 @@
 them: X- and A-mutation, the closed-form flip map, the ensemble map, the
 Dynkin cluster action and the principal embedding.
 
-A :class:`TropicalPoint` holds its values in one of two exact forms, or
-both: a dict of nonzero :class:`fractions.Fraction` coordinates
-(``coords``), or a positive common denominator d with a dict of the
-nonzero int numerators d x_i.  Every map here is positively homogeneous
-and piecewise linear, so it runs on the ints and returns a point over
-the same d (twice it for the ensemble map); d need not be the least
-common denominator, and nothing that reads a point depends on which d it
-holds.  A point built from Fractions computes its ints once, when a map
-first reads them; a point a map returns builds its Fractions only when
-``coords`` or ``p[i]`` is read.
+A :class:`TropicalPoint` holds one exact form: a positive common
+denominator d and a dict of the nonzero int numerators d x_i.  Its
+:class:`fractions.Fraction` coordinates are derived when ``coords`` or
+``p[i]`` is read.  Every map here is positively homogeneous and
+piecewise linear, so it runs on the ints and returns a point over the
+same d (twice it for the ensemble map); d need not be the least common
+denominator, and nothing that reads a point depends on which d it holds.
 
 Each mutation rule is written once, as an update of a coordinate dict
 from one doubled column of the exchange matrix: :func:`_x_rule` and
@@ -67,28 +64,25 @@ class TropicalPoint:
     restricted A-point, or a restricted point with a nonzero coordinate
     at a boundary interval of ``tri``, raises ValueError.
 
-    The constructor takes the coordinates as Fractions (or ints);
-    :meth:`from_ints` takes them as numerators over one denominator.
-    Either form is derived from the other when first read, and kept.
-    """
+    A point stores ``_ints = (d, {i: d x_i})`` alone.  The constructor
+    takes the coordinates as Fractions (or ints), over the lcm d of their
+    denominators; :meth:`from_ints` takes d and the nonzero numerators as
+    they are.  The Fractions are derived when first read."""
 
     def __init__(self, kind, coords, tri=None, restricted=False):
         if kind not in ("X", "A"):
             raise ValueError(kind)
         self.kind = kind
-        self.coords = {}
-        for i, v in coords.items():
-            if type(v) is not Fraction:
-                v = Fraction(v)
-            if v:
-                self.coords[i] = v
+        fracs = {i: v if type(v) is Fraction else Fraction(v) for i, v in coords.items()}
+        d = lcm(*(v.denominator for v in fracs.values()))
+        self._ints = d, {i: v.numerator * (d // v.denominator) for i, v in fracs.items() if v}
         self.tri = tri
         self.restricted = bool(restricted)
         if self.restricted and kind != "X":
             raise ValueError("only an X-point can be restricted")
         if self.restricted and tri is not None:
             frozen = sorted(
-                i for i in self.coords
+                i for i in self._ints[1]
                 if i[0] == "edge" and tri.has_edge(i[1]) and tri.is_boundary(i[1])
             )
             if frozen:
@@ -109,14 +103,6 @@ class TropicalPoint:
         d, nums = self._ints
         return {i: Fraction(n, d) for i, n in nums.items()}
 
-    @cached_property
-    def _ints(self):
-        """``(d, {i: d x_i})``: a common denominator of the coordinates and
-        their nonzero numerators over it."""
-        ratios = {i: v.as_integer_ratio() for i, v in self.coords.items()}
-        d = lcm(*(q for _, q in ratios.values()))
-        return d, {i: n * (d // q) for i, (n, q) in ratios.items()}
-
     def __getitem__(self, i):
         return self.coords.get(i, ZERO)
 
@@ -127,8 +113,6 @@ class TropicalPoint:
             and self.restricted == other.restricted
         ):
             return False
-        if "coords" in self.__dict__ and "coords" in other.__dict__:
-            return self.coords == other.coords
         (d1, n1), (d2, n2) = self._ints, other._ints
         if d1 == d2:
             return n1 == n2

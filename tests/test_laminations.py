@@ -367,6 +367,23 @@ def test_drawer_rejects_what_it_cannot_place(polygon4):
         ComponentSum(polygon4, [Component("tau+L", e), Component("tau-L", e)]).picture()
 
 
+def test_cable_draws_at_the_gcd_of_the_weights(polygon5):
+    """Peripherals of weights 4 and 6 at one marked point share a factor
+    in their numerators: the picture is drawn at weight 2, as 2 + 3
+    copies, and its frozen shear is the sum of the two."""
+    pic = GlobalPicture(polygon5)
+    for weight in (4, 6):
+        pic = add_peripheral_chain(pic, "v0", "cw", weight)
+    assert pic.weight == 2
+    assert dict(shear_frozen(PinnedLamination(pic, {})).coords) == {("edge", "b1", 1): -10}
+
+
+def test_cable_refuses_a_zero_weight_beside_another(polygon5):
+    pic = add_peripheral_chain(GlobalPicture(polygon5), "v0", "cw", 2)
+    with pytest.raises(InvalidPicture, match="^non-positive weight 0$"):
+        add_peripheral_chain(pic, "v0", "cw", 0)
+
+
 @pytest.mark.parametrize("name", ["polygon5", "annulus11", "torus", "polygon7"])
 def test_realizable_sums_draw_and_round_trip(name):
     """Every sum ``realizable_component_sum`` returns draws and validates,
@@ -602,11 +619,11 @@ def test_normalize_integral_examples(polygon4):
     q = quad_corners(polygon4)
     pic = one_curve_picture(polygon4, "alpha+", F(1, 2))
     pic = add_peripheral_chain(pic, sorted(polygon4.vertices)[0], "cw", F(1, 3))
-    u, scaled = normalize_integral(pic)
+    u, scaled = normalize_integral(PinnedLamination(pic, {}))
     assert u == 6
-    assert scaled.validate() == []
+    assert scaled.underlying.validate() == []
     x = shear_unfrozen(pic)
-    y = shear_unfrozen(scaled)
+    y = shear_unfrozen(scaled.underlying)
     assert {i: 6 * v for i, v in x.coords.items()} == dict(y.coords)
     u2, same = normalize_integral(scaled)
     assert u2 == 1
@@ -652,6 +669,11 @@ def test_elementary_lamination_frozen_shape(polygon4):
     pl = elementary_lamination(polygon4, ("edge", e, 1))
     assert pl.underlying.corners == {}
     assert pl.delta == {e: (F(-1), F(0))}
+
+
+def test_elementary_lamination_refuses_an_unknown_index(polygon4):
+    with pytest.raises(KeyError):
+        elementary_lamination(polygon4, ("tri", "nope"))
 
 
 def test_honeycomb_leg_split(polygon4):

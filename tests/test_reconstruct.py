@@ -161,7 +161,7 @@ def test_reconstruct_rational_rescaled(polygon4):
     pic = reconstruct(x, polygon4)
     assert shear_unfrozen(pic) == x
     with pytest.raises(NonIntegralInput):
-        trace_coordinates(x, polygon4, _step_cap(x, polygon4))
+        trace_coordinates(x, polygon4)
 
 
 def test_spiral_depth_independence(torus):
@@ -170,7 +170,7 @@ def test_spiral_depth_independence(torus):
     for _ in range(25):
         coords = {i: F(rng.randint(-4, 4)) for i in iset.unfrozen}
         x = xpoint(torus, coords)
-        stepper, travelers = trace_coordinates(x, torus, _step_cap(x, torus))
+        stepper, travelers = trace_coordinates(x, torus)
         a, b = (truncation(stepper, travelers, n) for n in (2, 3))
         assert shear_unfrozen(a) == x
         assert shear_unfrozen(b) == x
@@ -274,7 +274,7 @@ def test_each_step_is_its_own_inverse(spec):
     for _ in range(8):
         x = xpoint(tri, {i: F(rng.randint(-5, 5)) for i in iset.unfrozen})
         cap = _step_cap(x, tri)
-        stepper, _ = trace_coordinates(x, tri, cap)
+        stepper, _ = trace_coordinates(x, tri)
         counts["pinned"] += sum(_inverse_steps(stepper))
         pic = add_peripheral_chain(reconstruct(x, tri), rng.choice(sorted(tri.vertices)), "cw")
         stored = rec._PictureStepper(pic, tri, {}, cap)
@@ -401,11 +401,12 @@ def test_identifier_relations_walk_no_strand(torus, monkeypatch):
     assert bad and all(k_out + k_in != want for _, _, k_out, k_in, want in bad)
 
 
-def test_truncation_guard(torus):
+def test_truncation_guard(torus, monkeypatch):
     iset = Sl3IndexSet(torus)
     coords = {i: F(3) for i in iset.unfrozen}
+    monkeypatch.setattr(rec, "_step_cap", lambda x, tri: 3)
     with pytest.raises(TruncationTooShallow) as info:
-        trace_coordinates(xpoint(torus, coords), torus, step_cap=3)
+        trace_coordinates(xpoint(torus, coords), torus)
     err = info.value
     assert (err.steps, err.cap) == (3, 3)
     # the stepper steps on the index j; the error reports psi = j + 1/2
@@ -414,11 +415,28 @@ def test_truncation_guard(torus):
     assert "\n" not in str(err)
 
 
-def _trace_by_key(x, tri, step_cap):
+@pytest.mark.parametrize("name, caps", [
+    ("polygon4", (256, 480, 1920)),
+    ("polygon5", (336, 672, 2688)),
+    ("annulus11", (256, 480, 2208)),
+    ("torus", (256, 336, 1488)),
+])
+def test_step_cap_values(name, caps, request):
+    """The step cap of fixed integral points on the criterion-2 fixtures:
+    8 per edge times the largest quadrilateral mass plus 6, and at least
+    256."""
+    tri = request.getfixturevalue(name)
+    labels = Sl3IndexSet(tri).unfrozen
+    for scale, cap in zip((0, 1, 7), caps):
+        x = xpoint(tri, {i: F((-1) ** n * (n % 5) * scale) for n, i in enumerate(labels)})
+        assert _step_cap(x, tri) == cap
+
+
+def _trace_by_key(x, tri):
     """Reference tracer on the reference stepper: walk every non-hugging
     seed and keep the first traveler per key, the least (slot, parameter)
     among its non-hugging crossings."""
-    stepper = _FractionStepper(tri, x, step_cap)
+    stepper = _FractionStepper(tri, x, _step_cap(x, tri))
     seen = {}
     for e in tri.interior_edges:
         sl, sr = tri.slots(e)
@@ -461,9 +479,8 @@ def test_trace_skips_visited_seeds_like_key_dedup(spec):
     rng = random.Random(11)
     for _ in range(16):
         x = xpoint(tri, {i: F(rng.randint(-12, 12)) for i in iset.unfrozen})
-        cap = _step_cap(x, tri)
-        stepper, travelers = trace_coordinates(x, tri, cap)
-        ref_stepper, ref = _trace_by_key(x, tri, cap)
+        stepper, travelers = trace_coordinates(x, tri)
+        ref_stepper, ref = _trace_by_key(x, tri)
         assert len(travelers) == len(ref)
         for turns in (2, 3):
             pic = truncation(stepper, travelers, turns)
@@ -756,11 +773,11 @@ def test_tracer_stays_on_the_int_grid(spec, monkeypatch):
         out = []
         for coords in integral:
             x = xpoint(tri, coords)
-            stepper, travelers = trace(x, tri, _step_cap(x, tri))
+            stepper, travelers = trace(x, tri)
             out += [truncation(stepper, travelers, n) for n in (2, 3)]
         for coords in rational:
             u, xi = _integral_point(xpoint(tri, coords), tri)
-            stepper, travelers = trace(xi, tri, _step_cap(xi, tri))
+            stepper, travelers = trace(xi, tri)
             out += [truncation(stepper, travelers, n, F(1, u)) for n in (2, 3)]
         return [(p.corners, p.honeycombs) for p in out]
 
@@ -789,9 +806,8 @@ def test_window_is_the_non_hugging_set(spec):
     told = Counter()
     for _ in range(12):
         x = xpoint(tri, {i: F(rng.randint(-12, 12)) for i in iset.unfrozen})
-        cap = _step_cap(x, tri)
-        stepper, _ = trace_coordinates(x, tri, cap)
-        ref = _FractionStepper(tri, x, cap)
+        stepper, _ = trace_coordinates(x, tri)
+        ref = _FractionStepper(tri, x, _step_cap(x, tri))
         for e in tri.interior_edges:
             for out_slot, in_slot in (tri.slots(e), tri.slots(e)[::-1]):
                 window = {F(2 * j + 1, 2) for _, _, j in window_seeds(stepper, out_slot, in_slot)}
@@ -822,7 +838,7 @@ def _spiral_vectors(tri, seed, count=12):
     found = []
     for _ in range(count):
         x = xpoint(tri, {i: F(rng.randint(-6, 6)) for i in iset.unfrozen})
-        _, travelers = trace_coordinates(x, tri, _step_cap(x, tri))
+        _, travelers = trace_coordinates(x, tri)
         spirals = sum(end[0] == "spiral" for t in travelers for end in (t.start, t.end))
         if spirals:
             found.append((x, spirals))
@@ -851,7 +867,7 @@ def test_roundtrip_reads_the_deeper_truncation_off_one_picture(spec, monkeypatch
         rep = roundtrip_check(x, tri)
         assert rep["ok"] and rep["stable"]
         (sizes, y2), = read
-        stepper, travelers = trace_coordinates(x, tri, _step_cap(x, tri))
+        stepper, travelers = trace_coordinates(x, tri)
         deeper = truncation(stepper, travelers, rec.SPIRAL_TURNS + 1).require_valid()
         assert sizes == zone_sizes(deeper)
         assert y2 == shear_unfrozen(deeper) == x
@@ -1040,7 +1056,36 @@ def test_size_bound_never_exceeds_the_built_size(spec, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(reconstruct_module, "MAX_PICTURE_SIZE", -1)
             with pytest.raises(PictureTooLarge) as bound:
-                trace_coordinates(xi, tri, _step_cap(xi, tri))
+                trace_coordinates(xi, tri)
         pic = reconstruct(x, tri)
         built = sum(h.height for h in pic.honeycombs.values()) + sum(map(len, pic.corners.values()))
         assert 0 <= bound.value.size <= built
+
+
+@pytest.mark.parametrize("bound", ["_cabled", "build_picture", "bounded_window_seeds"])
+def test_size_bounds_hold_at_the_limit(bound, torus, monkeypatch):
+    """Each size bound passes a picture of exactly ``MAX_PICTURE_SIZE``,
+    as its module reads it, and refuses one of one more."""
+    x = xpoint(torus, dict(zip(Sl3IndexSet(torus).unfrozen, map(F, (-2, 3, 1, -1, 2, 0, 1, -3)))))
+    pic = reconstruct(x, torus)
+    stepper, travelers = trace_coordinates(x, torus)
+    entries, _ = _entries(stepper, travelers, rec.SPIRAL_TURNS)
+    sheets = [sheet for e in torus.interior_edges for sheet in (torus.slots(e), torus.slots(e)[::-1])]
+    height = sum(h.height for h in pic.honeycombs.values())
+    module, call = {
+        "_cabled": (importlib.import_module("sl3shear.laminations"),
+                    lambda: add_peripheral_chain(pic, "v0", "cw")),
+        "build_picture": (rec, lambda: build_picture(torus, pic.honeycombs, entries)),
+        "bounded_window_seeds": (rec, lambda: rec.bounded_window_seeds(stepper, sheets, height)),
+    }[bound]
+    with monkeypatch.context() as m:
+        m.setattr(module, "MAX_PICTURE_SIZE", -1)
+        with pytest.raises(PictureTooLarge) as refused:
+            call()
+    size = refused.value.size
+    assert size > 0
+    monkeypatch.setattr(module, "MAX_PICTURE_SIZE", size)
+    call()
+    monkeypatch.setattr(module, "MAX_PICTURE_SIZE", size - 1)
+    with pytest.raises(PictureTooLarge, match=f"over the limit of {size - 1}$"):
+        call()

@@ -369,8 +369,8 @@ def test_apply_flip_matches_closed_form_every_edge(polygon5):
 
 def test_points_equal_across_forms(polygon4):
     """A point from ints equals the same point from Fractions over any
-    common denominator, minimal or not, whichever forms each side has
-    read; kind and restriction still tell points apart."""
+    common denominator, minimal or not, whether or not either side has
+    derived its Fractions; kind and restriction still tell points apart."""
     i, j, k = Sl3IndexSet(polygon4).unfrozen[:3]
     for d in (6, 12, 30):
         nums = {i: 3 * d // 2, j: -d // 3}
@@ -378,7 +378,7 @@ def test_points_equal_across_forms(polygon4):
         q = TropicalPoint.from_ints("X", d, nums, polygon4)
         assert q == p and p == q
         assert q == TropicalPoint.from_ints("X", 6, {i: 9, j: -2}, polygon4)
-        assert q.coords and q == p  # both hold Fractions now
+        assert q.coords and p.coords and q == p  # both have derived their Fractions
         q = TropicalPoint.from_ints("X", d, dict(nums), polygon4)
         assert q != TropicalPoint.from_ints("X", d, {i: 3 * d // 2, j: -d // 3 + 1}, polygon4)
         assert q != TropicalPoint.from_ints("X", 2 * d, {i: 3 * d}, polygon4)
@@ -400,6 +400,32 @@ def test_int_built_coords_are_reduced_fractions(polygon4):
     # a coordinate that a map sends to zero is dropped: x'_2 = x_2 + x_1
     p = mutate_x(TropicalPoint("X", {1: F(1, 2), 2: F(-1, 2)}), eps2(), 1)
     assert p.coords == {1: F(-1, 2)}
+
+
+def test_a_point_stores_its_ints_alone(polygon4):
+    """A point built from Fractions and one built from ints each hold
+    ``_ints`` and no Fractions until ``coords`` is read; the Fractions
+    are then derived and kept."""
+    i, j, k = Sl3IndexSet(polygon4).unfrozen[:3]
+    built = TropicalPoint("X", {i: F(3, 2), j: F(-1, 3), k: 0}, tri=polygon4)
+    from_ints = TropicalPoint.from_ints("X", 6, {i: 9, j: -2}, polygon4)
+    for p in (built, from_ints):
+        assert set(vars(p)) == {"kind", "tri", "restricted", "_ints"}
+        assert p == from_ints and set(vars(p)) == {"kind", "tri", "restricted", "_ints"}
+    assert built._ints == (6, {i: 9, j: -2})
+    assert from_ints[i] == F(3, 2)
+    assert set(vars(from_ints)) == {"kind", "tri", "restricted", "_ints", "coords"}
+
+
+def test_repr_shows_the_fractions(polygon4):
+    i, j = Sl3IndexSet(polygon4).unfrozen[:2]
+    assert repr(TropicalPoint.from_ints("X", 6, {i: 9, j: -2}, polygon4)) == (
+        "<X point {('edge', 'd2', 1): 3/2, ('edge', 'd2', 2): -1/3}>"
+    )
+    assert repr(TropicalPoint("X", {j: F(-1, 3), i: 2}, tri=polygon4, restricted=True)) == (
+        "<X^uf point {('edge', 'd2', 1): 2, ('edge', 'd2', 2): -1/3}>"
+    )
+    assert repr(TropicalPoint.from_ints("A", 2, {}, polygon4)) == "<A point {}>"
 
 
 WALK_SURFACES = {
