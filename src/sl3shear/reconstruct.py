@@ -498,12 +498,17 @@ def trace_coordinates(x, tri):
     coordinate vector glued by its pins, in seed order.  A seed that an
     earlier traveler's walks already crossed belongs to that traveler.
     States, depths and place keys are ints, and a walk takes at most
-    :func:`_step_cap` steps.  A point over a denominator other than 1
-    raises :class:`NonIntegralInput`, and an oversized picture is refused
-    before any walk (:func:`bounded_window_seeds`)."""
+    :func:`_step_cap` steps, read off the ints over the denominator 1.  A
+    point held over a larger denominator d is reduced when d divides
+    every numerator and raises :class:`NonIntegralInput` otherwise; an
+    oversized picture is refused before any walk
+    (:func:`bounded_window_seeds`)."""
     d, xs = x._ints
     if d != 1:
-        raise NonIntegralInput(f"coordinates held over the denominator {d}, not 1")
+        if any(n % d for n in xs.values()):
+            raise NonIntegralInput(f"coordinates held over the denominator {d} are not integral")
+        xs = {i: n // d for i, n in xs.items()}
+        x = TropicalPoint.from_ints(x.kind, 1, xs, x.tri, x.restricted)
     faces = {t: xs.get(("tri", t), 0) for t in tri.triangles}
     honeycombs = {t: Honeycomb("sink" if v > 0 else "source", abs(v)) for t, v in faces.items() if v}
     pins = _pins(lambda i: xs.get(i, 0), tri)

@@ -17,8 +17,10 @@ triangle, and :func:`flip_quiver` over the two triangles of a flipped
 edge (every entry a flip mutation reads comes from those two).  The
 ensemble map and the Dynkin mutations in :mod:`sl3shear.tropical` read
 it triangle by triangle and build no matrix.  :func:`flip_plan` runs a
-flip's four mutations on its flip quiver, once per triangulation and
-edge, and keeps the plan in the triangulation's ``memo``.
+flip's four mutations on its flip quiver once per quadrilateral shape
+(which of the 12 local labels name one index), keeps the columns in
+label numbers as that shape's template, and fills each triangulation and
+edge's plan from it into the triangulation's ``memo``.
 
 Indices are tuples: ``("tri", t)`` for the face index of triangle ``t``
 and ``("edge", e, s)`` with ``s in (1, 2)`` for the two points on edge
@@ -30,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .surface import Sl3Error
+from .surface import NotInteriorEdge, Sl3Error
 
 
 class FrozenIndexMutation(Sl3Error):
@@ -65,10 +67,7 @@ def side_pair(tri, slot):
     """The (p, q) indices of the side at ``slot`` in the traversal of the
     slot's triangle: p near the side's initial corner, q near the
     terminal corner."""
-    e = tri.edge_at(slot)
-    if slot == tri.slots(e)[0]:
-        return (("edge", e, 1), ("edge", e, 2))
-    return (("edge", e, 2), ("edge", e, 1))
+    return tri.side_pairs[slot[0]][slot[1]]
 
 
 def matrix_entries(columns):
@@ -110,7 +109,7 @@ def triangle_quiver(tri, t):
     weight 1/2).  An arrow i -> j of weight w is the pair of entries
     eps_ij = w, eps_ji = -w."""
     f = ("tri", t)
-    pairs = [side_pair(tri, (t, a)) for a in range(3)]
+    pairs = tri.side_pairs[t]
     arrows = []
     for a in range(3):
         p, q = pairs[a]
@@ -140,18 +139,42 @@ def exchange_matrix(tri):
     return iset, ExchangeMatrix(iset.all, columns, iset.frozen)
 
 
+def flip_local_labels(tri, e):
+    """The 12 local indices of the flip quadrilateral at ``e``, keyed by
+    the labels 1..12 of the mutation-sequence picture: 1, 3 on the
+    diagonal (terminal, initial), 2, 4 the left/right faces, then the
+    (p, q) pairs of the outer sides counterclockwise from the top-left:
+    (5,6), (7,8), (9,10), (11,12).  Outer labels may coincide where outer
+    sides are identified, as on the torus."""
+    if not tri.has_edge(e) or tri.is_boundary(e):
+        raise NotInteriorEdge(e)
+    (tl, il), (tr, ir) = tri.slots(e)
+    pl, pr = tri.side_pairs[tl], tri.side_pairs[tr]
+    lab = {1: ("edge", e, 2), 2: ("tri", tl), 3: ("edge", e, 1), 4: ("tri", tr)}
+    outer = (pl[(il + 1) % 3], pl[(il + 2) % 3], pr[(ir + 1) % 3], pr[(ir + 2) % 3])
+    lab.update(enumerate((i for pq in outer for i in pq), 5))
+    return lab
+
+
+def _local_indices(tri, lab):
+    """The distinct indices of the labels ``lab`` in label order, and the
+    frozen ones among them."""
+    local = tuple(dict.fromkeys(lab.values()))
+    return local, frozenset(i for i in local if i[0] == "edge" and tri.is_boundary(i[1]))
+
+
 def flip_quiver(tri, e):
     """The exchange matrix of the two triangles meeting at the interior
-    edge ``e``, over the (at most 12) indices they carry.
+    edge ``e``, over the (at most 12) indices they carry, in the order of
+    their first local label.
 
     The four indices the flip mutates, (e,1), (e,2) and the two faces,
     occur in no other triangle's quiver, so every entry a flip mutation
     reads is already complete here, also when outer sides of the
     quadrilateral are identified."""
     (tl, _), (tr, _) = tri.slots(e)
-    columns = _quiver_columns(tri, (tl, tr))
-    frozen = [i for i in columns if i[0] == "edge" and tri.is_boundary(i[1])]
-    return ExchangeMatrix(columns, columns, frozen)
+    local, frozen = _local_indices(tri, flip_local_labels(tri, e))
+    return ExchangeMatrix(local, _quiver_columns(tri, (tl, tr)), frozen)
 
 
 def m_matrix(tri):
@@ -200,36 +223,60 @@ def mutate_matrix(eps, k):
 class FlipPlan:
     """What the flip at an edge does to seeds, derived once per
     (triangulation, edge): the flipped triangulation ``tri``, the index
-    correspondence ``corr``, the indices of the flip quadrilateral
-    (``local``) and the ``frozen`` ones among them, and the flip's four
-    mutations as ``columns`` ``(k, {i: 2 eps_ik})`` in order, each read
-    off the exchange matrix as it stands before that mutation."""
+    correspondence ``corr``, the 12 local ``labels`` of
+    :func:`flip_local_labels`, the distinct indices of the flip
+    quadrilateral in label order (``local``) and the ``frozen`` ones
+    among them, and the flip's four mutations as ``columns``
+    ``(k, {i: 2 eps_ik})`` in order, each read off the exchange matrix as
+    it stands before that mutation."""
 
     tri: object
     corr: object
+    labels: dict
     local: tuple
     frozen: frozenset
     columns: tuple
 
 
+# the flip's four columns per quadrilateral shape, in label numbers: a
+# shape gives each label the first label naming its index.  Only label
+# numbers and ints are kept, so no triangulation is kept alive.
+_PLAN_TEMPLATES = {}
+
+
 def flip_plan(tri, e):
     """The :class:`FlipPlan` of the flip at ``e``, kept in ``tri.memo``.
 
-    The columns come from running :func:`mutate_matrix` on the
-    :func:`flip_quiver` at ``e``, which holds every entry touching a
-    mutated index; the entries between two outer indices that it updates
-    are incomplete there, but no mutation of the flip reads them."""
+    Each label names one position in the two triangles' quivers, so the
+    columns depend only on the quadrilateral's shape.  The first flip of
+    a shape runs :func:`mutate_matrix` on its :func:`flip_quiver`, which
+    holds every entry touching a mutated index (the entries between two
+    outer indices that it updates are incomplete there, but no mutation
+    of the flip reads them), and keeps the columns by label; every flip
+    fills them in with its own labels."""
     plan = tri.memo.get(("flip plan", e))
     if plan is not None:
         return plan
     t2, corr = tri.flip_edge(e)
-    eps = local = flip_quiver(tri, e)
-    (tl, _), (tr, _) = tri.slots(e)
-    columns = []
+    lab = flip_local_labels(tri, e)
+    first = {}
+    shape = tuple(first.setdefault(i, n) for n, i in lab.items())
+    template = _PLAN_TEMPLATES.get(shape)
+    if template is None:
+        template = _PLAN_TEMPLATES[shape] = _plan_template(tri, e, lab, first)
+    columns = tuple((lab[k], {lab[n]: w2 for n, w2 in col.items()}) for k, col in template)
+    plan = tri.memo[("flip plan", e)] = FlipPlan(t2, corr, lab, *_local_indices(tri, lab), columns)
+    return plan
+
+
+def _plan_template(tri, e, lab, first):
+    """The four columns of the flip at ``e`` as ``(k, {i: 2 eps_ik})`` in
+    label numbers, ``first`` giving each index its first label."""
+    eps = flip_quiver(tri, e)
+    template = []
     # in the local labels of the flip quadrilateral (1 = (e,2), 2 = face
     # of T_L, 3 = (e,1), 4 = face of T_R) the path is mu_1 mu_3 mu_4 mu_2
-    for k in (("edge", e, 2), ("edge", e, 1), ("tri", tr), ("tri", tl)):
-        columns.append((k, eps.columns[k]))
-        eps = mutate_matrix(eps, k)
-    plan = tri.memo[("flip plan", e)] = FlipPlan(t2, corr, local.indices, local.frozen, tuple(columns))
-    return plan
+    for n in (1, 3, 4, 2):
+        template.append((n, {first[i]: w2 for i, w2 in eps.columns[lab[n]].items()}))
+        eps = mutate_matrix(eps, lab[n])
+    return tuple(template)

@@ -113,6 +113,11 @@ class IdealTriangulation:
     and ``boundary_intervals`` are sorted lists built at construction;
     callers must not modify them.
 
+    ``side_pairs[t][i]`` is the (p, q) pair of seed indices on side i of
+    ``t`` in its counterclockwise traversal: p = ("edge", e, 1) near the
+    side's initial corner when the slot is the edge's left one, swapped
+    otherwise.  A flip rewrites only the rows of its two triangles.
+
     The vertices are stored once, as ``_corner_key``: the key of each
     corner's marked point, whose class ``_key_kind`` gives.  A flip moves
     no marked point, so it keeps the keys.  Names, classes and corner
@@ -144,6 +149,11 @@ class IdealTriangulation:
                 self._slots[e] = (l, r[0] if r else None)
             else:
                 self._slots[e] = (slots[0], slots[1] if len(slots) > 1 else None)
+        self.side_pairs = {
+            t: tuple((("edge", e, 1), ("edge", e, 2))[:: 1 if self._slots[e][0] == (t, i) else -1]
+                     for i, e in enumerate(sides))
+            for t, sides in self.tri_sides.items()
+        }
         # sorted once: read-only lists shared by every caller
         self.triangles = sorted(self.tri_sides)
         self.edges = sorted(self._slots)
@@ -306,10 +316,10 @@ class IdealTriangulation:
 
     def _flip(self, e):
         """The flip at ``e``, built from this triangulation by editing
-        what the flip changes: the two triangles, the slots of the five
-        edges on them and the vertex keys of their six corners.  A flip
-        keeps every id and key, so it shares the sorted lists and the
-        key classes."""
+        what the flip changes: the two triangles and their side pairs, the
+        slots of the five edges on them and the vertex keys of their six
+        corners.  A flip keeps every id and key, so it shares the sorted
+        lists and the key classes."""
         if not self.has_edge(e) or self.is_boundary(e):
             raise NotInteriorEdge(e)
         (tl, il), (tr, ir) = self._slots[e]
@@ -337,6 +347,11 @@ class IdealTriangulation:
         for side in (g, f, h, k):
             t2._slots[side] = tuple(role.get(s, s) for s in self._slots[side])
         t2._slots[e] = ((tl, 0), (tr, 2))
+        # the rows of the two triangles, their outer pairs moved by role
+        pl, pr = self.side_pairs[tl], self.side_pairs[tr]
+        t2.side_pairs = {**self.side_pairs,
+                         tl: ((("edge", e, 1), ("edge", e, 2)), pr[(ir + 2) % 3], pl[(il + 1) % 3]),
+                         tr: (pl[(il + 2) % 3], pr[(ir + 1) % 3], (("edge", e, 2), ("edge", e, 1)))}
         t2.triangles = self.triangles
         t2.edges = self.edges
         t2.interior_edges = self.interior_edges

@@ -15,12 +15,12 @@ from one doubled column of the exchange matrix: :func:`_x_rule` and
 :func:`_a_rule`.  :func:`mutate_x` and :func:`mutate_a` run them on a
 point's ints.  A flip mutates only its quadrilateral: :func:`apply_flip`
 runs them over the columns of the flip's plan (:func:`seeds.flip_plan`,
-built once per triangulation and edge) on the point's ints at the
-quadrilateral, and relabels four indices; every other numerator is
+filled from a template per quadrilateral shape) on the point's ints at
+the quadrilateral, and relabels four indices; every other numerator is
 shared with the input.  The ensemble map x = (eps + m)a is folded
-triangle by triangle, from each side's arrows of the elementary quiver,
-then one block per boundary interval, on the A-point's ints; it keeps no
-table.  The Dynkin action runs its corrections on the X-point's ints, and
+triangle by triangle, from the arrows of each triangle's side pairs
+(``tri.side_pairs``), then one block per boundary interval, on the
+A-point's ints; it keeps no table.  The Dynkin action runs its corrections on the X-point's ints, and
 its mutation composite reads each face's column off that face's quiver.
 
 The single tropical semifield in use is (Q, max, +); there are no
@@ -33,8 +33,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .seeds import ZERO, FrozenIndexMutation, flip_plan, side_pair, triangle_quiver
-from .surface import NotInteriorEdge, Sl3Error
+from .seeds import ZERO, FrozenIndexMutation, flip_plan, triangle_quiver
+from .surface import Sl3Error
 
 
 class SeedMismatch(Sl3Error):
@@ -65,17 +65,18 @@ class TropicalPoint:
     at a boundary interval of ``tri``, raises ValueError.
 
     A point stores ``_ints = (d, {i: d x_i})`` alone.  The constructor
-    takes the coordinates as Fractions (or ints), over the lcm d of their
-    denominators; :meth:`from_ints` takes d and the nonzero numerators as
-    they are.  The Fractions are derived when first read."""
+    takes the coordinates as Fractions (or ints), each read once through
+    ``as_integer_ratio``, over the lcm d of their denominators;
+    :meth:`from_ints` takes d and the nonzero numerators as they are.  The
+    Fractions are derived when first read."""
 
     def __init__(self, kind, coords, tri=None, restricted=False):
         if kind not in ("X", "A"):
             raise ValueError(kind)
         self.kind = kind
-        fracs = {i: v if type(v) is Fraction else Fraction(v) for i, v in coords.items()}
-        d = lcm(*(v.denominator for v in fracs.values()))
-        self._ints = d, {i: v.numerator * (d // v.denominator) for i, v in fracs.items() if v}
+        ratios = {i: v.as_integer_ratio() for i, v in coords.items()}
+        d = lcm(*(den for _, den in ratios.values()))
+        self._ints = d, {i: num * (d // den) for i, (num, den) in ratios.items() if num}
         self.tri = tri
         self.restricted = bool(restricted)
         if self.restricted and kind != "X":
@@ -202,33 +203,6 @@ def mutate_a(p, eps, k):
     return _point(p, d, a, p.tri)
 
 
-def flip_local_labels(tri, e):
-    """The 12 local indices of the flip quadrilateral at ``e``, keyed by
-    the labels 1..12 of the mutation-sequence picture: 1, 3 on the
-    diagonal (terminal, initial), 2, 4 the left/right faces, then the
-    (p, q) pairs of the outer sides counterclockwise from the top-left:
-    (5,6), (7,8), (9,10), (11,12).  Outer labels may coincide where outer
-    sides are identified, as on the torus."""
-    if not tri.has_edge(e) or tri.is_boundary(e):
-        raise NotInteriorEdge(e)
-    (tl, il), (tr, ir) = tri.slots(e)
-    g = (tl, (il + 1) % 3)
-    f = (tl, (il + 2) % 3)
-    h = (tr, (ir + 1) % 3)
-    k = (tr, (ir + 2) % 3)
-    lab = {
-        1: ("edge", e, 2),
-        2: ("tri", tl),
-        3: ("edge", e, 1),
-        4: ("tri", tr),
-    }
-    lab[5], lab[6] = side_pair(tri, g)
-    lab[7], lab[8] = side_pair(tri, f)
-    lab[9], lab[10] = side_pair(tri, h)
-    lab[11], lab[12] = side_pair(tri, k)
-    return lab
-
-
 def flip_x_closed_form(p, tri, e):
     """The closed-form tropical flip map on the 12 local coordinates of
     the quadrilateral at ``e``; identity on all other coordinates.
@@ -238,7 +212,8 @@ def flip_x_closed_form(p, tri, e):
     label's increment, which reads only x1..x4, is added at its index;
     two labels naming one index add both.  A restricted point keeps no
     frozen coordinates, as in :func:`mutate_x`."""
-    lab = flip_local_labels(tri, e)
+    plan = flip_plan(tri, e)
+    lab = plan.labels
     _, nums = p._ints
     x1, x2, x3, x4 = (nums.get(lab[n], 0) for n in range(1, 5))
     b123, b341 = bracket3(x1, x2, x3), bracket3(x3, x4, x1)
@@ -258,7 +233,7 @@ def flip_x_closed_form(p, tri, e):
         local[lab[n]] = local.get(lab[n], nums.get(lab[n], 0)) + v
     # local label n keeps its geometric position, so it maps to the index
     # of the flipped triangulation occupying that position
-    return _flipped(p, flip_plan(tri, e), local)
+    return _flipped(p, plan, local)
 
 
 def apply_flip(p, tri, e):
@@ -305,8 +280,9 @@ def ensemble(a, tri):
     """The tropicalized extended ensemble map x = (eps + m)a, amalgamated
     from one map per triangle and one block per boundary interval.
 
-    Per triangle with face f, each side's (p, q) pair is read once and the
-    side's four arrows of :func:`seeds.triangle_quiver` are applied: p -> f,
+    Per triangle with face f, the three (p, q) pairs of its sides are read
+    off ``tri.side_pairs``, and each side's four arrows of
+    :func:`seeds.triangle_quiver` are applied, written out: p -> f,
     f -> q and q -> p_next of weight 1, and the dashed q -> p of weight 1/2,
     an arrow i -> j of weight w adding w a_j to x_i and -w a_i to x_j.
     Each boundary interval (p, q) then adds x_p += a_q/2 - a_p and
@@ -317,22 +293,18 @@ def ensemble(a, tri):
     d, nums = a._ints
     get = nums.get
     out = {}
-    for t, sides in tri.tri_sides.items():
+    for t, ((p0, q0), (p1, q1), (p2, q2)) in tri.side_pairs.items():
         af2 = 2 * get(("tri", t), 0)
-        pqs = []
-        for s, e in enumerate(sides):
-            p, q = ("edge", e, 1), ("edge", e, 2)
-            if tri.slots(e)[0] != (t, s):
-                p, q = q, p
-            pqs.append((p, q, get(p, 0), get(q, 0)))
-        xf = 0
-        for s, (p, q, ap, aq) in enumerate(pqs):
-            # the solid arrows between sides: q_{s-1} -> p and q -> p_{s+1},
-            # with sides s - 1 and s + 1 at pqs[s - 1] and pqs[s - 2]
-            out[p] = out.get(p, 0) + af2 - aq - 2 * pqs[s - 1][3]
-            out[q] = out.get(q, 0) - af2 + ap + 2 * pqs[s - 2][2]
-            xf += aq - ap
-        out[("tri", t)] = 2 * xf
+        a0, b0, a1, b1 = get(p0, 0), get(q0, 0), get(p1, 0), get(q1, 0)
+        a2, b2 = get(p2, 0), get(q2, 0)
+        # side s gains the solid arrows q_{s-1} -> p_s and q_s -> p_{s+1}
+        out[p0] = out.get(p0, 0) + af2 - b0 - 2 * b2
+        out[q0] = out.get(q0, 0) - af2 + a0 + 2 * a1
+        out[p1] = out.get(p1, 0) + af2 - b1 - 2 * b0
+        out[q1] = out.get(q1, 0) - af2 + a1 + 2 * a2
+        out[p2] = out.get(p2, 0) + af2 - b2 - 2 * b1
+        out[q2] = out.get(q2, 0) - af2 + a2 + 2 * a0
+        out[("tri", t)] = 2 * (b0 + b1 + b2 - a0 - a1 - a2)
     for e in tri.boundary_intervals:
         p, q = ("edge", e, 1), ("edge", e, 2)
         ap, aq = get(p, 0), get(q, 0)

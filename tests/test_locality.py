@@ -8,7 +8,9 @@ and identified quadrilateral sides, and the ensemble map keeps no table
 in any triangulation's memo.  On the same walks a restricted X-point
 flips to the unfrozen part of the unrestricted flip, the flipped
 triangulation edited in place equals one built from scratch, and the
-integer Dynkin fold equals its mutation sequence.
+integer Dynkin fold equals its mutation sequence.  A flip carries the
+side pairs of a fresh build, and a flip plan filled from its shape's
+template equals the plan its own four mutations give.
 """
 
 import gc
@@ -21,7 +23,8 @@ import pytest
 
 import mutation_reference as ref
 from surface_reference import canonical_form
-from sl3shear.seeds import Sl3IndexSet, flip_plan
+from sl3shear import seeds
+from sl3shear.seeds import FlipPlan, Sl3IndexSet, flip_local_labels, flip_plan, flip_quiver, mutate_matrix
 from sl3shear.surface import FlipCreatesSelfFolded, IdealTriangulation, MarkedSurfaceSpec, build
 from sl3shear.tropical import (
     TropicalPoint,
@@ -43,6 +46,15 @@ SURFACES = {
     "torus": MarkedSurfaceSpec.once_punctured_torus(),
 }
 STEPS = 10
+# the surfaces whose flip walks check the side pairs and the plan templates
+SHAPE_SURFACES = {
+    "polygon5": MarkedSurfaceSpec.polygon(5),
+    "polygon8": MarkedSurfaceSpec.polygon(8),
+    "annulus1_1": MarkedSurfaceSpec.annulus(1, 1),
+    "annulus3_3": MarkedSurfaceSpec.annulus(3, 3),
+    "torus": MarkedSurfaceSpec.once_punctured_torus(),
+    "punctured8_2": MarkedSurfaceSpec.punctured_polygon(8, 2),
+}
 
 
 def _random_coords(rng, indices):
@@ -54,10 +66,10 @@ def _random_coords(rng, indices):
     return out
 
 
-def _walk(name, steps=STEPS):
+def _walk(name, steps=STEPS, surfaces=SURFACES):
     """(triangulation, flipped edge) pairs of a seeded random flip walk."""
     rng = random.Random(f"locality:{name}")
-    tri = build(SURFACES[name])
+    tri = build(surfaces[name])
     taken = 0
     while taken < steps:
         e = rng.choice(tri.interior_edges)
@@ -299,3 +311,66 @@ def test_dynkin_fold_equals_mutation_sequence_after_flips(name):
             q = dynkin_cluster(p, t2)
             assert q == dynkin_cluster_by_mutation(p, t2)
             assert dynkin_cluster(q, t2) == p
+
+
+@pytest.mark.parametrize("name", sorted(SHAPE_SURFACES))
+def test_flipped_side_pairs_equal_a_fresh_build(name):
+    """A flip rewrites the side pairs of its two triangles only; the
+    table it carries equals the one a build from its sides and left slots
+    derives, row order included."""
+    for _, tri, e in _walk(name, steps=20, surfaces=SHAPE_SURFACES):
+        t2, _ = tri.flip_edge(e)
+        fresh = IdealTriangulation(t2.tri_sides, slot_l={x: t2.slots(x)[0] for x in t2.edges})
+        assert t2.side_pairs == fresh.side_pairs
+        assert list(t2.side_pairs) == list(t2.tri_sides)
+
+
+def _direct_plan(tri, e):
+    """The flip plan at ``e`` computed without a template: the flip's four
+    mutations run on its flip quiver, mu_1 mu_3 mu_4 mu_2 in local labels."""
+    t2, corr = tri.flip_edge(e)
+    lab = flip_local_labels(tri, e)
+    eps = local = flip_quiver(tri, e)
+    columns = []
+    for k in (lab[1], lab[3], lab[4], lab[2]):
+        columns.append((k, eps.columns[k]))
+        eps = mutate_matrix(eps, k)
+    return FlipPlan(t2, corr, lab, local.indices, local.frozen, tuple(columns))
+
+
+@pytest.mark.parametrize("name", sorted(SHAPE_SURFACES))
+def test_template_plans_equal_direct_plans(name, monkeypatch):
+    """From an empty template cache, at every interior edge of every
+    triangulation along a flip walk, the plan filled from its shape's
+    template equals the direct one, ``local`` order and ``frozen``
+    included."""
+    monkeypatch.setattr(seeds, "_PLAN_TEMPLATES", {})
+    walked = [tri for _, tri, _ in _walk(name, steps=20, surfaces=SHAPE_SURFACES)]
+    checked = 0
+    for tri in walked:
+        for e in tri.interior_edges:
+            try:
+                want = _direct_plan(tri, e)
+            except FlipCreatesSelfFolded:
+                continue
+            assert flip_plan(tri, e) == want
+            checked += 1
+    assert checked > len(walked)
+
+
+def test_a_template_is_filled_once_per_shape(monkeypatch):
+    """The first plan of a shape runs the flip's four mutations; a plan of
+    another triangulation with that shape runs none."""
+    monkeypatch.setattr(seeds, "_PLAN_TEMPLATES", {})
+    calls = []
+    mutate = seeds.mutate_matrix
+    monkeypatch.setattr(seeds, "mutate_matrix", lambda eps, k: calls.append(k) or mutate(eps, k))
+    polygon5, polygon8, torus = (build(SHAPE_SURFACES[n]) for n in ("polygon5", "polygon8", "torus"))
+    flip_plan(polygon5, polygon5.interior_edges[0])
+    assert len(calls) == 4
+    flip_plan(polygon8, polygon8.interior_edges[-1])
+    assert len(calls) == 4
+    # the torus quadrilateral has identified outer sides: another shape
+    flip_plan(torus, torus.interior_edges[0])
+    assert len(calls) == 8
+    assert len(seeds._PLAN_TEMPLATES) == 2

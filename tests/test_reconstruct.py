@@ -164,6 +164,21 @@ def test_reconstruct_rational_rescaled(polygon4):
         trace_coordinates(x, polygon4)
 
 
+def test_trace_reduces_an_integral_point_held_over_a_larger_denominator(polygon4):
+    """An integral point held over d = 2 is traced as its reduced point,
+    under the step cap of the reduced ints; a point over 2 that is not
+    integral is refused."""
+    i = ("edge", "d2", 1)
+    least = xpoint(polygon4, {i: F(2)})
+    stepper, travelers = trace_coordinates(TropicalPoint.from_ints("X", 2, {i: 4}, polygon4, True), polygon4)
+    want_stepper, want = trace_coordinates(least, polygon4)
+    assert travelers and travelers == want
+    assert stepper.step_cap == want_stepper.step_cap == _step_cap(least, polygon4) == 320
+    with pytest.raises(NonIntegralInput) as info:
+        trace_coordinates(TropicalPoint.from_ints("X", 2, {i: 3}, polygon4, True), polygon4)
+    assert str(info.value) == "coordinates held over the denominator 2 are not integral"
+
+
 def test_spiral_depth_independence(torus):
     rng = random.Random(5)
     iset = Sl3IndexSet(torus)

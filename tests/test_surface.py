@@ -84,6 +84,19 @@ def test_corrupted_slot_table_diagnostic(polygon4):
     assert any("edge-count identity" in d for d in diags)
 
 
+@pytest.mark.parametrize("tri_sides, slot_l, message", [
+    ({"T0": ("a", "b")}, None, "triangle T0 does not have 3 sides"),
+    ({"T0": ("a", "b", "c"), "T1": ("a", "d", "e"), "T2": ("a", "f", "g")}, None,
+     "edge a occurs in more than two side slots"),
+    ({"T0": ("a", "b", "c"), "T1": ("a", "d", "e")}, {"a": ("T0", 1)},
+     "designated left slot of a not found"),
+], ids=["two-sides", "three-slots", "foreign-left-slot"])
+def test_malformed_tables_are_refused(tri_sides, slot_l, message):
+    with pytest.raises(ValueError) as info:
+        IdealTriangulation(tri_sides, slot_l=slot_l)
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
 def test_annulus_vertex_classes(annulus11):
     classes = set(annulus11.vertices.values())
     assert classes == {"special"}

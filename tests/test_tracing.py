@@ -20,7 +20,9 @@ def _tracing():
     return module
 
 
-def test_instrument_resolves_every_traced_name_and_restores_them():
+def test_instrument_resolves_every_traced_name_and_restores_them(monkeypatch):
+    # an empty template cache, so the flip plan below is cold by shape too
+    monkeypatch.setattr(seeds, "_PLAN_TEMPLATES", {})
     tracing = _tracing()
     originals = (seeds.mutate_matrix, tropical.apply_flip, sl3shear.apply_flip)
     tri = build(MarkedSurfaceSpec.polygon(5))

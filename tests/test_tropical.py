@@ -8,19 +8,21 @@ from hypothesis import strategies as st
 import mutation_reference as ref
 from sl3shear import tropical
 from sl3shear.seeds import (
+    FrozenIndexMutation,
     Sl3IndexSet,
     exchange_matrix,
+    flip_local_labels,
     flip_plan,
     side_pair,
 )
 from sl3shear.surface import FlipCreatesSelfFolded, MarkedSurfaceSpec, NotInteriorEdge, build
 from sl3shear.tropical import (
+    SeedMismatch,
     TropicalPoint,
     apply_flip,
     dynkin_cluster,
     dynkin_cluster_by_mutation,
     ensemble,
-    flip_local_labels,
     flip_x_closed_form,
     mutate_a,
     mutate_x,
@@ -98,6 +100,27 @@ def test_flip_refuses_unknown_and_boundary_edges(e):
         with pytest.raises(NotInteriorEdge):
             flip()
     assert tri.memo == {}
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda tri, x, a, eps: TropicalPoint("Y", {}), ValueError, "Y"),
+    (lambda tri, x, a, eps: mutate_x(a, eps, ("tri", "T1")), SeedMismatch, "X-point required"),
+    (lambda tri, x, a, eps: mutate_a(x, eps, ("tri", "T1")), SeedMismatch, "A-point required"),
+    (lambda tri, x, a, eps: mutate_x(x, eps, ("edge", "b0", 1)), FrozenIndexMutation, "('edge', 'b0', 1)"),
+    (lambda tri, x, a, eps: ensemble(x, tri), SeedMismatch, "A-point required"),
+    (lambda tri, x, a, eps: dynkin_cluster(a, tri), SeedMismatch, "X-point required"),
+    (lambda tri, x, a, eps: dynkin_cluster_by_mutation(a, tri), SeedMismatch, "X-point required"),
+], ids=["bad-kind", "x-column-of-a", "a-column-of-x", "frozen-index", "ensemble-of-x",
+        "dynkin-of-a", "dynkin-by-mutation-of-a"])
+def test_maps_refuse_the_wrong_point(polygon4, call, error, message):
+    """A point of the wrong kind, or a mutation at a frozen index, is
+    refused with its own error and message."""
+    x = TropicalPoint("X", {("tri", "T1"): F(1)}, tri=polygon4)
+    a = TropicalPoint("A", {("tri", "T1"): F(1)}, tri=polygon4)
+    _, eps = exchange_matrix(polygon4)
+    with pytest.raises(error) as info:
+        call(polygon4, x, a, eps)
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_closed_form_zero(polygon4):
